@@ -11,10 +11,7 @@ from .core import (
     QuadratureSpec,
     StepFunction,
     default_params,
-    integrate_box,
-    integrate_halfspace,
     read_step,
-    truncation_radius,
     write_step,
 )
 from .dyadic import (
@@ -59,6 +56,7 @@ from .kernels import (
     check_size,
     make_broken,
     make_cancellative,
+    make_mixed,
     make_size_only,
     rescale,
 )
@@ -95,12 +93,11 @@ __all__ = [
     "gstar_pointwise",
     "gstar_sq_norm",
     "haar_function",
-    "integrate_box",
-    "integrate_halfspace",
     "is_good",
     "k_quantity",
     "make_broken",
     "make_cancellative",
+    "make_mixed",
     "make_size_only",
     "p_quantity",
     "pi_good_exact",

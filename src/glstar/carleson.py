@@ -58,10 +58,6 @@ def _exact_int(x: Fraction) -> int:
     return x.numerator
 
 
-def _pow2(e: int) -> Fraction:
-    return Fraction(2) ** e
-
-
 @dataclass(frozen=True, eq=False)
 class DyadicOpenSet:
     """A finite union of dyadic rectangles I x J from one grid pair.
@@ -93,7 +89,7 @@ class DyadicOpenSet:
 
         def cells(cube, level, shift):
             (lo, hi), = cube.box_fractions()
-            step = _pow2(-level)
+            step = Fraction(2) ** -level
             return (_exact_int((lo - shift) / step),
                     _exact_int((hi - shift) / step))
 
@@ -125,7 +121,7 @@ class DyadicOpenSet:
         for ax in (0, 1):
             lv = self._levels[ax]
             s = self.grids[ax].shift_fraction(lv)[0]
-            step = _pow2(-lv)
+            step = Fraction(2) ** -lv
             lo = s + self._lo[ax] * step
             hi = lo + self._bitmap.shape[ax] * step
             out.append((float(lo), float(hi)))
@@ -142,8 +138,8 @@ class DyadicOpenSet:
                     s2.denominator.bit_length() - 1)
         r1, r2 = 2 ** (level - lv1), 2 ** (level - lv2)
         vals = np.repeat(np.repeat(self._bitmap, r1, axis=0), r2, axis=1)
-        lo1 = _exact_int((s1 + self._lo[0] * _pow2(-lv1)) * 2 ** level)
-        lo2 = _exact_int((s2 + self._lo[1] * _pow2(-lv2)) * 2 ** level)
+        lo1 = _exact_int((s1 + self._lo[0] * Fraction(2) ** -lv1) * 2 ** level)
+        lo2 = _exact_int((s2 + self._lo[1] * Fraction(2) ** -lv2) * 2 ** level)
         return StepFunction(level=level, lo=(lo1, lo2),
                             values=vals.astype(float))
 
@@ -274,9 +270,9 @@ def _axis_candidates(grid: ShiftedGrid, raster_level: int, lo_cell: int,
     """
     s_r = grid.shift_fraction(raster_level)[0]
     s_l = grid.shift_fraction(level)[0]
-    lo_f = s_r + lo_cell * _pow2(-raster_level)
-    hi_f = lo_f + n_cells * _pow2(-raster_level)
-    step = _pow2(-level)
+    lo_f = s_r + lo_cell * Fraction(2) ** -raster_level
+    hi_f = lo_f + n_cells * Fraction(2) ** -raster_level
+    step = Fraction(2) ** -level
     kmin = math.ceil((lo_f - s_l) / step)
     kmax = math.floor((hi_f - s_l) / step - 1)
     if kmax < kmin:
@@ -285,12 +281,12 @@ def _axis_candidates(grid: ShiftedGrid, raster_level: int, lo_cell: int,
     # the shift DIFFERENCE between two levels only involves scales strictly
     # between them, so both offsets below are exact integers
     if level <= raster_level:
-        t = _exact_int((s_l - lo_f) * _pow2(raster_level))
+        t = _exact_int((s_l - lo_f) * Fraction(2) ** raster_level)
         pix = t + k * (1 << (raster_level - level))
         width = 1 << (raster_level - level)
     else:
         e = level - raster_level
-        t = _exact_int((s_l - lo_f) * _pow2(level))
+        t = _exact_int((s_l - lo_f) * Fraction(2) ** level)
         pix = (t + k) >> e
         width = 1
     return k, pix, width

@@ -1,4 +1,4 @@
-"""Parameter records, dyadic step functions, and the shared quadrature engine.
+"""Parameter records, dyadic step functions, and the shared mesh builders.
 
 Everything downstream (grid geometry, Haar systems, kernel testing, the
 square-function quadratures, Carleson packing) is built on three ingredients
@@ -12,17 +12,18 @@ that live here:
   constant tail outside its support box.  This is the concrete carrier for
   test functions, Haar functions, indicators of open sets, and the modified
   ancestor patterns (which are constant but nonzero far away, hence the tail).
-* a small deterministic quadrature kit -- graded tensor-product meshes for
-  space axes and log-uniform per-octave rules for scale axes.  Scale measures
-  downstream are all of the form dt/t, which a log-space midpoint rule
-  integrates exactly for 1/t integrands; space integrands are either step
-  functions (midpoint-exact) or kernels peaked at known points (handled by
-  grading the mesh geometrically toward the peaks).
+* node builders, not integrators -- graded segment meshes for space axes
+  (``graded_axis_edges`` plus ``segment_nodes``) and log-uniform per-octave
+  rules for scale axes (``octave_blocks`` and ``octave_nodes``).  Callers
+  evaluate their own integrands on these nodes and contract them against the
+  weights.  Scale measures downstream are all of the form dt/t, which a
+  log-space midpoint rule integrates exactly for 1/t integrands; space
+  integrands are either step functions (midpoint-exact) or kernels peaked at
+  known points (handled by grading the mesh geometrically toward the peaks).
+  This module is the only place that splits a scale axis at powers of two.
 
 All values are immutable after construction and all routines are pure, so
-everything here is safe to share across threads.  Summations are numpy
-pairwise reductions over deterministically ordered nodes: results do not
-depend on thread count.
+everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,12 +42,10 @@ __all__ = [
     "StepFunction",
     "default_params",
     "graded_axis_edges",
-    "integrate_box",
-    "integrate_halfspace",
+    "octave_blocks",
     "octave_nodes",
     "read_step",
     "segment_nodes",
-    "truncation_radius",
     "write_step",
 ]
 
@@ -140,13 +139,13 @@ def default_params(**overrides) -> Params:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Resolution knobs for the quadrature kit.
+    """Resolution knobs for the quadratures built on this module's nodes.
 
     ``points_per_cell`` is the per-axis rule order on each mesh segment (and
     on each lattice cell when integrating against step functions);
     ``t_points_per_octave`` the number of nodes per factor of two on scale
-    axes; ``truncation_eps`` the tolerance used to cut unbounded integrals via
-    the analytic tail bound; ``t_min``/``t_max`` the default scale range.
+    axes; ``truncation_eps`` the tolerance at which callers cut unbounded
+    integrals; ``t_min``/``t_max`` the default scale range.
     ``rule`` selects the segment rule: "midpoint" (exact on step functions) or
     "gauss" (Gauss-Legendre, for smooth kernels).
     """
@@ -178,30 +177,6 @@ class QuadratureSpec:
             t_max=self.t_max,
             rule=self.rule,
         )
-
-
-def truncation_radius(decay_exponent: float, scale: float, eps: float, dim: int = 1) -> float:
-    """Radius R beyond which the tail of the standard-size majorant is < eps.
-
-    The majorant is scale^a (scale + |u|)^(-d - a) with a = ``decay_exponent``
-    on R^d under the sup-norm; the tail mass over {|u| > R} is bounded by
-
-        (d 2^d / a) scale^a (scale + R)^(-a),
-
-    obtained by integrating the sup-norm spheres (surface measure d 2^d rho^(d-1))
-    and dropping rho^(d-1) against (scale+rho)^(d-1).  Solving the bound = eps
-    for R gives the minimal radius up to the slack of that surface estimate,
-    so the returned value is within a constant factor of optimal (tight for
-    d = 1, where the bound is exact).
-    """
-    if decay_exponent <= 0:
-        raise ValueError("decay exponent must be positive")
-    if scale <= 0 or eps <= 0:
-        raise ValueError("scale and eps must be positive")
-    a = float(decay_exponent)
-    prefactor = dim * (2.0 ** dim) / a
-    radius = scale * ((prefactor / eps) ** (1.0 / a) - 1.0)
-    return max(radius, scale) * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -272,156 +247,53 @@ def segment_nodes(
     return nodes.ravel(), weights.ravel()
 
 
+def octave_blocks(
+    t_lo: float,
+    t_hi: float,
+    per_octave: int,
+    rule: str = "midpoint",
+) -> Iterator[tuple[float, float, np.ndarray, np.ndarray]]:
+    """Per-octave view of :func:`octave_nodes`: yields ``(lo, hi, nodes,
+    weights)`` for each piece of [t_lo, t_hi] between consecutive powers of
+    two (the end pieces are clipped to the range).
+
+    Each piece is subdivided into ``per_octave`` equal parts in log space and
+    the rule is applied there: with s = log t the weight carries the e^s
+    Jacobian, so integrands proportional to 1/t are integrated exactly by the
+    midpoint variant.  Callers that track per-octave sums (tail reports,
+    octave-pair loops) iterate these blocks instead of re-splitting the axis.
+    """
+    if not 0 < t_lo < t_hi:
+        raise ValueError("need 0 < t_lo < t_hi")
+    edges = [float(t_lo)]
+    k = math.floor(math.log2(t_lo)) + 1
+    while 2.0 ** k < t_hi:
+        if 2.0 ** k > t_lo:
+            edges.append(2.0 ** k)
+        k += 1
+    edges.append(float(t_hi))
+    s_edges = np.log(np.array(edges))
+    base, bw = _rule01(per_octave, rule)
+    for i in range(len(edges) - 1):
+        s0, s1 = s_edges[i], s_edges[i + 1]
+        ds = s1 - s0
+        t = np.exp(s0 + ds * base)
+        yield edges[i], edges[i + 1], t, ds * bw * t
+
+
 def octave_nodes(
     t_lo: float,
     t_hi: float,
     per_octave: int,
     rule: str = "midpoint",
-    extra_edges: Sequence[float] = (),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Log-uniform nodes and weights for a plain dt integral on [t_lo, t_hi].
-
-    The axis is split at every power of two (plus any ``extra_edges``), each
-    piece is subdivided into ``per_octave`` equal parts in log space, and the
-    rule is applied in log space: with s = log t the weight carries the e^s
-    Jacobian, so integrands proportional to 1/t are integrated exactly by the
-    midpoint variant.  Downstream every scale measure is dt/t, which is why
-    this is the default scale rule.
-    """
-    if not 0 < t_lo < t_hi:
-        raise ValueError("need 0 < t_lo < t_hi")
-    edges = {float(t_lo), float(t_hi)}
-    k = math.floor(math.log2(t_lo)) + 1
-    while 2.0 ** k < t_hi:
-        if 2.0 ** k > t_lo:
-            edges.add(2.0 ** k)
-        k += 1
-    for e in extra_edges:
-        if t_lo < e < t_hi:
-            edges.add(float(e))
-    edges = np.array(sorted(edges))
-    s_edges = np.log(edges)
-    base, bw = _rule01(per_octave, rule)
-    nodes, weights = [], []
-    for s0, s1 in zip(s_edges[:-1], s_edges[1:]):
-        ds = s1 - s0
-        s = s0 + ds * base
-        t = np.exp(s)
-        nodes.append(t)
-        weights.append(ds * bw * t)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _eval_on_grid(f: Callable, axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate f on the tensor grid of the given 1-d node arrays.
-
-    Tries a broadcast call first (the numpy-friendly convention used
-    throughout this package); falls back to np.vectorize for scalar-only
-    callables.
-    """
-    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-    try:
-        out = np.asarray(f(*grids), dtype=float)
-        out = np.broadcast_to(out, tuple(len(a) for a in axes))
-    except (TypeError, ValueError):
-        out = np.vectorize(f, otypes=[float])(*np.meshgrid(*axes, indexing="ij"))
-    return out
-
-
-def _check_finite(values: np.ndarray, axes: Sequence[np.ndarray]) -> None:
-    if np.all(np.isfinite(values)):
-        return
-    idx = np.unravel_index(int(np.argmin(np.isfinite(values))), values.shape)
-    point = tuple(float(axes[d][idx[d]]) for d in range(len(axes)))
-    raise FloatingPointError(f"non-finite integrand sample at {point}")
-
-
-def _contract(values: np.ndarray, weight_axes: Sequence[np.ndarray]) -> float:
-    out = values
-    for w in reversed(weight_axes):
-        out = out @ w
-    return float(out)
-
-
-def integrate_box(
-    f: Callable,
-    box: Sequence[Sequence[float]] | Sequence[float],
-    spec: QuadratureSpec,
-    anchors: Sequence[Sequence[float]] | None = None,
-    with_error: bool = False,
-):
-    """Tensor-product quadrature of f over an axis-aligned box.
-
-    ``box`` is a sequence of (lo, hi) pairs, or a single (lo, hi) pair in one
-    dimension.  Each axis gets a mesh graded geometrically toward its anchors
-    (default: the origin, where the kernel and weight profiles used throughout
-    this package peak) with ``spec.points_per_cell`` nodes per segment.  Pass
-    per-axis ``anchors`` to add breakpoints: anchors inside the box become
-    exact segment edges, so jumps located at anchors cost no accuracy.
-
-    With ``with_error`` the return value is ``(value, estimate)`` where the
-    estimate is twice the difference against a rule of half the order -- a
-    plain embedded-rule error gauge, deliberately conservative.
-    """
-    box_arr = np.atleast_2d(np.asarray(box, dtype=float))
-    dim = box_arr.shape[0]
-    if anchors is None:
-        anchors = [(0.0,)] * dim
-    axes, weights = [], []
-    for d in range(dim):
-        lo, hi = box_arr[d]
-        edges = graded_axis_edges(lo, hi, anchors[d])
-        nd, wd = segment_nodes(edges, spec.points_per_cell, spec.rule)
-        axes.append(nd)
-        weights.append(wd)
-    values = _eval_on_grid(f, axes)
-    _check_finite(values, axes)
-    result = _contract(values, weights)
-    if not with_error:
-        return result
-    coarse = QuadratureSpec(
-        points_per_cell=max(1, spec.points_per_cell // 2),
-        t_points_per_octave=spec.t_points_per_octave,
-        truncation_eps=spec.truncation_eps,
-        t_min=spec.t_min,
-        t_max=spec.t_max,
-        rule=spec.rule,
-    )
-    reference = integrate_box(f, box, coarse, anchors=anchors)
-    return result, 2.0 * abs(result - reference) + 1e-15 * abs(result)
-
-
-def integrate_halfspace(
-    f: Callable,
-    dim: int,
-    spec: QuadratureSpec,
-    radius: float | None = None,
-    breaks: Sequence[float] = (),
-    t_breaks: Sequence[float] = (),
-) -> float:
-    """Quadrature of f(y, t) dy dt over R^dim x [t_min, t_max].
-
-    The scale axis uses the per-octave log rule (aligned at powers of two, so
-    integrands switching behaviour at dyadic scales are resolved exactly);
-    space axes use a graded mesh on [-R, R] per axis, with R either given or
-    derived from ``truncation_radius`` at the spec tolerance.  The measure is
-    plain dy dt: callers fold their own 1/t powers into f.  ``breaks`` adds
-    grading anchors (and exact edges) on every space axis; ``t_breaks`` adds
-    scale-axis edges.  Decay sufficient for the truncation is the caller's
-    contract, as is a t-range covering the integrand's scales.
-    """
-    if radius is None:
-        radius = truncation_radius(1.0, max(1.0, spec.t_max), spec.truncation_eps, dim)
-    t_nodes, t_weights = octave_nodes(
-        spec.t_min, spec.t_max, spec.t_points_per_octave, spec.rule, t_breaks
-    )
-    anchors = (0.0, *breaks)
-    edges = graded_axis_edges(-radius, radius, anchors)
-    y_nodes, y_weights = segment_nodes(edges, spec.points_per_cell, spec.rule)
-    axes = [y_nodes] * dim + [t_nodes]
-    values = _eval_on_grid(f, axes)
-    _check_finite(values, axes)
-    return _contract(values, [y_weights] * dim + [t_weights])
+    """Log-uniform nodes and weights for a plain dt integral on [t_lo, t_hi]:
+    the concatenation of the :func:`octave_blocks`.  Splitting at every power
+    of two aligns the nodes with dyadic scale bands; downstream every scale
+    measure is dt/t, which is why this is the default scale rule."""
+    blocks = list(octave_blocks(t_lo, t_hi, per_octave, rule))
+    return (np.concatenate([b[2] for b in blocks]),
+            np.concatenate([b[3] for b in blocks]))
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +356,7 @@ class StepFunction:
         )
 
     def box_fractions(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        h = Fraction(1, 2 ** self.level) if self.level >= 0 else Fraction(2 ** -self.level)
+        h = Fraction(2) ** -self.level
         return tuple((k * h, (k + s) * h) for k, s in zip(self.lo, self.shape))
 
     # -- construction helpers ----------------------------------------------
@@ -530,8 +402,7 @@ class StepFunction:
     def exact_integral(self) -> Fraction:
         if self.tail != 0.0:
             raise ValueError("integral undefined for nonzero tail")
-        cell = Fraction(1, 2 ** (self.level * self.dim)) if self.level >= 0 else \
-            Fraction(2 ** (-self.level * self.dim))
+        cell = Fraction(2) ** (-self.level * self.dim)
         return sum((Fraction(float(v)) for v in self.values.ravel()), Fraction(0)) * cell
 
     def inner(self, other: "StepFunction") -> float:

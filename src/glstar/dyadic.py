@@ -117,7 +117,7 @@ class ShiftedGrid:
         out = [Fraction(0)] * self.dim
         for i in range(max(level + 1, self.j_min), self.j_max + 1):
             row = self.bits[i - self.j_min]
-            w = Fraction(1, 2 ** i) if i >= 0 else Fraction(2 ** -i)
+            w = Fraction(2) ** -i
             for d in range(self.dim):
                 if row[d]:
                     out[d] += w
@@ -185,7 +185,7 @@ class DyadicCube:
         return 2.0 ** -self.level
 
     def side_fraction(self) -> Fraction:
-        return Fraction(1, 2 ** self.level) if self.level >= 0 else Fraction(2 ** -self.level)
+        return Fraction(2) ** -self.level
 
     def corner_fractions(self) -> tuple[Fraction, ...]:
         s = self.grid.shift_fraction(self.level)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
@@ -50,11 +49,11 @@ from .kernels import (
     AssumptionReport,
     ConvolutionFactor,
     Kernel,
-    _tensor_evaluate,
     check_holder,
     check_mixed,
     check_size,
     make_cancellative,
+    make_mixed,
     make_size_only,
     rescale,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "ExperimentReport",
     "Lemma32Config",
     "NamedIntegrand",
-    "make_mixed",
     "run_averaging",
     "run_boundratio",
     "run_carleson",
@@ -123,15 +121,8 @@ class ExperimentReport:
 
 
 def _snapshot(params: Params, **extra) -> dict:
-    out = {
-        "n": params.n,
-        "m": params.m,
-        "lambda1": params.lambda1,
-        "lambda2": params.lambda2,
-        "r": params.r,
-        "gamma_n": params.gamma_n,
-        "gamma_m": params.gamma_m,
-    }
+    out = {k: v for k, v in params.as_dict().items()
+           if k not in ("alpha", "beta")}
     out.update(extra)
     return out
 
@@ -195,7 +186,7 @@ def _interval_integral(f: StepFunction, a: Fraction, b: Fraction) -> float:
     """Exact integral of the 1-d step function over [a, b)."""
     level = f.level
     k0 = f.lo[0]
-    cell = Fraction(1, 2 ** level) if level >= 0 else Fraction(2 ** -level)
+    cell = Fraction(2) ** -level
     parts = []
     for i, v in enumerate(f.values):
         if v == 0.0:
@@ -227,7 +218,6 @@ def run_averaging(
     *,
     octaves: int = 12,
     pi_trials: int = 20000,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Whitney-partition identity plus its randomized good-cube version.
 
@@ -294,11 +284,7 @@ def run_averaging(
         rel = abs(det - closed) / abs(closed) if closed else abs(det)
         return rel, good
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_trial, range(trials)))
-    else:
-        results = [one_trial(t) for t in range(trials)]
+    results = [one_trial(t) for t in range(trials)]
 
     rels = np.array([r for r, _ in results])
     sums = np.array([s for _, s in results])
@@ -772,23 +758,6 @@ def run_kdecay(
 # packing dichotomy
 
 
-def make_mixed(n: int, m: int, alpha: float, beta: float) -> Kernel:
-    """Tensor kernel with a cancellative first factor and a size-only second
-    factor; applied to the constant it vanishes, so it packs like the
-    cancellative family despite the one-sided positivity."""
-    f1 = ConvolutionFactor(n, alpha, "cancellative")
-    f2 = ConvolutionFactor(m, beta, "size")
-    return Kernel(
-        _tensor_evaluate(f1, f2, n),
-        alpha,
-        beta,
-        n,
-        m,
-        (f1, f2),
-        label=f"mixed(n={n},m={m},a={alpha:g},b={beta:g})",
-    )
-
-
 def run_carleson(
     params: Params,
     kernels: Optional[Sequence[Kernel]] = None,
@@ -1147,7 +1116,7 @@ def run_cases(
         out = {}
         lo_lev, hi_lev = whitney_levels
         for lev in range(lo_lev, hi_lev + 1):
-            shift = grid.shift_fraction(lev)
+            shift, = grid.shift_fraction(lev)
             scale = Fraction(2) ** lev
             k_lo = math.floor((Fraction(0) - pad - shift) * scale)
             k_hi = math.ceil((Fraction(1) + pad - shift) * scale)
@@ -1199,7 +1168,7 @@ def run_cases(
             tag_counts[tag] += 1
             if tag == "nested":
                 gens = w1.level - mem.cube.level
-                if gens < 1 or ancestor(w1, gens) != mem.cube:
+                if gens < 1 or w1.grid.ancestor(w1, gens) != mem.cube:
                     nested_violations += 1
         for w2, m2 in grams2.items():
             masks2 = split_masks(sides2, w2.side)

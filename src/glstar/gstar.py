@@ -16,10 +16,10 @@ over the descendants of a cube (:func:`r_quantity`).
 
 Numerical conventions used throughout:
 
-* scale integrals run per octave with the log rule from :mod:`glstar.core`
-  (exact for dt/t under the midpoint variant), and per-octave contributions
-  are tracked so a too-small scale range is *reported*, never silently
-  absorbed;
+* scale integrals run per octave over the blocks of
+  :func:`glstar.core.octave_blocks` (the log rule, exact for dt/t under the
+  midpoint variant), and per-octave contributions are tracked so a too-small
+  scale range is *reported*, never silently absorbed;
 * space integrals are written in the offset variable u = x - y.  theta of a
   constant-tail step function tends to tail * mass(kernel) far away, so the
   far field is a closed-form weight-tail term and the mesh only has to cover
@@ -27,6 +27,11 @@ Numerical conventions used throughout:
 * tensor kernels (everything built by :mod:`glstar.kernels`) use the exact
   per-axis cell antiderivatives; the non-tensor fall-back quadratures the
   inner integral from raw kernel evaluations and is priced accordingly.
+  One raw assembler serves every such route: :func:`_raw_block` gives the
+  inner integrals at one scale pair over a tensor grid of positions, and
+  :func:`_raw_octave_sums` runs the octave-pair loop that contracts them
+  against each band's position nodes (a single point for the pointwise
+  value, a window mesh or the Whitney cubes for the norm).
 
 Negative values produced by roundoff under the final square root are clamped
 to zero and flagged on the returned record.
@@ -46,6 +51,7 @@ from .core import (
     QuadratureSpec,
     StepFunction,
     graded_axis_edges,
+    octave_blocks,
     octave_nodes,
     segment_nodes,
 )
@@ -195,19 +201,6 @@ def _axis_sq_profile(factor: ConvolutionFactor, f: StepFunction,
                               xs, t, lam)
 
 
-def _octave_pieces(lo: float, hi: float) -> list[tuple[float, float]]:
-    if not 0 < lo < hi:
-        raise ValueError("need 0 < lo < hi for a scale range")
-    cuts = [lo]
-    k = math.floor(math.log2(lo)) + 1
-    while 2.0 ** k < hi:
-        if 2.0 ** k > lo:
-            cuts.append(2.0 ** k)
-        k += 1
-    cuts.append(hi)
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
 def _geometric_tail(first: float, second: float) -> float:
     """Tail estimate past the outermost octave from its decay ratio; inf
     when the contributions do not decay."""
@@ -252,8 +245,8 @@ def _axis_gstar_sq(factor: ConvolutionFactor, f: StepFunction, xs,
     t_lo = spec.t_min if t_lo is None else t_lo
     t_hi = spec.t_max if t_hi is None else t_hi
     octs = []
-    for a, b in _octave_pieces(t_lo, t_hi):
-        tn, tw = octave_nodes(a, b, spec.t_points_per_octave, spec.rule)
+    for _, _, tn, tw in octave_blocks(t_lo, t_hi, spec.t_points_per_octave,
+                                      spec.rule):
         part = np.zeros(xs.shape)
         for t, w in zip(tn, tw):
             part += _axis_sq_profile(factor, f, xs, t, lam, spec) * (w / t)
@@ -411,6 +404,67 @@ def apply_theta(kernel: Kernel, f: StepFunction, y, t1: float, t2: float,
 
 
 # ---------------------------------------------------------------------------
+# raw scale-pair assembly (non-tensor kernels)
+# ---------------------------------------------------------------------------
+
+
+def _raw_block(kernel: Kernel, f: StepFunction, t1: float, t2: float,
+               x1: np.ndarray, x2: np.ndarray, lam1: float, lam2: float,
+               spec: QuadratureSpec) -> np.ndarray:
+    """Inner integrals iint |theta f(x - y)|^2 w1 w2 dy / (t1 t2) at one
+    scale pair, as a (len x1, len x2) matrix over the position nodes.
+
+    theta is sampled from raw kernel values on the tensor u-mesh of the two
+    structure zones and contracted against both weights.  The meshes are the
+    coarser raw-path family: this route prices kernel calls, not mesh
+    density.  Compact f only (there is no closed far field)."""
+    b1, b2 = f.box
+    u1, du1, _, _ = _offset_mesh(b1, t1, spec, b1, _RAW_PAD_UNITS,
+                                 _RAW_MESH_REL)
+    u2, du2, _, _ = _offset_mesh(b2, t2, spec, b2, _RAW_PAD_UNITS,
+                                 _RAW_MESH_REL)
+    wg1 = (t1 / (t1 + np.abs(x1[:, None] - u1[None, :]))) ** lam1 * du1
+    wg2 = (t2 / (t2 + np.abs(x2[:, None] - u2[None, :]))) ** lam2 * du2
+    pts = np.stack(np.meshgrid(u1, u2, indexing="ij"), axis=-1).reshape(-1, 2)
+    th = _theta_points_general(kernel, f, t1, t2, pts, spec)
+    th2 = (th * th).reshape(u1.size, u2.size)
+    return wg1 @ th2 @ wg2.T / (t1 * t2)
+
+
+def _raw_octave_sums(kernel: Kernel, f: StepFunction, lam1: float,
+                     lam2: float, ranges: tuple[tuple[float, float], ...],
+                     spec: QuadratureSpec, band_nodes,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The raw scale-pair sum of int int |theta f|^2 w1 w2 dt1/t1 dt2/t2 over
+    the two scale ranges, contracted against position nodes.
+
+    ``band_nodes(axis, lo, hi)`` gives the position nodes and weights used
+    for the scale band (lo, hi] of each axis; every octave pair contracts its
+    :func:`_raw_block` matrices against them.  Returns the per-octave sums
+    along each scale axis."""
+    bands = [[(tn, tw, *band_nodes(axis, lo, hi))
+              for lo, hi, tn, tw in octave_blocks(*r, spec.t_points_per_octave,
+                                                  spec.rule)]
+             for axis, r in enumerate(ranges)]
+    o1 = np.zeros(len(bands[0]))
+    o2 = np.zeros(len(bands[1]))
+    for i1, (t1n, t1w, x1, xw1) in enumerate(bands[0]):
+        if x1.size == 0:
+            continue
+        for t1, w1 in zip(t1n, t1w):
+            for i2, (t2n, t2w, x2, xw2) in enumerate(bands[1]):
+                if x2.size == 0:
+                    continue
+                for t2, w2 in zip(t2n, t2w):
+                    block = _raw_block(kernel, f, t1, t2, x1, x2, lam1, lam2,
+                                       spec)
+                    contrib = float(xw1 @ block @ xw2) * (w1 / t1) * (w2 / t2)
+                    o1[i1] += contrib
+                    o2[i2] += contrib
+    return o1, o2
+
+
+# ---------------------------------------------------------------------------
 # pointwise square function
 # ---------------------------------------------------------------------------
 
@@ -475,8 +529,8 @@ def _axis_full_sq(factor: ConvolutionFactor, f: StepFunction, x0: float,
     independent per-axis oracle for the fast path (compact f only)."""
     (blo, bhi), = f.box
     octs = []
-    for a, b in _octave_pieces(spec.t_min, spec.t_max):
-        tn, tw = octave_nodes(a, b, spec.t_points_per_octave, spec.rule)
+    for _, _, tn, tw in octave_blocks(spec.t_min, spec.t_max,
+                                      spec.t_points_per_octave, spec.rule):
         part = 0.0
         for t, w in zip(tn, tw):
             u, du, _, _ = _offset_mesh((blo, bhi), t, spec,
@@ -511,38 +565,12 @@ def _pointwise_full_tensor_sq(kernel: Kernel, pair, x: np.ndarray,
 def _pointwise_full_sq(kernel: Kernel, f: StepFunction, x: np.ndarray,
                        lam1: float, lam2: float,
                        spec: QuadratureSpec) -> tuple[float, float]:
-    """Joint quadrature of the defining integral from raw kernel values.
-
-    For every scale pair, theta is sampled on the tensor mesh of the two
-    structure zones and contracted against both weights; octave sums are
-    tracked on each scale axis for the tail report.  Meshes are the coarser
-    raw-path family: this route prices kernel calls, not mesh density."""
-    pieces = _octave_pieces(spec.t_min, spec.t_max)
-    o1 = np.zeros(len(pieces))
-    o2 = np.zeros(len(pieces))
-    b1, b2 = f.box
-    for i1, (a1, c1) in enumerate(pieces):
-        t1n, t1w = octave_nodes(a1, c1, spec.t_points_per_octave, spec.rule)
-        for t1, w1 in zip(t1n, t1w):
-            u1, du1, _, _ = _offset_mesh(b1, t1, spec, b1,
-                                         _RAW_PAD_UNITS, _RAW_MESH_REL)
-            wg1 = (t1 / (t1 + np.abs(x[0] - u1))) ** lam1 * du1
-            for i2, (a2, c2) in enumerate(pieces):
-                t2n, t2w = octave_nodes(a2, c2, spec.t_points_per_octave,
-                                        spec.rule)
-                for t2, w2 in zip(t2n, t2w):
-                    u2, du2, _, _ = _offset_mesh(b2, t2, spec, b2,
-                                                 _RAW_PAD_UNITS,
-                                                 _RAW_MESH_REL)
-                    wg2 = (t2 / (t2 + np.abs(x[1] - u2))) ** lam2 * du2
-                    pts = np.stack(np.meshgrid(u1, u2, indexing="ij"),
-                                   axis=-1).reshape(-1, 2)
-                    th = _theta_points_general(kernel, f, t1, t2, pts, spec)
-                    th2 = (th * th).reshape(u1.size, u2.size)
-                    contrib = float(wg1 @ th2 @ wg2) / (t1 * t2) \
-                        * (w1 / t1) * (w2 / t2)
-                    o1[i1] += contrib
-                    o2[i2] += contrib
+    """Joint quadrature of the defining integral from raw kernel values: the
+    raw scale-pair sum with x as the single position node of weight 1, its
+    octave sums tracked on each scale axis for the tail report."""
+    t_range = (spec.t_min, spec.t_max)
+    o1, o2 = _raw_octave_sums(kernel, f, lam1, lam2, (t_range, t_range), spec,
+                              lambda axis, lo, hi: (x[axis:axis + 1], np.ones(1)))
     total = float(o1.sum())
     tail = 0.0
     for o in (o1, o2):
@@ -719,48 +747,20 @@ def _general_norm(kernel: Kernel, f: StepFunction, lam1: float, lam2: float,
     nodes follow the Whitney cubes band by band (the honest region sum);
     without, a graded window mesh (the direct integral).  Reference quality:
     cost scales with the scale-pair count."""
-    b1, b2 = f.box
+    ranges = (r1, r2)
 
-    def _band_nodes(grid, r, band_hi, box):
-        if grid is not None:
-            level = int(round(-math.log2(band_hi)))
-            return _level_nodes(grid, level, _norm_window(box, band_hi, spec),
-                                spec)[:2]
-        g = graded_axis_edges(*_norm_window(box, r[1], spec), box,
+    def band_nodes(axis, lo, hi):
+        box = f.box[axis]
+        if grids is not None:
+            level = int(round(-math.log2(hi)))
+            return _level_nodes(grids[axis], level,
+                                _norm_window(box, hi, spec), spec)[:2]
+        g = graded_axis_edges(*_norm_window(box, ranges[axis][1], spec), box,
                               rel_finest=2.0 ** -8)
         return segment_nodes(g, spec.points_per_cell, spec.rule)
 
-    total = 0.0
-    for a1, c1 in _octave_pieces(*r1):
-        x1, xw1 = _band_nodes(grids[0] if grids else None, r1, c1, b1)
-        if x1.size == 0:
-            continue
-        t1n, t1w = octave_nodes(a1, c1, spec.t_points_per_octave, spec.rule)
-        for a2, c2 in _octave_pieces(*r2):
-            x2, xw2 = _band_nodes(grids[1] if grids else None, r2, c2, b2)
-            if x2.size == 0:
-                continue
-            t2n, t2w = octave_nodes(a2, c2, spec.t_points_per_octave,
-                                    spec.rule)
-            for t1, w1 in zip(t1n, t1w):
-                u1, du1, _, _ = _offset_mesh(b1, t1, spec, b1,
-                                             _RAW_PAD_UNITS, _RAW_MESH_REL)
-                wg1 = (t1 / (t1 + np.abs(x1[:, None] - u1[None, :]))) ** lam1 \
-                    * du1[None, :]
-                for t2, w2 in zip(t2n, t2w):
-                    u2, du2, _, _ = _offset_mesh(b2, t2, spec, b2,
-                                                 _RAW_PAD_UNITS,
-                                                 _RAW_MESH_REL)
-                    wg2 = (t2 / (t2 + np.abs(x2[:, None] - u2[None, :]))) ** lam2 \
-                        * du2[None, :]
-                    pts = np.stack(np.meshgrid(u1, u2, indexing="ij"),
-                                   axis=-1).reshape(-1, 2)
-                    th = _theta_points_general(kernel, f, t1, t2, pts, spec)
-                    th2 = (th * th).reshape(u1.size, u2.size)
-                    block = wg1 @ th2 @ wg2.T  # inner values over (x1, x2)
-                    total += float(xw1 @ block @ xw2) / (t1 * t2) \
-                        * (w1 / t1) * (w2 / t2)
-    return total
+    o1, _ = _raw_octave_sums(kernel, f, lam1, lam2, ranges, spec, band_nodes)
+    return float(o1.sum())
 
 
 _GRAM_CACHE: dict = {}
@@ -785,18 +785,16 @@ def _axis_gram(factor: ConvolutionFactor, level: int, n_cells: int,
     h = 2.0 ** -level
     lags = h * np.arange(n_cells)
     row = np.zeros(n_cells)
-    for a, b in _octave_pieces(*t_range):
-        tn, tw = octave_nodes(a, b, spec.t_points_per_octave, spec.rule)
-        for t, w in zip(tn, tw):
-            pad = _PAD_UNITS * t + h
-            grid = graded_axis_edges(-pad, h + pad, (0.0, h),
-                                     rel_finest=_MESH_REL)
-            u, du = segment_nodes(grid, spec.points_per_cell, spec.rule)
-            base = factor.cell_integral(t, u, 0.0, h) / h
-            shifted = factor.cell_integral(t, u[:, None] + lags[None, :],
-                                           0.0, h) / h
-            auto = (base * du) @ shifted
-            row += auto * weight_total(t, lam) / t ** 2 * w
+    tn, tw = octave_nodes(*t_range, spec.t_points_per_octave, spec.rule)
+    for t, w in zip(tn, tw):
+        pad = _PAD_UNITS * t + h
+        grid = graded_axis_edges(-pad, h + pad, (0.0, h), rel_finest=_MESH_REL)
+        u, du = segment_nodes(grid, spec.points_per_cell, spec.rule)
+        base = factor.cell_integral(t, u, 0.0, h) / h
+        shifted = factor.cell_integral(t, u[:, None] + lags[None, :],
+                                       0.0, h) / h
+        auto = (base * du) @ shifted
+        row += auto * weight_total(t, lam) / t ** 2 * w
     idx = np.abs(np.arange(n_cells)[:, None] - np.arange(n_cells)[None, :])
     gram = row[idx]
     _GRAM_CACHE[key] = gram
@@ -823,18 +821,8 @@ def _weighted_pair_sq(kernel: Kernel, f1: StepFunction, f2: StepFunction,
         raise NotImplementedError(
             "constant tails need a tensor kernel: the raw-evaluation "
             "quadrature has no closed far field")
-    f2d = _tensor_step(f1, f2)
-    b1, b2 = f2d.box
-    u1, du1, _, _ = _offset_mesh(b1, t1, spec, b1, _RAW_PAD_UNITS,
-                                 _RAW_MESH_REL)
-    u2, du2, _, _ = _offset_mesh(b2, t2, spec, b2, _RAW_PAD_UNITS,
-                                 _RAW_MESH_REL)
-    wg1 = (t1 / (t1 + np.abs(x[0] - u1))) ** lam1 * du1
-    wg2 = (t2 / (t2 + np.abs(x[1] - u2))) ** lam2 * du2
-    pts = np.stack(np.meshgrid(u1, u2, indexing="ij"), axis=-1).reshape(-1, 2)
-    th = _theta_points_general(kernel, f2d, t1, t2, pts, spec)
-    th2 = (th * th).reshape(u1.size, u2.size)
-    return float(wg1 @ th2 @ wg2) / (t1 * t2)
+    return float(_raw_block(kernel, _tensor_step(f1, f2), t1, t2, x[:1], x[1:],
+                            lam1, lam2, spec)[0, 0])
 
 
 def p_quantity(kernel: Kernel, i1: DyadicCube, j1: DyadicCube, x,

@@ -211,10 +211,10 @@ class HaarExpansion:
         top1, top2 = self.domain
         for p1 in range(n1):
             l1, _ = _level_offset(p1, top1.level)
-            m1 = Fraction(1, 2 ** l1) if l1 >= 0 else Fraction(2 ** -l1)
+            m1 = Fraction(2) ** -l1
             for p2 in range(n2):
                 l2, _ = _level_offset(p2, top2.level)
-                m2 = Fraction(1, 2 ** l2) if l2 >= 0 else Fraction(2 ** -l2)
+                m2 = Fraction(2) ** -l2
                 c = self.table[p1, p2]
                 if c:
                     total += c * c / (m1 * m2)
@@ -254,7 +254,7 @@ def expand(f: StepFunction, domain: tuple[DyadicCube, DyadicCube], level: int) -
     if n1 & (n1 - 1) or n2 & (n2 - 1):
         raise ValueError("domain cubes must be coarser powers of two of the level")
     padded = fr.padded((lo1, lo2), (n1, n2))
-    cell = Fraction(1, 2 ** level) if level >= 0 else Fraction(2 ** -level)
+    cell = Fraction(2) ** -level
     rows = [_fwt_axis([Fraction(v) for v in row], cell) for row in padded.values]
     cols = np.array(rows, dtype=object).T
     table = np.array([_fwt_axis(list(col), cell) for col in cols], dtype=object).T
@@ -263,7 +263,7 @@ def expand(f: StepFunction, domain: tuple[DyadicCube, DyadicCube], level: int) -
 
 def reconstruct(e: HaarExpansion) -> StepFunction:
     """Inverse of `expand`, exact: returns the step function bit for bit."""
-    cell = Fraction(1, 2 ** e.level) if e.level >= 0 else Fraction(2 ** -e.level)
+    cell = Fraction(2) ** -e.level
     cols = [_ifwt_axis(list(col), cell) for col in e.table.T]
     rows = np.array(cols, dtype=object).T
     values = np.array([[float(v) for v in _ifwt_axis(list(row), cell)]

@@ -32,6 +32,7 @@ __all__ = [
     "check_size",
     "make_broken",
     "make_cancellative",
+    "make_mixed",
     "make_size_only",
     "rescale",
 ]
@@ -175,10 +176,10 @@ def _tensor_evaluate(f1: ConvolutionFactor, f2: ConvolutionFactor, n: int):
     return evaluate
 
 
-def make_size_only(n: int, m: int, alpha: float, beta: float) -> Kernel:
-    """Positive tensor kernel that saturates the size condition exactly."""
-    f1 = ConvolutionFactor(n, alpha, "size")
-    f2 = ConvolutionFactor(m, beta, "size")
+def _tensor_kernel(kind: str, flavor1: str, flavor2: str, n: int, m: int,
+                   alpha: float, beta: float) -> Kernel:
+    f1 = ConvolutionFactor(n, alpha, flavor1)
+    f2 = ConvolutionFactor(m, beta, flavor2)
     return Kernel(
         _tensor_evaluate(f1, f2, n),
         alpha,
@@ -186,8 +187,13 @@ def make_size_only(n: int, m: int, alpha: float, beta: float) -> Kernel:
         n,
         m,
         (f1, f2),
-        label=f"size_only(n={n},m={m},a={alpha:g},b={beta:g})",
+        label=f"{kind}(n={n},m={m},a={alpha:g},b={beta:g})",
     )
+
+
+def make_size_only(n: int, m: int, alpha: float, beta: float) -> Kernel:
+    """Positive tensor kernel that saturates the size condition exactly."""
+    return _tensor_kernel("size_only", "size", "size", n, m, alpha, beta)
 
 
 def make_cancellative(n: int, m: int, alpha: float, beta: float) -> Kernel:
@@ -196,17 +202,15 @@ def make_cancellative(n: int, m: int, alpha: float, beta: float) -> Kernel:
     Applied to the constant function it gives identically zero, so all the
     box-packing quantities vanish and the family is an easy positive control.
     """
-    f1 = ConvolutionFactor(n, alpha, "cancellative")
-    f2 = ConvolutionFactor(m, beta, "cancellative")
-    return Kernel(
-        _tensor_evaluate(f1, f2, n),
-        alpha,
-        beta,
-        n,
-        m,
-        (f1, f2),
-        label=f"cancellative(n={n},m={m},a={alpha:g},b={beta:g})",
-    )
+    return _tensor_kernel("cancellative", "cancellative", "cancellative",
+                          n, m, alpha, beta)
+
+
+def make_mixed(n: int, m: int, alpha: float, beta: float) -> Kernel:
+    """Tensor kernel with a cancellative first factor and a size-only second
+    factor; applied to the constant it vanishes, so it packs like the
+    cancellative family despite the one-sided positivity."""
+    return _tensor_kernel("mixed", "cancellative", "size", n, m, alpha, beta)
 
 
 def rescale(kernel: Kernel, c: float) -> Kernel:

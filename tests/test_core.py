@@ -1,4 +1,4 @@
-"""Core layer: parameter validation, quadrature oracles, step functions, file format."""
+"""Core layer: parameter validation, mesh and scale rules, step functions, file format."""
 
 import math
 import warnings
@@ -12,13 +12,13 @@ from glstar.core import (
     StepFunction,
     default_params,
     graded_axis_edges,
-    integrate_box,
-    integrate_halfspace,
+    octave_blocks,
     octave_nodes,
     read_step,
-    truncation_radius,
+    segment_nodes,
     write_step,
 )
+from glstar.gstar import weight_total
 
 
 # ---------------------------------------------------------------------------
@@ -78,105 +78,66 @@ def test_quadrature_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# truncation_radius
+# space rules: graded edges plus segment nodes
 # ---------------------------------------------------------------------------
 
 
-def test_truncation_radius_within_factor_two_of_minimal():
-    # in one dimension the tail bound is exact: tail(R) = (2/a) s^a (s+R)^-a,
-    # so the minimal radius is s ((2/(a eps))^(1/a) - 1)
-    a, s, eps = 0.5, 1.0, 1e-6
-    minimal = s * ((2.0 / (a * eps)) ** (1.0 / a) - 1.0)
-    r = truncation_radius(a, s, eps)
-    assert minimal <= r <= 2.0 * minimal
-    # and the bound actually holds: integrate the tail numerically
-    tail = (2.0 / a) * s ** a * (s + r) ** -a
-    assert tail < eps
-
-
-def test_truncation_radius_monotone_in_eps():
-    radii = [truncation_radius(0.5, 1.0, e) for e in (1e-3, 1e-6, 1e-9)]
-    assert radii[0] < radii[1] < radii[2]
-
-
-def test_truncation_radius_scale_homogeneous():
-    r1 = truncation_radius(0.5, 1.0, 1e-6)
-    r2 = truncation_radius(0.5, 2.0 ** -7, 1e-6)
-    assert r2 == pytest.approx(r1 * 2.0 ** -7, rel=1e-12)
-
-
-def test_truncation_radius_rejects_bad_args():
-    with pytest.raises(ValueError):
-        truncation_radius(0.0, 1.0, 1e-6)
-    with pytest.raises(ValueError):
-        truncation_radius(0.5, 1.0, -1.0)
-
-
-# ---------------------------------------------------------------------------
-# integrate_box
-# ---------------------------------------------------------------------------
+def axis_rule(lo, hi, spec, anchors=(0.0,)):
+    return segment_nodes(graded_axis_edges(lo, hi, anchors),
+                         spec.points_per_cell, spec.rule)
 
 
 def test_constant_integrates_to_volume():
     spec = QuadratureSpec()
-    val = integrate_box(lambda x, y: np.ones(np.broadcast_shapes(x.shape, y.shape)),
-                        [(0.0, 1.0), (0.0, 1.0)], spec)
+    x, wx = axis_rule(0.0, 1.0, spec)
+    y, wy = axis_rule(0.0, 1.0, spec)
+    val = float(wx @ np.ones((x.size, y.size)) @ wy)
     assert val == pytest.approx(1.0, abs=1e-13)
 
 
 def test_linear_integrand_exact():
-    spec = QuadratureSpec()
-    val = integrate_box(lambda x: x, (0.0, 1.0), spec)
-    assert val == pytest.approx(0.5, abs=1e-12)
+    x, w = axis_rule(0.0, 1.0, QuadratureSpec())
+    assert float(w @ x) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_heavy_tail_kernel_profile():
-    # f(u) = (1+|u|)^(-3/2) over [-R, R] with R chosen by the truncation rule
-    # at eps = 1e-6.  Oracle: the odd-symmetric antiderivative gives
-    # 2 * (2 - 2 (1+R)^(-1/2)); value frozen from that closed form.
-    R = truncation_radius(0.5, 1.0, 1e-6)
+    # f(u) = (1+|u|)^(-3/2) over [-R, R], with R the minimal radius at which
+    # the exact tail mass (2/a) (1+R)^(-a), a = 1/2, drops to eps = 1e-6.
+    # Oracle: the odd-symmetric antiderivative gives 2 * (2 - 2 (1+R)^(-1/2)).
+    a, eps = 0.5, 1e-6
+    R = (2.0 / (a * eps)) ** (1.0 / a) - 1.0
     exact = 4.0 - 4.0 / math.sqrt(1.0 + R)
-    spec = QuadratureSpec(points_per_cell=6, rule="gauss")
-    val = integrate_box(lambda u: (1.0 + np.abs(u)) ** -1.5, (-R, R), spec)
-    assert val == pytest.approx(exact, abs=1e-4)
-    # the same radius leaves less than eps of the full mass 4 outside
+    u, w = axis_rule(-R, R, QuadratureSpec(points_per_cell=6, rule="gauss"))
+    assert float(w @ (1.0 + np.abs(u)) ** -1.5) == pytest.approx(exact, abs=1e-4)
+    # the radius leaves less than eps of the full mass 4 outside
     assert 4.0 - exact < 1e-6 * 4.0
 
 
 def test_linearity_of_the_quadrature():
-    spec = QuadratureSpec()
-    box = (-2.0, 3.0)
-    f = lambda x: np.exp(-np.abs(x))
-    g = lambda x: 1.0 / (1.0 + x * x)
+    x, w = axis_rule(-2.0, 3.0, QuadratureSpec())
+    f = np.exp(-np.abs(x))
+    g = 1.0 / (1.0 + x * x)
     a, b = 2.5, -1.25
-    lhs = integrate_box(lambda x: a * f(x) + b * g(x), box, spec)
-    rhs = a * integrate_box(f, box, spec) + b * integrate_box(g, box, spec)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+    assert float(w @ (a * f + b * g)) == pytest.approx(
+        a * float(w @ f) + b * float(w @ g), rel=1e-12)
 
 
-def test_refinement_stays_within_error_estimate():
-    R = truncation_radius(0.5, 1.0, 1e-6)
-    spec = QuadratureSpec(points_per_cell=4)
-    f = lambda u: (1.0 + np.abs(u)) ** -1.5
-    val, est = integrate_box(f, (-R, R), spec, with_error=True)
-    fine = integrate_box(f, (-R, R), spec.refined(2))
-    assert abs(fine - val) < est
-
-
-def test_non_finite_sample_reports_the_point():
-    spec = QuadratureSpec()
-    with pytest.raises(FloatingPointError, match="non-finite"):
-        integrate_box(lambda x: np.where(x > 0.5, np.nan, 1.0), (0.0, 1.0), spec)
-
-
-def test_scalar_only_callables_are_accepted():
-    spec = QuadratureSpec(points_per_cell=2)
-    val = integrate_box(lambda x: float(x) ** 2, (0.0, 1.0), spec)
-    assert val == pytest.approx(1.0 / 3.0, rel=1e-2)
+@pytest.mark.parametrize("lam", [3.0, 4.0])
+def test_weight_profile_mass(lam):
+    # int_R (t/(t+|y|))^lam dy / t = 2/(lam-1) = weight_total(t, lam) / t for
+    # every t > 0; R cuts the exact tail (2/a) (t/(t+R))^a, a = lam - 1, at 1e-9
+    a = lam - 1.0
+    spec = QuadratureSpec(points_per_cell=6, rule="gauss")
+    for t in np.logspace(-12 * math.log10(2.0), 5 * math.log10(2.0), 10):
+        R = t * ((2.0 / (a * 1e-9)) ** (1.0 / a) - 1.0)
+        y, w = axis_rule(-R, R, spec)
+        val = float(w @ ((t / (t + np.abs(y))) ** lam / t))
+        assert val == pytest.approx(2.0 / a, rel=1e-6), f"t={t}"
+        assert val == pytest.approx(weight_total(t, lam) / t, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
-# integrate_halfspace
+# scale rules: octave blocks
 # ---------------------------------------------------------------------------
 
 
@@ -184,27 +145,18 @@ def test_dyadic_band_integrates_to_log_two():
     # f(y,t) = 1_[0,1)(y) 1_(1/2,1)(t) / t; the t-integral is log 2 and the
     # y-integral is 1, both resolved exactly by octave alignment + anchor edges
     spec = QuadratureSpec()
-    f = lambda y, t: ((y >= 0) & (y < 1) & (t > 0.5) & (t < 1.0)) / t
-    val = integrate_halfspace(f, 1, spec, breaks=(0.0, 1.0))
-    assert val == pytest.approx(math.log(2.0), abs=1e-6)
+    y, wy = axis_rule(-4.0, 4.0, spec, anchors=(0.0, 1.0))
+    t, wt = octave_nodes(spec.t_min, spec.t_max, spec.t_points_per_octave,
+                         spec.rule)
+    f = ((y[:, None] >= 0) & (y[:, None] < 1) & (t > 0.5) & (t < 1.0)) / t
+    assert float(wy @ f @ wt) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_zero_integrand_gives_zero():
     spec = QuadratureSpec()
-    val = integrate_halfspace(lambda y, t: np.zeros(np.broadcast_shapes(y.shape, t.shape)),
-                              1, spec)
-    assert val == 0.0
-
-
-@pytest.mark.parametrize("lam", [3.0, 4.0])
-def test_weight_profile_mass(lam):
-    # int_R (t/(t+|y|))^lam dy / t = 2/(lam-1) for every t > 0
-    expected = 2.0 / (lam - 1.0)
-    spec = QuadratureSpec(points_per_cell=6, rule="gauss")
-    for t in np.logspace(-12 * math.log10(2.0), 5 * math.log10(2.0), 10):
-        R = truncation_radius(lam - 1.0, t, 1e-9)
-        val = integrate_box(lambda y: (t / (t + np.abs(y))) ** lam / t, (-R, R), spec)
-        assert val == pytest.approx(expected, rel=1e-6), f"t={t}"
+    y, wy = axis_rule(-4.0, 4.0, spec)
+    t, wt = octave_nodes(spec.t_min, spec.t_max, spec.t_points_per_octave)
+    assert float(wy @ np.zeros((y.size, t.size)) @ wt) == 0.0
 
 
 def test_octave_nodes_exact_on_dt_over_t():
@@ -212,6 +164,33 @@ def test_octave_nodes_exact_on_dt_over_t():
     t, w = octave_nodes(2.0 ** -5, 2.0 ** 3, per_octave=3)
     val = float(np.sum(w / t))
     assert val == pytest.approx(8.0 * math.log(2.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("rule", ["midpoint", "gauss"])
+@pytest.mark.parametrize("t_lo,t_hi", [(2.0 ** -14, 2.0 ** 6), (0.3, 17.0),
+                                       (1e-3, 0.75), (0.3, 0.45)])
+def test_octave_nodes_concatenate_the_blocks(t_lo, t_hi, rule):
+    blocks = list(octave_blocks(t_lo, t_hi, 5, rule))
+    t, w = octave_nodes(t_lo, t_hi, 5, rule)
+    assert t.tobytes() == np.concatenate([b[2] for b in blocks]).tobytes()
+    assert w.tobytes() == np.concatenate([b[3] for b in blocks]).tobytes()
+    # the blocks chain from t_lo to t_hi through every power of two between
+    edges = [blocks[0][0]] + [b[1] for b in blocks]
+    assert edges[0] == t_lo and edges[-1] == t_hi
+    assert all(b[1] == c[0] for b, c in zip(blocks, blocks[1:]))
+    inner = edges[1:-1]
+    k_lo, k_hi = math.floor(math.log2(t_lo)) + 1, math.ceil(math.log2(t_hi)) - 1
+    assert inner == [2.0 ** k for k in range(k_lo, k_hi + 1)]
+    for lo, hi, nodes, weights in blocks:
+        assert np.all((lo < nodes) & (nodes < hi))
+        assert nodes.size == weights.size == 5
+
+
+def test_octave_blocks_reject_empty_range():
+    with pytest.raises(ValueError):
+        list(octave_blocks(1.0, 1.0, 2))
+    with pytest.raises(ValueError):
+        octave_nodes(0.0, 1.0, 2)
 
 
 def test_graded_edges_include_anchor_and_limits():
@@ -308,8 +287,8 @@ def test_quadrature_agrees_with_exact_step_integral():
     spec = QuadratureSpec()
     lo, hi = f.box[0]
     edge_anchors = [lo + k * f.cell_side for k in range(4)]
-    val = integrate_box(f, (lo, hi), spec, anchors=[edge_anchors])
-    assert val == pytest.approx(f.integral(), abs=1e-15)
+    x, w = axis_rule(lo, hi, spec, anchors=edge_anchors)
+    assert float(w @ f(x)) == pytest.approx(f.integral(), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from glstar.kernels import (
     check_size,
     make_broken,
     make_cancellative,
+    make_mixed,
     make_size_only,
 )
 
@@ -147,6 +148,19 @@ def test_cancellative_kills_constants():
     z1 = kernel.tensor_parts[0].segment_integral(1.0, -window, window)
     z2 = kernel.tensor_parts[1].segment_integral(0.5, -window, window)
     assert abs(float(z1) * float(z2)) <= 1e-11
+
+
+def test_builders_share_the_label_format_and_pick_their_flavors():
+    # labels name the family in reports, so their form is part of the output
+    families = {make_size_only: ("size_only", "size", "size"),
+                make_cancellative: ("cancellative", "cancellative", "cancellative"),
+                make_mixed: ("mixed", "cancellative", "size")}
+    for build, (kind, flavor1, flavor2) in families.items():
+        kernel = build(1, 1, 0.5, 0.25)
+        assert kernel.label == f"{kind}(n=1,m=1,a=0.5,b=0.25)"
+        f1, f2 = kernel.tensor_parts
+        assert (f1.flavor, f2.flavor) == (flavor1, flavor2)
+        assert (f1.exponent, f2.exponent) == (0.5, 0.25)
 
 
 def test_make_broken_empty_is_identity():
