@@ -15,10 +15,8 @@ from .core import (
     write_step,
 )
 from .dyadic import (
-    CarlesonBox,
     DyadicCube,
     ShiftedGrid,
-    WhitneyRegion,
     estimate_pi_good,
     is_good,
     pi_good_exact,
@@ -43,7 +41,6 @@ from .gstar import (
     p_quantity,
     q_quantity,
     r_quantity,
-    weight_total,
 )
 from .haar import HaarExpansion, HaarIndex, expand, haar_function, reconstruct
 from .kernels import (
@@ -59,13 +56,14 @@ from .kernels import (
     make_mixed,
     make_size_only,
     rescale,
+    weight_total,
+    weight_window,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionReport",
-    "CarlesonBox",
     "CarlesonReport",
     "ConvolutionFactor",
     "DyadicOpenSet",
@@ -78,7 +76,6 @@ __all__ = [
     "QuadratureSpec",
     "ShiftedGrid",
     "StepFunction",
-    "WhitneyRegion",
     "check_carleson_combo",
     "check_holder",
     "check_mixed",
@@ -111,6 +108,7 @@ __all__ = [
     "strong_maximal_dyadic",
     "trial_stream",
     "weight_total",
+    "weight_window",
     "write_step",
     "__version__",
 ]

@@ -23,6 +23,7 @@ import numpy as np
 from .core import Params, QuadratureSpec, StepFunction, octave_nodes
 from .dyadic import DyadicCube, ShiftedGrid, strong_maximal_dyadic
 from .gstar import apply_theta
+from .kernels import weight_total
 
 __all__ = [
     "CarlesonReport",
@@ -170,7 +171,7 @@ def _axis_band(factor, side: float, lam: float, spec: QuadratureSpec) -> float:
     """|I| (int w dy / t) int_{Whitney band} mass(t)^2 dt/t, one axis."""
     tn, tw = octave_nodes(side / 2.0, side, spec.t_points_per_octave, spec.rule)
     band = float(sum(factor.mass(t) ** 2 / t * w for t, w in zip(tn, tw)))
-    return side * (2.0 / (lam - 1.0)) * band
+    return side * weight_total(1.0, lam) * band
 
 
 def _theta_one_const(kernel, t1: float, t2: float,
@@ -211,8 +212,8 @@ def _cij_scales(kernel, side1: float, side2: float, lam1: float, lam2: float,
             for t2, w2 in zip(t2n, t2w):
                 m = _theta_one_const(kernel, t1, t2, spec)
                 acc += m * m * (w1 / t1) * (w2 / t2)
-        value = side1 * side2 * (2.0 / (lam1 - 1.0)) * \
-            (2.0 / (lam2 - 1.0)) * acc
+        value = side1 * side2 * weight_total(1.0, lam1) * \
+            weight_total(1.0, lam2) * acc
     value = max(value, 0.0)
     _CIJ_CACHE[key] = value
     return value

@@ -1,4 +1,4 @@
-"""Shifted dyadic grids, cube geometry, goodness, Whitney regions, maximal function.
+"""Shifted dyadic grids, cube geometry, goodness, maximal function.
 
 A grid is the standard dyadic lattice translated by a random shift that is
 resolved scale by scale: the position of a cube of side 2^-j depends only on
@@ -29,11 +29,9 @@ import numpy as np
 from .core import Params, StepFunction
 
 __all__ = [
-    "CarlesonBox",
     "DEFAULT_OCTAVES",
     "DyadicCube",
     "ShiftedGrid",
-    "WhitneyRegion",
     "default_shift_radius",
     "estimate_pi_good",
     "is_good",
@@ -216,43 +214,6 @@ class DyadicCube:
             if not (a <= c and d <= b):
                 return False
         return True
-
-    def same_grid(self, other: "DyadicCube") -> bool:
-        return self.grid is other.grid
-
-
-@dataclass(frozen=True)
-class WhitneyRegion:
-    """The slab I x (ell/2, ell] attached to a grid cube.  Over one grid these
-    tile the upper half-space (up to the truncation in scale)."""
-
-    cube: DyadicCube
-
-    @property
-    def t_lo(self) -> float:
-        return self.cube.side / 2.0
-
-    @property
-    def t_hi(self) -> float:
-        return self.cube.side
-
-    def t_bounds_fractions(self) -> tuple[Fraction, Fraction]:
-        h = self.cube.side_fraction()
-        return h / 2, h
-
-
-@dataclass(frozen=True)
-class CarlesonBox:
-    """The box I x (0, ell): contains the Whitney regions of every descendant."""
-
-    cube: DyadicCube
-
-    @property
-    def t_hi(self) -> float:
-        return self.cube.side
-
-    def contains_region(self, region: WhitneyRegion) -> bool:
-        return self.cube.contains(region.cube) and region.t_hi <= self.t_hi + 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""End-to-end experiments tying the quadrature kit to the structural claims.
+"""End-to-end experiments tying the library's public routes to the structural
+claims.
 
 Every run in here returns an :class:`ExperimentReport`: a name, the exact
 configuration that produced it, per-trial records, summary statistics, and a
@@ -7,7 +8,9 @@ spec) -- wall-clock time is carried separately so serializers can drop it.
 
 The runs are deliberately opinionated about their default configurations;
 every default was frozen after a refinement study, and the notes field of
-each report says what was truncated and how hard.
+each report says what was truncated and how hard.  The drivers reach the
+other modules through their public functions only, so every quantity a report
+carries comes from the one route that owns it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .core import (
     Params,
     QuadratureSpec,
     StepFunction,
-    default_params,
     graded_axis_edges,
     octave_nodes,
     segment_nodes,
@@ -37,16 +39,9 @@ from .dyadic import (
     pi_good_exact,
     schur_coeff,
 )
-from .gstar import (
-    _axis_gram,
-    _grid_t_range,
-    gstar_sq_norm,
-    k_quantity,
-    q_quantity,
-)
+from .gstar import gstar_sq_norm, k_quantity, q_quantity
 from .haar import HaarIndex, expand
 from .kernels import (
-    AssumptionReport,
     ConvolutionFactor,
     Kernel,
     check_holder,
@@ -260,7 +255,7 @@ def run_averaging(
                 "normalized; raise r or lower the truncation depth"
             )
 
-    (a_supp, b_supp), = integrand.x_part.box_fractions()
+    support, = integrand.x_part.box  # lattice points, exact as floats
 
     def one_trial(trial: int) -> tuple[float, float]:
         grid = ShiftedGrid.random(1, j_min, j_max, seed, trial=trial)
@@ -268,13 +263,8 @@ def run_averaging(
         good = 0.0
         for lev in levels:
             blog = integrand.band_log(2.0 ** -(lev + 1), 2.0 ** -lev)
-            shift, = grid.shift_fraction(lev)
-            scale = Fraction(2) ** lev
-            k_lo = math.floor((a_supp - shift) * scale)
-            k_hi = math.ceil((b_supp - shift) * scale)
             inv_pi = 0.0 if zero_run else 1.0 / pi_hat[lev][0]
-            for k in range(k_lo, k_hi):
-                cube = grid.cube(lev, (k,))
+            for cube in grid.cubes_overlapping(lev, [support]):
                 (clo, chi), = cube.box_fractions()
                 w = _interval_integral(integrand.x_part, clo, chi) * blog
                 full.append(w)
@@ -884,6 +874,10 @@ def run_boundratio(
     ratio max ||g* f|| / ||f|| over seeded random step functions should
     stabilize between the two finest levels, and multiplying the kernel by a
     constant must scale every ratio exactly.
+
+    Every norm comes from the public gram route of :func:`gstar_sq_norm`, so
+    the kernel must be a tensor kernel; the per-axis gram matrices of a level
+    are computed once and served from the route's cache for the other trials.
     """
     t0 = time.perf_counter()
     kernel = kernel or make_cancellative(params.n, params.m, 0.5, 0.5)
@@ -898,39 +892,19 @@ def run_boundratio(
         raise RuntimeError(f"kernel assumption checks failed: {failing}")
 
     grid = ShiftedGrid.standard(1, -12, 12)
-    lam1 = params.n * params.lambda1
-    lam2 = params.m * params.lambda2
-    t_range = _grid_t_range(grid, spec)
-    f1, f2 = kernel.tensor_parts
 
-    def grams(kern: Kernel, level: int) -> tuple[np.ndarray, np.ndarray]:
-        g1, g2 = kern.tensor_parts
-        m1 = _axis_gram(g1, level, 2 ** level, lam1, t_range, spec)
-        m2 = _axis_gram(g2, level, 2 ** level, lam2, t_range, spec)
-        return m1, m2
-
-    def ratio_from(m1: np.ndarray, m2: np.ndarray, f: StepFunction) -> float:
-        vals = f.values * f.cell_side ** 2
-        return math.sqrt(max(float(np.sum((m1 @ vals @ m2) * vals)), 0.0))
+    def ratio(kern: Kernel, f: StepFunction) -> float:
+        sq = gstar_sq_norm(kern, f, params, (grid, grid), spec, route="gram")
+        return math.sqrt(max(sq, 0.0))
 
     levels = sorted(int(l) for l in levels)
     records = []
     mx: dict[int, float] = {}
     for lev in levels:
-        m1, m2 = grams(kernel, lev)
         best = 0.0
         for trial in range(count):
             f = function_family(np.random.default_rng((seed, lev, trial)), lev)
-            rho = ratio_from(m1, m2, f)
-            if trial == 0:
-                # keep the private contraction honest against the public path
-                direct = gstar_sq_norm(kernel, f, params, (grid, grid), spec,
-                                       route="gram")
-                rel = abs(rho ** 2 - direct) / max(direct, 1e-300)
-                if rel > 1e-9:
-                    raise RuntimeError("gram contraction disagrees with the "
-                                       f"norm route (rel {rel:.2e})")
-            best = max(best, rho)
+            best = max(best, ratio(kernel, f))
         mx[lev] = best
         records.append({"level": lev, "max_ratio": best, "count": count})
 
@@ -939,13 +913,11 @@ def run_boundratio(
     # exact amplitude homogeneity on a handful of functions
     scaled = rescale(kernel, 2.0)
     lev = levels[min(1, len(levels) - 1)]
-    m1, m2 = grams(kernel, lev)
-    s1, s2 = grams(scaled, lev)
     homo_dev = 0.0
     for trial in range(5):
         f = function_family(np.random.default_rng((seed, lev, trial)), lev)
-        r0 = ratio_from(m1, m2, f)
-        r1 = ratio_from(s1, s2, f)
+        r0 = ratio(kernel, f)
+        r1 = ratio(scaled, f)
         homo_dev = max(homo_dev, abs(r1 / (2.0 * r0) - 1.0))
 
     passed = abs(growth) < 0.10 and homo_dev <= 1e-12
@@ -1116,12 +1088,7 @@ def run_cases(
         out = {}
         lo_lev, hi_lev = whitney_levels
         for lev in range(lo_lev, hi_lev + 1):
-            shift, = grid.shift_fraction(lev)
-            scale = Fraction(2) ** lev
-            k_lo = math.floor((Fraction(0) - pad - shift) * scale)
-            k_hi = math.ceil((Fraction(1) + pad - shift) * scale)
-            for k in range(k_lo, k_hi):
-                cube = grid.cube(lev, (k,))
+            for cube in grid.cubes_overlapping(lev, [(-pad, 1.0 + pad)]):
                 if is_good(cube, grid, params):
                     out[cube] = _whitney_gram(fac, members, cube, lam, spec)
         return out

@@ -57,7 +57,7 @@ from .core import (
 )
 from .dyadic import DyadicCube, ShiftedGrid
 from .haar import HaarIndex, haar_function, s_function
-from .kernels import ConvolutionFactor, Kernel, _weight_window
+from .kernels import ConvolutionFactor, Kernel, weight_total, weight_window
 
 __all__ = [
     "GStarValue",
@@ -68,7 +68,6 @@ __all__ = [
     "p_quantity",
     "q_quantity",
     "r_quantity",
-    "weight_total",
 ]
 
 # Finest graded-mesh step relative to the span being meshed; the meshes are
@@ -90,14 +89,6 @@ _ORACLE_MESH_REL = 2.0 ** -16
 
 # Relative tail size above which a truncated range is reported.
 _TAIL_WARN = 1e-2
-
-
-def weight_total(t: float, lam: float) -> float:
-    """Closed form of the full weight integral: int (t/(t+|y|))^lam dy over
-    the line equals 2 t / (lam - 1).  Requires lam > 1."""
-    if lam <= 1.0:
-        raise ValueError("weight power must exceed 1 for a convergent tail")
-    return 2.0 * t / (lam - 1.0)
 
 
 @dataclass(frozen=True)
@@ -180,7 +171,7 @@ def _weighted_theta_sq(theta_vals: np.ndarray, du: np.ndarray,
         w = (t / (t + np.abs(xb - u[None, :]))) ** lam
         out[i:i + step] = w @ integ
     if far_const != 0.0:
-        window = _weight_window(t, lam, xs - u_hi, xs - u_lo)
+        window = weight_window(t, lam, xs - u_hi, xs - u_lo)
         out = out + far_const * far_const * (weight_total(t, lam) - window)
     return out / t
 
@@ -339,13 +330,15 @@ def _theta_points_general(kernel: Kernel, f: StepFunction, t1: float,
     """theta f at an (N, 2) array of points from raw kernel evaluations.
 
     A compact f shares one z-mesh across all points; a constant tail forces
-    per-point graded windows sized by the declared decay, priced accordingly."""
+    per-point graded windows sized by the declared decay, priced accordingly.
+    f is read on a tensor z-mesh by broadcasting its two axes, so its cell
+    lookup runs once per axis rather than once per mesh point."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     if f.tail == 0.0:
         z1, w1 = _refined_axis_nodes(f, 0, t1, spec.points_per_cell, spec.rule)
         z2, w2 = _refined_axis_nodes(f, 1, t2, spec.points_per_cell, spec.rule)
         zg = np.stack(np.meshgrid(z1, z2, indexing="ij"), axis=-1).reshape(-1, 2)
-        fw = f(zg[:, 0], zg[:, 1]) * np.multiply.outer(w1, w2).ravel()
+        fw = (f(z1[:, None], z2[None, :]) * np.multiply.outer(w1, w2)).ravel()
         out = np.empty(pts.shape[0])
         step = max(1, int(4e6) // max(1, zg.shape[0]))
         for i in range(0, pts.shape[0], step):
@@ -369,7 +362,7 @@ def _theta_points_general(kernel: Kernel, f: StepFunction, t1: float,
             meshes.append(segment_nodes(grid, spec.points_per_cell, spec.rule))
         (z1, w1), (z2, w2) = meshes
         zg = np.stack(np.meshgrid(z1, z2, indexing="ij"), axis=-1).reshape(-1, 2)
-        fw = f(zg[:, 0], zg[:, 1]) * np.multiply.outer(w1, w2).ravel()
+        fw = (f(z1[:, None], z2[None, :]) * np.multiply.outer(w1, w2)).ravel()
         kv = np.asarray(kernel.evaluate(t1, t2, p[None, :], zg), dtype=float)
         out[i] = kv @ fw
     return out
@@ -645,7 +638,8 @@ def gstar_sq_norm(kernel: Kernel, f, params: Params,
         m2 = _axis_gram(g2, f2d.level, f2d.shape[1], lam2, r2, spec)
         area = f2d.cell_side ** 2
         vals = f2d.values * area  # the contraction runs over cell integrals
-        return float(np.einsum("ac,bd,ab,cd->", m1, m2, vals, vals))
+        # sum_{a,b,c,d} m1[a,c] m2[b,d] v[a,b] v[c,d], the grams being symmetric
+        return float(np.sum((m1 @ vals @ m2) * vals))
 
     if route == "direct":
         if pair is not None and kernel.tensor_parts is not None:
@@ -930,7 +924,7 @@ def r_quantity(kernel: Kernel, i: DyadicCube, j1: DyadicCube, x2: float,
     axis2 = float(_axis_sq_profile(g2, h2, np.array([float(x2)]), t2, lam2,
                                    spec)[0])
     mass = g1.mass(1.0)  # scale-free for both flavors
-    w1_per_t = 2.0 / (lam1 - 1.0)  # int (t1/(t1+|y1|))^lam1 dy1 / t1
+    w1_per_t = weight_total(1.0, lam1)  # int (t1/(t1+|y1|))^lam1 dy1 / t1
     n_bands = grid.j_max - i.level + 1
     if n_bands < 1:
         raise ValueError("the cube sits below the grid's finest level")

@@ -1,4 +1,4 @@
-"""Haar systems, tensor-product expansions, partial pairings, modified ancestors.
+"""Haar systems, tensor-product expansions, modified ancestors.
 
 The expansion machinery runs in exact rational arithmetic.  The trick making
 that possible: the unnormalized Haar functions take values in {-1, 0, +1}, and
@@ -15,7 +15,6 @@ is what closes the basis on a bounded domain.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -30,7 +29,6 @@ __all__ = [
     "HaarIndex",
     "expand",
     "haar_function",
-    "partial_pair",
     "reconstruct",
     "s_function",
 ]
@@ -272,30 +270,6 @@ def reconstruct(e: HaarExpansion) -> StepFunction:
     lo1 = _lattice_index(q1.box()[0][0], e.level)
     lo2 = _lattice_index(q2.box()[0][0], e.level)
     return StepFunction(level=e.level, lo=(lo1, lo2), values=values)
-
-
-def partial_pair(f: StepFunction, j1: HaarIndex) -> StepFunction:
-    """Pair out the second factor: f_J(y1) = integral of f(y1, y2) h_J(y2) dy2,
-    computed cell by cell on the common lattice (no quadrature error beyond
-    float rounding)."""
-    if f.dim != 2 or j1.cube.dim != 1:
-        raise ValueError("expected f on the product space and a 1D member")
-    if f.tail != 0.0:
-        raise ValueError("tail must vanish")
-    h = haar_function(j1)
-    level = max(f.level, h.level)
-    fr, hr = f.refined(level), h.refined(level)
-    cell = 2.0 ** -level
-    # overlap of f's second axis with h's support
-    lo = max(fr.lo[1], hr.lo[0])
-    hi = min(fr.lo[1] + fr.shape[1], hr.lo[0] + hr.shape[0])
-    if lo >= hi:
-        return StepFunction(level=level, lo=(fr.lo[0],),
-                            values=np.zeros(fr.shape[0]))
-    fslab = fr.values[:, lo - fr.lo[1]:hi - fr.lo[1]]
-    hslab = hr.values[lo - hr.lo[0]:hi - hr.lo[0]]
-    values = fslab @ hslab * cell
-    return StepFunction(level=level, lo=(fr.lo[0],), values=values)
 
 
 def s_function(i: DyadicCube, k: int, eta: tuple[int, ...] | None = None) -> StepFunction:

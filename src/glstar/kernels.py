@@ -5,6 +5,11 @@ factors with power-law decay.  Everything a factor needs downstream (pointwise
 values, total mass, cell integrals) has a closed form, so the heavy machinery
 elsewhere never quadratures the kernel itself unless it has to.
 
+The closed forms of the Poisson-type weight (t / (t + |y|))^lam also live
+here: its integral over the line (:func:`weight_total`) and over an interval
+(:func:`weight_window`), which the square-function quadrature and the packing
+sums use for their far fields and spatial factors.
+
 The ``check_*`` functions are samplers, not provers: they estimate the implied
 constant of a condition as a supremum of |LHS|/RHS over a deterministic grid
 concentrated near the singular region (small scales, small separations) plus
@@ -35,6 +40,8 @@ __all__ = [
     "make_mixed",
     "make_size_only",
     "rescale",
+    "weight_total",
+    "weight_window",
 ]
 
 
@@ -638,10 +645,18 @@ def check_mixed(
 
 
 # ---------------------------------------------------------------------------
-# box-combination checker
+# closed forms of the Poisson-type weight (t / (t + |y|))^lam
 
 
-def _weight_window(t: float, lam: float, lo, hi):
+def weight_total(t: float, lam: float) -> float:
+    """Closed form of the full weight integral: int (t/(t+|y|))^lam dy over
+    the line equals 2 t / (lam - 1).  Requires lam > 1."""
+    if lam <= 1.0:
+        raise ValueError("weight power must exceed 1 for a convergent tail")
+    return 2.0 * t / (lam - 1.0)
+
+
+def weight_window(t: float, lam: float, lo, hi):
     """Closed-form integral of (t / (t + |y|))^lam over y in [lo, hi]."""
 
     def odd(s):
@@ -651,6 +666,10 @@ def _weight_window(t: float, lam: float, lo, hi):
         )
 
     return odd(hi) - odd(lo)
+
+
+# ---------------------------------------------------------------------------
+# box-combination checker
 
 
 def _box_carl(slice_fn, lam: float, lo: float, hi: float, t_lo: float, spec):
@@ -682,7 +701,7 @@ def _box_carl(slice_fn, lam: float, lo: float, hi: float, t_lo: float, spec):
         )
         u, uw = segment_nodes(edges, spec.points_per_cell, spec.rule)
         values = np.asarray(slice_fn(t, u), dtype=float)
-        window = _weight_window(t, lam, lo - u, hi - u)
+        window = weight_window(t, lam, lo - u, hi - u)
         cellwise = values * values * window * uw
         contrib = wt * float(np.sum(cellwise)) / t**2
         p = spec.points_per_cell

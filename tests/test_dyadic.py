@@ -9,10 +9,8 @@ import pytest
 from glstar.core import StepFunction, default_params
 from glstar.dyadic import (
     DEFAULT_OCTAVES,
-    CarlesonBox,
     DyadicCube,
     ShiftedGrid,
-    WhitneyRegion,
     default_shift_radius,
     estimate_pi_good,
     is_good,
@@ -333,7 +331,7 @@ def test_estimate_pi_good_requires_enough_trials():
 
 
 # ---------------------------------------------------------------------------
-# Whitney and Carleson geometry
+# Whitney geometry
 # ---------------------------------------------------------------------------
 
 
@@ -355,23 +353,6 @@ def test_whitney_regions_partition_scale_intervals():
             total += max(Fraction(0), min(b, space[1]) - max(a, space[0])) * t_overlap
     expected = (space[1] - space[0]) * (t_range[1] - t_range[0])
     assert total == expected
-
-
-def test_carleson_box_contains_descendant_whitney_regions():
-    g = ShiftedGrid.random(1, 0, 8, seed=4)
-    top = g.cube_at(2, (0.3,))
-    box = CarlesonBox(top)
-    for j in range(2, 9):
-        for cube in g.cubes_overlapping(j, [top.box()[0]]):
-            if top.contains(cube):
-                assert box.contains_region(WhitneyRegion(cube))
-
-
-def test_whitney_region_bounds():
-    g = ShiftedGrid.standard(1, 0, 4)
-    w = WhitneyRegion(g.cube(3, (5,)))
-    assert w.t_lo == 2.0 ** -4 and w.t_hi == 2.0 ** -3
-    assert w.t_bounds_fractions() == (Fraction(1, 16), Fraction(1, 8))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from glstar.core import QuadratureSpec, StepFunction, default_params
 from glstar.dyadic import ShiftedGrid
 from glstar.gstar import (
     GStarValue,
+    _axis_gram,
+    _grid_t_range,
     apply_theta,
     gstar_pointwise,
     gstar_sq_norm,
@@ -20,7 +22,7 @@ from glstar.gstar import (
     r_quantity,
     weight_total,
 )
-from glstar.kernels import make_cancellative, make_size_only
+from glstar.kernels import make_cancellative, make_mixed, make_size_only
 
 PARAMS = default_params()
 SIZE = make_size_only(1, 1, 0.5, 0.5)
@@ -221,6 +223,28 @@ def test_gram_route_matches_general_assembly():
         fast = gstar_sq_norm(CANC, f, PARAMS, grids, spec=sp, route="gram")
         raw = gstar_sq_norm(CANC, f, PARAMS, grids, spec=sp, route="direct")
     assert raw == pytest.approx(fast, rel=5e-2)
+
+
+def test_gram_route_is_the_four_index_contraction():
+    # the route's matrix products give the defining four-index sum
+    # sum m1[a,c] m2[b,d] v[a,b] v[c,d] on a non-product f; distinct factors
+    # and scale strips per axis make m1 != m2, so a swapped axis would show
+    rng = np.random.default_rng(17)
+    f = StepFunction(level=3, lo=(-2, 1), values=rng.normal(size=(8, 8)))
+    kernel = make_mixed(1, 1, 0.5, 0.5)
+    grids = (ShiftedGrid.standard(1, -3, 6), ShiftedGrid.standard(1, -2, 4))
+    sp = SP_COARSE
+    g1, g2 = kernel.tensor_parts
+    m1 = _axis_gram(g1, 3, 8, PARAMS.n * PARAMS.lambda1,
+                    _grid_t_range(grids[0], sp), sp)
+    m2 = _axis_gram(g2, 3, 8, PARAMS.m * PARAMS.lambda2,
+                    _grid_t_range(grids[1], sp), sp)
+    assert not np.allclose(m1, m2)
+    v = f.values * f.cell_side ** 2
+    four = float(np.einsum("ac,bd,ab,cd->", m1, m2, v, v))
+    got = gstar_sq_norm(kernel, f, PARAMS, grids, spec=sp, route="gram")
+    assert four > 0
+    assert got == pytest.approx(four, rel=1e-12)
 
 
 def test_norm_homogeneity_is_exact():

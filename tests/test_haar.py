@@ -1,4 +1,4 @@
-"""Haar members, exact expansions, partial pairings, modified ancestor patterns."""
+"""Haar members, exact expansions, modified ancestor patterns."""
 
 from fractions import Fraction
 
@@ -13,7 +13,6 @@ from glstar.haar import (
     HaarIndex,
     expand,
     haar_function,
-    partial_pair,
     reconstruct,
     s_function,
 )
@@ -160,48 +159,6 @@ def test_scaling_member_only_for_top_cube():
     stray = HaarIndex(cube=GRID.cube(1, (0,)), eta=(0,))
     with pytest.raises(KeyError):
         e.coefficient(stray, HaarIndex(cube=Q, eta=(0,)))
-
-
-# ---------------------------------------------------------------------------
-# partial pairing
-# ---------------------------------------------------------------------------
-
-
-def test_partial_pair_recovers_first_slot():
-    g1 = StepFunction(level=3, lo=(0,), values=np.arange(8.0))
-    j1 = HaarIndex(cube=GRID.cube(1, (1,)), eta=(1,))
-    f = _tensor(g1, haar_function(j1))
-    out = partial_pair(f, j1)
-    assert out.allclose(g1, tol=1e-12)
-
-
-def test_partial_pair_orthogonal_member_gives_zero():
-    g1 = StepFunction(level=3, lo=(0,), values=np.arange(8.0))
-    j1 = HaarIndex(cube=GRID.cube(1, (1,)), eta=(1,))
-    jperp = HaarIndex(cube=GRID.cube(1, (0,)), eta=(1,))
-    f = _tensor(g1, haar_function(j1))
-    out = partial_pair(f, jperp)
-    assert np.all(np.abs(out.values) <= 1e-15)
-
-
-def test_partial_pair_matches_double_sum_oracle():
-    rng = np.random.default_rng(9)
-    f = StepFunction(level=4, lo=(0, 0), values=rng.standard_normal((16, 16)))
-    j1 = HaarIndex(cube=GRID.cube(2, (1,)), eta=(1,))
-    out = partial_pair(f, j1)
-    h = haar_function(j1).refined(4)
-    cell = 2.0 ** -4
-    for row in range(16):
-        direct = sum(
-            f.values[row, c] * h((c + 0.5) * cell) * cell for c in range(16)
-        )
-        assert out((row + 0.5) * cell) == pytest.approx(direct, abs=1e-13)
-    # averages over a coarse cell agree with the brute-force double integral
-    avg = np.mean(out.values[:4])
-    direct = sum(
-        f.values[r, c] * h((c + 0.5) * cell) * cell for r in range(4) for c in range(16)
-    ) / 4.0
-    assert avg == pytest.approx(direct, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------

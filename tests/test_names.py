@@ -1,5 +1,9 @@
-"""Static name resolution: every global name a glstar module reads exists."""
+"""Static name checks on every glstar module.
 
+Every global name a module reads exists; every name a module-level import
+binds is read; no module imports another module's private names."""
+
+import ast
 import builtins
 import importlib
 import inspect
@@ -13,6 +17,11 @@ import glstar
 MODULES = sorted(info.name for info in pkgutil.iter_modules(glstar.__path__))
 
 
+def _source(name):
+    module = importlib.import_module(f"glstar.{name}")
+    return module, inspect.getsource(module)
+
+
 def _tables(table):
     yield table
     for child in table.get_children():
@@ -23,8 +32,8 @@ def _tables(table):
 def test_every_global_name_resolves(name):
     # a name read as a global in some scope must be a module attribute or a
     # builtin; otherwise the branch reading it raises NameError when it runs
-    module = importlib.import_module(f"glstar.{name}")
-    top = symtable.symtable(inspect.getsource(module), module.__file__, "exec")
+    module, source = _source(name)
+    top = symtable.symtable(source, module.__file__, "exec")
     unresolved = sorted(
         f"{table.get_name()}:{sym.get_name()}"
         for table in _tables(top)
@@ -34,3 +43,35 @@ def test_every_global_name_resolves(name):
         and not hasattr(builtins, sym.get_name())
     )
     assert unresolved == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_read(name):
+    tree = ast.parse(_source(name)[1])
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    # an AST walk, not symtable: under `from __future__ import annotations`
+    # symtable does not see the names that annotations read
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(bound - read) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_names_from_sibling_modules(name):
+    # a module's underscore names are its own; a second module reaching for
+    # one keeps a second copy of a formula that has no public home
+    tree = ast.parse(_source(name)[1])
+    private = sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "glstar")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert private == []
