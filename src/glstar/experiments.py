@@ -38,6 +38,7 @@ from .dyadic import (
     is_good,
     pi_good_exact,
     schur_coeff,
+    schur_matrix,
 )
 from .gstar import gstar_sq_norm, k_quantity, q_quantity
 from .haar import HaarIndex, expand
@@ -306,8 +307,9 @@ def run_averaging(
         "rel_err": rel_err,
         "trials": trials,
         "pi_hat": {str(l): list(v) for l, v in pi_hat.items()},
+        # exact pi at each level's depth in the trial grids, lev - j_min
         "pi_exact": {
-            str(l): float(pi_good_exact(gamma, params.r, octaves)) for l in levels
+            str(l): float(pi_good_exact(gamma, params.r, l - j_min)) for l in levels
         },
     }
     notes = (
@@ -406,10 +408,7 @@ def run_schur(
         raise ValueError("collection sizes must be positive")
     cubes = _draw_collection(scheme, sizes[-1], seed)
 
-    big = np.empty((sizes[-1], sizes[-1]))
-    for i, ci in enumerate(cubes):
-        for j, cj in enumerate(cubes):
-            big[i, j] = schur_coeff(ci, cj, alpha)
+    big = schur_matrix(cubes, alpha)
 
     lambdas = {}
     for s in sizes:

@@ -1,6 +1,8 @@
 """Grid geometry, goodness classification, exact good-cube probability, maximal function."""
 
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from glstar.dyadic import (
     long_distance,
     pi_good_exact,
     schur_coeff,
+    schur_matrix,
     set_distance,
     strong_maximal_dyadic,
 )
@@ -76,6 +79,35 @@ def test_schur_coeff_symmetric():
         a = STD.cube(int(rng.integers(-2, 5)), (int(rng.integers(-8, 8)),))
         b = STD.cube(int(rng.integers(-2, 5)), (int(rng.integers(-8, 8)),))
         assert schur_coeff(a, b, 0.5) == pytest.approx(schur_coeff(b, a, 0.5), rel=1e-14)
+
+
+def _schur_scalar(i1, i2, alpha):
+    # the coupling entry written out from its definition
+    n = i1.dim
+    d = long_distance(i1, i2)
+    return (i1.side ** (alpha / 2.0) * i2.side ** (alpha / 2.0) * d ** -(n + alpha)
+            * i1.measure() ** 0.5 * i2.measure() ** 0.5)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_schur_matrix_is_the_scalar_formula_bit_for_bit(dim):
+    rng = np.random.default_rng(29 + dim)
+    grid = ShiftedGrid.random(dim, -4, 12, seed=31)
+    cubes = [grid.cube(int(rng.integers(-4, 13)),
+                       tuple(int(k) for k in rng.integers(-40, 40, size=dim)))
+             for _ in range(40)]
+    for alpha in (0.5, 0.3):
+        big = schur_matrix(cubes, alpha)
+        want = [[_schur_scalar(a, b, alpha) for b in cubes] for a in cubes]
+        assert big.tolist() == want
+        assert schur_coeff(cubes[3], cubes[7], alpha) == want[3][7]
+
+
+def test_schur_matrix_rejects_mixed_dimensions():
+    a = ShiftedGrid.standard(1, 0, 3).cube(1, (0,))
+    b = ShiftedGrid.standard(2, 0, 3).cube(1, (0, 0))
+    with pytest.raises(ValueError, match="dimension"):
+        schur_matrix([a, b], 0.5)
 
 
 def _schur_row_sum_bound(alpha: float = 0.5, span: int = 80) -> float:
@@ -147,6 +179,17 @@ def test_shift_depends_only_on_finer_bits():
     assert g.shift_fraction(4) == (Fraction(1, 32),)
     assert g.shift_fraction(5) == (Fraction(0),)
     assert g.shift_fraction(6) == (Fraction(0),)
+
+
+def test_shift_table_is_the_exact_shift_at_every_level():
+    for trial in range(12):
+        dim = 1 + trial % 2
+        j_min = -10 + 2 * trial
+        grid = ShiftedGrid.random(dim, j_min, j_min + 3 * trial + 1, seed=8, trial=trial)
+        for level in range(grid.j_min - 2, grid.j_max + 3):
+            exact = grid.shift_fraction(level)
+            assert tuple(Fraction(x) for x in grid.shift(level)) == exact
+        assert grid._shift_table.shape == (grid.j_max - grid.j_min + 2, dim)
 
 
 def test_coarse_bit_flip_moves_cube_and_ancestor_rigidly():
@@ -229,8 +272,8 @@ def test_wrong_grid_is_an_error():
 
 def test_alternating_bit_cube_is_good_at_default_radius():
     # index bits 0101... put the cube near the 1/3 point of every ancestor,
-    # clearing the threshold at every scale k >= 10; verified here by the
-    # exhaustive neighbour scan over all 12 coarser octaves
+    # clearing the threshold at every scale k >= 10; checked here at all 12
+    # coarser octaves
     K = 22
     grid = ShiftedGrid.standard(1, K - DEFAULT_OCTAVES, K)
     index = sum(1 << d for d in range(0, K, 2))  # 0b0101...01
@@ -246,6 +289,73 @@ def test_no_cube_is_good_at_radius_eight_with_deep_truncation():
     grid = ShiftedGrid.standard(1, 0, 9)
     params = default_params(r=8)
     assert not any(is_good(grid.cube(9, (k,)), grid, params) for k in range(2 ** 9))
+
+
+def _scan_is_good(cube, grid, params) -> bool:
+    """Goodness by the geometric definition: per qualifying level, the float
+    sup-norm distance from I to the boundary of the containing ancestor and
+    of each of its 3^d neighbours within ell(J), against the float
+    threshold."""
+    gamma = params.gamma_n if grid.dim == params.n else params.gamma_m
+    ell_i = cube.side
+    inner = cube.box()
+    for j in range(grid.j_min, cube.level - params.r + 1):
+        ell_j = 2.0 ** -j
+        threshold = ell_i ** gamma * ell_j ** (1.0 - gamma)
+        anchor = grid.cube_at(j, cube.center())
+        for off in itertools.product((-1, 0, 1), repeat=grid.dim):
+            j_cube = grid.cube(j, tuple(a + o for a, o in zip(anchor.index, off)))
+            if set_distance(cube, j_cube) > ell_j:
+                continue
+            outer = j_cube.box()
+            if all(a <= c and d <= b for (a, b), (c, d) in zip(outer, inner)):
+                dist = min(min(c - a, b - d) for (a, b), (c, d) in zip(outer, inner))
+            else:
+                dist = set_distance(cube, j_cube)
+            if dist <= threshold:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_is_good_matches_the_geometric_scan(dim):
+    # alpha != beta; the grid's dimension is n (gamma_n = 1/6) or only m
+    # (gamma_m = 1/7), so the verdict must take the right factor's exponent
+    configs = [default_params(r=r, n=dim, m=dim, alpha=dim / 2, beta=0.3 * dim)
+               for r in (4, 10, 12)]
+    configs += [default_params(r=r, n=3 - dim, m=dim, alpha=(3 - dim) / 2,
+                               beta=0.4 * dim) for r in (10, 12)]
+    rng = np.random.default_rng(60 + dim)
+    verdicts = []
+    for t in range(2000):
+        params = configs[t % len(configs)]
+        # one to four qualifying levels, and finer bits below the cube
+        j_min = int(rng.integers(-6, 2))
+        level = j_min + params.r + int(rng.integers(0, 4))
+        grid = ShiftedGrid.random(dim, j_min, level + int(rng.integers(0, 3)),
+                                  seed=90 + dim, trial=t)
+        index = tuple(int(k) for k in rng.integers(-2 ** 12, 2 ** 12, size=dim))
+        cube = grid.cube(level, index)
+        verdict = is_good(cube, grid, params)
+        assert verdict == _scan_is_good(cube, grid, params), (t, level, index)
+        verdicts.append(verdict)
+    assert 50 <= sum(verdicts) <= 1950  # both verdicts represented
+
+
+def test_estimate_pi_good_is_the_per_grid_count():
+    # the estimator reads each trial's shift bits without building its grid;
+    # the hit count must equal the per-grid is_good count, also past int64
+    # depth (63 generations) and off the origin
+    cases = [(12, 0, 0, 1, 10), (14, 3, 777, 2, 4), (9, 0, -5, 1, 3), (70, 5, 2 ** 70 + 3, 1, 10)]
+    for level, j_min, base, dim, r in cases:
+        params = default_params(r=r)
+        est, _ = estimate_pi_good(params, trials=150, level_of_i=level, seed=41,
+                                  j_min=j_min, base_index=base, dim=dim)
+        hits = 0
+        for t in range(150):
+            grid = ShiftedGrid.random(dim, j_min, level, seed=41, trial=t)
+            hits += is_good(grid.cube(level, (base,) * dim), grid, params)
+        assert est == hits / 150
 
 
 def test_goodness_monotone_in_radius():
@@ -280,6 +390,46 @@ def test_pi_good_decays_with_deeper_truncation():
     g = Fraction(1, 6)
     values = [pi_good_exact(g, 10, k) for k in (12, 14, 20)]
     assert values[0] > values[1] > values[2] > 0
+
+
+def _brute_pi_good(gamma: Fraction, r: int, depth: int, roots: dict) -> Fraction:
+    """Every offset o in [0, 2^depth) tested at each generation k = r..depth:
+    good when min(o_k, 2^k - 1 - o_k) > 2^(k (1 - gamma)), o_k = o mod 2^k."""
+    p, q = gamma.numerator, gamma.denominator
+    o = np.arange(1 << depth, dtype=np.int64)
+    good = np.ones(o.size, dtype=bool)
+    for k in range(r, depth + 1):
+        if (gamma, k) not in roots:
+            # largest d with d^q <= 2^(k (q - p)), counted up from generation k - 1
+            d = roots.get((gamma, k - 1), 0)
+            while (d + 1) ** q <= 1 << (k * (q - p)):
+                d += 1
+            roots[(gamma, k)] = d
+        o_k = o & ((1 << k) - 1)
+        good &= np.minimum(o_k, (1 << k) - 1 - o_k) > roots[(gamma, k)]
+    return Fraction(int(good.sum()), 1 << depth)
+
+
+def test_pi_good_exact_matches_brute_enumeration():
+    roots: dict = {}
+    gammas = [Fraction(1, 10), Fraction(1, 6), Fraction(1, 5), Fraction(1, 4),
+              Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)]
+    for gamma in gammas:
+        for r in (1, 2, 4, 8, 10, 11):
+            for depth in range(17):
+                assert pi_good_exact(gamma, r, depth) == _brute_pi_good(gamma, r, depth, roots), \
+                    (gamma, r, depth)
+
+
+def test_pi_good_exact_is_polynomial_in_depth():
+    t0 = time.perf_counter()
+    deep = pi_good_exact(Fraction(1, 6), 10, 64)
+    assert time.perf_counter() - t0 < 1.0
+    assert 0 < deep < pi_good_exact(Fraction(1, 6), 10, 32)
+    # past 2^53 the threshold root needs exact integer arithmetic
+    deeper = pi_good_exact(Fraction(1, 6), 10, 128)
+    assert 0 < deeper < deep
+    assert deeper.denominator <= 2 ** 128
 
 
 def test_default_shift_radius_matches_frozen_constant():

@@ -1,7 +1,10 @@
 """Driver smoke tests at the benchmark's tiny sizes."""
 
+from fractions import Fraction
+
 from glstar.core import default_params
-from glstar.experiments import run_averaging, run_boundratio
+from glstar.dyadic import pi_good_exact
+from glstar.experiments import run_averaging, run_boundratio, run_schur
 
 PARAMS = default_params()
 
@@ -14,5 +17,20 @@ def test_boundratio_smoke():
 
 
 def test_averaging_smoke():
-    rep = run_averaging(PARAMS, trials=10, octaves=1, pi_trials=200)
+    octaves = 1
+    rep = run_averaging(PARAMS, trials=10, octaves=octaves, pi_trials=200)
     assert rep.summary["partition_worst_rel"] <= 1e-10
+    # pi at the trial grids' own depth lev - j_min, not at ``octaves``
+    levels = [int(lev) for lev in rep.summary["pi_exact"]]
+    j_min = min(levels) - PARAMS.r - (octaves - 1)
+    gamma = Fraction(PARAMS.gamma_n).limit_denominator(1000)
+    assert rep.summary["pi_exact"] == {
+        str(lev): float(pi_good_exact(gamma, PARAMS.r, lev - j_min)) for lev in levels
+    }
+
+
+def test_schur_smoke():
+    rep = run_schur(PARAMS, collection_sizes=(8, 16, 32), draws=20)
+    norms = [rep.summary["norms"][str(s)] for s in (8, 16, 32)]
+    assert all(a <= b for a, b in zip(norms, norms[1:]))
+    assert rep.summary["singleton"] == 2 ** -1.5
