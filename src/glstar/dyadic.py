@@ -63,8 +63,11 @@ _TRIAL_BLOCK = 4096
 
 def trial_stream(seed: int, trial: int = 0) -> np.random.Generator:
     """Counter-based stream: trial t of seed s draws the same numbers whatever
-    other trials were drawn before it, or whether they were drawn at all."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[trial, 0, 0, 0]))
+    other trials were drawn before it, or whether they were drawn at all.
+
+    The trial sits in counter word 1: the generator advances word 0, so with
+    the trial there stream t + 1 would be stream t one block on."""
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, trial, 0, 0]))
 
 
 # ---------------------------------------------------------------------------

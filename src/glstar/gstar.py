@@ -19,19 +19,25 @@ Numerical conventions used throughout:
 * scale integrals run per octave over the blocks of
   :func:`glstar.core.octave_blocks` (the log rule, exact for dt/t under the
   midpoint variant), and per-octave contributions are tracked so a too-small
-  scale range is *reported*, never silently absorbed;
+  scale range is *reported*, never silently absorbed: the octave sums of
+  each scale axis give one tail estimate (:func:`_octave_tail`);
 * space integrals are written in the offset variable u = x - y.  theta of a
   constant-tail step function tends to tail * mass(kernel) far away, so the
   far field is a closed-form weight-tail term and the mesh only has to cover
   the structure zone around the support box;
-* tensor kernels (everything built by :mod:`glstar.kernels`) use the exact
-  per-axis cell antiderivatives; the non-tensor fall-back quadratures the
-  inner integral from raw kernel evaluations and is priced accordingly.
-  One raw assembler serves every such route: :func:`_raw_block` gives the
-  inner integrals at one scale pair over a tensor grid of positions, and
-  :func:`_raw_octave_sums` runs the octave-pair loop that contracts them
-  against each band's position nodes (a single point for the pointwise
-  value, a window mesh or the Whitney cubes for the norm).
+* the pointwise value and the norm are computed in two layers, each with one
+  octave-band assembly.  Tensor kernels (everything built by
+  :mod:`glstar.kernels`) go per axis: :func:`_axis_octave_sums` sums
+  :func:`_axis_sq_profile` over each band's scale nodes and contracts it
+  against that band's position nodes.  Other kernels go jointly:
+  :func:`_raw_octave_sums` contracts the :func:`_raw_block` matrices of each
+  scale pair against both bands' position nodes.  A route is one theta
+  evaluator in one of these assemblies plus one choice of position nodes.
+  The evaluators are the exact per-axis cell antiderivatives, the raw
+  per-axis profile quadrature (their independent oracle) and the raw kernel
+  evaluations of the joint layer, priced accordingly.  The nodes are the
+  point itself for the pointwise value and, from :func:`_band_nodes`, the
+  Whitney cubes of each band's grid level or a graded window for the norm.
 
 Negative values produced by roundoff under the final square root are clamped
 to zero and flagged on the returned record.
@@ -118,9 +124,9 @@ class GStarValue:
 # ---------------------------------------------------------------------------
 
 
-def _axis_edges(f: StepFunction) -> np.ndarray:
+def _axis_edges(f: StepFunction, axis: int = 0) -> np.ndarray:
     h = f.cell_side
-    return f.lo[0] * h + h * np.arange(f.shape[0] + 1)
+    return f.lo[axis] * h + h * np.arange(f.shape[axis] + 1)
 
 
 def _axis_theta(factor: ConvolutionFactor, f: StepFunction, t: float,
@@ -178,73 +184,66 @@ def _weighted_theta_sq(theta_vals: np.ndarray, du: np.ndarray,
 
 def _axis_sq_profile(factor: ConvolutionFactor, f: StepFunction,
                      xs: np.ndarray, t: float, lam: float,
-                     spec: QuadratureSpec) -> np.ndarray:
+                     spec: QuadratureSpec, raw: bool = False) -> np.ndarray:
     """A(x, t) = int |theta_t f(x - y)|^2 (t/(t+|y|))^lam dy / t at one scale
-    for an array of x; far field in closed form against tail * mass."""
+    for an array of x; far field in closed form against tail * mass.
+
+    theta comes from the exact cell integrals, or with ``raw`` from
+    :func:`_axis_theta_raw` on the denser oracle mesh (compact f only)."""
     xs = np.asarray(xs, dtype=float)
-    (blo, bhi), = f.box
     anchors = _step_anchors(f)
     if xs.size <= 8:
         anchors = anchors + list(xs.ravel())  # the weight kinks at u = x
-    u, du, ulo, uhi = _offset_mesh((blo, bhi), t, spec, anchors)
-    th = _axis_theta(factor, f, t, u)
+    if raw:
+        u, du, ulo, uhi = _offset_mesh(f.box[0], t, spec, anchors,
+                                       _ORACLE_PAD_UNITS, _ORACLE_MESH_REL)
+        th = _axis_theta_raw(factor, f, t, u, spec)
+    else:
+        u, du, ulo, uhi = _offset_mesh(f.box[0], t, spec, anchors)
+        th = _axis_theta(factor, f, t, u)
     return _weighted_theta_sq(th, du, ulo, uhi, u, f.tail * factor.mass(t),
                               xs, t, lam)
 
 
-def _geometric_tail(first: float, second: float) -> float:
-    """Tail estimate past the outermost octave from its decay ratio; inf
-    when the contributions do not decay."""
-    if second <= 0.0:
-        return 0.0 if first <= 0.0 else math.inf
-    rho = first / second
-    if rho >= 0.9:
+def _octave_tail(octs: np.ndarray) -> float:
+    """Tail estimate of one scale axis past both ends of its range, from the
+    decay ratio of the two outermost octave sums at each end; inf when an
+    end does not decay or the range is a single octave."""
+    if len(octs) < 2:
         return math.inf
-    return first * rho / (1.0 - rho)
+    tail = 0.0
+    for first, second in ((octs[0], octs[1]), (octs[-1], octs[-2])):
+        if second <= 0.0:
+            if first > 0.0:
+                return math.inf
+            continue
+        rho = first / second
+        if rho >= 0.9:
+            return math.inf
+        tail += first * rho / (1.0 - rho)
+    return float(tail)
 
 
-def _tail_report(octs: list[np.ndarray], t_lo: float, t_hi: float) -> np.ndarray:
-    """Per-point tail estimates from the outermost octave sums, with a
-    truncation warning when the range was evidently too small."""
-    shape = octs[0].shape
-    if len(octs) >= 2:
-        tail = np.array([_geometric_tail(a, b)
-                         for a, b in zip(octs[0].ravel(), octs[1].ravel())])
-        tail += np.array([_geometric_tail(a, b)
-                          for a, b in zip(octs[-1].ravel(), octs[-2].ravel())])
-        tail = tail.reshape(shape)
-    else:
-        tail = np.full(shape, math.inf)
-    bulk = float(np.sum(octs, axis=0).sum())
-    lost = float(np.sum(tail[np.isfinite(tail)]))
-    if (not np.all(np.isfinite(tail))) or lost > _TAIL_WARN * abs(bulk):
-        warnings.warn(
-            "scale-range truncation: per-octave contributions do not decay "
-            f"inside [{t_lo:g}, {t_hi:g}]; tail estimate "
-            f"{lost:g}{'' if np.all(np.isfinite(tail)) else ' (unbounded)'}",
-            RuntimeWarning, stacklevel=3)
-    return tail
+def _axis_octave_sums(factor: ConvolutionFactor, f: StepFunction, lam: float,
+                      t_range: tuple[float, float], spec: QuadratureSpec,
+                      band_nodes, raw: bool = False) -> np.ndarray:
+    """The per-axis octave-band assembly: per-octave sums of
+    int A(x, t) w(x) dt/t over the scale range.
 
-
-def _axis_gstar_sq(factor: ConvolutionFactor, f: StepFunction, xs,
-                   lam: float, spec: QuadratureSpec,
-                   t_lo: float | None = None, t_hi: float | None = None,
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """One-parameter squared square function int A(x, t) dt/t over the scale
-    range, with per-octave tail tracking.  Returns (values, tails) over xs."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    t_lo = spec.t_min if t_lo is None else t_lo
-    t_hi = spec.t_max if t_hi is None else t_hi
+    ``band_nodes(lo, hi)`` gives the position nodes and weights of the scale
+    band (lo, hi]; A is summed over the band's scale nodes at those positions
+    and contracted against the weights, which may carry extra columns (one
+    sum per column).  ``raw`` selects the oracle theta of
+    :func:`_axis_sq_profile`."""
     octs = []
-    for _, _, tn, tw in octave_blocks(t_lo, t_hi, spec.t_points_per_octave,
-                                      spec.rule):
+    for lo, hi, tn, tw in octave_blocks(*t_range, spec.t_points_per_octave,
+                                        spec.rule):
+        xs, xw = band_nodes(lo, hi)
         part = np.zeros(xs.shape)
         for t, w in zip(tn, tw):
-            part += _axis_sq_profile(factor, f, xs, t, lam, spec) * (w / t)
-        octs.append(part)
-    total = np.sum(octs, axis=0)
-    tail = _tail_report(octs, t_lo, t_hi)
-    return total, tail
+            part += _axis_sq_profile(factor, f, xs, t, lam, spec, raw) * (w / t)
+        octs.append(part @ xw)
+    return np.array(octs)
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +279,6 @@ def _split_pair(f) -> tuple[StepFunction, StepFunction] | None:
     if not isinstance(f, StepFunction):
         raise TypeError("expected a StepFunction or a pair of them")
     return None
-
-
-def _axis_edges_2d(f: StepFunction) -> tuple[np.ndarray, np.ndarray]:
-    h = f.cell_side
-    return (f.lo[0] * h + h * np.arange(f.shape[0] + 1),
-            f.lo[1] * h + h * np.arange(f.shape[1] + 1))
 
 
 def _refined_axis_nodes(f: StepFunction, axis: int, t: float, p: int,
@@ -386,7 +379,7 @@ def apply_theta(kernel: Kernel, f: StepFunction, y, t1: float, t2: float,
     y = np.asarray(y, dtype=float).reshape(2)
     if kernel.tensor_parts is not None:
         g1, g2 = kernel.tensor_parts
-        e1, e2 = _axis_edges_2d(f)
+        e1, e2 = _axis_edges(f, 0), _axis_edges(f, 1)
         c1 = g1.cell_integral(t1, y[0], e1[:-1], e1[1:])
         c2 = g2.cell_integral(t2, y[1], e2[:-1], e2[1:])
         val = c1 @ (f.values - f.tail) @ c2
@@ -428,17 +421,18 @@ def _raw_octave_sums(kernel: Kernel, f: StepFunction, lam1: float,
                      lam2: float, ranges: tuple[tuple[float, float], ...],
                      spec: QuadratureSpec, band_nodes,
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """The raw scale-pair sum of int int |theta f|^2 w1 w2 dt1/t1 dt2/t2 over
-    the two scale ranges, contracted against position nodes.
+    """The joint octave-band assembly: the raw scale-pair sum of
+    int int |theta f|^2 w1 w2 dt1/t1 dt2/t2 over the two scale ranges,
+    contracted against position nodes.
 
-    ``band_nodes(axis, lo, hi)`` gives the position nodes and weights used
-    for the scale band (lo, hi] of each axis; every octave pair contracts its
+    ``band_nodes[axis](lo, hi)`` gives the position nodes and weights used
+    for the scale band (lo, hi] of that axis; every octave pair contracts its
     :func:`_raw_block` matrices against them.  Returns the per-octave sums
     along each scale axis."""
-    bands = [[(tn, tw, *band_nodes(axis, lo, hi))
+    bands = [[(tn, tw, *nodes(lo, hi))
               for lo, hi, tn, tw in octave_blocks(*r, spec.t_points_per_octave,
                                                   spec.rule)]
-             for axis, r in enumerate(ranges)]
+             for nodes, r in zip(band_nodes, ranges)]
     o1 = np.zeros(len(bands[0]))
     o2 = np.zeros(len(bands[1]))
     for i1, (t1n, t1w, x1, xw1) in enumerate(bands[0]):
@@ -474,10 +468,21 @@ def gstar_pointwise(kernel: Kernel, f, x, params: Params,
     """The square-function value at the point x.
 
     ``f`` is a plane step function, or a pair (f1, f2) standing for their
-    tensor product.  Routes: "fast" multiplies the two one-parameter axis
-    values (tensor kernel with pair f only); "full" assembles the joint
-    scale-pair sum from raw kernel evaluations and is the independent oracle
-    for the fast path; "auto" picks fast when available."""
+    tensor product.  Every route puts the point as the only position node,
+    of weight 1, into one octave-band assembly with one theta evaluator:
+
+    * "fast" (tensor kernel with pair f only): the per-axis assembly on the
+      exact cell integrals; the value is the product of the two axis values;
+    * "full": the independent oracle.  A tensor kernel with pair f runs the
+      per-axis assembly on raw profile values (no antiderivatives, no closed
+      far field); any other input runs the joint assembly on raw kernel
+      evaluations.  Compact f only;
+    * "auto" picks fast when available.
+
+    ``error`` propagates the tail estimate of each scale axis to the value;
+    a tail above 1e-2 of the squared value, or one that cannot be bounded
+    (then ``error`` is inf), gives one "scale-range truncation"
+    ``RuntimeWarning`` per call."""
     spec = spec or QuadratureSpec()
     if route not in ("auto", "fast", "full"):
         raise ValueError(f"unknown route {route!r}")
@@ -486,96 +491,42 @@ def gstar_pointwise(kernel: Kernel, f, x, params: Params,
         raise ValueError("weight powers must exceed 1")
     x = np.asarray(x, dtype=float).reshape(2)
     pair = _split_pair(f)
-    lam1 = params.n * params.lambda1
-    lam2 = params.m * params.lambda2
-
+    lams = (params.n * params.lambda1, params.m * params.lambda2)
+    tensor = pair is not None and kernel.tensor_parts is not None
     if route == "auto":
-        route = "fast" if (pair is not None and kernel.tensor_parts is not None) \
-            else "full"
-    if route == "fast":
-        if pair is None or kernel.tensor_parts is None:
-            raise ValueError("fast route needs a tensor kernel and a pair f")
-        g1, g2 = kernel.tensor_parts
-        v1s, e1s = _axis_gstar_sq(g1, pair[0], x[0], lam1, spec)
-        v2s, e2s = _axis_gstar_sq(g2, pair[1], x[1], lam2, spec)
-        v1, e1, v2, e2 = float(v1s[0]), float(e1s[0]), float(v2s[0]), float(e2s[0])
+        route = "fast" if tensor else "full"
+    if route == "fast" and not tensor:
+        raise ValueError("fast route needs a tensor kernel and a pair f")
+    if route == "full" and any(g.tail != 0.0 for g in pair or (f,)):
+        raise ValueError("full route needs a compactly supported function")
+    t_range = (spec.t_min, spec.t_max)
+    point = [lambda lo, hi, xa=xa: (np.array([xa]), np.ones(1)) for xa in x]
+
+    if tensor:
+        o1, o2 = (_axis_octave_sums(g, fa, lam, t_range, spec, nodes,
+                                    raw=(route == "full"))
+                  for g, fa, lam, nodes in zip(kernel.tensor_parts, pair, lams,
+                                               point))
+        v1, v2 = float(o1.sum()), float(o2.sum())
+        e1, e2 = _octave_tail(o1), _octave_tail(o2)
         sq = v1 * v2
-        err_sq = abs(e1) * abs(v2) + abs(e2) * abs(v1)
-    elif pair is not None and kernel.tensor_parts is not None:
-        sq, err_sq = _pointwise_full_tensor_sq(kernel, pair, x, lam1, lam2,
-                                               spec)
+        err_sq = abs(e1) * abs(v2) + abs(e2) * abs(v1) \
+            if math.isfinite(e1 + e2) else math.inf
     else:
         f2d = _tensor_step(*pair) if pair is not None else f
-        if f2d.tail != 0.0:
-            raise ValueError("full route needs a compactly supported function")
-        sq, err_sq = _pointwise_full_sq(kernel, f2d, x, lam1, lam2, spec)
+        o1, o2 = _raw_octave_sums(kernel, f2d, *lams, (t_range, t_range), spec,
+                                  point)
+        sq = float(o1.sum())
+        err_sq = _octave_tail(o1) + _octave_tail(o2)
+    if not err_sq <= _TAIL_WARN * abs(sq):
+        warnings.warn(
+            "scale-range truncation: octave contributions do not decay inside "
+            f"[{spec.t_min:g}, {spec.t_max:g}]; squared-value tail estimate "
+            f"{err_sq:g}", RuntimeWarning, stacklevel=2)
     value, clamped = _sqrt_clamped(sq)
     error = err_sq / (2.0 * value) if value > 0 else math.sqrt(max(err_sq, 0.0))
     return GStarValue(point=tuple(x), value=value, error=error, spec=spec,
                       clamped=clamped)
-
-
-def _axis_full_sq(factor: ConvolutionFactor, f: StepFunction, x0: float,
-                  lam: float, spec: QuadratureSpec) -> tuple[float, float]:
-    """One-parameter squared value assembled from raw profile evaluations on
-    the coarse mesh family -- no antiderivatives, no closed far field.  The
-    independent per-axis oracle for the fast path (compact f only)."""
-    (blo, bhi), = f.box
-    octs = []
-    for _, _, tn, tw in octave_blocks(spec.t_min, spec.t_max,
-                                      spec.t_points_per_octave, spec.rule):
-        part = 0.0
-        for t, w in zip(tn, tw):
-            u, du, _, _ = _offset_mesh((blo, bhi), t, spec,
-                                       _step_anchors(f) + [x0],
-                                       _ORACLE_PAD_UNITS, _ORACLE_MESH_REL)
-            th = _axis_theta_raw(factor, f, t, u, spec)
-            wg = (t / (t + np.abs(x0 - u))) ** lam * du
-            part += float((th * th) @ wg) / t * (w / t)
-        octs.append(np.array([part]))
-    total = float(np.sum(octs))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        tail = float(_tail_report(octs, spec.t_min, spec.t_max)[0])
-    return total, tail
-
-
-def _pointwise_full_tensor_sq(kernel: Kernel, pair, x: np.ndarray,
-                              lam1: float, lam2: float,
-                              spec: QuadratureSpec) -> tuple[float, float]:
-    """Full-route value for a tensor kernel with pair f: the two axis sums
-    are assembled independently from raw profile values and multiplied."""
-    if pair[0].tail != 0.0 or pair[1].tail != 0.0:
-        raise ValueError("full route needs a compactly supported function")
-    g1, g2 = kernel.tensor_parts
-    v1, e1 = _axis_full_sq(g1, pair[0], x[0], lam1, spec)
-    v2, e2 = _axis_full_sq(g2, pair[1], x[1], lam2, spec)
-    err = abs(e1) * abs(v2) + abs(e2) * abs(v1) \
-        if math.isfinite(e1) and math.isfinite(e2) else math.inf
-    return v1 * v2, err
-
-
-def _pointwise_full_sq(kernel: Kernel, f: StepFunction, x: np.ndarray,
-                       lam1: float, lam2: float,
-                       spec: QuadratureSpec) -> tuple[float, float]:
-    """Joint quadrature of the defining integral from raw kernel values: the
-    raw scale-pair sum with x as the single position node of weight 1, its
-    octave sums tracked on each scale axis for the tail report."""
-    t_range = (spec.t_min, spec.t_max)
-    o1, o2 = _raw_octave_sums(kernel, f, lam1, lam2, (t_range, t_range), spec,
-                              lambda axis, lo, hi: (x[axis:axis + 1], np.ones(1)))
-    total = float(o1.sum())
-    tail = 0.0
-    for o in (o1, o2):
-        if len(o) >= 2:
-            tail += _geometric_tail(o[0], o[1]) + _geometric_tail(o[-1], o[-2])
-        else:
-            tail = math.inf
-    if not math.isfinite(tail) or tail > _TAIL_WARN * abs(total):
-        warnings.warn(
-            "scale-range truncation: octave contributions do not decay; "
-            f"tail estimate {tail:g}", RuntimeWarning, stacklevel=2)
-    return total, tail
 
 
 # ---------------------------------------------------------------------------
@@ -598,14 +549,20 @@ def gstar_sq_norm(kernel: Kernel, f, params: Params,
                   route: str = "whitney") -> float:
     """The squared L2 norm of the square function of f.
 
-    Routes:
+    The "whitney" and "direct" routes run the octave-band assembly of their
+    layer -- per axis on the exact cell integrals for a tensor kernel with
+    pair f (the norm is then the product of the two axis norms), jointly on
+    raw kernel evaluations otherwise -- and differ only in the position
+    nodes each scale band is contracted against:
 
-    * "whitney" (default): the sum over grid-cube pairs of Whitney-region
-      integrals -- the rewriting behind the whole averaging argument.  The
-      regions tile the scale strip the grid pair covers; in position the sum
-      is restricted to a window around the support and the boundary-cube
-      contribution is reported if it is still material.
-    * "direct": integrates gstar_pointwise^2 over the truncation window.
+    * "whitney" (default): the cubes of the band's own grid level, so the sum
+      runs over the grid's Whitney regions -- the rewriting behind the whole
+      averaging argument.  The regions tile the scale strip the grid pair
+      covers; in position the sum is restricted to a window around the
+      support, and per axis the outermost cubes' share is reported if it is
+      still material.
+    * "direct": a graded mesh of that window, the same for every band, so
+      the sum is the pointwise squares integrated over the window.
     * "gram": tensor kernels only.  Integrating x over the whole line
       decouples the weight from theta exactly, so the norm contracts the
       lattice Gram matrices of the two factor responses; this is the fast
@@ -621,42 +578,45 @@ def gstar_sq_norm(kernel: Kernel, f, params: Params,
     if grid1.dim != 1 or grid2.dim != 1:
         raise ValueError("the grid pair must consist of one-dimensional grids")
     pair = _split_pair(f)
-    tails = (pair[0].tail, pair[1].tail) if pair is not None else (f.tail,)
-    if any(t != 0.0 for t in tails):
+    if any(g.tail != 0.0 for g in pair or (f,)):
         raise ValueError("norms need vanishing tails")
-    lam1 = params.n * params.lambda1
-    lam2 = params.m * params.lambda2
-    r1 = _grid_t_range(grid1, spec)
-    r2 = _grid_t_range(grid2, spec)
+    lams = (params.n * params.lambda1, params.m * params.lambda2)
+    ranges = (_grid_t_range(grid1, spec), _grid_t_range(grid2, spec))
+    f2d = _tensor_step(*pair) if pair is not None else f
 
     if route == "gram":
         if kernel.tensor_parts is None:
             raise NotImplementedError("the gram route needs a tensor kernel")
         g1, g2 = kernel.tensor_parts
-        f2d = _tensor_step(*pair) if pair is not None else f
-        m1 = _axis_gram(g1, f2d.level, f2d.shape[0], lam1, r1, spec)
-        m2 = _axis_gram(g2, f2d.level, f2d.shape[1], lam2, r2, spec)
+        m1 = _axis_gram(g1, f2d.level, f2d.shape[0], lams[0], ranges[0], spec)
+        m2 = _axis_gram(g2, f2d.level, f2d.shape[1], lams[1], ranges[1], spec)
         area = f2d.cell_side ** 2
         vals = f2d.values * area  # the contraction runs over cell integrals
         # sum_{a,b,c,d} m1[a,c] m2[b,d] v[a,b] v[c,d], the grams being symmetric
         return float(np.sum((m1 @ vals @ m2) * vals))
 
-    if route == "direct":
-        if pair is not None and kernel.tensor_parts is not None:
-            g1, g2 = kernel.tensor_parts
-            return (_axis_direct_norm(g1, pair[0], lam1, r1, spec)
-                    * _axis_direct_norm(g2, pair[1], lam2, r2, spec))
-        f2d = _tensor_step(*pair) if pair is not None else f
-        return _general_norm(kernel, f2d, lam1, lam2, r1, r2, spec,
-                             grids=None)
-
-    if kernel.tensor_parts is not None and pair is not None:
-        g1, g2 = kernel.tensor_parts
-        return (_axis_whitney_norm(g1, pair[0], lam1, grid1, r1, spec)
-                * _axis_whitney_norm(g2, pair[1], lam2, grid2, r2, spec))
-    f2d = _tensor_step(*pair) if pair is not None else f
-    return _general_norm(kernel, f2d, lam1, lam2, r1, r2, spec,
-                         grids=(grid1, grid2))
+    grids = grid_pair if route == "whitney" else (None, None)
+    if pair is None or kernel.tensor_parts is None:
+        nodes = [_band_nodes(box, spec, grid, r[1], 2.0 ** -8)
+                 for box, grid, r in zip(f2d.box, grids, ranges)]
+        o1, _ = _raw_octave_sums(kernel, f2d, *lams, ranges, spec, nodes)
+        return float(o1.sum())
+    norm = 1.0
+    for g, fa, lam, grid, r in zip(kernel.tensor_parts, pair, lams, grids,
+                                   ranges):
+        nodes = _band_nodes(fa.box[0], spec, grid, r[1], 2.0 ** -16)
+        if grid is None:
+            norm *= float(_axis_octave_sums(g, fa, lam, r, spec, nodes).sum())
+            continue
+        total, edge = _axis_octave_sums(
+            g, fa, lam, r, spec, _with_outer_cubes(nodes, spec)).sum(axis=0)
+        if edge > _TAIL_WARN * abs(total):
+            warnings.warn(
+                "position truncation: boundary cubes still carry "
+                f"{edge:g} of {total:g}; widen the window", RuntimeWarning,
+                stacklevel=2)
+        norm *= float(total)
+    return norm
 
 
 def _norm_window(box: tuple[float, float], t_hi: float,
@@ -668,93 +628,44 @@ def _norm_window(box: tuple[float, float], t_hi: float,
     return blo - reach, bhi + reach
 
 
-def _level_nodes(grid: ShiftedGrid, level: int, window: tuple[float, float],
-                 spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature nodes for all grid cubes at one level meeting a window:
-    (nodes, weights, owning-cube ordinal)."""
-    xs, xw, owner = [], [], []
-    for idx, cube in enumerate(grid.cubes_overlapping(level, [window])):
-        (clo, chi), = cube.box()
-        nodes, wts = segment_nodes(np.array([clo, chi]),
-                                   spec.points_per_cell, spec.rule)
-        xs.append(nodes)
-        xw.append(wts)
-        owner.append(np.full(nodes.shape, idx, dtype=int))
-    if not xs:
-        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=int)
-    return np.concatenate(xs), np.concatenate(xw), np.concatenate(owner)
+def _band_nodes(box: tuple[float, float], spec: QuadratureSpec,
+                grid: ShiftedGrid | None, t_hi: float, rel: float):
+    """The norm's position nodes on one axis, as a function ``(lo, hi) ->
+    (nodes, weights)`` of the scale band (lo, hi] they serve.
+
+    With a grid: the cubes of the band's own level meeting the band's
+    window.  The band lies in (side/2, side] for side = 2^e with lo in
+    [2^(e-1), 2^e); the cubes are contiguous, so the first and last
+    ``spec.points_per_cell`` nodes are the outermost cubes'.  Without: one
+    graded mesh of the window at the top scale t_hi for every band, with
+    finest step rel times the window."""
+    if grid is None:
+        edges = graded_axis_edges(*_norm_window(box, t_hi, spec), box,
+                                  rel_finest=rel)
+        window = segment_nodes(edges, spec.points_per_cell, spec.rule)
+        return lambda lo, hi: window
+
+    def whitney(lo, hi):
+        level = -math.frexp(lo)[1]
+        cells = [cube.box()[0] for cube in grid.cubes_overlapping(
+            level, [_norm_window(box, hi, spec)])]
+        edges = np.array([a for a, _ in cells] + [cells[-1][1]])
+        return segment_nodes(edges, spec.points_per_cell, spec.rule)
+    return whitney
 
 
-def _axis_whitney_norm(factor: ConvolutionFactor, f: StepFunction, lam: float,
-                       grid: ShiftedGrid, t_range: tuple[float, float],
-                       spec: QuadratureSpec) -> float:
-    """One-parameter squared norm as the sum over the grid's Whitney regions
-    (cube cross its upper half-octave of scales)."""
-    total = 0.0
-    edge = 0.0
-    for level in grid.levels():
-        side = 2.0 ** -level
-        t_lo, t_hi = max(side / 2, t_range[0]), min(side, t_range[1])
-        if not t_lo < t_hi:
-            continue
-        window = _norm_window(f.box[0], t_hi, spec)
-        xs, xw, owner = _level_nodes(grid, level, window, spec)
-        if xs.size == 0:
-            continue
-        tn, tw = octave_nodes(t_lo, t_hi, spec.t_points_per_octave, spec.rule)
-        level_vals = np.zeros(xs.shape)
-        for t, w in zip(tn, tw):
-            level_vals += _axis_sq_profile(factor, f, xs, t, lam, spec) * (w / t)
-        per_cube = np.bincount(owner, weights=level_vals * xw)
-        total += float(per_cube.sum())
-        if per_cube.size >= 2:
-            edge += float(per_cube[0] + per_cube[-1])
-    if edge > _TAIL_WARN * abs(total):
-        warnings.warn(
-            "position truncation: boundary cubes still carry "
-            f"{edge:g} of {total:g}; widen the window", RuntimeWarning,
-            stacklevel=2)
-    return total
+def _with_outer_cubes(band_nodes, spec: QuadratureSpec):
+    """Whitney ``band_nodes`` with a second weight column that keeps only the
+    outermost cubes' nodes: the position-truncation probe of the sum."""
+    p = spec.points_per_cell
 
-
-def _axis_direct_norm(factor: ConvolutionFactor, f: StepFunction, lam: float,
-                      t_range: tuple[float, float],
-                      spec: QuadratureSpec) -> float:
-    """One-parameter squared norm by integrating the pointwise values over a
-    graded truncation window."""
-    wlo, whi = _norm_window(f.box[0], t_range[1], spec)
-    (blo, bhi), = f.box
-    grid = graded_axis_edges(wlo, whi, (blo, bhi), rel_finest=2.0 ** -16)
-    xs, xw = segment_nodes(grid, spec.points_per_cell, spec.rule)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        vals, _ = _axis_gstar_sq(factor, f, xs, lam, spec,
-                                 t_lo=t_range[0], t_hi=t_range[1])
-    return float(vals @ xw)
-
-
-def _general_norm(kernel: Kernel, f: StepFunction, lam1: float, lam2: float,
-                  r1: tuple[float, float], r2: tuple[float, float],
-                  spec: QuadratureSpec,
-                  grids: tuple[ShiftedGrid, ShiftedGrid] | None) -> float:
-    """Squared norm from raw kernel evaluations.  With grids, the position
-    nodes follow the Whitney cubes band by band (the honest region sum);
-    without, a graded window mesh (the direct integral).  Reference quality:
-    cost scales with the scale-pair count."""
-    ranges = (r1, r2)
-
-    def band_nodes(axis, lo, hi):
-        box = f.box[axis]
-        if grids is not None:
-            level = int(round(-math.log2(hi)))
-            return _level_nodes(grids[axis], level,
-                                _norm_window(box, hi, spec), spec)[:2]
-        g = graded_axis_edges(*_norm_window(box, ranges[axis][1], spec), box,
-                              rel_finest=2.0 ** -8)
-        return segment_nodes(g, spec.points_per_cell, spec.rule)
-
-    o1, _ = _raw_octave_sums(kernel, f, lam1, lam2, ranges, spec, band_nodes)
-    return float(o1.sum())
+    def nodes(lo, hi):
+        xs, xw = band_nodes(lo, hi)
+        outer = np.zeros_like(xw)
+        if xw.size >= 2 * p:
+            outer[:p], outer[-p:] = xw[:p], xw[-p:]
+        return xs, np.stack([xw, outer], axis=1)
+    return nodes
 
 
 _GRAM_CACHE: dict = {}

@@ -22,6 +22,7 @@ from glstar.dyadic import (
     schur_matrix,
     set_distance,
     strong_maximal_dyadic,
+    trial_stream,
 )
 from glstar.core import DEFAULT_SHIFT_RADIUS
 
@@ -190,6 +191,16 @@ def test_shift_table_is_the_exact_shift_at_every_level():
             exact = grid.shift_fraction(level)
             assert tuple(Fraction(x) for x in grid.shift(level)) == exact
         assert grid._shift_table.shape == (grid.j_max - grid.j_min + 2, dim)
+
+
+def test_trial_streams_share_no_words():
+    # Philox advances counter word 0 per block; a trial kept in that word
+    # would make stream t + 1 stream t one block on, so each random grid
+    # would repeat the previous trial's bits a few levels over
+    for seed, trial in ((5, 0), (5, 1), (0, 7), (11, 999)):
+        here = trial_stream(seed, trial).bit_generator.random_raw(256)
+        there = trial_stream(seed, trial + 1).bit_generator.random_raw(256)
+        assert not set(here.tolist()) & set(there.tolist())
 
 
 def test_coarse_bit_flip_moves_cube_and_ancestor_rigidly():

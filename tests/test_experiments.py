@@ -1,10 +1,19 @@
 """Driver smoke tests at the benchmark's tiny sizes."""
 
+import math
 from fractions import Fraction
 
 from glstar.core import default_params
 from glstar.dyadic import pi_good_exact
-from glstar.experiments import run_averaging, run_boundratio, run_schur
+from glstar.experiments import (
+    run_averaging,
+    run_boundratio,
+    run_carleson,
+    run_kdecay,
+    run_lemma32,
+    run_schur,
+    sample_lemma32_configs,
+)
 
 PARAMS = default_params()
 
@@ -34,3 +43,32 @@ def test_schur_smoke():
     norms = [rep.summary["norms"][str(s)] for s in (8, 16, 32)]
     assert all(a <= b for a, b in zip(norms, norms[1:]))
     assert rep.summary["singleton"] == 2 ** -1.5
+
+
+def _finite(values):
+    return all(math.isfinite(v) and v > 0 for v in values)
+
+
+def test_lemma32_smoke():
+    rep = run_lemma32(PARAMS, configs=sample_lemma32_configs(count=4, seed=5))
+    assert len(rep.records) == 4 and rep.summary["configs"] == 4
+    assert _finite([r["ratio"] for r in rep.records]
+                   + [r["ratio_refined"] for r in rep.records])
+    assert rep.passed
+
+
+def test_kdecay_smoke():
+    rep = run_kdecay(PARAMS, k_range=range(1, 11), side_runs=False)
+    assert [r["k"] for r in rep.records] == list(range(1, 11))
+    assert _finite([r["k_value"] for r in rep.records]
+                   + [r["q_value"] for r in rep.records])
+    assert rep.passed
+
+
+def test_carleson_smoke():
+    rep = run_carleson(PARAMS, omega_count=1, levels=1)
+    # one record per kernel and open set, plus the unit square
+    assert len(rep.records) == 3 * 1 + 1
+    assert all(math.isfinite(r["ratio"]) and r["ratio"] >= 0
+               for r in rep.records)
+    assert rep.summary["pattern_ok"] and rep.passed

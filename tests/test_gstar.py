@@ -12,6 +12,7 @@ from glstar.dyadic import ShiftedGrid
 from glstar.gstar import (
     GStarValue,
     _axis_gram,
+    _band_nodes,
     _grid_t_range,
     apply_theta,
     gstar_pointwise,
@@ -116,6 +117,8 @@ def test_fast_route_matches_raw_axis_oracle():
         full = gstar_pointwise(CANC, (f1, f2), x, PARAMS, spec=SP_COARSE,
                                route="full")
     assert full.value == pytest.approx(fast.value, rel=1e-3)
+    # the oracle shares no theta evaluator or mesh with the fast route
+    assert full.value != fast.value
     assert fast.value > 0 and not fast.clamped
 
 
@@ -169,10 +172,21 @@ def test_pointwise_dilation_covariance():
 
 
 def test_pointwise_reports_scale_truncation():
+    # one truncated scale range gives one warning and an unbounded error on
+    # every route: fast, the per-axis raw oracle and the joint raw route (the
+    # last at the coarsest rule, which keeps it under a second)
     f1, f2 = random_pair(3)
     tight = QuadratureSpec(t_min=2.0**-4, t_max=2.0**1)
-    with pytest.warns(RuntimeWarning, match="scale-range truncation"):
-        gstar_pointwise(CANC, (f1, f2), (0.3, -0.2), PARAMS, spec=tight)
+    coarse = replace(tight, points_per_cell=1, t_points_per_octave=1)
+    for kernel, route, spec in ((CANC, "fast", tight), (CANC, "full", tight),
+                                (OPAQUE, "full", coarse)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = gstar_pointwise(kernel, (f1, f2), (0.3, -0.2), PARAMS,
+                                  spec=spec, route=route)
+        assert [str(w.message).split(":")[0] for w in caught] == \
+            ["scale-range truncation"]
+        assert got.error == math.inf
 
 
 def test_pointwise_route_validation():
@@ -223,6 +237,35 @@ def test_gram_route_matches_general_assembly():
         fast = gstar_sq_norm(CANC, f, PARAMS, grids, spec=sp, route="gram")
         raw = gstar_sq_norm(CANC, f, PARAMS, grids, spec=sp, route="direct")
     assert raw == pytest.approx(fast, rel=5e-2)
+
+
+def test_whitney_band_nodes_sit_on_the_band_level():
+    # a band (lo, hi] within (side/2, side] takes the cubes of that side,
+    # also the end band of a range off a power of two: (2, 2.4] is covered
+    # by the side-4 cubes, not by the side-2 ones that rounding -log2(hi)
+    # would pick.  One midpoint node per cube, so each weight is the side.
+    grid = ShiftedGrid.standard(1, -3, 6)
+    nodes = _band_nodes((0.0, 0.5), QuadratureSpec(points_per_cell=1), grid,
+                        2.4, 2.0**-16)
+    for lo, hi, side in ((2.0, 2.4, 4.0), (2.0, 4.0, 4.0), (0.3, 0.5, 0.5),
+                         (2.0**-7, 2.0**-6, 2.0**-6), (5.0, 8.0, 8.0)):
+        xs, xw = nodes(lo, hi)
+        assert np.all(xw == side)
+        assert np.all(np.diff(xs) == side)
+
+
+def test_joint_whitney_route_agrees_with_the_per_axis_route():
+    # the two layers contract the same Whitney cubes, also on the end band
+    # (2, 2.4] of a range off a power of two
+    rng = np.random.default_rng(7)
+    f1 = StepFunction(level=1, lo=(0,), values=rng.normal(size=2))
+    f2 = StepFunction(level=1, lo=(0,), values=rng.normal(size=2))
+    grids = (ShiftedGrid.standard(1, -2, 3), ShiftedGrid.standard(1, -2, 3))
+    sp = QuadratureSpec(points_per_cell=2, t_points_per_octave=1,
+                        t_min=2.0**-2, t_max=2.4)
+    joint = gstar_sq_norm(OPAQUE, (f1, f2), PARAMS, grids, spec=sp)
+    per_axis = gstar_sq_norm(CANC, (f1, f2), PARAMS, grids, spec=sp)
+    assert joint == pytest.approx(per_axis, rel=2e-3)
 
 
 def test_gram_route_is_the_four_index_contraction():

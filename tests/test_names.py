@@ -1,7 +1,8 @@
 """Static name checks on every glstar module.
 
 Every global name a module reads exists; every name a module-level import
-binds is read; no module imports another module's private names."""
+binds is read; no module imports another module's private names; no module
+silences warnings."""
 
 import ast
 import builtins
@@ -75,3 +76,19 @@ def test_no_private_names_from_sibling_modules(name):
         if alias.name.startswith("_")
     )
     assert private == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_warning_filters(name):
+    # a library that filters warnings hides its own diagnostics from the
+    # caller; a route that has nothing to report must simply not warn
+    tree = ast.parse(_source(name)[1])
+    calls = sorted(
+        f"{node.lineno}:{node.func.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "warnings"
+        and node.func.attr in ("catch_warnings", "simplefilter")
+    )
+    assert calls == []
