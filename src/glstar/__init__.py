@@ -38,16 +38,13 @@ from .gstar import (
     gstar_pointwise,
     gstar_sq_norm,
     k_quantity,
-    p_quantity,
     q_quantity,
-    r_quantity,
 )
 from .haar import HaarExpansion, HaarIndex, expand, haar_function, reconstruct
 from .kernels import (
     AssumptionReport,
     ConvolutionFactor,
     Kernel,
-    check_carleson_combo,
     check_holder,
     check_mixed,
     check_size,
@@ -76,7 +73,6 @@ __all__ = [
     "QuadratureSpec",
     "ShiftedGrid",
     "StepFunction",
-    "check_carleson_combo",
     "check_holder",
     "check_mixed",
     "check_size",
@@ -96,10 +92,8 @@ __all__ = [
     "make_cancellative",
     "make_mixed",
     "make_size_only",
-    "p_quantity",
     "pi_good_exact",
     "q_quantity",
-    "r_quantity",
     "random_open_set",
     "read_step",
     "reconstruct",

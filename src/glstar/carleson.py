@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -71,6 +71,7 @@ class DyadicOpenSet:
     """
 
     rects: tuple[tuple[DyadicCube, DyadicCube], ...]
+    measure: float = field(init=False)  # the union's, set from the raster
 
     def __post_init__(self) -> None:
         rects = tuple(self.rects)
@@ -110,8 +111,6 @@ class DyadicOpenSet:
         object.__setattr__(
             self, "measure",
             float(int(bitmap.sum()) * Fraction(2) ** -(lv1 + lv2)))
-
-    measure: float = 0.0  # overwritten above; field kept for introspection
 
     @property
     def grids(self) -> tuple[ShiftedGrid, ShiftedGrid]:
@@ -230,8 +229,7 @@ def c_ij(kernel, i: DyadicCube, j: DyadicCube, params: Params,
     spec = spec or QuadratureSpec()
     if i.dim != 1 or j.dim != 1:
         raise ValueError("the rectangle factors must be one-dimensional")
-    lam1 = params.n * params.lambda1
-    lam2 = params.m * params.lambda2
+    lam1, lam2 = params.weight_powers
     if lam1 <= 1.0 or lam2 <= 1.0:
         raise ValueError("weight tail diverges for lambda <= 1")
     return _cij_scales(kernel, i.side, j.side, lam1, lam2, spec)
@@ -306,8 +304,7 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
     spec = spec or QuadratureSpec()
     if levels < 1:
         raise ValueError("need levels >= 1")
-    lam1 = params.n * params.lambda1
-    lam2 = params.m * params.lambda2
+    lam1, lam2 = params.weight_powers
     if lam1 <= 1.0 or lam2 <= 1.0:
         raise ValueError("weight tail diverges for lambda <= 1")
     g1, g2 = omega.grids

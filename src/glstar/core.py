@@ -117,6 +117,12 @@ class Params:
     def gamma_m(self) -> float:
         return self.beta / (2.0 * (self.m + self.beta))
 
+    @property
+    def weight_powers(self) -> tuple[float, float]:
+        """The exponents (n lambda1, m lambda2) of the two Poisson-type
+        weights (t / (t + |y|))^lam of the square function."""
+        return self.n * self.lambda1, self.m * self.lambda2
+
     def as_dict(self) -> dict:
         return {
             "n": self.n,

@@ -364,16 +364,21 @@ def _draw_collection(scheme: str, size: int, seed: int) -> list[DyadicCube]:
     raise ValueError(f"unknown collection scheme {scheme!r}")
 
 
-def _perron(a: np.ndarray, tol: float = 1e-12, iters: int = 50_000) -> float:
+# Power iteration of the coupling norm: step tolerance and round budget.
+_PERRON_TOL = 1e-12
+_PERRON_ITERS = 50_000
+
+
+def _perron(a: np.ndarray) -> float:
     n = a.shape[0]
     v = np.full(n, n ** -0.5)
-    for _ in range(iters):
+    for _ in range(_PERRON_ITERS):
         w = a @ v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
         v2 = w / norm
-        if float(np.linalg.norm(v2 - v)) < tol:
+        if float(np.linalg.norm(v2 - v)) < _PERRON_TOL:
             return norm
         v = v2
     raise RuntimeError("power iteration did not converge within the budget")
@@ -543,7 +548,7 @@ def run_lemma32(
     spec = spec or QuadratureSpec()
     if configs is None:
         configs = sample_lemma32_configs()
-    lam = params.n * params.lambda1
+    lam = params.weight_powers[0]
     a_cap = params.n * (params.lambda1 - 2.0) / 2.0
     fine_spec = spec.refined(2)
 
@@ -1079,8 +1084,7 @@ def run_cases(
     coeff = coeff[np.ix_(keep1, keep2)]
     norm_sq = float(np.sum(coeff ** 2))
 
-    lam1 = params.n * params.lambda1
-    lam2 = params.m * params.lambda2
+    lam1, lam2 = params.weight_powers
     fac1, fac2 = kernel.tensor_parts
 
     def region_grams(grid, members, fac, lam):

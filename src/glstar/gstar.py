@@ -7,12 +7,12 @@ The central object: for a kernel acting at scale pairs (t1, t2),
                 dy1 dy2 / (t1^n t2^m)  dt1/t1  dt2/t2,
 
 where theta f(p) = iint K(p, z) f(z) dz.  Alongside the pointwise value and
-the squared L2 norm, this module evaluates the localized quantities that
-drive the cube-pair estimates: the weighted pair integral of theta applied to
-a Haar function (:func:`p_quantity`), its modified-ancestor variant
-(:func:`q_quantity`), the complement integral whose decay in the generation
-count k powers the nested case (:func:`k_quantity`), and the Carleson-box sum
-over the descendants of a cube (:func:`r_quantity`).
+the squared L2 norm, this module evaluates the two localized quantities of
+the nested case, whose decay in the generation count k the decay ladders of
+:func:`glstar.experiments.run_kdecay` measure: the weighted pair integral of
+theta applied to the modified ancestor pattern of a cube times a Haar
+function (:func:`q_quantity`), and the complement integral of one factor
+outside the ancestor (:func:`k_quantity`).
 
 Numerical conventions used throughout:
 
@@ -71,9 +71,7 @@ __all__ = [
     "gstar_pointwise",
     "gstar_sq_norm",
     "k_quantity",
-    "p_quantity",
     "q_quantity",
-    "r_quantity",
 ]
 
 # Finest graded-mesh step relative to the span being meshed; the meshes are
@@ -88,6 +86,8 @@ _PAD_UNITS = 128.0
 # The raw-evaluation (non-tensor) paths trade mesh density for kernel calls.
 _RAW_PAD_UNITS = 16.0
 _RAW_MESH_REL = 2.0 ** -10
+# Most pieces a lattice cell is split into on the raw path's z-mesh.
+_REFINE_CAP = 64
 
 # The per-axis raw oracle is one-dimensional and can afford density.
 _ORACLE_PAD_UNITS = 64.0
@@ -282,15 +282,15 @@ def _split_pair(f) -> tuple[StepFunction, StepFunction] | None:
 
 
 def _refined_axis_nodes(f: StepFunction, axis: int, t: float, p: int,
-                        rule: str, cap: int = 64) -> tuple[np.ndarray, np.ndarray]:
+                        rule: str) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes along one axis of f's box: each lattice cell is split
-    until the pieces are below t/2 (capped), so a kernel smooth at scale t is
-    resolved without per-point meshes."""
+    until the pieces are below t/2 (at most _REFINE_CAP pieces), so a kernel
+    smooth at scale t is resolved without per-point meshes."""
     h = f.cell_side
     lo = f.lo[axis] * h
     edges = [lo]
     for _ in range(f.shape[axis]):
-        parts = min(cap, max(1, math.ceil(h / (0.5 * t))))
+        parts = min(_REFINE_CAP, max(1, math.ceil(h / (0.5 * t))))
         start = edges[-1]
         edges.extend(start + h * (j + 1) / parts for j in range(parts))
     return segment_nodes(np.array(edges), p, rule)
@@ -487,11 +487,9 @@ def gstar_pointwise(kernel: Kernel, f, x, params: Params,
     if route not in ("auto", "fast", "full"):
         raise ValueError(f"unknown route {route!r}")
     _check_pair_dims(kernel)
-    if params.lambda1 <= 1 or params.lambda2 <= 1:
-        raise ValueError("weight powers must exceed 1")
     x = np.asarray(x, dtype=float).reshape(2)
     pair = _split_pair(f)
-    lams = (params.n * params.lambda1, params.m * params.lambda2)
+    lams = params.weight_powers
     tensor = pair is not None and kernel.tensor_parts is not None
     if route == "auto":
         route = "fast" if tensor else "full"
@@ -580,7 +578,7 @@ def gstar_sq_norm(kernel: Kernel, f, params: Params,
     pair = _split_pair(f)
     if any(g.tail != 0.0 for g in pair or (f,)):
         raise ValueError("norms need vanishing tails")
-    lams = (params.n * params.lambda1, params.m * params.lambda2)
+    lams = params.weight_powers
     ranges = (_grid_t_range(grid1, spec), _grid_t_range(grid2, spec))
     f2d = _tensor_step(*pair) if pair is not None else f
 
@@ -711,64 +709,34 @@ def _axis_gram(factor: ConvolutionFactor, level: int, n_cells: int,
 # ---------------------------------------------------------------------------
 
 
-def _weighted_pair_sq(kernel: Kernel, f1: StepFunction, f2: StepFunction,
-                      x: np.ndarray, t1: float, t2: float, lam1: float,
-                      lam2: float, spec: QuadratureSpec) -> float:
-    """iint |theta (f1 (x) f2)(x - y)|^2 w1 w2 dy / (t1 t2) at one scale
-    pair.  Tensor kernels separate exactly; raw kernels need both tails to
-    vanish (no closed far field is available for them)."""
-    if kernel.tensor_parts is not None:
-        g1, g2 = kernel.tensor_parts
-        a = _axis_sq_profile(g1, f1, np.array([x[0]]), t1, lam1, spec)
-        b = _axis_sq_profile(g2, f2, np.array([x[1]]), t2, lam2, spec)
-        return float(a[0] * b[0])
-    if f1.tail != 0.0 or f2.tail != 0.0:
-        raise NotImplementedError(
-            "constant tails need a tensor kernel: the raw-evaluation "
-            "quadrature has no closed far field")
-    return float(_raw_block(kernel, _tensor_step(f1, f2), t1, t2, x[:1], x[1:],
-                            lam1, lam2, spec)[0, 0])
-
-
-def p_quantity(kernel: Kernel, i1: DyadicCube, j1: DyadicCube, x,
-               t1: float, t2: float, params: Params,
-               spec: QuadratureSpec | None = None) -> float:
-    """Weighted pair integral of theta applied to the Haar function of
-    I1 x J1 at (x, t): the square root of
-
-        iint |theta h_{I1 x J1}(x - y)|^2 w1 w2 dy1 dy2 / (t1^n t2^m).
-
-    Whitney membership of (x1, t1) and (x2, t2) is the caller's assertion."""
-    spec = spec or QuadratureSpec()
-    _check_pair_dims(kernel)
-    if t1 <= 0 or t2 <= 0:
-        raise ValueError("scales must be positive")
-    x = np.asarray(x, dtype=float).reshape(2)
-    h1 = haar_function(HaarIndex(cube=i1, eta=(1,)))
-    h2 = haar_function(HaarIndex(cube=j1, eta=(1,)))
-    sq = _weighted_pair_sq(kernel, h1, h2, x, t1, t2,
-                           params.n * params.lambda1,
-                           params.m * params.lambda2, spec)
-    return _sqrt_clamped(sq)[0]
-
-
 def q_quantity(kernel: Kernel, i: DyadicCube, k: int, j1: DyadicCube, x,
                t1: float, t2: float, params: Params,
                spec: QuadratureSpec | None = None) -> float:
-    """Same integral with the first factor replaced by the modified ancestor
-    pattern of I at generation k (constant tail, closed far field).  Raises
-    when the ancestor chain leaves the grid truncation."""
+    """Weighted pair integral of theta applied to S (x) h_J1 at (x, t): the
+    square root of
+
+        iint |theta (S (x) h_J1)(x - y)|^2 w1 w2 dy1 dy2 / (t1^n t2^m),
+
+    where S is the modified ancestor pattern of I at generation k
+    (:func:`glstar.haar.s_function`) and h_J1 the Haar function of J1.  S
+    has a constant tail, so the integral separates per axis with a closed
+    far field; kernels without tensor parts are refused.  Raises when the
+    ancestor chain leaves the grid truncation."""
     spec = spec or QuadratureSpec()
     _check_pair_dims(kernel)
+    if kernel.tensor_parts is None:
+        raise NotImplementedError(
+            "the ancestor pattern has a constant tail, which needs a tensor "
+            "kernel: the raw-evaluation quadrature has no closed far field")
     if k < 1:
         raise ValueError("need k >= 1")
     x = np.asarray(x, dtype=float).reshape(2)
-    s = s_function(i, k)
-    h2 = haar_function(HaarIndex(cube=j1, eta=(1,)))
-    sq = _weighted_pair_sq(kernel, s, h2, x, t1, t2,
-                           params.n * params.lambda1,
-                           params.m * params.lambda2, spec)
-    return _sqrt_clamped(sq)[0]
+    g1, g2 = kernel.tensor_parts
+    lam1, lam2 = params.weight_powers
+    a = _axis_sq_profile(g1, s_function(i, k), x[:1], t1, lam1, spec)
+    b = _axis_sq_profile(g2, haar_function(HaarIndex(cube=j1, eta=(1,))),
+                         x[1:], t2, lam2, spec)
+    return _sqrt_clamped(float(a[0] * b[0]))[0]
 
 
 def k_quantity(kernel_factor: ConvolutionFactor, i: DyadicCube, k: int,
@@ -791,7 +759,7 @@ def k_quantity(kernel_factor: ConvolutionFactor, i: DyadicCube, k: int,
         raise ValueError("scale must be positive")
     ancestor = i.grid.ancestor(i, k - 1)
     (alo, ahi), = ancestor.box()
-    lam = params.n * params.lambda1
+    lam = params.weight_powers[0]
     mass = kernel_factor.mass(t1)
     u, du, ulo, uhi = _offset_mesh((alo, ahi), t1, spec,
                                    (alo, ahi, float(x1)))
@@ -799,50 +767,3 @@ def k_quantity(kernel_factor: ConvolutionFactor, i: DyadicCube, k: int,
     sq = _weighted_theta_sq(comp, du, ulo, uhi, u, mass,
                             np.array([float(x1)]), t1, lam)
     return _sqrt_clamped(float(sq[0]))[0]
-
-
-def r_quantity(kernel: Kernel, i: DyadicCube, j1: DyadicCube, x2: float,
-               t2: float, params: Params, grid: ShiftedGrid,
-               spec: QuadratureSpec | None = None) -> float:
-    """Carleson-box sum over the descendants of I:
-
-        sum_{I' subset I} iint_{W_I'} iint |theta(1 (x) h_J1)(x - y)|^2
-            w1 w2 dy / (t1^n t2^m) dx1 dt1 / t1,
-
-    truncated at the grid's finest level.  The descendants' Whitney regions
-    tile I x (finest/2, ell(I)], and theta(1 (x) h) is independent of
-    (x1, y1) for a convolution kernel, so each level band contributes the
-    same closed amount: |I| ln 2 mass^2 (int w1/t1) times the second-axis
-    factor at (x2, t2).  Tensor kernels only (the constant slot needs a
-    closed mass).
-
-    Mass-carrying kernels genuinely grow linearly in the level count here --
-    that log divergence is what the packing condition excludes, and it is
-    reported, not hidden."""
-    spec = spec or QuadratureSpec()
-    _check_pair_dims(kernel)
-    if kernel.tensor_parts is None:
-        raise NotImplementedError(
-            "descendant sums are closed-form for tensor kernels only")
-    if grid is not i.grid:
-        raise ValueError("the cube must belong to the supplied grid")
-    if t2 <= 0:
-        raise ValueError("scale must be positive")
-    g1, g2 = kernel.tensor_parts
-    lam1 = params.n * params.lambda1
-    lam2 = params.m * params.lambda2
-    h2 = haar_function(HaarIndex(cube=j1, eta=(1,)))
-    axis2 = float(_axis_sq_profile(g2, h2, np.array([float(x2)]), t2, lam2,
-                                   spec)[0])
-    mass = g1.mass(1.0)  # scale-free for both flavors
-    w1_per_t = weight_total(1.0, lam1)  # int (t1/(t1+|y1|))^lam1 dy1 / t1
-    n_bands = grid.j_max - i.level + 1
-    if n_bands < 1:
-        raise ValueError("the cube sits below the grid's finest level")
-    per_band = i.measure() * math.log(2.0) * mass * mass * w1_per_t * axis2
-    if mass != 0.0 and n_bands >= 2:
-        warnings.warn(
-            "descendant-level truncation: per-level contributions do not "
-            f"decay ({n_bands} equal bands of {per_band:g} each); the sum "
-            "grows with the grid depth", RuntimeWarning, stacklevel=2)
-    return per_band * n_bands

@@ -11,9 +11,13 @@ here: its integral over the line (:func:`weight_total`) and over an interval
 sums use for their far fields and spatial factors.
 
 The ``check_*`` functions are samplers, not provers: they estimate the implied
-constant of a condition as a supremum of |LHS|/RHS over a deterministic grid
-concentrated near the singular region (small scales, small separations) plus
-random draws, each from its own counter-keyed stream.
+constant of a pointwise condition as a supremum of |LHS|/RHS over a
+deterministic grid concentrated near the singular region (small scales, small
+separations) plus random draws, each from its own counter-keyed stream.
+
+The module holds no quadrature: every value here is a closed form or a
+kernel evaluation at sampled points.  Integrals of the kernel against step
+functions live in :mod:`glstar.gstar` and :mod:`glstar.carleson`.
 """
 
 from __future__ import annotations
@@ -24,14 +28,13 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Params, QuadratureSpec, graded_axis_edges, octave_nodes, segment_nodes
-from .dyadic import DyadicCube, trial_stream
+from .core import Params
+from .dyadic import trial_stream
 
 __all__ = [
     "AssumptionReport",
     "ConvolutionFactor",
     "Kernel",
-    "check_carleson_combo",
     "check_holder",
     "check_mixed",
     "check_size",
@@ -306,7 +309,6 @@ class AssumptionReport:
     worst: dict
     cap: float
     passed: bool
-    notes: str = ""
 
     def __post_init__(self) -> None:
         if not (self.estimate >= 0.0 or math.isnan(self.estimate)):
@@ -325,7 +327,7 @@ class AssumptionReport:
         )
 
 
-def _mk_report(condition, ratios, worst, cap, notes="") -> AssumptionReport:
+def _mk_report(condition, ratios, worst, cap) -> AssumptionReport:
     est = float(np.max(ratios))
     return AssumptionReport(
         condition=condition,
@@ -334,7 +336,6 @@ def _mk_report(condition, ratios, worst, cap, notes="") -> AssumptionReport:
         worst=worst,
         cap=float(cap),
         passed=bool(math.isfinite(est) and est <= cap),
-        notes=notes,
     )
 
 
@@ -666,233 +667,3 @@ def weight_window(t: float, lam: float, lo, hi):
         )
 
     return odd(hi) - odd(lo)
-
-
-# ---------------------------------------------------------------------------
-# box-combination checker
-
-
-def _box_carl(slice_fn, lam: float, lo: float, hi: float, t_lo: float, spec):
-    """Box integral of |slice|^2 against the scale weight.
-
-    Computes  int_{t_lo}^{L} int |slice_fn(t, u)|^2 W(t, u) du dt / t^2  where
-    L = hi - lo and W is the closed-form window of the weight over the cube.
-    The two x/y integrations have been collapsed into the single u variable,
-    which is what makes the corner positions of the integrand mesh-resolvable:
-    they sit exactly at the cube endpoints.
-
-    Raises RuntimeError when the small-scale octaves stop decaying (the
-    integral genuinely diverges for mass-carrying kernels) or when the spatial
-    tail is not negligible at the chosen truncation radius.
-    """
-    ell = hi - lo
-    t_nodes, t_weights = octave_nodes(
-        t_lo, ell, spec.t_points_per_octave, rule=spec.rule
-    )
-    eps = max(spec.truncation_eps, 1e-12)
-    tol = max(1e-4, 100.0 * eps)
-    octaves: dict[int, float] = {}
-    total = 0.0
-    tail_total = 0.0
-    for t, wt in zip(t_nodes, t_weights):
-        radius = ell * min(max(8.0, math.sqrt(t / (eps * ell))), 1e7)
-        edges = graded_axis_edges(
-            lo - radius, hi + radius, anchors=(lo, hi), rel_finest=2.0**-26
-        )
-        u, uw = segment_nodes(edges, spec.points_per_cell, spec.rule)
-        values = np.asarray(slice_fn(t, u), dtype=float)
-        window = weight_window(t, lam, lo - u, hi - u)
-        cellwise = values * values * window * uw
-        contrib = wt * float(np.sum(cellwise)) / t**2
-        p = spec.points_per_cell
-        tail_total += wt * float(np.sum(cellwise[:p]) + np.sum(cellwise[-p:])) / t**2
-        total += contrib
-        octaves[math.floor(math.log2(t))] = (
-            octaves.get(math.floor(math.log2(t)), 0.0) + contrib
-        )
-    floor = np.finfo(float).tiny
-    if total > floor:
-        ordered = [octaves[k] for k in sorted(octaves)]
-        if (
-            len(ordered) >= 3
-            and ordered[0] > tol * total
-            and ordered[0] > 0.8 * ordered[1]
-        ):
-            raise RuntimeError(
-                "truncation failure: small-scale octave contributions are not "
-                "decaying, the box integral does not converge"
-            )
-        if tail_total > tol * total:
-            raise RuntimeError(
-                "truncation failure: spatial tail above tolerance at the "
-                "truncation radius"
-            )
-    return total
-
-
-def _swap_kernel(kernel: Kernel) -> Kernel:
-    """Exchange the two axes of a 1+1 dimensional kernel."""
-    inner = kernel.evaluate
-
-    def swapped(t1, t2, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return inner(t2, t1, x[..., ::-1], y[..., ::-1])
-
-    parts = kernel.tensor_parts
-    if parts is not None:
-        parts = (parts[1], parts[0])
-    return Kernel(
-        swapped,
-        kernel.beta,
-        kernel.alpha,
-        kernel.m,
-        kernel.n,
-        parts,
-        kernel.label + "|axes_swapped",
-    )
-
-
-def _grid_eval(kernel: Kernel, t1, t2, x, y, shape):
-    values = np.asarray(kernel.evaluate(t1, t2, x, y), dtype=float)
-    return np.broadcast_to(values, shape)
-
-
-def _fixed_axis_samples(ell: float, samples: int, seed: int):
-    """Scale-covariant draws of (t2, w2, z2, gap, gap_dir) for the fixed axis."""
-    rows = []
-    for tf in (0.0625, 0.5, 2.0):
-        t2 = ell * tf
-        for sf in (0.0, 1.0, 8.0):
-            for gf in (0.999, 2.0**-8):
-                rows.append((t2, sf * t2, 0.0, gf * t2 / 2.0, 1.0))
-    for i in range(samples):
-        rng = trial_stream(seed, i)
-        t2 = ell * 2.0 ** rng.uniform(-6.0, 3.0)
-        w2 = float(np.sign(rng.uniform(-1.0, 1.0))) * t2 * 2.0 ** rng.uniform(
-            -4.0, 10.0
-        )
-        z2 = ell * rng.uniform(-2.0, 2.0)
-        gap = (t2 / 2.0) * 2.0 ** -rng.uniform(0.01, 12.0)
-        gdir = 1.0 if rng.uniform(-1.0, 1.0) >= 0.0 else -1.0
-        rows.append((t2, w2, z2, gap, gdir))
-    return rows
-
-
-def check_carleson_combo(
-    kernel: Kernel,
-    params: Params,
-    cube: DyadicCube,
-    mode: str = "size",
-    spec: Optional[QuadratureSpec] = None,
-    samples: int = 64,
-    seed: int = 4,
-    *,
-    factor: int = 1,
-    cap: float = float("inf"),
-) -> AssumptionReport:
-    """Sampled constant of the box-integrated combination condition.
-
-    The left side integrates, over the Carleson box of ``cube`` and the whole
-    line, the squared cube-average of the kernel in one z variable against the
-    scale weight of that axis; the right side is the cube measure to the half
-    times the remaining one-axis majorant ("size") or its difference form
-    ("holder", with the perturbation below half the scale).  ``factor``
-    selects which axis carries the box; the scale weight always uses the
-    exponent matched to the boxed axis (n*lambda1 for the first, m*lambda2 for
-    the second).
-
-    Tensor kernels take a closed-form fast path in which the box integral is
-    computed once; general kernels are re-quadratured per sample, so keep
-    ``samples`` and the spec modest there.
-    """
-    if mode not in ("size", "holder"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if factor not in (1, 2):
-        raise ValueError("factor selects axis 1 or 2")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if kernel.n != 1 or kernel.m != 1 or params.n != 1 or params.m != 1:
-        raise NotImplementedError("box-combination checker is 1+1 dimensional")
-    if cube.grid.dim != 1:
-        raise ValueError("cube must come from a one-dimensional grid")
-    spec = spec if spec is not None else QuadratureSpec()
-    if factor == 2:
-        kernel = _swap_kernel(kernel)
-        params = replace(
-            params,
-            alpha=params.beta,
-            beta=params.alpha,
-            lambda1=params.lambda2,
-            lambda2=params.lambda1,
-        )
-    ((lo, hi),) = cube.box()
-    ell = cube.side
-    t_lo = max(spec.t_min, ell * 2.0**-24)
-    if t_lo >= ell:
-        raise ValueError("cube side is below the quadrature scale floor")
-    lam = params.n * params.lambda1
-    beta = kernel.beta
-
-    tensor = kernel.tensor_parts is not None
-    carl = None
-    if tensor:
-        first = kernel.tensor_parts[0]
-        carl = _box_carl(
-            lambda t, u: first.cell_integral(t, u, lo, hi), lam, lo, hi, t_lo, spec
-        )
-
-    z_nodes, z_weights = segment_nodes(
-        np.linspace(lo, hi, 33), spec.points_per_cell, spec.rule
-    )
-
-    ratios = []
-    rows = _fixed_axis_samples(ell, samples, seed)
-    for t2, w2, z2, gap, gdir in rows:
-        if mode == "size":
-            rhs = t2**beta / (t2 + abs(w2)) ** (1.0 + beta)
-        else:
-            rhs = gap**beta / (t2 + abs(w2)) ** (1.0 + beta)
-        if tensor:
-            other = kernel.tensor_parts[1]
-            if mode == "size":
-                num = abs(float(other.profile(t2, abs(w2))))
-            else:
-                num = abs(
-                    float(other.profile(t2, abs(w2)))
-                    - float(other.profile(t2, abs(w2 - gap * gdir)))
-                )
-            lhs = math.sqrt(carl) * num
-        else:
-            u2 = z2 + w2
-
-            def z_average(t, u, _t2=t2, _u2=u2, _z2=z2, _gap=gap, _gdir=gdir):
-                shape = (u.size, z_nodes.size)
-                xx = np.empty(shape + (2,))
-                xx[..., 0] = u[:, None]
-                xx[..., 1] = _u2
-                yy = np.empty(shape + (2,))
-                yy[..., 0] = z_nodes[None, :]
-                yy[..., 1] = _z2
-                vals = _grid_eval(kernel, t, _t2, xx, yy, shape)
-                if mode == "holder":
-                    yy2 = yy.copy()
-                    yy2[..., 1] = _z2 + _gap * _gdir
-                    vals = vals - _grid_eval(kernel, t, _t2, xx, yy2, shape)
-                return vals @ z_weights
-
-            lhs = math.sqrt(_box_carl(z_average, lam, lo, hi, t_lo, spec))
-        ratios.append(lhs / (math.sqrt(ell) * rhs))
-
-    ratios = np.asarray(ratios)
-    i = int(np.argmax(ratios))
-    worst = {
-        "t2": rows[i][0],
-        "w2": rows[i][1],
-        "gap": rows[i][3] if mode == "holder" else None,
-        "ratio": float(ratios[i]),
-    }
-    notes = f"factor={factor}, mode={mode}" + (
-        f", box_integral={carl:.6g}" if carl is not None else ""
-    )
-    return _mk_report(f"carleson_{mode}", ratios, worst, cap, notes)

@@ -72,7 +72,7 @@ def test_cij_opaque_quadrature_cross_check():
 def test_cij_rejects_divergent_weight():
     # Params itself refuses such weights, so drive the guard with a stand-in
     g1, g2 = std_pair()
-    bad = SimpleNamespace(n=1, m=1, lambda1=1.0, lambda2=3.0)
+    bad = SimpleNamespace(weight_powers=(1.0, 3.0))
     with pytest.raises(ValueError, match="diverges"):
         c_ij(SIZE, g1.cube(1, (0,)), g2.cube(1, (0,)), bad)
 
@@ -111,6 +111,18 @@ def test_open_set_rejects_mixed_grids():
 def test_open_set_rejects_empty():
     with pytest.raises(ValueError, match="at least one"):
         DyadicOpenSet(())
+
+
+def test_open_set_measure_is_not_an_argument():
+    # the measure is the union's, computed from the raster; a constructor
+    # argument for it would be silently overwritten
+    g1, g2 = std_pair()
+    rects = ((g1.cube(0, (0,)), g2.cube(0, (0,))),)
+    with pytest.raises(TypeError):
+        DyadicOpenSet(rects, 7.0)
+    with pytest.raises(TypeError):
+        DyadicOpenSet(rects, measure=7.0)
+    assert DyadicOpenSet(rects).measure == 1.0
 
 
 @settings(deadline=None, max_examples=25)

@@ -18,9 +18,7 @@ from glstar.gstar import (
     gstar_pointwise,
     gstar_sq_norm,
     k_quantity,
-    p_quantity,
     q_quantity,
-    r_quantity,
     weight_total,
 )
 from glstar.kernels import make_cancellative, make_mixed, make_size_only
@@ -315,20 +313,6 @@ def test_norm_rejects_constant_tails():
 # localized quantities
 
 
-def test_p_quantity_separated_configuration():
-    # frozen values from the refined-quadrature runs; drift under one
-    # refinement stays inside 1e-2
-    grid = ShiftedGrid.standard(1, -3, 8)
-    i1, j1 = grid.cube(2, [0]), grid.cube(1, [0])
-    sp = QuadratureSpec(t_min=2.0**-10, t_max=2.0**4)
-    args = (i1, j1, (3.0, -2.0), 3 / 16, 3 / 8, PARAMS)
-    assert p_quantity(SIZE, *args, sp) == pytest.approx(2.196358e-4, rel=1e-3)
-    assert p_quantity(CANC, *args, sp) == pytest.approx(2.648708e-4, rel=1e-3)
-    coarse = p_quantity(CANC, *args, sp)
-    fine = p_quantity(CANC, *args, sp.refined(2))
-    assert fine == pytest.approx(coarse, rel=1e-2)
-
-
 def test_q_quantity_halving_law():
     # all first-axis lengths halved: the ancestor pattern amplitude grows by
     # sqrt(2) and nothing else moves (half-exponent scale invariance)
@@ -341,6 +325,20 @@ def test_q_quantity_halving_law():
                     PARAMS, sp)
     assert q0 == pytest.approx(0.1702274211, rel=1e-3)  # frozen
     assert qh == pytest.approx(math.sqrt(2.0) * q0, rel=1e-12)
+
+
+def test_q_quantity_refuses_kernels_without_tensor_parts():
+    # the ancestor pattern has a constant tail, which only the per-axis
+    # closed far field can carry; the refusal comes before the pattern is
+    # built, so a generation beyond the grid truncation meets it too
+    grid = ShiftedGrid.standard(1, -3, 8)
+    opaque = replace(SIZE, tensor_parts=None)
+    rest = (grid.cube(1, [0]), (0.1, 0.3), 3 / 16, 3 / 8, PARAMS)
+    with pytest.raises(ValueError, match="ancestor exceeds"):
+        q_quantity(SIZE, grid.cube(2, [0]), 6, *rest)
+    for k in (2, 6):
+        with pytest.raises(NotImplementedError, match="tensor kernel"):
+            q_quantity(opaque, grid.cube(2, [0]), k, *rest)
 
 
 def test_k_quantity_plateau_then_decay():
@@ -361,38 +359,3 @@ def test_k_quantity_plateau_then_decay():
     ks = np.arange(9, 15)
     slope = np.polyfit(ks, [math.log2(vals[k]) for k in ks], 1)[0]
     assert -0.35 <= slope <= -0.15
-
-
-def test_r_quantity_cancellative_is_zero():
-    grid = ShiftedGrid.standard(1, -3, 8)
-    assert r_quantity(CANC, grid.cube(2, [1]), grid.cube(1, [0]), 0.3, 3 / 8,
-                      PARAMS, grid) == 0.0
-
-
-def test_r_quantity_band_structure():
-    # the descendant sum is (number of level bands) equal pieces: removing
-    # the top band leaves exactly the two children's sums, and a deeper grid
-    # scales it by the band-count ratio
-    grid = ShiftedGrid.standard(1, -3, 8)
-    j1 = grid.cube(1, [0])
-    args = (j1, 0.3, 3 / 8, PARAMS)
-    with pytest.warns(RuntimeWarning, match="descendant-level truncation"):
-        r_i = r_quantity(SIZE, grid.cube(2, [1]), *args, grid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        kids = sum(r_quantity(SIZE, grid.cube(3, [c]), *args, grid)
-                   for c in (2, 3))
-        deep = ShiftedGrid.standard(1, -3, 13)
-        r_deep = r_quantity(SIZE, deep.cube(2, [1]),
-                            deep.cube(1, [0]), 0.3, 3 / 8, PARAMS, deep)
-    bands = grid.j_max - 2 + 1
-    assert r_i - kids == pytest.approx(r_i / bands, rel=1e-12)
-    assert r_deep == pytest.approx(r_i * (deep.j_max - 1) / bands, rel=1e-12)
-
-
-def test_r_quantity_rejects_foreign_cubes():
-    grid = ShiftedGrid.standard(1, -3, 8)
-    other = ShiftedGrid.standard(1, -3, 8)
-    with pytest.raises(ValueError, match="belong"):
-        r_quantity(SIZE, other.cube(2, [1]), grid.cube(1, [0]), 0.3, 3 / 8,
-                   PARAMS, grid)

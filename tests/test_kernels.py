@@ -1,17 +1,13 @@
 """Kernel families: closed forms, condition samplers, negative controls."""
 
-import math
-
 import numpy as np
 import pytest
 
-from glstar.core import QuadratureSpec, default_params, graded_axis_edges, segment_nodes
-from glstar.dyadic import ShiftedGrid
+from glstar.core import default_params, graded_axis_edges, segment_nodes
 from glstar.kernels import (
     AssumptionReport,
     ConvolutionFactor,
     Kernel,
-    check_carleson_combo,
     check_holder,
     check_mixed,
     check_size,
@@ -22,7 +18,6 @@ from glstar.kernels import (
 )
 
 PARAMS = default_params()
-GRID = ShiftedGrid.standard(1, -6, 4)
 
 
 def quad_profile(factor, t, radius):
@@ -251,81 +246,3 @@ def test_report_invariants():
         AssumptionReport("size", 1.0, 10, {}, 4.0, False)  # should pass
     report = AssumptionReport("size", 5.0, 10, {}, 4.0, False)
     assert "FAIL" in report.summary() and "size" in report.summary()
-
-
-# ---------------------------------------------------------------------------
-# box-combination checker
-
-
-def unit_cube():
-    return GRID.cube(0, (0,))
-
-
-def test_combo_cancellative_finite_and_resolution_stable():
-    kernel = make_cancellative(1, 1, 0.5, 0.5)
-    spec = QuadratureSpec(points_per_cell=3, t_points_per_octave=4)
-    coarse = check_carleson_combo(kernel, PARAMS, unit_cube(), "size", spec)
-    fine = check_carleson_combo(kernel, PARAMS, unit_cube(), "size", spec.refined(2))
-    assert coarse.passed and math.isfinite(coarse.estimate)
-    assert coarse.estimate > 0.0
-    assert fine.estimate == pytest.approx(coarse.estimate, rel=0.05)
-
-
-def test_combo_scale_invariance():
-    kernel = make_cancellative(1, 1, 0.5, 0.5)
-    spec = QuadratureSpec(points_per_cell=3, t_points_per_octave=4)
-    big = check_carleson_combo(kernel, PARAMS, GRID.cube(0, (0,)), "size", spec)
-    half = check_carleson_combo(kernel, PARAMS, GRID.cube(1, (0,)), "size", spec)
-    assert half.estimate == pytest.approx(big.estimate, rel=0.05)
-
-
-def test_combo_holder_mode_finite():
-    kernel = make_cancellative(1, 1, 0.5, 0.5)
-    spec = QuadratureSpec(points_per_cell=3, t_points_per_octave=4)
-    report = check_carleson_combo(kernel, PARAMS, unit_cube(), "holder", spec)
-    assert report.passed and report.estimate > 0.0
-
-
-def test_combo_second_factor_matches_mirrored_kernel():
-    params = default_params(alpha=0.5, beta=0.75, lambda2=3.5)
-    mirror_params = default_params(alpha=0.75, beta=0.5, lambda1=3.5)
-    spec = QuadratureSpec(points_per_cell=3, t_points_per_octave=4)
-    via_factor2 = check_carleson_combo(
-        make_cancellative(1, 1, 0.5, 0.75), params, unit_cube(), "size", spec,
-        factor=2,
-    )
-    mirrored = check_carleson_combo(
-        make_cancellative(1, 1, 0.75, 0.5), mirror_params, unit_cube(), "size", spec,
-    )
-    assert via_factor2.estimate == pytest.approx(mirrored.estimate, rel=1e-9)
-
-
-def test_combo_zero_kernel_gives_zero():
-    zero = Kernel(lambda t1, t2, x, y: 0.0, 0.5, 0.5, 1, 1)
-    spec = QuadratureSpec(points_per_cell=2, t_points_per_octave=2, t_min=2.0**-6)
-    report = check_carleson_combo(zero, PARAMS, unit_cube(), "size", spec, samples=4)
-    assert report.estimate == 0.0
-    assert report.passed
-
-
-def test_combo_mass_carrying_kernel_hits_truncation_error():
-    # the box integral of a mass-carrying family diverges logarithmically in
-    # scale, which the octave-decay watchdog reports as a truncation failure
-    kernel = make_size_only(1, 1, 0.5, 0.5)
-    spec = QuadratureSpec(points_per_cell=2, t_points_per_octave=3)
-    with pytest.raises(RuntimeError, match="truncation"):
-        check_carleson_combo(kernel, PARAMS, unit_cube(), "size", spec)
-
-
-def test_combo_validation():
-    kernel = make_cancellative(1, 1, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        check_carleson_combo(kernel, PARAMS, unit_cube(), "absolute")
-    with pytest.raises(ValueError):
-        check_carleson_combo(kernel, PARAMS, unit_cube(), "size", factor=3)
-    grid2 = ShiftedGrid.standard(2, -2, 2)
-    with pytest.raises(ValueError):
-        check_carleson_combo(kernel, PARAMS, grid2.cube(0, (0, 0)), "size")
-    deep = ShiftedGrid.standard(1, -6, 20)
-    with pytest.raises(ValueError):
-        check_carleson_combo(kernel, PARAMS, deep.cube(20, (0,)), "size")

@@ -1,8 +1,8 @@
 """Static name checks on every glstar module.
 
-Every global name a module reads exists; every name a module-level import
-binds is read; no module imports another module's private names; no module
-silences warnings."""
+Every global name a module reads exists; every name a module's __all__
+exports exists; every name a module-level import binds is read; no module
+imports another module's private names; no module silences warnings."""
 
 import ast
 import builtins
@@ -44,6 +44,15 @@ def test_every_global_name_resolves(name):
         and not hasattr(builtins, sym.get_name())
     )
     assert unresolved == []
+
+
+@pytest.mark.parametrize("name", ["glstar"] + [f"glstar.{m}" for m in MODULES])
+def test_every_exported_name_resolves(name):
+    # an __all__ entry the module no longer defines breaks `import *` and
+    # advertises a route that is gone
+    module = importlib.import_module(name)
+    missing = sorted(n for n in module.__all__ if not hasattr(module, n))
+    assert missing == []
 
 
 @pytest.mark.parametrize("name", MODULES)
