@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,9 +240,66 @@ def c_ij(kernel, i: DyadicCube, j: DyadicCube, params: Params,
 # packing sums
 
 
+class _Block(NamedTuple):
+    """The rectangles of one level pair inside an open set."""
+
+    k1: int  # lattice index of the mask's first row, axis 1
+    k2: int  # and of its first column, axis 2
+    ok: np.ndarray  # containment mask over the candidate cubes, read-only
+    value: float  # the box quantity, shared by the level pair
+    count: int  # true entries of the mask
+
+
+class _RectView(Mapping):
+    """Read-only map (I, J) -> box quantity over one sum's level-pair blocks.
+
+    Lookup is integer arithmetic on a block's mask; iterating builds the
+    cubes on demand, level pairs in enumeration order and each mask in row
+    order.
+    """
+
+    def __init__(self, grids: tuple[ShiftedGrid, ShiftedGrid],
+                 blocks: dict[tuple[int, int], _Block]) -> None:
+        self._grids = grids
+        self._blocks = blocks
+        self._count = sum(b.count for b in blocks.values())
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, key):
+        if (isinstance(key, tuple) and len(key) == 2
+                and all(isinstance(c, DyadicCube) for c in key)
+                and (key[0].grid, key[1].grid) == self._grids):
+            i, j = key
+            block = self._blocks.get((i.level, j.level))
+            if block is not None:
+                a, b = i.index[0] - block.k1, j.index[0] - block.k2
+                n1, n2 = block.ok.shape
+                if 0 <= a < n1 and 0 <= b < n2 and block.ok[a, b]:
+                    return block.value
+        raise KeyError(key)
+
+    def __iter__(self):
+        g1, g2 = self._grids
+        for (l1, l2), (k1, k2, ok, _, _) in self._blocks.items():
+            for a, b in np.argwhere(ok).tolist():
+                yield g1.cube(l1, (k1 + a,)), g2.cube(l2, (k2 + b,))
+
+    def values(self) -> np.ndarray:
+        """Every rectangle's value in iteration order, as one array."""
+        blocks = self._blocks.values()
+        return np.repeat([b.value for b in blocks], [b.count for b in blocks])
+
+
 @dataclass(frozen=True)
 class CarlesonReport:
-    """One packing sum: every enumerated rectangle with its box quantity."""
+    """One packing sum: every enumerated rectangle with its box quantity.
+
+    ``carleson_sum`` fills ``rect_values`` with a read-only view kept per
+    level pair; its length is O(1), lookup is integer arithmetic, and
+    iterating it builds the rectangles' cubes on demand.
+    """
 
     rect_values: Mapping[tuple[DyadicCube, DyadicCube], float]
     total: float
@@ -253,9 +311,12 @@ class CarlesonReport:
     passed: bool = True
 
     def __post_init__(self) -> None:
-        if any(v < 0 for v in self.rect_values.values()):
+        vals = self.rect_values.values()
+        if not isinstance(vals, np.ndarray):
+            vals = np.fromiter(vals, dtype=float)
+        if (vals < 0).any():
             raise ValueError("box quantities are nonnegative")
-        s = float(sum(self.rect_values.values()))
+        s = float(vals.sum())
         if abs(s - self.total) > 1e-9 * max(1.0, abs(self.total)):
             raise ValueError("total does not match the per-rectangle map")
 
@@ -300,6 +361,10 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
     axis; coarser rectangles than the members are enumerated too whenever
     they fit.  Containment is decided exactly on the member raster.  The
     finest-level shell is reported separately so growth is visible.
+
+    No rectangle is built while summing: the report's ``rect_values`` is a
+    read-only view kept per level pair (containment mask, lattice offsets,
+    box value), and iterating it builds the cubes on demand.
     """
     spec = spec or QuadratureSpec()
     if levels < 1:
@@ -319,17 +384,18 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
     coarse1 = max(g1.j_min, base1 - (n1.bit_length() - 1))
     coarse2 = max(g2.j_min, base2 - (n2.bit_length() - 1))
 
-    rect_values: dict = {}
+    axis2 = [(l2, *_axis_candidates(g2, base2, omega._lo[1], n2, l2))
+             for l2 in range(coarse2, fine2 + 1)]
+    axis2 = [c for c in axis2 if c[1].size]
+    blocks: dict = {}
+    n_rects = 0
     total = 0.0
     shell = 0.0
     for l1 in range(coarse1, fine1 + 1):
         k1, p1, w1 = _axis_candidates(g1, base1, omega._lo[0], n1, l1)
         if k1.size == 0:
             continue
-        for l2 in range(coarse2, fine2 + 1):
-            k2, p2, w2 = _axis_candidates(g2, base2, omega._lo[1], n2, l2)
-            if k2.size == 0:
-                continue
+        for l2, k2, p2, w2 in axis2:
             sums = (pref[np.ix_(p1 + w1, p2 + w2)]
                     - pref[np.ix_(p1, p2 + w2)]
                     - pref[np.ix_(p1 + w1, p2)]
@@ -338,21 +404,22 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
             count = int(ok.sum())
             if count == 0:
                 continue
-            if len(rect_values) + count > _MAX_RECTS:
+            n_rects += count
+            if n_rects > _MAX_RECTS:
                 raise ValueError(
                     "rectangle enumeration exceeds the size guard; "
                     "reduce the level depth")
             value = _cij_scales(kernel, 2.0 ** -l1, 2.0 ** -l2,
                                 lam1, lam2, spec)
-            for a, b in np.argwhere(ok):
-                key = (g1.cube(l1, (int(k1[a]),)), g2.cube(l2, (int(k2[b]),)))
-                rect_values[key] = value
+            ok.setflags(write=False)
+            blocks[(l1, l2)] = _Block(int(k1[0]), int(k2[0]), ok, value, count)
             total += count * value
             if l1 == fine1 or l2 == fine2:
                 shell += count * value
     ratio = total / omega.measure
-    return CarlesonReport(rect_values=rect_values, total=total,
-                          measure=omega.measure, ratio=ratio, levels=levels,
+    return CarlesonReport(rect_values=_RectView((g1, g2), blocks),
+                          total=total, measure=omega.measure, ratio=ratio,
+                          levels=levels,
                           last_level_total=shell, cap=cap,
                           passed=bool(ratio <= cap))
 

@@ -730,6 +730,8 @@ def q_quantity(kernel: Kernel, i: DyadicCube, k: int, j1: DyadicCube, x,
             "kernel: the raw-evaluation quadrature has no closed far field")
     if k < 1:
         raise ValueError("need k >= 1")
+    if t1 <= 0 or t2 <= 0:
+        raise ValueError("scales must be positive")
     x = np.asarray(x, dtype=float).reshape(2)
     g1, g2 = kernel.tensor_parts
     lam1, lam2 = params.weight_powers

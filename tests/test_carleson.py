@@ -187,6 +187,94 @@ def test_packing_enumerates_members_and_contains():
         assert np.all(vals == 1.0), (I, J)
 
 
+def per_rectangle_oracle(kernel, omega, levels, params):
+    """The packing sum's rectangle map built one cube pair at a time: the
+    enumeration loop as it stood before the per-level-pair view."""
+    from glstar.carleson import _axis_candidates, _cij_scales
+
+    spec = QuadratureSpec()
+    lam1, lam2 = params.weight_powers
+    g1, g2 = omega.grids
+    base1, base2 = omega._levels
+    n1, n2 = omega._bitmap.shape
+    pref = np.zeros((n1 + 1, n2 + 1), dtype=np.int64)
+    pref[1:, 1:] = np.cumsum(np.cumsum(omega._bitmap, axis=0), axis=1)
+    out = {}
+    for l1 in range(max(g1.j_min, base1 - (n1.bit_length() - 1)),
+                    base1 + levels + 1):
+        k1, p1, w1 = _axis_candidates(g1, base1, omega._lo[0], n1, l1)
+        for l2 in range(max(g2.j_min, base2 - (n2.bit_length() - 1)),
+                        base2 + levels + 1):
+            k2, p2, w2 = _axis_candidates(g2, base2, omega._lo[1], n2, l2)
+            if k1.size == 0 or k2.size == 0:
+                continue
+            sums = (pref[np.ix_(p1 + w1, p2 + w2)]
+                    - pref[np.ix_(p1, p2 + w2)]
+                    - pref[np.ix_(p1 + w1, p2)]
+                    + pref[np.ix_(p1, p2)])
+            value = _cij_scales(kernel, 2.0 ** -l1, 2.0 ** -l2,
+                                lam1, lam2, spec)
+            for a, b in np.argwhere(sums == w1 * w2):
+                key = (g1.cube(l1, (int(k1[a]),)), g2.cube(l2, (int(k2[b]),)))
+                out[key] = value
+    return out
+
+
+@pytest.mark.parametrize("seed, levels", [(None, 2), (3, 1), (8, 2), (21, 3)])
+def test_rect_view_equals_per_rectangle_map(seed, levels):
+    if seed is None:
+        g1, g2 = std_pair()
+        omega = DyadicOpenSet(((g1.cube(0, (0,)), g2.cube(0, (0,))),))
+    else:
+        h1 = ShiftedGrid.random(1, -4, 8, seed=seed)
+        h2 = ShiftedGrid.random(1, -4, 8, seed=seed, trial=1)
+        omega = random_open_set((h1, h2), np.random.default_rng(seed),
+                                n_rects=4, level_range=(0, 2))
+    rep = carleson_sum(SIZE, omega, levels, PARAMS)
+    oracle = per_rectangle_oracle(SIZE, omega, levels, PARAMS)
+    view = rep.rect_values
+    assert list(view.items()) == list(oracle.items())
+    assert len(view) == len(oracle)
+    assert dict(view) == oracle
+    assert list(view.values()) == list(oracle.values())
+    # an uncontained rectangle of the same grids, at an enumerated level
+    # pair and at one past the enumeration depth
+    i, j = next(iter(view))
+    g1, g2 = omega.grids
+    far = (g1.cube(i.level, (i.index[0] + 1000,)), j)
+    deep = (g1.cube(g1.j_max, (0,)), g2.cube(g2.j_max, (0,)))
+    # the same levels and indices on another grid pair
+    o1 = ShiftedGrid.random(1, g1.j_min, g1.j_max, seed=99)
+    o2 = ShiftedGrid.random(1, g2.j_min, g2.j_max, seed=99, trial=1)
+    other = (o1.cube(i.level, i.index), o2.cube(j.level, j.index))
+    half = (i, o2.cube(j.level, j.index))
+    for key in (far, deep, other, half, "x", (i,)):
+        assert key not in oracle
+        assert key not in view
+        with pytest.raises(KeyError):
+            view[key]
+
+
+def test_carleson_sum_builds_no_cubes(monkeypatch):
+    # run_carleson's first open set at seed 11; the sum must count its
+    # rectangles without constructing any of them
+    gp = (ShiftedGrid.random(1, -6, 10, 11, trial=0),
+          ShiftedGrid.random(1, -6, 10, 11, trial=1))
+    omega = random_open_set(gp, np.random.default_rng((11, 0)), n_rects=4,
+                            level_range=(0, 2))
+    calls = []
+    cube = ShiftedGrid.cube
+
+    def counted(self, level, index):
+        calls.append(level)
+        return cube(self, level, index)
+
+    monkeypatch.setattr(ShiftedGrid, "cube", counted)
+    rep = carleson_sum(SIZE, omega, 3, PARAMS)
+    assert calls == []
+    assert len(rep.rect_values) == 2945
+
+
 def test_packing_monotone_in_depth():
     g1, g2 = std_pair()
     unit = DyadicOpenSet(((g1.cube(0, (0,)), g2.cube(0, (0,))),))

@@ -72,3 +72,11 @@ def test_carleson_smoke():
     assert all(math.isfinite(r["ratio"]) and r["ratio"] >= 0
                for r in rep.records)
     assert rep.summary["pattern_ok"] and rep.passed
+
+
+def test_carleson_at_defaults():
+    # three kernels over the default four open sets, plus the unit square
+    rep = run_carleson(PARAMS)
+    assert rep.passed and rep.summary["pattern_ok"]
+    assert len(rep.records) == 3 * 4 + 1
+    assert rep.summary["unit_square_law_rel_err"] < 0.05

@@ -341,6 +341,16 @@ def test_q_quantity_refuses_kernels_without_tensor_parts():
             q_quantity(opaque, grid.cube(2, [0]), k, *rest)
 
 
+def test_q_quantity_refuses_nonpositive_scales():
+    # a zero scale used to return nan after a divide warning, and a negative
+    # one failed in the mesh builder with an unrelated message
+    grid = ShiftedGrid.standard(1, -3, 8)
+    args = (SIZE, grid.cube(2, [0]), 2, grid.cube(1, [0]), (0.1, 0.3))
+    for t1, t2 in [(0.0, 3 / 8), (-0.1, 3 / 8), (3 / 16, 0.0)]:
+        with pytest.raises(ValueError, match="scales must be positive"):
+            q_quantity(*args, t1, t2, PARAMS)
+
+
 def test_k_quantity_plateau_then_decay():
     # marginally separated ancestors: order one through generation 8, then a
     # clean geometric decay once the offset grows like 2^(k/2)
