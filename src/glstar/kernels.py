@@ -13,7 +13,10 @@ sums use for their far fields and spatial factors.
 The ``check_*`` functions are samplers, not provers: they estimate the implied
 constant of a pointwise condition as a supremum of |LHS|/RHS over a
 deterministic grid concentrated near the singular region (small scales, small
-separations) plus random draws, each from its own counter-keyed stream.
+separations) plus ``samples`` random draws.  Each check takes its draws as
+whole arrays from one counter-keyed stream, ``trial_stream(seed)``, in a fixed
+order, so a draw depends on both the seed and ``samples``; the kernel is then
+evaluated once per sample array.
 
 The module holds no quadrature: every value here is a closed form or a
 kernel evaluation at sampled points.  Integrals of the kernel against step
@@ -152,8 +155,10 @@ class ConvolutionFactor:
 class Kernel:
     """A two-scale kernel (t1, t2, x, y) -> K with declared decay exponents.
 
-    ``evaluate`` takes points x, y of shape (..., n + m) and should broadcast
-    over leading axes; the checkers fall back to a scalar loop if it does not.
+    ``evaluate`` takes scales t1, t2 and points x, y of shape (..., n + m) and
+    must broadcast over the leading axes: the checkers and the raw quantity
+    routes call it on whole arrays of samples or nodes, and the checkers
+    refuse a result whose shape is not the samples' shape.
     When ``tensor_parts`` is present, ``evaluate`` must equal the product of
     the two factors, each acting on its own block of coordinates.
     """
@@ -344,23 +349,11 @@ def _mk_report(condition, ratios, worst, cap) -> AssumptionReport:
 
 
 def _eval_kernel(kernel: Kernel, t1, t2, x, y) -> np.ndarray:
-    """Evaluate on flat sample arrays, tolerating non-broadcasting kernels."""
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    count = t1.shape[0]
-    try:
-        values = np.asarray(kernel.evaluate(t1, t2, x, y), dtype=float)
-        if values.shape != (count,):
-            raise ValueError
-    except Exception:
-        values = np.array(
-            [
-                float(kernel.evaluate(t1[i], t2[i], x[i], y[i]))
-                for i in range(count)
-            ]
-        )
+    """Evaluate once on whole sample arrays; ``evaluate`` must broadcast."""
+    values = np.asarray(kernel.evaluate(t1, t2, x, y), dtype=float)
+    if values.shape != t1.shape:
+        raise ValueError(f"kernel evaluate must broadcast over the samples: "
+                         f"got shape {values.shape}, expected {t1.shape}")
     bad = ~np.isfinite(values)
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -380,32 +373,38 @@ def _linf_blocks(kernel: Kernel, x, y):
     )
 
 
-def _size_majorant(kernel: Kernel, t1, t2, s1, s2):
+def _majorant(kernel: Kernel, p1, p2, t1, t2, s1, s2):
+    """p1^a / (t1 + s1)^(n + a) * p2^b / (t2 + s2)^(m + b)."""
     a, b, n, m = kernel.alpha, kernel.beta, kernel.n, kernel.m
-    return t1**a / (t1 + s1) ** (n + a) * t2**b / (t2 + s2) ** (m + b)
+    return p1**a / (t1 + s1) ** (n + a) * p2**b / (t2 + s2) ** (m + b)
 
 
-def _unit_linf(rng, dim: int) -> np.ndarray:
-    d = rng.uniform(-1.0, 1.0, dim)
-    peak = np.max(np.abs(d))
-    if peak == 0.0:
-        d = np.zeros(dim)
-        d[0] = 1.0
-        return d
+def _splice(first, second, n: int) -> np.ndarray:
+    """Rows taking their first n coordinates from ``first``, the rest from
+    ``second``."""
+    return np.concatenate([first[:, :n], second[:, n:]], axis=1)
+
+
+def _unit_linf(rng, count: int, dim: int) -> np.ndarray:
+    """``count`` rows of unit sup-norm vectors; an all-zero draw maps to e1."""
+    d = rng.uniform(-1.0, 1.0, (count, dim))
+    peak = np.max(np.abs(d), axis=1, keepdims=True)
+    zero = peak[:, 0] == 0.0
+    d[zero, 0] = 1.0
+    peak[zero] = 1.0
     return d / peak
 
 
-def _worst_at(i, t1, t2, x, y, ratios, extra=None) -> dict:
-    out = {
-        "t1": float(t1[i]),
-        "t2": float(t2[i]),
-        "x": tuple(np.asarray(x)[i]),
-        "y": tuple(np.asarray(y)[i]),
-        "ratio": float(ratios[i]),
-    }
-    if extra:
-        out.update(extra)
-    return out
+def _block_steps(rng, r1, r2, n: int, m: int) -> np.ndarray:
+    """Random rows whose two coordinate blocks have sup norms r1 and r2."""
+    count = r1.size
+    return np.hstack([r1[:, None] * _unit_linf(rng, count, n),
+                      r2[:, None] * _unit_linf(rng, count, m)])
+
+
+def _worst_at(i, ratio, t1, t2, x, y, **extra) -> dict:
+    return {"t1": float(t1[i]), "t2": float(t2[i]), "x": tuple(x[i]),
+            "y": tuple(y[i]), **extra, "ratio": float(ratio)}
 
 
 # ---------------------------------------------------------------------------
@@ -453,29 +452,22 @@ def check_size(
     x = np.zeros((count, dim))
     y = x - u
 
-    rt1, rt2, rx, ry = [], [], [], []
-    for i in range(samples):
-        rng = trial_stream(seed, i)
-        ta = 2.0 ** rng.uniform(-12.0, 4.0)
-        tb = 2.0 ** rng.uniform(-12.0, 4.0)
-        center = rng.uniform(-4.0, 4.0, dim)
-        sa = 2.0 ** rng.uniform(math.log2(ta) - 8.0, math.log2(max_radius))
-        sb = 2.0 ** rng.uniform(math.log2(tb) - 8.0, math.log2(max_radius))
-        disp = np.concatenate([sa * _unit_linf(rng, n), sb * _unit_linf(rng, m)])
-        rt1.append(ta)
-        rt2.append(tb)
-        rx.append(center)
-        ry.append(center - disp)
-    t1 = np.concatenate([t1, rt1])
-    t2 = np.concatenate([t2, rt2])
-    x = np.vstack([x, rx])
-    y = np.vstack([y, ry])
+    rng = trial_stream(seed)
+    ta = 2.0 ** rng.uniform(-12.0, 4.0, samples)
+    tb = 2.0 ** rng.uniform(-12.0, 4.0, samples)
+    center = rng.uniform(-4.0, 4.0, (samples, dim))
+    sa = 2.0 ** rng.uniform(np.log2(ta) - 8.0, math.log2(max_radius))
+    sb = 2.0 ** rng.uniform(np.log2(tb) - 8.0, math.log2(max_radius))
+    t1 = np.concatenate([t1, ta])
+    t2 = np.concatenate([t2, tb])
+    x = np.vstack([x, center])
+    y = np.vstack([y, center - _block_steps(rng, sa, sb, n, m)])
 
     values = _eval_kernel(kernel, t1, t2, x, y)
     s1, s2 = _linf_blocks(kernel, x, y)
-    ratios = np.abs(values) / _size_majorant(kernel, t1, t2, s1, s2)
+    ratios = np.abs(values) / _majorant(kernel, t1, t2, t1, t2, s1, s2)
     i = int(np.argmax(ratios))
-    return _mk_report("size", ratios, _worst_at(i, t1, t2, x, y, ratios), cap)
+    return _mk_report("size", ratios, _worst_at(i, ratios[i], t1, t2, x, y), cap)
 
 
 def _pair_samples(n: int, m: int, samples: int, seed: int):
@@ -486,6 +478,8 @@ def _pair_samples(n: int, m: int, samples: int, seed: int):
     origin, and the near-extremal layout y = x + g, y' = x) because that is
     where smoothness ratios peak and where jump defects hide.
     """
+    if samples < 1000:
+        raise ValueError("need at least 1000 random samples")
     dim = n + m
     scales = 2.0 ** np.array([-8.0, -4.0, -1.0, 2.0])
     places = np.array([0.0, 1.0, 32.0])
@@ -518,37 +512,22 @@ def _pair_samples(n: int, m: int, samples: int, seed: int):
     yp[:, 0] -= gap1
     yp[:, n] -= gap2
 
-    t1 = [t1l]
-    t2 = [t2l]
-    xs = [x]
-    ys = [y]
-    yps = [yp]
-    for i in range(samples):
-        rng = trial_stream(seed, i)
-        ta = 2.0 ** rng.uniform(-10.0, 3.0)
-        tb = 2.0 ** rng.uniform(-10.0, 3.0)
-        center = rng.uniform(-4.0, 4.0, dim)
-        sa = ta * 2.0 ** rng.uniform(-3.0, 6.0)
-        sb = tb * 2.0 ** rng.uniform(-3.0, 6.0)
-        ga = (ta / 2.0) * 2.0 ** -rng.uniform(0.01, 18.0)
-        gb = (tb / 2.0) * 2.0 ** -rng.uniform(0.01, 18.0)
-        yy = center - np.concatenate(
-            [sa * _unit_linf(rng, n), sb * _unit_linf(rng, m)]
-        )
-        yyp = yy - np.concatenate(
-            [ga * _unit_linf(rng, n), gb * _unit_linf(rng, m)]
-        )
-        t1.append([ta])
-        t2.append([tb])
-        xs.append(center[None, :])
-        ys.append(yy[None, :])
-        yps.append(yyp[None, :])
+    rng = trial_stream(seed)
+    ta = 2.0 ** rng.uniform(-10.0, 3.0, samples)
+    tb = 2.0 ** rng.uniform(-10.0, 3.0, samples)
+    center = rng.uniform(-4.0, 4.0, (samples, dim))
+    sa = ta * 2.0 ** rng.uniform(-3.0, 6.0, samples)
+    sb = tb * 2.0 ** rng.uniform(-3.0, 6.0, samples)
+    ga = (ta / 2.0) * 2.0 ** -rng.uniform(0.01, 18.0, samples)
+    gb = (tb / 2.0) * 2.0 ** -rng.uniform(0.01, 18.0, samples)
+    yy = center - _block_steps(rng, sa, sb, n, m)
+    yyp = yy - _block_steps(rng, ga, gb, n, m)
     return (
-        np.concatenate(t1),
-        np.concatenate(t2),
-        np.vstack(xs),
-        np.vstack(ys),
-        np.vstack(yps),
+        np.concatenate([t1l, ta]),
+        np.concatenate([t2l, tb]),
+        np.vstack([x, center]),
+        np.vstack([y, yy]),
+        np.vstack([yp, yyp]),
     )
 
 
@@ -564,32 +543,19 @@ def check_holder(
 
     Both perturbations stay below half their scale, as the condition requires.
     """
-    if samples < 1000:
-        raise ValueError("need at least 1000 random samples")
     n = kernel.n
     t1, t2, x, y, yp = _pair_samples(n, kernel.m, samples, seed)
-    y_mixed_a = y.copy()
-    y_mixed_a[:, n:] = yp[:, n:]
-    y_mixed_b = yp.copy()
-    y_mixed_b[:, n:] = y[:, n:]
     second_diff = (
         _eval_kernel(kernel, t1, t2, x, y)
-        - _eval_kernel(kernel, t1, t2, x, y_mixed_a)
-        - _eval_kernel(kernel, t1, t2, x, y_mixed_b)
+        - _eval_kernel(kernel, t1, t2, x, _splice(y, yp, n))
+        - _eval_kernel(kernel, t1, t2, x, _splice(yp, y, n))
         + _eval_kernel(kernel, t1, t2, x, yp)
     )
     g1, g2 = _linf_blocks(kernel, y, yp)
     s1, s2 = _linf_blocks(kernel, x, y)
-    a, b = kernel.alpha, kernel.beta
-    rhs = (
-        g1**a
-        / (t1 + s1) ** (n + a)
-        * g2**b
-        / (t2 + s2) ** (kernel.m + b)
-    )
-    ratios = np.abs(second_diff) / rhs
+    ratios = np.abs(second_diff) / _majorant(kernel, g1, g2, t1, t2, s1, s2)
     i = int(np.argmax(ratios))
-    worst = _worst_at(i, t1, t2, x, y, ratios, {"y_prime": tuple(yp[i])})
+    worst = _worst_at(i, ratios[i], t1, t2, x, y, y_prime=tuple(yp[i]))
     return _mk_report("holder", ratios, worst, cap)
 
 
@@ -607,41 +573,21 @@ def check_mixed(
     smoothness in the second); the other branch swaps the roles.  The report
     is the supremum over both.
     """
-    if samples < 1000:
-        raise ValueError("need at least 1000 random samples")
     n = kernel.n
     t1, t2, x, y, yp = _pair_samples(n, kernel.m, samples, seed)
-    a, b = kernel.alpha, kernel.beta
     s1, s2 = _linf_blocks(kernel, x, y)
     g1, g2 = _linf_blocks(kernel, y, yp)
     base = _eval_kernel(kernel, t1, t2, x, y)
-
-    y_second = y.copy()
-    y_second[:, n:] = yp[:, n:]
-    diff_second = np.abs(base - _eval_kernel(kernel, t1, t2, x, y_second))
-    rhs_second = (
-        t1**a / (t1 + s1) ** (n + a) * g2**b / (t2 + s2) ** (kernel.m + b)
-    )
-
-    y_first = y.copy()
-    y_first[:, :n] = yp[:, :n]
-    diff_first = np.abs(base - _eval_kernel(kernel, t1, t2, x, y_first))
-    rhs_first = (
-        g1**a / (t1 + s1) ** (n + a) * t2**b / (t2 + s2) ** (kernel.m + b)
-    )
-
-    ratios = np.concatenate([diff_second / rhs_second, diff_first / rhs_first])
+    diff_second = np.abs(base - _eval_kernel(kernel, t1, t2, x, _splice(y, yp, n)))
+    diff_first = np.abs(base - _eval_kernel(kernel, t1, t2, x, _splice(yp, y, n)))
+    ratios = np.concatenate([
+        diff_second / _majorant(kernel, t1, g2, t1, t2, s1, s2),
+        diff_first / _majorant(kernel, g1, t2, t1, t2, s1, s2),
+    ])
     i = int(np.argmax(ratios))
     j = i % t1.size
-    worst = {
-        "t1": float(t1[j]),
-        "t2": float(t2[j]),
-        "x": tuple(x[j]),
-        "y": tuple(y[j]),
-        "y_prime": tuple(yp[j]),
-        "branch": "vary_y2" if i < t1.size else "vary_y1",
-        "ratio": float(ratios[i]),
-    }
+    worst = _worst_at(j, ratios[i], t1, t2, x, y, y_prime=tuple(yp[j]),
+                      branch="vary_y2" if i < t1.size else "vary_y1")
     return _mk_report("mixed", ratios, worst, cap)
 
 

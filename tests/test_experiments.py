@@ -3,6 +3,9 @@
 import math
 from fractions import Fraction
 
+import pytest
+
+from glstar import experiments
 from glstar.core import default_params
 from glstar.dyadic import pi_good_exact
 from glstar.experiments import (
@@ -23,6 +26,17 @@ def test_boundratio_smoke():
     assert [r["level"] for r in rep.records] == [3, 4]
     assert all(r["max_ratio"] > 0 for r in rep.records)
     assert rep.summary["homogeneity_dev"] <= 1e-12
+
+
+def test_boundratio_refuses_empty_sweeps_before_checking(monkeypatch):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a checker ran before the sweep was validated")
+
+    monkeypatch.setattr(experiments, "check_size", no_check)
+    with pytest.raises(ValueError, match="count"):
+        run_boundratio(PARAMS, count=0)
+    with pytest.raises(ValueError, match="level"):
+        run_boundratio(PARAMS, levels=())
 
 
 def test_averaging_smoke():
@@ -63,6 +77,13 @@ def test_kdecay_smoke():
     assert _finite([r["k_value"] for r in rep.records]
                    + [r["q_value"] for r in rep.records])
     assert rep.passed
+
+
+def test_kdecay_refuses_ladders_it_cannot_fit():
+    # range(1, 9) leaves no generation above plateau_upto=8, range(1, 10) one
+    for ks in (range(1, 9), range(1, 10)):
+        with pytest.raises(ValueError, match="plateau_upto"):
+            run_kdecay(PARAMS, k_range=ks, side_runs=False)
 
 
 def test_carleson_smoke():

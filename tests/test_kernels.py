@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from glstar import kernels
 from glstar.core import default_params, graded_axis_edges, segment_nodes
+from glstar.dyadic import trial_stream
 from glstar.kernels import (
     AssumptionReport,
     ConvolutionFactor,
@@ -209,6 +211,55 @@ def test_checkers_require_enough_samples():
     for check in (check_size, check_holder, check_mixed):
         with pytest.raises(ValueError):
             check(kernel, PARAMS, samples=100)
+
+
+@pytest.mark.parametrize("build, want", [
+    (make_cancellative, (1.0, 3.5726452749285995, 1.8900577258253817)),
+    (make_size_only, (1.0000000000000004, 1.3998568066180301, 1.1831554448245718)),
+    (make_mixed, (1.0000000000000002, 2.2363344574862998, 1.8901442471220553)),
+])
+def test_checker_estimates_are_pinned(build, want):
+    # the suprema sit in the deterministic strata, so these are exact
+    kernel = build(1, 1, 0.5, 0.5)
+    got = tuple(check(kernel, PARAMS).estimate
+                for check in (check_size, check_holder, check_mixed))
+    assert got == want
+
+
+def test_each_checker_draws_from_one_stream(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return trial_stream(*args)
+
+    monkeypatch.setattr(kernels, "trial_stream", counted)
+    kernel = make_cancellative(1, 1, 0.5, 0.5)
+    for check, seed in ((check_size, 1), (check_holder, 2), (check_mixed, 3)):
+        calls.clear()
+        check(kernel, PARAMS)
+        assert calls == [(seed,)]
+
+
+def test_checkers_refuse_a_kernel_that_does_not_broadcast():
+    def evaluate(t1, t2, x, y):
+        return 1.0
+
+    kernel = Kernel(evaluate, 0.5, 0.5, 1, 1)
+    for check in (check_size, check_holder, check_mixed):
+        with pytest.raises(ValueError, match="broadcast"):
+            check(kernel, PARAMS)
+
+
+def test_unit_linf_rows_and_the_zero_draw():
+    rows = kernels._unit_linf(np.random.default_rng(5), 64, 3)
+    assert np.all(np.max(np.abs(rows), axis=1) == 1.0)
+
+    class Zeros:
+        def uniform(self, low, high, size):
+            return np.zeros(size)
+
+    assert kernels._unit_linf(Zeros(), 2, 3).tolist() == [[1.0, 0.0, 0.0]] * 2
 
 
 def test_non_finite_kernel_is_an_error():
