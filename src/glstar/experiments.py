@@ -885,7 +885,9 @@ def run_boundratio(
     The kernel must pass the assumption checkers before anything runs.  The
     ratio max ||g* f|| / ||f|| over seeded random step functions should
     stabilize between the two finest levels, and multiplying the kernel by a
-    constant must scale every ratio exactly.
+    constant must scale every ratio exactly.  ``levels`` must hold at least
+    two distinct levels (repeats count once), or there is no growth to
+    measure; fewer raise ``ValueError`` before any checker runs.
 
     Every norm comes from the public gram route of :func:`gstar_sq_norm`, so
     the kernel must be a tensor kernel; the per-axis gram matrices of a level
@@ -897,9 +899,10 @@ def run_boundratio(
     if kernel.tensor_parts is None:
         raise NotImplementedError("the ratio sweep runs on the gram fast "
                                   "path, which needs a tensor kernel")
-    levels = sorted(int(l) for l in levels)
-    if count < 1 or not levels:
-        raise ValueError("the ratio sweep needs count >= 1 and at least one level")
+    levels = sorted({int(l) for l in levels})
+    if count < 1 or len(levels) < 2:
+        raise ValueError(
+            "the ratio sweep needs count >= 1 and two distinct levels")
     checks = (check_size(kernel, params), check_holder(kernel, params),
               check_mixed(kernel, params))
     if not all(c.passed for c in checks):
@@ -922,11 +925,11 @@ def run_boundratio(
         mx[lev] = best
         records.append({"level": lev, "max_ratio": best, "count": count})
 
-    growth = mx[levels[-1]] / mx[levels[-2]] - 1.0 if len(levels) > 1 else 0.0
+    growth = mx[levels[-1]] / mx[levels[-2]] - 1.0
 
     # exact amplitude homogeneity on a handful of functions
     scaled = rescale(kernel, 2.0)
-    lev = levels[min(1, len(levels) - 1)]
+    lev = levels[1]
     homo_dev = 0.0
     for trial in range(5):
         f = function_family(np.random.default_rng((seed, lev, trial)), lev)

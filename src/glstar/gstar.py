@@ -96,6 +96,11 @@ _ORACLE_MESH_REL = 2.0 ** -16
 # Relative tail size above which a truncated range is reported.
 _TAIL_WARN = 1e-2
 
+# Elements per block of the chunked contractions: about 2^16 kernel or weight
+# values, so a block's temporaries stay in cache instead of streaming
+# through memory.
+_BLOCK = 2 ** 16
+
 
 @dataclass(frozen=True)
 class GStarValue:
@@ -171,7 +176,7 @@ def _weighted_theta_sq(theta_vals: np.ndarray, du: np.ndarray,
     theta sampled on a u-mesh and its constant far-field value."""
     integ = theta_vals * theta_vals * du
     out = np.empty(xs.shape)
-    step = max(1, int(4e6) // max(1, u.size))
+    step = max(1, _BLOCK // max(1, u.size))
     for i in range(0, xs.size, step):
         xb = xs[i:i + step, None]
         w = (t / (t + np.abs(xb - u[None, :]))) ** lam
@@ -310,10 +315,40 @@ def _axis_theta_raw(factor: ConvolutionFactor, f: StepFunction, t: float,
     z, wz = segment_nodes(edges, spec.points_per_cell, spec.rule)
     fw = f(z) * wz
     out = np.empty(u.shape)
-    step = max(1, int(4e6) // max(1, z.size))
+    step = max(1, _BLOCK // max(1, z.size))
     for i in range(0, u.size, step):
         out[i:i + step] = factor.profile(
             t, np.abs(u[i:i + step, None] - z[None, :])) @ fw
+    return out
+
+
+def _mesh_theta(kernel: Kernel, f: StepFunction, t1: float, t2: float,
+                pts: np.ndarray, z1: np.ndarray, w1: np.ndarray,
+                z2: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """sum_z K(p, z) f(z) w1(z1) w2(z2) over the tensor mesh z1 x z2 for an
+    (N, 2) array of points p, streamed in blocks of about _BLOCK kernel
+    values.
+
+    A block is a chunk of points against a chunk of z1 rows and all of z2.
+    When the whole mesh fits in a block the points are chunked and the rows
+    are not; otherwise each point meets one row chunk at a time and the
+    chunks' sums accumulate.  A block's mesh points and f * w weights are
+    broadcast from its rows and z2, so no array of the whole mesh is built."""
+    rows = min(z1.size, max(1, _BLOCK // max(1, z2.size)))
+    step = max(1, _BLOCK // (rows * z2.size))
+    out = np.zeros(pts.shape[0])
+    for r in range(0, z1.size, rows):
+        zr = z1[r:r + rows]
+        zb = np.empty((zr.size, z2.size, 2))
+        zb[..., 0] = zr[:, None]
+        zb[..., 1] = z2
+        fw = (f(zr[:, None], z2[None, :])
+              * np.multiply.outer(w1[r:r + rows], w2)).ravel()
+        for i in range(0, pts.shape[0], step):
+            kv = kernel.evaluate(t1, t2, pts[i:i + step, None, None, :],
+                                 zb[None])
+            out[i:i + step] += np.asarray(kv, dtype=float).reshape(
+                -1, fw.size) @ fw
     return out
 
 
@@ -324,21 +359,16 @@ def _theta_points_general(kernel: Kernel, f: StepFunction, t1: float,
 
     A compact f shares one z-mesh across all points; a constant tail forces
     per-point graded windows sized by the declared decay, priced accordingly.
-    f is read on a tensor z-mesh by broadcasting its two axes, so its cell
-    lookup runs once per axis rather than once per mesh point."""
+    Either mesh is a tensor product z1 x z2 that :func:`_mesh_theta`
+    contracts in blocks of about _BLOCK kernel values: point chunks against
+    the whole mesh when it fits in a block, else one point against z1 row
+    chunks.  f is read per block by broadcasting its two axes, so its cell
+    lookup never runs on the whole mesh."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     if f.tail == 0.0:
         z1, w1 = _refined_axis_nodes(f, 0, t1, spec.points_per_cell, spec.rule)
         z2, w2 = _refined_axis_nodes(f, 1, t2, spec.points_per_cell, spec.rule)
-        zg = np.stack(np.meshgrid(z1, z2, indexing="ij"), axis=-1).reshape(-1, 2)
-        fw = (f(z1[:, None], z2[None, :]) * np.multiply.outer(w1, w2)).ravel()
-        out = np.empty(pts.shape[0])
-        step = max(1, int(4e6) // max(1, zg.shape[0]))
-        for i in range(0, pts.shape[0], step):
-            kv = kernel.evaluate(t1, t2, pts[i:i + step, None, :],
-                                 zg[None, :, :])
-            out[i:i + step] = np.asarray(kv, dtype=float) @ fw
-        return out
+        return _mesh_theta(kernel, f, t1, t2, pts, z1, w1, z2, w2)
     out = np.empty(pts.shape[0])
     for i, p in enumerate(pts):
         meshes = []
@@ -354,10 +384,7 @@ def _theta_points_general(kernel: Kernel, f: StepFunction, t1: float,
                                      rel_finest=fine)
             meshes.append(segment_nodes(grid, spec.points_per_cell, spec.rule))
         (z1, w1), (z2, w2) = meshes
-        zg = np.stack(np.meshgrid(z1, z2, indexing="ij"), axis=-1).reshape(-1, 2)
-        fw = (f(z1[:, None], z2[None, :]) * np.multiply.outer(w1, w2)).ravel()
-        kv = np.asarray(kernel.evaluate(t1, t2, p[None, :], zg), dtype=float)
-        out[i] = kv @ fw
+        out[i] = _mesh_theta(kernel, f, t1, t2, p[None, :], z1, w1, z2, w2)[0]
     return out
 
 

@@ -103,8 +103,9 @@ class ConvolutionFactor:
     def value(self, t, x, y):
         """Kernel value at points x, y with shape (..., dim); sup-norm metric."""
         u = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        if self.dim == 1 and u.ndim == 0:
-            s = np.abs(u)
+        if self.dim == 1:
+            # the sup norm of one coordinate is its modulus: no reduction
+            s = np.abs(u) if u.ndim == 0 else np.abs(u[..., 0])
         else:
             s = np.max(np.abs(u), axis=-1)
         return self.profile(t, s)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glstar import gstar
 from glstar.core import QuadratureSpec, default_params
 from glstar.carleson import (
     CarlesonReport,
@@ -67,6 +68,31 @@ def test_cij_opaque_quadrature_cross_check():
     vo = c_ij(opaque, I, J, PARAMS, spec)
     vt = c_ij(SIZE, I, J, PARAMS, spec)
     assert vo == pytest.approx(vt, rel=1e-2)
+
+
+def test_cij_opaque_kernel_calls_stay_in_blocks(monkeypatch):
+    # theta(1) on a non-tensor kernel takes per-point tail windows of millions
+    # of mesh points; the raw oracle must stream them through evaluate in
+    # blocks of at most _BLOCK values (or one z2 row, if that is longer)
+    largest = {"points": 0, "z2": 0}
+
+    def evaluate(t1, t2, x, y):
+        shape = np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1])
+        largest["points"] = max(largest["points"], math.prod(shape))
+        return SIZE.evaluate(t1, t2, x, y)
+
+    real = gstar._mesh_theta
+
+    def mesh_theta(kernel, f, t1, t2, pts, z1, w1, z2, w2):
+        largest["z2"] = max(largest["z2"], z2.size)
+        return real(kernel, f, t1, t2, pts, z1, w1, z2, w2)
+
+    monkeypatch.setattr(gstar, "_mesh_theta", mesh_theta)
+    opaque = replace(SIZE, evaluate=evaluate, tensor_parts=None)
+    g1, g2 = std_pair()
+    spec = QuadratureSpec(t_points_per_octave=1)
+    c_ij(opaque, g1.cube(2, (0,)), g2.cube(3, (0,)), PARAMS, spec)
+    assert 0 < largest["points"] <= max(gstar._BLOCK, largest["z2"])
 
 
 def test_cij_rejects_divergent_weight():

@@ -39,6 +39,17 @@ def test_boundratio_refuses_empty_sweeps_before_checking(monkeypatch):
         run_boundratio(PARAMS, levels=())
 
 
+@pytest.mark.parametrize("levels", [(3,), (4, 4)])
+def test_boundratio_refuses_one_level_sweeps(monkeypatch, levels):
+    # one distinct level has no growth, so a pass would mean homogeneity only
+    def no_check(*args, **kwargs):
+        raise AssertionError("a checker ran before the sweep was validated")
+
+    monkeypatch.setattr(experiments, "check_size", no_check)
+    with pytest.raises(ValueError, match="two distinct levels"):
+        run_boundratio(PARAMS, count=1, levels=levels)
+
+
 def test_averaging_smoke():
     octaves = 1
     rep = run_averaging(PARAMS, trials=10, octaves=octaves, pi_trials=200)

@@ -7,13 +7,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from glstar import gstar
 from glstar.core import QuadratureSpec, StepFunction, default_params
 from glstar.dyadic import ShiftedGrid
 from glstar.gstar import (
+    _BLOCK,
     GStarValue,
     _axis_gram,
     _band_nodes,
     _grid_t_range,
+    _mesh_theta,
     apply_theta,
     gstar_pointwise,
     gstar_sq_norm,
@@ -90,6 +93,95 @@ def test_theta_closed_cells_match_raw_quadrature():
     closed = apply_theta(CANC, f, (0.31, 0.9), 0.45, 0.7)
     raw = apply_theta(OPAQUE, f, (0.31, 0.9), 0.45, 0.7, sp)
     assert raw == pytest.approx(closed, rel=2e-3)
+
+
+def meshgrid_theta(kernel, f, t1, t2, pts, z1, w1, z2, w2):
+    """The whole-mesh contraction the blocked one replaced: the z-mesh as one
+    (N, 2) array and one kv @ fw per chunk of points.  Returns theta and the
+    (points, N) kernel values."""
+    zg = np.stack(np.meshgrid(z1, z2, indexing="ij"), axis=-1).reshape(-1, 2)
+    fw = (f(z1[:, None], z2[None, :]) * np.multiply.outer(w1, w2)).ravel()
+    kv = np.asarray(kernel.evaluate(t1, t2, pts[:, None, :], zg[None]))
+    step = max(1, int(4e6) // zg.shape[0])
+    out = np.concatenate([kv[i:i + step] @ fw
+                          for i in range(0, pts.shape[0], step)])
+    return out, kv
+
+
+def recording(kernel):
+    """kernel with an evaluate that keeps every call's (x, y, values)."""
+    calls = []
+
+    def evaluate(t1, t2, x, y):
+        kv = kernel.evaluate(t1, t2, x, y)
+        calls.append((x, y, kv))
+        return kv
+
+    return replace(kernel, evaluate=evaluate), calls
+
+
+def assert_blocks_match(calls, pts, z1, z2, kv_full):
+    # each block is a point chunk against a z1-row chunk and all of z2; its
+    # values must be the matching slice of the whole-mesh values, bit for bit
+    covered = 0
+    for x, y, kv in calls:
+        i = int(np.flatnonzero(np.all(pts == x.reshape(-1, 2)[0], axis=1))[0])
+        r = int(np.flatnonzero(z1 == y[0, 0, 0, 0])[0])
+        rows, n2 = y.shape[1], y.shape[2]
+        assert n2 == z2.size and kv.shape == (x.shape[0], rows, n2)
+        assert kv.size <= max(_BLOCK, z2.size)
+        ref = kv_full[i:i + x.shape[0], r * n2:(r + rows) * n2]
+        assert np.array_equal(kv.reshape(ref.shape), ref)
+        covered += kv.size
+    assert covered == kv_full.size
+
+
+@pytest.mark.parametrize("n1, n2, points", [
+    (64, 64, 40),      # below a block: point chunks of 16
+    (256, 256, 3),     # exactly one block per point
+    (257, 256, 2),     # one row past a block: a 256-row chunk and a 1-row one
+    (300, 250, 2),     # uneven row chunks of 262 and 38
+    (2, 70000, 1),     # z2 alone exceeds a block: one row per block
+])
+def test_blocked_mesh_theta_matches_the_whole_mesh_contraction(n1, n2, points):
+    rng = np.random.default_rng(n1 + n2)
+    f = StepFunction(level=2, lo=(-2, 1), values=rng.normal(size=(5, 3)))
+    (a1, b1), (a2, b2) = f.box
+    z1 = np.sort(rng.uniform(a1 - 0.5, b1 + 0.5, n1))
+    z2 = np.sort(rng.uniform(a2 - 0.5, b2 + 0.5, n2))
+    w1, w2 = rng.uniform(0.5, 1.5, n1) / n1, rng.uniform(0.5, 1.5, n2) / n2
+    pts = rng.uniform(-1.0, 2.0, size=(points, 2))
+    kernel, calls = recording(OPAQUE)
+    got = _mesh_theta(kernel, f, 0.45, 0.7, pts, z1, w1, z2, w2)
+    ref, kv_full = meshgrid_theta(OPAQUE, f, 0.45, 0.7, pts, z1, w1, z2, w2)
+    assert_blocks_match(calls, pts, z1, z2, kv_full)
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
+def test_blocked_mesh_theta_matches_on_a_tail_window(monkeypatch):
+    # a constant-tail f takes per-point graded windows; spy on the helper to
+    # get the window the point was given and redo it on the whole mesh
+    f = StepFunction(level=1, lo=(-1, 0), values=np.array([[1.0, -2.0],
+                                                           [0.5, 3.0]]),
+                     tail=1.0)
+    spec = QuadratureSpec(truncation_eps=1e-4)
+    seen = []
+
+    def spy(*args):
+        out = _mesh_theta(*args)
+        seen.append((args, out))
+        return out
+
+    monkeypatch.setattr(gstar, "_mesh_theta", spy)
+    kernel, calls = recording(replace(SIZE, tensor_parts=None))
+    val = apply_theta(kernel, f, (0.3, -0.2), 0.4, 0.6, spec)
+    (args, out), = seen
+    _, _, t1, t2, pts, z1, w1, z2, w2 = args
+    assert z1.size * z2.size > _BLOCK  # the window spans several blocks
+    ref, kv_full = meshgrid_theta(SIZE, f, t1, t2, pts, z1, w1, z2, w2)
+    assert_blocks_match(calls, pts, z1, z2, kv_full)
+    assert val == out[0]
+    assert val == pytest.approx(ref[0], rel=1e-13, abs=0.0)
 
 
 def test_theta_rejects_bad_arguments():

@@ -97,6 +97,23 @@ def test_cancellative_size_ratio_peaks_at_origin():
     assert ratio[0] == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("flavor", ["size", "cancellative"])
+def test_one_dim_value_is_the_sup_norm_profile_bit_for_bit(flavor):
+    # value reads |u[..., 0]| for dim 1; the sup norm over the size-1 axis
+    # is the same element, so the two formulas must agree exactly
+    factor = ConvolutionFactor(1, 0.5, flavor)
+    rng = np.random.default_rng(11)
+    t = 0.7
+    x, y = rng.normal(size=2)
+    assert factor.value(t, x, y) == factor.profile(t, abs(x - y))
+    for shape in ((9, 1), (4, 6, 1)):
+        x, y = rng.normal(size=shape), rng.normal(size=shape)
+        sup = np.max(np.abs(x - y), axis=-1)
+        got = factor.value(t, x, y)
+        assert got.shape == shape[:-1]
+        assert np.array_equal(got, factor.profile(t, sup))
+
+
 def test_factor_validation():
     with pytest.raises(ValueError):
         ConvolutionFactor(0, 0.5)
