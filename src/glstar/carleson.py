@@ -224,16 +224,13 @@ def c_ij(kernel, i: DyadicCube, j: DyadicCube, params: Params,
     """The Whitney-box mass of |theta 1|^2 with both weights.
 
     Position independent for convolution kernels, hence cached per scale
-    pair.  The weight integral diverges for lambda <= 1, which is rejected
-    rather than truncated.
+    pair.  The weight integral diverges for lambda <= 1, which
+    :func:`weight_total` rejects rather than truncates.
     """
     spec = spec or QuadratureSpec()
     if i.dim != 1 or j.dim != 1:
         raise ValueError("the rectangle factors must be one-dimensional")
-    lam1, lam2 = params.weight_powers
-    if lam1 <= 1.0 or lam2 <= 1.0:
-        raise ValueError("weight tail diverges for lambda <= 1")
-    return _cij_scales(kernel, i.side, j.side, lam1, lam2, spec)
+    return _cij_scales(kernel, i.side, j.side, *params.weight_powers, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +366,6 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
     spec = spec or QuadratureSpec()
     if levels < 1:
         raise ValueError("need levels >= 1")
-    lam1, lam2 = params.weight_powers
-    if lam1 <= 1.0 or lam2 <= 1.0:
-        raise ValueError("weight tail diverges for lambda <= 1")
     g1, g2 = omega.grids
     base1, base2 = omega._levels
     fine1, fine2 = base1 + levels, base2 + levels
@@ -410,7 +404,7 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
                     "rectangle enumeration exceeds the size guard; "
                     "reduce the level depth")
             value = _cij_scales(kernel, 2.0 ** -l1, 2.0 ** -l2,
-                                lam1, lam2, spec)
+                                *params.weight_powers, spec)
             ok.setflags(write=False)
             blocks[(l1, l2)] = _Block(int(k1[0]), int(k2[0]), ok, value, count)
             total += count * value

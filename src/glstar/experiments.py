@@ -34,7 +34,6 @@ from .core import (
 from .dyadic import (
     DyadicCube,
     ShiftedGrid,
-    estimate_pi_good,
     is_good,
     pi_good_exact,
     schur_coeff,
@@ -213,21 +212,23 @@ def run_averaging(
     seed: int = 7,
     *,
     octaves: int = 12,
-    pi_trials: int = 20000,
 ) -> ExperimentReport:
     """Whitney-partition identity plus its randomized good-cube version.
 
     Deterministic half: for every sampled shift the Whitney regions tile the
     scale strip, so the sum of per-region integrals reproduces the closed
     form exactly (float summation only).  Stochastic half: restrict to good
-    cubes, divide by the per-level good-cube probability, and average over
-    shifts; the mean must recover the same closed form within its own CI.
+    cubes, divide by the good-cube probability, and average over shifts; the
+    mean must recover the same closed form within its own CI.
 
-    The good-cube probability is estimated at the same truncation depth the
-    trial grids use (``octaves`` qualifying ancestor generations).  When that
-    probability is statistically indistinguishable from zero the stochastic
-    estimator has no usable normalization and the run aborts rather than
-    report noise.
+    The normalization is exact: a cube's goodness depends only on the shift
+    bits coarser than it, and its position only on the finer ones, so each
+    level's good-cube sum has mean pi times the full sum, with pi the
+    `pi_good_exact` value at that level's depth in the trial grids
+    (``octaves`` qualifying ancestor generations).  It adds nothing to the
+    CI, which is the Monte-Carlo half-width alone.  When pi is zero at some
+    band level no cube is ever good there and the run is refused before any
+    shift is drawn.
     """
     t0 = time.perf_counter()
     integrand = integrand or NamedIntegrand.unit_box()
@@ -239,22 +240,20 @@ def run_averaging(
     j_min = min(levels) - params.r - (octaves - 1)
     j_max = max(levels) + 1
     closed = integrand.x_integral() * math.log(integrand.t_hi / integrand.t_lo)
-    zero_run = closed == 0.0
 
-    # per-level good-cube probability at the matching truncation
-    pi_hat: dict[int, tuple[float, float]] = {}
-    for lev in levels:
-        est, half = estimate_pi_good(
-            params, pi_trials, lev, seed + 900_001 + lev, j_min=j_min
-        )
-        pi_hat[lev] = (est, half)
-        if not zero_run and est - half <= 0.0:
-            raise RuntimeError(
-                "goodness-starved configuration: the good-cube probability "
-                f"at level {lev} is {est:.3g} +/- {half:.3g} over {pi_trials} "
-                "draws (CI touches zero), so the averaged sum cannot be "
-                "normalized; raise r or lower the truncation depth"
-            )
+    # exact good-cube probability per band level, at the level's depth in
+    # the trial grids and with the exponent is_good uses on a 1-d grid
+    gamma = Fraction(params.gamma_n if params.n == 1 else params.gamma_m)
+    gamma = gamma.limit_denominator(1000)
+    pi_exact = {lev: pi_good_exact(gamma, params.r, lev - j_min)
+                for lev in levels}
+    starved = [lev for lev, pi in pi_exact.items() if pi == 0]
+    if starved:
+        raise RuntimeError(
+            "goodness-starved configuration: no cube is good at levels "
+            f"{starved} (exact good-cube probability 0 at depth "
+            f"{starved[0] - j_min}), so the averaged sum cannot be "
+            "normalized; raise r or lower the truncation depth")
 
     support, = integrand.x_part.box  # lattice points, exact as floats
 
@@ -264,7 +263,7 @@ def run_averaging(
         good = 0.0
         for lev in levels:
             blog = integrand.band_log(2.0 ** -(lev + 1), 2.0 ** -lev)
-            inv_pi = 0.0 if zero_run else 1.0 / pi_hat[lev][0]
+            inv_pi = 1.0 / pi_exact[lev]
             for cube in grid.cubes_overlapping(lev, [support]):
                 (clo, chi), = cube.box_fractions()
                 w = _interval_integral(integrand.x_part, clo, chi) * blog
@@ -281,13 +280,7 @@ def run_averaging(
     sums = np.array([s for _, s in results])
     estimate = float(np.mean(sums))
     sd = float(np.std(sums, ddof=1)) if trials > 1 else 0.0
-    se_mc = sd / math.sqrt(trials)
-    # fold the normalization uncertainty into the interval
-    se_pi = 0.0
-    if not zero_run:
-        worst = max(h / e for e, h in pi_hat.values())
-        se_pi = abs(estimate) * worst / 1.96
-    ci95 = 1.96 * math.hypot(se_mc, se_pi)
+    ci95 = 1.96 * sd / math.sqrt(trials)
     rel_err = abs(estimate - closed) / abs(closed) if closed else abs(estimate)
     partition_worst = float(np.max(rels))
     stochastic_ok = abs(estimate - closed) <= max(ci95, 1e-15)
@@ -297,7 +290,6 @@ def run_averaging(
         {"trial": t, "partition_rel": float(rels[t]), "good_sum": float(sums[t])}
         for t in range(min(trials, 100))
     )
-    gamma = Fraction(params.gamma_n).limit_denominator(1000)
     summary = {
         "integrand": integrand.name,
         "closed_total": closed,
@@ -306,11 +298,7 @@ def run_averaging(
         "ci95": ci95,
         "rel_err": rel_err,
         "trials": trials,
-        "pi_hat": {str(l): list(v) for l, v in pi_hat.items()},
-        # exact pi at each level's depth in the trial grids, lev - j_min
-        "pi_exact": {
-            str(l): float(pi_good_exact(gamma, params.r, l - j_min)) for l in levels
-        },
+        "pi_exact": {str(l): float(pi) for l, pi in pi_exact.items()},
     }
     notes = (
         f"trial grids span levels [{j_min}, {j_max}]; band levels {levels}; "
@@ -321,7 +309,7 @@ def run_averaging(
     return ExperimentReport(
         name="averaging",
         params=_snapshot(params, integrand=integrand.name, octaves=octaves,
-                         trials=trials, pi_trials=pi_trials),
+                         trials=trials),
         seed=seed,
         records=records,
         summary=summary,

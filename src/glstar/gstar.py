@@ -237,8 +237,7 @@ def _axis_octave_sums(factor: ConvolutionFactor, f: StepFunction, lam: float,
 
     ``band_nodes(lo, hi)`` gives the position nodes and weights of the scale
     band (lo, hi]; A is summed over the band's scale nodes at those positions
-    and contracted against the weights, which may carry extra columns (one
-    sum per column).  ``raw`` selects the oracle theta of
+    and contracted against the weights.  ``raw`` selects the oracle theta of
     :func:`_axis_sq_profile`."""
     octs = []
     for lo, hi, tn, tw in octave_blocks(*t_range, spec.t_points_per_octave,
@@ -584,14 +583,17 @@ def gstar_sq_norm(kernel: Kernel, f, params: Params,
       runs over the grid's Whitney regions -- the rewriting behind the whole
       averaging argument.  The regions tile the scale strip the grid pair
       covers; in position the sum is restricted to a window around the
-      support, and per axis the outermost cubes' share is reported if it is
-      still material.
+      support.
     * "direct": a graded mesh of that window, the same for every band, so
       the sum is the pointwise squares integrated over the window.
     * "gram": tensor kernels only.  Integrating x over the whole line
       decouples the weight from theta exactly, so the norm contracts the
       lattice Gram matrices of the two factor responses; this is the fast
       path the bulk experiments use.
+
+    "whitney" and "direct" warn "position truncation" when, on some axis,
+    the window at the top scale leaves out more than 1e-2 of the weight mass
+    seen from an end of the support (closed form, :func:`weight_window`).
 
     f is a plane step function or a pair of axis functions; tails must
     vanish.  The scale strip is the grid pair's, clipped to the spec's."""
@@ -620,6 +622,13 @@ def gstar_sq_norm(kernel: Kernel, f, params: Params,
         # sum_{a,b,c,d} m1[a,c] m2[b,d] v[a,b] v[c,d], the grams being symmetric
         return float(np.sum((m1 @ vals @ m2) * vals))
 
+    loss = max(_position_loss(box, t_hi, lam, spec)
+               for box, lam, (_, t_hi) in zip(f2d.box, lams, ranges))
+    if loss > _TAIL_WARN:
+        warnings.warn(
+            f"position truncation: the window misses {loss:.3g} of the weight "
+            "seen from an end of the support; widen the window",
+            RuntimeWarning, stacklevel=2)
     grids = grid_pair if route == "whitney" else (None, None)
     if pair is None or kernel.tensor_parts is None:
         nodes = [_band_nodes(box, spec, grid, r[1], 2.0 ** -8)
@@ -630,17 +639,7 @@ def gstar_sq_norm(kernel: Kernel, f, params: Params,
     for g, fa, lam, grid, r in zip(kernel.tensor_parts, pair, lams, grids,
                                    ranges):
         nodes = _band_nodes(fa.box[0], spec, grid, r[1], 2.0 ** -16)
-        if grid is None:
-            norm *= float(_axis_octave_sums(g, fa, lam, r, spec, nodes).sum())
-            continue
-        total, edge = _axis_octave_sums(
-            g, fa, lam, r, spec, _with_outer_cubes(nodes, spec)).sum(axis=0)
-        if edge > _TAIL_WARN * abs(total):
-            warnings.warn(
-                "position truncation: boundary cubes still carry "
-                f"{edge:g} of {total:g}; widen the window", RuntimeWarning,
-                stacklevel=2)
-        norm *= float(total)
+        norm *= float(_axis_octave_sums(g, fa, lam, r, spec, nodes).sum())
     return norm
 
 
@@ -651,6 +650,17 @@ def _norm_window(box: tuple[float, float], t_hi: float,
     blo, bhi = box
     reach = (1.0 + t_hi + (bhi - blo)) * max(8.0, spec.truncation_eps ** -0.125)
     return blo - reach, bhi + reach
+
+
+def _position_loss(box: tuple[float, float], t: float, lam: float,
+                   spec: QuadratureSpec) -> float:
+    """Share of the weight (t/(t+|y|))^lam that the position window at scale
+    t leaves out, for the worse of the support's two ends, in closed form.
+    The window's reach relative to t shrinks as t grows, so the top scale of
+    a range loses the most."""
+    wlo, whi = _norm_window(box, t, spec)
+    return max(1.0 - float(weight_window(t, lam, wlo - u, whi - u))
+               / weight_total(t, lam) for u in box)
 
 
 def _band_nodes(box: tuple[float, float], spec: QuadratureSpec,
@@ -677,20 +687,6 @@ def _band_nodes(box: tuple[float, float], spec: QuadratureSpec,
         edges = np.array([a for a, _ in cells] + [cells[-1][1]])
         return segment_nodes(edges, spec.points_per_cell, spec.rule)
     return whitney
-
-
-def _with_outer_cubes(band_nodes, spec: QuadratureSpec):
-    """Whitney ``band_nodes`` with a second weight column that keeps only the
-    outermost cubes' nodes: the position-truncation probe of the sum."""
-    p = spec.points_per_cell
-
-    def nodes(lo, hi):
-        xs, xw = band_nodes(lo, hi)
-        outer = np.zeros_like(xw)
-        if xw.size >= 2 * p:
-            outer[:p], outer[-p:] = xw[:p], xw[-p:]
-        return xs, np.stack([xw, outer], axis=1)
-    return nodes
 
 
 _GRAM_CACHE: dict = {}

@@ -99,7 +99,7 @@ def test_cij_rejects_divergent_weight():
     # Params itself refuses such weights, so drive the guard with a stand-in
     g1, g2 = std_pair()
     bad = SimpleNamespace(weight_powers=(1.0, 3.0))
-    with pytest.raises(ValueError, match="diverges"):
+    with pytest.raises(ValueError, match="exceed 1"):
         c_ij(SIZE, g1.cube(1, (0,)), g2.cube(1, (0,)), bad)
 
 

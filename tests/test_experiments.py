@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from glstar import experiments
+from glstar import dyadic, experiments
 from glstar.core import default_params
-from glstar.dyadic import pi_good_exact
+from glstar.dyadic import ShiftedGrid, is_good, pi_good_exact
 from glstar.experiments import (
     run_averaging,
     run_boundratio,
@@ -52,7 +52,7 @@ def test_boundratio_refuses_one_level_sweeps(monkeypatch, levels):
 
 def test_averaging_smoke():
     octaves = 1
-    rep = run_averaging(PARAMS, trials=10, octaves=octaves, pi_trials=200)
+    rep = run_averaging(PARAMS, trials=10, octaves=octaves)
     assert rep.summary["partition_worst_rel"] <= 1e-10
     # pi at the trial grids' own depth lev - j_min, not at ``octaves``
     levels = [int(lev) for lev in rep.summary["pi_exact"]]
@@ -61,6 +61,46 @@ def test_averaging_smoke():
     assert rep.summary["pi_exact"] == {
         str(lev): float(pi_good_exact(gamma, PARAMS.r, lev - j_min)) for lev in levels
     }
+
+
+def test_averaging_good_sums_use_the_exact_pi():
+    # each trial's good sum is its good cubes' exact masses over the exact pi,
+    # recomputed here from the trial's grid; the unit box has one band level
+    octaves, seed = 1, 7
+    rep = run_averaging(PARAMS, trials=5, seed=seed, octaves=octaves)
+    lev, = (int(k) for k in rep.summary["pi_exact"])
+    j_min = lev - PARAMS.r - (octaves - 1)
+    inv_pi = 1.0 / float(pi_good_exact(Fraction(1, 6), PARAMS.r, lev - j_min))
+    sums = []
+    for rec in rep.records:
+        grid = ShiftedGrid.random(1, j_min, lev + 1, seed, trial=rec["trial"])
+        good = 0.0
+        for cube in grid.cubes_overlapping(lev, [(0.0, 1.0)]):
+            (lo, hi), = cube.box_fractions()
+            w = float(min(hi, 1) - max(lo, 0)) * math.log(2.0)
+            if w > 0 and is_good(cube, grid, PARAMS):
+                good += w * inv_pi
+        sums.append(good)
+        assert rec["good_sum"] == pytest.approx(good, rel=1e-15, abs=0)
+    assert any(sums)  # some trial has a good cube, so pi is really applied
+
+
+def test_averaging_refuses_a_starved_radius_before_drawing(monkeypatch):
+    # at r = 8 the exact pi is 0 at the band level: refused with no shift drawn
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a shift was drawn before the refusal")
+
+    monkeypatch.setattr(dyadic, "trial_stream", no_stream)
+    with pytest.raises(RuntimeError, match="goodness-starved"):
+        run_averaging(default_params(r=8))
+
+
+def test_averaging_at_defaults():
+    rep = run_averaging(PARAMS)
+    assert rep.passed
+    assert "pi_hat" not in rep.summary
+    assert rep.summary["estimate"] == pytest.approx(0.9229428546067622,
+                                                    rel=1e-12)
 
 
 def test_schur_smoke():

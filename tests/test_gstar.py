@@ -17,6 +17,7 @@ from glstar.gstar import (
     _band_nodes,
     _grid_t_range,
     _mesh_theta,
+    _position_loss,
     apply_theta,
     gstar_pointwise,
     gstar_sq_norm,
@@ -356,6 +357,47 @@ def test_joint_whitney_route_agrees_with_the_per_axis_route():
     joint = gstar_sq_norm(OPAQUE, (f1, f2), PARAMS, grids, spec=sp)
     per_axis = gstar_sq_norm(CANC, (f1, f2), PARAMS, grids, spec=sp)
     assert joint == pytest.approx(per_axis, rel=2e-3)
+
+
+# lambda = 1.2 is outside the theorem region: its weight tail is so heavy
+# that the position window leaves out most of the weight mass
+with pytest.warns(UserWarning, match="theorem region"):
+    HEAVY = default_params(lambda1=1.2, lambda2=1.2, theorem_mode=False)
+TOP = 8.0  # top scale of the standard (-3, 6) grids' strip
+
+
+def test_position_loss_is_the_weight_mass_beyond_the_window():
+    sp = QuadratureSpec()
+    assert _position_loss((0.0, 1.0), TOP, 1.2, sp) == pytest.approx(0.5627,
+                                                                      abs=1e-4)
+    assert _position_loss((0.0, 1.0), TOP, 3.0, sp) == pytest.approx(0.00318,
+                                                                     abs=1e-5)
+
+
+@pytest.mark.parametrize("route", ["whitney", "direct"])
+def test_norm_warns_when_the_window_truncates_the_weight(route):
+    # at the default spec the Whitney route keeps 1403.7 of the gram route's
+    # 2598.3 here; the coarse spec has the same top scale and window
+    f1, f2 = random_pair(0)
+    grids = (ShiftedGrid.standard(1, -3, 6), ShiftedGrid.standard(1, -3, 6))
+    with pytest.warns(RuntimeWarning, match="position truncation"):
+        gstar_sq_norm(SIZE, (f1, f2), HEAVY, grids, spec=SP_COARSE,
+                      route=route)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        gstar_sq_norm(SIZE, (f1, f2), PARAMS, grids, spec=SP_COARSE,
+                      route=route)
+
+
+def test_joint_norm_warns_when_the_window_truncates_the_weight():
+    # the same closed-form check guards the raw joint layer
+    rng = np.random.default_rng(7)
+    f = StepFunction(level=0, lo=(0, 0), values=rng.normal(size=(1, 1)))
+    grids = (ShiftedGrid.standard(1, -3, 1), ShiftedGrid.standard(1, -3, 1))
+    sp = QuadratureSpec(points_per_cell=1, t_points_per_octave=1,
+                        t_min=2.0**-2, t_max=TOP)
+    with pytest.warns(RuntimeWarning, match="position truncation"):
+        gstar_sq_norm(OPAQUE, f, HEAVY, grids, spec=sp)
 
 
 def test_gram_route_is_the_four_index_contraction():
