@@ -379,16 +379,22 @@ class StepFunction:
 
     # -- evaluation ---------------------------------------------------------
 
+    def cell_index(self, axis: int, coords) -> np.ndarray:
+        """Cell index along one axis, counted from the box's first cell, of
+        each coordinate; coordinates outside the box give indices outside
+        ``range(shape[axis])``."""
+        scaled = np.asarray(coords, dtype=float) * 2.0 ** self.level
+        # clip before the integer cast: coordinates far past the box (huge
+        # tail-window meshes) must read as outside, not overflow int64
+        return (np.floor(np.clip(scaled, -2.0 ** 62, 2.0 ** 62)).astype(np.int64)
+                - self.lo[axis])
+
     def __call__(self, *coords):
         """Evaluate at points; broadcasts over array inputs."""
         coords = [np.asarray(c, dtype=float) for c in coords]
         if len(coords) != self.dim:
             raise ValueError("coordinate count must match dimension")
-        scale = 2.0 ** self.level
-        # clip before the integer cast: coordinates far past the box (huge
-        # tail-window meshes) must read as outside, not overflow int64
-        idx = [np.floor(np.clip(c * scale, -2.0 ** 62, 2.0 ** 62)).astype(np.int64) - k
-               for c, k in zip(coords, self.lo)]
+        idx = [self.cell_index(axis, c) for axis, c in enumerate(coords)]
         inside = np.ones(np.broadcast_shapes(*(i.shape for i in idx)), dtype=bool)
         for i, s in zip(idx, self.shape):
             inside = inside & (i >= 0) & (i < s)

@@ -98,7 +98,12 @@ _TAIL_WARN = 1e-2
 
 # Elements per block of the chunked contractions: about 2^16 kernel or weight
 # values, so a block's temporaries stay in cache instead of streaming
-# through memory.
+# through memory.  Each such temporary is a 512 KB array that the C
+# allocator may hand back to the OS when it is freed (glibc trims its heap),
+# so the next block faults its pages in again: the built-in kernels
+# therefore work in place and make about three per factor.  A smaller block
+# makes the faults cheaper but the per-block Python overhead dearer (2^13
+# ran slower end to end).
 _BLOCK = 2 ** 16
 
 
@@ -321,6 +326,20 @@ def _axis_theta_raw(factor: ConvolutionFactor, f: StepFunction, t: float,
     return out
 
 
+def _padded_lookup(f: StepFunction, z1: np.ndarray, z2: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f on the tensor mesh z1 x z2 as a table and one index array per axis:
+    ``table[np.ix_(k1, k2)]`` equals ``f(z1[:, None], z2[None, :])``.  The
+    table is f's values with one extra row and column holding ``f.tail``,
+    the slot every node outside the box is sent to."""
+    table = np.full((f.shape[0] + 1, f.shape[1] + 1), f.tail)
+    table[:-1, :-1] = f.values
+    k1, k2 = (np.where((k >= 0) & (k < size), k, size)
+              for k, size in ((f.cell_index(0, z1), f.shape[0]),
+                              (f.cell_index(1, z2), f.shape[1])))
+    return table, k1, k2
+
+
 def _mesh_theta(kernel: Kernel, f: StepFunction, t1: float, t2: float,
                 pts: np.ndarray, z1: np.ndarray, w1: np.ndarray,
                 z2: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -331,18 +350,31 @@ def _mesh_theta(kernel: Kernel, f: StepFunction, t1: float, t2: float,
     A block is a chunk of points against a chunk of z1 rows and all of z2.
     When the whole mesh fits in a block the points are chunked and the rows
     are not; otherwise each point meets one row chunk at a time and the
-    chunks' sums accumulate.  A block's mesh points and f * w weights are
-    broadcast from its rows and z2, so no array of the whole mesh is built."""
+    chunks' sums accumulate.  A block's mesh points are broadcast from its
+    rows and z2, and its f * w weights are written into two row-chunk
+    buffers made once per call, so no array of the whole mesh is built and
+    a block adds only its mesh points to the kernel's own temporaries (see
+    _BLOCK).
+
+    f is read per axis: each axis's cell indices are computed once per call
+    (:func:`_padded_lookup`), and a row chunk's values are one gather from
+    the padded table -- bit for bit the values ``f(z1, z2)`` gives, without
+    its cell lookup per mesh point."""
+    table, k1, k2 = _padded_lookup(f, z1, z2)
     rows = min(z1.size, max(1, _BLOCK // max(1, z2.size)))
     step = max(1, _BLOCK // (rows * z2.size))
     out = np.zeros(pts.shape[0])
+    picked = np.empty((rows, z2.size))
+    weights = np.empty((rows, z2.size))
     for r in range(0, z1.size, rows):
         zr = z1[r:r + rows]
         zb = np.empty((zr.size, z2.size, 2))
         zb[..., 0] = zr[:, None]
         zb[..., 1] = z2
-        fw = (f(zr[:, None], z2[None, :])
-              * np.multiply.outer(w1[r:r + rows], w2)).ravel()
+        fw = np.multiply.outer(w1[r:r + rows], w2, out=weights[:zr.size])
+        fw *= np.take(table[k1[r:r + rows]], k2, axis=1,
+                      out=picked[:zr.size])
+        fw = fw.ravel()
         for i in range(0, pts.shape[0], step):
             kv = kernel.evaluate(t1, t2, pts[i:i + step, None, None, :],
                                  zb[None])
@@ -361,8 +393,7 @@ def _theta_points_general(kernel: Kernel, f: StepFunction, t1: float,
     Either mesh is a tensor product z1 x z2 that :func:`_mesh_theta`
     contracts in blocks of about _BLOCK kernel values: point chunks against
     the whole mesh when it fits in a block, else one point against z1 row
-    chunks.  f is read per block by broadcasting its two axes, so its cell
-    lookup never runs on the whole mesh."""
+    chunks.  f's cells are looked up once per axis, never per mesh point."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     if f.tail == 0.0:
         z1, w1 = _refined_axis_nodes(f, 0, t1, spec.points_per_cell, spec.rule)

@@ -61,6 +61,9 @@ class ConvolutionFactor:
 
     flavor "size" is the positive family  t^a / (t + s)^(dim + a);  flavor
     "cancellative" is t d/dt of it, which integrates to zero at every scale.
+    Both are evaluated with one power: with v = t + s and q = t / v, size is
+    scale * q^a / v^dim and cancellative is scale * q^a / v^dim *
+    (a - (dim + a) q).
     Antiderivatives (dim 1) are closed form, so cell integrals are exact.
     ``scale`` multiplies the whole profile (amplitude homogeneity tests).
     """
@@ -89,26 +92,37 @@ class ConvolutionFactor:
             )
 
     def profile(self, t, s):
-        """Radial profile at scale t and distance s >= 0 (arrays broadcast)."""
+        """Radial profile at scale t and distance s >= 0 (arrays broadcast),
+        in the one-power form of the class docstring.  The arithmetic runs in
+        place on the arrays v and q made here, never on t or s."""
         a, d = self.exponent, self.dim
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
+        v = np.add(t, s, dtype=float)
+        q = np.divide(t, v, dtype=float)
+        if d != 1:
+            v **= d
         if self.flavor == "size":
-            return self.scale * t**a * (t + s) ** (-(d + a))
-        return self.scale * (
-            a * t**a * (t + s) ** (-(d + a))
-            - (d + a) * t ** (1 + a) * (t + s) ** (-(d + a + 1))
-        )
+            q **= a
+            out = q
+        else:
+            # q is still needed for the factor a - (d + a) q
+            out = q**a
+        if self.scale != 1.0:
+            out *= self.scale
+        out /= v
+        if self.flavor == "cancellative":
+            q *= -(d + a)
+            q += a
+            out *= q
+        return out
 
     def value(self, t, x, y):
         """Kernel value at points x, y with shape (..., dim); sup-norm metric."""
         u = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        if self.dim == 1:
-            # the sup norm of one coordinate is its modulus: no reduction
-            s = np.abs(u) if u.ndim == 0 else np.abs(u[..., 0])
-        else:
-            s = np.max(np.abs(u), axis=-1)
-        return self.profile(t, s)
+        if u.ndim == 0:
+            return self.profile(t, abs(u))
+        np.abs(u, out=u)
+        # the sup norm of one coordinate is its modulus: no reduction
+        return self.profile(t, u[..., 0] if self.dim == 1 else u.max(axis=-1))
 
     def mass(self, t) -> float:
         """Integral over the whole space; scale independent in both flavors."""
@@ -185,9 +199,13 @@ def _tensor_evaluate(f1: ConvolutionFactor, f2: ConvolutionFactor, n: int):
     def evaluate(t1, t2, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return f1.value(t1, x[..., :n], y[..., :n]) * f2.value(
-            t2, x[..., n:], y[..., n:]
-        )
+        out = f1.value(t1, x[..., :n], y[..., :n])
+        second = f2.value(t2, x[..., n:], y[..., n:])
+        if np.shape(out) != np.broadcast_shapes(np.shape(out), np.shape(second)):
+            return out * second
+        # the first factor's values are a fresh array: multiply in place
+        out *= second
+        return out
 
     return evaluate
 

@@ -185,6 +185,72 @@ def test_blocked_mesh_theta_matches_on_a_tail_window(monkeypatch):
     assert val == pytest.approx(ref[0], rel=1e-13, abs=0.0)
 
 
+def axis_probes(lo, cells, h, extra):
+    """Nodes along one axis: every lattice point of the box and two cells
+    past it, the floats just inside and just outside each box edge, +-1e300
+    (beyond the 2^62 clip of the cell index) and ``extra``."""
+    lattice = h * np.arange(lo - 2, lo + cells + 3)
+    edges = np.array([lo * h, (lo + cells) * h])
+    near = np.concatenate([np.nextafter(edges, -np.inf),
+                           np.nextafter(edges, np.inf)])
+    return np.sort(np.concatenate([lattice, near, [-1e300, 1e300], extra]))
+
+
+def test_padded_lookup_is_the_step_function_exactly():
+    rng = np.random.default_rng(3)
+    f = StepFunction(level=2, lo=(-3, 1), values=rng.normal(size=(5, 4)),
+                     tail=0.75)
+    z1 = axis_probes(-3, 5, 0.25, rng.uniform(-2.0, 1.0, 20))
+    z2 = axis_probes(1, 4, 0.25, rng.uniform(-0.5, 2.0, 20))
+    table, k1, k2 = gstar._padded_lookup(f, z1, z2)
+    want = f(z1[:, None], z2[None, :])
+    got = table[np.ix_(k1, k2)]
+    assert np.array_equal(got, want)
+    # the probes reach every cell and the tail on both axes
+    assert set(k1) == set(range(6)) and set(k2) == set(range(5))
+    for axis, z in ((0, z1), (1, z2)):
+        assert np.array_equal(f.cell_index(axis, z)[[0, -1]],
+                              [-2 ** 62 - f.lo[axis], 2 ** 62 - f.lo[axis]])
+
+
+def pointwise_mesh_theta(kernel, f, t1, t2, pts, z1, w1, z2, w2):
+    """The block loop that read f through ``f(rows, z2)`` per row chunk."""
+    rows = min(z1.size, max(1, _BLOCK // max(1, z2.size)))
+    step = max(1, _BLOCK // (rows * z2.size))
+    out = np.zeros(pts.shape[0])
+    for r in range(0, z1.size, rows):
+        zr = z1[r:r + rows]
+        zb = np.empty((zr.size, z2.size, 2))
+        zb[..., 0] = zr[:, None]
+        zb[..., 1] = z2
+        fw = (f(zr[:, None], z2[None, :])
+              * np.multiply.outer(w1[r:r + rows], w2)).ravel()
+        for i in range(0, pts.shape[0], step):
+            kv = kernel.evaluate(t1, t2, pts[i:i + step, None, None, :],
+                                 zb[None])
+            out[i:i + step] += np.asarray(kv, dtype=float).reshape(
+                -1, fw.size) @ fw
+    return out
+
+
+@pytest.mark.parametrize("extra, points", [
+    (20, 12),     # the whole mesh fits in one block
+    (300, 2),     # it does not: row chunks accumulate
+])
+def test_mesh_theta_reads_f_like_the_pointwise_loop(extra, points):
+    rng = np.random.default_rng(extra)
+    f = StepFunction(level=2, lo=(-3, 1), values=rng.normal(size=(5, 4)),
+                     tail=-0.6)
+    z1 = axis_probes(-3, 5, 0.25, rng.uniform(-2.0, 1.0, extra))
+    z2 = axis_probes(1, 4, 0.25, rng.uniform(-0.5, 2.0, extra))
+    assert (z1.size * z2.size > _BLOCK) == (extra == 300)
+    w1, w2 = rng.uniform(0.5, 1.5, z1.size), rng.uniform(0.5, 1.5, z2.size)
+    pts = rng.uniform(-1.0, 2.0, size=(points, 2))
+    got = _mesh_theta(OPAQUE, f, 0.45, 0.7, pts, z1, w1, z2, w2)
+    want = pointwise_mesh_theta(OPAQUE, f, 0.45, 0.7, pts, z1, w1, z2, w2)
+    assert np.array_equal(got, want)
+
+
 def test_theta_rejects_bad_arguments():
     f1, _ = random_pair(0)
     with pytest.raises(ValueError, match="dimension"):
