@@ -16,7 +16,6 @@ import math
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -54,10 +53,11 @@ _CIJ_CACHE: dict = {}
 # open sets
 
 
-def _exact_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise AssertionError("lattice arithmetic produced a non-integer")
-    return x.numerator
+def _prefix_counts(bitmap: np.ndarray) -> np.ndarray:
+    """2-D prefix counts: entry (a, b) counts the set cells of bitmap[:a, :b]."""
+    pref = np.zeros((bitmap.shape[0] + 1, bitmap.shape[1] + 1), dtype=np.int64)
+    pref[1:, 1:] = np.cumsum(np.cumsum(bitmap, axis=0), axis=1)
+    return pref
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,17 +87,14 @@ class DyadicOpenSet:
         object.__setattr__(self, "rects", rects)
         lv1 = max(i.level for i, _ in rects)
         lv2 = max(j.level for _, j in rects)
-        s1 = g1.shift_fraction(lv1)[0]
-        s2 = g2.shift_fraction(lv2)[0]
 
-        def cells(cube, level, shift):
-            (lo, hi), = cube.box_fractions()
-            step = Fraction(2) ** -level
-            return (_exact_int((lo - shift) / step),
-                    _exact_int((hi - shift) / step))
+        def cells(cube, level):
+            # the cube's span of level-``level`` raster cells
+            lo, = cube.descendant_index(level)
+            return lo, lo + (1 << (level - cube.level))
 
-        spans1 = [cells(i, lv1, s1) for i, _ in rects]
-        spans2 = [cells(j, lv2, s2) for _, j in rects]
+        spans1 = [cells(i, lv1) for i, _ in rects]
+        spans2 = [cells(j, lv2) for _, j in rects]
         a1 = min(s[0] for s in spans1)
         a2 = min(s[0] for s in spans2)
         n1 = max(s[1] for s in spans1) - a1
@@ -109,39 +106,35 @@ class DyadicOpenSet:
         object.__setattr__(self, "_levels", (lv1, lv2))
         object.__setattr__(self, "_lo", (a1, a2))
         object.__setattr__(self, "_bitmap", bitmap)
-        object.__setattr__(
-            self, "measure",
-            float(int(bitmap.sum()) * Fraction(2) ** -(lv1 + lv2)))
+        object.__setattr__(self, "measure",
+                           math.ldexp(int(bitmap.sum()), -(lv1 + lv2)))
 
     @property
     def grids(self) -> tuple[ShiftedGrid, ShiftedGrid]:
         return self.rects[0][0].grid, self.rects[0][1].grid
 
+    def _corners(self) -> tuple[DyadicCube, DyadicCube]:
+        # the raster's first cell on each axis
+        return tuple(g.cube(lv, (lo,)) for g, lv, lo in
+                     zip(self.grids, self._levels, self._lo))
+
     def bounding_box(self) -> tuple[tuple[float, float], ...]:
         out = []
-        for ax in (0, 1):
-            lv = self._levels[ax]
-            s = self.grids[ax].shift_fraction(lv)[0]
-            step = Fraction(2) ** -lv
-            lo = s + self._lo[ax] * step
-            hi = lo + self._bitmap.shape[ax] * step
-            out.append((float(lo), float(hi)))
+        for cube, n in zip(self._corners(), self._bitmap.shape):
+            unit = cube.grid.j_max
+            lo, = cube.lattice_corner(unit)
+            hi = lo + (n << (unit - cube.level))
+            out.append((math.ldexp(lo, -unit), math.ldexp(hi, -unit)))
         return tuple(out)
 
     def indicator(self) -> StepFunction:
         """The union's indicator on the standard lattice (uniform level)."""
-        lv1, lv2 = self._levels
-        g1, g2 = self.grids
-        s1 = g1.shift_fraction(lv1)[0]
-        s2 = g2.shift_fraction(lv2)[0]
-        level = max(lv1, lv2,
-                    s1.denominator.bit_length() - 1,
-                    s2.denominator.bit_length() - 1)
-        r1, r2 = 2 ** (level - lv1), 2 ** (level - lv2)
+        c1, c2 = self._corners()
+        level = max(c1.level, c2.level, c1.lattice_level(), c2.lattice_level())
+        r1, r2 = 2 ** (level - c1.level), 2 ** (level - c2.level)
         vals = np.repeat(np.repeat(self._bitmap, r1, axis=0), r2, axis=1)
-        lo1 = _exact_int((s1 + self._lo[0] * Fraction(2) ** -lv1) * 2 ** level)
-        lo2 = _exact_int((s2 + self._lo[1] * Fraction(2) ** -lv2) * 2 ** level)
-        return StepFunction(level=level, lo=(lo1, lo2),
+        return StepFunction(level=level,
+                            lo=c1.lattice_corner(level) + c2.lattice_corner(level),
                             values=vals.astype(float))
 
 
@@ -322,31 +315,22 @@ def _axis_candidates(grid: ShiftedGrid, raster_level: int, lo_cell: int,
                      n_cells: int, level: int):
     """Level-``level`` cubes of one grid inside the raster span.
 
-    Returns (absolute lattice indices, pixel starts, pixel width); exact by
-    Fraction arithmetic on the dyadic corners.
+    Returns (absolute lattice indices, pixel starts, pixel width); exact in
+    integers, from the grid's descendant indices.
     """
-    s_r = grid.shift_fraction(raster_level)[0]
-    s_l = grid.shift_fraction(level)[0]
-    lo_f = s_r + lo_cell * Fraction(2) ** -raster_level
-    hi_f = lo_f + n_cells * Fraction(2) ** -raster_level
-    step = Fraction(2) ** -level
-    kmin = math.ceil((lo_f - s_l) / step)
-    kmax = math.floor((hi_f - s_l) / step - 1)
-    if kmax < kmin:
-        return (np.empty(0, dtype=np.int64),) * 2 + (1,)
-    k = np.arange(kmin, kmax + 1, dtype=np.int64)
-    # the shift DIFFERENCE between two levels only involves scales strictly
-    # between them, so both offsets below are exact integers
     if level <= raster_level:
-        t = _exact_int((s_l - lo_f) * Fraction(2) ** raster_level)
-        pix = t + k * (1 << (raster_level - level))
+        # cube k covers raster cells [first + k width, ... + width), relative
+        # to the span's first cell
         width = 1 << (raster_level - level)
-    else:
-        e = level - raster_level
-        t = _exact_int((s_l - lo_f) * Fraction(2) ** level)
-        pix = (t + k) >> e
-        width = 1
-    return k, pix, width
+        first = grid.descendant_offset(level, raster_level)[0] - lo_cell
+        k = np.arange(-(first // width), (n_cells - first) // width,
+                      dtype=np.int64)
+        return k, first + k * width, width
+    # finer cubes: 2^e of them in each raster cell, from the span's first
+    e = level - raster_level
+    first = (lo_cell << e) + grid.descendant_offset(raster_level, level)[0]
+    k = np.arange(first, first + (n_cells << e), dtype=np.int64)
+    return k, (k - first) >> e, 1
 
 
 def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
@@ -373,8 +357,7 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
         raise ValueError("enumeration depth exceeds the grid truncation")
     bitmap = omega._bitmap
     n1, n2 = bitmap.shape
-    pref = np.zeros((n1 + 1, n2 + 1), dtype=np.int64)
-    pref[1:, 1:] = np.cumsum(np.cumsum(bitmap, axis=0), axis=1)
+    pref = _prefix_counts(bitmap)
     coarse1 = max(g1.j_min, base1 - (n1.bit_length() - 1))
     coarse2 = max(g2.j_min, base2 - (n2.bit_length() - 1))
 
@@ -484,8 +467,7 @@ def _back_window_or(a: np.ndarray, w: int, axis: int) -> np.ndarray:
 def _inside_sweep(bitmap: np.ndarray, c: float) -> np.ndarray:
     """Cells covered by some lattice rectangle with indicator mean > c."""
     n1, n2 = bitmap.shape
-    pref = np.zeros((n1 + 1, n2 + 1), dtype=np.int64)
-    pref[1:, 1:] = np.cumsum(np.cumsum(bitmap, axis=0), axis=1)
+    pref = _prefix_counts(bitmap)
     hit = bitmap.copy()
     canvas = np.zeros_like(bitmap)
     for w1 in range(1, n1 + 1):
@@ -506,8 +488,7 @@ def _inside_sweep(bitmap: np.ndarray, c: float) -> np.ndarray:
 def _east_strip(bitmap: np.ndarray, c: float, pad: int) -> np.ndarray:
     """Membership for cells beyond the last row, in the column range."""
     n1, n2 = bitmap.shape
-    pref = np.zeros((n1 + 1, n2 + 1), dtype=np.int64)
-    pref[1:, 1:] = np.cumsum(np.cumsum(bitmap, axis=0), axis=1)
+    pref = _prefix_counts(bitmap)
     a1 = np.arange(n1, dtype=float)
     tau = np.full(n2, -np.inf)
     for lo in range(n2):
@@ -525,8 +506,7 @@ def _corner_block(bitmap: np.ndarray, c: float, pad1: int,
                   pad2: int) -> np.ndarray:
     """Membership beyond both the last row and the last column."""
     n1, n2 = bitmap.shape
-    pref = np.zeros((n1 + 1, n2 + 1), dtype=np.int64)
-    pref[1:, 1:] = np.cumsum(np.cumsum(bitmap, axis=0), axis=1)
+    pref = _prefix_counts(bitmap)
     suff = (pref[n1, n2] - pref[:-1, n2][:, None]
             - pref[n1, :-1][None, :] + pref[:-1, :-1]).astype(float)
     a1 = np.arange(n1, dtype=float)[:, None]

@@ -361,10 +361,6 @@ class StepFunction:
             (k * h, (k + s) * h) for k, s in zip(self.lo, self.shape)
         )
 
-    def box_fractions(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        h = Fraction(2) ** -self.level
-        return tuple((k * h, (k + s) * h) for k, s in zip(self.lo, self.shape))
-
     # -- construction helpers ----------------------------------------------
 
     @classmethod

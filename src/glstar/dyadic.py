@@ -13,16 +13,24 @@ ell(J) >= 2^r ell(I),
 
     dist(I, boundary J) > ell(I)^gamma ell(J)^(1-gamma).
 
+Positions are recorded exactly in one place: each grid's integer shift
+table, the shift of every level in units of 2^-j_max held as Python ints
+(`ShiftedGrid.offset`).  Lattice corners, descendant indices, goodness and
+the maximal function's offsets are all read from it, at any depth; the float
+view behind `shift`, `box` and `center` is derived from it and is exact up to
+53 levels of depth.
+
 Goodness is decided from integers alone.  For a cube at level l with index b
 in a grid truncated at j_min, let S = sum_{i=j_min+1..l} bits_i 2^(l-i) per
-axis (the shift bits read as a binary number).  Its offset inside the
-k-generation ancestor, in units of ell(I), is o_k = (b - S) mod 2^k, and its
-distance to that ancestor's boundary is min(o_k, 2^k - 1 - o_k) ell(I) on the
-nearest axis.  Only the containing ancestor matters: every other cube of the
-same level lies outside it, so it is no closer to I than its boundary.
+axis (the shift bits read as a binary number); in the table O, S is
+(O[j_min] - O[l]) >> (j_max - l) (`ShiftedGrid.descendant_offset`).  Its
+offset inside the k-generation ancestor, in units of ell(I), is
+o_k = (b - S) mod 2^k, and its distance to that ancestor's boundary is
+min(o_k, 2^k - 1 - o_k) ell(I) on the nearest axis.  Only the containing
+ancestor matters: every other cube of the same level lies outside it, so it
+is no closer to I than its boundary.
 
-All metric quantities use the sup norm.  Coordinates of shifted cubes are
-dyadic rationals, exact in binary floating point at every scale used here.
+All metric quantities use the sup norm.
 """
 
 from __future__ import annotations
@@ -84,6 +92,10 @@ class ShiftedGrid:
     position depends only on bits at levels strictly finer than its side --
     flipping a bit at level i <= j moves nothing at level j, and flipping one
     at i > j moves level-j cubes rigidly by 2^-i.
+
+    The integer table behind `offset` (each level's shift in units of
+    2^-j_max, Python ints) is the exact record of where every cube sits;
+    `shift` is its float view.
     """
 
     dim: int
@@ -104,13 +116,19 @@ class ShiftedGrid:
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "bits", b)
-        # Accumulated float shifts per level, finest first: row r holds the
-        # shift of level j_min + r - 1, row 0 the shift seen below j_min.
-        # Every entry is a dyadic rational with at most j_max - j_min + 1
-        # bits, hence exact in binary floating point.
-        steps = b * np.ldexp(1.0, -np.arange(self.j_min, self.j_max + 1))[:, None]
-        table = np.zeros((self.j_max - self.j_min + 2, self.dim))
-        table[:-1] = np.cumsum(steps[::-1], axis=0)[::-1]
+        # Accumulated shifts per level in units of 2^-j_max, built finest
+        # first: row r holds the shift of level j_min + r - 1, row 0 the
+        # shift seen below j_min, the last row level j_max's (zero).
+        acc = [0] * self.dim
+        rows = [tuple(acc)]
+        for up, row in enumerate(b[::-1].tolist()):
+            acc = [a + (bit << up) for a, bit in zip(acc, row)]
+            rows.append(tuple(acc))
+        offsets = tuple(rows[::-1])
+        object.__setattr__(self, "_offsets", offsets)
+        # The float view: exact while a row has at most 53 significant bits,
+        # i.e. up to 53 levels of depth; correctly rounded past that.
+        table = np.ldexp(np.array(offsets, dtype=float), -self.j_max)
         table.setflags(write=False)
         object.__setattr__(self, "_shift_table", table)
 
@@ -128,21 +146,27 @@ class ShiftedGrid:
     def levels(self) -> range:
         return range(self.j_min, self.j_max + 1)
 
-    def shift_fraction(self, level: int) -> tuple[Fraction, ...]:
-        """Accumulated shift applied to level-``level`` cubes, exactly."""
-        out = [Fraction(0)] * self.dim
-        for i in range(max(level + 1, self.j_min), self.j_max + 1):
-            row = self.bits[i - self.j_min]
-            w = Fraction(2) ** -i
-            for d in range(self.dim):
-                if row[d]:
-                    out[d] += w
-        return tuple(out)
+    def _row(self, level: int) -> int:
+        return min(max(level - self.j_min + 1, 0), self.j_max - self.j_min + 1)
+
+    def offset(self, level: int) -> tuple[int, ...]:
+        """Accumulated shift of level-``level`` cubes in units of 2^-j_max,
+        exactly."""
+        return self._offsets[self._row(level)]
+
+    def descendant_offset(self, level: int, finer: int) -> tuple[int, ...]:
+        """Index of the first level-``finer`` descendant of the level-``level``
+        cube at index 0: (O[level] - O[finer]) >> (j_max - finer), O the
+        integer table, exact because only bits of levels level + 1 .. finer
+        enter the difference."""
+        if not level <= finer <= self.j_max:
+            raise ValueError("descendant level must lie between the cube's and j_max")
+        return tuple((a - b) >> (self.j_max - finer)
+                     for a, b in zip(self.offset(level), self.offset(finer)))
 
     def shift(self, level: int) -> np.ndarray:
-        """Float twin of shift_fraction; exact, since shifts are dyadic."""
-        r = min(max(level - self.j_min + 1, 0), self.j_max - self.j_min + 1)
-        return self._shift_table[r]
+        """Float view of `offset`, in absolute units."""
+        return self._shift_table[self._row(level)]
 
     def cube(self, level: int, index: Sequence[int]) -> "DyadicCube":
         if not self.j_min <= level <= self.j_max:
@@ -157,11 +181,14 @@ class ShiftedGrid:
         return self.cube(level, idx)
 
     def ancestor(self, cube: "DyadicCube", generations: int) -> "DyadicCube":
-        """The in-grid cube ``generations`` levels coarser containing ``cube``."""
+        """The in-grid cube ``generations`` levels coarser containing ``cube``,
+        exactly: ancestor m holds the descendants m 2^g + D .. (m + 1) 2^g +
+        D - 1, D = descendant_offset(target, level)."""
         if generations < 0:
             raise ValueError("generations must be nonnegative")
         target = cube.level - generations
-        return self.cube_at(target, cube.center())
+        d = self.descendant_offset(target, cube.level)
+        return self.cube(target, [(k - di) >> generations for k, di in zip(cube.index, d)])
 
     def cubes_overlapping(self, level: int, box: Sequence[Sequence[float]]) -> Iterator["DyadicCube"]:
         """All level-``level`` cubes whose interior meets the open box."""
@@ -200,24 +227,35 @@ class DyadicCube:
     def side(self) -> float:
         return 2.0 ** -self.level
 
-    def side_fraction(self) -> Fraction:
-        return Fraction(2) ** -self.level
-
-    def corner_fractions(self) -> tuple[Fraction, ...]:
-        s = self.grid.shift_fraction(self.level)
-        h = self.side_fraction()
-        return tuple(k * h + si for k, si in zip(self.index, s))
-
     def box(self) -> tuple[tuple[float, float], ...]:
-        # float corners are exact: dyadic index times dyadic side plus dyadic shift
+        # the float view: exact up to 53 levels of depth (see lattice_corner)
         h = self.side
         s = self.grid.shift(self.level)
         return tuple((k * h + si, (k + 1) * h + si)
                      for k, si in zip(self.index, s))
 
-    def box_fractions(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        h = self.side_fraction()
-        return tuple((c, c + h) for c in self.corner_fractions())
+    def lattice_corner(self, level: int) -> tuple[int, ...]:
+        """The corner in units of 2^-level on the standard lattice, exactly;
+        raises when it is not a point of that lattice."""
+        g = self.grid
+        fine = max(level, self.level, g.j_max)
+        out = [(k << (fine - self.level)) + (o << (fine - g.j_max))
+               for k, o in zip(self.index, g.offset(self.level))]
+        drop = fine - level
+        if any(c & ((1 << drop) - 1) for c in out):
+            raise ValueError("cube corner is not a lattice point at the working level")
+        return tuple(c >> drop for c in out)
+
+    def lattice_level(self) -> int:
+        """The coarsest level >= 0 at which the corner is a lattice point."""
+        fine = max(self.level, self.grid.j_max, 0)
+        twos = [(c & -c).bit_length() - 1 for c in self.lattice_corner(fine) if c]
+        return fine - min(twos + [fine])
+
+    def descendant_index(self, level: int) -> tuple[int, ...]:
+        """Index of the level-``level`` descendant at the cube's corner."""
+        return tuple((k << (level - self.level)) + d for k, d in
+                     zip(self.index, self.grid.descendant_offset(self.level, level)))
 
     def center(self) -> tuple[float, ...]:
         h = self.side
@@ -305,6 +343,22 @@ def schur_matrix(cubes: Sequence[DyadicCube], alpha: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _root(gamma: Fraction, k: int) -> int:
+    """floor(2^(k (1 - gamma))) exactly, for rational gamma = p/q: the largest
+    integer th with th^q <= 2^(k (q - p)), by bisection inside [2^e, 2^(e+1)),
+    e = floor(k (q - p) / q)."""
+    p, q = gamma.numerator, gamma.denominator
+    target = 1 << (k * (q - p))
+    lo, hi = 1 << (k * (q - p) // q), 1 << (k * (q - p) // q + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** q <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 @functools.lru_cache(maxsize=256)
 def _offset_cutoffs(level: int, j_min: int, j_max: int, r: int,
                     gamma: float) -> tuple[tuple[int, int], ...]:
@@ -312,23 +366,18 @@ def _offset_cutoffs(level: int, j_min: int, j_max: int, r: int,
     level - r: a level-``level`` cube whose gap to the boundary of its
     k-generation ancestor is at most c_k of its own sides is bad there.
 
-    c_k = floor(2^level * threshold), the threshold being the float
-    ell(I)^gamma ell(J)^(1-gamma) in Python's own ``pow``.  A gap of g sides
-    is the exact float g * ell(I), so g * ell(I) <= threshold exactly when
-    g <= c_k: the integer test reproduces the float comparison of the
-    geometric definition verdict for verdict.
+    A gap of g sides is within ell(I)^gamma ell(J)^(1-gamma) exactly when
+    g <= 2^(k(1-gamma)), so c_k = floor(2^(k(1-gamma))), the integer root
+    `pi_good_exact` uses too.  gamma is read as the nearest fraction with
+    denominator at most 1000, as `run_averaging` reads it for its exact pi.
     """
     if not j_min <= level <= j_max:
         raise ValueError(
             "insufficient scale range: cube level lies outside the grid truncation"
         )
-    ell_i = 2.0 ** -level
-    cutoffs = []
-    for j in range(j_min, level - r + 1):
-        ell_j = 2.0 ** -j
-        threshold = ell_i ** gamma * ell_j ** (1.0 - gamma)
-        cutoffs.append((level - j, math.floor(math.ldexp(threshold, level))))
-    return tuple(cutoffs)
+    exact = Fraction(gamma).limit_denominator(1000)
+    return tuple((level - j, _root(exact, level - j))
+                 for j in range(j_min, level - r + 1))
 
 
 def _bad_offsets(offsets, cutoffs):
@@ -353,22 +402,20 @@ def is_good(cube: DyadicCube, grid: ShiftedGrid, params: Params) -> bool:
     """True when no same-grid cube at least 2^r times coarser has its boundary
     within ell(I)^gamma ell(J)^(1-gamma) of I.
 
-    Decided from the shift bits in integers (see the module docstring): per
-    qualifying generation k the containing ancestor's boundary is at
-    min(o_k, 2^k - 1 - o_k) sides of I on the nearest axis, and no other cube
-    of that level comes closer, each lying outside the ancestor.  About
-    (depth + qualifying generations) * dim integer operations per call.  If
-    the truncation admits no qualifying level at all the cube is good
-    vacuously; experiments report their truncation so this regime stays
+    Decided in integers from the grid's shift table (see the module
+    docstring): per qualifying generation k the containing ancestor's
+    boundary is at min(o_k, 2^k - 1 - o_k) sides of I on the nearest axis,
+    and no other cube of that level comes closer, each lying outside the
+    ancestor.  About (qualifying generations) * dim integer operations per
+    call.  If the truncation admits no qualifying level at all the cube is
+    good vacuously; experiments report their truncation so this regime stays
     visible.
     """
     if cube.grid is not grid:
         raise ValueError("cube does not belong to the given grid")
     cutoffs = _offset_cutoffs(cube.level, grid.j_min, grid.j_max, params.r,
                               _gamma(grid.dim, params))
-    s = [0] * grid.dim
-    for row in grid.bits[1:cube.level - grid.j_min + 1].tolist():
-        s = [2 * si + bit for si, bit in zip(s, row)]
+    s = grid.descendant_offset(grid.j_min, cube.level)
     return not _bad_offsets([b - si for b, si in zip(cube.index, s)], cutoffs)
 
 
@@ -400,20 +447,9 @@ def pi_good_exact(gamma: Fraction, r: int, octaves: int) -> Fraction:
     if octaves < r:
         return Fraction(1)  # no qualifying scale: vacuously good
 
-    p, q = gamma.numerator, gamma.denominator
-
     def window(k: int) -> tuple[int, int]:
-        # th = largest integer with th^q <= 2^(k (q - p)), by bisection
-        # inside [2^e, 2^(e+1)), e = floor(k (q - p) / q)
-        target = 1 << (k * (q - p))
-        lo, hi = 1 << (k * (q - p) // q), 1 << (k * (q - p) // q + 1)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if mid ** q <= target:
-                lo = mid
-            else:
-                hi = mid
-        return lo + 1, (1 << k) - 2 - lo  # empty when lo > hi
+        th = _root(gamma, k)
+        return th + 1, (1 << k) - 2 - th  # empty when th + 1 > 2^k - 2 - th
 
     counts = {(0, (1 << octaves) - 1): 1}  # interval -> multiplicity
     for k in range(octaves, r, -1):
@@ -561,11 +597,11 @@ def strong_maximal_dyadic(
     for ja in g1.levels():
         sa = 2 ** (level - ja)
         # grid-1 shift at level ja, in cells of the working lattice
-        off_a = int(g1.shift_fraction(ja)[0] * 2 ** level)
+        off_a = g1.offset(ja)[0] << (level - g1.j_max)
         ra_lo = ((cells_a - off_a) // sa) * sa + off_a
         for jb in g2.levels():
             sb = 2 ** (level - jb)
-            off_b = int(g2.shift_fraction(jb)[0] * 2 ** level)
+            off_b = g2.offset(jb)[0] << (level - g2.j_max)
             rb_lo = ((cells_b - off_b) // sb) * sb + off_b
             sums = box_sum(ra_lo, ra_lo + sa, rb_lo, rb_lo + sb)
             np.maximum(out, sums / (sa * sb), out=out)

@@ -177,20 +177,20 @@ class NamedIntegrand:
         return math.log(b / a) if b > a else 0.0
 
 
-def _interval_integral(f: StepFunction, a: Fraction, b: Fraction) -> float:
-    """Exact integral of the 1-d step function over [a, b)."""
-    level = f.level
-    k0 = f.lo[0]
-    cell = Fraction(2) ** -level
+def _interval_integral(f: StepFunction, cube: DyadicCube) -> float:
+    """Exact integral of the 1-d step function over a grid interval."""
+    unit = max(f.level, cube.grid.j_max)
+    a, = cube.lattice_corner(unit)
+    b = a + (1 << (unit - cube.level))
+    cell = 1 << (unit - f.level)
     parts = []
     for i, v in enumerate(f.values):
         if v == 0.0:
             continue
-        lo = (k0 + i) * cell
-        hi = lo + cell
-        w = min(b, hi) - max(a, lo)
+        lo = (f.lo[0] + i) * cell
+        w = min(b, lo + cell) - max(a, lo)
         if w > 0:
-            parts.append(float(w) * float(v))
+            parts.append(math.ldexp(w, -unit) * float(v))
     return math.fsum(parts)
 
 
@@ -265,8 +265,7 @@ def run_averaging(
             blog = integrand.band_log(2.0 ** -(lev + 1), 2.0 ** -lev)
             inv_pi = 1.0 / pi_exact[lev]
             for cube in grid.cubes_overlapping(lev, [support]):
-                (clo, chi), = cube.box_fractions()
-                w = _interval_integral(integrand.x_part, clo, chi) * blog
+                w = _interval_integral(integrand.x_part, cube) * blog
                 full.append(w)
                 if w != 0.0 and is_good(cube, grid, params):
                     good += w * inv_pi
@@ -957,17 +956,18 @@ def run_boundratio(
 # case decomposition
 
 
-def _containing_cube(grid: ShiftedGrid, lo: Fraction, hi: Fraction) -> DyadicCube:
-    """Coarsest-needed grid interval containing [lo, hi)."""
-    level = 0
-    while True:
-        cube = grid.cube_at(level, (float(lo) + 1e-12,))
-        (a, b), = cube.box_fractions()
-        if a <= lo and hi <= b:
+def _containing_cube(grid: ShiftedGrid, f: StepFunction, axis: int) -> DyadicCube:
+    """Coarsest-needed grid interval containing f's box along one axis."""
+    unit = max(f.level, grid.j_max)
+    lo = f.lo[axis] << (unit - f.level)
+    hi = lo + (f.shape[axis] << (unit - f.level))
+    for level in range(min(0, grid.j_max), grid.j_min - 1, -1):
+        # the level-``level`` cube containing the point lo, exactly
+        k = (lo - (grid.offset(level)[0] << (unit - grid.j_max))) >> (unit - level)
+        cube = grid.cube(level, (k,))
+        if hi <= cube.lattice_corner(unit)[0] + (1 << (unit - level)):
             return cube
-        level -= 1
-        if level < grid.j_min:
-            raise ValueError("support does not fit inside the grid truncation")
+    raise ValueError("support does not fit inside the grid truncation")
 
 
 def _axis_members(expansion, slot: int) -> list[HaarIndex]:
@@ -1070,9 +1070,8 @@ def run_cases(
 
     g1 = ShiftedGrid.random(1, -13, 6, grid_pair_seed, trial=0)
     g2 = ShiftedGrid.random(1, -13, 6, grid_pair_seed, trial=1)
-    (alo, ahi), (blo, bhi) = f.box_fractions()
-    q1 = _containing_cube(g1, alo, ahi)
-    q2 = _containing_cube(g2, blo, bhi)
+    q1 = _containing_cube(g1, f, 0)
+    q2 = _containing_cube(g2, f, 1)
     expansion = expand(f, (q1, q2), f.level)
     members1 = _axis_members(expansion, 0)
     members2 = _axis_members(expansion, 1)

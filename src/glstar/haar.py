@@ -53,14 +53,6 @@ class HaarIndex:
         return any(self.eta)
 
 
-def _lattice_index(corner: float, level: int) -> int:
-    k = corner * 2.0 ** level
-    r = round(k)
-    if k != r:
-        raise ValueError("cube corner is not a lattice point at the working level")
-    return int(r)
-
-
 def haar_function(idx: HaarIndex) -> StepFunction:
     """The L2-normalized member as a step function: tensor of per-axis
     half-splits (+1/-1) or flats, scaled by |I|^(-1/2).
@@ -69,9 +61,8 @@ def haar_function(idx: HaarIndex) -> StepFunction:
     the representation level is refined until the corners are lattice points
     (shifts are dyadic, so a finite level always suffices)."""
     cube = idx.cube
-    level = cube.level + 1 if idx.cancellative else cube.level
-    for c in cube.corner_fractions():
-        level = max(level, c.denominator.bit_length() - 1)
+    level = max(cube.level + 1 if idx.cancellative else cube.level,
+                cube.lattice_level())
     reps = 2 ** (level - cube.level - 1) if idx.cancellative else \
         2 ** (level - cube.level)
     per_axis = []
@@ -85,9 +76,8 @@ def haar_function(idx: HaarIndex) -> StepFunction:
     for ax in per_axis[1:]:
         pattern = np.multiply.outer(pattern, ax)
     norm = cube.measure() ** -0.5
-    corners = [c for c, _ in cube.box()]
-    lo = tuple(_lattice_index(c, level) for c in corners)
-    return StepFunction(level=level, lo=lo, values=pattern * norm)
+    return StepFunction(level=level, lo=cube.lattice_corner(level),
+                        values=pattern * norm)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +161,11 @@ class HaarExpansion:
                 raise KeyError("cube level outside the expansion range")
         elif cube != top:
             raise KeyError("scaling member exists only for the top cube")
-        top_corner = top.box()[0][0]
-        corner = cube.box()[0][0]
-        offset = _lattice_index(corner - top_corner, cube.level)
+        if cube.grid is not top.grid:
+            raise KeyError("cube is not from the expansion's grid")
+        offset = cube.index[0] - top.descendant_index(cube.level)[0]
+        if not 0 <= offset < 1 << (cube.level - top.level):
+            raise KeyError("cube lies outside the expansion domain")
         return _position_of(cube.level, offset, top.level) if idx.cancellative \
             else 0
 
@@ -196,8 +188,7 @@ class HaarExpansion:
     def _member(self, position: int, factor: int) -> HaarIndex:
         top = self.domain[factor]
         level, offset = _level_offset(position, top.level)
-        top_corner = top.box()[0][0]
-        base = _lattice_index(top_corner, level)
+        base, = top.descendant_index(level)
         cube = top.grid.cube(level, (base + offset,)) if position else top
         eta = (1,) * top.dim if position else (0,) * top.dim
         return HaarIndex(cube=cube, eta=eta)
@@ -239,18 +230,15 @@ def expand(f: StepFunction, domain: tuple[DyadicCube, DyadicCube], level: int) -
     if f.level > level:
         raise ValueError("function is finer than the expansion level")
     fr = f.refined(level)
-    (a1, b1), = q1.box_fractions()
-    (a2, b2), = q2.box_fractions()
-    lo1 = _lattice_index(float(a1), level)
-    lo2 = _lattice_index(float(a2), level)
-    n1 = int((b1 - a1) * 2 ** level)
-    n2 = int((b2 - a2) * 2 ** level)
+    lo1, = q1.lattice_corner(level)
+    lo2, = q2.lattice_corner(level)
+    # cells per domain side; 0 when the level is coarser than the cube
+    n1 = int(2 ** (level - q1.level))
+    n2 = int(2 ** (level - q2.level))
     inside = (lo1 <= fr.lo[0] and fr.lo[0] + fr.shape[0] <= lo1 + n1
               and lo2 <= fr.lo[1] and fr.lo[1] + fr.shape[1] <= lo2 + n2)
     if not inside:
         raise ValueError("support leakage outside domain")
-    if n1 & (n1 - 1) or n2 & (n2 - 1):
-        raise ValueError("domain cubes must be coarser powers of two of the level")
     padded = fr.padded((lo1, lo2), (n1, n2))
     cell = Fraction(2) ** -level
     rows = [_fwt_axis([Fraction(v) for v in row], cell) for row in padded.values]
@@ -267,9 +255,9 @@ def reconstruct(e: HaarExpansion) -> StepFunction:
     values = np.array([[float(v) for v in _ifwt_axis(list(row), cell)]
                        for row in rows])
     q1, q2 = e.domain
-    lo1 = _lattice_index(q1.box()[0][0], e.level)
-    lo2 = _lattice_index(q2.box()[0][0], e.level)
-    return StepFunction(level=e.level, lo=(lo1, lo2), values=values)
+    return StepFunction(level=e.level,
+                        lo=q1.lattice_corner(e.level) + q2.lattice_corner(e.level),
+                        values=values)
 
 
 def s_function(i: DyadicCube, k: int, eta: tuple[int, ...] | None = None) -> StepFunction:
@@ -296,17 +284,8 @@ def s_function(i: DyadicCube, k: int, eta: tuple[int, ...] | None = None) -> Ste
     if eta is None:
         eta = (1,) * i.dim
     h = haar_function(HaarIndex(cube=parent, eta=eta))
-    # value of h on A (constant there, A being inside one child of P)
+    # value of h on A: constant there, A being inside one child of P, so the
+    # difference below is exactly 0 on A
     h_on_keep = h(*keep.center())
-    out = h - StepFunction(level=h.level, lo=h.lo,
-                           values=np.full(h.shape, h_on_keep), tail=h_on_keep)
-    # zero out A itself
-    level = out.level
-    scale = 2.0 ** level
-    keep_lo = tuple(_lattice_index(c, level) for c, _ in keep.box())
-    keep_shape = tuple(int(round((b - a) * scale)) for a, b in keep.box())
-    sl = tuple(slice(kl - ol, kl - ol + ks)
-               for kl, ol, ks in zip(keep_lo, out.lo, keep_shape))
-    vals = out.values.copy()
-    vals[sl] = 0.0
-    return StepFunction(level=level, lo=out.lo, values=vals, tail=out.tail)
+    return h - StepFunction(level=h.level, lo=h.lo,
+                            values=np.full(h.shape, h_on_keep), tail=h_on_keep)

@@ -205,10 +205,10 @@ def test_packing_enumerates_members_and_contains():
     ind = om.indicator()
     h = ind.cell_side
     for I, J in list(keys)[::max(1, len(keys) // 40)]:
-        (a, b), = I.box_fractions()
-        (c, d), = J.box_fractions()
-        xs = np.arange(float(a) + h / 2, float(b), h)
-        ys = np.arange(float(c) + h / 2, float(d), h)
+        (a, b), = I.box()
+        (c, d), = J.box()
+        xs = np.arange(a + h / 2, b, h)
+        ys = np.arange(c + h / 2, d, h)
         vals = ind(xs[:, None], ys[None, :])
         assert np.all(vals == 1.0), (I, J)
 

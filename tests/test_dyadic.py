@@ -30,6 +30,22 @@ from glstar.core import DEFAULT_SHIFT_RADIUS
 STD = ShiftedGrid.standard(1, -3, 6)
 
 
+def _shift_fraction(grid: ShiftedGrid, level: int) -> tuple[Fraction, ...]:
+    """The exact oracle for a grid's shift table: the accumulated shift of
+    level-``level`` cubes, summed bit by bit in Fractions."""
+    out = [Fraction(0)] * grid.dim
+    for i in range(max(level + 1, grid.j_min), grid.j_max + 1):
+        for d in range(grid.dim):
+            out[d] += int(grid.bits[i - grid.j_min, d]) * Fraction(2) ** -i
+    return tuple(out)
+
+
+def _box_fractions(cube: DyadicCube) -> tuple[tuple[Fraction, Fraction], ...]:
+    side = Fraction(2) ** -cube.level
+    return tuple((k * side + s, (k + 1) * side + s)
+                 for k, s in zip(cube.index, _shift_fraction(cube.grid, cube.level)))
+
+
 def _interval(lo: float, hi: float, grid=STD) -> DyadicCube:
     level = int(round(-math.log2(hi - lo)))
     return grid.cube(level, (int(round(lo * 2.0 ** level)),))
@@ -177,9 +193,9 @@ def test_shift_depends_only_on_finer_bits():
     bits[5, 0] = 1  # level j_min + 5 = 5 when j_min = 0
     g = ShiftedGrid(dim=1, j_min=0, j_max=6, bits=bits)
     # cubes at level 4 (side 1/16) are shifted by 2^-5; cubes at level 5+ are not
-    assert g.shift_fraction(4) == (Fraction(1, 32),)
-    assert g.shift_fraction(5) == (Fraction(0),)
-    assert g.shift_fraction(6) == (Fraction(0),)
+    assert g.offset(4) == (2,)  # 2^-5 in units of 2^-6
+    assert _shift_fraction(g, 4) == (Fraction(1, 32),)
+    assert g.offset(5) == g.offset(6) == (0,)
 
 
 def test_shift_table_is_the_exact_shift_at_every_level():
@@ -188,9 +204,62 @@ def test_shift_table_is_the_exact_shift_at_every_level():
         j_min = -10 + 2 * trial
         grid = ShiftedGrid.random(dim, j_min, j_min + 3 * trial + 1, seed=8, trial=trial)
         for level in range(grid.j_min - 2, grid.j_max + 3):
-            exact = grid.shift_fraction(level)
+            exact = _shift_fraction(grid, level)
+            assert tuple(o * Fraction(2) ** -grid.j_max for o in grid.offset(level)) == exact
             assert tuple(Fraction(x) for x in grid.shift(level)) == exact
         assert grid._shift_table.shape == (grid.j_max - grid.j_min + 2, dim)
+
+
+@pytest.mark.parametrize("dim, j_min, j_max", [(1, 0, 70), (2, -5, 60), (1, -40, 30)])
+def test_integer_table_is_exact_past_float_and_int64_depth(dim, j_min, j_max):
+    # 70 levels: past the 53 bits of the float view and the 63 of int64
+    grid = ShiftedGrid.random(dim, j_min, j_max, seed=12, trial=dim)
+    unit = Fraction(2) ** -j_max
+    for level in range(j_min - 1, j_max + 2):
+        assert tuple(o * unit for o in grid.offset(level)) == _shift_fraction(grid, level)
+    if j_max - j_min > 53:
+        assert any(tuple(Fraction(x) for x in grid.shift(level)) != _shift_fraction(grid, level)
+                   for level in grid.levels())
+    rng = np.random.default_rng(j_max - j_min)
+    for _ in range(60):
+        level = int(rng.integers(j_min, j_max + 1))
+        cube = grid.cube(level, [int(k) for k in rng.integers(-2 ** 40, 2 ** 40, size=dim)])
+        corner = tuple(a for a, _ in _box_fractions(cube))
+        fine = j_max + int(rng.integers(0, 3))
+        assert tuple(c * Fraction(2) ** -fine for c in cube.lattice_corner(fine)) == corner
+        coarsest = cube.lattice_level()
+        assert all((c * 2 ** coarsest).denominator == 1 for c in corner)
+        assert coarsest == 0 or any((c * 2 ** (coarsest - 1)).denominator > 1 for c in corner)
+        finer = int(rng.integers(level, j_max + 1))
+        first = grid.cube(finer, cube.descendant_index(finer))
+        assert tuple(a for a, _ in _box_fractions(first)) == corner
+        up = grid.ancestor(first, finer - j_min)
+        assert all(a <= c < b for (a, b), c in zip(_box_fractions(up), corner))
+
+
+def test_lattice_corner_refuses_a_coarser_lattice():
+    bits = np.zeros((5, 1), dtype=np.int64)
+    bits[4, 0] = 1  # every coarser cube shifted by 2^-4
+    cube = ShiftedGrid(dim=1, j_min=0, j_max=4, bits=bits).cube(2, (1,))
+    assert cube.lattice_corner(4) == (5,) and cube.lattice_level() == 4
+    with pytest.raises(ValueError, match="not a lattice point"):
+        cube.lattice_corner(3)
+
+
+def _bit_loop(grid: ShiftedGrid, level: int) -> tuple[int, ...]:
+    """S = sum_{i=j_min+1..level} bits_i 2^(level-i), one bit at a time."""
+    s = [0] * grid.dim
+    for row in grid.bits[1:level - grid.j_min + 1].tolist():
+        s = [2 * si + bit for si, bit in zip(s, row)]
+    return tuple(s)
+
+
+def test_goodness_coarse_bits_are_the_bit_loop():
+    # is_good reads S as descendant_offset(j_min, level)
+    for trial, (dim, j_min, j_max) in enumerate([(1, 0, 70), (2, -3, 12), (1, -20, 64)]):
+        grid = ShiftedGrid.random(dim, j_min, j_max, seed=31, trial=trial)
+        for level in grid.levels():
+            assert grid.descendant_offset(j_min, level) == _bit_loop(grid, level)
 
 
 def test_trial_streams_share_no_words():
@@ -239,7 +308,7 @@ def test_cubes_overlapping_tile_a_box():
     total = Fraction(0)
     lo, hi = Fraction(3, 10), Fraction(9, 10)
     for c in cubes:
-        (a, b), = c.box_fractions()
+        (a, b), = _box_fractions(c)
         total += max(Fraction(0), min(b, hi) - max(a, lo))
     assert total == hi - lo
 
@@ -353,6 +422,31 @@ def test_is_good_matches_the_geometric_scan(dim):
     assert 50 <= sum(verdicts) <= 1950  # both verdicts represented
 
 
+@pytest.mark.parametrize("params, level, k, root", [
+    (default_params(r=12), 17, 12, 1024),  # gamma = 1/6; float floor 1023
+    (default_params(r=14, n=2, m=1, alpha=1.0, beta=0.4), 20, 14, 4096),  # 1/7; 4095
+])
+def test_gap_of_exactly_the_threshold_is_bad(params, level, k, root):
+    # the only qualifying generation is k, and 2^(k (1 - gamma)) = root sides
+    # exactly: a gap of root sides is within the threshold, one more is not
+    j_min = level - k
+    grid = ShiftedGrid.standard(1, j_min, level)
+    top = (1 << k) - 1
+    for gap, good in ((root, False), (root + 1, True)):
+        assert is_good(grid.cube(level, (gap,)), grid, params) is good
+        assert is_good(grid.cube(level, (top - gap,)), grid, params) is good
+    # the estimator on the same boundary: trial 0's cube sits exactly root
+    # sides into its ancestor
+    seed, trials = 5, 100
+    s = [ShiftedGrid.random(1, j_min, level, seed, t).descendant_offset(j_min, level)[0]
+         for t in range(trials)]
+    base = s[0] + root
+    gaps = [min(o, top - o) for o in ((base - st) & top for st in s)]
+    assert gaps[0] == root
+    est, _ = estimate_pi_good(params, trials, level, seed, j_min=j_min, base_index=base)
+    assert est == sum(g > root for g in gaps) / trials
+
+
 def test_estimate_pi_good_is_the_per_grid_count():
     # the estimator reads each trial's shift bits without building its grid;
     # the hit count must equal the per-grid is_good count, also past int64
@@ -448,8 +542,9 @@ def test_default_shift_radius_matches_frozen_constant():
 
 
 def test_exact_windows_match_float_thresholds():
-    # is_good compares float distances against float thresholds; check the two
-    # classifications agree at every integer boundary up to 32 octaves
+    # the geometric scan compares float distances against float thresholds;
+    # check it agrees with the exact root at every integer boundary up to 32
+    # octaves
     gamma = 1.0 / 6.0
     p, q = 1, 6
     for k in range(1, 33):
@@ -510,7 +605,7 @@ def test_whitney_regions_partition_scale_intervals():
         if t_overlap == 0:
             continue
         for cube in g.cubes_overlapping(j, [(float(space[0]), float(space[1]))]):
-            (a, b), = cube.box_fractions()
+            (a, b), = _box_fractions(cube)
             total += max(Fraction(0), min(b, space[1]) - max(a, space[0])) * t_overlap
     expected = (space[1] - space[0]) * (t_range[1] - t_range[0])
     assert total == expected

@@ -76,7 +76,8 @@ def test_averaging_good_sums_use_the_exact_pi():
         grid = ShiftedGrid.random(1, j_min, lev + 1, seed, trial=rec["trial"])
         good = 0.0
         for cube in grid.cubes_overlapping(lev, [(0.0, 1.0)]):
-            (lo, hi), = cube.box_fractions()
+            lo = Fraction(cube.lattice_corner(grid.j_max)[0], 2 ** grid.j_max)
+            hi = lo + Fraction(1, 2 ** lev)
             w = float(min(hi, 1) - max(lo, 0)) * math.log(2.0)
             if w > 0 and is_good(cube, grid, PARAMS):
                 good += w * inv_pi

@@ -161,6 +161,32 @@ def test_scaling_member_only_for_top_cube():
         e.coefficient(stray, HaarIndex(cube=Q, eta=(0,)))
 
 
+@pytest.mark.parametrize("seed", [3, 4])
+def test_expansion_on_shifted_grids_indexes_every_member(seed):
+    # level-0 domain cubes of random grids sit off the standard lattice; the
+    # members are indexed from the grids' integer shift tables
+    g1 = ShiftedGrid.random(1, -2, 5, seed=seed, trial=0)
+    g2 = ShiftedGrid.random(1, -2, 5, seed=seed, trial=1)
+    q1, q2 = g1.cube(0, (0,)), g2.cube(0, (0,))
+    rng = np.random.default_rng(seed)
+    f = StepFunction(level=5, lo=q1.lattice_corner(5) + q2.lattice_corner(5),
+                     values=rng.standard_normal((32, 32)))
+    e = expand(f, (q1, q2), 5)
+    g = reconstruct(e)
+    assert (g.level, g.lo) == (f.level, f.lo) and np.array_equal(g.values, f.values)
+    for p, (i1, i2) in enumerate(e.indices()):
+        assert (e._index_of(i1, 0), e._index_of(i2, 1)) == divmod(p, 32)
+        assert q1.contains(i1.cube) and q2.contains(i2.cube)
+        want = f.inner(_tensor(haar_function(i1), haar_function(i2)))
+        assert e.coefficient(i1, i2) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert p == 32 * 32 - 1
+    outside = HaarIndex(cube=g1.cube(1, (q1.descendant_index(1)[0] + 2,)), eta=(1,))
+    with pytest.raises(KeyError, match="outside the expansion domain"):
+        e.coefficient(outside, HaarIndex(cube=q2, eta=(0,)))
+    with pytest.raises(KeyError, match="not from the expansion's grid"):
+        e.coefficient(HaarIndex(cube=q2, eta=(1,)), HaarIndex(cube=q2, eta=(0,)))
+
+
 # ---------------------------------------------------------------------------
 # modified ancestor pattern
 # ---------------------------------------------------------------------------
