@@ -1,9 +1,9 @@
 """Numerical toolkit for bi-parameter square-function estimates.
 
-Random shifted dyadic grids, Haar systems with exact rational arithmetic,
-kernel-assumption checkers, Whitney-region quadrature for the weighted square
-function, Carleson packing tests, and the experiment drivers tying them
-together.
+Random shifted dyadic grids, Haar systems with exact expansions in
+integers, kernel-assumption checkers, Whitney-region quadrature for the
+weighted square function, Carleson packing tests, and the experiment drivers
+tying them together.
 """
 
 from .core import (

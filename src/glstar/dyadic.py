@@ -343,6 +343,14 @@ def schur_matrix(cubes: Sequence[DyadicCube], alpha: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _exact_gamma(gamma: Fraction | float) -> Fraction:
+    """gamma as the nearest fraction with denominator at most 1000: the one
+    rule by which goodness reads its exponent, so a float gamma (as `Params`
+    holds it) and its fraction decide alike.  A Fraction of such a
+    denominator is returned unchanged."""
+    return Fraction(gamma).limit_denominator(1000)
+
+
 def _root(gamma: Fraction, k: int) -> int:
     """floor(2^(k (1 - gamma))) exactly, for rational gamma = p/q: the largest
     integer th with th^q <= 2^(k (q - p)), by bisection inside [2^e, 2^(e+1)),
@@ -368,14 +376,14 @@ def _offset_cutoffs(level: int, j_min: int, j_max: int, r: int,
 
     A gap of g sides is within ell(I)^gamma ell(J)^(1-gamma) exactly when
     g <= 2^(k(1-gamma)), so c_k = floor(2^(k(1-gamma))), the integer root
-    `pi_good_exact` uses too.  gamma is read as the nearest fraction with
-    denominator at most 1000, as `run_averaging` reads it for its exact pi.
+    `pi_good_exact` uses too, with gamma read by `_exact_gamma` there as
+    here.
     """
     if not j_min <= level <= j_max:
         raise ValueError(
             "insufficient scale range: cube level lies outside the grid truncation"
         )
-    exact = Fraction(gamma).limit_denominator(1000)
+    exact = _exact_gamma(gamma)
     return tuple((level - j, _root(exact, level - j))
                  for j in range(j_min, level - r + 1))
 
@@ -419,7 +427,7 @@ def is_good(cube: DyadicCube, grid: ShiftedGrid, params: Params) -> bool:
     return not _bad_offsets([b - si for b, si in zip(cube.index, s)], cutoffs)
 
 
-def pi_good_exact(gamma: Fraction, r: int, octaves: int) -> Fraction:
+def pi_good_exact(gamma: Fraction | float, r: int, octaves: int) -> Fraction:
     """Exact probability that a cube is good, over iid uniform shift bits.
 
     The offset of the cube inside its k-generations-coarser ancestor, in units
@@ -428,6 +436,8 @@ def pi_good_exact(gamma: Fraction, r: int, octaves: int) -> Fraction:
     at scale k asks min(o_k, 2^k - 1 - o_k) > 2^(k(1-gamma)), an exact integer
     comparison once gamma is rational: o_k must lie in the window
     W_k = [th_k + 1, 2^k - 2 - th_k], th_k the integer floor of 2^(k(1-gamma)).
+    gamma is read as `is_good` reads it (`_exact_gamma`), so the float gamma
+    of `Params` gives the pi that `is_good` decides.
 
     With F_k the offsets in [0, 2^k) that pass every generation r..k, the
     count C(k, a, b) = |F_k intersect [a, b]| clips [a, b] to W_k and splits
@@ -439,7 +449,7 @@ def pi_good_exact(gamma: Fraction, r: int, octaves: int) -> Fraction:
     1,600 counts in all at depth 64, milliseconds of work, and the cost grows
     polynomially in the depth.
     """
-    gamma = Fraction(gamma)
+    gamma = _exact_gamma(gamma)
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
     if r < 1 or octaves < 0:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -243,8 +242,7 @@ def run_averaging(
 
     # exact good-cube probability per band level, at the level's depth in
     # the trial grids and with the exponent is_good uses on a 1-d grid
-    gamma = Fraction(params.gamma_n if params.n == 1 else params.gamma_m)
-    gamma = gamma.limit_denominator(1000)
+    gamma = params.gamma_n if params.n == 1 else params.gamma_m
     pi_exact = {lev: pi_good_exact(gamma, params.r, lev - j_min)
                 for lev in levels}
     starved = [lev for lev, pi in pi_exact.items() if pi == 0]
@@ -970,16 +968,6 @@ def _containing_cube(grid: ShiftedGrid, f: StepFunction, axis: int) -> DyadicCub
     raise ValueError("support does not fit inside the grid truncation")
 
 
-def _axis_members(expansion, slot: int) -> list[HaarIndex]:
-    seen: dict = {}
-    for i1, i2 in expansion.indices():
-        idx = (i1, i2)[slot]
-        key = (idx.cube.level, idx.cube.index, idx.eta)
-        if key not in seen:
-            seen[key] = idx
-    return list(seen.values())
-
-
 def _member_theta(factor: ConvolutionFactor, idx: HaarIndex, t: float,
                   u: np.ndarray) -> np.ndarray:
     """Response of one Haar member under the convolution factor at scale t."""
@@ -1072,11 +1060,10 @@ def run_cases(
     g2 = ShiftedGrid.random(1, -13, 6, grid_pair_seed, trial=1)
     q1 = _containing_cube(g1, f, 0)
     q2 = _containing_cube(g2, f, 1)
-    expansion = expand(f, (q1, q2), f.level)
-    members1 = _axis_members(expansion, 0)
-    members2 = _axis_members(expansion, 1)
-    coeff = np.array([[expansion.coefficient(m1, m2) for m2 in members2]
-                      for m1 in members1])
+    # the domain cubes' corners are lattice points at the grids' finest level
+    expansion = expand(f, (q1, q2), g1.j_max)
+    members1, members2 = expansion.members(0), expansion.members(1)
+    coeff = expansion.coefficients()
     keep1 = np.abs(coeff).sum(axis=1) > 0.0
     keep2 = np.abs(coeff).sum(axis=0) > 0.0
     members1 = [m for m, k in zip(members1, keep1) if k]

@@ -1,11 +1,13 @@
 """Haar systems, tensor-product expansions, modified ancestors.
 
-The expansion machinery runs in exact rational arithmetic.  The trick making
-that possible: the unnormalized Haar functions take values in {-1, 0, +1}, and
-wherever a normalization |I|^(-1/2) (irrational for odd levels) would appear,
-it does so squared -- reconstruction weights coefficients by 1/|I|, Parseval
-squares them.  Every quantity in the round trip is therefore a dyadic
-rational, and reconstruct(expand(f)) returns f bit for bit.
+The expansion machinery is exact, in integers over one power of two: every
+cell value of f is written as an integer times 2^-shift, and the transforms
+add, subtract and halve those integers.  The trick making that possible: the
+unnormalized Haar functions take values in {-1, 0, +1}, and wherever a
+normalization |I|^(-1/2) (irrational for odd levels) would appear, it does so
+squared -- reconstruction weights coefficients by 1/|I|, Parseval squares
+them.  Every quantity in the round trip is therefore a dyadic rational, and
+reconstruct(expand(f)) returns f bit for bit.
 
 Signatures eta in {0,1}^n label the tensor pattern per axis: eta_i = 1 puts
 the +/- split on axis i, eta_i = 0 leaves it flat.  The all-zero signature is
@@ -15,6 +17,7 @@ is what closes the basis on a bounded domain.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -88,70 +91,68 @@ def haar_function(idx: HaarIndex) -> StepFunction:
 # position 0 holds the scaling integral; position p >= 1 holds the coefficient
 # of the cube at level q + floor(log2 p), offset p - 2^(level - q).  The
 # coefficient convention is the pairing with the UNNORMALIZED pattern, i.e.
-# c = integral over left half - integral over right half.
+# c = integral over left half - integral over right half.  The transforms
+# run on object arrays of Python ints: sums and differences forward, halved
+# sums and differences back, every half exact because a + b and a - b share
+# their parity.
 
 
-def _fwt_axis(arr: list, cell: Fraction) -> list:
-    """In-place-style exact transform of one axis of cell integrals."""
-    vals = [v * cell for v in arr]
-    n = len(vals)
-    out = [Fraction(0)] * n
+def _forward(a: np.ndarray, axis: int) -> np.ndarray:
+    """Packed sums and differences of integer cell values along one axis."""
+    a = np.moveaxis(a, axis, 0)
+    out = np.empty_like(a)
+    n = a.shape[0]
     while n > 1:
-        half = n // 2
-        sums = [vals[2 * i] + vals[2 * i + 1] for i in range(half)]
-        diffs = [vals[2 * i] - vals[2 * i + 1] for i in range(half)]
-        out[half:n] = diffs
-        vals = sums
-        n = half
-    out[0] = vals[0]
-    return out
+        even, odd = a[0:n:2], a[1:n:2]
+        out[n // 2:n] = even - odd
+        a, n = even + odd, n // 2
+    out[0] = a[0]
+    return np.moveaxis(out, 0, axis)
 
 
-def _ifwt_axis(coeffs: list, cell: Fraction) -> list:
-    """Exact inverse of `_fwt_axis`."""
-    n = len(coeffs)
-    vals = [coeffs[0]]
-    size = 1
-    while size < n:
-        nxt = []
-        for i in range(size):
-            s, d = vals[i], coeffs[size + i]
-            nxt.append((s + d) / 2)
-            nxt.append((s - d) / 2)
-        vals = nxt
-        size *= 2
-    return [v / cell for v in vals]
-
-
-def _position_of(level: int, offset: int, top_level: int) -> int:
-    # packed slot of a cancellative member; slot 0 is reserved for scaling
-    return (1 << (level - top_level)) + offset
-
-
-def _level_offset(position: int, top_level: int) -> tuple[int, int]:
-    if position == 0:
-        return top_level, 0
-    d = position.bit_length() - 1
-    return top_level + d, position - (1 << d)
+def _inverse(t: np.ndarray, axis: int) -> np.ndarray:
+    """Exact inverse of `_forward`."""
+    t = np.moveaxis(t, axis, 0)
+    a = t[:1]
+    while len(a) < len(t):
+        d = t[len(a):2 * len(a)]
+        nxt = np.empty((2 * len(a),) + a.shape[1:], dtype=object)
+        nxt[0::2], nxt[1::2] = (a + d) // 2, (a - d) // 2
+        a = nxt
+    return np.moveaxis(a, 0, axis)
 
 
 @dataclass(frozen=True, eq=False)
 class HaarExpansion:
     """Exact tensor-product Haar coefficients of a step function on Q1 x Q2.
 
-    ``table[p1, p2]`` holds the pairing of f with the unnormalized pattern of
-    the member at packed position p1 along the first factor and p2 along the
-    second (position 0 being the top scaling member).  Normalized coefficients
-    and exact norms are derived views.
+    ``table[p1, p2] * 2**-shift`` is the pairing of f with the unnormalized
+    pattern of the member at packed position p1 along the first factor and
+    p2 along the second (position 0 being the top scaling member); the table
+    holds Python ints, so the pairing is exact at any magnitude.
+    ``members(factor)`` lists one factor's members in packed order.
+    Normalized coefficients and exact norms are derived views.
     """
 
     domain: tuple[DyadicCube, DyadicCube]
     level: int
-    table: np.ndarray  # dtype=object, Fractions
+    table: np.ndarray  # dtype=object, Python ints
+    shift: int
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.table.shape
+
+    def members(self, factor: int) -> list[HaarIndex]:
+        """The members along one factor, in packed-position order."""
+        top = self.domain[factor]
+        out = [HaarIndex(cube=top, eta=(0,) * top.dim)]
+        for level in range(top.level, self.level):
+            base, = top.descendant_index(level)
+            out += [HaarIndex(cube=top.grid.cube(level, (base + k,)),
+                              eta=(1,) * top.dim)
+                    for k in range(1 << (level - top.level))]
+        return out
 
     def _index_of(self, idx: HaarIndex, factor: int) -> int:
         top = self.domain[factor]
@@ -166,12 +167,14 @@ class HaarExpansion:
         offset = cube.index[0] - top.descendant_index(cube.level)[0]
         if not 0 <= offset < 1 << (cube.level - top.level):
             raise KeyError("cube lies outside the expansion domain")
-        return _position_of(cube.level, offset, top.level) if idx.cancellative \
+        # slot 0 is the scaling member's
+        return (1 << (cube.level - top.level)) + offset if idx.cancellative \
             else 0
 
     def raw_coefficient(self, idx1: HaarIndex, idx2: HaarIndex) -> Fraction:
         """Pairing with the unnormalized +/-1 tensor pattern, exact."""
-        return self.table[self._index_of(idx1, 0), self._index_of(idx2, 1)]
+        raw = self.table[self._index_of(idx1, 0), self._index_of(idx2, 1)]
+        return Fraction(raw, 1 << self.shift)
 
     def coefficient(self, idx1: HaarIndex, idx2: HaarIndex) -> float:
         """The L2-normalized coefficient <f, h_I x h_J>."""
@@ -179,35 +182,26 @@ class HaarExpansion:
         scale = (idx1.cube.measure() * idx2.cube.measure()) ** -0.5
         return float(raw) * scale
 
-    def indices(self) -> Iterator[tuple[HaarIndex, HaarIndex]]:
-        for p1 in range(self.shape[0]):
-            i1 = self._member(p1, 0)
-            for p2 in range(self.shape[1]):
-                yield i1, self._member(p2, 1)
+    def coefficients(self) -> np.ndarray:
+        """Every normalized coefficient, over members(0) x members(1); each
+        entry equals `coefficient` bit for bit (int / int is correctly
+        rounded, as the float of a Fraction is)."""
+        m1, m2 = ([i.cube.measure() for i in self.members(f)] for f in (0, 1))
+        scale = np.array([[(a * b) ** -0.5 for b in m2] for a in m1])
+        return (self.table / (1 << self.shift)).astype(float) * scale
 
-    def _member(self, position: int, factor: int) -> HaarIndex:
-        top = self.domain[factor]
-        level, offset = _level_offset(position, top.level)
-        base, = top.descendant_index(level)
-        cube = top.grid.cube(level, (base + offset,)) if position else top
-        eta = (1,) * top.dim if position else (0,) * top.dim
-        return HaarIndex(cube=cube, eta=eta)
+    def indices(self) -> Iterator[tuple[HaarIndex, HaarIndex]]:
+        return itertools.product(self.members(0), self.members(1))
 
     def norm_sq_fraction(self) -> Fraction:
         """Parseval sum, exact: each raw coefficient squared over |I| |J|."""
-        total = Fraction(0)
-        n1, n2 = self.shape
-        top1, top2 = self.domain
-        for p1 in range(n1):
-            l1, _ = _level_offset(p1, top1.level)
-            m1 = Fraction(2) ** -l1
-            for p2 in range(n2):
-                l2, _ = _level_offset(p2, top2.level)
-                m2 = Fraction(2) ** -l2
-                c = self.table[p1, p2]
-                if c:
-                    total += c * c / (m1 * m2)
-        return total
+        # 1 / |I| = 2^(level(I) - level(Q)) / |Q| on a 1-d factor
+        w1, w2 = (np.array([1 << (i.cube.level - q.level) for i in self.members(f)],
+                           dtype=object)
+                  for f, q in enumerate(self.domain))
+        total = int(w1 @ (self.table * self.table) @ w2)
+        exp = sum(q.level for q in self.domain) - 2 * self.shift
+        return Fraction(total << exp) if exp >= 0 else Fraction(total, 1 << -exp)
 
 
 def _check_domain_cube(cube: DyadicCube) -> None:
@@ -240,20 +234,20 @@ def expand(f: StepFunction, domain: tuple[DyadicCube, DyadicCube], level: int) -
     if not inside:
         raise ValueError("support leakage outside domain")
     padded = fr.padded((lo1, lo2), (n1, n2))
-    cell = Fraction(2) ** -level
-    rows = [_fwt_axis([Fraction(v) for v in row], cell) for row in padded.values]
-    cols = np.array(rows, dtype=object).T
-    table = np.array([_fwt_axis(list(col), cell) for col in cols], dtype=object).T
-    return HaarExpansion(domain=domain, level=level, table=table)
+    # cell values as integers over one power of two 2^-exp, exactly; the
+    # cell area 2^(-2 level) joins it in ``shift``, kept nonnegative
+    num, den = np.frompyfunc(float.as_integer_ratio, 1, 2)(padded.values)
+    exp = max(int(den.max()).bit_length() - 1, -2 * level)
+    table = _forward(_forward(num * ((1 << exp) // den), 0), 1)
+    return HaarExpansion(domain=domain, level=level, table=table,
+                         shift=exp + 2 * level)
 
 
 def reconstruct(e: HaarExpansion) -> StepFunction:
     """Inverse of `expand`, exact: returns the step function bit for bit."""
-    cell = Fraction(2) ** -e.level
-    cols = [_ifwt_axis(list(col), cell) for col in e.table.T]
-    rows = np.array(cols, dtype=object).T
-    values = np.array([[float(v) for v in _ifwt_axis(list(row), cell)]
-                       for row in rows])
+    cells = _inverse(_inverse(e.table, 0), 1)
+    # each value is a float exactly, and int / int is correctly rounded
+    values = (cells / (1 << (e.shift - 2 * e.level))).astype(float)
     q1, q2 = e.domain
     return StepFunction(level=e.level,
                         lo=q1.lattice_corner(e.level) + q2.lattice_corner(e.level),

@@ -537,6 +537,19 @@ def test_pi_good_exact_is_polynomial_in_depth():
     assert deeper.denominator <= 2 ** 128
 
 
+def test_pi_good_exact_reads_a_float_gamma_as_goodness_does():
+    # Params holds gamma as a float; read as its exact binary fraction (the
+    # float 1/6 has denominator 2^55) the integer root would need
+    # 1 << (k (q - p)), so it is read by the nearest-fraction rule is_good uses
+    gamma = default_params().gamma_n
+    assert gamma == 1 / 6
+    for r, depth in [(8, 8), (10, 12), (11, 12), (10, 21), (10, 64)]:
+        t0 = time.perf_counter()
+        assert pi_good_exact(gamma, r, depth) == pi_good_exact(Fraction(1, 6), r, depth)
+        assert time.perf_counter() - t0 < 1.0
+    assert pi_good_exact(0.25, 4, 12) == pi_good_exact(Fraction(1, 4), 4, 12)
+
+
 def test_default_shift_radius_matches_frozen_constant():
     assert default_shift_radius() == DEFAULT_SHIFT_RADIUS == 10
 

@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from glstar import dyadic, experiments
-from glstar.core import default_params
+from glstar.core import QuadratureSpec, default_params
 from glstar.dyadic import ShiftedGrid, is_good, pi_good_exact
 from glstar.experiments import (
     run_averaging,
     run_boundratio,
     run_carleson,
+    run_cases,
     run_kdecay,
     run_lemma32,
     run_schur,
@@ -153,3 +154,17 @@ def test_carleson_at_defaults():
     assert rep.passed and rep.summary["pattern_ok"]
     assert len(rep.records) == 3 * 4 + 1
     assert rep.summary["unit_square_law_rel_err"] < 0.05
+
+
+def test_cases_smoke():
+    # r = 20 exceeds every depth of the (-13, 6) grids, so goodness is
+    # vacuous and every region interval is kept: this pins the expansion at
+    # the grids' finest level and the case split's mechanics, not goodness
+    rep = run_cases(default_params(r=20), whitney_levels=(0, 1), pad=0.5,
+                    spec=QuadratureSpec(points_per_cell=2, t_points_per_octave=2))
+    assert rep.passed
+    assert rep.summary["identity_ok"] and rep.summary["counts_reconcile"]
+    assert rep.summary["good_regions"] == (8, 8)
+    assert rep.summary["tag_counts"] == {"separated": 3, "nested": 0,
+                                         "adjacent": 44}
+    assert rep.summary["norm_sq"] == pytest.approx(1.0, rel=1e-12)

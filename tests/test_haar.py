@@ -187,6 +187,79 @@ def test_expansion_on_shifted_grids_indexes_every_member(seed):
         e.coefficient(HaarIndex(cube=q2, eta=(1,)), HaarIndex(cube=q2, eta=(0,)))
 
 
+def _fraction_table(f: StepFunction, domain, level: int) -> np.ndarray:
+    """Oracle: the raw coefficient table by the list transform in Fractions,
+    one axis at a time, each cell integral taken as value * 2^-level per
+    axis."""
+    def fwt(arr):
+        vals = [v / 2 ** level for v in arr]
+        out = [Fraction(0)] * len(vals)
+        n = len(vals)
+        while n > 1:
+            half = n // 2
+            out[half:n] = [vals[2 * i] - vals[2 * i + 1] for i in range(half)]
+            vals = [vals[2 * i] + vals[2 * i + 1] for i in range(half)]
+            n = half
+        out[0] = vals[0]
+        return out
+
+    q1, q2 = domain
+    n1, n2 = 2 ** (level - q1.level), 2 ** (level - q2.level)
+    g = f.refined(level).padded(q1.lattice_corner(level) + q2.lattice_corner(level),
+                                (n1, n2))
+    rows = np.array([fwt([Fraction(v) for v in row]) for row in g.values],
+                    dtype=object)
+    return np.array([fwt(list(col)) for col in rows.T], dtype=object).T
+
+
+def _wild_values(rng, shape) -> np.ndarray:
+    # huge, subnormal, negative and exactly zero cells in one function
+    vals = rng.choice([1e300, -1e300, 5e-324, -2.5e-310, 0.75, -3.0, 0.0], shape)
+    vals *= rng.uniform(0.5, 1.0, shape)
+    vals[1, :] = 0.0  # a zero row
+    return vals
+
+
+def _wild_cases():
+    yield "standard", Q, Q
+    for seed in (3, 8):
+        g1 = ShiftedGrid.random(1, -2, 5, seed=seed, trial=0)
+        g2 = ShiftedGrid.random(1, -2, 5, seed=seed, trial=1)
+        yield f"shifted{seed}", g1.cube(0, (0,)), g2.cube(-1, (0,))
+
+
+@pytest.mark.parametrize("case", list(_wild_cases()), ids=lambda c: c[0])
+def test_integer_table_matches_the_fraction_transform(case):
+    _, q1, q2 = case
+    level = 5  # the random grids' finest level: their corners are lattice points
+    n1, n2 = 2 ** (level - q1.level), 2 ** (level - q2.level)
+    rng = np.random.default_rng(n1 + n2)
+    f = StepFunction(level=level,
+                     lo=q1.lattice_corner(level) + q2.lattice_corner(level),
+                     values=_wild_values(rng, (n1, n2)))
+    e = expand(f, (q1, q2), level)
+    oracle = _fraction_table(f, (q1, q2), level)
+    members1, members2 = e.members(0), e.members(1)
+    for p1, i1 in enumerate(members1):
+        for p2, i2 in enumerate(members2):
+            assert e.raw_coefficient(i1, i2) == oracle[p1, p2]
+    # the round trip is bit-exact at these magnitudes
+    g = reconstruct(e)
+    assert (g.level, g.lo) == (f.level, f.lo)
+    assert np.array_equal(g.values, f.values)
+    # Parseval, exact: the sum of squared cell values times the cell area
+    exact = sum(Fraction(v) ** 2 for v in f.values.ravel()) / 4 ** level
+    assert e.norm_sq_fraction() == exact
+    # the matrix view equals the per-pair coefficient bit for bit
+    coeff = e.coefficients()
+    assert coeff.shape == (n1, n2) and coeff.dtype == float
+    for p1, i1 in enumerate(members1):
+        for p2, i2 in enumerate(members2):
+            assert coeff[p1, p2] == e.coefficient(i1, i2)
+    # the per-axis lists reproduce indices() in its order
+    assert list(e.indices()) == [(i1, i2) for i1 in members1 for i2 in members2]
+
+
 # ---------------------------------------------------------------------------
 # modified ancestor pattern
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Static name checks on every glstar module.
 
 Every global name a module reads exists; every name a module's __all__
-exports exists; every name a module-level import binds is read; no module
-imports another module's private names; no module silences warnings."""
+exports exists; every script pyproject.toml declares resolves; every name a
+module-level import binds is read; no module imports another module's
+private names; no module silences warnings."""
 
 import ast
 import builtins
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import symtable
 
@@ -53,6 +55,24 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = sorted(n for n in module.__all__ if not hasattr(module, n))
     assert missing == []
+
+
+def test_every_declared_script_resolves():
+    # an install writes one launcher per [project.scripts] entry; a target
+    # that does not resolve makes a launcher that fails on start
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"].get("scripts", {})
+    broken = []
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        try:
+            obj = importlib.import_module(module)
+            for part in attr.split("."):
+                obj = getattr(obj, part)
+        except (ImportError, AttributeError):
+            broken.append(f"{name} = {target}")
+    assert broken == []
 
 
 @pytest.mark.parametrize("name", MODULES)
