@@ -30,6 +30,14 @@ min(o_k, 2^k - 1 - o_k) ell(I) on the nearest axis.  Only the containing
 ancestor matters: every other cube of the same level lies outside it, so it
 is no closer to I than its boundary.
 
+Both are array programs.  `shift_tables` stacks the integer tables of many
+random grids (trials) into one array without building a grid, by the same
+rule each `ShiftedGrid` builds its own: int64 below 62 levels of depth,
+Python ints in object arrays past that.  `is_good_offset` decides goodness
+for whole arrays of offsets b - S at once, and `is_good` is its one-cube
+call, so a sweep over trials or over a level's cubes tests one column of
+offsets per call instead of one cube.
+
 All metric quantities use the sup norm.
 """
 
@@ -52,11 +60,13 @@ __all__ = [
     "default_shift_radius",
     "estimate_pi_good",
     "is_good",
+    "is_good_offset",
     "long_distance",
     "pi_good_exact",
     "schur_coeff",
     "schur_matrix",
     "set_distance",
+    "shift_tables",
     "strong_maximal_dyadic",
     "trial_stream",
 ]
@@ -64,7 +74,7 @@ __all__ = [
 # Coarser scales available above a tested cube under the default truncation.
 DEFAULT_OCTAVES = 12
 
-# Trials whose shift bits estimate_pi_good holds at once (about 1.5 MB of
+# Trials whose shift tables estimate_pi_good holds at once (about 1.5 MB of
 # int64 at depth 21 in 2-D).
 _TRIAL_BLOCK = 4096
 
@@ -81,6 +91,38 @@ def trial_stream(seed: int, trial: int = 0) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # grids and cubes
 # ---------------------------------------------------------------------------
+
+
+def _shift_bits(dim: int, j_min: int, j_max: int, seed: int, trial: int) -> np.ndarray:
+    """The shift bits of ``ShiftedGrid.random(dim, j_min, j_max, seed, trial)``."""
+    return trial_stream(seed, trial).integers(0, 2, size=(j_max - j_min + 1, dim))
+
+
+def _offset_table(bits: np.ndarray) -> np.ndarray:
+    """Integer shift tables of bit stacks (..., levels, dim): row r of the
+    result holds sum over bit rows i >= r of bits_i 2^(levels - 1 - i), the
+    last row zero.  int64 below 62 levels of depth, Python ints in an object
+    array past that, so every entry is exact."""
+    rows = bits.shape[-2]
+    dtype = np.int64 if rows - 1 < 62 else object
+    weights = np.array([1 << up for up in range(rows - 1, -1, -1)], dtype=dtype)
+    weighted = bits.astype(dtype) * weights[:, None]
+    table = np.zeros(bits.shape[:-2] + (rows + 1, bits.shape[-1]), dtype=dtype)
+    table[..., :-1, :] = np.cumsum(weighted[..., ::-1, :], axis=-2)[..., ::-1, :]
+    return table
+
+
+def shift_tables(dim: int, j_min: int, j_max: int, seed: int,
+                 trials: Sequence[int]) -> np.ndarray:
+    """The integer shift tables of ``ShiftedGrid.random(dim, j_min, j_max,
+    seed, t)`` for every t in ``trials``, stacked: entry [i, r] is
+    ``offset(j_min + r - 1)`` of trial ``trials[i]``, so row 1 is level
+    j_min's shift and the last row level j_max's.  No grid is built; int64
+    below 62 levels of depth, Python ints in an object array past that."""
+    bits = np.empty((len(trials), j_max - j_min + 1, dim), dtype=np.int64)
+    for row, t in enumerate(trials):
+        bits[row] = _shift_bits(dim, j_min, j_max, seed, t)
+    return _offset_table(bits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,15 +158,10 @@ class ShiftedGrid:
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "bits", b)
-        # Accumulated shifts per level in units of 2^-j_max, built finest
-        # first: row r holds the shift of level j_min + r - 1, row 0 the
-        # shift seen below j_min, the last row level j_max's (zero).
-        acc = [0] * self.dim
-        rows = [tuple(acc)]
-        for up, row in enumerate(b[::-1].tolist()):
-            acc = [a + (bit << up) for a, bit in zip(acc, row)]
-            rows.append(tuple(acc))
-        offsets = tuple(rows[::-1])
+        # Accumulated shifts per level in units of 2^-j_max: row r holds the
+        # shift of level j_min + r - 1, row 0 the shift seen below j_min, the
+        # last row level j_max's (zero).
+        offsets = tuple(map(tuple, _offset_table(b).tolist()))
         object.__setattr__(self, "_offsets", offsets)
         # The float view: exact while a row has at most 53 significant bits,
         # i.e. up to 53 levels of depth; correctly rounded past that.
@@ -139,8 +176,7 @@ class ShiftedGrid:
 
     @classmethod
     def random(cls, dim: int, j_min: int, j_max: int, seed: int, trial: int = 0) -> "ShiftedGrid":
-        rng = trial_stream(seed, trial)
-        bits = rng.integers(0, 2, size=(j_max - j_min + 1, dim))
+        bits = _shift_bits(dim, j_min, j_max, seed, trial)
         return cls(dim=dim, j_min=j_min, j_max=j_max, bits=bits, seed=seed)
 
     def levels(self) -> range:
@@ -367,6 +403,13 @@ def _root(gamma: Fraction, k: int) -> int:
     return lo
 
 
+def _check_truncation(level: int, j_min: int, j_max: int) -> None:
+    if not j_min <= level <= j_max:
+        raise ValueError(
+            "insufficient scale range: cube level lies outside the grid truncation"
+        )
+
+
 @functools.lru_cache(maxsize=256)
 def _offset_cutoffs(level: int, j_min: int, j_max: int, r: int,
                     gamma: float) -> tuple[tuple[int, int], ...]:
@@ -379,10 +422,7 @@ def _offset_cutoffs(level: int, j_min: int, j_max: int, r: int,
     `pi_good_exact` uses too, with gamma read by `_exact_gamma` there as
     here.
     """
-    if not j_min <= level <= j_max:
-        raise ValueError(
-            "insufficient scale range: cube level lies outside the grid truncation"
-        )
+    _check_truncation(level, j_min, j_max)
     exact = _exact_gamma(gamma)
     return tuple((level - j, _root(exact, level - j))
                  for j in range(j_min, level - r + 1))
@@ -402,8 +442,21 @@ def _bad_offsets(offsets, cutoffs):
     return bad
 
 
-def _gamma(dim: int, params: Params) -> float:
-    return params.gamma_n if dim == params.n else params.gamma_m
+def is_good_offset(level: int, offsets, j_min: int, j_max: int, params: Params):
+    """Goodness of level-``level`` cubes of grids truncated at [j_min, j_max],
+    from their offsets b - S, one per axis (Python integers or integer
+    arrays, which broadcast): b the cube's index and S =
+    ``descendant_offset(j_min, level)`` of its grid (see the module
+    docstring).  Returns a boolean array of the offsets' broadcast shape.
+
+    The exponent is gamma_n when the grid dimension (the number of offsets)
+    is params.n and gamma_m otherwise.  If the truncation admits no
+    qualifying generation every cube is good vacuously.
+    """
+    gamma = params.gamma_n if len(offsets) == params.n else params.gamma_m
+    cutoffs = _offset_cutoffs(level, j_min, j_max, params.r, gamma)
+    bad = _bad_offsets(offsets, cutoffs)
+    return ~np.broadcast_to(bad, np.broadcast(*offsets).shape)
 
 
 def is_good(cube: DyadicCube, grid: ShiftedGrid, params: Params) -> bool:
@@ -414,17 +467,16 @@ def is_good(cube: DyadicCube, grid: ShiftedGrid, params: Params) -> bool:
     docstring): per qualifying generation k the containing ancestor's
     boundary is at min(o_k, 2^k - 1 - o_k) sides of I on the nearest axis,
     and no other cube of that level comes closer, each lying outside the
-    ancestor.  About (qualifying generations) * dim integer operations per
-    call.  If the truncation admits no qualifying level at all the cube is
-    good vacuously; experiments report their truncation so this regime stays
-    visible.
+    ancestor.  A one-cube call of `is_good_offset`.  If the truncation admits
+    no qualifying level at all the cube is good vacuously; experiments
+    report their truncation so this regime stays visible.
     """
     if cube.grid is not grid:
         raise ValueError("cube does not belong to the given grid")
-    cutoffs = _offset_cutoffs(cube.level, grid.j_min, grid.j_max, params.r,
-                              _gamma(grid.dim, params))
+    _check_truncation(cube.level, grid.j_min, grid.j_max)
     s = grid.descendant_offset(grid.j_min, cube.level)
-    return not _bad_offsets([b - si for b, si in zip(cube.index, s)], cutoffs)
+    return bool(is_good_offset(cube.level, [b - si for b, si in zip(cube.index, s)],
+                               grid.j_min, grid.j_max, params))
 
 
 def pi_good_exact(gamma: Fraction | float, r: int, octaves: int) -> Fraction:
@@ -514,30 +566,20 @@ def estimate_pi_good(
     suite checks by varying ``base_index``.
 
     Trial t tests the cube of ``ShiftedGrid.random(dim, j_min, level_of_i,
-    seed, t)``, with the verdict of `is_good`, but from its shift bits alone:
-    no grid is built, and the offset test runs on blocks of trials at once.
+    seed, t)`` with `is_good_offset`, on blocks of trials at once: S is row
+    1 of each trial's table from `shift_tables` (j_max is the cube's level),
+    and no grid is built.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for the normal approximation")
-    cutoffs = _offset_cutoffs(level_of_i, j_min, level_of_i, params.r,
-                              _gamma(dim, params))
-    depth = level_of_i - j_min
-    # offsets only matter mod 2^depth; past int64 the arithmetic goes to
-    # Python integers in object arrays
-    base = base_index % (1 << depth)
-    dtype = np.int64 if depth < 62 else object
+    # offsets only matter mod 2^depth, which keeps them in the table's dtype
+    base = base_index % (1 << (level_of_i - j_min))
     hits = 0
     for start in range(0, trials, _TRIAL_BLOCK):
         block = range(start, min(start + _TRIAL_BLOCK, trials))
-        bits = np.empty((len(block), depth + 1, dim), dtype=dtype)
-        for row, t in enumerate(block):
-            # the draw of ShiftedGrid.random(dim, j_min, level_of_i, seed, t)
-            bits[row] = trial_stream(seed, t).integers(0, 2, size=(depth + 1, dim))
-        s = np.zeros((len(block), dim), dtype=dtype)
-        for i in range(1, depth + 1):
-            s = 2 * s + bits[:, i]
-        bad = _bad_offsets((base - s).T, cutoffs)
-        hits += len(block) - int(np.count_nonzero(bad))
+        s = shift_tables(dim, j_min, level_of_i, seed, block)[:, 1]
+        good = is_good_offset(level_of_i, (base - s).T, j_min, level_of_i, params)
+        hits += int(np.count_nonzero(good))
     est = hits / trials
     if hits == 0 or hits == trials:
         half = 3.0 / trials
@@ -563,6 +605,13 @@ def strong_maximal_dyadic(
     true maximal function is positive far outside supp f, the result is only
     represented on ``out_box`` (default: the support box of f); rectangles are
     still allowed to extend past the box, f being zero there.
+
+    For each level pair the rectangle sums are read from one prefix table of
+    f, once per distinct rectangle meeting the box (the distinct cubes of
+    each axis, from the grid's integer offsets), divided by the area, spread
+    to the output cells by one index gather per axis and folded in with
+    `np.maximum`, level pairs in order -- the same entries and operations
+    per cell as summing each cell's rectangle on its own.
     """
     g1, g2 = gridpair
     if g1.dim + g2.dim != f.dim:
@@ -592,27 +641,36 @@ def strong_maximal_dyadic(
     pref = np.zeros((fr.shape[0] + 1, fr.shape[1] + 1))
     pref[1:, 1:] = np.cumsum(np.cumsum(fr.values, axis=0), axis=1)
 
-    def box_sum(alo, ahi, blo, bhi):
-        # clip absolute cell ranges to f's box, then read the prefix table
-        alo = np.clip(alo - fr.lo[0], 0, fr.shape[0])
-        ahi = np.clip(ahi - fr.lo[0], 0, fr.shape[0])
-        blo = np.clip(blo - fr.lo[1], 0, fr.shape[1])
-        bhi = np.clip(bhi - fr.lo[1], 0, fr.shape[1])
-        return (pref[np.ix_(ahi, bhi)] - pref[np.ix_(alo, bhi)]
-                - pref[np.ix_(ahi, blo)] + pref[np.ix_(alo, blo)])
+    def blocks(grid: ShiftedGrid, axis: int):
+        # per level of the grid: its cubes' side in cells, the prefix rows
+        # (clipped to f's box) bounding each distinct cube that meets the
+        # output cells, and each output cell's cube in that list
+        lo, n, edge = lo_idx[axis], shape[axis], fr.shape[axis]
+        rows = []
+        for j in grid.levels():
+            side = 1 << (level - j)
+            off = grid.offset(j)[0] << (level - grid.j_max)
+            first = (lo - off) // side * side + off  # corner of cell lo's cube
+            which = (np.arange(n) + (lo - first)) // side
+            starts = first - fr.lo[axis] + side * np.arange(which[-1] + 1)
+            rows.append((side, np.clip(starts, 0, edge),
+                         np.clip(starts + side, 0, edge), which))
+        return rows
 
-    cells_a = np.arange(lo_idx[0], lo_idx[0] + shape[0])
-    cells_b = np.arange(lo_idx[1], lo_idx[1] + shape[1])
     out = np.zeros(shape)
-    for ja in g1.levels():
-        sa = 2 ** (level - ja)
-        # grid-1 shift at level ja, in cells of the working lattice
-        off_a = g1.offset(ja)[0] << (level - g1.j_max)
-        ra_lo = ((cells_a - off_a) // sa) * sa + off_a
-        for jb in g2.levels():
-            sb = 2 ** (level - jb)
-            off_b = g2.offset(jb)[0] << (level - g2.j_max)
-            rb_lo = ((cells_b - off_b) // sb) * sb + off_b
-            sums = box_sum(ra_lo, ra_lo + sa, rb_lo, rb_lo + sb)
-            np.maximum(out, sums / (sa * sb), out=out)
+    blocks_b = blocks(g2, 1)
+    for sa, alo, ahi, wa in blocks(g1, 0):
+        top, bottom = pref.take(ahi, axis=0), pref.take(alo, axis=0)
+        for sb, blo, bhi, wb in blocks_b:
+            # P[hi, hi] - P[lo, hi] - P[hi, lo] + P[lo, lo], left to right
+            sums = top.take(bhi, axis=1)
+            sums -= bottom.take(bhi, axis=1)
+            sums -= top.take(blo, axis=1)
+            sums += bottom.take(blo, axis=1)
+            sums /= sa * sb
+            if sb > 1:  # side-1 cubes are the output cells themselves
+                sums = sums.take(wb, axis=1)
+            if sa > 1:
+                sums = sums.take(wa, axis=0)
+            np.maximum(out, sums, out=out)
     return StepFunction(level=level, lo=lo_idx, values=out, tail=0.0)

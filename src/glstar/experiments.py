@@ -33,10 +33,11 @@ from .core import (
 from .dyadic import (
     DyadicCube,
     ShiftedGrid,
-    is_good,
+    is_good_offset,
     pi_good_exact,
     schur_coeff,
     schur_matrix,
+    shift_tables,
 )
 from .gstar import gstar_sq_norm, k_quantity, q_quantity
 from .haar import HaarIndex, expand
@@ -176,21 +177,24 @@ class NamedIntegrand:
         return math.log(b / a) if b > a else 0.0
 
 
-def _interval_integral(f: StepFunction, cube: DyadicCube) -> float:
-    """Exact integral of the 1-d step function over a grid interval."""
-    unit = max(f.level, cube.grid.j_max)
-    a, = cube.lattice_corner(unit)
-    b = a + (1 << (unit - cube.level))
+def _interval_integral(f: StepFunction, a, b, unit: int) -> np.ndarray:
+    """Exact integrals of the 1-d step function over the intervals [a, b),
+    their ends integer arrays in units of 2^-unit, unit >= f.level.  Each
+    interval's cell pieces are summed exactly: a lone nonzero piece is its
+    own sum, and several go through `math.fsum`."""
     cell = 1 << (unit - f.level)
     parts = []
-    for i, v in enumerate(f.values):
+    for i, v in enumerate(f.values.tolist()):
         if v == 0.0:
             continue
         lo = (f.lo[0] + i) * cell
-        w = min(b, lo + cell) - max(a, lo)
-        if w > 0:
-            parts.append(math.ldexp(w, -unit) * float(v))
-    return math.fsum(parts)
+        w = np.minimum(b, lo + cell) - np.maximum(a, lo)
+        parts.append(np.where(w > 0, np.ldexp(w.astype(float), -unit) * v, 0.0))
+    parts = np.array(parts).reshape(len(parts), len(a))
+    total = parts.sum(axis=0)  # exact where at most one piece is nonzero
+    shared = np.count_nonzero(parts, axis=0) > 1
+    total[shared] = [math.fsum(col) for col in parts[:, shared].T.tolist()]
+    return total
 
 
 def _band_levels(integrand: NamedIntegrand) -> list[int]:
@@ -228,6 +232,16 @@ def run_averaging(
     CI, which is the Monte-Carlo half-width alone.  When pi is zero at some
     band level no cube is ever good there and the run is refused before any
     shift is drawn.
+
+    No grid or cube is built: every trial's shift table comes from one
+    `shift_tables` call, and each band level is swept one index column at a
+    time across all trials -- column c holds each trial's c-th cube meeting
+    the support, its corners read from the integer table, its weight an
+    exact integral (`_interval_integral`), its goodness one
+    `is_good_offset` call for the whole column.  The good sums accumulate in
+    the (level, index) order of a per-trial loop and the partition sums go
+    through `math.fsum`, so every trial's numbers are those of building its
+    grid and testing its cubes one by one.
     """
     t0 = time.perf_counter()
     integrand = integrand or NamedIntegrand.unit_box()
@@ -253,28 +267,41 @@ def run_averaging(
             f"{starved[0] - j_min}), so the averaged sum cannot be "
             "normalized; raise r or lower the truncation depth")
 
-    support, = integrand.x_part.box  # lattice points, exact as floats
+    # every position in units of 2^-unit: the support [lo, hi) and each band
+    # level's cube corners k 2^(unit - lev) + shift, all integers
+    f = integrand.x_part
+    unit = max(f.level, j_max)
+    cell = 1 << (unit - f.level)
+    lo, hi = f.lo[0] * cell, (f.lo[0] + f.shape[0]) * cell
+    table = shift_tables(1, j_min, j_max, seed, range(trials))[..., 0]
+    # every intermediate below lies within this bound; past int64 the
+    # arithmetic goes to Python integers in object arrays
+    if (max(abs(lo), abs(hi)) + (1 << (unit - j_min + 2))).bit_length() > 62:
+        table = table.astype(object)
 
-    def one_trial(trial: int) -> tuple[float, float]:
-        grid = ShiftedGrid.random(1, j_min, j_max, seed, trial=trial)
-        full = []
-        good = 0.0
-        for lev in levels:
-            blog = integrand.band_log(2.0 ** -(lev + 1), 2.0 ** -lev)
-            inv_pi = 1.0 / pi_exact[lev]
-            for cube in grid.cubes_overlapping(lev, [support]):
-                w = _interval_integral(integrand.x_part, cube) * blog
-                full.append(w)
-                if w != 0.0 and is_good(cube, grid, params):
-                    good += w * inv_pi
-        det = math.fsum(full)
-        rel = abs(det - closed) / abs(closed) if closed else abs(det)
-        return rel, good
+    full = []  # each trial's region integrals, one array per (level, column)
+    sums = np.zeros(trials)
+    for lev in levels:
+        blog = integrand.band_log(2.0 ** -(lev + 1), 2.0 ** -lev)
+        inv_pi = 1.0 / pi_exact[lev]
+        side = 1 << (unit - lev)
+        shift = table[:, lev - j_min + 1]
+        corner = shift << (unit - j_max)
+        k_lo = (lo - corner) // side
+        k_hi = -((corner - hi) // side)
+        s = (table[:, 1] - shift) >> (j_max - lev)
+        # column c holds each trial's cube k_lo + c; past a trial's last
+        # overlapping cube the interval misses the support and weighs 0
+        for c in range(int((k_hi - k_lo).max())):
+            k = k_lo + c
+            a = k * side + corner
+            w = _interval_integral(f, a, a + side, unit) * blog
+            full.append(w)
+            good = (w != 0.0) & is_good_offset(lev, [k - s], j_min, j_max, params)
+            np.add(sums, w * inv_pi, out=sums, where=good)
+    det = np.array([math.fsum(ws) for ws in np.array(full).T.tolist()])
+    rels = np.abs(det - closed) / abs(closed) if closed else np.abs(det)
 
-    results = [one_trial(t) for t in range(trials)]
-
-    rels = np.array([r for r, _ in results])
-    sums = np.array([s for _, s in results])
     estimate = float(np.mean(sums))
     sd = float(np.std(sums, ddof=1)) if trials > 1 else 0.0
     ci95 = 1.96 * sd / math.sqrt(trials)
@@ -1078,8 +1105,12 @@ def run_cases(
         out = {}
         lo_lev, hi_lev = whitney_levels
         for lev in range(lo_lev, hi_lev + 1):
-            for cube in grid.cubes_overlapping(lev, [(-pad, 1.0 + pad)]):
-                if is_good(cube, grid, params):
+            cubes = list(grid.cubes_overlapping(lev, [(-pad, 1.0 + pad)]))
+            s, = grid.descendant_offset(grid.j_min, lev)
+            good = is_good_offset(lev, [np.array([c.index[0] - s for c in cubes])],
+                                  grid.j_min, grid.j_max, params)
+            for cube, ok in zip(cubes, good):
+                if ok:
                     out[cube] = _whitney_gram(fac, members, cube, lam, spec)
         return out
 

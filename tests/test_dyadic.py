@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -16,11 +17,13 @@ from glstar.dyadic import (
     default_shift_radius,
     estimate_pi_good,
     is_good,
+    is_good_offset,
     long_distance,
     pi_good_exact,
     schur_coeff,
     schur_matrix,
     set_distance,
+    shift_tables,
     strong_maximal_dyadic,
     trial_stream,
 )
@@ -422,6 +425,58 @@ def test_is_good_matches_the_geometric_scan(dim):
     assert 50 <= sum(verdicts) <= 1950  # both verdicts represented
 
 
+@pytest.mark.parametrize("dim, j_min, j_max", [(1, -4, 14), (2, -2, 9), (1, 0, 70), (2, -3, 64)])
+def test_is_good_offset_is_is_good_cube_by_cube(dim, j_min, j_max):
+    # one array call per level against one is_good call per cube, at depths
+    # inside int64 and past it (object arrays of Python integers); n = 2
+    # takes gamma_n on the 2-d grids and gamma_m = 1/7 on the 1-d ones
+    configs = [default_params(r=2), default_params(r=5),
+               default_params(r=3, n=2, alpha=1.0, beta=0.4)]
+    pick = random.Random(17 + dim + j_max)
+    verdicts = []
+    for trial, params in enumerate(configs):
+        grid = ShiftedGrid.random(dim, j_min, j_max, seed=61, trial=trial)
+        for level in grid.levels():
+            span = 1 << (level - j_min + 1)
+            cubes = [grid.cube(level, [pick.randrange(-span, span) for _ in range(dim)])
+                     for _ in range(24)]
+            s = grid.descendant_offset(j_min, level)
+            dtype = np.int64 if j_max - j_min < 62 else object
+            offsets = [np.array([c.index[d] - s[d] for c in cubes], dtype=dtype)
+                       for d in range(dim)]
+            good = is_good_offset(level, offsets, j_min, j_max, params)
+            expected = [is_good(c, grid, params) for c in cubes]
+            assert good.shape == (len(cubes),) and good.tolist() == expected
+            verdicts += expected
+    assert 0 < sum(verdicts) < len(verdicts)  # both verdicts represented
+
+
+def test_is_good_offset_keeps_the_shape_of_vacuous_goodness():
+    # no qualifying generation: every offset is good, in the offsets' shape
+    params = default_params(r=10)
+    good = is_good_offset(4, [np.arange(6).reshape(2, 3)], 0, 8, params)
+    assert good.shape == (2, 3) and good.all()
+    assert is_good_offset(4, [5, -3], 0, 8, params).shape == ()
+    with pytest.raises(ValueError, match="insufficient scale range"):
+        is_good_offset(9, [np.arange(3)], 0, 8, params)
+
+
+@pytest.mark.parametrize("dim, j_min, j_max", [
+    (1, -6, 9), (2, -3, 12), (1, 0, 61), (1, 0, 62), (2, -10, 60), (1, -20, 64)])
+def test_shift_tables_rows_are_the_random_grids_offsets(dim, j_min, j_max):
+    trials = [0, 3, 4, 11]
+    table = shift_tables(dim, j_min, j_max, seed=19, trials=trials)
+    assert table.shape == (len(trials), j_max - j_min + 2, dim)
+    assert table.dtype == (np.int64 if j_max - j_min < 62 else object)
+    for row, t in zip(table, trials):
+        grid = ShiftedGrid.random(dim, j_min, j_max, seed=19, trial=t)
+        for level in range(j_min - 1, j_max + 1):
+            offset = tuple(row[level - j_min + 1].tolist())
+            assert offset == grid.offset(level)
+            assert tuple(o * Fraction(2) ** -j_max for o in offset) == \
+                _shift_fraction(grid, level)
+
+
 @pytest.mark.parametrize("params, level, k, root", [
     (default_params(r=12), 17, 12, 1024),  # gamma = 1/6; float floor 1023
     (default_params(r=14, n=2, m=1, alpha=1.0, beta=0.4), 20, 14, 4096),  # 1/7; 4095
@@ -674,3 +729,63 @@ def test_maximal_respects_shifted_rectangles():
     f = _unit_square_indicator()
     m = strong_maximal_dyadic(f, (g1, g2), out_box=[(-0.25, 0.0), (0.0, 1.0)])
     assert np.all(m.values == 0.5)
+
+
+def _old_sweep(f, gridpair, out_box=None):
+    """The maximal sweep as it read every cell's rectangle for every level
+    pair: four prefix gathers over the whole output box per pair."""
+    g1, g2 = gridpair
+    level = max(f.level, g1.j_max, g2.j_max)
+    fr = f.refined(level)
+    if out_box is None:
+        lo_idx, shape = fr.lo, fr.shape
+    else:
+        scale = 2.0 ** level
+        lo_idx = tuple(int(math.floor(lo * scale)) for lo, _ in out_box)
+        shape = tuple(max(int(math.ceil(hi * scale)) - a, 1)
+                      for a, (_, hi) in zip(lo_idx, out_box))
+    pref = np.zeros((fr.shape[0] + 1, fr.shape[1] + 1))
+    pref[1:, 1:] = np.cumsum(np.cumsum(fr.values, axis=0), axis=1)
+
+    def box_sum(alo, ahi, blo, bhi):
+        alo = np.clip(alo - fr.lo[0], 0, fr.shape[0])
+        ahi = np.clip(ahi - fr.lo[0], 0, fr.shape[0])
+        blo = np.clip(blo - fr.lo[1], 0, fr.shape[1])
+        bhi = np.clip(bhi - fr.lo[1], 0, fr.shape[1])
+        return (pref[np.ix_(ahi, bhi)] - pref[np.ix_(alo, bhi)]
+                - pref[np.ix_(ahi, blo)] + pref[np.ix_(alo, blo)])
+
+    cells_a = np.arange(lo_idx[0], lo_idx[0] + shape[0])
+    cells_b = np.arange(lo_idx[1], lo_idx[1] + shape[1])
+    out = np.zeros(shape)
+    for ja in g1.levels():
+        sa = 2 ** (level - ja)
+        off_a = g1.offset(ja)[0] << (level - g1.j_max)
+        ra_lo = ((cells_a - off_a) // sa) * sa + off_a
+        for jb in g2.levels():
+            sb = 2 ** (level - jb)
+            off_b = g2.offset(jb)[0] << (level - g2.j_max)
+            rb_lo = ((cells_b - off_b) // sb) * sb + off_b
+            sums = box_sum(ra_lo, ra_lo + sa, rb_lo, rb_lo + sb)
+            np.maximum(out, sums / (sa * sb), out=out)
+    return StepFunction(level=level, lo=lo_idx, values=out, tail=0.0)
+
+
+@pytest.mark.parametrize("j_min, j_max, level, out_box", [
+    (-3, 6, 5, None),
+    (-2, 4, 6, [(-0.5, 1.3), (0.1, 2.0)]),
+    (-5, 3, 4, [(-1.0, 2.0), (-3.0, 0.5)]),
+    (-1, 7, 7, None),
+    (-4, 5, 2, [(-3.0, 0.5), (0.0, 3.0)]),
+])
+def test_maximal_sums_each_rectangle_once_and_agrees_bit_for_bit(j_min, j_max, level, out_box):
+    rng = np.random.default_rng(level + 10 * j_max)
+    for trial in range(2):
+        vals = rng.uniform(0.0, 5.0, size=(2 ** level // 2 + 3, 2 ** level // 3 + 2))
+        vals[rng.random(vals.shape) < 0.3] = 0.0
+        f = StepFunction(level, (-3, 2), vals)
+        grids = (ShiftedGrid.random(1, j_min, j_max, seed=77, trial=2 * trial),
+                 ShiftedGrid.random(1, j_min, j_max, seed=77, trial=2 * trial + 1))
+        new, old = strong_maximal_dyadic(f, grids, out_box), _old_sweep(f, grids, out_box)
+        assert (new.level, new.lo, new.shape) == (old.level, old.lo, old.shape)
+        assert new.values.tobytes() == old.values.tobytes()

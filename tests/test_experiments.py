@@ -3,12 +3,15 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from glstar import dyadic, experiments
-from glstar.core import QuadratureSpec, default_params
-from glstar.dyadic import ShiftedGrid, is_good, pi_good_exact
+from glstar.core import QuadratureSpec, StepFunction, default_params
+from glstar.dyadic import DyadicCube, ShiftedGrid, is_good, pi_good_exact
 from glstar.experiments import (
+    ExperimentReport,
+    NamedIntegrand,
     run_averaging,
     run_boundratio,
     run_carleson,
@@ -105,6 +108,133 @@ def test_averaging_at_defaults():
                                                     rel=1e-12)
 
 
+def _old_interval_integral(f, cube):
+    unit = max(f.level, cube.grid.j_max)
+    a, = cube.lattice_corner(unit)
+    b = a + (1 << (unit - cube.level))
+    cell = 1 << (unit - f.level)
+    parts = []
+    for i, v in enumerate(f.values):
+        if v == 0.0:
+            continue
+        lo = (f.lo[0] + i) * cell
+        w = min(b, lo + cell) - max(a, lo)
+        if w > 0:
+            parts.append(math.ldexp(w, -unit) * float(v))
+    return math.fsum(parts)
+
+
+def _old_run_averaging(params, integrand=None, trials=1000, seed=7, octaves=12):
+    """run_averaging as it built one grid per trial and tested its cubes one
+    at a time with is_good."""
+    integrand = integrand or NamedIntegrand.unit_box()
+    levels = experiments._band_levels(integrand)
+    j_min = min(levels) - params.r - (octaves - 1)
+    j_max = max(levels) + 1
+    closed = integrand.x_integral() * math.log(integrand.t_hi / integrand.t_lo)
+    gamma = params.gamma_n if params.n == 1 else params.gamma_m
+    pi_exact = {lev: pi_good_exact(gamma, params.r, lev - j_min) for lev in levels}
+    support, = integrand.x_part.box
+
+    def one_trial(trial):
+        grid = ShiftedGrid.random(1, j_min, j_max, seed, trial=trial)
+        full = []
+        good = 0.0
+        for lev in levels:
+            blog = integrand.band_log(2.0 ** -(lev + 1), 2.0 ** -lev)
+            inv_pi = 1.0 / pi_exact[lev]
+            for cube in grid.cubes_overlapping(lev, [support]):
+                w = _old_interval_integral(integrand.x_part, cube) * blog
+                full.append(w)
+                if w != 0.0 and is_good(cube, grid, params):
+                    good += w * inv_pi
+        det = math.fsum(full)
+        rel = abs(det - closed) / abs(closed) if closed else abs(det)
+        return rel, good
+
+    results = [one_trial(t) for t in range(trials)]
+    rels = np.array([r for r, _ in results])
+    sums = np.array([s for _, s in results])
+    estimate = float(np.mean(sums))
+    sd = float(np.std(sums, ddof=1)) if trials > 1 else 0.0
+    ci95 = 1.96 * sd / math.sqrt(trials)
+    partition_worst = float(np.max(rels))
+    return ExperimentReport(
+        name="averaging",
+        params=experiments._snapshot(params, integrand=integrand.name,
+                                     octaves=octaves, trials=trials),
+        seed=seed,
+        records=tuple({"trial": t, "partition_rel": float(rels[t]),
+                       "good_sum": float(sums[t])} for t in range(min(trials, 100))),
+        summary={
+            "integrand": integrand.name,
+            "closed_total": closed,
+            "partition_worst_rel": partition_worst,
+            "estimate": estimate,
+            "ci95": ci95,
+            "rel_err": abs(estimate - closed) / abs(closed) if closed else abs(estimate),
+            "trials": trials,
+            "pi_exact": {str(l): float(pi) for l, pi in pi_exact.items()},
+        },
+        passed=(partition_worst <= 1e-10
+                and abs(estimate - closed) <= max(ci95, 1e-15)),
+        wall_time=0.0,
+        notes=(f"trial grids span levels [{j_min}, {j_max}]; band levels {levels}; "
+               f"{octaves} qualifying octaves per cube; partial scale bands "
+               "integrate in closed form, so the partition check carries no "
+               "quadrature error"),
+    )
+
+
+_FIVE_CELLS = NamedIntegrand("five", StepFunction(3, (-2,), np.array([1.5, -0.25, 3.0, 0.0, 2.0])),
+                             2.0 ** -5, 1.0)  # band levels 0..4, j_max 5 > level 3
+_FINE = NamedIntegrand("fine", StepFunction(6, (-3,), np.arange(1.0, 12.0)), 0.3, 0.9)
+# a coarse cube's cell pieces cancel: only an exact sum gets them right
+_CANCEL = NamedIntegrand("cancel", StepFunction(3, (0,), np.array([1e16, 1.0, -1e16, 3.0])),
+                         0.25, 1.0)
+
+
+@pytest.mark.parametrize("params, kwargs", [
+    (PARAMS, {}),
+    (PARAMS, {"seed": 8}),
+    (PARAMS, {"octaves": 3, "trials": 50}),
+    (PARAMS, {"seed": 3, "trials": 200}),
+    (PARAMS, {"integrand": _FIVE_CELLS, "trials": 200}),
+    # r = 12 at shallow depth: about 40 % of the trials have a good cube
+    (default_params(r=12), {"integrand": _FIVE_CELLS, "trials": 200, "octaves": 3}),
+    # x_part.level 6 > j_max 2: the integer corners are finer than the grids
+    (default_params(r=12), {"integrand": _FINE, "trials": 100, "octaves": 2}),
+    (default_params(r=12), {"integrand": _CANCEL, "trials": 50, "octaves": 2}),
+    # depth 50 <= 53, where the float cubes_overlapping route is still exact
+    (default_params(r=20), {"octaves": 30, "trials": 100}),
+    # depth 70: the table and every corner are Python integers
+    (default_params(r=30), {"octaves": 40, "trials": 30}),
+])
+def test_averaging_is_the_per_trial_loop(params, kwargs):
+    new = run_averaging(params, **kwargs)
+    assert new.to_dict() == _old_run_averaging(params, **kwargs).to_dict()
+
+
+def test_averaging_builds_no_grid_or_cube(monkeypatch):
+    built = {"grids": 0, "cubes": 0}
+    post_init, cube_init = ShiftedGrid.__post_init__, DyadicCube.__init__
+
+    def count_grid(self):
+        built["grids"] += 1
+        post_init(self)
+
+    def count_cube(self, *args, **kwargs):
+        built["cubes"] += 1
+        cube_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ShiftedGrid, "__post_init__", count_grid)
+    monkeypatch.setattr(DyadicCube, "__init__", count_cube)
+    ShiftedGrid.standard(1, 0, 2).cube(1, (0,))  # the counters do count
+    assert built == {"grids": 1, "cubes": 1}
+    run_averaging(PARAMS, trials=50)
+    assert built == {"grids": 1, "cubes": 1}
+
+
 def test_schur_smoke():
     rep = run_schur(PARAMS, collection_sizes=(8, 16, 32), draws=20)
     norms = [rep.summary["norms"][str(s)] for s in (8, 16, 32)]
@@ -168,3 +298,21 @@ def test_cases_smoke():
     assert rep.summary["tag_counts"] == {"separated": 3, "nested": 0,
                                          "adjacent": 44}
     assert rep.summary["norm_sq"] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_cases_keeps_the_regions_is_good_keeps():
+    # at r = 13 goodness filters: 11 of the 24 region intervals near the
+    # support are good on each of the (-13, 6) grids of grid_pair_seed 13,
+    # and the per-level array test keeps exactly the cubes is_good keeps
+    params = default_params(r=13)
+    rep = run_cases(params, whitney_levels=(0, 2), pad=1.0,
+                    spec=QuadratureSpec(points_per_cell=2, t_points_per_octave=2))
+    kept, seen = [], []
+    for trial in (0, 1):
+        grid = ShiftedGrid.random(1, -13, 6, 13, trial=trial)
+        cubes = [c for lev in range(3) for c in grid.cubes_overlapping(lev, [(-1.0, 2.0)])]
+        kept.append(sum(is_good(c, grid, params) for c in cubes))
+        seen.append(len(cubes))
+    assert rep.passed
+    assert rep.summary["good_regions"] == tuple(kept) == (11, 11)
+    assert seen == [24, 24]
