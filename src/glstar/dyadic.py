@@ -59,6 +59,7 @@ __all__ = [
     "ShiftedGrid",
     "default_shift_radius",
     "estimate_pi_good",
+    "goodness_gamma",
     "is_good",
     "is_good_offset",
     "long_distance",
@@ -442,6 +443,13 @@ def _bad_offsets(offsets, cutoffs):
     return bad
 
 
+def goodness_gamma(dim: int, params: Params) -> float:
+    """The goodness exponent of a ``dim``-dimensional grid: gamma_n when dim
+    is params.n, gamma_m otherwise.  The one place this rule lives, so the
+    goodness test and the probabilities that normalize its sums agree."""
+    return params.gamma_n if dim == params.n else params.gamma_m
+
+
 def is_good_offset(level: int, offsets, j_min: int, j_max: int, params: Params):
     """Goodness of level-``level`` cubes of grids truncated at [j_min, j_max],
     from their offsets b - S, one per axis (Python integers or integer
@@ -449,12 +457,12 @@ def is_good_offset(level: int, offsets, j_min: int, j_max: int, params: Params):
     ``descendant_offset(j_min, level)`` of its grid (see the module
     docstring).  Returns a boolean array of the offsets' broadcast shape.
 
-    The exponent is gamma_n when the grid dimension (the number of offsets)
-    is params.n and gamma_m otherwise.  If the truncation admits no
-    qualifying generation every cube is good vacuously.
+    The exponent is `goodness_gamma` of the grid dimension (the number of
+    offsets).  If the truncation admits no qualifying generation every cube
+    is good vacuously.
     """
-    gamma = params.gamma_n if len(offsets) == params.n else params.gamma_m
-    cutoffs = _offset_cutoffs(level, j_min, j_max, params.r, gamma)
+    cutoffs = _offset_cutoffs(level, j_min, j_max, params.r,
+                              goodness_gamma(len(offsets), params))
     bad = _bad_offsets(offsets, cutoffs)
     return ~np.broadcast_to(bad, np.broadcast(*offsets).shape)
 

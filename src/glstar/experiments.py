@@ -33,6 +33,7 @@ from .core import (
 from .dyadic import (
     DyadicCube,
     ShiftedGrid,
+    goodness_gamma,
     is_good_offset,
     pi_good_exact,
     schur_coeff,
@@ -135,6 +136,10 @@ def _spec_snapshot(spec: QuadratureSpec) -> dict:
 # ---------------------------------------------------------------------------
 # averaging identity
 
+# Trials whose shift tables and region integrals run_averaging holds at once
+# (a few MB at the default depth and band).
+_TRIAL_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class NamedIntegrand:
@@ -180,8 +185,7 @@ class NamedIntegrand:
 def _interval_integral(f: StepFunction, a, b, unit: int) -> np.ndarray:
     """Exact integrals of the 1-d step function over the intervals [a, b),
     their ends integer arrays in units of 2^-unit, unit >= f.level.  Each
-    interval's cell pieces are summed exactly: a lone nonzero piece is its
-    own sum, and several go through `math.fsum`."""
+    interval's cell pieces are summed exactly, by `math.fsum`."""
     cell = 1 << (unit - f.level)
     parts = []
     for i, v in enumerate(f.values.tolist()):
@@ -191,10 +195,7 @@ def _interval_integral(f: StepFunction, a, b, unit: int) -> np.ndarray:
         w = np.minimum(b, lo + cell) - np.maximum(a, lo)
         parts.append(np.where(w > 0, np.ldexp(w.astype(float), -unit) * v, 0.0))
     parts = np.array(parts).reshape(len(parts), len(a))
-    total = parts.sum(axis=0)  # exact where at most one piece is nonzero
-    shared = np.count_nonzero(parts, axis=0) > 1
-    total[shared] = [math.fsum(col) for col in parts[:, shared].T.tolist()]
-    return total
+    return np.array([math.fsum(col) for col in parts.T.tolist()])
 
 
 def _band_levels(integrand: NamedIntegrand) -> list[int]:
@@ -233,15 +234,16 @@ def run_averaging(
     band level no cube is ever good there and the run is refused before any
     shift is drawn.
 
-    No grid or cube is built: every trial's shift table comes from one
-    `shift_tables` call, and each band level is swept one index column at a
-    time across all trials -- column c holds each trial's c-th cube meeting
-    the support, its corners read from the integer table, its weight an
-    exact integral (`_interval_integral`), its goodness one
-    `is_good_offset` call for the whole column.  The good sums accumulate in
-    the (level, index) order of a per-trial loop and the partition sums go
-    through `math.fsum`, so every trial's numbers are those of building its
-    grid and testing its cubes one by one.
+    No grid or cube is built: the trials run in blocks of `_TRIAL_BLOCK`,
+    so memory stays bounded in ``trials``.  Each block's shift tables come
+    from one `shift_tables` call, and each band level is swept one index
+    column at a time across the block's trials -- column c holds each
+    trial's c-th cube meeting the support, its corners read from the integer
+    table, its weight an exact integral (`_interval_integral`), its goodness
+    one `is_good_offset` call for the whole column.  The good sums
+    accumulate in the (level, index) order of a per-trial loop and the
+    partition sums go through `math.fsum`, so every trial's numbers are those
+    of building its grid and testing its cubes one by one.
     """
     t0 = time.perf_counter()
     integrand = integrand or NamedIntegrand.unit_box()
@@ -255,8 +257,8 @@ def run_averaging(
     closed = integrand.x_integral() * math.log(integrand.t_hi / integrand.t_lo)
 
     # exact good-cube probability per band level, at the level's depth in
-    # the trial grids and with the exponent is_good uses on a 1-d grid
-    gamma = params.gamma_n if params.n == 1 else params.gamma_m
+    # the trial grids and with the exponent goodness uses on a 1-d grid
+    gamma = goodness_gamma(1, params)
     pi_exact = {lev: pi_good_exact(gamma, params.r, lev - j_min)
                 for lev in levels}
     starved = [lev for lev, pi in pi_exact.items() if pi == 0]
@@ -273,33 +275,39 @@ def run_averaging(
     unit = max(f.level, j_max)
     cell = 1 << (unit - f.level)
     lo, hi = f.lo[0] * cell, (f.lo[0] + f.shape[0]) * cell
-    table = shift_tables(1, j_min, j_max, seed, range(trials))[..., 0]
     # every intermediate below lies within this bound; past int64 the
     # arithmetic goes to Python integers in object arrays
-    if (max(abs(lo), abs(hi)) + (1 << (unit - j_min + 2))).bit_length() > 62:
-        table = table.astype(object)
+    wide = (max(abs(lo), abs(hi)) + (1 << (unit - j_min + 2))).bit_length() > 62
 
-    full = []  # each trial's region integrals, one array per (level, column)
-    sums = np.zeros(trials)
-    for lev in levels:
-        blog = integrand.band_log(2.0 ** -(lev + 1), 2.0 ** -lev)
-        inv_pi = 1.0 / pi_exact[lev]
-        side = 1 << (unit - lev)
-        shift = table[:, lev - j_min + 1]
-        corner = shift << (unit - j_max)
-        k_lo = (lo - corner) // side
-        k_hi = -((corner - hi) // side)
-        s = (table[:, 1] - shift) >> (j_max - lev)
-        # column c holds each trial's cube k_lo + c; past a trial's last
-        # overlapping cube the interval misses the support and weighs 0
-        for c in range(int((k_hi - k_lo).max())):
-            k = k_lo + c
-            a = k * side + corner
-            w = _interval_integral(f, a, a + side, unit) * blog
-            full.append(w)
-            good = (w != 0.0) & is_good_offset(lev, [k - s], j_min, j_max, params)
-            np.add(sums, w * inv_pi, out=sums, where=good)
-    det = np.array([math.fsum(ws) for ws in np.array(full).T.tolist()])
+    sums, det = [], []
+    for start in range(0, trials, _TRIAL_BLOCK):
+        block = range(start, min(start + _TRIAL_BLOCK, trials))
+        table = shift_tables(1, j_min, j_max, seed, block)[..., 0]
+        if wide:
+            table = table.astype(object)
+        full = []  # the block's region integrals, one array per (level, column)
+        good_sum = np.zeros(len(block))
+        for lev in levels:
+            blog = integrand.band_log(2.0 ** -(lev + 1), 2.0 ** -lev)
+            inv_pi = 1.0 / pi_exact[lev]
+            side = 1 << (unit - lev)
+            shift = table[:, lev - j_min + 1]
+            corner = shift << (unit - j_max)
+            k_lo = (lo - corner) // side
+            k_hi = -((corner - hi) // side)
+            s = (table[:, 1] - shift) >> (j_max - lev)
+            # column c holds each trial's cube k_lo + c; past a trial's last
+            # overlapping cube the interval misses the support and weighs 0
+            for c in range(int((k_hi - k_lo).max())):
+                k = k_lo + c
+                a = k * side + corner
+                w = _interval_integral(f, a, a + side, unit) * blog
+                full.append(w)
+                good = (w != 0.0) & is_good_offset(lev, [k - s], j_min, j_max, params)
+                np.add(good_sum, w * inv_pi, out=good_sum, where=good)
+        sums.append(good_sum)
+        det.extend(math.fsum(ws) for ws in np.array(full).T.tolist())
+    sums, det = np.concatenate(sums), np.array(det)
     rels = np.abs(det - closed) / abs(closed) if closed else np.abs(det)
 
     estimate = float(np.mean(sums))
@@ -1106,6 +1114,8 @@ def run_cases(
         lo_lev, hi_lev = whitney_levels
         for lev in range(lo_lev, hi_lev + 1):
             cubes = list(grid.cubes_overlapping(lev, [(-pad, 1.0 + pad)]))
+            if not cubes:  # pad < -1/2 can leave a level with none
+                continue
             s, = grid.descendant_offset(grid.j_min, lev)
             good = is_good_offset(lev, [np.array([c.index[0] - s for c in cubes])],
                                   grid.j_min, grid.j_max, params)

@@ -215,6 +215,15 @@ def test_averaging_is_the_per_trial_loop(params, kwargs):
     assert new.to_dict() == _old_run_averaging(params, **kwargs).to_dict()
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_averaging_in_trial_blocks_is_one_block(monkeypatch, block):
+    # trials run in blocks to bound memory; a block's columns past some
+    # trial's last cube weigh 0, so the split leaves every number unchanged
+    whole = run_averaging(PARAMS, trials=150, seed=4, octaves=3).to_dict()
+    monkeypatch.setattr(experiments, "_TRIAL_BLOCK", block)
+    assert run_averaging(PARAMS, trials=150, seed=4, octaves=3).to_dict() == whole
+
+
 def test_averaging_builds_no_grid_or_cube(monkeypatch):
     built = {"grids": 0, "cubes": 0}
     post_init, cube_init = ShiftedGrid.__post_init__, DyadicCube.__init__
@@ -298,6 +307,23 @@ def test_cases_smoke():
     assert rep.summary["tag_counts"] == {"separated": 3, "nested": 0,
                                          "adjacent": 44}
     assert rep.summary["norm_sq"] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_cases_skips_levels_with_no_cube_in_the_box():
+    # pad = -0.6 gives the reversed box (0.6, 0.4): no cube at levels 3 and
+    # up, none at 1-2 on the first grid of grid_pair_seed 13 and none at 2 on
+    # the second, while goodness is in force (r = 13) at every level here
+    params = default_params(r=13)
+    spec = QuadratureSpec(points_per_cell=2, t_points_per_octave=2)
+    rep = run_cases(params, whitney_levels=(0, 2), pad=-0.6, spec=spec)
+    kept = []
+    for trial in (0, 1):
+        grid = ShiftedGrid.random(1, -13, 6, 13, trial=trial)
+        cubes = [c for lev in range(3) for c in grid.cubes_overlapping(lev, [(0.6, 0.4)])]
+        kept.append(sum(is_good(c, grid, params) for c in cubes))
+    assert rep.summary["good_regions"] == tuple(kept) == (1, 2)
+    with pytest.raises(RuntimeError, match="no good region"):
+        run_cases(params, whitney_levels=(3, 4), pad=-0.6, spec=spec)
 
 
 def test_cases_keeps_the_regions_is_good_keeps():
