@@ -11,8 +11,6 @@ from .core import (
     QuadratureSpec,
     StepFunction,
     default_params,
-    read_step,
-    write_step,
 )
 from .dyadic import (
     DyadicCube,
@@ -95,7 +93,6 @@ __all__ = [
     "pi_good_exact",
     "q_quantity",
     "random_open_set",
-    "read_step",
     "reconstruct",
     "rescale",
     "shadow_sets",
@@ -103,6 +100,5 @@ __all__ = [
     "trial_stream",
     "weight_total",
     "weight_window",
-    "write_step",
     "__version__",
 ]

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -44,9 +43,7 @@ __all__ = [
     "graded_axis_edges",
     "octave_blocks",
     "octave_nodes",
-    "read_step",
     "segment_nodes",
-    "write_step",
 ]
 
 # Default goodness radius.  The smallest radius for which good cubes exist at
@@ -361,18 +358,6 @@ class StepFunction:
             (k * h, (k + s) * h) for k, s in zip(self.lo, self.shape)
         )
 
-    # -- construction helpers ----------------------------------------------
-
-    @classmethod
-    def constant(cls, dim: int, value: float = 1.0) -> "StepFunction":
-        """The constant function: a one-cell box plus an equal tail."""
-        return cls(level=0, lo=(0,) * dim, values=np.full((1,) * dim, float(value)),
-                   tail=float(value))
-
-    @classmethod
-    def indicator(cls, level: int, lo: Sequence[int], shape: Sequence[int]) -> "StepFunction":
-        return cls(level=level, lo=tuple(lo), values=np.ones(tuple(shape)))
-
     # -- evaluation ---------------------------------------------------------
 
     def cell_index(self, axis: int, coords) -> np.ndarray:
@@ -406,12 +391,6 @@ class StepFunction:
             raise ValueError("integral undefined for nonzero tail")
         # fsum + power-of-two cell measure makes this exactly refinement-invariant
         return math.fsum(self.values.ravel().tolist()) * self.cell_side ** self.dim
-
-    def exact_integral(self) -> Fraction:
-        if self.tail != 0.0:
-            raise ValueError("integral undefined for nonzero tail")
-        cell = Fraction(2) ** (-self.level * self.dim)
-        return sum((Fraction(float(v)) for v in self.values.ravel()), Fraction(0)) * cell
 
     def inner(self, other: "StepFunction") -> float:
         """L2 pairing; defined whenever at least one tail vanishes."""
@@ -473,11 +452,6 @@ class StepFunction:
     def __neg__(self):
         return self * -1.0
 
-    def allclose(self, other: "StepFunction", tol: float = 0.0) -> bool:
-        a, b, _, _ = _align(self, other)
-        return (abs(self.tail - other.tail) <= tol
-                and bool(np.all(np.abs(a - b) <= tol)))
-
 
 def _align(f: StepFunction, g: StepFunction) -> tuple[np.ndarray, np.ndarray, int, tuple]:
     """Represent two step functions on a common lattice and box."""
@@ -490,65 +464,3 @@ def _align(f: StepFunction, g: StepFunction) -> tuple[np.ndarray, np.ndarray, in
                for a, s, b, t in zip(f2.lo, f2.shape, g2.lo, g2.shape))
     shape = tuple(h - l for l, h in zip(lo, hi))
     return f2.padded(lo, shape).values, g2.padded(lo, shape).values, level, lo
-
-
-# ---------------------------------------------------------------------------
-# step-function file format
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"GLSF1\n"
-
-
-def write_step(f: StepFunction, path) -> None:
-    """Serialize: magic "GLSF1", one ASCII header line
-    "dim level box_lo... box_hi... tail", then binary64 little-endian values
-    row-major.  Box corners are written with repr, which round-trips floats
-    exactly; the round trip is bit-exact."""
-    box = f.box
-    fields = [str(f.dim), str(f.level)]
-    fields += [repr(lo) for lo, _ in box]
-    fields += [repr(hi) for _, hi in box]
-    fields.append(repr(f.tail))
-    header = (" ".join(fields) + "\n").encode("ascii")
-    data = f.values.astype("<f8").tobytes(order="C")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(header)
-        fh.write(data)
-
-
-def read_step(path) -> StepFunction:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}: not a step-function file")
-        header = b""
-        while not header.endswith(b"\n"):
-            c = fh.read(1)
-            if not c:
-                raise ValueError("truncated header")
-            header += c
-        parts = header.decode("ascii").split()
-        dim = int(parts[0])
-        level = int(parts[1])
-        if len(parts) != 2 + 2 * dim + 1:
-            raise ValueError("malformed header")
-        los = [float(p) for p in parts[2:2 + dim]]
-        his = [float(p) for p in parts[2 + dim:2 + 2 * dim]]
-        tail = float(parts[2 + 2 * dim])
-        scale = 2.0 ** level
-        lo_idx, shape = [], []
-        for lo, hi in zip(los, his):
-            kl, kh = lo * scale, hi * scale
-            if kl != round(kl) or kh != round(kh):
-                raise ValueError("box corners are not lattice points at the stated level")
-            lo_idx.append(int(round(kl)))
-            shape.append(int(round(kh)) - int(round(kl)))
-        count = int(np.prod(shape))
-        raw = fh.read(8 * count)
-        if len(raw) != 8 * count:
-            raise ValueError("value block length mismatch")
-        if fh.read(1):
-            raise ValueError("trailing bytes after value block")
-        values = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    return StepFunction(level=level, lo=tuple(lo_idx), values=values, tail=tail)

@@ -302,12 +302,6 @@ class DyadicCube:
     def measure(self) -> float:
         return self.side ** self.dim
 
-    def contains(self, other: "DyadicCube") -> bool:
-        for (a, b), (c, d) in zip(self.box(), other.box()):
-            if not (a <= c and d <= b):
-                return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # metric quantities

@@ -6,11 +6,14 @@ configuration that produced it, per-trial records, summary statistics, and a
 pass flag.  Reports are reproducible bit for bit from (name, params, seed,
 spec) -- wall-clock time is carried separately so serializers can drop it.
 
-The runs are deliberately opinionated about their default configurations;
-every default was frozen after a refinement study, and the notes field of
-each report says what was truncated and how hard.  The drivers reach the
-other modules through their public functions only, so every quantity a report
-carries comes from the one route that owns it.
+The runs are deliberately opinionated about their configurations: each fixes
+its kernel, exponents and quadrature spec (its docstring names them), every
+fixed value was frozen after a refinement study, and the notes field of each
+report says what was truncated and how hard.  The drivers reach the other
+modules through their public functions only.  Two quantities still have a
+private quadrature here rather than the route that owns them elsewhere: the
+one-factor tail integral of `run_lemma32` (`_lemma32_lhs`) and the
+per-region member grams of `run_cases` (`_whitney_gram`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -67,7 +70,6 @@ __all__ = [
     "run_lemma32",
     "run_schur",
     "sample_lemma32_configs",
-    "white_noise_family",
 ]
 
 
@@ -169,10 +171,6 @@ class NamedIntegrand:
         """1_[0,1)(x) 1_(1/2,1](t)/t; integrates to ln 2 exactly."""
         return cls("unit_box", StepFunction(0, (0,), np.ones(1)), 0.5, 1.0)
 
-    @classmethod
-    def zero(cls) -> "NamedIntegrand":
-        return cls("zero", StepFunction(0, (0,), np.zeros(1)), 0.5, 1.0)
-
     def x_integral(self) -> float:
         return self.x_part.integral()
 
@@ -223,15 +221,18 @@ def run_averaging(
     scale strip, so the sum of per-region integrals reproduces the closed
     form exactly (float summation only).  Stochastic half: restrict to good
     cubes, divide by the good-cube probability, and average over shifts; the
-    mean must recover the same closed form within its own CI.
+    mean must recover the same closed form within its own CI.  ``passed``
+    means both: the worst partition error is at most 1e-10 relative, and the
+    averaged good sum lies within its 95 % half-width of the closed form.
 
     The normalization is exact: a cube's goodness depends only on the shift
     bits coarser than it, and its position only on the finer ones, so each
     level's good-cube sum has mean pi times the full sum, with pi the
     `pi_good_exact` value at that level's depth in the trial grids
     (``octaves`` qualifying ancestor generations).  It adds nothing to the
-    CI, which is the Monte-Carlo half-width alone.  When pi is zero at some
-    band level no cube is ever good there and the run is refused before any
+    CI, which is the Monte-Carlo half-width alone.  Fewer than one
+    qualifying octave would make goodness vacuous, and a pi of zero at some
+    band level means no cube is ever good there; both are refused before any
     shift is drawn.
 
     No grid or cube is built: the trials run in blocks of `_TRIAL_BLOCK`,
@@ -249,6 +250,9 @@ def run_averaging(
     integrand = integrand or NamedIntegrand.unit_box()
     if trials < 1:
         raise ValueError("need at least one trial")
+    if octaves < 1:
+        raise ValueError("need at least one qualifying octave, or goodness "
+                         "is vacuous")
     levels = _band_levels(integrand)
     if not levels:
         raise ValueError("the integrand's scale band misses every level")
@@ -355,33 +359,20 @@ def run_averaging(
 # coupling-matrix norm growth
 
 
-def _draw_collection(scheme: str, size: int, seed: int) -> list[DyadicCube]:
-    """Nested random cube families; prefixes of one stream are the nesting."""
+def _draw_collection(size: int, seed: int) -> list[DyadicCube]:
+    """Nested random cube families, levels 0..8 and positions in [0, 4)
+    drawn uniformly; prefixes of one stream are the nesting."""
     rng = np.random.default_rng((seed, 0x5C))
-    if scheme == "multiscale":
-        grid = ShiftedGrid.random(1, -10, 24, seed, trial=0)
-        out: list[DyadicCube] = []
-        seen = set()
-        while len(out) < size:
-            lev = int(rng.integers(0, 9))
-            idx = int(rng.integers(0, 4 * 2 ** lev))
-            if (lev, idx) not in seen:
-                seen.add((lev, idx))
-                out.append(grid.cube(lev, (idx,)))
-        return out
-    if scheme == "singlescale":
-        grid = ShiftedGrid.random(1, -10, 24, seed, trial=1)
-        order: list[int] = []
-        block = 8
-        start = 0
-        while len(order) < size:
-            chunk = list(range(start, start + block))
-            rng.shuffle(chunk)
-            order.extend(chunk)
-            start += block
-            block = start  # doubles the window each round
-        return [grid.cube(0, (k,)) for k in order[:size]]
-    raise ValueError(f"unknown collection scheme {scheme!r}")
+    grid = ShiftedGrid.random(1, -10, 24, seed, trial=0)
+    out: list[DyadicCube] = []
+    seen = set()
+    while len(out) < size:
+        lev = int(rng.integers(0, 9))
+        idx = int(rng.integers(0, 4 * 2 ** lev))
+        if (lev, idx) not in seen:
+            seen.add((lev, idx))
+            out.append(grid.cube(lev, (idx,)))
+    return out
 
 
 # Power iteration of the coupling norm: step tolerance and round budget.
@@ -409,34 +400,39 @@ def run_schur(
     collection_sizes: Sequence[int] = (8, 16, 32, 64, 128, 256, 512),
     seed: int = 23,
     *,
-    alpha: float = 0.5,
-    scheme: str = "multiscale",
     draws: int = 1000,
 ) -> ExperimentReport:
     """Operator-norm growth of the coupling matrix over nested collections.
 
-    The entries couple two dyadic intervals through the long distance; the
-    bilinear form is bounded over arbitrary families, and the power-iteration
-    norm of nested sections should stabilize as the family saturates.  The
-    fitted norm then certifies the quadratic inequality on random nonnegative
-    vectors, and the one-cube family has the closed-form norm 2^(-3/2).
+    The entries couple two dyadic intervals through the long distance, at
+    the fixed exponent alpha = 0.5; the bilinear form is bounded over
+    arbitrary families, and the power-iteration norm of nested sections
+    should stabilize as the family saturates.  The fitted norm then
+    certifies the quadratic inequality on random nonnegative vectors, and the
+    one-cube family has the closed-form norm 2^(-3/2).  No kernel or
+    quadrature enters: every entry is closed form.
 
-    Scheme "multiscale" draws levels and positions uniformly -- the faithful
-    family, whose norm provably keeps growing at desk sizes (the depth
-    direction saturates geometrically, about 2^(-alpha/2) per added level,
-    and the width direction like W^(-alpha)).  Scheme "singlescale" widens a
-    fully populated single-level window, which does saturate by 512 cubes.
+    The cubes are drawn with levels and positions uniform (the report's
+    "multiscale" scheme) -- the faithful family, whose norm provably keeps
+    growing at desk sizes (the depth direction saturates geometrically,
+    about 2^(-alpha/2) per added level, and the width direction like
+    W^(-alpha)).
 
-    ``passed`` requires the final growth per doubling to be under 5 %, the
-    quadratic inequality to hold on every draw and the one-cube norm to be
-    exact.  At the defaults it is False by design: the multiscale norm is
-    still growing at 512 cubes (``final_growth`` is about 0.37).
+    ``collection_sizes`` must hold at least two distinct positive sizes
+    (repeats count once), or there is no growth to measure; fewer raise
+    ``ValueError`` before any cube is drawn.  ``passed`` requires the growth
+    between the two largest sizes to be under 5 %, the quadratic inequality
+    to hold on every draw and the one-cube norm to be exact.  At the defaults
+    it is False by design: the norm is still growing at 512 cubes
+    (``final_growth`` is about 0.37).
     """
     t0 = time.perf_counter()
+    alpha, scheme = 0.5, "multiscale"
     sizes = sorted(set(int(s) for s in collection_sizes))
-    if not sizes or sizes[0] < 1:
-        raise ValueError("collection sizes must be positive")
-    cubes = _draw_collection(scheme, sizes[-1], seed)
+    if len(sizes) < 2 or sizes[0] < 1:
+        raise ValueError("the growth sweep needs two distinct positive "
+                         "collection sizes")
+    cubes = _draw_collection(sizes[-1], seed)
 
     big = schur_matrix(cubes, alpha)
 
@@ -447,7 +443,7 @@ def run_schur(
         f"{a}->{b}": lambdas[b] / lambdas[a] - 1.0
         for a, b in zip(sizes, sizes[1:])
     }
-    final_growth = lambdas[sizes[-1]] / lambdas[sizes[-2]] - 1.0 if len(sizes) > 1 else 0.0
+    final_growth = lambdas[sizes[-1]] / lambdas[sizes[-2]] - 1.0
     saturated = final_growth < 0.05
 
     # quadratic inequality with the fitted constant
@@ -560,19 +556,24 @@ def _lemma32_lhs(cfg: Lemma32Config, lam: float, spec: QuadratureSpec) -> tuple[
 def run_lemma32(
     params: Params,
     configs: Optional[Sequence[Lemma32Config]] = None,
-    spec: Optional[QuadratureSpec] = None,
 ) -> ExperimentReport:
     """Tail estimate for the one-factor interval response.
 
     For each configuration, the square root of the weighted square integral
-    of the interval response is compared with |I1| / (l(I2) + d)^(1+alpha);
-    the ratio must stay finite and move by less than 10% when the quadrature
-    is refined twofold.
+    of the interval response, under the size-flavor convolution factor of
+    the configuration's exponent (0.5 in `sample_lemma32_configs`), is
+    compared with |I1| / (l(I2) + d)^(1+alpha).  The quadrature runs at the
+    default `QuadratureSpec()` and again at its twofold refinement.
+    ``passed`` means the refined ratio stays finite and moves by less than
+    10 % under the refinement, on every configuration; an empty
+    configuration list is refused.
     """
     t0 = time.perf_counter()
-    spec = spec or QuadratureSpec()
+    spec = QuadratureSpec()
     if configs is None:
         configs = sample_lemma32_configs()
+    if not configs:
+        raise ValueError("need at least one configuration")
     lam = params.weight_powers[0]
     a_cap = params.n * (params.lambda1 - 2.0) / 2.0
     fine_spec = spec.refined(2)
@@ -606,7 +607,7 @@ def run_lemma32(
             "drift": drift,
         })
 
-    passed = (not configs) or (math.isfinite(worst_ratio) and worst_drift < 0.10)
+    passed = math.isfinite(worst_ratio) and worst_drift < 0.10
     summary = {
         "configs": len(records),
         "max_ratio": worst_ratio,
@@ -662,31 +663,35 @@ def _kdecay_slope(alpha: float, grid: ShiftedGrid, base: DyadicCube,
 
 def run_kdecay(
     params: Params,
-    i: Optional[DyadicCube] = None,
     k_range: Sequence[int] = tuple(range(1, 15)),
-    spec: Optional[QuadratureSpec] = None,
     *,
-    alpha: float = 0.5,
-    beta: float = 0.5,
-    plateau_upto: int = 8,
     side_runs: bool = True,
 ) -> ExperimentReport:
     """Decay ladders of the complement response and the modified-pattern
     response in the ancestor generation k.
 
+    The kernel is the size-only one at exponents alpha = beta = 0.5, the
+    base cube the level-4 cube at index 0 of the standard grid on levels
+    [-10, 8], and the quadrature `QuadratureSpec(t_min=2^-10, t_max=2^4)`.
     Both ladders place the probe cube at a typical good position inside its
     k-th ancestor (offset ~2^(k/2) cells).  The complement response is
-    dimensionless and should sit at Theta(1) for k up to r, then decay like
+    dimensionless and should sit at Theta(1) for k up to 8, then decay like
     2^(-alpha k/2).  The modified-pattern response carries the ancestor's
     normalization |I^(k)|^(-1/2); that factor is divided out before the fit,
     and the constant second-axis factor is absorbed into the Theta(1) band.
+
+    The slopes are fitted over the generations above ``plateau_upto`` = 8,
+    so ``k_range`` must hold at least two of them.  ``passed`` means both
+    slopes lie within 0.1 of -alpha/2, both plateau ranges lie in
+    [0.1, 10], and, with ``side_runs``, the slope at alpha is 1.5 to 2.5
+    times the slope at alpha/2 and the slope magnitudes grow strictly from
+    alpha/4 to alpha/2 to alpha.
     """
     t0 = time.perf_counter()
-    spec = spec or QuadratureSpec(t_min=2.0 ** -10, t_max=2.0 ** 4)
+    alpha, beta, plateau_upto = 0.5, 0.5, 8
+    spec = QuadratureSpec(t_min=2.0 ** -10, t_max=2.0 ** 4)
     grid = ShiftedGrid.standard(1, -10, 8)
-    base = i if i is not None else grid.cube(4, (0,))
-    if i is not None:
-        grid = base.grid
+    base = grid.cube(4, (0,))
     ks = sorted(int(k) for k in k_range)
     slope_ks = [k for k in ks if k > plateau_upto]
     if len(set(slope_ks)) < 2:
@@ -782,31 +787,28 @@ def run_kdecay(
 
 def run_carleson(
     params: Params,
-    kernels: Optional[Sequence[Kernel]] = None,
     omega_count: int = 4,
     levels: int = 3,
     seed: int = 11,
-    spec: Optional[QuadratureSpec] = None,
-    *,
-    cap: float = 50.0,
 ) -> ExperimentReport:
     """Packing dichotomy across a kernel family.
 
-    Cancellative factors zero out the box quantity, so those kernels pass any
-    finite packing cap; the size-only kernel's ratio grows like the squared
-    rectangle-depth count and must be flagged.  The expected verdict pattern
-    is part of the run: a flip in either direction fails the experiment.
+    The family is the size-only, the cancellative and the mixed kernel, all
+    at exponents alpha = beta = 0.5, packed under the cap 50 with the
+    packing routes' own default quadrature spec.  Cancellative factors zero
+    out the box quantity, so those kernels pass any finite packing cap; the
+    size-only kernel's ratio grows like the squared rectangle-depth count
+    and must be flagged.  ``passed`` means the verdict pattern is exactly
+    that (a flip in either direction fails the experiment) and the size-only
+    ratio on the unit square is within 5 % of its closed-form growth law.
     """
     t0 = time.perf_counter()
-    if kernels is None:
-        kernels = (
-            make_size_only(params.n, params.m, 0.5, 0.5),
-            make_cancellative(params.n, params.m, 0.5, 0.5),
-            make_mixed(params.n, params.m, 0.5, 0.5),
-        )
-    expected = {k.label: (k.tensor_parts is not None
-                          and any(f.flavor == "cancellative"
-                                  for f in k.tensor_parts))
+    cap = 50.0
+    size_only = make_size_only(params.n, params.m, 0.5, 0.5)
+    kernels = (size_only,
+               make_cancellative(params.n, params.m, 0.5, 0.5),
+               make_mixed(params.n, params.m, 0.5, 0.5))
+    expected = {k.label: any(f.flavor == "cancellative" for f in k.tensor_parts)
                 for k in kernels}
 
     omegas = []
@@ -820,9 +822,8 @@ def run_carleson(
 
     records = []
     verdicts = {}
-    law_rel = None
     for kernel in kernels:
-        verdict, reps = carleson_check(kernel, omegas, levels, cap, params, spec)
+        verdict, reps = carleson_check(kernel, omegas, levels, cap, params)
         verdicts[kernel.label] = verdict
         for om, (rep, rep2) in zip(omegas, reps):
             records.append({
@@ -832,15 +833,14 @@ def run_carleson(
                 "ratio_deeper": rep2.ratio,
                 "levels": rep.levels,
             })
-        if kernel.tensor_parts is not None and all(
-                f.flavor == "size" for f in kernel.tensor_parts):
+        if kernel is size_only:
             # closed-form growth law on the unit square
             std = (ShiftedGrid.standard(1, -6, 10),
                    ShiftedGrid.standard(1, -6, 10))
             unit = random_open_set(std, np.random.default_rng(0),
                                    n_rects=1, level_range=(0, 0),
                                    box=(0.0, 1.0))
-            rep = carleson_sum(kernel, unit, levels, params, spec)
+            rep = carleson_sum(kernel, unit, levels, params)
             c_unit = 256.0 * math.log(2.0) ** 2
             law = c_unit * (levels + 1) ** 2
             law_rel = abs(rep.ratio / law - 1.0)
@@ -849,7 +849,7 @@ def run_carleson(
                             "levels": levels})
 
     pattern_ok = all(verdicts[lbl] == expected[lbl] for lbl in verdicts)
-    law_ok = law_rel is None or law_rel < 0.05
+    law_ok = law_rel < 0.05
     passed = pattern_ok and law_ok
     summary = {
         "verdicts": verdicts,
@@ -882,7 +882,7 @@ def run_carleson(
 # norm-ratio saturation
 
 
-def white_noise_family(rng: np.random.Generator, level: int) -> StepFunction:
+def _white_noise(rng: np.random.Generator, level: int) -> StepFunction:
     """Seeded standard normal on every lattice cell of the unit square,
     normalized to unit L2 norm."""
     n = 2 ** level
@@ -893,32 +893,30 @@ def white_noise_family(rng: np.random.Generator, level: int) -> StepFunction:
 
 def run_boundratio(
     params: Params,
-    kernel: Optional[Kernel] = None,
-    function_family: Callable[[np.random.Generator, int], StepFunction] = white_noise_family,
     count: int = 200,
     levels: Sequence[int] = (4, 5, 6, 7),
     seed: int = 41,
-    spec: Optional[QuadratureSpec] = None,
 ) -> ExperimentReport:
     """Largest observed norm ratio per refinement level.
 
-    The kernel must pass the assumption checkers before anything runs.  The
-    ratio max ||g* f|| / ||f|| over seeded random step functions should
-    stabilize between the two finest levels, and multiplying the kernel by a
-    constant must scale every ratio exactly.  ``levels`` must hold at least
-    two distinct levels (repeats count once), or there is no growth to
-    measure; fewer raise ``ValueError`` before any checker runs.
+    The kernel is the cancellative one at exponents alpha = beta = 0.5, the
+    inputs seeded white noise on the unit square (``count`` per level, unit
+    L2 norm), and the quadrature the default `QuadratureSpec()`.  The kernel
+    must pass the assumption checkers before anything runs.  The ratio
+    max ||g* f|| / ||f|| over the inputs should stabilize between the two
+    finest levels, and multiplying the kernel by a constant must scale every
+    ratio exactly: ``passed`` means the top-level growth is under 10 % in
+    magnitude and the homogeneity deviation at most 1e-12.  ``levels`` must
+    hold at least two distinct levels (repeats count once), or there is no
+    growth to measure; fewer raise ``ValueError`` before any checker runs.
 
-    Every norm comes from the public gram route of :func:`gstar_sq_norm`, so
-    the kernel must be a tensor kernel; the per-axis gram matrices of a level
-    are computed once and served from the route's cache for the other trials.
+    Every norm comes from the public gram route of :func:`gstar_sq_norm`;
+    the per-axis gram matrices of a level are computed once and served from
+    the route's cache for the other trials.
     """
     t0 = time.perf_counter()
-    kernel = kernel or make_cancellative(params.n, params.m, 0.5, 0.5)
-    spec = spec or QuadratureSpec()
-    if kernel.tensor_parts is None:
-        raise NotImplementedError("the ratio sweep runs on the gram fast "
-                                  "path, which needs a tensor kernel")
+    kernel = make_cancellative(params.n, params.m, 0.5, 0.5)
+    spec = QuadratureSpec()
     levels = sorted({int(l) for l in levels})
     if count < 1 or len(levels) < 2:
         raise ValueError(
@@ -940,7 +938,7 @@ def run_boundratio(
     for lev in levels:
         best = 0.0
         for trial in range(count):
-            f = function_family(np.random.default_rng((seed, lev, trial)), lev)
+            f = _white_noise(np.random.default_rng((seed, lev, trial)), lev)
             best = max(best, ratio(kernel, f))
         mx[lev] = best
         records.append({"level": lev, "max_ratio": best, "count": count})
@@ -952,7 +950,7 @@ def run_boundratio(
     lev = levels[1]
     homo_dev = 0.0
     for trial in range(5):
-        f = function_family(np.random.default_rng((seed, lev, trial)), lev)
+        f = _white_noise(np.random.default_rng((seed, lev, trial)), lev)
         r0 = ratio(kernel, f)
         r1 = ratio(scaled, f)
         homo_dev = max(homo_dev, abs(r1 / (2.0 * r0) - 1.0))
@@ -1060,8 +1058,6 @@ def _pair_tag(side1: float, side2: float, gap: float, r: int,
 
 def run_cases(
     params: Params,
-    kernel: Optional[Kernel] = None,
-    f: Optional[StepFunction] = None,
     grid_pair_seed: int = 13,
     spec: Optional[QuadratureSpec] = None,
     *,
@@ -1070,26 +1066,23 @@ def run_cases(
 ) -> ExperimentReport:
     """Good-region quadrature split by coefficient side-length comparisons.
 
+    The kernel is the size-only one at exponents alpha = beta = 0.5, the
+    input seeded white noise on the level-2 cells of the unit square (unit
+    L2 norm, drawn from ``grid_pair_seed``), and the quadrature ``spec``,
+    by default `QuadratureSpec(points_per_cell=3, t_points_per_octave=4)`.
     The full good-Whitney quantity and its four side-length pieces evaluate
     as quadratic forms of the same per-region gram matrices, so the quadratic
     inequality (full <= 4 x sum of pieces) holds on the shared nodes exactly,
     up to float roundoff.  Coefficient-interval pairs with the wider interval
-    on the coefficient side split into separated / nested / adjacent classes;
-    the classes must cover each pair exactly once, and nested pairs against a
-    good region interval must be genuine ancestors.
+    on the coefficient side split into separated / nested / adjacent classes.
+    ``passed`` means the inequality holds on every region pair, the classes
+    cover each pair exactly once, and nested pairs against a good region
+    interval are genuine ancestors.
     """
     t0 = time.perf_counter()
-    kernel = kernel or make_size_only(params.n, params.m, 0.5, 0.5)
+    kernel = make_size_only(params.n, params.m, 0.5, 0.5)
     spec = spec or QuadratureSpec(points_per_cell=3, t_points_per_octave=4)
-    if kernel.tensor_parts is None:
-        raise NotImplementedError("the case split needs a tensor kernel")
-    if f is None:
-        rng = np.random.default_rng((grid_pair_seed, 0x99))
-        vals = rng.standard_normal((4, 4))
-        vals /= math.sqrt(float(np.sum(vals ** 2)) * 4.0 ** -2)
-        f = StepFunction(2, (0, 0), vals)
-    if f.tail != 0.0:
-        raise ValueError("the case split needs a compactly supported input")
+    f = _white_noise(np.random.default_rng((grid_pair_seed, 0x99)), 2)
 
     g1 = ShiftedGrid.random(1, -13, 6, grid_pair_seed, trial=0)
     g2 = ShiftedGrid.random(1, -13, 6, grid_pair_seed, trial=1)

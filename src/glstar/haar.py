@@ -17,10 +17,8 @@ is what closes the basis on a bounded domain.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -139,10 +137,6 @@ class HaarExpansion:
     table: np.ndarray  # dtype=object, Python ints
     shift: int
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.table.shape
-
     def members(self, factor: int) -> list[HaarIndex]:
         """The members along one factor, in packed-position order."""
         top = self.domain[factor]
@@ -154,44 +148,13 @@ class HaarExpansion:
                     for k in range(1 << (level - top.level))]
         return out
 
-    def _index_of(self, idx: HaarIndex, factor: int) -> int:
-        top = self.domain[factor]
-        cube = idx.cube
-        if idx.cancellative:
-            if not (top.level <= cube.level < self.level):
-                raise KeyError("cube level outside the expansion range")
-        elif cube != top:
-            raise KeyError("scaling member exists only for the top cube")
-        if cube.grid is not top.grid:
-            raise KeyError("cube is not from the expansion's grid")
-        offset = cube.index[0] - top.descendant_index(cube.level)[0]
-        if not 0 <= offset < 1 << (cube.level - top.level):
-            raise KeyError("cube lies outside the expansion domain")
-        # slot 0 is the scaling member's
-        return (1 << (cube.level - top.level)) + offset if idx.cancellative \
-            else 0
-
-    def raw_coefficient(self, idx1: HaarIndex, idx2: HaarIndex) -> Fraction:
-        """Pairing with the unnormalized +/-1 tensor pattern, exact."""
-        raw = self.table[self._index_of(idx1, 0), self._index_of(idx2, 1)]
-        return Fraction(raw, 1 << self.shift)
-
-    def coefficient(self, idx1: HaarIndex, idx2: HaarIndex) -> float:
-        """The L2-normalized coefficient <f, h_I x h_J>."""
-        raw = self.raw_coefficient(idx1, idx2)
-        scale = (idx1.cube.measure() * idx2.cube.measure()) ** -0.5
-        return float(raw) * scale
-
     def coefficients(self) -> np.ndarray:
-        """Every normalized coefficient, over members(0) x members(1); each
-        entry equals `coefficient` bit for bit (int / int is correctly
-        rounded, as the float of a Fraction is)."""
+        """Every L2-normalized coefficient <f, h_I x h_J>, over members(0) x
+        members(1): the exact pairing ``table[p1, p2] / 2**shift``, correctly
+        rounded (int / int is), times (|I| |J|)^(-1/2)."""
         m1, m2 = ([i.cube.measure() for i in self.members(f)] for f in (0, 1))
         scale = np.array([[(a * b) ** -0.5 for b in m2] for a in m1])
         return (self.table / (1 << self.shift)).astype(float) * scale
-
-    def indices(self) -> Iterator[tuple[HaarIndex, HaarIndex]]:
-        return itertools.product(self.members(0), self.members(1))
 
     def norm_sq_fraction(self) -> Fraction:
         """Parseval sum, exact: each raw coefficient squared over |I| |J|."""

@@ -1,4 +1,4 @@
-"""Core layer: parameter validation, mesh and scale rules, step functions, file format."""
+"""Core layer: parameter validation, mesh and scale rules, step functions."""
 
 import math
 import warnings
@@ -14,9 +14,7 @@ from glstar.core import (
     graded_axis_edges,
     octave_blocks,
     octave_nodes,
-    read_step,
     segment_nodes,
-    write_step,
 )
 from glstar.gstar import weight_total
 
@@ -235,7 +233,7 @@ def test_addition_aligns_levels_and_boxes_exactly():
 
 
 def test_tail_arithmetic():
-    one = StepFunction.constant(1, 1.0)
+    one = StepFunction(level=0, lo=(0,), values=np.ones(1), tail=1.0)
     f = StepFunction(level=0, lo=(0,), values=np.array([5.0]))
     g = f - one  # 4 on [0,1), -1 outside
     assert g(0.5) == 4.0
@@ -246,15 +244,14 @@ def test_tail_arithmetic():
 def test_integral_and_inner_product():
     f = StepFunction(level=1, lo=(0,), values=np.array([2.0, -2.0]))
     assert f.integral() == 0.0
-    assert f.exact_integral() == 0
     assert f.l2_norm_sq() == pytest.approx(4.0)
     g = StepFunction(level=0, lo=(0,), values=np.array([3.0]))
     assert f.inner(g) == pytest.approx(0.0)
 
 
 def test_inner_with_two_tails_is_rejected():
-    a = StepFunction.constant(1, 1.0)
-    b = StepFunction.constant(1, 2.0)
+    a = StepFunction(level=0, lo=(0,), values=np.ones(1), tail=1.0)
+    b = StepFunction(level=0, lo=(0,), values=np.full(1, 2.0), tail=2.0)
     with pytest.raises(ValueError):
         a.inner(b)
     # but one tail is fine: the product vanishes far away
@@ -289,58 +286,3 @@ def test_quadrature_agrees_with_exact_step_integral():
     edge_anchors = [lo + k * f.cell_side for k in range(4)]
     x, w = axis_rule(lo, hi, spec, anchors=edge_anchors)
     assert float(w @ f(x)) == pytest.approx(f.integral(), abs=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# file format
-# ---------------------------------------------------------------------------
-
-
-def test_round_trip_is_bit_exact(tmp_path):
-    rng = np.random.default_rng(123)
-    vals = rng.standard_normal((3, 5))
-    vals[0, 0] = -0.0
-    vals[1, 2] = np.nextafter(1.0, 2.0)
-    f = StepFunction(level=4, lo=(-3, 9), values=vals, tail=1.0 / 3.0)
-    path = tmp_path / "f.glsf"
-    write_step(f, path)
-    g = read_step(path)
-    assert g.level == f.level and g.lo == f.lo and g.tail == f.tail
-    assert g.values.tobytes() == f.values.tobytes()
-
-
-def test_round_trip_negative_level(tmp_path):
-    f = StepFunction(level=-2, lo=(0,), values=np.array([7.0, 8.0]))
-    path = tmp_path / "coarse.glsf"
-    write_step(f, path)
-    g = read_step(path)
-    assert g.level == -2 and g.box == f.box
-    assert np.array_equal(g.values, f.values)
-
-
-def test_bad_magic_is_a_format_error(tmp_path):
-    path = tmp_path / "junk.glsf"
-    path.write_bytes(b"NOTIT\n1 0 0.0 1.0 0.0\n" + b"\x00" * 8)
-    with pytest.raises(ValueError, match="magic"):
-        read_step(path)
-
-
-def test_truncated_payload_is_detected(tmp_path):
-    f = StepFunction(level=0, lo=(0,), values=np.array([1.0, 2.0]))
-    path = tmp_path / "t.glsf"
-    write_step(f, path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-4])
-    with pytest.raises(ValueError):
-        read_step(path)
-
-
-def test_header_is_ascii_and_self_describing(tmp_path):
-    f = StepFunction(level=3, lo=(8,), values=np.ones(8), tail=0.0)
-    path = tmp_path / "h.glsf"
-    write_step(f, path)
-    raw = path.read_bytes()
-    assert raw.startswith(b"GLSF1\n")
-    header = raw.split(b"\n")[1].decode("ascii").split()
-    assert header[0] == "1" and header[1] == "3"
-    assert float(header[2]) == 1.0 and float(header[3]) == 2.0

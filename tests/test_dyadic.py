@@ -302,7 +302,8 @@ def test_ancestor_contains_and_has_right_side():
     a = g.ancestor(c, 4)
     assert a.level == 5
     assert a.side == 2.0 ** -5 == 16 * c.side
-    assert a.contains(c)
+    assert all(lo <= c_lo and c_hi <= hi
+               for (lo, hi), (c_lo, c_hi) in zip(a.box(), c.box()))
 
 
 def test_cubes_overlapping_tile_a_box():

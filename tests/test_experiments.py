@@ -100,6 +100,18 @@ def test_averaging_refuses_a_starved_radius_before_drawing(monkeypatch):
         run_averaging(default_params(r=8))
 
 
+@pytest.mark.parametrize("octaves", [0, -3])
+def test_averaging_refuses_vacuous_goodness_before_drawing(monkeypatch, octaves):
+    # with no qualifying octave pi is 1 at every band level and every cube is
+    # good vacuously, so a pass would check the partition only
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a shift was drawn before the refusal")
+
+    monkeypatch.setattr(dyadic, "trial_stream", no_stream)
+    with pytest.raises(ValueError, match="qualifying octave"):
+        run_averaging(PARAMS, trials=10, octaves=octaves)
+
+
 def test_averaging_at_defaults():
     rep = run_averaging(PARAMS)
     assert rep.passed
@@ -251,6 +263,17 @@ def test_schur_smoke():
     assert rep.summary["singleton"] == 2 ** -1.5
 
 
+@pytest.mark.parametrize("sizes", [(8,), (64, 64)])
+def test_schur_refuses_fewer_than_two_sizes_before_drawing(monkeypatch, sizes):
+    # one distinct size has no growth, so a pass would not mean saturation
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a cube was drawn before the refusal")
+
+    monkeypatch.setattr(experiments, "_draw_collection", no_draw)
+    with pytest.raises(ValueError, match="two distinct positive"):
+        run_schur(PARAMS, collection_sizes=sizes, draws=1)
+
+
 def _finite(values):
     return all(math.isfinite(v) and v > 0 for v in values)
 
@@ -261,6 +284,11 @@ def test_lemma32_smoke():
     assert _finite([r["ratio"] for r in rep.records]
                    + [r["ratio_refined"] for r in rep.records])
     assert rep.passed
+
+
+def test_lemma32_refuses_an_empty_configuration_list():
+    with pytest.raises(ValueError, match="at least one configuration"):
+        run_lemma32(PARAMS, configs=[])
 
 
 def test_kdecay_smoke():

@@ -28,6 +28,20 @@ def _tensor(g1: StepFunction, g2: StepFunction) -> StepFunction:
                         values=np.multiply.outer(a.values, b.values))
 
 
+def _positions(e, i1, i2) -> tuple[int, int]:
+    """The packed positions of a member pair: its places in members()."""
+    return e.members(0).index(i1), e.members(1).index(i2)
+
+
+def _coefficient(e, i1, i2) -> float:
+    """The normalized coefficient of a member pair, read from coefficients()."""
+    return e.coefficients()[_positions(e, i1, i2)]
+
+
+def _inside(outer, inner) -> bool:
+    return all(a <= c and d <= b for (a, b), (c, d) in zip(outer.box(), inner.box()))
+
+
 # ---------------------------------------------------------------------------
 # members
 # ---------------------------------------------------------------------------
@@ -91,12 +105,12 @@ def test_two_term_expansion_of_half_indicator():
     e = expand(f, (Q, Q), 2)
     flat = HaarIndex(cube=Q, eta=(0,))
     split = HaarIndex(cube=Q, eta=(1,))
-    assert e.coefficient(flat, flat) == 0.5
-    assert e.coefficient(split, flat) == 0.5
+    assert _coefficient(e, flat, flat) == 0.5
+    assert _coefficient(e, split, flat) == 0.5
     # every coefficient with a finer first-factor cube vanishes
     for k in (0, 1):
         finer = HaarIndex(cube=GRID.cube(1, (k,)), eta=(1,))
-        assert e.coefficient(finer, flat) == 0.0
+        assert _coefficient(e, finer, flat) == 0.0
     assert e.norm_sq_fraction() == Fraction(1, 2)
 
 
@@ -105,11 +119,11 @@ def test_basis_member_has_single_unit_coefficient():
     i2 = HaarIndex(cube=Q, eta=(1,))
     f = _tensor(haar_function(i1), haar_function(i2))
     e = expand(f, (Q, Q), 3)
-    assert e.coefficient(i1, i2) == pytest.approx(1.0, abs=1e-14)
+    assert _coefficient(e, i1, i2) == pytest.approx(1.0, abs=1e-14)
     total = e.norm_sq_fraction()
     assert float(total) == pytest.approx(1.0, abs=1e-12)
     # all other coefficients vanish: the one term carries the whole norm
-    c = Fraction(e.raw_coefficient(i1, i2))
+    c = Fraction(e.table[_positions(e, i1, i2)], 1 << e.shift)
     assert total - c * c / (Fraction(1, 2) * Fraction(1)) == 0
 
 
@@ -140,7 +154,7 @@ def test_parseval_exact_and_in_float():
     e = expand(f, (Q, Q), 4)
     exact = sum(Fraction(v) ** 2 for v in f.values.ravel()) * Fraction(1, 2 ** 8)
     assert e.norm_sq_fraction() == exact
-    float_sum = sum(e.coefficient(i1, i2) ** 2 for i1, i2 in e.indices())
+    float_sum = sum(c ** 2 for c in e.coefficients().ravel().tolist())
     assert float_sum == pytest.approx(f.l2_norm_sq(), rel=1e-12)
 
 
@@ -148,7 +162,7 @@ def test_support_leakage_is_rejected():
     f = StepFunction(level=2, lo=(-1, 0), values=np.ones((2, 2)))
     with pytest.raises(ValueError, match="support leakage"):
         expand(f, (Q, Q), 2)
-    g = StepFunction.constant(2, 1.0)
+    g = StepFunction(level=0, lo=(0, 0), values=np.ones((1, 1)), tail=1.0)
     with pytest.raises(ValueError, match="support leakage"):
         expand(g, (Q, Q), 2)
 
@@ -156,9 +170,10 @@ def test_support_leakage_is_rejected():
 def test_scaling_member_only_for_top_cube():
     f = StepFunction(level=2, lo=(0, 0), values=np.ones((4, 4)))
     e = expand(f, (Q, Q), 2)
-    stray = HaarIndex(cube=GRID.cube(1, (0,)), eta=(0,))
-    with pytest.raises(KeyError):
-        e.coefficient(stray, HaarIndex(cube=Q, eta=(0,)))
+    for factor in (0, 1):
+        members = e.members(factor)
+        assert [m for m in members if not m.cancellative] == [HaarIndex(cube=Q, eta=(0,))]
+        assert members[0] == HaarIndex(cube=Q, eta=(0,))
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -174,17 +189,21 @@ def test_expansion_on_shifted_grids_indexes_every_member(seed):
     e = expand(f, (q1, q2), 5)
     g = reconstruct(e)
     assert (g.level, g.lo) == (f.level, f.lo) and np.array_equal(g.values, f.values)
-    for p, (i1, i2) in enumerate(e.indices()):
-        assert (e._index_of(i1, 0), e._index_of(i2, 1)) == divmod(p, 32)
-        assert q1.contains(i1.cube) and q2.contains(i2.cube)
-        want = f.inner(_tensor(haar_function(i1), haar_function(i2)))
-        assert e.coefficient(i1, i2) == pytest.approx(want, rel=1e-12, abs=1e-12)
-    assert p == 32 * 32 - 1
-    outside = HaarIndex(cube=g1.cube(1, (q1.descendant_index(1)[0] + 2,)), eta=(1,))
-    with pytest.raises(KeyError, match="outside the expansion domain"):
-        e.coefficient(outside, HaarIndex(cube=q2, eta=(0,)))
-    with pytest.raises(KeyError, match="not from the expansion's grid"):
-        e.coefficient(HaarIndex(cube=q2, eta=(1,)), HaarIndex(cube=q2, eta=(0,)))
+    members = e.members(0), e.members(1)
+    for q, grid, ms in zip((q1, q2), (g1, g2), members):
+        assert len(ms) == 32 and ms[0] == HaarIndex(cube=q, eta=(0,))
+        # packed position p >= 1: the cube at level q + floor(log2 p), offset
+        # p - 2^floor(log2 p) from q's first descendant there
+        for p, m in enumerate(ms[1:], 1):
+            gens = p.bit_length() - 1
+            assert m.cube.grid is grid and m.cube.level == q.level + gens
+            assert m.cube.index[0] - q.descendant_index(m.cube.level)[0] == p - (1 << gens)
+            assert _inside(q, m.cube)
+    coeff = e.coefficients()
+    for p1, i1 in enumerate(members[0]):
+        for p2, i2 in enumerate(members[1]):
+            want = f.inner(_tensor(haar_function(i1), haar_function(i2)))
+            assert coeff[p1, p2] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def _fraction_table(f: StepFunction, domain, level: int) -> np.ndarray:
@@ -242,7 +261,7 @@ def test_integer_table_matches_the_fraction_transform(case):
     members1, members2 = e.members(0), e.members(1)
     for p1, i1 in enumerate(members1):
         for p2, i2 in enumerate(members2):
-            assert e.raw_coefficient(i1, i2) == oracle[p1, p2]
+            assert Fraction(e.table[p1, p2], 1 << e.shift) == oracle[p1, p2]
     # the round trip is bit-exact at these magnitudes
     g = reconstruct(e)
     assert (g.level, g.lo) == (f.level, f.lo)
@@ -250,14 +269,14 @@ def test_integer_table_matches_the_fraction_transform(case):
     # Parseval, exact: the sum of squared cell values times the cell area
     exact = sum(Fraction(v) ** 2 for v in f.values.ravel()) / 4 ** level
     assert e.norm_sq_fraction() == exact
-    # the matrix view equals the per-pair coefficient bit for bit
+    # the matrix view is the exact pairing, correctly rounded, times the
+    # normalization, bit for bit
     coeff = e.coefficients()
     assert coeff.shape == (n1, n2) and coeff.dtype == float
     for p1, i1 in enumerate(members1):
         for p2, i2 in enumerate(members2):
-            assert coeff[p1, p2] == e.coefficient(i1, i2)
-    # the per-axis lists reproduce indices() in its order
-    assert list(e.indices()) == [(i1, i2) for i1 in members1 for i2 in members2]
+            scale = (i1.cube.measure() * i2.cube.measure()) ** -0.5
+            assert coeff[p1, p2] == float(oracle[p1, p2]) * scale
 
 
 # ---------------------------------------------------------------------------

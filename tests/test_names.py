@@ -3,7 +3,9 @@
 Every global name a module reads exists; every name a module's __all__
 exports exists; every script pyproject.toml declares resolves; every name a
 module-level import binds is read; no module imports another module's
-private names; no module silences warnings."""
+private names; no module silences warnings; every function the package
+defines is reached from a driver, a module's top level or the benchmark, or
+is a named oracle."""
 
 import ast
 import builtins
@@ -16,8 +18,25 @@ import symtable
 import pytest
 
 import glstar
+from glstar import experiments
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(glstar.__path__))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# Functions that nothing in the package or the benchmark reaches, kept as
+# the named independent reference of a route that is reached.
+ORACLES = (
+    "dyadic.is_good",  # one-cube goodness; the benchmark traces it by name
+    "dyadic.set_distance",  # the geometric oracle for goodness
+    "dyadic._box_gap",  # set_distance's box gap
+    "dyadic.long_distance",  # schur_matrix's formula
+    "dyadic.default_shift_radius",  # pins DEFAULT_SHIFT_RADIUS
+    "haar.HaarExpansion.norm_sq_fraction",  # exact Parseval
+    "core.StepFunction.inner",  # Haar orthonormality
+    "core.StepFunction.l2_norm_sq",
+    "kernels.make_broken",  # the checkers' negative controls
+    "kernels._jump_wrap",  # make_broken's "holder_break" defect
+)
 
 
 def _source(name):
@@ -61,7 +80,7 @@ def test_every_declared_script_resolves():
     # an install writes one launcher per [project.scripts] entry; a target
     # that does not resolve makes a launcher that fails on start
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
-    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    pyproject = ROOT / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"].get("scripts", {})
     broken = []
     for name, target in scripts.items():
@@ -121,3 +140,71 @@ def test_no_warning_filters(name):
         and node.func.attr in ("catch_warnings", "simplefilter")
     )
     assert calls == []
+
+
+def _outside_function_bodies(tree):
+    # module and class statements, decorators and default values: the code
+    # that runs at import
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(node.decorator_list + node.args.defaults
+                         + [d for d in node.args.kw_defaults if d is not None])
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _names(nodes, strings=False):
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from node.value.split(".")
+
+
+def _definitions():
+    """Each module-level function and method of the package: name -> list of
+    (qualified name, definition)."""
+    defs, import_time = {}, set()
+    for name in MODULES:
+        tree = ast.parse(_source(name)[1])
+        import_time |= set(_names(_outside_function_bodies(tree)))
+        for node in tree.body:
+            inner = node.body if isinstance(node, ast.ClassDef) else [node]
+            prefix = f"{name}.{node.name}." if isinstance(node, ast.ClassDef) else f"{name}."
+            for fn in inner:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defs.setdefault(fn.name, []).append((prefix + fn.name, fn))
+    return defs, import_time
+
+
+def test_every_function_is_reached_or_an_oracle():
+    # by name, transitively, from the drivers' bodies, every module's import-
+    # time code and every name or string in the benchmark; a function none of
+    # them names is code that nothing runs
+    defs, reached_from = _definitions()
+    reached_from |= {n for n in experiments.__all__ if n.startswith("run_")}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        reached_from |= set(_names(ast.walk(ast.parse(path.read_text())), strings=True))
+    reached_from |= {n for n in defs if n.startswith("__") and n.endswith("__")}
+    reached, todo = set(), list(reached_from)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for _, fn in defs.get(name, ()):
+                todo.extend(_names(ast.walk(fn)))
+    unreached = {q for n, entries in defs.items() if n not in reached
+                 for q, _ in entries}
+    assert sorted(unreached - set(ORACLES)) == []
+
+
+def test_every_oracle_is_defined():
+    # a deleted oracle must leave the list too
+    defs, _ = _definitions()
+    defined = {q for entries in defs.values() for q, _ in entries}
+    assert sorted(set(ORACLES) - defined) == []
