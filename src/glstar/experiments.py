@@ -10,10 +10,9 @@ The runs are deliberately opinionated about their configurations: each fixes
 its kernel, exponents and quadrature spec (its docstring names them), every
 fixed value was frozen after a refinement study, and the notes field of each
 report says what was truncated and how hard.  The drivers reach the other
-modules through their public functions only.  Two quantities still have a
-private quadrature here rather than the route that owns them elsewhere: the
-one-factor tail integral of `run_lemma32` (`_lemma32_lhs`) and the
-per-region member grams of `run_cases` (`_whitney_gram`).
+modules through their public functions only, and every θ integral here is a
+`gstar.response_gram`: the one-factor tail integral of `run_lemma32` and the
+per-region member grams of `run_cases` included.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .core import (
     Params,
     QuadratureSpec,
     StepFunction,
-    graded_axis_edges,
     octave_nodes,
     segment_nodes,
 )
@@ -43,8 +41,8 @@ from .dyadic import (
     schur_matrix,
     shift_tables,
 )
-from .gstar import gstar_sq_norm, k_quantity, q_quantity
-from .haar import HaarIndex, expand
+from .gstar import gstar_sq_norm, k_quantity, q_quantity, response_gram
+from .haar import HaarIndex, expand, haar_function
 from .kernels import (
     ConvolutionFactor,
     Kernel,
@@ -419,12 +417,13 @@ def run_schur(
     W^(-alpha)).
 
     ``collection_sizes`` must hold at least two distinct positive sizes
-    (repeats count once), or there is no growth to measure; fewer raise
-    ``ValueError`` before any cube is drawn.  ``passed`` requires the growth
-    between the two largest sizes to be under 5 %, the quadratic inequality
-    to hold on every draw and the one-cube norm to be exact.  At the defaults
-    it is False by design: the norm is still growing at 512 cubes
-    (``final_growth`` is about 0.37).
+    (repeats count once), or there is no growth to measure, and ``draws``
+    must be at least 1, or the inequality is checked on nothing; either
+    raises ``ValueError`` before any cube is drawn.  ``passed`` requires
+    the growth between the two largest sizes to be under 5 %, the quadratic
+    inequality to hold on every draw and the one-cube norm to be exact.  At
+    the defaults it is False by design: the norm is still growing at 512
+    cubes (``final_growth`` is about 0.37).
     """
     t0 = time.perf_counter()
     alpha, scheme = 0.5, "multiscale"
@@ -432,6 +431,8 @@ def run_schur(
     if len(sizes) < 2 or sizes[0] < 1:
         raise ValueError("the growth sweep needs two distinct positive "
                          "collection sizes")
+    if draws < 1:
+        raise ValueError("the quadratic inequality needs at least one draw")
     cubes = _draw_collection(sizes[-1], seed)
 
     big = schur_matrix(cubes, alpha)
@@ -533,26 +534,6 @@ def sample_lemma32_configs(count: int = 120, seed: int = 5) -> list[Lemma32Confi
     return out[:count]
 
 
-def _lemma32_lhs(cfg: Lemma32Config, lam: float, spec: QuadratureSpec) -> tuple[float, float]:
-    """Quadrature of the weighted square integral; returns (value, tail_rel)."""
-    lo1, hi1 = cfg.i1
-    x1, t1, a = cfg.x1, cfg.t1, cfg.alpha
-    factor = ConvolutionFactor(1, a, "size")
-    span = max(t1, hi1 - lo1, abs(x1 - lo1), abs(x1 - hi1), 1.0)
-    radius = 64.0 * span
-    fine = min(2.0 ** -16, t1 / (16.0 * radius))
-    edges = graded_axis_edges(-radius, radius, (0.0, x1 - hi1, x1 - lo1),
-                              rel_finest=fine)
-    y, dy = segment_nodes(edges, spec.points_per_cell, spec.rule)
-    inner = factor.cell_integral(t1, x1 - y, lo1, hi1) / t1 ** a
-    weight = (t1 / (t1 + np.abs(y))) ** lam
-    contrib = inner ** 2 * weight * dy / t1
-    total = float(np.sum(contrib))
-    edge = float(contrib[0] + contrib[-1])
-    tail_rel = edge / total if total > 0 else 0.0
-    return math.sqrt(total), tail_rel
-
-
 def run_lemma32(
     params: Params,
     configs: Optional[Sequence[Lemma32Config]] = None,
@@ -562,11 +543,12 @@ def run_lemma32(
     For each configuration, the square root of the weighted square integral
     of the interval response, under the size-flavor convolution factor of
     the configuration's exponent (0.5 in `sample_lemma32_configs`), is
-    compared with |I1| / (l(I2) + d)^(1+alpha).  The quadrature runs at the
+    compared with |I1| / (l(I2) + d)^(1+alpha).  The integral is the
+    response gram of 1_{I1} at (x1, t1), with its far field closed, at the
     default `QuadratureSpec()` and again at its twofold refinement.
     ``passed`` means the refined ratio stays finite and moves by less than
     10 % under the refinement, on every configuration; an empty
-    configuration list is refused.
+    configuration list and a non-dyadic I1 are refused.
     """
     t0 = time.perf_counter()
     spec = QuadratureSpec()
@@ -579,9 +561,6 @@ def run_lemma32(
     fine_spec = spec.refined(2)
 
     records = []
-    worst_ratio = 0.0
-    worst_drift = 0.0
-    worst_tail = 0.0
     for cfg in configs:
         lo2, hi2 = cfg.i2
         ell2 = hi2 - lo2
@@ -592,33 +571,37 @@ def run_lemma32(
             raise ValueError("exponent outside the admissible band for this "
                              "weight")
         lo1, hi1 = cfg.i1
+        side, level = hi1 - lo1, 1 - math.frexp(hi1 - lo1)[1]
+        if side != 2.0 ** -level or not (lo1 / side).is_integer():
+            raise ValueError("the target interval must be dyadic")
+        target = StepFunction(level, (int(lo1 / side),), np.ones(1))
+        factor = ConvolutionFactor(1, cfg.alpha, "size")
         gap = max(0.0, lo2 - hi1, lo1 - hi2)
-        rhs = (hi1 - lo1) / (ell2 + gap) ** (1.0 + cfg.alpha)
-        lhs, tail = _lemma32_lhs(cfg, lam, spec)
-        lhs2, _ = _lemma32_lhs(cfg, lam, fine_spec)
+        rhs = side / (ell2 + gap) ** (1.0 + cfg.alpha)
+        lhs, lhs2 = (math.sqrt(response_gram(factor, target, [cfg.x1], [1.0],
+                                             cfg.t1, lam, sp)[0, 0])
+                     / cfg.t1 ** cfg.alpha for sp in (spec, fine_spec))
         ratio, ratio2 = lhs / rhs, lhs2 / rhs
         drift = abs(ratio2 / ratio - 1.0) if ratio > 0 else 0.0
-        worst_ratio = max(worst_ratio, ratio2)
-        worst_drift = max(worst_drift, drift)
-        worst_tail = max(worst_tail, tail)
         records.append({
             "i1": list(cfg.i1), "i2": list(cfg.i2), "x1": cfg.x1,
             "t1": cfg.t1, "ratio": ratio, "ratio_refined": ratio2,
             "drift": drift,
         })
 
+    worst_ratio = max(r["ratio_refined"] for r in records)
+    worst_drift = max(r["drift"] for r in records)
     passed = math.isfinite(worst_ratio) and worst_drift < 0.10
     summary = {
         "configs": len(records),
         "max_ratio": worst_ratio,
         "max_refinement_drift": worst_drift,
-        "max_boundary_share": worst_tail,
         "spec": _spec_snapshot(spec),
     }
     notes = (
-        "position integral truncated at 64x the configuration span with a "
-        "mesh graded toward the weight peak and the interval edges; the "
-        "boundary cells carry at most the reported share of the integral"
+        "position integral on the response-gram mesh, graded toward the "
+        "interval edges and the weight peak and spanning 128 t1 around both; "
+        "past it the compact response takes its far-field value 0"
     )
     return ExperimentReport(
         name="lemma32",
@@ -681,7 +664,9 @@ def run_kdecay(
     and the constant second-axis factor is absorbed into the Theta(1) band.
 
     The slopes are fitted over the generations above ``plateau_upto`` = 8,
-    so ``k_range`` must hold at least two of them.  ``passed`` means both
+    so ``k_range`` must hold at least two of them, and the plateaus are read
+    from the generations up to it, so it must hold at least one of those;
+    either shortfall is refused before any quadrature.  ``passed`` means both
     slopes lie within 0.1 of -alpha/2, both plateau ranges lie in
     [0.1, 10], and, with ``side_runs``, the slope at alpha is 1.5 to 2.5
     times the slope at alpha/2 and the slope magnitudes grow strictly from
@@ -694,8 +679,12 @@ def run_kdecay(
     base = grid.cube(4, (0,))
     ks = sorted(int(k) for k in k_range)
     slope_ks = [k for k in ks if k > plateau_upto]
+    plateau_ks = [k for k in ks if k <= plateau_upto]
     if len(set(slope_ks)) < 2:
         raise ValueError(f"the slope fit needs at least two generations above "
+                         f"plateau_upto={plateau_upto}")
+    if not plateau_ks:
+        raise ValueError(f"the plateau check needs a generation at most "
                          f"plateau_upto={plateau_upto}")
     kernel = make_size_only(1, 1, alpha, beta)
     factor = kernel.tensor_parts[0]
@@ -716,7 +705,6 @@ def run_kdecay(
         records.append({"k": k, "offset": cube.index[0] - base.index[0],
                         "k_value": kv, "q_value": qv, "q_scaled": qn})
 
-    plateau_ks = [k for k in ks if k <= plateau_upto]
     window = (-alpha / 2.0 - 0.1, -alpha / 2.0 + 0.1)
 
     def fit(vals: dict) -> float:
@@ -725,13 +713,13 @@ def run_kdecay(
 
     k_slope = fit(k_vals)
     q_slope = fit(q_vals)
-    k_plateau = (min(k_vals[k] for k in plateau_ks),
-                 max(k_vals[k] for k in plateau_ks)) if plateau_ks else None
-    q_plateau = (min(q_vals[k] for k in plateau_ks),
-                 max(q_vals[k] for k in plateau_ks)) if plateau_ks else None
+    k_plateau = [min(k_vals[k] for k in plateau_ks),
+                 max(k_vals[k] for k in plateau_ks)]
+    q_plateau = [min(q_vals[k] for k in plateau_ks),
+                 max(q_vals[k] for k in plateau_ks)]
 
     def in_band(rng_pair) -> bool:
-        return rng_pair is None or (rng_pair[0] >= 0.1 and rng_pair[1] <= 10.0)
+        return rng_pair[0] >= 0.1 and rng_pair[1] <= 10.0
 
     slopes_ok = (window[0] <= k_slope <= window[1]
                  and window[0] <= q_slope <= window[1])
@@ -759,8 +747,8 @@ def run_kdecay(
         "q_slope": q_slope,
         "slope_window": list(window),
         "slope_ks": slope_ks,
-        "k_plateau": list(k_plateau) if k_plateau else None,
-        "q_plateau": list(q_plateau) if q_plateau else None,
+        "k_plateau": k_plateau,
+        "q_plateau": q_plateau,
         "side_runs": side,
     }
     notes = (
@@ -1001,49 +989,36 @@ def _containing_cube(grid: ShiftedGrid, f: StepFunction, axis: int) -> DyadicCub
     raise ValueError("support does not fit inside the grid truncation")
 
 
-def _member_theta(factor: ConvolutionFactor, idx: HaarIndex, t: float,
-                  u: np.ndarray) -> np.ndarray:
-    """Response of one Haar member under the convolution factor at scale t."""
-    (lo, hi), = idx.cube.box()
-    scale = idx.cube.side ** -0.5
-    if idx.cancellative:
-        mid = 0.5 * (lo + hi)
-        return scale * (factor.cell_integral(t, u, lo, mid)
-                        - factor.cell_integral(t, u, mid, hi))
-    return scale * factor.cell_integral(t, u, lo, hi)
+def _haar_synthesis(members: Sequence[HaarIndex],
+                    ) -> tuple[StepFunction, np.ndarray]:
+    """The members on one lattice: a lattice function covering every
+    member's support, and the synthesis matrix whose row i holds member i's
+    cell values there."""
+    hs = [haar_function(m) for m in members]
+    level = max(h.level for h in hs)
+    hs = [h.refined(level) for h in hs]
+    lo = min(h.lo[0] for h in hs)
+    n = max(h.lo[0] + h.shape[0] for h in hs) - lo
+    rows = np.array([h.padded((lo,), (n,)).values for h in hs])
+    return StepFunction(level, (lo,), np.zeros(n)), rows
 
 
-def _whitney_gram(factor: ConvolutionFactor, members: Sequence[HaarIndex],
-                  w_cube: DyadicCube, lam: float,
-                  spec: QuadratureSpec) -> np.ndarray:
+def _region_gram(factor: ConvolutionFactor, lattice: StepFunction,
+                 rows: np.ndarray, w_cube: DyadicCube, lam: float,
+                 spec: QuadratureSpec) -> np.ndarray:
     """Gram matrix of member responses over one Whitney region.
 
-    Integrates theta h_i (x - y) theta h_j (x - y) against the scale weight
-    over y, the region's cube in x, and its scale band in t.  All the case
-    quantities over this region are quadratic forms in this matrix, so every
-    split of the coefficient matrix is evaluated on the same nodes.
+    The response grams of the synthesis rows at the region cube's position
+    nodes, integrated over its scale band (side/2, side] in dt/t.  All the
+    case quantities over this region are quadratic forms in this matrix, so
+    every split of the coefficient matrix is evaluated on the same nodes.
     """
     (wlo, whi), = w_cube.box()
     side = w_cube.side
     tn, tw = octave_nodes(side / 2.0, side, spec.t_points_per_octave, spec.rule)
     xs, xw = segment_nodes(np.array([wlo, whi]), spec.points_per_cell, spec.rule)
-    edges = sorted({b for m in members for b in
-                    (m.cube.box()[0][0], m.cube.box()[0][1],
-                     0.5 * sum(m.cube.box()[0]))})
-    gram = np.zeros((len(members), len(members)))
-    for t, wt in zip(tn, tw):
-        span = max(whi - wlo, 1.0)
-        radius = 48.0 * max(t, span)
-        for x, wx in zip(xs, xw):
-            anchors = tuple(x - e for e in edges) + (0.0,)
-            fine = min(2.0 ** -16, t / (8.0 * radius))
-            mesh = graded_axis_edges(-radius, radius, anchors, rel_finest=fine)
-            y, dy = segment_nodes(mesh, 2, spec.rule)
-            u = x - y
-            theta = np.stack([_member_theta(factor, m, t, u) for m in members])
-            weight = (t / (t + np.abs(y))) ** lam * dy / t
-            gram += (wt / t * wx) * ((theta * weight) @ theta.T)
-    return gram
+    return sum(response_gram(factor, lattice, xs, xw, t, lam, spec, rows)
+               * (w / t) for t, w in zip(tn, tw))
 
 
 def _pair_tag(side1: float, side2: float, gap: float, r: int,
@@ -1103,6 +1078,7 @@ def run_cases(
     fac1, fac2 = kernel.tensor_parts
 
     def region_grams(grid, members, fac, lam):
+        lattice, rows = _haar_synthesis(members)
         out = {}
         lo_lev, hi_lev = whitney_levels
         for lev in range(lo_lev, hi_lev + 1):
@@ -1114,7 +1090,8 @@ def run_cases(
                                   grid.j_min, grid.j_max, params)
             for cube, ok in zip(cubes, good):
                 if ok:
-                    out[cube] = _whitney_gram(fac, members, cube, lam, spec)
+                    out[cube] = _region_gram(fac, lattice, rows, cube, lam,
+                                             spec)
         return out
 
     grams1 = region_grams(g1, members1, fac1, lam1)

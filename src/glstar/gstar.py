@@ -26,10 +26,11 @@ Numerical conventions used throughout:
   far field is a closed-form weight-tail term and the mesh only has to cover
   the structure zone around the support box;
 * the pointwise value and the norm are computed in two layers, each with one
-  octave-band assembly.  Tensor kernels (everything built by
-  :mod:`glstar.kernels`) go per axis: :func:`_axis_octave_sums` sums
-  :func:`_axis_sq_profile` over each band's scale nodes and contracts it
-  against that band's position nodes.  Other kernels go jointly:
+  octave-band assembly, and the kernel alone picks the layer.  Tensor
+  kernels (everything built by :mod:`glstar.kernels`) go per axis:
+  :func:`_octave_sums` sums each factor's one-axis
+  :func:`response_gram` over each band's scale and position nodes and
+  contracts the two grams against f's values.  Other kernels go jointly:
   :func:`_raw_octave_sums` contracts the :func:`_raw_block` matrices of each
   scale pair against both bands' position nodes.  A route is one theta
   evaluator in one of these assemblies plus one choice of position nodes.
@@ -72,6 +73,7 @@ __all__ = [
     "gstar_sq_norm",
     "k_quantity",
     "q_quantity",
+    "response_gram",
 ]
 
 # Finest graded-mesh step relative to the span being meshed; the meshes are
@@ -139,80 +141,76 @@ def _axis_edges(f: StepFunction, axis: int = 0) -> np.ndarray:
     return f.lo[axis] * h + h * np.arange(f.shape[axis] + 1)
 
 
-def _axis_theta(factor: ConvolutionFactor, f: StepFunction, t: float,
-                points: np.ndarray) -> np.ndarray:
-    """theta_t f at an array of points via exact per-cell integrals.
-
-    f splits into its compact part plus the constant tail; the tail maps to
-    tail * mass(t) exactly and the compact part to a cell-integral sum."""
-    pts = np.asarray(points, dtype=float)
-    edges = _axis_edges(f)
-    ci = factor.cell_integral(t, pts[..., None], edges[:-1], edges[1:])
-    out = ci @ (f.values - f.tail)
-    if f.tail != 0.0:
-        out = out + f.tail * factor.mass(t)
-    return out
-
-
 def _offset_mesh(box: tuple[float, float], t: float, spec: QuadratureSpec,
                  anchors: Sequence[float], pad_units: float = _PAD_UNITS,
                  rel: float = _MESH_REL,
                  ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Offset-variable (u = x - y) mesh covering the zone where theta still
-    differs appreciably from its far-field constant.  Returns nodes, weights
-    and the two mesh edges."""
+    differs appreciably from its far-field constant and pad_units * t around
+    every anchor.  Returns nodes, weights and the two mesh edges."""
     blo, bhi = box
     pad = pad_units * t + (bhi - blo)
-    grid = graded_axis_edges(blo - pad, bhi + pad, anchors, rel_finest=rel)
+    lo = min(blo - pad, min(anchors) - pad_units * t)
+    hi = max(bhi + pad, max(anchors) + pad_units * t)
+    grid = graded_axis_edges(lo, hi, anchors, rel_finest=rel)
     u, du = segment_nodes(grid, spec.points_per_cell, spec.rule)
-    return u, du, blo - pad, bhi + pad
+    return u, du, lo, hi
 
 
-def _step_anchors(f: StepFunction) -> list[float]:
-    edges = _axis_edges(f)
-    return list(edges) if len(edges) <= 33 else [edges[0], edges[-1]]
-
-
-def _weighted_theta_sq(theta_vals: np.ndarray, du: np.ndarray,
-                       u_lo: float, u_hi: float, u: np.ndarray,
-                       far_const: float, xs: np.ndarray, t: float,
-                       lam: float) -> np.ndarray:
-    """int |theta(x - y)|^2 (t/(t+|y|))^lam dy / t for an array of x, given
-    theta sampled on a u-mesh and its constant far-field value."""
-    integ = theta_vals * theta_vals * du
-    out = np.empty(xs.shape)
+def _weighted_theta_gram(theta: np.ndarray, u: np.ndarray, du: np.ndarray,
+                         u_lo: float, u_hi: float, far_const: float,
+                         xs: np.ndarray, xw: np.ndarray, t: float,
+                         lam: float) -> np.ndarray:
+    """sum_x xw_x int theta_i theta_j(x - y) (t/(t+|y|))^lam dy / t for rows
+    theta_i on a u-mesh with one far-field constant past [u_lo, u_hi]: one
+    weight vector omega on the mesh, then theta diag(omega) theta^T."""
+    omega = np.zeros(u.shape)
     step = max(1, _BLOCK // max(1, u.size))
     for i in range(0, xs.size, step):
-        xb = xs[i:i + step, None]
-        w = (t / (t + np.abs(xb - u[None, :]))) ** lam
-        out[i:i + step] = w @ integ
-    if far_const != 0.0:
-        window = weight_window(t, lam, xs - u_hi, xs - u_lo)
-        out = out + far_const * far_const * (weight_total(t, lam) - window)
-    return out / t
+        w = (t / (t + np.abs(xs[i:i + step, None] - u[None, :]))) ** lam
+        omega += xw[i:i + step] @ w
+    gram = (theta * (omega * du)) @ theta.T
+    far = weight_total(t, lam) - weight_window(t, lam, xs - u_hi, xs - u_lo)
+    return (gram + far_const * far_const * float(xw @ far)) / t
 
 
-def _axis_sq_profile(factor: ConvolutionFactor, f: StepFunction,
-                     xs: np.ndarray, t: float, lam: float,
-                     spec: QuadratureSpec, raw: bool = False) -> np.ndarray:
-    """A(x, t) = int |theta_t f(x - y)|^2 (t/(t+|y|))^lam dy / t at one scale
-    for an array of x; far field in closed form against tail * mass.
+def response_gram(factor: ConvolutionFactor, f: StepFunction, xs, xw,
+                  t: float, lam: float, spec: QuadratureSpec, rows=None,
+                  raw: bool = False) -> np.ndarray:
+    """The k x k gram of one-axis responses at the scale t,
 
-    theta comes from the exact cell integrals, or with ``raw`` from
-    :func:`_axis_theta_raw` on the denser oracle mesh (compact f only)."""
-    xs = np.asarray(xs, dtype=float)
-    anchors = _step_anchors(f)
+        G[i, j] = sum_x xw_x int theta_t g_i(x - y) theta_t g_j(x - y)
+                  (t/(t+|y|))^lam dy / t,
+
+    g_i the step function with f's lattice and tail and the cell values
+    ``rows[i]`` (f itself when ``rows`` is None).  theta comes from the
+    exact cell integrals, or with ``raw`` from :func:`_axis_theta_raw`
+    (compact f only).  The u-mesh spans f's structure zone and, for at most
+    8 position nodes, the nodes and their weight kinks; past it theta is its
+    far-field constant tail * mass, in closed form."""
+    if f.dim != 1:
+        raise ValueError("a response gram needs a one-dimensional f")
+    xs = np.asarray(xs, dtype=float).ravel()
+    xw = np.asarray(xw, dtype=float).ravel()
+    rows = np.atleast_2d(f.values if rows is None else rows)
+    edges = _axis_edges(f)
+    anchors = list(edges) if edges.size <= 33 else [edges[0], edges[-1]]
     if xs.size <= 8:
-        anchors = anchors + list(xs.ravel())  # the weight kinks at u = x
+        anchors = anchors + list(xs)  # the weight kinks at u = x
+    far = f.tail * factor.mass(t)
     if raw:
         u, du, ulo, uhi = _offset_mesh(f.box[0], t, spec, anchors,
                                        _ORACLE_PAD_UNITS, _ORACLE_MESH_REL)
-        th = _axis_theta_raw(factor, f, t, u, spec)
+        theta = np.stack([_axis_theta_raw(
+            factor, StepFunction(f.level, f.lo, row, f.tail), t, u, spec)
+            for row in rows])
     else:
         u, du, ulo, uhi = _offset_mesh(f.box[0], t, spec, anchors)
-        th = _axis_theta(factor, f, t, u)
-    return _weighted_theta_sq(th, du, ulo, uhi, u, f.tail * factor.mass(t),
-                              xs, t, lam)
+        ci = factor.cell_integral(t, u[:, None], edges[:-1], edges[1:])
+        theta = (ci @ (rows - f.tail).T).T
+        if far != 0.0:
+            theta = theta + far
+    return _weighted_theta_gram(theta, u, du, ulo, uhi, far, xs, xw, t, lam)
 
 
 def _octave_tail(octs: np.ndarray) -> float:
@@ -234,27 +232,6 @@ def _octave_tail(octs: np.ndarray) -> float:
     return float(tail)
 
 
-def _axis_octave_sums(factor: ConvolutionFactor, f: StepFunction, lam: float,
-                      t_range: tuple[float, float], spec: QuadratureSpec,
-                      band_nodes, raw: bool = False) -> np.ndarray:
-    """The per-axis octave-band assembly: per-octave sums of
-    int A(x, t) w(x) dt/t over the scale range.
-
-    ``band_nodes(lo, hi)`` gives the position nodes and weights of the scale
-    band (lo, hi]; A is summed over the band's scale nodes at those positions
-    and contracted against the weights.  ``raw`` selects the oracle theta of
-    :func:`_axis_sq_profile`."""
-    octs = []
-    for lo, hi, tn, tw in octave_blocks(*t_range, spec.t_points_per_octave,
-                                        spec.rule):
-        xs, xw = band_nodes(lo, hi)
-        part = np.zeros(xs.shape)
-        for t, w in zip(tn, tw):
-            part += _axis_sq_profile(factor, f, xs, t, lam, spec, raw) * (w / t)
-        octs.append(part @ xw)
-    return np.array(octs)
-
-
 # ---------------------------------------------------------------------------
 # theta: kernel applied to a step function
 # ---------------------------------------------------------------------------
@@ -267,11 +244,8 @@ def _check_pair_dims(kernel: Kernel) -> None:
 
 
 def _tensor_step(f1: StepFunction, f2: StepFunction) -> StepFunction:
-    """The product f1 (x) f2 as a plane step function (tails must vanish)."""
-    if f1.dim != 1 or f2.dim != 1:
-        raise ValueError("tensor factors must be one-dimensional")
-    if f1.tail != 0.0 or f2.tail != 0.0:
-        raise ValueError("tensor factors must have vanishing tails")
+    """The product f1 (x) f2 of two compact axis functions as a plane step
+    function."""
     level = max(f1.level, f2.level)
     a, b = f1.refined(level), f2.refined(level)
     return StepFunction(level=level, lo=(a.lo[0], b.lo[0]),
@@ -308,9 +282,9 @@ def _refined_axis_nodes(f: StepFunction, axis: int, t: float, p: int,
 def _axis_theta_raw(factor: ConvolutionFactor, f: StepFunction, t: float,
                     u: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
     """theta_t f on a u-mesh from raw profile values (no antiderivatives):
-    the independent oracle for :func:`_axis_theta`.  Compact f only.  The
-    z-mesh subdivides cells to t/8 so the midpoint rule carries the profile
-    kink at z = u."""
+    the independent oracle for the exact cell integrals of
+    :func:`response_gram`.  Compact f only.  The z-mesh subdivides cells to
+    t/8 so the midpoint rule carries the profile kink at z = u."""
     if f.tail != 0.0:
         raise ValueError("the raw axis oracle needs a compact function")
     h = f.cell_side
@@ -508,6 +482,44 @@ def _raw_octave_sums(kernel: Kernel, f: StepFunction, lam1: float,
     return o1, o2
 
 
+def _octave_sums(kernel: Kernel, f, pair, lams, ranges, spec: QuadratureSpec,
+                 band_nodes, raw: bool = False,
+                 ) -> tuple[np.ndarray, np.ndarray, float]:
+    """The octave-band assembly the kernel picks, with ``band_nodes[axis](lo,
+    hi)`` the position nodes and weights of a scale band; returns the
+    per-octave sums along each scale axis and the total.
+
+    A kernel without tensor parts takes the joint raw layer.  For a tensor
+    kernel theta f is sum_ab V_ab theta1 g1_a (x) theta2 g2_b (V = 1 and g
+    the axis functions of a pair f; V the cell values and g the unit cells
+    of a plane f), so a squared piece is sum V_ab V_cd C1[a, c] C2[b, d] in
+    axis grams C, each a :func:`response_gram` summed over a band's scale
+    and position nodes; ``raw`` picks its oracle theta."""
+    if kernel.tensor_parts is None:
+        o1, o2 = _raw_octave_sums(kernel, _tensor_step(*pair) if pair else f,
+                                  *lams, ranges, spec, band_nodes)
+        return o1, o2, float(o1.sum())
+    if pair is not None:
+        axes, v = [(g, None) for g in pair], np.ones((1, 1))
+    elif f.tail != 0.0:
+        raise ValueError("the per-axis layer needs a compact plane f")
+    else:
+        axes = [(StepFunction(f.level, (lo,), np.zeros(n)), np.eye(n))
+                for lo, n in zip(f.lo, f.shape)]
+        v = f.values
+    c1, c2 = (np.array([
+        sum(response_gram(g, fa, *nodes(lo, hi), t, lam, spec, rows, raw)
+            * (w / t) for t, w in zip(tn, tw))
+        for lo, hi, tn, tw in octave_blocks(*r, spec.t_points_per_octave,
+                                            spec.rule)])
+        for g, (fa, rows), lam, r, nodes in zip(kernel.tensor_parts, axes,
+                                                lams, ranges, band_nodes))
+    m1, m2 = c1.sum(axis=0), c2.sum(axis=0)
+    o1 = np.array([np.sum((c @ v @ m2) * v) for c in c1])
+    o2 = np.array([np.sum((m1 @ v @ c) * v) for c in c2])
+    return o1, o2, float(np.sum((m1 @ v @ m2) * v))
+
+
 # ---------------------------------------------------------------------------
 # pointwise square function
 # ---------------------------------------------------------------------------
@@ -526,13 +538,15 @@ def gstar_pointwise(kernel: Kernel, f, x, params: Params,
 
     ``f`` is a plane step function, or a pair (f1, f2) standing for their
     tensor product.  Every route puts the point as the only position node,
-    of weight 1, into one octave-band assembly with one theta evaluator:
+    of weight 1, into one octave-band assembly with one theta evaluator; a
+    tensor kernel takes the per-axis assembly, any other kernel the joint
+    one:
 
-    * "fast" (tensor kernel with pair f only): the per-axis assembly on the
-      exact cell integrals; the value is the product of the two axis values;
-    * "full": the independent oracle.  A tensor kernel with pair f runs the
-      per-axis assembly on raw profile values (no antiderivatives, no closed
-      far field); any other input runs the joint assembly on raw kernel
+    * "fast" (tensor kernels only): the per-axis assembly on the exact cell
+      integrals;
+    * "full": the independent oracle.  A tensor kernel runs the per-axis
+      assembly on raw profile values (no antiderivatives, no closed far
+      field), any other kernel the joint assembly on raw kernel
       evaluations.  Compact f only;
     * "auto" picks fast when available.
 
@@ -547,32 +561,19 @@ def gstar_pointwise(kernel: Kernel, f, x, params: Params,
     x = np.asarray(x, dtype=float).reshape(2)
     pair = _split_pair(f)
     lams = params.weight_powers
-    tensor = pair is not None and kernel.tensor_parts is not None
+    tensor = kernel.tensor_parts is not None
     if route == "auto":
         route = "fast" if tensor else "full"
     if route == "fast" and not tensor:
-        raise ValueError("fast route needs a tensor kernel and a pair f")
+        raise ValueError("fast route needs a tensor kernel")
     if route == "full" and any(g.tail != 0.0 for g in pair or (f,)):
         raise ValueError("full route needs a compactly supported function")
     t_range = (spec.t_min, spec.t_max)
     point = [lambda lo, hi, xa=xa: (np.array([xa]), np.ones(1)) for xa in x]
 
-    if tensor:
-        o1, o2 = (_axis_octave_sums(g, fa, lam, t_range, spec, nodes,
-                                    raw=(route == "full"))
-                  for g, fa, lam, nodes in zip(kernel.tensor_parts, pair, lams,
-                                               point))
-        v1, v2 = float(o1.sum()), float(o2.sum())
-        e1, e2 = _octave_tail(o1), _octave_tail(o2)
-        sq = v1 * v2
-        err_sq = abs(e1) * abs(v2) + abs(e2) * abs(v1) \
-            if math.isfinite(e1 + e2) else math.inf
-    else:
-        f2d = _tensor_step(*pair) if pair is not None else f
-        o1, o2 = _raw_octave_sums(kernel, f2d, *lams, (t_range, t_range), spec,
-                                  point)
-        sq = float(o1.sum())
-        err_sq = _octave_tail(o1) + _octave_tail(o2)
+    o1, o2, sq = _octave_sums(kernel, f, pair, lams, (t_range, t_range), spec,
+                              point, raw=(route == "full"))
+    err_sq = _octave_tail(o1) + _octave_tail(o2)
     if not err_sq <= _TAIL_WARN * abs(sq):
         warnings.warn(
             "scale-range truncation: octave contributions do not decay inside "
@@ -605,10 +606,9 @@ def gstar_sq_norm(kernel: Kernel, f, params: Params,
     """The squared L2 norm of the square function of f.
 
     The "whitney" and "direct" routes run the octave-band assembly of their
-    layer -- per axis on the exact cell integrals for a tensor kernel with
-    pair f (the norm is then the product of the two axis norms), jointly on
-    raw kernel evaluations otherwise -- and differ only in the position
-    nodes each scale band is contracted against:
+    layer -- per axis on the exact cell integrals for a tensor kernel,
+    jointly on raw kernel evaluations for any other kernel -- and differ
+    only in the position nodes each scale band is contracted against:
 
     * "whitney" (default): the cubes of the band's own grid level, so the sum
       runs over the grid's Whitney regions -- the rewriting behind the whole
@@ -661,17 +661,10 @@ def gstar_sq_norm(kernel: Kernel, f, params: Params,
             "seen from an end of the support; widen the window",
             RuntimeWarning, stacklevel=2)
     grids = grid_pair if route == "whitney" else (None, None)
-    if pair is None or kernel.tensor_parts is None:
-        nodes = [_band_nodes(box, spec, grid, r[1], 2.0 ** -8)
-                 for box, grid, r in zip(f2d.box, grids, ranges)]
-        o1, _ = _raw_octave_sums(kernel, f2d, *lams, ranges, spec, nodes)
-        return float(o1.sum())
-    norm = 1.0
-    for g, fa, lam, grid, r in zip(kernel.tensor_parts, pair, lams, grids,
-                                   ranges):
-        nodes = _band_nodes(fa.box[0], spec, grid, r[1], 2.0 ** -16)
-        norm *= float(_axis_octave_sums(g, fa, lam, r, spec, nodes).sum())
-    return norm
+    rel = 2.0 ** (-8 if kernel.tensor_parts is None else -16)
+    nodes = [_band_nodes(box, spec, grid, r[1], rel)
+             for box, grid, r in zip(f2d.box, grids, ranges)]
+    return _octave_sums(kernel, f, pair, lams, ranges, spec, nodes)[2]
 
 
 def _norm_window(box: tuple[float, float], t_hi: float,
@@ -789,10 +782,10 @@ def q_quantity(kernel: Kernel, i: DyadicCube, k: int, j1: DyadicCube, x,
     x = np.asarray(x, dtype=float).reshape(2)
     g1, g2 = kernel.tensor_parts
     lam1, lam2 = params.weight_powers
-    a = _axis_sq_profile(g1, s_function(i, k), x[:1], t1, lam1, spec)
-    b = _axis_sq_profile(g2, haar_function(HaarIndex(cube=j1, eta=(1,))),
-                         x[1:], t2, lam2, spec)
-    return _sqrt_clamped(float(a[0] * b[0]))[0]
+    a = response_gram(g1, s_function(i, k), x[:1], [1.0], t1, lam1, spec)
+    b = response_gram(g2, haar_function(HaarIndex(cube=j1, eta=(1,))),
+                      x[1:], [1.0], t2, lam2, spec)
+    return _sqrt_clamped(float(a[0, 0] * b[0, 0]))[0]
 
 
 def k_quantity(kernel_factor: ConvolutionFactor, i: DyadicCube, k: int,
@@ -804,8 +797,9 @@ def k_quantity(kernel_factor: ConvolutionFactor, i: DyadicCube, k: int,
             (t1/(t1+|y1|))^(n lam1) dy1 / t1^n.
 
     The inner integral is mass minus the cell integral over the ancestor,
-    exact in closed form; the outer far field is the factor's mass against
-    the weight tail."""
+    exact in closed form; the outer integral is the response gram of that
+    one row (:func:`_weighted_theta_gram`), its far field the factor's mass
+    against the weight tail."""
     spec = spec or QuadratureSpec()
     if kernel_factor.dim != 1 or params.n != 1:
         raise NotImplementedError("the closed complement needs 1-d factors")
@@ -813,13 +807,12 @@ def k_quantity(kernel_factor: ConvolutionFactor, i: DyadicCube, k: int,
         raise ValueError("need k >= 1")
     if t1 <= 0:
         raise ValueError("scale must be positive")
-    ancestor = i.grid.ancestor(i, k - 1)
-    (alo, ahi), = ancestor.box()
-    lam = params.weight_powers[0]
+    (alo, ahi), = i.grid.ancestor(i, k - 1).box()
     mass = kernel_factor.mass(t1)
-    u, du, ulo, uhi = _offset_mesh((alo, ahi), t1, spec,
-                                   (alo, ahi, float(x1)))
+    x1 = float(x1)
+    u, du, ulo, uhi = _offset_mesh((alo, ahi), t1, spec, (alo, ahi, x1))
     comp = mass - kernel_factor.cell_integral(t1, u, alo, ahi)
-    sq = _weighted_theta_sq(comp, du, ulo, uhi, u, mass,
-                            np.array([float(x1)]), t1, lam)
-    return _sqrt_clamped(float(sq[0]))[0]
+    sq = _weighted_theta_gram(comp[None], u, du, ulo, uhi, mass,
+                              np.array([x1]), np.ones(1), t1,
+                              params.weight_powers[0])
+    return _sqrt_clamped(float(sq[0, 0]))[0]

@@ -1,0 +1,87 @@
+"""Seed-0 report digests of every driver, pinned.
+
+Each digest is the SHA-256 of a report's ``to_dict()``, computed by the
+benchmark's own ``perfbench/workloads.py:report_digest``, for the runs the
+benchmark's ``drivers`` and ``lattice`` workloads make at seed 0, plus
+`run_cases` at `test_cases_smoke`'s settings.  A change that moves a digest
+names the move; ``tests/digests.json`` is written only by
+
+    PYTHONPATH=src python tests/test_digests.py --write
+
+The digests depend on numpy's float reductions, so the file records the
+Python, numpy and BLAS it was written with, and a failing check prints
+both stacks: a mismatch on another stack reads as a stack change.
+"""
+
+import importlib.util
+import json
+import pathlib
+import platform
+import sys
+
+import numpy as np
+import pytest
+
+from glstar import experiments
+from glstar.core import QuadratureSpec, default_params
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PINNED = ROOT / "tests" / "digests.json"
+PARAMS = default_params()
+
+DRIVERS = {
+    "run_lemma32": lambda: experiments.run_lemma32(PARAMS),
+    "run_kdecay": lambda: experiments.run_kdecay(PARAMS),
+    **{f"run_carleson[{s}]": lambda s=s: experiments.run_carleson(PARAMS, seed=s)
+       for s in (11, 12, 13)},
+    "run_boundratio": lambda: experiments.run_boundratio(PARAMS),
+    "run_schur": lambda: experiments.run_schur(PARAMS),
+    "run_averaging": lambda: experiments.run_averaging(PARAMS),
+    "run_cases[smoke]": lambda: experiments.run_cases(
+        default_params(r=20), whitney_levels=(0, 1), pad=0.5,
+        spec=QuadratureSpec(points_per_cell=2, t_points_per_octave=2)),
+}
+
+
+def _benchmark_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+report_digest = _benchmark_workloads().report_digest
+
+
+def _stack() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        blas = "unknown"
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas}
+
+
+def test_every_driver_is_pinned():
+    drivers = {n for n in experiments.__all__ if n.startswith("run_")}
+    assert {name.split("[")[0] for name in DRIVERS} == drivers
+    assert sorted(json.loads(PINNED.read_text())["digests"]) == sorted(DRIVERS)
+
+
+@pytest.mark.parametrize("name", sorted(DRIVERS))
+def test_report_digest_is_pinned(name):
+    pinned = json.loads(PINNED.read_text())
+    got = report_digest(DRIVERS[name]())
+    assert got == pinned["digests"][name], (
+        f"{name} moved to {got}; pinned on {pinned['stack']}, "
+        f"run on {_stack()}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: python tests/test_digests.py --write")
+    digests = {name: report_digest(run()) for name, run in DRIVERS.items()}
+    PINNED.write_text(json.dumps({"stack": _stack(), "digests": digests},
+                                 indent=2, sort_keys=True) + "\n")

@@ -7,10 +7,18 @@ import numpy as np
 import pytest
 
 from glstar import dyadic, experiments
-from glstar.core import QuadratureSpec, StepFunction, default_params
+from glstar.core import (
+    QuadratureSpec,
+    StepFunction,
+    default_params,
+    graded_axis_edges,
+    octave_nodes,
+    segment_nodes,
+)
 from glstar.dyadic import DyadicCube, ShiftedGrid, is_good, pi_good_exact
 from glstar.experiments import (
     ExperimentReport,
+    Lemma32Config,
     NamedIntegrand,
     run_averaging,
     run_boundratio,
@@ -21,6 +29,7 @@ from glstar.experiments import (
     run_schur,
     sample_lemma32_configs,
 )
+from glstar.kernels import ConvolutionFactor
 
 PARAMS = default_params()
 
@@ -256,6 +265,17 @@ def test_averaging_builds_no_grid_or_cube(monkeypatch):
     assert built == {"grids": 1, "cubes": 1}
 
 
+@pytest.mark.parametrize("draws", [0, -1])
+def test_schur_refuses_a_check_without_draws_before_building(monkeypatch, draws):
+    # no draw would leave the quadratic inequality checked on nothing
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("the matrix was built before the refusal")
+
+    monkeypatch.setattr(experiments, "schur_matrix", no_matrix)
+    with pytest.raises(ValueError, match="at least one draw"):
+        run_schur(PARAMS, collection_sizes=(8, 16), draws=draws)
+
+
 def test_schur_smoke():
     rep = run_schur(PARAMS, collection_sizes=(8, 16, 32), draws=20)
     norms = [rep.summary["norms"][str(s)] for s in (8, 16, 32)]
@@ -291,6 +311,47 @@ def test_lemma32_refuses_an_empty_configuration_list():
         run_lemma32(PARAMS, configs=[])
 
 
+@pytest.mark.parametrize("i1", [(0.0, 0.75), (0.1, 0.6), (0.25, 0.75)])
+def test_lemma32_refuses_a_non_dyadic_target_interval(i1):
+    with pytest.raises(ValueError, match="dyadic"):
+        run_lemma32(PARAMS, configs=[Lemma32Config(i1, (0.0, 1.0), 0.5, 0.75)])
+
+
+def lemma32_lhs(cfg, lam, spec):
+    """The one-factor tail integral on its own wide y-mesh: 64 times the
+    configuration span, graded toward the weight peak and the interval
+    edges, with no far-field closure."""
+    lo1, hi1 = cfg.i1
+    x1, t1, a = cfg.x1, cfg.t1, cfg.alpha
+    factor = ConvolutionFactor(1, a, "size")
+    span = max(t1, hi1 - lo1, abs(x1 - lo1), abs(x1 - hi1), 1.0)
+    radius = 64.0 * span
+    fine = min(2.0 ** -16, t1 / (16.0 * radius))
+    edges = graded_axis_edges(-radius, radius, (0.0, x1 - hi1, x1 - lo1),
+                              rel_finest=fine)
+    y, dy = segment_nodes(edges, spec.points_per_cell, spec.rule)
+    inner = factor.cell_integral(t1, x1 - y, lo1, hi1) / t1 ** a
+    weight = (t1 / (t1 + np.abs(y))) ** lam
+    return math.sqrt(float(np.sum(inner ** 2 * weight * dy / t1)))
+
+
+def test_lemma32_matches_the_wide_mesh_oracle():
+    # the response gram of 1_{I1} against the wide-mesh integral, at the
+    # default spec and its refinement, on every default configuration
+    rep = run_lemma32(PARAMS)
+    spec = QuadratureSpec()
+    lam = PARAMS.weight_powers[0]
+    worst = 0.0
+    for cfg, rec in zip(sample_lemma32_configs(), rep.records):
+        (lo1, hi1), (lo2, hi2) = cfg.i1, cfg.i2
+        gap = max(0.0, lo2 - hi1, lo1 - hi2)
+        rhs = (hi1 - lo1) / (hi2 - lo2 + gap) ** (1.0 + cfg.alpha)
+        for key, sp in (("ratio", spec), ("ratio_refined", spec.refined(2))):
+            worst = max(worst, abs(rec[key] * rhs / lemma32_lhs(cfg, lam, sp) - 1.0))
+    assert len(rep.records) == 120
+    assert worst <= 1e-3
+
+
 def test_kdecay_smoke():
     rep = run_kdecay(PARAMS, k_range=range(1, 11), side_runs=False)
     assert [r["k"] for r in rep.records] == list(range(1, 11))
@@ -299,9 +360,16 @@ def test_kdecay_smoke():
     assert rep.passed
 
 
-def test_kdecay_refuses_ladders_it_cannot_fit():
-    # range(1, 9) leaves no generation above plateau_upto=8, range(1, 10) one
-    for ks in (range(1, 9), range(1, 10)):
+def test_kdecay_refuses_ladders_it_cannot_fit(monkeypatch):
+    # range(1, 9) leaves no generation above plateau_upto=8, range(1, 10)
+    # one, and range(9, 15) none at or below it, so no plateau to check;
+    # each is refused before any quadrature
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a quantity was computed before the refusal")
+
+    monkeypatch.setattr(experiments, "k_quantity", no_quadrature)
+    monkeypatch.setattr(experiments, "q_quantity", no_quadrature)
+    for ks in (range(1, 9), range(1, 10), range(9, 15)):
         with pytest.raises(ValueError, match="plateau_upto"):
             run_kdecay(PARAMS, k_range=ks, side_runs=False)
 
@@ -370,3 +438,65 @@ def test_cases_keeps_the_regions_is_good_keeps():
     assert rep.passed
     assert rep.summary["good_regions"] == tuple(kept) == (11, 11)
     assert seen == [24, 24]
+
+
+def member_theta(factor, idx, t, u):
+    """Response of one Haar member under the convolution factor at scale t."""
+    (lo, hi), = idx.cube.box()
+    scale = idx.cube.side ** -0.5
+    if idx.cancellative:
+        mid = 0.5 * (lo + hi)
+        return scale * (factor.cell_integral(t, u, lo, mid)
+                        - factor.cell_integral(t, u, mid, hi))
+    return scale * factor.cell_integral(t, u, lo, hi)
+
+
+def whitney_gram(factor, members, w_cube, lam, spec):
+    """Gram matrix of member responses over one Whitney region, member by
+    member on a wide y-mesh per scale and position node, graded toward the
+    weight peak and every member's edges and midpoint."""
+    (wlo, whi), = w_cube.box()
+    side = w_cube.side
+    tn, tw = octave_nodes(side / 2.0, side, spec.t_points_per_octave, spec.rule)
+    xs, xw = segment_nodes(np.array([wlo, whi]), spec.points_per_cell, spec.rule)
+    edges = sorted({b for m in members for b in
+                    (m.cube.box()[0][0], m.cube.box()[0][1],
+                     0.5 * sum(m.cube.box()[0]))})
+    gram = np.zeros((len(members), len(members)))
+    for t, wt in zip(tn, tw):
+        radius = 48.0 * max(t, whi - wlo, 1.0)
+        for x, wx in zip(xs, xw):
+            anchors = tuple(x - e for e in edges) + (0.0,)
+            fine = min(2.0 ** -16, t / (8.0 * radius))
+            mesh = graded_axis_edges(-radius, radius, anchors, rel_finest=fine)
+            y, dy = segment_nodes(mesh, 2, spec.rule)
+            theta = np.stack([member_theta(factor, m, t, x - y) for m in members])
+            weight = (t / (t + np.abs(y))) ** lam * dy / t
+            gram += (wt / t * wx) * ((theta * weight) @ theta.T)
+    return gram
+
+
+def test_cases_region_grams_match_the_member_oracle(monkeypatch):
+    # every region gram of the smoke run against the member-by-member
+    # quadrature, in relative Frobenius norm
+    seen = []
+
+    def spy(factor, lattice, rows, cube, lam, spec):
+        gram = region_gram(factor, lattice, rows, cube, lam, spec)
+        seen.append((factor, cube, lam, spec, gram))
+        return gram
+
+    region_gram = experiments._region_gram
+    members = []
+    synthesis = experiments._haar_synthesis
+    monkeypatch.setattr(experiments, "_region_gram", spy)
+    monkeypatch.setattr(experiments, "_haar_synthesis",
+                        lambda ms: members.append(ms) or synthesis(ms))
+    rep = run_cases(default_params(r=20), whitney_levels=(0, 1), pad=0.5,
+                    spec=QuadratureSpec(points_per_cell=2, t_points_per_octave=2))
+    assert rep.summary["good_regions"] == (8, 8) and len(seen) == 16
+    worst = 0.0
+    for k, (factor, cube, lam, spec, gram) in enumerate(seen):
+        want = whitney_gram(factor, members[k // 8], cube, lam, spec)
+        worst = max(worst, np.linalg.norm(gram - want) / np.linalg.norm(want))
+    assert worst <= 1e-2

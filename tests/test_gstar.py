@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from glstar import gstar
-from glstar.core import QuadratureSpec, StepFunction, default_params
+from glstar.core import (
+    QuadratureSpec,
+    StepFunction,
+    default_params,
+    graded_axis_edges,
+    octave_nodes,
+    segment_nodes,
+)
 from glstar.dyadic import ShiftedGrid
 from glstar.gstar import (
     _BLOCK,
@@ -23,6 +30,7 @@ from glstar.gstar import (
     gstar_sq_norm,
     k_quantity,
     q_quantity,
+    response_gram,
     weight_total,
 )
 from glstar.kernels import make_cancellative, make_mixed, make_size_only
@@ -261,6 +269,34 @@ def test_theta_rejects_bad_arguments():
 
 
 # ---------------------------------------------------------------------------
+# response grams
+
+
+def test_response_gram_is_the_gram_of_its_rows():
+    # entry (i, j) is the weighted inner product of the responses to rows i
+    # and j, so it polarizes from one-row grams; no rows means f itself
+    rng = np.random.default_rng(12)
+    factor = CANC.tensor_parts[0]
+    f = StepFunction(level=2, lo=(-1,), values=rng.normal(size=5))
+    rows = rng.normal(size=(3, 5))
+    xs, xw = np.array([0.1, 0.4, 0.9]), np.array([0.5, 1.0, 0.25])
+
+    def gram(r):
+        return response_gram(factor, f, xs, xw, 0.3, 3.0, SP_COARSE, r)
+
+    full = gram(rows)
+    assert full.shape == (3, 3) and np.all(np.diag(full) > 0)
+    for i in range(3):
+        for j in range(3):
+            polar = (gram(rows[i] + rows[j]) - gram(rows[i] - rows[j]))[0, 0] / 4
+            assert full[i, j] == pytest.approx(polar, rel=1e-12)
+    assert np.array_equal(gram(None), gram(f.values[None]))
+    plane = StepFunction(level=0, lo=(0, 0), values=np.ones((1, 1)))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        response_gram(factor, plane, xs, xw, 0.3, 3.0, SP_COARSE)
+
+
+# ---------------------------------------------------------------------------
 # pointwise square function
 
 
@@ -347,12 +383,111 @@ def test_pointwise_reports_scale_truncation():
 
 
 def test_pointwise_route_validation():
+    # the kernel alone picks the layer: "fast" needs tensor parts, whatever f
     f1, f2 = random_pair(0)
     with pytest.raises(ValueError, match="route"):
         gstar_pointwise(CANC, (f1, f2), (0.0, 0.0), PARAMS, route="sideways")
     f2d = StepFunction(level=1, lo=(0, 0), values=np.ones((2, 2)))
-    with pytest.raises(ValueError, match="fast route"):
-        gstar_pointwise(CANC, f2d, (0.0, 0.0), PARAMS, route="fast")
+    for f in (f2d, (f1, f2)):
+        with pytest.raises(ValueError, match="fast route"):
+            gstar_pointwise(OPAQUE, f, (0.0, 0.0), PARAMS, route="fast")
+
+
+def test_plane_value_is_the_polarization_of_pair_values():
+    # theta is bilinear in the two factors, so on a rank-2 V the squared
+    # plane value is the polarization of four pair values, to roundoff
+    rng = np.random.default_rng(21)
+    a, b, c, d = (StepFunction(2, (k,), rng.normal(size=4)) for k in (0, -1, 0, -1))
+    plane = StepFunction(2, (0, -1), np.multiply.outer(a.values, b.values)
+                         + np.multiply.outer(c.values, d.values))
+    x = (0.37, -0.11)
+
+    def sq(f):
+        return gstar_pointwise(CANC, f, x, PARAMS, spec=SP_COARSE).value ** 2
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        polar = (sq((a, b)) + sq((c, d))
+                 + (sq((a + c, b + d)) - sq((a + c, b - d))
+                    - sq((a - c, b + d)) + sq((a - c, b - d))) / 8.0)
+        got = sq(plane)
+    assert got == pytest.approx(polar, rel=1e-12)
+
+
+def test_plane_fast_route_matches_raw_axis_oracle():
+    # the per-axis raw oracle carries the plane f's unit-cell rows too
+    rng = np.random.default_rng(4)
+    f = StepFunction(level=1, lo=(0, -1), values=rng.normal(size=(2, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fast, full = (gstar_pointwise(CANC, f, (0.37, -0.11), PARAMS,
+                                      spec=SP_COARSE, route=r).value
+                      for r in ("fast", "full"))
+    assert full == pytest.approx(fast, rel=1e-3)
+    assert full != fast
+
+
+def test_tensor_kernels_never_take_the_joint_raw_layer(monkeypatch):
+    def no_raw(*args, **kwargs):
+        raise AssertionError("a tensor kernel reached the joint raw layer")
+
+    monkeypatch.setattr(gstar, "_theta_points_general", no_raw)
+    rng = np.random.default_rng(7)
+    plane = StepFunction(level=1, lo=(0, 0), values=rng.normal(size=(2, 2)))
+    pair = random_pair(1, level=1, size=2)
+    sp = QuadratureSpec(points_per_cell=1, t_points_per_octave=1,
+                        t_min=2.0**-3, t_max=2.0)
+    grids = (ShiftedGrid.standard(1, -2, 3), ShiftedGrid.standard(1, -2, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for f in (plane, pair):
+            for route in ("auto", "fast", "full"):
+                gstar_pointwise(CANC, f, (0.3, 0.2), PARAMS, spec=sp,
+                                route=route)
+            for route in ("whitney", "direct", "gram"):
+                gstar_sq_norm(CANC, f, PARAMS, grids, spec=sp, route=route)
+    with pytest.raises(AssertionError, match="joint raw layer"):
+        gstar_pointwise(OPAQUE, plane, (0.3, 0.2), PARAMS, spec=sp)
+
+
+def wide_axis_value(factor, f, x, lam, spec):
+    """The squared pointwise value of one axis for a one-cell f, on a
+    y-mesh a thousand times wider than everything in sight, graded toward
+    the weight peak and the response kinks, with no far-field closure."""
+    (lo, hi), = f.box
+    value, = f.values
+    total = 0.0
+    for t, w in zip(*octave_nodes(spec.t_min, spec.t_max,
+                                  spec.t_points_per_octave, spec.rule)):
+        radius = 1e3 * max(t, hi - lo, abs(x - lo), abs(x - hi))
+        edges = graded_axis_edges(-radius, radius, (0.0, x - hi, x - lo),
+                                  rel_finest=t / (64.0 * radius))
+        y, dy = segment_nodes(edges, 4, "gauss")
+        theta = value * factor.cell_integral(t, x - y, lo, hi)
+        total += float(np.sum(theta ** 2 * (t / (t + np.abs(y))) ** lam * dy)) \
+            / t * (w / t)
+    return total
+
+
+def test_pointwise_value_far_from_the_support():
+    # at x1 = 3.67 the weight peak u = x1 lies outside the structure zone of
+    # [2, 2.25] at the finest scales (128 t + 1/4 < 1.42 for t < 2^-7); the
+    # mesh must still reach it, or about 18 % of the value is lost.  The
+    # Gauss rule keeps the quadrature error itself near 1e-5: the midpoint
+    # rule's 4 nodes per graded segment read the weight peak 2-3e-3 low, at
+    # points inside the support too
+    f1 = StepFunction(level=2, lo=(8,), values=np.ones(1))
+    f2 = StepFunction(level=0, lo=(0,), values=np.ones(1))
+    x = (3.67, 0.5)
+    sp = QuadratureSpec(t_min=2.0**-8, t_max=2.0**-6, rule="gauss")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = gstar_pointwise(SIZE, (f1, f2), x, PARAMS, spec=sp).value
+    g1, g2 = SIZE.tensor_parts
+    lam1, lam2 = PARAMS.weight_powers
+    want = math.sqrt(wide_axis_value(g1, f1, x[0], lam1, sp)
+                     * wide_axis_value(g2, f2, x[1], lam2, sp))
+    assert got == pytest.approx(want, rel=1e-3)
 
 
 def test_gstar_value_rejects_negative():
@@ -382,7 +517,8 @@ def test_norm_routes_agree_on_tensor_pairs():
 
 
 def test_gram_route_matches_general_assembly():
-    # a genuinely non-product f: the lattice collapse against the raw
+    # a genuinely non-product f: the lattice collapse against the per-axis
+    # response grams of both windowed routes, and against the raw
     # two-parameter assembly (slow, so the configuration is tiny)
     rng = np.random.default_rng(7)
     f = StepFunction(level=1, lo=(0, 0), values=rng.normal(size=(2, 2)))
@@ -392,7 +528,11 @@ def test_gram_route_matches_general_assembly():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         fast = gstar_sq_norm(CANC, f, PARAMS, grids, spec=sp, route="gram")
-        raw = gstar_sq_norm(CANC, f, PARAMS, grids, spec=sp, route="direct")
+        per_axis = {r: gstar_sq_norm(CANC, f, PARAMS, grids, spec=sp, route=r)
+                    for r in ("direct", "whitney")}
+        raw = gstar_sq_norm(OPAQUE, f, PARAMS, grids, spec=sp, route="direct")
+    assert per_axis["direct"] == pytest.approx(fast, rel=1e-2)
+    assert per_axis["whitney"] == pytest.approx(fast, rel=1e-2)
     assert raw == pytest.approx(fast, rel=5e-2)
 
 
