@@ -12,6 +12,7 @@ identically zero.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections.abc import Mapping
@@ -45,8 +46,6 @@ _CONST_TOL = 1e-3
 # total enumerated rectangles for a packing sum
 _SHADOW_CELLS = 64
 _MAX_RECTS = 2_000_000
-
-_CIJ_CACHE: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +141,17 @@ def random_open_set(gridpair: tuple[ShiftedGrid, ShiftedGrid],
                     rng: np.random.Generator, n_rects: int = 4,
                     level_range: tuple[int, int] = (0, 2),
                     box: tuple[float, float] = (0.0, 1.0)) -> DyadicOpenSet:
-    """A random admissible union of rectangles anchored in a window."""
+    """A random admissible union of rectangles anchored in a window: up to
+    ``n_rects`` distinct rectangles, each side's level drawn from
+    ``level_range`` (both ends included)."""
     g1, g2 = gridpair
     lo, hi = level_range
+    if n_rects < 1:
+        raise ValueError("need at least one rectangle")
+    if lo > hi:
+        raise ValueError("level_range must be (low, high) with low <= high")
     seen = {}
-    for _ in range(max(1, n_rects)):
+    for _ in range(n_rects):
         l1 = int(rng.integers(lo, hi + 1))
         l2 = int(rng.integers(lo, hi + 1))
         x = float(rng.uniform(*box))
@@ -184,13 +189,9 @@ def _theta_one_const(kernel, t1: float, t2: float,
     return float(np.mean(vals))
 
 
+@functools.lru_cache(maxsize=1024)
 def _cij_scales(kernel, side1: float, side2: float, lam1: float, lam2: float,
                 spec: QuadratureSpec) -> float:
-    key = (kernel, side1, side2, lam1, lam2,
-           spec.t_points_per_octave, spec.rule, spec.points_per_cell)
-    hit = _CIJ_CACHE.get(key)
-    if hit is not None:
-        return hit
     if kernel.tensor_parts is not None:
         g1, g2 = kernel.tensor_parts
         value = _axis_band(g1, side1, lam1, spec) * \
@@ -207,9 +208,7 @@ def _cij_scales(kernel, side1: float, side2: float, lam1: float, lam2: float,
                 acc += m * m * (w1 / t1) * (w2 / t2)
         value = side1 * side2 * weight_total(1.0, lam1) * \
             weight_total(1.0, lam2) * acc
-    value = max(value, 0.0)
-    _CIJ_CACHE[key] = value
-    return value
+    return max(value, 0.0)
 
 
 def c_ij(kernel, i: DyadicCube, j: DyadicCube, params: Params,

@@ -145,7 +145,6 @@ class ShiftedGrid:
     j_min: int
     j_max: int
     bits: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.j_min > self.j_max:
@@ -178,7 +177,7 @@ class ShiftedGrid:
     @classmethod
     def random(cls, dim: int, j_min: int, j_max: int, seed: int, trial: int = 0) -> "ShiftedGrid":
         bits = _shift_bits(dim, j_min, j_max, seed, trial)
-        return cls(dim=dim, j_min=j_min, j_max=j_max, bits=bits, seed=seed)
+        return cls(dim=dim, j_min=j_min, j_max=j_max, bits=bits)
 
     def levels(self) -> range:
         return range(self.j_min, self.j_max + 1)
@@ -574,6 +573,7 @@ def estimate_pi_good(
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for the normal approximation")
+    _check_truncation(level_of_i, j_min, level_of_i)
     # offsets only matter mod 2^depth, which keeps them in the table's dtype
     base = base_index % (1 << (level_of_i - j_min))
     hits = 0

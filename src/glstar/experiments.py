@@ -29,7 +29,6 @@ from .core import (
     QuadratureSpec,
     StepFunction,
     octave_nodes,
-    segment_nodes,
 )
 from .dyadic import (
     DyadicCube,
@@ -246,8 +245,8 @@ def run_averaging(
     """
     t0 = time.perf_counter()
     integrand = integrand or NamedIntegrand.unit_box()
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if trials < 2:
+        raise ValueError("need at least two trials for a confidence interval")
     if octaves < 1:
         raise ValueError("need at least one qualifying octave, or goodness "
                          "is vacuous")
@@ -313,7 +312,7 @@ def run_averaging(
     rels = np.abs(det - closed) / abs(closed) if closed else np.abs(det)
 
     estimate = float(np.mean(sums))
-    sd = float(np.std(sums, ddof=1)) if trials > 1 else 0.0
+    sd = float(np.std(sums, ddof=1))
     ci95 = 1.96 * sd / math.sqrt(trials)
     rel_err = abs(estimate - closed) / abs(closed) if closed else abs(estimate)
     partition_worst = float(np.max(rels))
@@ -578,8 +577,8 @@ def run_lemma32(
         factor = ConvolutionFactor(1, cfg.alpha, "size")
         gap = max(0.0, lo2 - hi1, lo1 - hi2)
         rhs = side / (ell2 + gap) ** (1.0 + cfg.alpha)
-        lhs, lhs2 = (math.sqrt(response_gram(factor, target, [cfg.x1], [1.0],
-                                             cfg.t1, lam, sp)[0, 0])
+        lhs, lhs2 = (math.sqrt(response_gram(factor, target, cfg.x1, cfg.t1,
+                                             lam, sp)[0, 0])
                      / cfg.t1 ** cfg.alpha for sp in (spec, fine_spec))
         ratio, ratio2 = lhs / rhs, lhs2 / rhs
         drift = abs(ratio2 / ratio - 1.0) if ratio > 0 else 0.0
@@ -1008,16 +1007,16 @@ def _region_gram(factor: ConvolutionFactor, lattice: StepFunction,
                  spec: QuadratureSpec) -> np.ndarray:
     """Gram matrix of member responses over one Whitney region.
 
-    The response grams of the synthesis rows at the region cube's position
-    nodes, integrated over its scale band (side/2, side] in dt/t.  All the
-    case quantities over this region are quadratic forms in this matrix, so
-    every split of the coefficient matrix is evaluated on the same nodes.
+    The response grams of the synthesis rows over the region cube's
+    interval, the weight's position integral in closed form, integrated
+    over its scale band (side/2, side] in dt/t.  All the case quantities
+    over this region are quadratic forms in this matrix, so every split of
+    the coefficient matrix is evaluated on the same nodes.
     """
-    (wlo, whi), = w_cube.box()
+    box, = w_cube.box()
     side = w_cube.side
     tn, tw = octave_nodes(side / 2.0, side, spec.t_points_per_octave, spec.rule)
-    xs, xw = segment_nodes(np.array([wlo, whi]), spec.points_per_cell, spec.rule)
-    return sum(response_gram(factor, lattice, xs, xw, t, lam, spec, rows)
+    return sum(response_gram(factor, lattice, box, t, lam, spec, rows)
                * (w / t) for t, w in zip(tn, tw))
 
 

@@ -28,17 +28,21 @@ Numerical conventions used throughout:
 * the pointwise value and the norm are computed in two layers, each with one
   octave-band assembly, and the kernel alone picks the layer.  Tensor
   kernels (everything built by :mod:`glstar.kernels`) go per axis:
-  :func:`_octave_sums` sums each factor's one-axis
-  :func:`response_gram` over each band's scale and position nodes and
-  contracts the two grams against f's values.  Other kernels go jointly:
-  :func:`_raw_octave_sums` contracts the :func:`_raw_block` matrices of each
-  scale pair against both bands' position nodes.  A route is one theta
-  evaluator in one of these assemblies plus one choice of position nodes.
-  The evaluators are the exact per-axis cell antiderivatives, the raw
-  per-axis profile quadrature (their independent oracle) and the raw kernel
-  evaluations of the joint layer, priced accordingly.  The nodes are the
-  point itself for the pointwise value and, from :func:`_band_nodes`, the
-  Whitney cubes of each band's grid level or a graded window for the norm.
+  :func:`_octave_sums` sums each factor's one-axis :func:`response_gram`
+  over each band's scale nodes at the band's position and contracts the
+  two grams against f's values.  Other kernels go jointly:
+  :func:`_raw_octave_sums` sums the :func:`_raw_block` of each scale pair
+  at both bands' positions.  A route is one theta evaluator in one of these
+  assemblies plus one choice of positions.  The evaluators are the exact
+  per-axis cell antiderivatives, the raw per-axis profile quadrature (their
+  independent oracle) and the raw kernel evaluations of the joint layer,
+  priced accordingly;
+* a position is never a set of nodes: per axis it is one point x or one
+  interval (lo, hi) of x, and the weight (t/(t+|x - u|))^lam enters as its
+  value at the point or its closed-form integral over the interval
+  (:func:`_position_weight`).  The pointwise value takes the point itself;
+  the norm takes, from :func:`_band_nodes`, the union of each band's
+  Whitney cubes or the window around the support.
 
 Negative values produced by roundoff under the final square root are clamped
 to zero and flagged on the returned record.
@@ -46,6 +50,7 @@ to zero and flagged on the returned record.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -157,46 +162,57 @@ def _offset_mesh(box: tuple[float, float], t: float, spec: QuadratureSpec,
     return u, du, lo, hi
 
 
+def _position_weight(t: float, lam: float, at, u: np.ndarray) -> np.ndarray:
+    """The position weight at the offsets u: (t/(t+|x-u|))^lam at a point
+    ``at`` = x, or its closed-form integral over x in an interval ``at`` =
+    (lo, hi)."""
+    if np.ndim(at) == 0:
+        return (t / (t + np.abs(at - u))) ** lam
+    lo, hi = at
+    return weight_window(t, lam, lo - u, hi - u)
+
+
 def _weighted_theta_gram(theta: np.ndarray, u: np.ndarray, du: np.ndarray,
-                         u_lo: float, u_hi: float, far_const: float,
-                         xs: np.ndarray, xw: np.ndarray, t: float,
-                         lam: float) -> np.ndarray:
-    """sum_x xw_x int theta_i theta_j(x - y) (t/(t+|y|))^lam dy / t for rows
-    theta_i on a u-mesh with one far-field constant past [u_lo, u_hi]: one
-    weight vector omega on the mesh, then theta diag(omega) theta^T."""
-    omega = np.zeros(u.shape)
-    step = max(1, _BLOCK // max(1, u.size))
-    for i in range(0, xs.size, step):
-        w = (t / (t + np.abs(xs[i:i + step, None] - u[None, :]))) ** lam
-        omega += xw[i:i + step] @ w
-    gram = (theta * (omega * du)) @ theta.T
-    far = weight_total(t, lam) - weight_window(t, lam, xs - u_hi, xs - u_lo)
-    return (gram + far_const * far_const * float(xw @ far)) / t
+                         u_lo: float, u_hi: float, far_const: float, at,
+                         t: float, lam: float) -> np.ndarray:
+    """int_x int theta_i theta_j(x - y) (t/(t+|y|))^lam dy / t for rows
+    theta_i on a u-mesh with one far-field constant past [u_lo, u_hi], x the
+    point or the interval ``at``: one weight vector on the mesh, then
+    theta diag(weight) theta^T.  Only a point carries a far field; an
+    interval's rows are compact (``far_const`` 0)."""
+    gram = (theta * (_position_weight(t, lam, at, u) * du)) @ theta.T
+    if np.ndim(at) == 0:
+        far = weight_total(t, lam) - weight_window(t, lam, at - u_hi,
+                                                   at - u_lo)
+        gram = gram + far_const * far_const * far
+    return gram / t
 
 
-def response_gram(factor: ConvolutionFactor, f: StepFunction, xs, xw,
+def response_gram(factor: ConvolutionFactor, f: StepFunction, at,
                   t: float, lam: float, spec: QuadratureSpec, rows=None,
                   raw: bool = False) -> np.ndarray:
     """The k x k gram of one-axis responses at the scale t,
 
-        G[i, j] = sum_x xw_x int theta_t g_i(x - y) theta_t g_j(x - y)
+        G[i, j] = int_x int theta_t g_i(x - y) theta_t g_j(x - y)
                   (t/(t+|y|))^lam dy / t,
 
-    g_i the step function with f's lattice and tail and the cell values
-    ``rows[i]`` (f itself when ``rows`` is None).  theta comes from the
-    exact cell integrals, or with ``raw`` from :func:`_axis_theta_raw`
-    (compact f only).  The u-mesh spans f's structure zone and, for at most
-    8 position nodes, the nodes and their weight kinks; past it theta is its
-    far-field constant tail * mass, in closed form."""
+    with x the point ``at`` or integrated over the interval ``at`` = (lo,
+    hi), the weight's x-integral taken in closed form.  g_i is the step
+    function with f's lattice and tail and the cell values ``rows[i]`` (f
+    itself when ``rows`` is None).  theta comes from the exact cell
+    integrals, or with ``raw`` from :func:`_axis_theta_raw` (compact f
+    only).  The u-mesh spans f's structure zone and the weight kinks at the
+    point or at both interval ends; past it theta is its far-field constant
+    tail * mass, closed in form against a point's weight and refused for an
+    interval."""
     if f.dim != 1:
         raise ValueError("a response gram needs a one-dimensional f")
-    xs = np.asarray(xs, dtype=float).ravel()
-    xw = np.asarray(xw, dtype=float).ravel()
+    if np.ndim(at) != 0 and f.tail != 0.0:
+        raise ValueError("an interval position needs a compact function")
     rows = np.atleast_2d(f.values if rows is None else rows)
     edges = _axis_edges(f)
     anchors = list(edges) if edges.size <= 33 else [edges[0], edges[-1]]
-    if xs.size <= 8:
-        anchors = anchors + list(xs)  # the weight kinks at u = x
+    anchors = anchors + list(np.atleast_1d(at))  # the weight kinks
     far = f.tail * factor.mass(t)
     if raw:
         u, du, ulo, uhi = _offset_mesh(f.box[0], t, spec, anchors,
@@ -210,7 +226,7 @@ def response_gram(factor: ConvolutionFactor, f: StepFunction, xs, xw,
         theta = (ci @ (rows - f.tail).T).T
         if far != 0.0:
             theta = theta + far
-    return _weighted_theta_gram(theta, u, du, ulo, uhi, far, xs, xw, t, lam)
+    return _weighted_theta_gram(theta, u, du, ulo, uhi, far, at, t, lam)
 
 
 def _octave_tail(octs: np.ndarray) -> float:
@@ -405,8 +421,6 @@ def apply_theta(kernel: Kernel, f: StepFunction, y, t1: float, t2: float,
     _check_pair_dims(kernel)
     if f.dim != kernel.n + kernel.m:
         raise ValueError("function dimension must match the kernel's plane")
-    if f.tail != 0.0 and min(kernel.alpha, kernel.beta) <= 0:
-        raise ValueError("tail integral needs positive decay exponents")
     y = np.asarray(y, dtype=float).reshape(2)
     if kernel.tensor_parts is not None:
         g1, g2 = kernel.tensor_parts
@@ -426,10 +440,11 @@ def apply_theta(kernel: Kernel, f: StepFunction, y, t1: float, t2: float,
 
 
 def _raw_block(kernel: Kernel, f: StepFunction, t1: float, t2: float,
-               x1: np.ndarray, x2: np.ndarray, lam1: float, lam2: float,
-               spec: QuadratureSpec) -> np.ndarray:
-    """Inner integrals iint |theta f(x - y)|^2 w1 w2 dy / (t1 t2) at one
-    scale pair, as a (len x1, len x2) matrix over the position nodes.
+               at1, at2, lam1: float, lam2: float,
+               spec: QuadratureSpec) -> float:
+    """The inner integral iint |theta f(x - y)|^2 w1 w2 dy / (t1 t2) at one
+    scale pair, x1 and x2 each the point or integrated over the interval
+    ``at1``, ``at2`` (:func:`_position_weight`).
 
     theta is sampled from raw kernel values on the tensor u-mesh of the two
     structure zones and contracted against both weights.  The meshes are the
@@ -440,12 +455,12 @@ def _raw_block(kernel: Kernel, f: StepFunction, t1: float, t2: float,
                                  _RAW_MESH_REL)
     u2, du2, _, _ = _offset_mesh(b2, t2, spec, b2, _RAW_PAD_UNITS,
                                  _RAW_MESH_REL)
-    wg1 = (t1 / (t1 + np.abs(x1[:, None] - u1[None, :]))) ** lam1 * du1
-    wg2 = (t2 / (t2 + np.abs(x2[:, None] - u2[None, :]))) ** lam2 * du2
+    wg1 = _position_weight(t1, lam1, at1, u1) * du1
+    wg2 = _position_weight(t2, lam2, at2, u2) * du2
     pts = np.stack(np.meshgrid(u1, u2, indexing="ij"), axis=-1).reshape(-1, 2)
     th = _theta_points_general(kernel, f, t1, t2, pts, spec)
     th2 = (th * th).reshape(u1.size, u2.size)
-    return wg1 @ th2 @ wg2.T / (t1 * t2)
+    return float(wg1 @ th2 @ wg2) / (t1 * t2)
 
 
 def _raw_octave_sums(kernel: Kernel, f: StepFunction, lam1: float,
@@ -453,30 +468,25 @@ def _raw_octave_sums(kernel: Kernel, f: StepFunction, lam1: float,
                      spec: QuadratureSpec, band_nodes,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """The joint octave-band assembly: the raw scale-pair sum of
-    int int |theta f|^2 w1 w2 dt1/t1 dt2/t2 over the two scale ranges,
-    contracted against position nodes.
+    int int |theta f|^2 w1 w2 dt1/t1 dt2/t2 over the two scale ranges, at
+    one position per band.
 
-    ``band_nodes[axis](lo, hi)`` gives the position nodes and weights used
-    for the scale band (lo, hi] of that axis; every octave pair contracts its
-    :func:`_raw_block` matrices against them.  Returns the per-octave sums
-    along each scale axis."""
-    bands = [[(tn, tw, *nodes(lo, hi))
+    ``band_nodes[axis](lo, hi)`` gives the point or interval used for the
+    scale band (lo, hi] of that axis; every octave pair evaluates its
+    :func:`_raw_block` there.  Returns the per-octave sums along each scale
+    axis."""
+    bands = [[(tn, tw, nodes(lo, hi))
               for lo, hi, tn, tw in octave_blocks(*r, spec.t_points_per_octave,
                                                   spec.rule)]
              for nodes, r in zip(band_nodes, ranges)]
     o1 = np.zeros(len(bands[0]))
     o2 = np.zeros(len(bands[1]))
-    for i1, (t1n, t1w, x1, xw1) in enumerate(bands[0]):
-        if x1.size == 0:
-            continue
+    for i1, (t1n, t1w, at1) in enumerate(bands[0]):
         for t1, w1 in zip(t1n, t1w):
-            for i2, (t2n, t2w, x2, xw2) in enumerate(bands[1]):
-                if x2.size == 0:
-                    continue
+            for i2, (t2n, t2w, at2) in enumerate(bands[1]):
                 for t2, w2 in zip(t2n, t2w):
-                    block = _raw_block(kernel, f, t1, t2, x1, x2, lam1, lam2,
-                                       spec)
-                    contrib = float(xw1 @ block @ xw2) * (w1 / t1) * (w2 / t2)
+                    contrib = _raw_block(kernel, f, t1, t2, at1, at2, lam1,
+                                         lam2, spec) * (w1 / t1) * (w2 / t2)
                     o1[i1] += contrib
                     o2[i2] += contrib
     return o1, o2
@@ -486,15 +496,15 @@ def _octave_sums(kernel: Kernel, f, pair, lams, ranges, spec: QuadratureSpec,
                  band_nodes, raw: bool = False,
                  ) -> tuple[np.ndarray, np.ndarray, float]:
     """The octave-band assembly the kernel picks, with ``band_nodes[axis](lo,
-    hi)`` the position nodes and weights of a scale band; returns the
-    per-octave sums along each scale axis and the total.
+    hi)`` the point or interval of a scale band; returns the per-octave sums
+    along each scale axis and the total.
 
     A kernel without tensor parts takes the joint raw layer.  For a tensor
     kernel theta f is sum_ab V_ab theta1 g1_a (x) theta2 g2_b (V = 1 and g
     the axis functions of a pair f; V the cell values and g the unit cells
     of a plane f), so a squared piece is sum V_ab V_cd C1[a, c] C2[b, d] in
-    axis grams C, each a :func:`response_gram` summed over a band's scale
-    and position nodes; ``raw`` picks its oracle theta."""
+    axis grams C, each a :func:`response_gram` at a band's position summed
+    over its scale nodes; ``raw`` picks its oracle theta."""
     if kernel.tensor_parts is None:
         o1, o2 = _raw_octave_sums(kernel, _tensor_step(*pair) if pair else f,
                                   *lams, ranges, spec, band_nodes)
@@ -508,7 +518,7 @@ def _octave_sums(kernel: Kernel, f, pair, lams, ranges, spec: QuadratureSpec,
                 for lo, n in zip(f.lo, f.shape)]
         v = f.values
     c1, c2 = (np.array([
-        sum(response_gram(g, fa, *nodes(lo, hi), t, lam, spec, rows, raw)
+        sum(response_gram(g, fa, nodes(lo, hi), t, lam, spec, rows, raw)
             * (w / t) for t, w in zip(tn, tw))
         for lo, hi, tn, tw in octave_blocks(*r, spec.t_points_per_octave,
                                             spec.rule)])
@@ -537,10 +547,9 @@ def gstar_pointwise(kernel: Kernel, f, x, params: Params,
     """The square-function value at the point x.
 
     ``f`` is a plane step function, or a pair (f1, f2) standing for their
-    tensor product.  Every route puts the point as the only position node,
-    of weight 1, into one octave-band assembly with one theta evaluator; a
-    tensor kernel takes the per-axis assembly, any other kernel the joint
-    one:
+    tensor product.  Every route puts the point as every band's position
+    into one octave-band assembly with one theta evaluator; a tensor kernel
+    takes the per-axis assembly, any other kernel the joint one:
 
     * "fast" (tensor kernels only): the per-axis assembly on the exact cell
       integrals;
@@ -569,7 +578,7 @@ def gstar_pointwise(kernel: Kernel, f, x, params: Params,
     if route == "full" and any(g.tail != 0.0 for g in pair or (f,)):
         raise ValueError("full route needs a compactly supported function")
     t_range = (spec.t_min, spec.t_max)
-    point = [lambda lo, hi, xa=xa: (np.array([xa]), np.ones(1)) for xa in x]
+    point = [lambda lo, hi, xa=xa: xa for xa in x]
 
     o1, o2, sq = _octave_sums(kernel, f, pair, lams, (t_range, t_range), spec,
                               point, raw=(route == "full"))
@@ -608,15 +617,15 @@ def gstar_sq_norm(kernel: Kernel, f, params: Params,
     The "whitney" and "direct" routes run the octave-band assembly of their
     layer -- per axis on the exact cell integrals for a tensor kernel,
     jointly on raw kernel evaluations for any other kernel -- and differ
-    only in the position nodes each scale band is contracted against:
+    only in the position interval each scale band integrates over, the
+    weight's integral over it taken in closed form (:func:`_band_nodes`):
 
-    * "whitney" (default): the cubes of the band's own grid level, so the sum
-      runs over the grid's Whitney regions -- the rewriting behind the whole
-      averaging argument.  The regions tile the scale strip the grid pair
-      covers; in position the sum is restricted to a window around the
-      support.
-    * "direct": a graded mesh of that window, the same for every band, so
-      the sum is the pointwise squares integrated over the window.
+    * "whitney" (default): the union of the cubes of the band's own grid
+      level that meet a window around the support, so the sum runs over the
+      grid's Whitney regions -- the rewriting behind the whole averaging
+      argument.  The regions tile the scale strip the grid pair covers.
+    * "direct": the window at the top scale itself, the same for every
+      band, so the sum is the pointwise squares integrated over the window.
     * "gram": tensor kernels only.  Integrating x over the whole line
       decouples the weight from theta exactly, so the norm contracts the
       lattice Gram matrices of the two factor responses; this is the fast
@@ -661,8 +670,7 @@ def gstar_sq_norm(kernel: Kernel, f, params: Params,
             "seen from an end of the support; widen the window",
             RuntimeWarning, stacklevel=2)
     grids = grid_pair if route == "whitney" else (None, None)
-    rel = 2.0 ** (-8 if kernel.tensor_parts is None else -16)
-    nodes = [_band_nodes(box, spec, grid, r[1], rel)
+    nodes = [_band_nodes(box, spec, grid, r[1])
              for box, grid, r in zip(f2d.box, grids, ranges)]
     return _octave_sums(kernel, f, pair, lams, ranges, spec, nodes)[2]
 
@@ -688,34 +696,31 @@ def _position_loss(box: tuple[float, float], t: float, lam: float,
 
 
 def _band_nodes(box: tuple[float, float], spec: QuadratureSpec,
-                grid: ShiftedGrid | None, t_hi: float, rel: float):
-    """The norm's position nodes on one axis, as a function ``(lo, hi) ->
-    (nodes, weights)`` of the scale band (lo, hi] they serve.
+                grid: ShiftedGrid | None, t_hi: float):
+    """The norm's position on one axis, as a function ``(lo, hi) ->
+    (x_lo, x_hi)`` giving the interval the scale band (lo, hi] integrates
+    over.
 
-    With a grid: the cubes of the band's own level meeting the band's
-    window.  The band lies in (side/2, side] for side = 2^e with lo in
-    [2^(e-1), 2^e); the cubes are contiguous, so the first and last
-    ``spec.points_per_cell`` nodes are the outermost cubes'.  Without: one
-    graded mesh of the window at the top scale t_hi for every band, with
-    finest step rel times the window."""
+    With a grid: the union of the cubes of the band's own level that meet
+    the band's window.  The band lies in (side/2, side] for side = 2^e with
+    lo in [2^(e-1), 2^e), and its cubes k side + shift are contiguous, so
+    the union runs from the first one's corner to the last one's far end,
+    both read from the level's shift with floor and ceil.  Without: the
+    window at the top scale t_hi for every band."""
     if grid is None:
-        edges = graded_axis_edges(*_norm_window(box, t_hi, spec), box,
-                                  rel_finest=rel)
-        window = segment_nodes(edges, spec.points_per_cell, spec.rule)
+        window = _norm_window(box, t_hi, spec)
         return lambda lo, hi: window
 
     def whitney(lo, hi):
         level = -math.frexp(lo)[1]
-        cells = [cube.box()[0] for cube in grid.cubes_overlapping(
-            level, [_norm_window(box, hi, spec)])]
-        edges = np.array([a for a, _ in cells] + [cells[-1][1]])
-        return segment_nodes(edges, spec.points_per_cell, spec.rule)
+        side, (s,) = 2.0 ** -level, grid.shift(level)
+        wlo, whi = _norm_window(box, hi, spec)
+        return (math.floor((wlo - s) * 2.0 ** level) * side + s,
+                math.ceil((whi - s) * 2.0 ** level) * side + s)
     return whitney
 
 
-_GRAM_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=128)
 def _axis_gram(factor: ConvolutionFactor, level: int, n_cells: int,
                lam: float, t_range: tuple[float, float],
                spec: QuadratureSpec) -> np.ndarray:
@@ -726,12 +731,8 @@ def _axis_gram(factor: ConvolutionFactor, level: int, n_cells: int,
     of cell c over the cell measure.  Integrating the position over the whole
     line decouples the weight (substitute u = x - y), which is what makes
     this exact and cheap; entries depend on |c - c'| only, so one
-    autocorrelation row per scale is accumulated.  Cached."""
-    key = (factor, level, n_cells, lam, t_range,
-           spec.points_per_cell, spec.t_points_per_octave, spec.rule)
-    hit = _GRAM_CACHE.get(key)
-    if hit is not None:
-        return hit
+    autocorrelation row per scale is accumulated.  Cached; every caller
+    shares the returned array, so it is read-only."""
     h = 2.0 ** -level
     lags = h * np.arange(n_cells)
     row = np.zeros(n_cells)
@@ -747,7 +748,7 @@ def _axis_gram(factor: ConvolutionFactor, level: int, n_cells: int,
         row += auto * weight_total(t, lam) / t ** 2 * w
     idx = np.abs(np.arange(n_cells)[:, None] - np.arange(n_cells)[None, :])
     gram = row[idx]
-    _GRAM_CACHE[key] = gram
+    gram.setflags(write=False)
     return gram
 
 
@@ -782,9 +783,9 @@ def q_quantity(kernel: Kernel, i: DyadicCube, k: int, j1: DyadicCube, x,
     x = np.asarray(x, dtype=float).reshape(2)
     g1, g2 = kernel.tensor_parts
     lam1, lam2 = params.weight_powers
-    a = response_gram(g1, s_function(i, k), x[:1], [1.0], t1, lam1, spec)
+    a = response_gram(g1, s_function(i, k), x[0], t1, lam1, spec)
     b = response_gram(g2, haar_function(HaarIndex(cube=j1, eta=(1,))),
-                      x[1:], [1.0], t2, lam2, spec)
+                      x[1], t2, lam2, spec)
     return _sqrt_clamped(float(a[0, 0] * b[0, 0]))[0]
 
 
@@ -812,7 +813,6 @@ def k_quantity(kernel_factor: ConvolutionFactor, i: DyadicCube, k: int,
     x1 = float(x1)
     u, du, ulo, uhi = _offset_mesh((alo, ahi), t1, spec, (alo, ahi, x1))
     comp = mass - kernel_factor.cell_integral(t1, u, alo, ahi)
-    sq = _weighted_theta_gram(comp[None], u, du, ulo, uhi, mass,
-                              np.array([x1]), np.ones(1), t1,
+    sq = _weighted_theta_gram(comp[None], u, du, ulo, uhi, mass, x1, t1,
                               params.weight_powers[0])
     return _sqrt_clamped(float(sq[0, 0]))[0]

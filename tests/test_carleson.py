@@ -139,6 +139,17 @@ def test_open_set_rejects_empty():
         DyadicOpenSet(())
 
 
+def test_random_open_set_refuses_empty_draws():
+    # n_rects = 0 used to draw one rectangle anyway, and a reversed level
+    # range died inside numpy's integer draw
+    gp = std_pair()
+    for kwargs, match in (({"n_rects": 0}, "at least one rectangle"),
+                          ({"n_rects": -2}, "at least one rectangle"),
+                          ({"level_range": (3, 1)}, "low <= high")):
+        with pytest.raises(ValueError, match=match):
+            random_open_set(gp, np.random.default_rng(0), **kwargs)
+
+
 def test_open_set_measure_is_not_an_argument():
     # the measure is the union's, computed from the raster; a constructor
     # argument for it would be silently overwritten

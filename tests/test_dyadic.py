@@ -635,6 +635,13 @@ def test_estimate_pi_good_zero_at_infeasible_radius():
     assert half == pytest.approx(3.0 / 200)
 
 
+def test_estimate_pi_good_refuses_a_cube_below_the_truncation():
+    # a cube coarser than j_min used to die in a negative shift count
+    with pytest.raises(ValueError, match="insufficient scale range"):
+        estimate_pi_good(default_params(r=2), trials=200, level_of_i=3,
+                         seed=7, j_min=5)
+
+
 def test_estimate_pi_good_matches_exact_at_default_radius():
     params = default_params(r=10)
     exact = float(pi_good_exact(Fraction(1, 6), 10, 12))

@@ -121,6 +121,19 @@ def test_averaging_refuses_vacuous_goodness_before_drawing(monkeypatch, octaves)
         run_averaging(PARAMS, trials=10, octaves=octaves)
 
 
+@pytest.mark.parametrize("trials", [1, 0])
+def test_averaging_refuses_fewer_than_two_trials_before_drawing(monkeypatch,
+                                                                trials):
+    # one trial has no spread, so its 95 % half-width would read 0 and the
+    # stochastic check would rest on nothing
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a shift was drawn before the refusal")
+
+    monkeypatch.setattr(dyadic, "trial_stream", no_stream)
+    with pytest.raises(ValueError, match="at least two trials"):
+        run_averaging(PARAMS, trials=trials)
+
+
 def test_averaging_at_defaults():
     rep = run_averaging(PARAMS)
     assert rep.passed
@@ -454,11 +467,12 @@ def member_theta(factor, idx, t, u):
 def whitney_gram(factor, members, w_cube, lam, spec):
     """Gram matrix of member responses over one Whitney region, member by
     member on a wide y-mesh per scale and position node, graded toward the
-    weight peak and every member's edges and midpoint."""
+    weight peak and every member's edges and midpoint.  The position runs
+    over 4 Gauss nodes across the region cube."""
     (wlo, whi), = w_cube.box()
     side = w_cube.side
     tn, tw = octave_nodes(side / 2.0, side, spec.t_points_per_octave, spec.rule)
-    xs, xw = segment_nodes(np.array([wlo, whi]), spec.points_per_cell, spec.rule)
+    xs, xw = segment_nodes(np.array([wlo, whi]), 4, "gauss")
     edges = sorted({b for m in members for b in
                     (m.cube.box()[0][0], m.cube.box()[0][1],
                      0.5 * sum(m.cube.box()[0]))})

@@ -274,26 +274,50 @@ def test_theta_rejects_bad_arguments():
 
 def test_response_gram_is_the_gram_of_its_rows():
     # entry (i, j) is the weighted inner product of the responses to rows i
-    # and j, so it polarizes from one-row grams; no rows means f itself
+    # and j, so it polarizes from one-row grams, at a point as over an
+    # interval; no rows means f itself
     rng = np.random.default_rng(12)
     factor = CANC.tensor_parts[0]
     f = StepFunction(level=2, lo=(-1,), values=rng.normal(size=5))
     rows = rng.normal(size=(3, 5))
-    xs, xw = np.array([0.1, 0.4, 0.9]), np.array([0.5, 1.0, 0.25])
+    for at in (0.4, (0.1, 0.9)):
+        def gram(r):
+            return response_gram(factor, f, at, 0.3, 3.0, SP_COARSE, r)
 
-    def gram(r):
-        return response_gram(factor, f, xs, xw, 0.3, 3.0, SP_COARSE, r)
-
-    full = gram(rows)
-    assert full.shape == (3, 3) and np.all(np.diag(full) > 0)
-    for i in range(3):
-        for j in range(3):
-            polar = (gram(rows[i] + rows[j]) - gram(rows[i] - rows[j]))[0, 0] / 4
-            assert full[i, j] == pytest.approx(polar, rel=1e-12)
-    assert np.array_equal(gram(None), gram(f.values[None]))
+        full = gram(rows)
+        assert full.shape == (3, 3) and np.all(np.diag(full) > 0)
+        for i in range(3):
+            for j in range(3):
+                polar = (gram(rows[i] + rows[j])
+                         - gram(rows[i] - rows[j]))[0, 0] / 4
+                assert full[i, j] == pytest.approx(polar, rel=1e-12)
+        assert np.array_equal(gram(None), gram(f.values[None]))
     plane = StepFunction(level=0, lo=(0, 0), values=np.ones((1, 1)))
     with pytest.raises(ValueError, match="one-dimensional"):
-        response_gram(factor, plane, xs, xw, 0.3, 3.0, SP_COARSE)
+        response_gram(factor, plane, 0.4, 0.3, 3.0, SP_COARSE)
+
+
+def test_interval_gram_is_the_integral_of_point_grams():
+    # the closed-form position integral against a Gauss sum of point grams
+    # over the interval, its x-pieces split at f's cell edges; a tailed f
+    # has a far field no interval weight closes, so it is refused
+    rng = np.random.default_rng(5)
+    f = StepFunction(level=2, lo=(-1,), values=rng.normal(size=5))
+    rows = rng.normal(size=(2, 5))
+    lo, hi = -0.7, 1.6
+    sp = QuadratureSpec(rule="gauss")
+    edges = np.union1d(np.linspace(lo, hi, 33), gstar._axis_edges(f))
+    xs, xw = segment_nodes(edges, 4, "gauss")
+    for kernel in (SIZE, CANC):
+        factor = kernel.tensor_parts[0]
+        for t in (0.05, 0.3, 2.0):
+            got = response_gram(factor, f, (lo, hi), t, 3.0, sp, rows)
+            want = sum(w * response_gram(factor, f, x, t, 3.0, sp, rows)
+                       for x, w in zip(xs, xw))
+            assert np.abs(got - want).max() <= 5e-6 * np.abs(want).max()
+    tailed = StepFunction(level=0, lo=(0,), values=np.ones(1), tail=1.0)
+    with pytest.raises(ValueError, match="compact"):
+        response_gram(SIZE.tensor_parts[0], tailed, (lo, hi), 0.3, 3.0, sp)
 
 
 # ---------------------------------------------------------------------------
@@ -537,32 +561,60 @@ def test_gram_route_matches_general_assembly():
 
 
 def test_whitney_band_nodes_sit_on_the_band_level():
-    # a band (lo, hi] within (side/2, side] takes the cubes of that side,
-    # also the end band of a range off a power of two: (2, 2.4] is covered
-    # by the side-4 cubes, not by the side-2 ones that rounding -log2(hi)
-    # would pick.  One midpoint node per cube, so each weight is the side.
-    grid = ShiftedGrid.standard(1, -3, 6)
-    nodes = _band_nodes((0.0, 0.5), QuadratureSpec(points_per_cell=1), grid,
-                        2.4, 2.0**-16)
-    for lo, hi, side in ((2.0, 2.4, 4.0), (2.0, 4.0, 4.0), (0.3, 0.5, 0.5),
-                         (2.0**-7, 2.0**-6, 2.0**-6), (5.0, 8.0, 8.0)):
-        xs, xw = nodes(lo, hi)
-        assert np.all(xw == side)
-        assert np.all(np.diff(xs) == side)
+    # a band (lo, hi] within (side/2, side] integrates over the union of the
+    # cubes of that side meeting its window, also the end band of a range
+    # off a power of two: (2, 2.4] takes the side-4 cubes, not the side-2
+    # ones that rounding -log2(hi) would pick.  The union's ends are the
+    # outermost cubes' box ends exactly, on a shifted grid as well.
+    box, sp = (0.0, 0.5), QuadratureSpec()
+    shifted = ShiftedGrid.random(1, -3, 6, seed=4)
+    assert all(shifted.shift(level)[0] != 0.0 for level in (-3, -2, 1))
+    for grid in (ShiftedGrid.standard(1, -3, 6), shifted):
+        band = _band_nodes(box, sp, grid, 2.4)
+        for lo, hi, side in ((2.0, 2.4, 4.0), (2.0, 4.0, 4.0), (0.3, 0.5, 0.5),
+                             (2.0**-7, 2.0**-6, 2.0**-6), (5.0, 8.0, 8.0)):
+            level = -round(math.log2(side))
+            cubes = list(grid.cubes_overlapping(
+                level, [gstar._norm_window(box, hi, sp)]))
+            assert band(lo, hi) == (cubes[0].box()[0][0], cubes[-1].box()[0][1])
+    assert _band_nodes(box, sp, None, 2.4)(0.3, 0.5) == \
+        gstar._norm_window(box, 2.4, sp)
 
 
-def test_joint_whitney_route_agrees_with_the_per_axis_route():
-    # the two layers contract the same Whitney cubes, also on the end band
-    # (2, 2.4] of a range off a power of two
+def test_joint_whitney_route_agrees_with_the_per_axis_route(monkeypatch):
+    # the two layers integrate over the same band interval at every scale
+    # node, also on the end band (2, 2.4] of a range off a power of two, and
+    # agree in value
     rng = np.random.default_rng(7)
     f1 = StepFunction(level=1, lo=(0,), values=rng.normal(size=2))
     f2 = StepFunction(level=1, lo=(0,), values=rng.normal(size=2))
     grids = (ShiftedGrid.standard(1, -2, 3), ShiftedGrid.standard(1, -2, 3))
     sp = QuadratureSpec(points_per_cell=2, t_points_per_octave=1,
                         t_min=2.0**-2, t_max=2.4)
-    joint = gstar_sq_norm(OPAQUE, (f1, f2), PARAMS, grids, spec=sp)
-    per_axis = gstar_sq_norm(CANC, (f1, f2), PARAMS, grids, spec=sp)
-    assert joint == pytest.approx(per_axis, rel=2e-3)
+    per_axis, joint = set(), set()
+    gram, block = gstar.response_gram, gstar._raw_block
+
+    def gram_spy(factor, f, at, t, *rest):
+        per_axis.add((t, at))
+        return gram(factor, f, at, t, *rest)
+
+    def block_spy(kernel, f, t1, t2, at1, at2, *rest):
+        joint.update({(t1, at1), (t2, at2)})
+        return block(kernel, f, t1, t2, at1, at2, *rest)
+
+    monkeypatch.setattr(gstar, "response_gram", gram_spy)
+    monkeypatch.setattr(gstar, "_raw_block", block_spy)
+    gstar_sq_norm(OPAQUE, (f1, f2), PARAMS, grids, spec=sp)
+    whitney = gstar_sq_norm(CANC, (f1, f2), PARAMS, grids, spec=sp)
+    assert joint == per_axis and max(t for t, _ in joint) > 2.0
+    monkeypatch.undo()
+    assert whitney == pytest.approx(
+        gstar_sq_norm(CANC, (f1, f2), PARAMS, grids, spec=sp, route="gram"),
+        rel=2e-3)
+    sp = replace(sp, points_per_cell=4)
+    assert gstar_sq_norm(OPAQUE, (f1, f2), PARAMS, grids, spec=sp) == \
+        pytest.approx(gstar_sq_norm(CANC, (f1, f2), PARAMS, grids, spec=sp),
+                      rel=2e-3)
 
 
 # lambda = 1.2 is outside the theorem region: its weight tail is so heavy
