@@ -371,11 +371,9 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
         k1, p1, w1 = _axis_candidates(g1, base1, omega._lo[0], n1, l1)
         if k1.size == 0:
             continue
+        hi1, lo1 = pref[p1 + w1], pref[p1]
         for l2, k2, p2, w2 in axis2:
-            sums = (pref[np.ix_(p1 + w1, p2 + w2)]
-                    - pref[np.ix_(p1, p2 + w2)]
-                    - pref[np.ix_(p1 + w1, p2)]
-                    + pref[np.ix_(p1, p2)])
+            sums = hi1[:, p2 + w2] - lo1[:, p2 + w2] - hi1[:, p2] + lo1[:, p2]
             ok = sums == w1 * w2
             count = int(ok.sum())
             if count == 0:

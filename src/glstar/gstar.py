@@ -34,9 +34,9 @@ Numerical conventions used throughout:
   :func:`_raw_octave_sums` sums the :func:`_raw_block` of each scale pair
   at both bands' positions.  A route is one theta evaluator in one of these
   assemblies plus one choice of positions.  The evaluators are the exact
-  per-axis cell antiderivatives, the raw per-axis profile quadrature (their
-  independent oracle) and the raw kernel evaluations of the joint layer,
-  priced accordingly;
+  per-axis cell integrals (one antiderivative per cell edge), the raw
+  per-axis profile quadrature (their independent oracle) and the raw kernel
+  evaluations of the joint layer, priced accordingly;
 * a position is never a set of nodes: per axis it is one point x or one
   interval (lo, hi) of x, and the weight (t/(t+|x - u|))^lam enters as its
   value at the point or its closed-form integral over the interval
@@ -200,11 +200,11 @@ def response_gram(factor: ConvolutionFactor, f: StepFunction, at,
     hi), the weight's x-integral taken in closed form.  g_i is the step
     function with f's lattice and tail and the cell values ``rows[i]`` (f
     itself when ``rows`` is None).  theta comes from the exact cell
-    integrals, or with ``raw`` from :func:`_axis_theta_raw` (compact f
-    only).  The u-mesh spans f's structure zone and the weight kinks at the
-    point or at both interval ends; past it theta is its far-field constant
-    tail * mass, closed in form against a point's weight and refused for an
-    interval."""
+    integrals, one antiderivative per u-node and edge, or with ``raw`` from
+    :func:`_axis_theta_raw` (compact f only).  The u-mesh spans f's
+    structure zone and the weight kinks at the point or at both interval
+    ends; past it theta is its far-field constant tail * mass, closed in
+    form against a point's weight and refused for an interval."""
     if f.dim != 1:
         raise ValueError("a response gram needs a one-dimensional f")
     if np.ndim(at) != 0 and f.tail != 0.0:
@@ -222,7 +222,7 @@ def response_gram(factor: ConvolutionFactor, f: StepFunction, at,
             for row in rows])
     else:
         u, du, ulo, uhi = _offset_mesh(f.box[0], t, spec, anchors)
-        ci = factor.cell_integral(t, u[:, None], edges[:-1], edges[1:])
+        ci = factor.cell_integral(t, u, edges)
         theta = (ci @ (rows - f.tail).T).T
         if far != 0.0:
             theta = theta + far
@@ -425,8 +425,8 @@ def apply_theta(kernel: Kernel, f: StepFunction, y, t1: float, t2: float,
     if kernel.tensor_parts is not None:
         g1, g2 = kernel.tensor_parts
         e1, e2 = _axis_edges(f, 0), _axis_edges(f, 1)
-        c1 = g1.cell_integral(t1, y[0], e1[:-1], e1[1:])
-        c2 = g2.cell_integral(t2, y[1], e2[:-1], e2[1:])
+        c1 = g1.cell_integral(t1, y[0], e1)
+        c2 = g2.cell_integral(t2, y[1], e2)
         val = c1 @ (f.values - f.tail) @ c2
         if f.tail != 0.0:
             val += f.tail * g1.mass(t1) * g2.mass(t2)
@@ -731,20 +731,19 @@ def _axis_gram(factor: ConvolutionFactor, level: int, n_cells: int,
     of cell c over the cell measure.  Integrating the position over the whole
     line decouples the weight (substitute u = x - y), which is what makes
     this exact and cheap; entries depend on |c - c'| only, so one
-    autocorrelation row per scale is accumulated.  Cached; every caller
-    shares the returned array, so it is read-only."""
+    autocorrelation row per scale is accumulated.  Lag k at u is the cell
+    [-k h, (1 - k) h], so one shared-end cell integral gives every lag,
+    columns reversed.  Cached; callers share the array, so it is read-only."""
     h = 2.0 ** -level
-    lags = h * np.arange(n_cells)
+    edges = h * np.arange(1 - n_cells, 2)
     row = np.zeros(n_cells)
     tn, tw = octave_nodes(*t_range, spec.t_points_per_octave, spec.rule)
     for t, w in zip(tn, tw):
         pad = _PAD_UNITS * t + h
         grid = graded_axis_edges(-pad, h + pad, (0.0, h), rel_finest=_MESH_REL)
         u, du = segment_nodes(grid, spec.points_per_cell, spec.rule)
-        base = factor.cell_integral(t, u, 0.0, h) / h
-        shifted = factor.cell_integral(t, u[:, None] + lags[None, :],
-                                       0.0, h) / h
-        auto = (base * du) @ shifted
+        psi = factor.cell_integral(t, u, edges)[:, ::-1] / h
+        auto = (psi[:, 0] * du) @ psi
         row += auto * weight_total(t, lam) / t ** 2 * w
     idx = np.abs(np.arange(n_cells)[:, None] - np.arange(n_cells)[None, :])
     gram = row[idx]
@@ -812,7 +811,7 @@ def k_quantity(kernel_factor: ConvolutionFactor, i: DyadicCube, k: int,
     mass = kernel_factor.mass(t1)
     x1 = float(x1)
     u, du, ulo, uhi = _offset_mesh((alo, ahi), t1, spec, (alo, ahi, x1))
-    comp = mass - kernel_factor.cell_integral(t1, u, alo, ahi)
+    comp = mass - kernel_factor.cell_integral(t1, u, (alo, ahi))[:, 0]
     sq = _weighted_theta_gram(comp[None], u, du, ulo, uhi, mass, x1, t1,
                               params.weight_powers[0])
     return _sqrt_clamped(float(sq[0, 0]))[0]

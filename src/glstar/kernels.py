@@ -64,7 +64,7 @@ class ConvolutionFactor:
     Both are evaluated with one power: with v = t + s and q = t / v, size is
     scale * q^a / v^dim and cancellative is scale * q^a / v^dim *
     (a - (dim + a) q).
-    Antiderivatives (dim 1) are closed form, so cell integrals are exact.
+    Cell integrals are exact: one closed-form antiderivative (dim 1) per edge.
     ``scale`` multiplies the whole profile (amplitude homogeneity tests).
     """
 
@@ -134,32 +134,35 @@ class ConvolutionFactor:
         )
 
     def antiderivative(self, t, s):
-        """A(s) = integral of the profile over [0, s]; dim 1 only."""
+        """A(s) = integral of the profile over [0, s], dim 1 only: with q =
+        t/(t+s), scale (1 - q^a) / a (size) or scale (q^(1+a) - q^a)."""
         if self.dim != 1:
             raise NotImplementedError("closed-form antiderivative is 1d only")
         a = self.exponent
-        t = np.asarray(t, dtype=float)
-        q = t / (t + np.asarray(s, dtype=float))
+        q = np.divide(t, np.add(t, s, dtype=float))
         if self.flavor == "size":
-            return self.scale * (1.0 - q**a) / a
-        return self.scale * (q ** (1.0 + a) - q**a)
+            q **= a
+            out = 1.0 - q
+            out *= self.scale
+            out /= a
+            return out
+        out = q ** (1.0 + a)
+        q **= a
+        out -= q
+        out *= self.scale
+        return out
 
-    def segment_integral(self, t, lo, hi):
-        """Exact integral of profile(|u|) over u in [lo, hi] (any signs)."""
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if np.any(lo > hi):
-            raise ValueError("segment endpoints out of order")
-
-        def odd(s):
-            return np.sign(s) * self.antiderivative(t, np.abs(s))
-
-        return odd(hi) - odd(lo)
-
-    def cell_integral(self, t, x, lo, hi):
-        """Exact integral of profile(|x - z|) over the cell z in [lo, hi]."""
-        x = np.asarray(x, dtype=float)
-        return self.segment_integral(t, x - hi, x - lo)
+    def cell_integral(self, t, x, edges):
+        """Exact integrals of profile(|x - z|) over the cells z in [e_i,
+        e_(i+1)] of the nondecreasing ``edges``, shape x.shape + (cells,):
+        one odd antiderivative per (point, edge), shared by adjacent cells."""
+        edges = np.asarray(edges, dtype=float)
+        if edges.ndim != 1 or np.any(edges[1:] < edges[:-1]):
+            raise ValueError("cell edges must be a nondecreasing 1-d array")
+        s = np.asarray(x, dtype=float)[..., None] - edges
+        odd = self.antiderivative(t, np.abs(s))
+        odd *= np.sign(s)
+        return odd[..., :-1] - odd[..., 1:]
 
 
 # ---------------------------------------------------------------------------

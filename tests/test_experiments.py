@@ -343,7 +343,7 @@ def lemma32_lhs(cfg, lam, spec):
     edges = graded_axis_edges(-radius, radius, (0.0, x1 - hi1, x1 - lo1),
                               rel_finest=fine)
     y, dy = segment_nodes(edges, spec.points_per_cell, spec.rule)
-    inner = factor.cell_integral(t1, x1 - y, lo1, hi1) / t1 ** a
+    inner = factor.cell_integral(t1, x1 - y, (lo1, hi1))[:, 0] / t1 ** a
     weight = (t1 / (t1 + np.abs(y))) ** lam
     return math.sqrt(float(np.sum(inner ** 2 * weight * dy / t1)))
 
@@ -458,10 +458,9 @@ def member_theta(factor, idx, t, u):
     (lo, hi), = idx.cube.box()
     scale = idx.cube.side ** -0.5
     if idx.cancellative:
-        mid = 0.5 * (lo + hi)
-        return scale * (factor.cell_integral(t, u, lo, mid)
-                        - factor.cell_integral(t, u, mid, hi))
-    return scale * factor.cell_integral(t, u, lo, hi)
+        halves = factor.cell_integral(t, u, (lo, 0.5 * (lo + hi), hi))
+        return scale * (halves[..., 0] - halves[..., 1])
+    return scale * factor.cell_integral(t, u, (lo, hi))[..., 0]
 
 
 def whitney_gram(factor, members, w_cube, lam, spec):

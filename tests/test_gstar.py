@@ -33,7 +33,12 @@ from glstar.gstar import (
     response_gram,
     weight_total,
 )
-from glstar.kernels import make_cancellative, make_mixed, make_size_only
+from glstar.kernels import (
+    ConvolutionFactor,
+    make_cancellative,
+    make_mixed,
+    make_size_only,
+)
 
 PARAMS = default_params()
 SIZE = make_size_only(1, 1, 0.5, 0.5)
@@ -320,6 +325,85 @@ def test_interval_gram_is_the_integral_of_point_grams():
         response_gram(SIZE.tensor_parts[0], tailed, (lo, hi), 0.3, 3.0, sp)
 
 
+def test_cell_work_is_one_antiderivative_per_edge(monkeypatch):
+    # adjacent cells share an end, so n cells cost n + 1 antiderivative
+    # evaluations per u-node, not 2 n: per scale node of an axis gram and
+    # per response gram, spying the u-mesh each one builds
+    sizes, meshes = [], []
+    original = ConvolutionFactor.antiderivative
+
+    def spy(self, t, s):
+        sizes.append(np.size(s))
+        return original(self, t, s)
+
+    monkeypatch.setattr(ConvolutionFactor, "antiderivative", spy)
+    original_nodes = gstar.segment_nodes
+
+    def nodes_spy(*args, **kwargs):
+        u, du = original_nodes(*args, **kwargs)
+        meshes.append(u.size)
+        return u, du
+
+    monkeypatch.setattr(gstar, "segment_nodes", nodes_spy)
+    factor = SIZE.tensor_parts[0]
+    t_range = (2.0**-4, 2.0)
+    scale_nodes, _ = octave_nodes(*t_range, SP_COARSE.t_points_per_octave,
+                                  SP_COARSE.rule)
+    for n_cells in (1, 6):
+        sizes.clear()
+        meshes.clear()
+        _axis_gram.__wrapped__(factor, 3, n_cells, 3.0, t_range, SP_COARSE)
+        assert len(meshes) == scale_nodes.size
+        assert sizes == [m * (n_cells + 1) for m in meshes]
+
+    monkeypatch.setattr(gstar, "segment_nodes", original_nodes)
+    original_mesh = gstar._offset_mesh
+
+    def mesh_spy(*args, **kwargs):
+        out = original_mesh(*args, **kwargs)
+        meshes.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(gstar, "_offset_mesh", mesh_spy)
+    f = StepFunction(level=2, lo=(-1,), values=np.arange(1.0, 6.0))
+    for at in (0.4, (0.1, 0.9)):
+        sizes.clear()
+        meshes.clear()
+        response_gram(factor, f, at, 0.3, 3.0, SP_COARSE)
+        assert len(meshes) == 1
+        assert sum(sizes) == meshes[0] * (f.values.size + 1)
+
+
+def axis_gram_per_lag(factor, level, n_cells, lam, t_range, spec):
+    """The axis gram one lag at a time: the unit cell's response at u
+    against its response at u + k h, each from its own two ends."""
+    h = 2.0 ** -level
+    lags = h * np.arange(n_cells)
+    row = np.zeros(n_cells)
+    tn, tw = octave_nodes(*t_range, spec.t_points_per_octave, spec.rule)
+    for t, w in zip(tn, tw):
+        pad = gstar._PAD_UNITS * t + h
+        grid = graded_axis_edges(-pad, h + pad, (0.0, h),
+                                 rel_finest=gstar._MESH_REL)
+        u, du = segment_nodes(grid, spec.points_per_cell, spec.rule)
+        base = factor.cell_integral(t, u, (0.0, h))[:, 0] / h
+        shifted = factor.cell_integral(t, u[:, None] + lags, (0.0, h))[..., 0]
+        row += (base * du) @ (shifted / h) * weight_total(t, lam) / t ** 2 * w
+    return row[np.abs(np.arange(n_cells)[:, None] - np.arange(n_cells))]
+
+
+@pytest.mark.parametrize("kernel", [SIZE, CANC], ids=["size", "cancellative"])
+@pytest.mark.parametrize("n_cells", [1, 5, 128])
+def test_axis_gram_matches_the_per_lag_formula(kernel, n_cells):
+    # the shared-end call evaluates u + (k - 1) h where the per-lag formula
+    # evaluates (u + k h) - h, so the two agree to rounding only
+    factor = kernel.tensor_parts[0]
+    args = (factor, 7, n_cells, 3.0, (2.0**-8, 2.0), SP_COARSE)
+    got = _axis_gram.__wrapped__(*args)
+    want = axis_gram_per_lag(*args)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 # ---------------------------------------------------------------------------
 # pointwise square function
 
@@ -487,7 +571,7 @@ def wide_axis_value(factor, f, x, lam, spec):
         edges = graded_axis_edges(-radius, radius, (0.0, x - hi, x - lo),
                                   rel_finest=t / (64.0 * radius))
         y, dy = segment_nodes(edges, 4, "gauss")
-        theta = value * factor.cell_integral(t, x - y, lo, hi)
+        theta = value * factor.cell_integral(t, x - y, (lo, hi))[:, 0]
         total += float(np.sum(theta ** 2 * (t / (t + np.abs(y))) ** lam * dy)) \
             / t * (w / t)
     return total

@@ -55,10 +55,11 @@ def test_cancellative_factor_integrates_to_zero():
     assert factor.mass(0.9) == 0.0
     for t in (0.125, 1.0, 5.0):
         # closed-form window integral vanishes like 2 (t/R)^a as R grows
-        assert abs(factor.segment_integral(t, -1e12 * t, 1e12 * t)) <= 2.1e-6
+        wide = factor.cell_integral(t, 0.0, (-1e12 * t, 1e12 * t))[0]
+        assert abs(wide) <= 2.1e-6
         # quadrature cross-check of the closed form on a finite window
         numeric = quad_profile(factor, t, 50.0 * t)
-        closed = float(factor.segment_integral(t, -50.0 * t, 50.0 * t))
+        closed = float(factor.cell_integral(t, 0.0, (-50.0 * t, 50.0 * t))[0])
         assert numeric == pytest.approx(closed, abs=1e-8)
 
 
@@ -70,17 +71,80 @@ def test_antiderivative_matches_quadrature():
                 graded_axis_edges(lo, hi, anchors=(0.0,)), 6, "gauss"
             )
             numeric = float(np.sum(factor.profile(t, np.abs(nodes)) * weights))
-            assert factor.segment_integral(t, lo, hi) == pytest.approx(
+            assert factor.cell_integral(t, 0.0, (lo, hi))[0] == pytest.approx(
                 numeric, abs=1e-10
             )
 
 
 def test_cell_integral_is_window_integral():
+    # the cell [0, 1] seen from x is the window [x - 1, x] seen from 0
     factor = ConvolutionFactor(1, 0.5, "cancellative")
     x = np.array([-0.3, 0.1, 0.9, 4.0])
-    got = factor.cell_integral(0.7, x, 0.0, 1.0)
-    want = [factor.segment_integral(0.7, xi - 1.0, xi - 0.0) for xi in x]
+    got = factor.cell_integral(0.7, x, (0.0, 1.0))[:, 0]
+    want = [factor.cell_integral(0.7, 0.0, (xi - 1.0, xi - 0.0))[0]
+            for xi in x]
     assert np.allclose(got, want, rtol=4e-16, atol=0)
+
+
+def per_cell_integral(factor, t, x, lo, hi):
+    """The cell [lo, hi] seen from x as the difference of the odd
+    antiderivative at its two ends, one cell at a time.  It runs on arrays
+    even for a scalar x: numpy's scalar power may differ from its array
+    loop in the last bits."""
+    def odd(s):
+        return np.sign(s) * factor.antiderivative(t, np.abs(s))
+
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    return (odd(xs - lo) - odd(xs - hi)).reshape(np.shape(x))
+
+
+@pytest.mark.parametrize("flavor", ["size", "cancellative"])
+@pytest.mark.parametrize("scale", [1.0, 2.5])
+def test_cell_integral_is_the_per_cell_difference_bit_for_bit(flavor, scale):
+    # the shared-end form evaluates each edge once, on the same x - edge
+    # floats as the per-cell form, so each cell must come out bit for bit;
+    # the points include edges, and one cell is empty
+    factor = ConvolutionFactor(1, 0.7, flavor, scale=scale)
+    edges = np.array([-1.5, -0.25, 0.0, 0.0, 0.625, 3.0])
+    points = (0.3, -0.25, np.array([-2.0, -1.5, 0.0, 0.1, 3.0, 7.5]),
+              np.linspace(-3.0, 4.0, 12).reshape(3, 4))
+    for x in points:
+        for t in (0.05, 1.3):
+            got = factor.cell_integral(t, x, edges)
+            assert got.shape == np.shape(x) + (edges.size - 1,)
+            for i in range(edges.size - 1):
+                want = per_cell_integral(factor, t, x, edges[i], edges[i + 1])
+                assert np.array_equal(got[..., i].view(np.int64),
+                                      np.asarray(want).view(np.int64))
+
+
+@pytest.mark.parametrize("flavor", ["size", "cancellative"])
+@pytest.mark.parametrize("scale", [1.0, 2.5])
+def test_antiderivative_is_its_closed_form_bit_for_bit(flavor, scale):
+    # the in-place evaluation must round exactly as the formula does
+    factor = ConvolutionFactor(1, 0.7, flavor, scale=scale)
+    s = np.concatenate([[0.0], np.geomspace(1e-9, 1e9, 301)])
+    for t in (0.05, 1.3):
+        q = t / (t + s)
+        if flavor == "size":
+            want = scale * (1.0 - q**0.7) / 0.7
+        else:
+            want = scale * (q ** 1.7 - q**0.7)
+        assert np.array_equal(factor.antiderivative(t, s).view(np.int64),
+                              want.view(np.int64))
+
+
+def test_cell_integral_refuses_decreasing_edges_before_any_work(monkeypatch):
+    # only the edges are checked: the points may lie anywhere
+    factor = ConvolutionFactor(1, 0.5)
+
+    def unreached(self, t, s):
+        raise AssertionError("antiderivative evaluated for refused edges")
+
+    monkeypatch.setattr(ConvolutionFactor, "antiderivative", unreached)
+    for edges in ((2.0, 1.0), (0.0, 1.0, 0.5), [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            factor.cell_integral(1.0, np.array([5.0, -5.0]), edges)
 
 
 def test_cancellative_profile_termwise_domination():
@@ -263,7 +327,7 @@ def test_factor_validation():
     with pytest.raises(NotImplementedError):
         ConvolutionFactor(2, 0.5).antiderivative(1.0, 1.0)
     with pytest.raises(ValueError):
-        ConvolutionFactor(1, 0.5).segment_integral(1.0, 2.0, 1.0)
+        ConvolutionFactor(1, 0.5).cell_integral(1.0, 0.0, (2.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +362,8 @@ def test_size_only_on_diagonal_and_translation():
 def test_cancellative_kills_constants():
     kernel = make_cancellative(1, 1, 0.5, 0.5)
     window = 1e12
-    z1 = kernel.tensor_parts[0].segment_integral(1.0, -window, window)
-    z2 = kernel.tensor_parts[1].segment_integral(0.5, -window, window)
+    z1 = kernel.tensor_parts[0].cell_integral(1.0, 0.0, (-window, window))[0]
+    z2 = kernel.tensor_parts[1].cell_integral(0.5, 0.0, (-window, window))[0]
     assert abs(float(z1) * float(z2)) <= 1e-11
 
 
