@@ -139,11 +139,10 @@ class DyadicOpenSet:
 
 def random_open_set(gridpair: tuple[ShiftedGrid, ShiftedGrid],
                     rng: np.random.Generator, n_rects: int = 4,
-                    level_range: tuple[int, int] = (0, 2),
-                    box: tuple[float, float] = (0.0, 1.0)) -> DyadicOpenSet:
-    """A random admissible union of rectangles anchored in a window: up to
-    ``n_rects`` distinct rectangles, each side's level drawn from
-    ``level_range`` (both ends included)."""
+                    level_range: tuple[int, int] = (0, 2)) -> DyadicOpenSet:
+    """A random admissible union of up to ``n_rects`` distinct rectangles:
+    each side is the cube, at a level drawn from ``level_range`` (both ends
+    included), that holds a uniform point of [0, 1)."""
     g1, g2 = gridpair
     lo, hi = level_range
     if n_rects < 1:
@@ -154,8 +153,8 @@ def random_open_set(gridpair: tuple[ShiftedGrid, ShiftedGrid],
     for _ in range(n_rects):
         l1 = int(rng.integers(lo, hi + 1))
         l2 = int(rng.integers(lo, hi + 1))
-        x = float(rng.uniform(*box))
-        y = float(rng.uniform(*box))
+        x = float(rng.uniform(0.0, 1.0))
+        y = float(rng.uniform(0.0, 1.0))
         i, j = g1.cube_at(l1, (x,)), g2.cube_at(l2, (y,))
         seen[(i.level, i.index, j.level, j.index)] = (i, j)
     return DyadicOpenSet(tuple(seen[k] for k in sorted(seen)))
@@ -333,9 +332,9 @@ def _axis_candidates(grid: ShiftedGrid, raster_level: int, lo_cell: int,
 
 
 def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
-                 spec: QuadratureSpec | None = None,
                  cap: float = math.inf) -> CarlesonReport:
-    """Sum of box quantities over every grid rectangle inside the set.
+    """Sum of box quantities over every grid rectangle inside the set, each
+    at the default `QuadratureSpec()`.
 
     ``levels`` counts enumeration depth below the finest member rectangle per
     axis; coarser rectangles than the members are enumerated too whenever
@@ -346,7 +345,6 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
     read-only view kept per level pair (containment mask, lattice offsets,
     box value), and iterating it builds the cubes on demand.
     """
-    spec = spec or QuadratureSpec()
     if levels < 1:
         raise ValueError("need levels >= 1")
     g1, g2 = omega.grids
@@ -384,7 +382,7 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
                     "rectangle enumeration exceeds the size guard; "
                     "reduce the level depth")
             value = _cij_scales(kernel, 2.0 ** -l1, 2.0 ** -l2,
-                                *params.weight_powers, spec)
+                                *params.weight_powers, QuadratureSpec())
             ok.setflags(write=False)
             blocks[(l1, l2)] = _Block(int(k1[0]), int(k2[0]), ok, value, count)
             total += count * value
@@ -398,13 +396,13 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
                           passed=bool(ratio <= cap))
 
 
-def carleson_check(kernel, omegas, levels: int, cap: float, params: Params,
-                   spec: QuadratureSpec | None = None):
+def carleson_check(kernel, omegas, levels: int, cap: float, params: Params):
     """Packing test over a family of sets, with a one-level stability probe.
 
-    Each set is summed at ``levels`` and ``levels + 1``; the test passes when
-    every ratio stays under the cap and grows by less than 10% on the extra
-    level.  Returns (verdict, [(report, deeper_report), ...]).
+    Each set is summed by `carleson_sum` (at the default `QuadratureSpec()`)
+    at ``levels`` and ``levels + 1``; the test passes when every ratio stays
+    under the cap and grows by less than 10% on the extra level.  Returns
+    (verdict, [(report, deeper_report), ...]).
     """
     omegas = list(omegas)
     if not omegas:
@@ -416,8 +414,8 @@ def carleson_check(kernel, omegas, levels: int, cap: float, params: Params,
     verdict = True
     out = []
     for om in omegas:
-        rep = carleson_sum(kernel, om, levels, params, spec, cap=cap)
-        rep2 = carleson_sum(kernel, om, levels + 1, params, spec, cap=cap)
+        rep = carleson_sum(kernel, om, levels, params, cap=cap)
+        rep2 = carleson_sum(kernel, om, levels + 1, params, cap=cap)
         out.append((rep, rep2))
         if degenerate:
             continue

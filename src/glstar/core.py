@@ -147,15 +147,14 @@ class QuadratureSpec:
     ``points_per_cell`` is the per-axis rule order on each mesh segment (and
     on each lattice cell when integrating against step functions);
     ``t_points_per_octave`` the number of nodes per factor of two on scale
-    axes; ``truncation_eps`` the tolerance at which callers cut unbounded
-    integrals; ``t_min``/``t_max`` the default scale range.
+    axes; ``t_min``/``t_max`` the default scale range.
     ``rule`` selects the segment rule: "midpoint" (exact on step functions) or
-    "gauss" (Gauss-Legendre, for smooth kernels).
+    "gauss" (Gauss-Legendre, for smooth kernels).  The tolerance at which
+    unbounded integrals are cut is fixed in :mod:`glstar.gstar`.
     """
 
     points_per_cell: int = 4
     t_points_per_octave: int = 6
-    truncation_eps: float = 1e-9
     t_min: float = 2.0 ** -14
     t_max: float = 2.0 ** 6
     rule: str = "midpoint"
@@ -163,19 +162,16 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if self.points_per_cell < 1 or self.t_points_per_octave < 1:
             raise ValueError("rule orders must be at least 1")
-        if not (0 < self.truncation_eps < 1):
-            raise ValueError("truncation_eps must lie in (0, 1)")
         if not (0 < self.t_min < self.t_max):
             raise ValueError("need 0 < t_min < t_max")
         if self.rule not in ("midpoint", "gauss"):
             raise ValueError(f"unknown rule {self.rule!r}")
 
-    def refined(self, factor: int = 2) -> "QuadratureSpec":
-        """The same spec with both node counts multiplied by ``factor``."""
+    def refined(self) -> "QuadratureSpec":
+        """The same spec twice as fine: both node counts doubled."""
         return QuadratureSpec(
-            points_per_cell=self.points_per_cell * factor,
-            t_points_per_octave=self.t_points_per_octave * factor,
-            truncation_eps=self.truncation_eps,
+            points_per_cell=self.points_per_cell * 2,
+            t_points_per_octave=self.t_points_per_octave * 2,
             t_min=self.t_min,
             t_max=self.t_max,
             rule=self.rule,

@@ -533,18 +533,14 @@ def pi_good_exact(gamma: Fraction | float, r: int, octaves: int) -> Fraction:
     return Fraction(total, 1 << octaves)
 
 
-def default_shift_radius(
-    gamma: Fraction = Fraction(1, 6),
-    octaves: int = DEFAULT_OCTAVES,
-    floor: Fraction = Fraction(1, 20),
-) -> int:
-    """Smallest goodness radius whose exact good-cube probability reaches the
-    floor at the given truncation depth.  The feasibility heuristic
-    (1/2 - 2^-r) > 2^(-r gamma) looks only at a single scale and admits radii
-    whose multi-scale probability is zero, so the exact enumeration is the
-    arbiter here."""
+def default_shift_radius() -> int:
+    """Smallest goodness radius whose exact good-cube probability reaches 1/20
+    at the default gamma = 1/6 and depth ``DEFAULT_OCTAVES``.  The
+    feasibility heuristic (1/2 - 2^-r) > 2^(-r gamma) looks only at a single
+    scale and admits radii whose multi-scale probability is zero, so the
+    exact enumeration is the arbiter here."""
     r = 1
-    while pi_good_exact(gamma, r, octaves) < floor:
+    while pi_good_exact(Fraction(1, 6), r, DEFAULT_OCTAVES) < Fraction(1, 20):
         r += 1
         if r > 64:
             raise RuntimeError("no feasible radius below 64")

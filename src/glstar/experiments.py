@@ -99,9 +99,9 @@ class ExperimentReport:
             raise ValueError("wall time cannot be negative")
         object.__setattr__(self, "records", tuple(self.records))
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        """Plain-dict form; timing is opt-in so reruns compare byte-equal."""
-        out = {
+    def to_dict(self) -> dict:
+        """Plain-dict form without the timing, so reruns compare byte-equal."""
+        return {
             "name": self.name,
             "params": dict(self.params),
             "seed": self.seed,
@@ -110,9 +110,6 @@ class ExperimentReport:
             "passed": self.passed,
             "notes": self.notes,
         }
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 def _snapshot(params: Params, **extra) -> dict:
@@ -512,7 +509,6 @@ class Lemma32Config:
     i2: tuple[float, float]
     x1: float
     t1: float
-    alpha: float = 0.5
 
 
 def sample_lemma32_configs(count: int = 120, seed: int = 5) -> list[Lemma32Config]:
@@ -540,24 +536,28 @@ def run_lemma32(
     """Tail estimate for the one-factor interval response.
 
     For each configuration, the square root of the weighted square integral
-    of the interval response, under the size-flavor convolution factor of
-    the configuration's exponent (0.5 in `sample_lemma32_configs`), is
-    compared with |I1| / (l(I2) + d)^(1+alpha).  The integral is the
-    response gram of 1_{I1} at (x1, t1), with its far field closed, at the
-    default `QuadratureSpec()` and again at its twofold refinement.
+    of the interval response, under the size-flavor convolution factor at
+    the exponent alpha = 0.5, is compared with |I1| / (l(I2) + d)^(1+alpha).
+    The integral is the response gram of 1_{I1} at (x1, t1), with its far
+    field closed, at the default `QuadratureSpec()` and at its refinement.
     ``passed`` means the refined ratio stays finite and moves by less than
-    10 % under the refinement, on every configuration; an empty
-    configuration list and a non-dyadic I1 are refused.
+    10 % under the refinement, on every configuration.  An empty
+    configuration list, a non-dyadic I1, and params whose admissible band
+    alpha <= n (lambda1 - 2)/2 excludes 0.5 are refused before quadrature.
     """
     t0 = time.perf_counter()
+    alpha = 0.5
     spec = QuadratureSpec()
     if configs is None:
         configs = sample_lemma32_configs()
     if not configs:
         raise ValueError("need at least one configuration")
+    if not alpha <= params.n * (params.lambda1 - 2.0) / 2.0:
+        raise ValueError("exponent outside the admissible band for this "
+                         "weight")
     lam = params.weight_powers[0]
-    a_cap = params.n * (params.lambda1 - 2.0) / 2.0
-    fine_spec = spec.refined(2)
+    factor = ConvolutionFactor(1, alpha, "size")
+    fine_spec = spec.refined()
 
     records = []
     for cfg in configs:
@@ -566,20 +566,16 @@ def run_lemma32(
         if not (lo2 <= cfg.x1 < hi2 and ell2 / 2.0 < cfg.t1 <= ell2):
             raise ValueError("the probe point must lie in the Whitney region "
                              "of its interval")
-        if not 0.0 < cfg.alpha <= a_cap:
-            raise ValueError("exponent outside the admissible band for this "
-                             "weight")
         lo1, hi1 = cfg.i1
         side, level = hi1 - lo1, 1 - math.frexp(hi1 - lo1)[1]
         if side != 2.0 ** -level or not (lo1 / side).is_integer():
             raise ValueError("the target interval must be dyadic")
         target = StepFunction(level, (int(lo1 / side),), np.ones(1))
-        factor = ConvolutionFactor(1, cfg.alpha, "size")
         gap = max(0.0, lo2 - hi1, lo1 - hi2)
-        rhs = side / (ell2 + gap) ** (1.0 + cfg.alpha)
+        rhs = side / (ell2 + gap) ** (1.0 + alpha)
         lhs, lhs2 = (math.sqrt(response_gram(factor, target, cfg.x1, cfg.t1,
                                              lam, sp)[0, 0])
-                     / cfg.t1 ** cfg.alpha for sp in (spec, fine_spec))
+                     / cfg.t1 ** alpha for sp in (spec, fine_spec))
         ratio, ratio2 = lhs / rhs, lhs2 / rhs
         drift = abs(ratio2 / ratio - 1.0) if ratio > 0 else 0.0
         records.append({
@@ -618,29 +614,19 @@ def run_lemma32(
 # ancestor-ladder decay
 
 
-def _ladder_cube(grid: ShiftedGrid, base: DyadicCube, k: int) -> DyadicCube:
-    """A cube at base's level sitting at a typical good position inside its
-    k-th ancestor: offset ~2^(k/2) cells from the ancestor's edge, clamped
-    inside the (k-1)-st ancestor."""
+def _ladder_probe(grid: ShiftedGrid, base: DyadicCube,
+                  k: int) -> tuple[DyadicCube, float, float]:
+    """The probe of generation k: a cube at base's level sitting at a
+    typical good position inside its k-th ancestor (offset ~2^(k/2) cells
+    from the ancestor's edge, clamped inside the (k-1)-st ancestor), with
+    its center x1 and the scale t1 = 3/4 of its side."""
     if k < 1:
         raise ValueError("need k >= 1")
     off = min(math.ceil(2.0 ** (k / 2.0)), 2 ** (k - 1) - 1) if k > 1 else 0
     block = (base.index[0] >> (k - 1)) << (k - 1)
-    return grid.cube(base.level, (block + off,))
-
-
-def _kdecay_slope(alpha: float, grid: ShiftedGrid, base: DyadicCube,
-                  ks: Sequence[int], params: Params,
-                  spec: QuadratureSpec) -> float:
-    factor = ConvolutionFactor(1, alpha, "size")
-    vals = []
-    for k in ks:
-        cube = _ladder_cube(grid, base, k)
-        (lo, hi), = cube.box()
-        x1 = 0.5 * (lo + hi)
-        vals.append(k_quantity(factor, cube, k, x1, 0.75 * cube.side, params, spec))
-    return float(np.polyfit(np.asarray(ks, dtype=float),
-                            np.log2(vals), 1)[0])
+    cube = grid.cube(base.level, (block + off,))
+    (lo, hi), = cube.box()
+    return cube, 0.5 * (lo + hi), 0.75 * cube.side
 
 
 def run_kdecay(
@@ -693,10 +679,7 @@ def run_kdecay(
     records = []
     k_vals, q_vals = {}, {}
     for k in ks:
-        cube = _ladder_cube(grid, base, k)
-        (lo, hi), = cube.box()
-        x1 = 0.5 * (lo + hi)
-        t1 = 0.75 * cube.side
+        cube, x1, t1 = _ladder_probe(grid, base, k)
         kv = k_quantity(factor, cube, k, x1, t1, params, spec)
         qv = q_quantity(kernel, cube, k, j1, (x1, x2), t1, t2, params, spec)
         qn = qv * math.sqrt(cube.side * 2.0 ** k)   # ancestor scale factor out
@@ -724,11 +707,19 @@ def run_kdecay(
                  and window[0] <= q_slope <= window[1])
     plateaus_ok = in_band(k_plateau) and in_band(q_plateau)
 
+    def side_ladder(a: float) -> dict:
+        side_factor = ConvolutionFactor(1, a, "size")
+        vals = {}
+        for k in slope_ks:
+            cube, x1, t1 = _ladder_probe(grid, base, k)
+            vals[k] = k_quantity(side_factor, cube, k, x1, t1, params, spec)
+        return vals
+
     side = {}
     side_ok = True
     if side_runs:
-        s_half = _kdecay_slope(alpha / 2.0, grid, base, slope_ks, params, spec)
-        s_quarter = _kdecay_slope(alpha / 4.0, grid, base, slope_ks, params, spec)
+        s_half = fit(side_ladder(alpha / 2.0))
+        s_quarter = fit(side_ladder(alpha / 4.0))
         doubling = k_slope / s_half if s_half != 0.0 else float("inf")
         side = {
             "slope_alpha": k_slope,
@@ -825,8 +816,7 @@ def run_carleson(
             std = (ShiftedGrid.standard(1, -6, 10),
                    ShiftedGrid.standard(1, -6, 10))
             unit = random_open_set(std, np.random.default_rng(0),
-                                   n_rects=1, level_range=(0, 0),
-                                   box=(0.0, 1.0))
+                                   n_rects=1, level_range=(0, 0))
             rep = carleson_sum(kernel, unit, levels, params)
             c_unit = 256.0 * math.log(2.0) ** 2
             law = c_unit * (levels + 1) ** 2

@@ -103,6 +103,10 @@ _ORACLE_MESH_REL = 2.0 ** -16
 # Relative tail size above which a truncated range is reported.
 _TAIL_WARN = 1e-2
 
+# Tolerance at which unbounded integrals are cut: the raw path's tail windows
+# and the norm's position window reach where their integrands fall below it.
+_TRUNCATION_EPS = 1e-9
+
 # Elements per block of the chunked contractions: about 2^16 kernel or weight
 # values, so a block's temporaries stay in cache instead of streaming
 # through memory.  Each such temporary is a 512 KB array that the C
@@ -394,7 +398,7 @@ def _theta_points_general(kernel: Kernel, f: StepFunction, t1: float,
         meshes = []
         for axis, (t, a) in enumerate(((t1, kernel.alpha), (t2, kernel.beta))):
             blo, bhi = f.box[axis]
-            rad = t * (2.0 / (a * spec.truncation_eps)) ** (1.0 / a)
+            rad = t * (2.0 / (a * _TRUNCATION_EPS)) ** (1.0 / a)
             wlo = min(blo, p[axis] - rad)
             whi = max(bhi, p[axis] + rad)
             # the anchor ladders must bottom out below the kernel ridge width
@@ -662,7 +666,7 @@ def gstar_sq_norm(kernel: Kernel, f, params: Params,
         # sum_{a,b,c,d} m1[a,c] m2[b,d] v[a,b] v[c,d], the grams being symmetric
         return float(np.sum((m1 @ vals @ m2) * vals))
 
-    loss = max(_position_loss(box, t_hi, lam, spec)
+    loss = max(_position_loss(box, t_hi, lam)
                for box, lam, (_, t_hi) in zip(f2d.box, lams, ranges))
     if loss > _TAIL_WARN:
         warnings.warn(
@@ -670,33 +674,31 @@ def gstar_sq_norm(kernel: Kernel, f, params: Params,
             "seen from an end of the support; widen the window",
             RuntimeWarning, stacklevel=2)
     grids = grid_pair if route == "whitney" else (None, None)
-    nodes = [_band_nodes(box, spec, grid, r[1])
+    nodes = [_band_nodes(box, grid, r[1])
              for box, grid, r in zip(f2d.box, grids, ranges)]
     return _octave_sums(kernel, f, pair, lams, ranges, spec, nodes)[2]
 
 
-def _norm_window(box: tuple[float, float], t_hi: float,
-                 spec: QuadratureSpec) -> tuple[float, float]:
+def _norm_window(box: tuple[float, float], t_hi: float) -> tuple[float, float]:
     """Position window outside which the pointwise squares are below
     tolerance relative to the bulk (the weights decay cubically here)."""
     blo, bhi = box
-    reach = (1.0 + t_hi + (bhi - blo)) * max(8.0, spec.truncation_eps ** -0.125)
+    reach = (1.0 + t_hi + (bhi - blo)) * max(8.0, _TRUNCATION_EPS ** -0.125)
     return blo - reach, bhi + reach
 
 
-def _position_loss(box: tuple[float, float], t: float, lam: float,
-                   spec: QuadratureSpec) -> float:
+def _position_loss(box: tuple[float, float], t: float, lam: float) -> float:
     """Share of the weight (t/(t+|y|))^lam that the position window at scale
     t leaves out, for the worse of the support's two ends, in closed form.
     The window's reach relative to t shrinks as t grows, so the top scale of
     a range loses the most."""
-    wlo, whi = _norm_window(box, t, spec)
+    wlo, whi = _norm_window(box, t)
     return max(1.0 - float(weight_window(t, lam, wlo - u, whi - u))
                / weight_total(t, lam) for u in box)
 
 
-def _band_nodes(box: tuple[float, float], spec: QuadratureSpec,
-                grid: ShiftedGrid | None, t_hi: float):
+def _band_nodes(box: tuple[float, float], grid: ShiftedGrid | None,
+                t_hi: float):
     """The norm's position on one axis, as a function ``(lo, hi) ->
     (x_lo, x_hi)`` giving the interval the scale band (lo, hi] integrates
     over.
@@ -708,13 +710,13 @@ def _band_nodes(box: tuple[float, float], spec: QuadratureSpec,
     both read from the level's shift with floor and ceil.  Without: the
     window at the top scale t_hi for every band."""
     if grid is None:
-        window = _norm_window(box, t_hi, spec)
+        window = _norm_window(box, t_hi)
         return lambda lo, hi: window
 
     def whitney(lo, hi):
         level = -math.frexp(lo)[1]
         side, (s,) = 2.0 ** -level, grid.shift(level)
-        wlo, whi = _norm_window(box, hi, spec)
+        wlo, whi = _norm_window(box, hi)
         return (math.floor((wlo - s) * 2.0 ** level) * side + s,
                 math.ceil((whi - s) * 2.0 ** level) * side + s)
     return whitney
@@ -739,9 +741,7 @@ def _axis_gram(factor: ConvolutionFactor, level: int, n_cells: int,
     row = np.zeros(n_cells)
     tn, tw = octave_nodes(*t_range, spec.t_points_per_octave, spec.rule)
     for t, w in zip(tn, tw):
-        pad = _PAD_UNITS * t + h
-        grid = graded_axis_edges(-pad, h + pad, (0.0, h), rel_finest=_MESH_REL)
-        u, du = segment_nodes(grid, spec.points_per_cell, spec.rule)
+        u, du, _, _ = _offset_mesh((0.0, h), t, spec, (0.0, h))
         psi = factor.cell_integral(t, u, edges)[:, ::-1] / h
         auto = (psi[:, 0] * du) @ psi
         row += auto * weight_total(t, lam) / t ** 2 * w

@@ -217,10 +217,11 @@ def reconstruct(e: HaarExpansion) -> StepFunction:
                         values=values)
 
 
-def s_function(i: DyadicCube, k: int, eta: tuple[int, ...] | None = None) -> StepFunction:
+def s_function(i: DyadicCube, k: int) -> StepFunction:
     """The modified k-th ancestor pattern attached to I.
 
-    With P = the k-generations ancestor and A = the (k-1)-generations one,
+    With P = the k-generations ancestor, A = the (k-1)-generations one and
+    h_P the Haar function of P with signature eta = (1, ..., 1),
 
         s = 0 on A,
             h_P - <h_P>_A on the other children of P,
@@ -238,9 +239,7 @@ def s_function(i: DyadicCube, k: int, eta: tuple[int, ...] | None = None) -> Ste
         raise ValueError("insufficient scale range: ancestor exceeds the truncation")
     parent = grid.ancestor(i, k)      # P = I^(k)
     keep = grid.ancestor(i, k - 1)    # A = I^(k-1)
-    if eta is None:
-        eta = (1,) * i.dim
-    h = haar_function(HaarIndex(cube=parent, eta=eta))
+    h = haar_function(HaarIndex(cube=parent, eta=(1,) * i.dim))
     # value of h on A: constant there, A being inside one child of P, so the
     # difference below is exactly 0 on A
     h_on_keep = h(*keep.center())

@@ -68,8 +68,6 @@ def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(points_per_cell=0)
     with pytest.raises(ValueError):
-        QuadratureSpec(truncation_eps=1.0)
-    with pytest.raises(ValueError):
         QuadratureSpec(t_min=1.0, t_max=0.5)
     with pytest.raises(ValueError):
         QuadratureSpec(rule="simpson")

@@ -1,10 +1,11 @@
 """Seed-0 report digests of every driver, pinned.
 
 Each digest is the SHA-256 of a report's ``to_dict()``, computed by the
-benchmark's own ``perfbench/workloads.py:report_digest``, for the runs the
-benchmark's ``drivers`` and ``lattice`` workloads make at seed 0, plus
-`run_cases` at `test_cases_smoke`'s settings.  A change that moves a digest
-names the move; ``tests/digests.json`` is written only by
+benchmark's own ``perfbench/workloads.py:report_digest``, for the driver
+operations that the benchmark's ``drivers`` and ``lattice`` workloads build
+at seed 0 (taken from ``build``, so the pins follow the benchmark's calls),
+plus `run_cases` at `test_cases_smoke`'s settings.  A change that moves a
+digest names the move; ``tests/digests.json`` is written only by
 
     PYTHONPATH=src python tests/test_digests.py --write
 
@@ -27,20 +28,6 @@ from glstar.core import QuadratureSpec, default_params
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PINNED = ROOT / "tests" / "digests.json"
-PARAMS = default_params()
-
-DRIVERS = {
-    "run_lemma32": lambda: experiments.run_lemma32(PARAMS),
-    "run_kdecay": lambda: experiments.run_kdecay(PARAMS),
-    **{f"run_carleson[{s}]": lambda s=s: experiments.run_carleson(PARAMS, seed=s)
-       for s in (11, 12, 13)},
-    "run_boundratio": lambda: experiments.run_boundratio(PARAMS),
-    "run_schur": lambda: experiments.run_schur(PARAMS),
-    "run_averaging": lambda: experiments.run_averaging(PARAMS),
-    "run_cases[smoke]": lambda: experiments.run_cases(
-        default_params(r=20), whitney_levels=(0, 1), pad=0.5,
-        spec=QuadratureSpec(points_per_cell=2, t_points_per_octave=2)),
-}
 
 
 def _benchmark_workloads():
@@ -51,7 +38,18 @@ def _benchmark_workloads():
     return module
 
 
-report_digest = _benchmark_workloads().report_digest
+WORKLOADS = _benchmark_workloads()
+report_digest = WORKLOADS.report_digest
+
+# the seed-0 driver operations of the benchmark, under the benchmark's own
+# names, plus run_cases, which no workload runs
+DRIVERS = {
+    **{op.name: op.run for workload in ("drivers", "lattice")
+       for op in WORKLOADS.build(workload, 0) if op.digest is not None},
+    "run_cases[smoke]": lambda: experiments.run_cases(
+        default_params(r=20), whitney_levels=(0, 1), pad=0.5,
+        spec=QuadratureSpec(points_per_cell=2, t_points_per_octave=2)),
+}
 
 
 def _stack() -> dict:

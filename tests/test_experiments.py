@@ -330,12 +330,27 @@ def test_lemma32_refuses_a_non_dyadic_target_interval(i1):
         run_lemma32(PARAMS, configs=[Lemma32Config(i1, (0.0, 1.0), 0.5, 0.75)])
 
 
+def test_lemma32_refuses_an_exponent_outside_the_band_before_quadrature(
+        monkeypatch):
+    # lambda1 = 2.5 admits exponents up to n (lambda1 - 2)/2 = 0.25, below
+    # the fixed 0.5
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a response gram ran before the refusal")
+
+    monkeypatch.setattr(experiments, "response_gram", no_quadrature)
+    with pytest.raises(ValueError, match="admissible band"):
+        run_lemma32(default_params(lambda1=2.5, alpha=0.25))
+
+
+LEMMA32_ALPHA = 0.5  # run_lemma32's fixed exponent
+
+
 def lemma32_lhs(cfg, lam, spec):
     """The one-factor tail integral on its own wide y-mesh: 64 times the
     configuration span, graded toward the weight peak and the interval
     edges, with no far-field closure."""
     lo1, hi1 = cfg.i1
-    x1, t1, a = cfg.x1, cfg.t1, cfg.alpha
+    x1, t1, a = cfg.x1, cfg.t1, LEMMA32_ALPHA
     factor = ConvolutionFactor(1, a, "size")
     span = max(t1, hi1 - lo1, abs(x1 - lo1), abs(x1 - hi1), 1.0)
     radius = 64.0 * span
@@ -358,8 +373,8 @@ def test_lemma32_matches_the_wide_mesh_oracle():
     for cfg, rec in zip(sample_lemma32_configs(), rep.records):
         (lo1, hi1), (lo2, hi2) = cfg.i1, cfg.i2
         gap = max(0.0, lo2 - hi1, lo1 - hi2)
-        rhs = (hi1 - lo1) / (hi2 - lo2 + gap) ** (1.0 + cfg.alpha)
-        for key, sp in (("ratio", spec), ("ratio_refined", spec.refined(2))):
+        rhs = (hi1 - lo1) / (hi2 - lo2 + gap) ** (1.0 + LEMMA32_ALPHA)
+        for key, sp in (("ratio", spec), ("ratio_refined", spec.refined())):
             worst = max(worst, abs(rec[key] * rhs / lemma32_lhs(cfg, lam, sp) - 1.0))
     assert len(rep.records) == 120
     assert worst <= 1e-3

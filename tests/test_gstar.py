@@ -178,7 +178,8 @@ def test_blocked_mesh_theta_matches_on_a_tail_window(monkeypatch):
     f = StepFunction(level=1, lo=(-1, 0), values=np.array([[1.0, -2.0],
                                                            [0.5, 3.0]]),
                      tail=1.0)
-    spec = QuadratureSpec(truncation_eps=1e-4)
+    # a looser cut keeps the tail window to a few blocks
+    monkeypatch.setattr(gstar, "_TRUNCATION_EPS", 1e-4)
     seen = []
 
     def spy(*args):
@@ -188,7 +189,7 @@ def test_blocked_mesh_theta_matches_on_a_tail_window(monkeypatch):
 
     monkeypatch.setattr(gstar, "_mesh_theta", spy)
     kernel, calls = recording(replace(SIZE, tensor_parts=None))
-    val = apply_theta(kernel, f, (0.3, -0.2), 0.4, 0.6, spec)
+    val = apply_theta(kernel, f, (0.3, -0.2), 0.4, 0.6)
     (args, out), = seen
     _, _, t1, t2, pts, z1, w1, z2, w2 = args
     assert z1.size * z2.size > _BLOCK  # the window spans several blocks
@@ -650,19 +651,19 @@ def test_whitney_band_nodes_sit_on_the_band_level():
     # off a power of two: (2, 2.4] takes the side-4 cubes, not the side-2
     # ones that rounding -log2(hi) would pick.  The union's ends are the
     # outermost cubes' box ends exactly, on a shifted grid as well.
-    box, sp = (0.0, 0.5), QuadratureSpec()
+    box = (0.0, 0.5)
     shifted = ShiftedGrid.random(1, -3, 6, seed=4)
     assert all(shifted.shift(level)[0] != 0.0 for level in (-3, -2, 1))
     for grid in (ShiftedGrid.standard(1, -3, 6), shifted):
-        band = _band_nodes(box, sp, grid, 2.4)
+        band = _band_nodes(box, grid, 2.4)
         for lo, hi, side in ((2.0, 2.4, 4.0), (2.0, 4.0, 4.0), (0.3, 0.5, 0.5),
                              (2.0**-7, 2.0**-6, 2.0**-6), (5.0, 8.0, 8.0)):
             level = -round(math.log2(side))
             cubes = list(grid.cubes_overlapping(
-                level, [gstar._norm_window(box, hi, sp)]))
+                level, [gstar._norm_window(box, hi)]))
             assert band(lo, hi) == (cubes[0].box()[0][0], cubes[-1].box()[0][1])
-    assert _band_nodes(box, sp, None, 2.4)(0.3, 0.5) == \
-        gstar._norm_window(box, 2.4, sp)
+    assert _band_nodes(box, None, 2.4)(0.3, 0.5) == \
+        gstar._norm_window(box, 2.4)
 
 
 def test_joint_whitney_route_agrees_with_the_per_axis_route(monkeypatch):
@@ -709,11 +710,10 @@ TOP = 8.0  # top scale of the standard (-3, 6) grids' strip
 
 
 def test_position_loss_is_the_weight_mass_beyond_the_window():
-    sp = QuadratureSpec()
-    assert _position_loss((0.0, 1.0), TOP, 1.2, sp) == pytest.approx(0.5627,
-                                                                      abs=1e-4)
-    assert _position_loss((0.0, 1.0), TOP, 3.0, sp) == pytest.approx(0.00318,
-                                                                     abs=1e-5)
+    assert _position_loss((0.0, 1.0), TOP, 1.2) == pytest.approx(0.5627,
+                                                                  abs=1e-4)
+    assert _position_loss((0.0, 1.0), TOP, 3.0) == pytest.approx(0.00318,
+                                                                 abs=1e-5)
 
 
 @pytest.mark.parametrize("route", ["whitney", "direct"])
