@@ -202,21 +202,24 @@ def graded_axis_edges(
     """
     if not hi > lo:
         raise ValueError("empty axis interval")
-    edges = {float(lo), float(hi)}
+    lo, hi = float(lo), float(hi)
+    # step i of an anchor's ladder is h0 2^i, exactly h0 doubled i times; a
+    # step of at least dmax puts no edge inside (lo, hi), so the ladder may
+    # run past dmax, and it runs to about 2 dmax
+    doublings = 2.0 ** np.arange(math.ceil(math.log2(2.0 / rel_finest)))
+    parts = [np.array([lo, hi])]
     for a in anchors:
         a = float(a)
         dmax = max(hi - a, a - lo)
         if dmax <= 0:
             continue
-        h = dmax * rel_finest
-        while h < 2.0 * dmax:
-            for x in (a - h, a + h):
-                if lo < x < hi:
-                    edges.add(x)
-            h *= 2.0
-        if lo < a < hi:
-            edges.add(a)
-    return np.array(sorted(edges))
+        h = dmax * rel_finest * doublings
+        x = np.concatenate((a - h, a + h, [a]))
+        parts.append(x[(lo < x) & (x < hi)])
+    # sorted and deduplicated as np.unique would, which on first use
+    # imports numpy.ma (over 1 MB resident) for nothing needed here
+    edges = np.sort(np.concatenate(parts))
+    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
 
 def _rule01(p: int, rule: str) -> tuple[np.ndarray, np.ndarray]:

@@ -38,6 +38,15 @@ for whole arrays of offsets b - S at once, and `is_good` is its one-cube
 call, so a sweep over trials or over a level's cubes tests one column of
 offsets per call instead of one cube.
 
+Shift bits are counter-based: trial t of seed s reads the Philox4x64-10
+stream with key [s, 0] whose block b is the cipher of counter [b + 1, t, 0,
+0], so a trial's bits never depend on which other trials were drawn.
+`_shift_bits` runs that cipher in numpy arrays over every trial and block a
+call needs at once, and takes bit i of a trial (C order over levels and
+axes) from bit 31 (i even) or bit 63 (i odd) of 64-bit word i // 2: what
+``trial_stream(s, t).integers(0, 2, size)`` draws, which is its test
+oracle.  Seeds lie in [0, 2^64) and trials in [0, 2^63).
+
 All metric quantities use the sup norm.
 """
 
@@ -76,7 +85,8 @@ __all__ = [
 DEFAULT_OCTAVES = 12
 
 # Trials whose shift tables estimate_pi_good holds at once (about 1.5 MB of
-# int64 at depth 21 in 2-D).
+# int64 at depth 21 in 2-D), and whose Philox words _shift_bits computes at
+# once.
 _TRIAL_BLOCK = 4096
 
 
@@ -84,9 +94,60 @@ def trial_stream(seed: int, trial: int = 0) -> np.random.Generator:
     """Counter-based stream: trial t of seed s draws the same numbers whatever
     other trials were drawn before it, or whether they were drawn at all.
 
+    numpy's Philox4x64-10 with key [s, 0] and counter [0, t, 0, 0]; its
+    block b (four 64-bit words) is the cipher of counter [b + 1, t, 0, 0].
     The trial sits in counter word 1: the generator advances word 0, so with
-    the trial there stream t + 1 would be stream t one block on."""
+    the trial there stream t + 1 would be stream t one block on.
+
+    The kernel checkers draw from it.  Shift bits do not: `_shift_bits`
+    computes the same words for many trials at once, and this stream is its
+    test oracle."""
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, trial, 0, 0]))
+
+
+# Philox4x64-10 (Salmon et al., SC11) as numpy runs it: the round
+# multipliers of counter words 0 and 2, stacked as two lanes and split into
+# 32-bit halves, and the Weyl increments of the two key words.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_HALF = np.uint64(32)
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _HALF
+
+# Seeds are Philox keys, one 64-bit word; trials are counter words below
+# 2^63, the int64 range.
+_SEED_END = 1 << 64
+_TRIAL_END = 1 << 63
+
+
+def _philox_blocks(seed: int, trials: np.ndarray, blocks: int) -> np.ndarray:
+    """Blocks 0 .. blocks - 1 of `trial_stream(seed, t)` for each t in
+    ``trials`` (uint64), shape (len(trials), 4 blocks): the Philox4x64-10
+    cipher of counter [b + 1, t, 0, 0] under key [seed, 0].
+
+    The state is two (2, n) lanes: `mul` holds counter words 0 and 2, which
+    each round multiplies, and `mix` words 1 and 3, which it xors in.  The
+    64 x 64 -> 128-bit products come from 32-bit halves, all in uint64,
+    whose array arithmetic wraps mod 2^64 as the cipher's does."""
+    # the ten round keys of key [seed, 0]: word w of round r is key_w + r W_w
+    # mod 2^64, summed in Python integers so no uint64 scalar overflows
+    keys = np.array([[[(seed + r * _PHILOX_W[0]) % _SEED_END],
+                      [r * _PHILOX_W[1] % _SEED_END]] for r in range(10)],
+                    dtype=np.uint64)
+    n = len(trials) * blocks
+    mul = np.zeros((2, n), dtype=np.uint64)
+    mix = np.zeros((2, n), dtype=np.uint64)
+    mul[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(trials))
+    mix[0] = np.repeat(trials, blocks)
+    for key in keys:
+        x_lo, x_hi = mul & _LO32, mul >> _HALF
+        mid = _M_HI * x_lo + ((_M_LO * x_lo) >> _HALF)
+        carry = (mid & _LO32) + _M_LO * x_hi
+        hi = _M_HI * x_hi + (mid >> _HALF) + (carry >> _HALF)
+        lo = _PHILOX_M * mul
+        # words (0, 1, 2, 3) <- (hi2 ^ w1 ^ k0, lo2, hi0 ^ w3 ^ k1, lo0)
+        mul, mix = hi[::-1] ^ mix ^ key, lo[::-1]
+    return np.stack((mul[0], mix[0], mul[1], mix[1]), axis=-1).reshape(len(trials), 4 * blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +155,40 @@ def trial_stream(seed: int, trial: int = 0) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _shift_bits(dim: int, j_min: int, j_max: int, seed: int, trial: int) -> np.ndarray:
-    """The shift bits of ``ShiftedGrid.random(dim, j_min, j_max, seed, trial)``."""
-    return trial_stream(seed, trial).integers(0, 2, size=(j_max - j_min + 1, dim))
+def _shift_bits(dim: int, j_min: int, j_max: int, seed: int,
+                trials: Sequence[int]) -> np.ndarray:
+    """The shift bits of ``ShiftedGrid.random(dim, j_min, j_max, seed, t)``
+    for every t in ``trials``, stacked: shape (len(trials), j_max - j_min +
+    1, dim), as ``trial_stream(seed, t).integers(0, 2, size=(j_max - j_min
+    + 1, dim))`` draws them.
+
+    That call reads each 64-bit word of the stream as two 32-bit draws, low
+    half first, and maps a draw u to floor(2u / 2^32), its top bit
+    (Lemire's method on the range 2, which never rejects).  So bit i, in C
+    order, is bit 31 (i even) or bit 63 (i odd) of word i // 2.  Only the
+    blocks holding those words are computed, for `_TRIAL_BLOCK` trials at a
+    time.
+
+    Refuses a seed outside [0, 2^64) or a trial outside [0, 2^63) before
+    anything is drawn."""
+    if not 0 <= seed < _SEED_END:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    # numpy reads a list of integers past the uint64 range, or one mixing
+    # negatives with values past 2^63, as object or float64
+    trials = np.array(trials)
+    if trials.size and not (trials.dtype.kind in "iu" and trials.min() >= 0
+                            and trials.max() < _TRIAL_END):
+        raise ValueError("trials must be integers in [0, 2^63)")
+    rows = j_max - j_min + 1
+    words = (rows * dim + 1) // 2
+    blocks = (words + 3) // 4
+    bits = np.empty((len(trials), 2 * words), dtype=np.int64)
+    for start in range(0, len(trials), _TRIAL_BLOCK):
+        chunk = trials[start:start + _TRIAL_BLOCK].astype(np.uint64)
+        drawn = _philox_blocks(int(seed), chunk, blocks)[:, :words]
+        bits[start:start + len(chunk), 0::2] = (drawn >> np.uint64(31)) & np.uint64(1)
+        bits[start:start + len(chunk), 1::2] = drawn >> np.uint64(63)
+    return bits[:, :rows * dim].reshape(len(trials), rows, dim)
 
 
 def _offset_table(bits: np.ndarray) -> np.ndarray:
@@ -119,11 +211,11 @@ def shift_tables(dim: int, j_min: int, j_max: int, seed: int,
     seed, t)`` for every t in ``trials``, stacked: entry [i, r] is
     ``offset(j_min + r - 1)`` of trial ``trials[i]``, so row 1 is level
     j_min's shift and the last row level j_max's.  No grid is built; int64
-    below 62 levels of depth, Python ints in an object array past that."""
-    bits = np.empty((len(trials), j_max - j_min + 1, dim), dtype=np.int64)
-    for row, t in enumerate(trials):
-        bits[row] = _shift_bits(dim, j_min, j_max, seed, t)
-    return _offset_table(bits)
+    below 62 levels of depth, Python ints in an object array past that.
+
+    All trials' bits come from one `_shift_bits` call, an array Philox over
+    the trials' counters, with no generator built per trial."""
+    return _offset_table(_shift_bits(dim, j_min, j_max, seed, trials))
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +268,7 @@ class ShiftedGrid:
 
     @classmethod
     def random(cls, dim: int, j_min: int, j_max: int, seed: int, trial: int = 0) -> "ShiftedGrid":
-        bits = _shift_bits(dim, j_min, j_max, seed, trial)
+        bits = _shift_bits(dim, j_min, j_max, seed, [trial])[0]
         return cls(dim=dim, j_min=j_min, j_max=j_max, bits=bits)
 
     def levels(self) -> range:

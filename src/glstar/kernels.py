@@ -94,9 +94,14 @@ class ConvolutionFactor:
     def profile(self, t, s):
         """Radial profile at scale t and distance s >= 0 (arrays broadcast),
         in the one-power form of the class docstring.  The arithmetic runs in
-        place on the arrays v and q made here, never on t or s."""
+        place on the arrays v and q made here, never on t or s, and a 0-d
+        input runs it on a one-element array: numpy's scalar power can round
+        apart from its array loop, and a value must not depend on whether it
+        came alone or in an array."""
         a, d = self.exponent, self.dim
         v = np.add(t, s, dtype=float)
+        alone = v.ndim == 0
+        v = v.reshape(v.shape or (1,))
         q = np.divide(t, v, dtype=float)
         if d != 1:
             v **= d
@@ -113,7 +118,7 @@ class ConvolutionFactor:
             q *= -(d + a)
             q += a
             out *= q
-        return out
+        return out[0] if alone else out
 
     def value(self, t, x, y):
         """Kernel value at points x, y with shape (..., dim); sup-norm metric."""
@@ -135,22 +140,25 @@ class ConvolutionFactor:
 
     def antiderivative(self, t, s):
         """A(s) = integral of the profile over [0, s], dim 1 only: with q =
-        t/(t+s), scale (1 - q^a) / a (size) or scale (q^(1+a) - q^a)."""
+        t/(t+s), scale (1 - q^a) / a (size) or scale (q^(1+a) - q^a).  A 0-d
+        input runs through the array loop, as in `profile`."""
         if self.dim != 1:
             raise NotImplementedError("closed-form antiderivative is 1d only")
         a = self.exponent
-        q = np.divide(t, np.add(t, s, dtype=float))
+        v = np.add(t, s, dtype=float)
+        alone = v.ndim == 0
+        q = np.divide(t, v.reshape(v.shape or (1,)))
         if self.flavor == "size":
             q **= a
             out = 1.0 - q
             out *= self.scale
             out /= a
-            return out
-        out = q ** (1.0 + a)
-        q **= a
-        out -= q
-        out *= self.scale
-        return out
+        else:
+            out = q ** (1.0 + a)
+            q **= a
+            out -= q
+            out *= self.scale
+        return out[0] if alone else out
 
     def cell_integral(self, t, x, edges):
         """Exact integrals of profile(|x - z|) over the cells z in [e_i,

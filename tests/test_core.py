@@ -199,6 +199,42 @@ def test_graded_edges_include_anchor_and_limits():
     assert gaps.max() <= 1.0 + 1e-12
 
 
+def _graded_edges_set_loop(lo, hi, anchors, rel_finest):
+    """graded_axis_edges as it grew each anchor's ladder by doubling, one
+    edge at a time, into a set."""
+    edges = {float(lo), float(hi)}
+    for a in anchors:
+        a = float(a)
+        dmax = max(hi - a, a - lo)
+        if dmax <= 0:
+            continue
+        h = dmax * rel_finest
+        while h < 2.0 * dmax:
+            for x in (a - h, a + h):
+                if lo < x < hi:
+                    edges.add(x)
+            h *= 2.0
+        if lo < a < hi:
+            edges.add(a)
+    return np.array(sorted(edges))
+
+
+def test_graded_edges_are_the_set_loop_bit_for_bit():
+    # anchors inside and outside the interval, on its ends, repeated and on
+    # a dyadic lattice (so ladders of different anchors share edges), under
+    # power-of-two and general finest steps
+    rng = np.random.default_rng(2024)
+    for rel in (2.0 ** -48, 2.0 ** -40, 2.0 ** -20, np.nextafter(2.0 ** -20, 0.0), 3.1e-7):
+        for _ in range(60):
+            lo = float(rng.uniform(-5.0, 1.0))
+            hi = lo + float(rng.uniform(1e-3, 8.0))
+            anchors = list(rng.uniform(lo - 3.0, hi + 3.0, rng.integers(1, 42)))
+            anchors += [lo, hi, anchors[0], round(anchors[-1] * 8) / 8, 0.0]
+            got = graded_axis_edges(lo, hi, anchors, rel_finest=rel)
+            want = _graded_edges_set_loop(lo, hi, anchors, rel)
+            assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # StepFunction
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from glstar import dyadic
 from glstar.core import StepFunction, default_params
 from glstar.dyadic import (
     DEFAULT_OCTAVES,
@@ -273,6 +274,40 @@ def test_trial_streams_share_no_words():
         here = trial_stream(seed, trial).bit_generator.random_raw(256)
         there = trial_stream(seed, trial + 1).bit_generator.random_raw(256)
         assert not set(here.tolist()) & set(there.tolist())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 3000, 2 ** 40 + 7, 2 ** 63 + 11, 2 ** 64 - 1])
+def test_shift_bits_are_the_trial_streams(seed):
+    # the array Philox draws each trial's bits as its own generator does:
+    # odd and even bit counts, partial and whole last blocks, counters past
+    # 32 bits, and depths on both sides of the tables' int64/object boundary
+    trials = list(range(20)) + [2 ** 32 + 3, 2 ** 40, 2 ** 62 + 5, 2 ** 63 - 1]
+    for dim in (1, 2, 3):
+        for depth in (1, 2, 3, 4, 5, 8, 9, 17, 22, 61, 62, 63, 84):
+            j_min = -(depth // 2)
+            bits = dyadic._shift_bits(dim, j_min, j_min + depth - 1, seed, trials)
+            assert bits.shape == (len(trials), depth, dim) and bits.dtype == np.int64
+            for row, t in zip(bits, trials):
+                want = trial_stream(seed, t).integers(0, 2, size=(depth, dim))
+                assert np.array_equal(row, want), (dim, depth, t)
+    grid = ShiftedGrid.random(2, -30, 40, seed, trial=2 ** 63 - 1)
+    assert np.array_equal(grid.bits, trial_stream(seed, 2 ** 63 - 1).integers(0, 2, size=(71, 2)))
+
+
+@pytest.mark.parametrize("seed, trial", [
+    (-1, 0), (2 ** 64, 0), (5, -1), (5, 2 ** 63), (5, 2 ** 64 - 1)])
+def test_out_of_range_seeds_and_trials_are_refused_before_drawing(monkeypatch,
+                                                                  seed, trial):
+    # a Philox key is one 64-bit word and a trial a counter word below 2^63;
+    # past either, numpy would wrap, warn or fail in its own words
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a shift was drawn before the refusal")
+
+    monkeypatch.setattr(dyadic, "_philox_blocks", no_draw)
+    with pytest.raises(ValueError, match="seed must lie|trials must be"):
+        shift_tables(1, 0, 8, seed, [0, trial])
+    with pytest.raises(ValueError, match="seed must lie|trials must be"):
+        ShiftedGrid.random(1, 0, 8, seed, trial)
 
 
 def test_coarse_bit_flip_moves_cube_and_ancestor_rigidly():

@@ -101,10 +101,10 @@ def test_averaging_good_sums_use_the_exact_pi():
 
 def test_averaging_refuses_a_starved_radius_before_drawing(monkeypatch):
     # at r = 8 the exact pi is 0 at the band level: refused with no shift drawn
-    def no_stream(*args, **kwargs):
+    def no_draw(*args, **kwargs):
         raise AssertionError("a shift was drawn before the refusal")
 
-    monkeypatch.setattr(dyadic, "trial_stream", no_stream)
+    monkeypatch.setattr(dyadic, "_shift_bits", no_draw)
     with pytest.raises(RuntimeError, match="goodness-starved"):
         run_averaging(default_params(r=8))
 
@@ -113,10 +113,10 @@ def test_averaging_refuses_a_starved_radius_before_drawing(monkeypatch):
 def test_averaging_refuses_vacuous_goodness_before_drawing(monkeypatch, octaves):
     # with no qualifying octave pi is 1 at every band level and every cube is
     # good vacuously, so a pass would check the partition only
-    def no_stream(*args, **kwargs):
+    def no_draw(*args, **kwargs):
         raise AssertionError("a shift was drawn before the refusal")
 
-    monkeypatch.setattr(dyadic, "trial_stream", no_stream)
+    monkeypatch.setattr(dyadic, "_shift_bits", no_draw)
     with pytest.raises(ValueError, match="qualifying octave"):
         run_averaging(PARAMS, trials=10, octaves=octaves)
 
@@ -126,10 +126,10 @@ def test_averaging_refuses_fewer_than_two_trials_before_drawing(monkeypatch,
                                                                 trials):
     # one trial has no spread, so its 95 % half-width would read 0 and the
     # stochastic check would rest on nothing
-    def no_stream(*args, **kwargs):
+    def no_draw(*args, **kwargs):
         raise AssertionError("a shift was drawn before the refusal")
 
-    monkeypatch.setattr(dyadic, "trial_stream", no_stream)
+    monkeypatch.setattr(dyadic, "_shift_bits", no_draw)
     with pytest.raises(ValueError, match="at least two trials"):
         run_averaging(PARAMS, trials=trials)
 
@@ -276,6 +276,30 @@ def test_averaging_builds_no_grid_or_cube(monkeypatch):
     assert built == {"grids": 1, "cubes": 1}
     run_averaging(PARAMS, trials=50)
     assert built == {"grids": 1, "cubes": 1}
+
+
+def test_trial_sweeps_build_no_generator(monkeypatch):
+    # every trial's shift bits come from one array Philox over the trials'
+    # counters, not from a numpy generator per trial
+    built = []
+    philox, generator = np.random.Philox, np.random.Generator
+
+    def count_philox(*args, **kwargs):
+        built.append("Philox")
+        return philox(*args, **kwargs)
+
+    def count_generator(*args, **kwargs):
+        built.append("Generator")
+        return generator(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", count_philox)
+    monkeypatch.setattr(np.random, "Generator", count_generator)
+    dyadic.trial_stream(5, 1)  # the counters do count
+    assert sorted(built) == ["Generator", "Philox"]
+    built.clear()
+    dyadic.estimate_pi_good(PARAMS, 3000, 12, 3000, j_min=1)
+    run_averaging(PARAMS)
+    assert built == []
 
 
 @pytest.mark.parametrize("draws", [0, -1])
