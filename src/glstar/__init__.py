@@ -33,6 +33,7 @@ from .carleson import (
 from .gstar import (
     GStarValue,
     apply_theta,
+    axis_grams,
     gstar_pointwise,
     gstar_sq_norm,
     k_quantity,
@@ -75,6 +76,7 @@ __all__ = [
     "check_mixed",
     "check_size",
     "apply_theta",
+    "axis_grams",
     "c_ij",
     "carleson_check",
     "carleson_sum",

@@ -40,7 +40,13 @@ from .dyadic import (
     schur_matrix,
     shift_tables,
 )
-from .gstar import gstar_sq_norm, k_quantity, q_quantity, response_gram
+from .gstar import (
+    axis_grams,
+    gstar_sq_norm,
+    k_quantity,
+    q_quantity,
+    response_gram,
+)
 from .haar import HaarIndex, expand, haar_function
 from .kernels import (
     ConvolutionFactor,
@@ -868,28 +874,47 @@ def _white_noise(rng: np.random.Generator, level: int) -> StepFunction:
     return StepFunction(level, (0, 0), vals)
 
 
+def _psd_extremes(gram: np.ndarray, what: str) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of a symmetric positive semi-definite
+    matrix; a negative one beyond roundoff is refused, and one within it
+    reads as zero."""
+    eig = np.linalg.eigvalsh(gram)
+    roundoff = len(eig) * np.finfo(float).eps * float(np.abs(eig).max())
+    if eig[0] < -roundoff:
+        raise RuntimeError(
+            f"{what} is not positive semi-definite: smallest eigenvalue "
+            f"{eig[0]:.3g} against a largest of {eig[-1]:.3g}")
+    return max(float(eig[0]), 0.0), float(eig[-1])
+
+
 def run_boundratio(
     params: Params,
-    count: int = 200,
+    count: int = 8,
     levels: Sequence[int] = (4, 5, 6, 7),
     seed: int = 41,
 ) -> ExperimentReport:
-    """Largest observed norm ratio per refinement level.
+    """Exact extreme norm ratios per refinement level.
 
-    The kernel is the cancellative one at exponents alpha = beta = 0.5, the
-    inputs seeded white noise on the unit square (``count`` per level, unit
-    L2 norm), and the quadrature the default `QuadratureSpec()`.  The kernel
-    must pass the assumption checkers before anything runs.  The ratio
-    max ||g* f|| / ||f|| over the inputs should stabilize between the two
-    finest levels, and multiplying the kernel by a constant must scale every
-    ratio exactly: ``passed`` means the top-level growth is under 10 % in
-    magnitude and the homogeneity deviation at most 1e-12.  ``levels`` must
-    hold at least two distinct levels (repeats count once), or there is no
-    growth to measure; fewer raise ``ValueError`` before any checker runs.
+    The kernel is the cancellative one at exponents alpha = beta = 0.5 and
+    the quadrature the default `QuadratureSpec()`; the kernel must pass the
+    assumption checkers before anything runs.  On the level-L lattice of the
+    unit square (cell side h = 2^-L) the public gram route of
+    :func:`gstar_sq_norm` is the quadratic form v^T (m1 (x) m2) v in the
+    cell values, with m1, m2 the axis grams of :func:`axis_grams`.  Both are
+    positive semi-definite, so the supremum of ||g* f|| / ||f|| over every
+    level-L step function is exactly h sqrt(lmax(m1) lmax(m2)) and the
+    infimum h sqrt(lmin(m1) lmin(m2)): one eigensolve per gram.  A gram
+    with a negative eigenvalue beyond roundoff raises ``RuntimeError``.
 
-    Every norm comes from the public gram route of :func:`gstar_sq_norm`;
-    the per-axis gram matrices of a level are computed once and served from
-    the route's cache for the other trials.
+    ``count`` seeded white-noise inputs per level are a free check: their
+    largest ratio (``random_max``) must not exceed the supremum.
+    ``passed`` means the supremum's relative increments from level to level
+    are positive and do not grow, the last one below 1e-2; no draw exceeds
+    the supremum by more than 1e-12 relative; and multiplying the kernel by
+    a constant scales the ratio of five draws exactly (deviation at most
+    1e-12).  ``levels`` must hold at least two distinct levels (repeats
+    count once), or there is no increment to measure; fewer, or
+    ``count < 1``, raise ``ValueError`` before any checker runs.
     """
     t0 = time.perf_counter()
     kernel = make_cancellative(params.n, params.m, 0.5, 0.5)
@@ -904,48 +929,63 @@ def run_boundratio(
         failing = "; ".join(c.summary() for c in checks if not c.passed)
         raise RuntimeError(f"kernel assumption checks failed: {failing}")
 
-    grid = ShiftedGrid.standard(1, -12, 12)
+    grids = (ShiftedGrid.standard(1, -12, 12),) * 2
 
     def ratio(kern: Kernel, f: StepFunction) -> float:
-        sq = gstar_sq_norm(kern, f, params, (grid, grid), spec, route="gram")
+        sq = gstar_sq_norm(kern, f, params, grids, spec, route="gram")
         return math.sqrt(max(sq, 0.0))
 
-    records = []
-    mx: dict[int, float] = {}
-    for lev in levels:
-        best = 0.0
-        for trial in range(count):
-            f = _white_noise(np.random.default_rng((seed, lev, trial)), lev)
-            best = max(best, ratio(kernel, f))
-        mx[lev] = best
-        records.append({"level": lev, "max_ratio": best, "count": count})
+    def draw(lev: int, trial: int) -> StepFunction:
+        return _white_noise(np.random.default_rng((seed, lev, trial)), lev)
 
-    growth = mx[levels[-1]] / mx[levels[-2]] - 1.0
+    records = []
+    for lev in levels:
+        lattice = StepFunction(lev, (0, 0), np.zeros((2 ** lev, 2 ** lev)))
+        (lo1, hi1), (lo2, hi2) = (
+            _psd_extremes(m, f"the level-{lev} gram on axis {axis}")
+            for axis, m in enumerate(axis_grams(kernel, lattice, params,
+                                                grids, spec)))
+        h = 2.0 ** -lev
+        records.append({
+            "level": lev,
+            "max_ratio": h * math.sqrt(hi1 * hi2),
+            "min_ratio": h * math.sqrt(lo1 * lo2),
+            "random_max": max(ratio(kernel, draw(lev, trial))
+                              for trial in range(count)),
+            "count": count,
+        })
+
+    sups = [r["max_ratio"] for r in records]
+    increments = [b / a - 1.0 for a, b in zip(sups, sups[1:])]
+    converging = (all(d > 0.0 for d in increments)
+                  and all(b <= a for a, b in zip(increments, increments[1:]))
+                  and increments[-1] < 1e-2)
+    below_sup = all(r["random_max"] <= r["max_ratio"] * (1.0 + 1e-12)
+                    for r in records)
 
     # exact amplitude homogeneity on a handful of functions
     scaled = rescale(kernel, 2.0)
-    lev = levels[1]
     homo_dev = 0.0
     for trial in range(5):
-        f = _white_noise(np.random.default_rng((seed, lev, trial)), lev)
-        r0 = ratio(kernel, f)
-        r1 = ratio(scaled, f)
-        homo_dev = max(homo_dev, abs(r1 / (2.0 * r0) - 1.0))
+        f = draw(levels[1], trial)
+        homo_dev = max(homo_dev,
+                       abs(ratio(scaled, f) / (2.0 * ratio(kernel, f)) - 1.0))
 
-    passed = abs(growth) < 0.10 and homo_dev <= 1e-12
+    passed = converging and below_sup and homo_dev <= 1e-12
     summary = {
         "kernel": kernel.label,
-        "max_ratios": {str(l): mx[l] for l in levels},
-        "top_growth": growth,
+        "max_ratios": {str(l): s for l, s in zip(levels, sups)},
+        "top_growth": increments[-1],
         "homogeneity_dev": homo_dev,
         "checker_estimates": {c.condition: c.estimate for c in checks},
         "count": count,
     }
     notes = (
         "scale strip (2^-13, 2^6] on a level-(-12..12) grid pair; the strip "
-        "bottom sits at least five octaves under the finest lattice, so the "
-        "truncated sub-cell response moves the top ratio by a few percent "
-        "per level at most"
+        "bottom sits at least five octaves under the finest lattice; the "
+        "supremum's measured increments are "
+        + ", ".join(f"{a}->{b} {d:+.3%}"
+                    for a, b, d in zip(levels, levels[1:], increments))
     )
     return ExperimentReport(
         name="boundratio",

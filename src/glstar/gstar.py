@@ -74,6 +74,7 @@ from .kernels import ConvolutionFactor, Kernel, weight_total, weight_window
 __all__ = [
     "GStarValue",
     "apply_theta",
+    "axis_grams",
     "gstar_pointwise",
     "gstar_sq_norm",
     "k_quantity",
@@ -632,8 +633,9 @@ def gstar_sq_norm(kernel: Kernel, f, params: Params,
       band, so the sum is the pointwise squares integrated over the window.
     * "gram": tensor kernels only.  Integrating x over the whole line
       decouples the weight from theta exactly, so the norm contracts the
-      lattice Gram matrices of the two factor responses; this is the fast
-      path the bulk experiments use.
+      lattice Gram matrices of the two factor responses, the pair that
+      :func:`axis_grams` returns; this is the fast path the bulk
+      experiments use.
 
     "whitney" and "direct" warn "position truncation" when, on some axis,
     the window at the top scale leaves out more than 1e-2 of the weight mass
@@ -656,11 +658,7 @@ def gstar_sq_norm(kernel: Kernel, f, params: Params,
     f2d = _tensor_step(*pair) if pair is not None else f
 
     if route == "gram":
-        if kernel.tensor_parts is None:
-            raise NotImplementedError("the gram route needs a tensor kernel")
-        g1, g2 = kernel.tensor_parts
-        m1 = _axis_gram(g1, f2d.level, f2d.shape[0], lams[0], ranges[0], spec)
-        m2 = _axis_gram(g2, f2d.level, f2d.shape[1], lams[1], ranges[1], spec)
+        m1, m2 = axis_grams(kernel, f2d, params, grid_pair, spec)
         area = f2d.cell_side ** 2
         vals = f2d.values * area  # the contraction runs over cell integrals
         # sum_{a,b,c,d} m1[a,c] m2[b,d] v[a,b] v[c,d], the grams being symmetric
@@ -677,6 +675,37 @@ def gstar_sq_norm(kernel: Kernel, f, params: Params,
     nodes = [_band_nodes(box, grid, r[1])
              for box, grid, r in zip(f2d.box, grids, ranges)]
     return _octave_sums(kernel, f, pair, lams, ranges, spec, nodes)[2]
+
+
+def axis_grams(kernel: Kernel, f, params: Params,
+               grid_pair: tuple[ShiftedGrid, ShiftedGrid],
+               spec: QuadratureSpec | None = None,
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The two per-axis Gram matrices (m1, m2) of the "gram" route of
+    :func:`gstar_sq_norm` on f's lattice.
+
+    The route's squared norm of a function with cell values v on that
+    lattice is h^4 v^T (m1 (x) m2) v, h the cell side, so the grams'
+    spectra bound the norm ratio over all such functions.  Both are
+    symmetric Toeplitz, n x n for n cells along their axis.  Only f's
+    lattice (level and shape) is read.  The matrices are cached and shared,
+    so they are read-only.  Tensor kernels with one-dimensional factors
+    only; the scale strip is the grid pair's, clipped to the spec's."""
+    spec = spec or QuadratureSpec()
+    _check_pair_dims(kernel)
+    if kernel.tensor_parts is None:
+        raise NotImplementedError("the gram route needs a tensor kernel")
+    grid1, grid2 = grid_pair
+    if grid1.dim != 1 or grid2.dim != 1:
+        raise ValueError("the grid pair must consist of one-dimensional grids")
+    pair = _split_pair(f)
+    f2d = _tensor_step(*pair) if pair is not None else f
+    if f2d.dim != 2:
+        raise ValueError("expected a plane step function or a pair of them")
+    return tuple(_axis_gram(g, f2d.level, n, lam, _grid_t_range(grid, spec),
+                            spec)
+                 for g, n, lam, grid in zip(kernel.tensor_parts, f2d.shape,
+                                            params.weight_powers, grid_pair))
 
 
 def _norm_window(box: tuple[float, float], t_hi: float) -> tuple[float, float]:

@@ -29,7 +29,8 @@ from glstar.experiments import (
     run_schur,
     sample_lemma32_configs,
 )
-from glstar.kernels import ConvolutionFactor
+from glstar.gstar import axis_grams, gstar_sq_norm
+from glstar.kernels import ConvolutionFactor, make_cancellative
 
 PARAMS = default_params()
 
@@ -37,8 +38,45 @@ PARAMS = default_params()
 def test_boundratio_smoke():
     rep = run_boundratio(PARAMS, count=4, levels=(3, 4))
     assert [r["level"] for r in rep.records] == [3, 4]
-    assert all(r["max_ratio"] > 0 for r in rep.records)
+    for r in rep.records:
+        assert 0 < r["min_ratio"] <= r["max_ratio"]
+        assert 0 < r["random_max"] <= r["max_ratio"]
     assert rep.summary["homogeneity_dev"] <= 1e-12
+    assert rep.passed
+
+
+def test_boundratio_supremum_is_attained_by_the_top_eigenvectors():
+    # the outer product of the two grams' top eigenvectors, as a unit-norm
+    # plane function, reaches the reported supremum through the public norm
+    level = 4
+    rep = run_boundratio(PARAMS, count=1, levels=(3, level))
+    kernel = make_cancellative(PARAMS.n, PARAMS.m, 0.5, 0.5)
+    grids = (ShiftedGrid.standard(1, -12, 12),) * 2
+    lattice = StepFunction(level, (0, 0), np.zeros((2 ** level, 2 ** level)))
+    m1, m2 = axis_grams(kernel, lattice, PARAMS, grids)
+    u1, u2 = (np.linalg.eigh(m)[1][:, -1] for m in (m1, m2))
+    h = 2.0 ** -level
+    f = StepFunction(level, (0, 0), np.multiply.outer(u1, u2) / h)
+    assert float(np.sum(f.values ** 2)) * h * h == pytest.approx(1.0, rel=1e-14)
+    got = math.sqrt(gstar_sq_norm(kernel, f, PARAMS, grids, route="gram"))
+    assert got == pytest.approx(rep.records[-1]["max_ratio"], rel=1e-12)
+
+
+def test_boundratio_refuses_an_indefinite_gram(monkeypatch):
+    # the Kronecker bound needs positive semi-definite grams
+    def indefinite(kernel, f, *args, **kwargs):
+        n = f.shape[0]
+        m = np.eye(n)
+        m[0, 0] = -0.5
+        return m, np.eye(n)
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("a report was built from an indefinite gram")
+
+    monkeypatch.setattr(experiments, "axis_grams", indefinite)
+    monkeypatch.setattr(experiments, "ExperimentReport", no_report)
+    with pytest.raises(RuntimeError, match="not positive semi-definite"):
+        run_boundratio(PARAMS, count=1, levels=(3, 4))
 
 
 def test_boundratio_refuses_empty_sweeps_before_checking(monkeypatch):

@@ -26,6 +26,7 @@ from glstar.gstar import (
     _mesh_theta,
     _position_loss,
     apply_theta,
+    axis_grams,
     gstar_pointwise,
     gstar_sq_norm,
     k_quantity,
@@ -762,6 +763,29 @@ def test_gram_route_is_the_four_index_contraction():
     got = gstar_sq_norm(kernel, f, PARAMS, grids, spec=sp, route="gram")
     assert four > 0
     assert got == pytest.approx(four, rel=1e-12)
+
+
+def test_axis_grams_are_the_route_grams_of_the_lattice():
+    # the accessor serves the route's cached matrices, read-only; a pair of
+    # axis functions reads the lattice of its tensor product
+    f1, f2 = random_pair(4, level=3, size=8)
+    kernel = make_mixed(1, 1, 0.5, 0.5)
+    grids = (ShiftedGrid.standard(1, -3, 6), ShiftedGrid.standard(1, -2, 4))
+    sp = SP_COARSE
+    m1, m2 = axis_grams(kernel, (f1, f2), PARAMS, grids, sp)
+    g1, g2 = kernel.tensor_parts
+    assert m1 is _axis_gram(g1, 3, 8, PARAMS.n * PARAMS.lambda1,
+                            _grid_t_range(grids[0], sp), sp)
+    assert m2 is _axis_gram(g2, 3, 8, PARAMS.m * PARAMS.lambda2,
+                            _grid_t_range(grids[1], sp), sp)
+    assert not (m1.flags.writeable or m2.flags.writeable)
+    plane = StepFunction(level=3, lo=(0, 0), values=np.zeros((8, 8)))
+    assert all(a is b for a, b in
+               zip(axis_grams(kernel, plane, PARAMS, grids, sp), (m1, m2)))
+    with pytest.raises(NotImplementedError, match="tensor kernel"):
+        axis_grams(OPAQUE, plane, PARAMS, grids, sp)
+    with pytest.raises(ValueError, match="plane"):
+        axis_grams(kernel, f1, PARAMS, grids, sp)
 
 
 def test_norm_homogeneity_is_exact():
