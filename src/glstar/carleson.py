@@ -164,8 +164,11 @@ def random_open_set(gridpair: tuple[ShiftedGrid, ShiftedGrid],
 # the box quantity
 
 
+@functools.lru_cache(maxsize=1024)
 def _axis_band(factor, side: float, lam: float, spec: QuadratureSpec) -> float:
-    """|I| (int w dy / t) int_{Whitney band} mass(t)^2 dt/t, one axis."""
+    """|I| (int w dy / t) int_{Whitney band} mass(t)^2 dt/t, one axis; cached,
+    since every (side1, side2) pair of `_cij_scales` shares its two bands
+    with the other pairs of its row and column."""
     tn, tw = octave_nodes(side / 2.0, side, spec.t_points_per_octave, spec.rule)
     band = float(sum(factor.mass(t) ** 2 / t * w for t, w in zip(tn, tw)))
     return side * weight_total(1.0, lam) * band

@@ -28,6 +28,7 @@ everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -222,8 +223,10 @@ def graded_axis_edges(
     return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
 
+@functools.lru_cache(maxsize=64)
 def _rule01(p: int, rule: str) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the p-point rule on (0, 1)."""
+    """Nodes and weights of the p-point rule on (0, 1), cached and read-only:
+    every call hands out the same two arrays."""
     if rule == "midpoint":
         nodes = (np.arange(p) + 0.5) / p
         weights = np.full(p, 1.0 / p)
@@ -233,6 +236,7 @@ def _rule01(p: int, rule: str) -> tuple[np.ndarray, np.ndarray]:
         weights = 0.5 * w
     else:
         raise ValueError(f"unknown rule {rule!r}")
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glstar import gstar
+from glstar import carleson, gstar
 from glstar.core import QuadratureSpec, default_params
 from glstar.carleson import (
     CarlesonReport,
@@ -21,7 +21,13 @@ from glstar.carleson import (
     shadow_sets,
 )
 from glstar.dyadic import ShiftedGrid
-from glstar.kernels import make_broken, make_cancellative, make_size_only
+from glstar.experiments import run_carleson
+from glstar.kernels import (
+    make_broken,
+    make_cancellative,
+    make_mixed,
+    make_size_only,
+)
 
 PARAMS = default_params()
 SIZE = make_size_only(1, 1, 0.5, 0.5)
@@ -49,6 +55,23 @@ def test_cij_closed_law():
 def test_cij_cancellative_vanishes():
     g1, g2 = std_pair()
     assert c_ij(CANC, g1.cube(2, (1,)), g2.cube(3, (5,)), PARAMS) == 0.0
+
+
+@pytest.mark.parametrize("make", [make_size_only, make_cancellative, make_mixed])
+def test_cij_is_the_product_of_two_cached_axis_bands(make):
+    kernel = make(1, 1, 0.5, 0.5)
+    g1, g2 = std_pair()
+    i, j = g1.cube(2, (1,)), g2.cube(3, (5,))
+    spec, (lam1, lam2) = QuadratureSpec(), PARAMS.weight_powers
+    f1, f2 = kernel.tensor_parts
+    band = carleson._axis_band.__wrapped__
+    assert c_ij(kernel, i, j, PARAMS) == (band(f1, i.side, lam1, spec)
+                                          * band(f2, j.side, lam2, spec))
+    # the packing sums share each axis band among the scale pairs
+    carleson._cij_scales.cache_clear()
+    carleson._axis_band.cache_clear()
+    run_carleson(PARAMS, omega_count=1, levels=1)
+    assert carleson._axis_band.cache_info().hits > 0
 
 
 def test_cij_position_independent():

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from glstar import core
 from glstar.core import (
     Params,
     QuadratureSpec,
@@ -180,6 +181,30 @@ def test_octave_nodes_concatenate_the_blocks(t_lo, t_hi, rule):
     for lo, hi, nodes, weights in blocks:
         assert np.all((lo < nodes) & (nodes < hi))
         assert nodes.size == weights.size == 5
+
+
+@pytest.mark.parametrize("rule", ["midpoint", "gauss"])
+def test_cached_rule_arrays_refuse_writes(rule):
+    nodes, weights = core._rule01(4, rule)
+    assert core._rule01(4, rule)[0] is nodes
+    for a in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.5
+
+
+def _rule_outputs(rule):
+    edges = graded_axis_edges(-1.0, 2.0, anchors=(0.3,))
+    out = [a for p in (1, 4, 7) for a in segment_nodes(edges, p, rule)]
+    out += [a for p in (2, 5) for b in octave_blocks(2.0 ** -9, 5.0, p, rule)
+            for a in b[2:]]
+    return [a.tobytes() for a in out]
+
+
+@pytest.mark.parametrize("rule", ["midpoint", "gauss"])
+def test_cached_rule_moves_no_node_or_weight(monkeypatch, rule):
+    cached = _rule_outputs(rule)
+    monkeypatch.setattr(core, "_rule01", core._rule01.__wrapped__)
+    assert _rule_outputs(rule) == cached
 
 
 def test_octave_blocks_reject_empty_range():

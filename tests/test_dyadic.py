@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from glstar.dyadic import (
     trial_stream,
 )
 from glstar.core import DEFAULT_SHIFT_RADIUS
+from glstar.experiments import _draw_collection
 
 
 STD = ShiftedGrid.standard(1, -3, 6)
@@ -122,6 +124,20 @@ def test_schur_matrix_is_the_scalar_formula_bit_for_bit(dim):
         want = [[_schur_scalar(a, b, alpha) for b in cubes] for a in cubes]
         assert big.tolist() == want
         assert schur_coeff(cubes[3], cubes[7], alpha) == want[3][7]
+
+
+def test_schur_matrix_peak_memory_is_a_few_matrices():
+    # run_schur's 512-cube family: one float pow per distinct long distance,
+    # and no per-entry Python float, keeps the peak under eight matrices
+    cubes = _draw_collection(512, 23)
+    schur_matrix(cubes[:2], 0.5)
+    tracemalloc.start()
+    try:
+        big = schur_matrix(cubes, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * big.nbytes
 
 
 def test_schur_matrix_rejects_mixed_dimensions():

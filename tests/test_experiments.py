@@ -358,6 +358,28 @@ def test_schur_smoke():
     assert rep.summary["singleton"] == 2 ** -1.5
 
 
+def _bilinear_worst_per_draw(big, lam, seed, draws):
+    # the quadratic-inequality check as one matrix-vector product per draw
+    rng = np.random.default_rng((seed, 0xA1))
+    worst = 0.0
+    for _ in range(draws):
+        x = np.abs(rng.standard_normal(big.shape[0]))
+        y = np.abs(rng.standard_normal(big.shape[0]))
+        num = float(x @ big @ y) ** 2
+        den = lam ** 2 * float(x @ x) * float(y @ y)
+        worst = max(worst, num / den)
+    return worst
+
+
+def test_schur_blocked_check_matches_the_per_draw_loop():
+    # 150 draws end in a partial block
+    rep = run_schur(PARAMS, collection_sizes=(8, 16, 32), seed=23, draws=150)
+    big = dyadic.schur_matrix(experiments._draw_collection(32, 23), 0.5)
+    want = _bilinear_worst_per_draw(big, rep.summary["norms"]["32"], 23, 150)
+    assert rep.summary["bilinear_worst_ratio"] == pytest.approx(
+        want, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("sizes", [(8,), (64, 64)])
 def test_schur_refuses_fewer_than_two_sizes_before_drawing(monkeypatch, sizes):
     # one distinct size has no growth, so a pass would not mean saturation
