@@ -76,6 +76,7 @@ __all__ = [
     "schur_coeff",
     "schur_matrix",
     "set_distance",
+    "shift_table_blocks",
     "shift_tables",
     "strong_maximal_dyadic",
     "trial_stream",
@@ -84,9 +85,13 @@ __all__ = [
 # Coarser scales available above a tested cube under the default truncation.
 DEFAULT_OCTAVES = 12
 
-# Trials whose shift tables estimate_pi_good holds at once (about 1.5 MB of
-# int64 at depth 21 in 2-D), and whose Philox words _shift_bits computes at
-# once.
+# Entries per row block of schur_matrix: a block's temporaries are a few
+# arrays of this many floats (256 KB each), whatever the family's size.
+# 2^16 ran slower at 512 cubes and 2^14 no faster.
+_SCHUR_BLOCK = 2 ** 15
+
+# Trials per block of shift_table_blocks: the tables a sweep over many
+# trials holds at once (about 1.5 MB of int64 at depth 21 in 2-D).
 _TRIAL_BLOCK = 4096
 
 
@@ -166,8 +171,10 @@ def _shift_bits(dim: int, j_min: int, j_max: int, seed: int,
     half first, and maps a draw u to floor(2u / 2^32), its top bit
     (Lemire's method on the range 2, which never rejects).  So bit i, in C
     order, is bit 31 (i even) or bit 63 (i odd) of word i // 2.  Only the
-    blocks holding those words are computed, for `_TRIAL_BLOCK` trials at a
-    time.
+    blocks holding those words are computed, for all the trials at once:
+    the cipher's state is a few words per trial, as the result is, and a
+    sweep over many trials comes here one block of them at a time
+    (`shift_table_blocks`).
 
     Refuses a seed outside [0, 2^64) or a trial outside [0, 2^63) before
     anything is drawn."""
@@ -183,11 +190,9 @@ def _shift_bits(dim: int, j_min: int, j_max: int, seed: int,
     words = (rows * dim + 1) // 2
     blocks = (words + 3) // 4
     bits = np.empty((len(trials), 2 * words), dtype=np.int64)
-    for start in range(0, len(trials), _TRIAL_BLOCK):
-        chunk = trials[start:start + _TRIAL_BLOCK].astype(np.uint64)
-        drawn = _philox_blocks(int(seed), chunk, blocks)[:, :words]
-        bits[start:start + len(chunk), 0::2] = (drawn >> np.uint64(31)) & np.uint64(1)
-        bits[start:start + len(chunk), 1::2] = drawn >> np.uint64(63)
+    drawn = _philox_blocks(int(seed), trials.astype(np.uint64), blocks)[:, :words]
+    bits[:, 0::2] = (drawn >> np.uint64(31)) & np.uint64(1)
+    bits[:, 1::2] = drawn >> np.uint64(63)
     return bits[:, :rows * dim].reshape(len(trials), rows, dim)
 
 
@@ -216,6 +221,16 @@ def shift_tables(dim: int, j_min: int, j_max: int, seed: int,
     All trials' bits come from one `_shift_bits` call, an array Philox over
     the trials' counters, with no generator built per trial."""
     return _offset_table(_shift_bits(dim, j_min, j_max, seed, trials))
+
+
+def shift_table_blocks(dim: int, j_min: int, j_max: int, seed: int,
+                       trials: int) -> Iterator[tuple[range, np.ndarray]]:
+    """The `shift_tables` of trials 0 .. trials - 1, in consecutive blocks of
+    `_TRIAL_BLOCK` trials: yields each block's range and its tables, so a
+    sweep over any number of trials holds one block's tables at a time."""
+    for start in range(0, trials, _TRIAL_BLOCK):
+        block = range(start, min(start + _TRIAL_BLOCK, trials))
+        yield block, shift_tables(dim, j_min, j_max, seed, block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,36 +451,45 @@ def schur_matrix(cubes: Sequence[DyadicCube], alpha: float) -> np.ndarray:
     """All entries `schur_coeff(cubes[i], cubes[j], alpha)` at once.
 
     Each cube's box, side, side^(alpha/2) and |I|^(1/2) are taken once.  The
-    long distances are exact sums of dyadic rationals, and a family of cubes
-    has few distinct ones (1,084 among the 262,144 entries of the 512-cube
-    run_schur family): the power D^-(n+a) goes through Python's float ``pow``
-    once per distinct distance (numpy's vectorized power rounds differently
-    on some inputs) and is scattered back.  The products keep the operand
-    order of the formula, so both triangles are filled as their own scalar
-    products.
+    matrix is filled by blocks of about `_SCHUR_BLOCK` entries, whole rows
+    each, so the temporaries of a block (its gaps, long distances, their
+    sort and powers) stay a fixed size while only the result grows with the
+    family.  The long distances are exact sums of dyadic rationals, and a
+    family of cubes has few distinct ones (1,084 among the 262,144 entries
+    of the 512-cube run_schur family): within a block the power D^-(n+a)
+    goes through Python's float ``pow`` once per distinct distance (numpy's
+    vectorized power rounds differently on some inputs) and is scattered
+    back.  The products keep the operand order of the formula, so both
+    triangles are filled as their own scalar products.
     """
     n = cubes[0].dim
     if any(c.dim != n for c in cubes):
         raise ValueError("dimension mismatch")
     boxes = np.array([c.box() for c in cubes])  # cube, axis, (lo, hi)
     lo, hi = boxes[..., 0], boxes[..., 1]
-    # sup-norm gap of the closed boxes: the largest per-axis separation
-    gap = np.max(np.maximum(lo[None, :] - hi[:, None], lo[:, None] - hi[None, :]),
-                 axis=-1, initial=0.0)
     sides = np.array([c.side for c in cubes])
-    # the long distance (side_i + side_j) + gap, summed into the gap's array
-    long_d = np.add(sides[:, None] + sides[None, :], gap, out=gap)
-    # with return_inverse np.unique takes its sorting path, which (unlike
-    # the plain call) imports no numpy.ma
-    distinct, where = np.unique(long_d, return_inverse=True)
     exponent = -(n + alpha)
-    d_pow = np.array([d ** exponent for d in distinct.tolist()])
     ell_pow = np.array([c.side ** (alpha / 2.0) for c in cubes])
     root = np.array([c.measure() ** 0.5 for c in cubes])
-    out = ell_pow[:, None] * ell_pow[None, :]
-    out *= d_pow[where].reshape(out.shape)
-    out *= root[:, None]
-    out *= root[None, :]
+    out = np.empty((len(cubes), len(cubes)))
+    step = max(1, _SCHUR_BLOCK // len(cubes))
+    for r in range(0, len(cubes), step):
+        rows = slice(r, r + step)
+        # sup-norm gap of the closed boxes: the largest per-axis separation
+        sep = lo[None, :] - hi[rows, None]
+        np.maximum(sep, lo[rows, None] - hi[None, :], out=sep)
+        gap = np.max(sep, axis=-1, initial=0.0)
+        # the long distance (side_i + side_j) + gap, in the gap's array
+        long_d = np.add(sides[rows, None] + sides[None, :], gap, out=gap)
+        # with return_inverse np.unique takes its sorting path, which
+        # (unlike the plain call) imports no numpy.ma
+        distinct, where = np.unique(long_d, return_inverse=True)
+        d_pow = np.array([d ** exponent for d in distinct.tolist()])
+        block = np.multiply(ell_pow[rows, None], ell_pow[None, :],
+                            out=out[rows])
+        block *= d_pow[where].reshape(block.shape)
+        block *= root[rows, None]
+        block *= root[None, :]
     return out
 
 
@@ -665,8 +689,8 @@ def estimate_pi_good(
 
     Trial t tests the cube of ``ShiftedGrid.random(dim, j_min, level_of_i,
     seed, t)`` with `is_good_offset`, on blocks of trials at once: S is row
-    1 of each trial's table from `shift_tables` (j_max is the cube's level),
-    and no grid is built.
+    1 of each trial's table from `shift_table_blocks` (j_max is the cube's
+    level), and no grid is built.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for the normal approximation")
@@ -674,9 +698,8 @@ def estimate_pi_good(
     # offsets only matter mod 2^depth, which keeps them in the table's dtype
     base = base_index % (1 << (level_of_i - j_min))
     hits = 0
-    for start in range(0, trials, _TRIAL_BLOCK):
-        block = range(start, min(start + _TRIAL_BLOCK, trials))
-        s = shift_tables(dim, j_min, level_of_i, seed, block)[:, 1]
+    for _, table in shift_table_blocks(dim, j_min, level_of_i, seed, trials):
+        s = table[:, 1]
         good = is_good_offset(level_of_i, (base - s).T, j_min, level_of_i, params)
         hits += int(np.count_nonzero(good))
     est = hits / trials

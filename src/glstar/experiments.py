@@ -38,7 +38,7 @@ from .dyadic import (
     pi_good_exact,
     schur_coeff,
     schur_matrix,
-    shift_tables,
+    shift_table_blocks,
 )
 from .gstar import (
     axis_grams,
@@ -138,11 +138,6 @@ def _spec_snapshot(spec: QuadratureSpec) -> dict:
 # ---------------------------------------------------------------------------
 # averaging identity
 
-# Trials whose shift tables and region integrals run_averaging holds at once
-# (a few MB at the default depth and band).
-_TRIAL_BLOCK = 4096
-
-
 @dataclass(frozen=True)
 class NamedIntegrand:
     """Separable integrand F(x, t) = x_part(x) * 1_(t_lo, t_hi](t) / t.
@@ -235,12 +230,11 @@ def run_averaging(
     band level means no cube is ever good there; both are refused before any
     shift is drawn.
 
-    No grid or cube is built: the trials run in blocks of `_TRIAL_BLOCK`,
-    so memory stays bounded in ``trials``.  Each block's shift tables come
-    from one `shift_tables` call, and each band level is swept one index
-    column at a time across the block's trials -- column c holds each
-    trial's c-th cube meeting the support, its corners read from the integer
-    table, its weight an exact integral (`_interval_integral`), its goodness
+    No grid or cube is built: the trials run in the blocks of
+    `shift_table_blocks`, so memory stays bounded in ``trials``, and each
+    band level is swept one index column at a time across a block's trials
+    -- column c holds each trial's c-th cube meeting the support, its
+    corners read from the integer table, its weight an exact integral (`_interval_integral`), its goodness
     one `is_good_offset` call for the whole column.  The good sums
     accumulate in the (level, index) order of a per-trial loop and the
     partition sums go through `math.fsum`, so every trial's numbers are those
@@ -284,9 +278,8 @@ def run_averaging(
     wide = (max(abs(lo), abs(hi)) + (1 << (unit - j_min + 2))).bit_length() > 62
 
     sums, det = [], []
-    for start in range(0, trials, _TRIAL_BLOCK):
-        block = range(start, min(start + _TRIAL_BLOCK, trials))
-        table = shift_tables(1, j_min, j_max, seed, block)[..., 0]
+    for block, table in shift_table_blocks(1, j_min, j_max, seed, trials):
+        table = table[..., 0]
         if wide:
             table = table.astype(object)
         full = []  # the block's region integrals, one array per (level, column)

@@ -34,9 +34,10 @@ Numerical conventions used throughout:
   :func:`_raw_octave_sums` sums the :func:`_raw_block` of each scale pair
   at both bands' positions.  A route is one theta evaluator in one of these
   assemblies plus one choice of positions.  The evaluators are the exact
-  per-axis cell integrals (one antiderivative per cell edge), the raw
-  per-axis profile quadrature (their independent oracle) and the raw kernel
-  evaluations of the joint layer, priced accordingly;
+  per-axis cell integrals (one antiderivative per u-node and edge where the
+  cell values jump), the raw per-axis profile quadrature (their independent
+  oracle) and the raw kernel evaluations of the joint layer, priced
+  accordingly;
 * a position is never a set of nodes: per axis it is one point x or one
   interval (lo, hi) of x, and the weight (t/(t+|x - u|))^lam enters as its
   value at the point or its closed-form integral over the interval
@@ -111,11 +112,16 @@ _TRUNCATION_EPS = 1e-9
 # Elements per block of the chunked contractions: about 2^16 kernel or weight
 # values, so a block's temporaries stay in cache instead of streaming
 # through memory.  Each such temporary is a 512 KB array that the C
-# allocator may hand back to the OS when it is freed (glibc trims its heap),
-# so the next block faults its pages in again: the built-in kernels
-# therefore work in place and make about three per factor.  A smaller block
-# makes the faults cheaper but the per-block Python overhead dearer (2^13
-# ran slower end to end).
+# allocator may hand back to the OS when it is freed, so the next block
+# faults its pages in again: the built-in kernels therefore work in place
+# and make about three per factor.  Whether it is handed back depends on
+# glibc's dynamic mmap threshold, which rises when a larger mapped array is
+# freed, so the same loop runs faster after some earlier call freed a big
+# array than in a fresh process.  A loop over arrays of one size (the row
+# chunks here, the scale nodes of _axis_gram) makes them once and writes
+# into them, which costs the same either way.  A smaller block makes the
+# faults cheaper but the per-block Python overhead dearer (2^13 ran slower
+# end to end).
 _BLOCK = 2 ** 16
 
 
@@ -204,9 +210,17 @@ def response_gram(factor: ConvolutionFactor, f: StepFunction, at,
     with x the point ``at`` or integrated over the interval ``at`` = (lo,
     hi), the weight's x-integral taken in closed form.  g_i is the step
     function with f's lattice and tail and the cell values ``rows[i]`` (f
-    itself when ``rows`` is None).  theta comes from the exact cell
-    integrals, one antiderivative per u-node and edge, or with ``raw`` from
-    :func:`_axis_theta_raw` (compact f only).  The u-mesh spans f's
+    itself when ``rows`` is None).
+
+    theta comes from the exact cell integrals summed by parts,
+
+        theta_i(u) = tail * mass + sum_e J_ie A(u - e),
+
+    with J_ie the jump of rows[i] - tail at the edge e (zero past both
+    ends), A the odd antiderivative, and e running over the edges where
+    some row jumps: one antiderivative per u-node and jump edge, and no
+    (u-nodes x cells) matrix.  With ``raw`` it comes from
+    :func:`_axis_theta_raw` instead (compact f only).  The u-mesh spans f's
     structure zone and the weight kinks at the point or at both interval
     ends; past it theta is its far-field constant tail * mass, closed in
     form against a point's weight and refused for an interval."""
@@ -227,10 +241,14 @@ def response_gram(factor: ConvolutionFactor, f: StepFunction, at,
             for row in rows])
     else:
         u, du, ulo, uhi = _offset_mesh(f.box[0], t, spec, anchors)
-        ci = factor.cell_integral(t, u, edges)
-        theta = (ci @ (rows - f.tail).T).T
+        # summation by parts: the cell values' jumps, zero past both ends,
+        # against the odd antiderivative at the edges where some row jumps
+        jumps = np.diff(rows - f.tail, axis=1, prepend=0.0, append=0.0)
+        at_jump = np.flatnonzero(np.any(jumps != 0.0, axis=0))
+        odd = factor.antiderivative(t, u[:, None] - edges[at_jump])
+        theta = jumps[:, at_jump] @ odd.T
         if far != 0.0:
-            theta = theta + far
+            theta += far
     return _weighted_theta_gram(theta, u, du, ulo, uhi, far, at, t, lam)
 
 
@@ -763,15 +781,28 @@ def _axis_gram(factor: ConvolutionFactor, level: int, n_cells: int,
     line decouples the weight (substitute u = x - y), which is what makes
     this exact and cheap; entries depend on |c - c'| only, so one
     autocorrelation row per scale is accumulated.  Lag k at u is the cell
-    [-k h, (1 - k) h], so one shared-end cell integral gives every lag,
-    columns reversed.  Cached; callers share the array, so it is read-only."""
+    [-k h, (1 - k) h], so one shared-end cell integral over the edges h,
+    0, ..., (1 - n) h, right to left, gives every lag in order.
+
+    The (u-nodes x edges) arrays are made once per gram, sized for the
+    largest of its scale nodes' meshes, and every node writes its offsets,
+    odd antiderivatives, differences and / h into their leading rows: no
+    array of that size is allocated per node.  Cached; callers share the
+    array, so it is read-only."""
     h = 2.0 ** -level
-    edges = h * np.arange(1 - n_cells, 2)
+    edges = h * np.arange(1, -n_cells, -1)
     row = np.zeros(n_cells)
     tn, tw = octave_nodes(*t_range, spec.t_points_per_octave, spec.rule)
-    for t, w in zip(tn, tw):
-        u, du, _, _ = _offset_mesh((0.0, h), t, spec, (0.0, h))
-        psi = factor.cell_integral(t, u, edges)[:, ::-1] / h
+    meshes = [_offset_mesh((0.0, h), t, spec, (0.0, h))[:2] for t in tn]
+    size = max(u.size for u, _ in meshes)
+    offsets, odd, scratch = np.empty((3, size, n_cells + 1))
+    cells = np.empty((size, n_cells))
+    for t, w, (u, du) in zip(tn, tw, meshes):
+        m = u.size
+        s = np.subtract(u[:, None], edges, out=offsets[:m])
+        a = factor.antiderivative_into(t, s, odd[:m], scratch[:m])
+        psi = np.subtract(a[:, 1:], a[:, :-1], out=cells[:m])
+        psi /= h
         auto = (psi[:, 0] * du) @ psi
         row += auto * weight_total(t, lam) / t ** 2 * w
     idx = np.abs(np.arange(n_cells)[:, None] - np.arange(n_cells)[None, :])

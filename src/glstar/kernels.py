@@ -139,26 +139,40 @@ class ConvolutionFactor:
         )
 
     def antiderivative(self, t, s):
-        """A(s) = integral of the profile over [0, s], dim 1 only: with q =
-        t/(t+s), scale (1 - q^a) / a (size) or scale (q^(1+a) - q^a).  A 0-d
-        input runs through the array loop, as in `profile`."""
+        """A(s) = integral of the profile over [0, s], dim 1 only, odd in s:
+        with q = t/(t+|s|), sign(s) scale (1 - q^a) / a (size) or sign(s)
+        scale (q^(1+a) - q^a).  A 0-d input runs through the array loop, as
+        in `profile`."""
+        shape = np.broadcast_shapes(np.shape(t), np.shape(s))
+        out = self.antiderivative_into(t, s, np.empty(shape or (1,)),
+                                       np.empty(shape or (1,)))
+        return out if shape else out[0]
+
+    def antiderivative_into(self, t, s, out, scratch):
+        """`antiderivative` written into ``out``, with ``scratch`` as its
+        workspace: two float arrays of the broadcast shape of t and s, and
+        neither of them s.  A caller evaluating many s of one shape passes
+        the same two buffers each time and allocates nothing per call.  The
+        arithmetic is the formula's, operation for operation, so the bits do
+        not depend on where the result is written."""
         if self.dim != 1:
             raise NotImplementedError("closed-form antiderivative is 1d only")
         a = self.exponent
-        v = np.add(t, s, dtype=float)
-        alone = v.ndim == 0
-        q = np.divide(t, v.reshape(v.shape or (1,)))
+        q = np.abs(s, out=out)
+        np.add(t, q, out=q)
+        np.divide(t, q, out=q)
         if self.flavor == "size":
             q **= a
-            out = 1.0 - q
-            out *= self.scale
-            out /= a
+            np.subtract(1.0, q, out=q)
+            q *= self.scale
+            q /= a
         else:
-            out = q ** (1.0 + a)
+            high = np.power(q, 1.0 + a, out=scratch)
             q **= a
-            out -= q
-            out *= self.scale
-        return out[0] if alone else out
+            np.subtract(high, q, out=q)
+            q *= self.scale
+        q *= np.sign(s, out=scratch)
+        return q
 
     def cell_integral(self, t, x, edges):
         """Exact integrals of profile(|x - z|) over the cells z in [e_i,
@@ -167,9 +181,8 @@ class ConvolutionFactor:
         edges = np.asarray(edges, dtype=float)
         if edges.ndim != 1 or np.any(edges[1:] < edges[:-1]):
             raise ValueError("cell edges must be a nondecreasing 1-d array")
-        s = np.asarray(x, dtype=float)[..., None] - edges
-        odd = self.antiderivative(t, np.abs(s))
-        odd *= np.sign(s)
+        odd = self.antiderivative(t, np.asarray(x, dtype=float)[..., None]
+                                  - edges)
         return odd[..., :-1] - odd[..., 1:]
 
 

@@ -25,6 +25,7 @@ from glstar.dyadic import (
     schur_coeff,
     schur_matrix,
     set_distance,
+    shift_table_blocks,
     shift_tables,
     strong_maximal_dyadic,
     trial_stream,
@@ -127,8 +128,9 @@ def test_schur_matrix_is_the_scalar_formula_bit_for_bit(dim):
 
 
 def test_schur_matrix_peak_memory_is_a_few_matrices():
-    # run_schur's 512-cube family: one float pow per distinct long distance,
-    # and no per-entry Python float, keeps the peak under eight matrices
+    # run_schur's 512-cube family: the matrix filled by row blocks, one
+    # float pow per distinct long distance of a block and no per-entry
+    # Python float, keeps the peak under three matrices
     cubes = _draw_collection(512, 23)
     schur_matrix(cubes[:2], 0.5)
     tracemalloc.start()
@@ -137,7 +139,7 @@ def test_schur_matrix_peak_memory_is_a_few_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * big.nbytes
+    assert peak < 3 * big.nbytes
 
 
 def test_schur_matrix_rejects_mixed_dimensions():
@@ -568,6 +570,22 @@ def test_estimate_pi_good_is_the_per_grid_count():
             grid = ShiftedGrid.random(dim, j_min, level, seed=41, trial=t)
             hits += is_good(grid.cube(level, (base,) * dim), grid, params)
         assert est == hits / 150
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_trial_blocks_are_one_sweep(monkeypatch, block):
+    # trials run in blocks to bound memory; the blocks cover the trials in
+    # order, so their tables and the estimator's count are the whole sweep's
+    params = default_params(r=2)
+    whole = shift_tables(2, 1, 9, 13, range(150))
+    est = estimate_pi_good(params, trials=150, level_of_i=9, seed=13, j_min=1)
+    monkeypatch.setattr(dyadic, "_TRIAL_BLOCK", block)
+    blocks = list(shift_table_blocks(2, 1, 9, 13, 150))
+    assert [list(b) for b, _ in blocks] == [
+        list(range(s, min(s + block, 150))) for s in range(0, 150, block)]
+    assert np.array_equal(np.concatenate([t for _, t in blocks]), whole)
+    assert estimate_pi_good(params, trials=150, level_of_i=9, seed=13,
+                            j_min=1) == est
 
 
 def test_goodness_monotone_in_radius():

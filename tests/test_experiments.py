@@ -1,6 +1,7 @@
 """Driver smoke tests at the benchmark's tiny sizes."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -292,7 +293,7 @@ def test_averaging_in_trial_blocks_is_one_block(monkeypatch, block):
     # trials run in blocks to bound memory; a block's columns past some
     # trial's last cube weigh 0, so the split leaves every number unchanged
     whole = run_averaging(PARAMS, trials=150, seed=4, octaves=3).to_dict()
-    monkeypatch.setattr(experiments, "_TRIAL_BLOCK", block)
+    monkeypatch.setattr(dyadic, "_TRIAL_BLOCK", block)
     assert run_averaging(PARAMS, trials=150, seed=4, octaves=3).to_dict() == whole
 
 
@@ -470,6 +471,20 @@ def test_kdecay_smoke():
     assert _finite([r["k_value"] for r in rep.records]
                    + [r["q_value"] for r in rep.records])
     assert rep.passed
+
+
+def test_kdecay_peak_memory_is_bounded():
+    # the ancestor pattern at k = 14 spans 1,024 cells but jumps at three
+    # edges; its response sums by parts over the jumps, so no (u-nodes x
+    # cells) matrix is made and the traced peak stays under 2 MB
+    run_kdecay(default_params())
+    tracemalloc.start()
+    try:
+        run_kdecay(default_params())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_kdecay_refuses_ladders_it_cannot_fit(monkeypatch):

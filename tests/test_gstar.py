@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from glstar import gstar
+from glstar import experiments, gstar
 from glstar.core import (
     QuadratureSpec,
     StepFunction,
@@ -17,6 +17,7 @@ from glstar.core import (
     segment_nodes,
 )
 from glstar.dyadic import ShiftedGrid
+from glstar.haar import HaarIndex, haar_function, s_function
 from glstar.gstar import (
     _BLOCK,
     GStarValue,
@@ -327,18 +328,65 @@ def test_interval_gram_is_the_integral_of_point_grams():
         response_gram(SIZE.tensor_parts[0], tailed, (lo, hi), 0.3, 3.0, sp)
 
 
+def response_gram_per_cell(factor, f, at, t, lam, spec, rows=None):
+    """The exact response gram with theta as the cell integrals against the
+    cell values, cell by cell: one (u-nodes x cells) matrix per call."""
+    rows = np.atleast_2d(f.values if rows is None else rows)
+    edges = gstar._axis_edges(f)
+    anchors = list(edges) if edges.size <= 33 else [edges[0], edges[-1]]
+    anchors = anchors + list(np.atleast_1d(at))
+    far = f.tail * factor.mass(t)
+    u, du, ulo, uhi = gstar._offset_mesh(f.box[0], t, spec, anchors)
+    theta = (factor.cell_integral(t, u, edges) @ (rows - f.tail).T).T + far
+    return gstar._weighted_theta_gram(theta, u, du, ulo, uhi, far, at, t, lam)
+
+
+@pytest.mark.parametrize("kernel", [SIZE, CANC], ids=["size", "cancellative"])
+def test_response_gram_by_parts_is_the_per_cell_sum(kernel):
+    # summation by parts reorders the sum over cells into one over value
+    # jumps, so the two agree to rounding: on the ancestor patterns of
+    # run_kdecay's ladder (tail and all), a Haar function, the synthesis
+    # rows of run_cases and a tailed f with random values
+    factor = kernel.tensor_parts[0]
+    lam = PARAMS.weight_powers[0]
+    spec = QuadratureSpec()
+    grid = ShiftedGrid.standard(1, -10, 8)
+    base = grid.cube(4, (0,))
+    cases = []
+    for k in range(1, 15):
+        cube, x1, t1 = experiments._ladder_probe(grid, base, k)
+        cases.append((s_function(cube, k), x1, t1, None))
+    haar = haar_function(HaarIndex(cube=grid.cube(1, (0,)), eta=(1,)))
+    cases.append((haar, 0.3, 0.375, None))
+    members = [HaarIndex(cube=grid.cube(lev, (k,)), eta=(1,))
+               for lev in range(4) for k in range(-1, 2)]
+    lattice, rows = experiments._haar_synthesis(members)
+    cases += [(lattice, (-0.5, 1.5), 0.2, rows), (lattice, 0.6, 0.05, rows)]
+    rng = np.random.default_rng(8)
+    tailed = StepFunction(level=3, lo=(-4,), values=rng.normal(size=9),
+                          tail=0.7)
+    cases += [(tailed, 0.1, t, None) for t in (0.01, 0.3, 4.0)]
+    for f, at, t, r in cases:
+        got = response_gram(factor, f, at, t, lam, spec, r)
+        want = response_gram_per_cell(factor, f, at, t, lam, spec, r)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_cell_work_is_one_antiderivative_per_edge(monkeypatch):
     # adjacent cells share an end, so n cells cost n + 1 antiderivative
-    # evaluations per u-node, not 2 n: per scale node of an axis gram and
-    # per response gram, spying the u-mesh each one builds
+    # evaluations per u-node, not 2 n, per scale node of an axis gram; a
+    # response gram sums by parts, so it costs one per u-node and edge where
+    # some row's value jumps (zero past both ends).  The spy sits on the one
+    # routine every antiderivative goes through, spying the u-mesh each
+    # caller builds
     sizes, meshes = [], []
-    original = ConvolutionFactor.antiderivative
+    original = ConvolutionFactor.antiderivative_into
 
-    def spy(self, t, s):
+    def spy(self, t, s, out, scratch):
         sizes.append(np.size(s))
-        return original(self, t, s)
+        return original(self, t, s, out, scratch)
 
-    monkeypatch.setattr(ConvolutionFactor, "antiderivative", spy)
+    monkeypatch.setattr(ConvolutionFactor, "antiderivative_into", spy)
     original_nodes = gstar.segment_nodes
 
     def nodes_spy(*args, **kwargs):
@@ -367,13 +415,64 @@ def test_cell_work_is_one_antiderivative_per_edge(monkeypatch):
         return out
 
     monkeypatch.setattr(gstar, "_offset_mesh", mesh_spy)
-    f = StepFunction(level=2, lo=(-1,), values=np.arange(1.0, 6.0))
-    for at in (0.4, (0.1, 0.9)):
-        sizes.clear()
-        meshes.clear()
-        response_gram(factor, f, at, 0.3, 3.0, SP_COARSE)
-        assert len(meshes) == 1
-        assert sum(sizes) == meshes[0] * (f.values.size + 1)
+    # every edge jumps; two flat runs leave 3 of 6; a tail adds none
+    for values, tail, jumps in (([1.0, 2.0, 3.0, 4.0, 5.0], 0.0, 6),
+                                ([1.0, 1.0, 2.0, 2.0, 2.0], 0.0, 3),
+                                ([1.0, 1.0, 2.0, 2.0, 2.0], 0.5, 3)):
+        f = StepFunction(level=2, lo=(-1,), values=np.array(values), tail=tail)
+        for at in (0.4, (0.1, 0.9)) if tail == 0.0 else (0.4,):
+            sizes.clear()
+            meshes.clear()
+            response_gram(factor, f, at, 0.3, 3.0, SP_COARSE)
+            assert len(meshes) == 1
+            assert sum(sizes) == meshes[0] * jumps
+
+
+def axis_gram_per_scale(factor, level, n_cells, lam, t_range, spec):
+    """The axis gram as one cell_integral per scale node, each node making
+    its own arrays: every lag from the shared-end call on the edges left to
+    right, columns reversed."""
+    h = 2.0 ** -level
+    edges = h * np.arange(1 - n_cells, 2)
+    row = np.zeros(n_cells)
+    tn, tw = octave_nodes(*t_range, spec.t_points_per_octave, spec.rule)
+    for t, w in zip(tn, tw):
+        u, du, _, _ = gstar._offset_mesh((0.0, h), t, spec, (0.0, h))
+        psi = factor.cell_integral(t, u, edges)[:, ::-1] / h
+        auto = (psi[:, 0] * du) @ psi
+        row += auto * weight_total(t, lam) / t ** 2 * w
+    return row[np.abs(np.arange(n_cells)[:, None] - np.arange(n_cells))]
+
+
+@pytest.mark.parametrize("kernel", [SIZE, CANC], ids=["size", "cancellative"])
+@pytest.mark.parametrize("level, t_range", [(7, (2.0**-8, 2.0)),
+                                            (3, (2.0**-12, 2.0**4))])
+def test_axis_gram_reuses_one_workspace(monkeypatch, kernel, level, t_range):
+    # the (u-nodes x edges) arrays are made once per gram: every scale node
+    # writes into the same two buffers, also where the meshes differ in
+    # size (level 3 over this range), and the gram is bit for bit the one
+    # of a fresh cell_integral per node
+    buffers = []
+    original = ConvolutionFactor.antiderivative_into
+
+    def spy(self, t, s, out, scratch):
+        buffers.append((out.__array_interface__["data"][0],
+                        scratch.__array_interface__["data"][0], out.shape[0]))
+        return original(self, t, s, out, scratch)
+
+    monkeypatch.setattr(ConvolutionFactor, "antiderivative_into", spy)
+    factor = kernel.tensor_parts[0]
+    spec = QuadratureSpec()
+    args = (factor, level, 64, 3.0, t_range, spec)
+    got = _axis_gram.__wrapped__(*args)
+    tn, _ = octave_nodes(*t_range, spec.t_points_per_octave, spec.rule)
+    assert len(buffers) == tn.size
+    assert len({(out, scratch) for out, scratch, _ in buffers}) == 1
+    if level == 3:
+        assert len({rows for _, _, rows in buffers}) > 1
+    monkeypatch.setattr(ConvolutionFactor, "antiderivative_into", original)
+    want = axis_gram_per_scale(*args)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def axis_gram_per_lag(factor, level, n_cells, lam, t_range, spec):

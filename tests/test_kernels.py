@@ -133,6 +133,22 @@ def test_antiderivative_is_its_closed_form_bit_for_bit(flavor, scale):
 
 
 @pytest.mark.parametrize("flavor", ["size", "cancellative"])
+def test_antiderivative_is_odd_and_writes_where_it_is_told(flavor):
+    # the integral over [0, s] for s of either sign (exactly odd, up to the
+    # sign of zero), the same bits whether it allocates its result or
+    # writes into given buffers
+    factor = ConvolutionFactor(1, 0.7, flavor, scale=2.5)
+    s = np.concatenate([[0.0], np.geomspace(1e-9, 1e9, 301)])
+    for t in (0.05, 1.3):
+        pos = factor.antiderivative(t, s)
+        assert np.array_equal(-factor.antiderivative(t, -s), pos)
+        out, scratch = np.empty(s.size), np.empty(s.size)
+        got = factor.antiderivative_into(t, s, out, scratch)
+        assert got is out
+        assert np.array_equal(got.view(np.int64), pos.view(np.int64))
+
+
+@pytest.mark.parametrize("flavor", ["size", "cancellative"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_scalar_and_array_inputs_give_the_same_bits(flavor, dim):
     # numpy's scalar power rounds apart from its array loop on some inputs;
