@@ -5,22 +5,32 @@ Every run in here returns an :class:`ExperimentReport`: a name, the exact
 configuration that produced it, per-trial records, summary statistics, and a
 pass flag.  Reports are reproducible bit for bit from (name, params, seed,
 spec) -- wall-clock time is carried separately so serializers can drop it.
+Each driver is registered in `DRIVERS`, name to callable, by the `_driver`
+decorator, which also times the call and stamps the report's ``wall_time``.
 
 The runs are deliberately opinionated about their configurations: each fixes
 its kernel, exponents and quadrature spec (its docstring names them), every
 fixed value was frozen after a refinement study, and the notes field of each
 report says what was truncated and how hard.  The drivers reach the other
-modules through their public functions only, and every θ integral here is a
-`gstar.response_gram`: the one-factor tail integral of `run_lemma32` and the
-per-region member grams of `run_cases` included.
+modules through their public functions only.  Their θ integrals: the
+one-factor tail of `run_lemma32` and the region grams of `run_cases` are
+`gstar.response_gram`s; `run_kdecay` runs `gstar.k_quantity` (one weighted
+θ row on its own mesh) and `gstar.q_quantity` (two response grams);
+`run_boundratio` reads the cached axis grams of `gstar.axis_grams`, which
+the gram route of `gstar_sq_norm` also contracts.  The others take no θ
+quadrature: a box value of `run_carleson` (`carleson.carleson_sum`) is a
+product of per-axis scale-band sums of the factors' closed-form masses, and
+`run_averaging` and `run_schur` are exact integrals and coupling entries.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -62,6 +72,7 @@ from .kernels import (
 from .carleson import carleson_check, carleson_sum, random_open_set
 
 __all__ = [
+    "DRIVERS",
     "ExperimentReport",
     "Lemma32Config",
     "NamedIntegrand",
@@ -86,7 +97,9 @@ class ExperimentReport:
 
     ``records`` holds per-trial (or per-configuration) rows as plain dicts;
     ``summary`` the fitted constants, estimates and intervals.  Everything
-    except ``wall_time`` is a pure function of the run's inputs.
+    except ``wall_time`` is a pure function of the run's inputs; a driver
+    builds its report without it, and the `_driver` decorator stamps the
+    call's wall time on the report it returns.
     """
 
     name: str
@@ -95,8 +108,8 @@ class ExperimentReport:
     records: tuple
     summary: Mapping[str, object]
     passed: bool
-    wall_time: float
     notes: str = ""
+    wall_time: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -118,21 +131,27 @@ class ExperimentReport:
         }
 
 
+# Every driver by name, in definition order; `_driver` fills it.
+DRIVERS: dict[str, Callable[..., ExperimentReport]] = {}
+
+
+def _driver(run: Callable[..., ExperimentReport]) -> Callable[..., ExperimentReport]:
+    """Register ``run`` in `DRIVERS` and stamp its report's ``wall_time``."""
+    @functools.wraps(run)
+    def timed(*args, **kwargs) -> ExperimentReport:
+        t0 = time.perf_counter()
+        report = run(*args, **kwargs)
+        return dataclasses.replace(report, wall_time=time.perf_counter() - t0)
+
+    DRIVERS[run.__name__] = timed
+    return timed
+
+
 def _snapshot(params: Params, **extra) -> dict:
     out = {k: v for k, v in params.as_dict().items()
            if k not in ("alpha", "beta")}
     out.update(extra)
     return out
-
-
-def _spec_snapshot(spec: QuadratureSpec) -> dict:
-    return {
-        "points_per_cell": spec.points_per_cell,
-        "t_points_per_octave": spec.t_points_per_octave,
-        "t_min": spec.t_min,
-        "t_max": spec.t_max,
-        "rule": spec.rule,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +221,7 @@ def _band_levels(integrand: NamedIntegrand) -> list[int]:
     return out
 
 
+@_driver
 def run_averaging(
     params: Params,
     integrand: Optional[NamedIntegrand] = None,
@@ -240,7 +260,6 @@ def run_averaging(
     partition sums go through `math.fsum`, so every trial's numbers are those
     of building its grid and testing its cubes one by one.
     """
-    t0 = time.perf_counter()
     integrand = integrand or NamedIntegrand.unit_box()
     if trials < 2:
         raise ValueError("need at least two trials for a confidence interval")
@@ -336,25 +355,24 @@ def run_averaging(
         "quadrature error"
     )
     return ExperimentReport(
-        name="averaging",
-        params=_snapshot(params, integrand=integrand.name, octaves=octaves,
-                         trials=trials),
-        seed=seed,
-        records=records,
-        summary=summary,
-        passed=passed,
-        wall_time=time.perf_counter() - t0,
-        notes=notes,
-    )
+        "averaging", _snapshot(params, integrand=integrand.name,
+                               octaves=octaves, trials=trials),
+        seed, records, summary, passed, notes)
 
 
 # ---------------------------------------------------------------------------
 # coupling-matrix norm growth
 
 
+# Distinct cubes at levels 0..8 with positions in [0, 4): the most that
+# `_draw_collection` can draw.
+_COLLECTION_CUBES = 4 * (2 ** 9 - 1)
+
+
 def _draw_collection(size: int, seed: int) -> list[DyadicCube]:
     """Nested random cube families, levels 0..8 and positions in [0, 4)
-    drawn uniformly; prefixes of one stream are the nesting."""
+    drawn uniformly; prefixes of one stream are the nesting.  ``size`` must
+    be at most `_COLLECTION_CUBES`, or the draw never ends."""
     rng = np.random.default_rng((seed, 0x5C))
     grid = ShiftedGrid.random(1, -10, 24, seed, trial=0)
     out: list[DyadicCube] = []
@@ -392,6 +410,7 @@ def _perron(a: np.ndarray) -> float:
     raise RuntimeError("power iteration did not converge within the budget")
 
 
+@_driver
 def run_schur(
     params: Params,
     collection_sizes: Sequence[int] = (8, 16, 32, 64, 128, 256, 512),
@@ -418,33 +437,29 @@ def run_schur(
     W^(-alpha)).
 
     ``collection_sizes`` must hold at least two distinct positive sizes
-    (repeats count once), or there is no growth to measure, and ``draws``
-    must be at least 1, or the inequality is checked on nothing; either
-    raises ``ValueError`` before any cube is drawn.  ``passed`` requires
-    the growth between the two largest sizes to be under 5 %, the quadratic
-    inequality to hold on every draw and the one-cube norm to be exact.  At
-    the defaults it is False by design: the norm is still growing at 512
-    cubes (``final_growth`` is about 0.37).
+    (repeats count once), or there is no growth to measure, and none above
+    2,044, the number of distinct cubes at levels 0..8 with positions in
+    [0, 4); ``draws`` must be at least 1, or the inequality is checked on
+    nothing.  Each shortfall raises ``ValueError`` before any cube is
+    drawn.  ``passed`` requires the growth between the two largest sizes to
+    be under 5 %, the quadratic inequality to hold on every draw and the
+    one-cube norm to be exact.  At the defaults it is False by design: the
+    norm is still growing at 512 cubes (``final_growth`` is about 0.37).
     """
-    t0 = time.perf_counter()
     alpha, scheme = 0.5, "multiscale"
     sizes = sorted(set(int(s) for s in collection_sizes))
     if len(sizes) < 2 or sizes[0] < 1:
         raise ValueError("the growth sweep needs two distinct positive "
                          "collection sizes")
+    if sizes[-1] > _COLLECTION_CUBES:
+        raise ValueError(f"a collection holds at most {_COLLECTION_CUBES} "
+                         "distinct cubes")
     if draws < 1:
         raise ValueError("the quadratic inequality needs at least one draw")
-    cubes = _draw_collection(sizes[-1], seed)
-
-    big = schur_matrix(cubes, alpha)
-
-    lambdas = {}
-    for s in sizes:
-        lambdas[s] = _perron(big[:s, :s])
-    growths = {
-        f"{a}->{b}": lambdas[b] / lambdas[a] - 1.0
-        for a, b in zip(sizes, sizes[1:])
-    }
+    big = schur_matrix(_draw_collection(sizes[-1], seed), alpha)
+    lambdas = {s: _perron(big[:s, :s]) for s in sizes}
+    growths = {f"{a}->{b}": lambdas[b] / lambdas[a] - 1.0
+               for a, b in zip(sizes, sizes[1:])}
     final_growth = lambdas[sizes[-1]] / lambdas[sizes[-2]] - 1.0
     saturated = final_growth < 0.05
 
@@ -490,16 +505,9 @@ def run_schur(
         "far beyond a dense 512-cube section"
     )
     return ExperimentReport(
-        name="schur",
-        params=_snapshot(params, alpha=alpha, scheme=scheme,
-                         sizes=list(sizes), draws=draws),
-        seed=seed,
-        records=records,
-        summary=summary,
-        passed=passed,
-        wall_time=time.perf_counter() - t0,
-        notes=notes,
-    )
+        "schur", _snapshot(params, alpha=alpha, scheme=scheme,
+                           sizes=list(sizes), draws=draws),
+        seed, records, summary, passed, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +543,7 @@ def sample_lemma32_configs(count: int = 120, seed: int = 5) -> list[Lemma32Confi
     return out[:count]
 
 
+@_driver
 def run_lemma32(
     params: Params,
     configs: Optional[Sequence[Lemma32Config]] = None,
@@ -551,7 +560,6 @@ def run_lemma32(
     configuration list, a non-dyadic I1, and params whose admissible band
     alpha <= n (lambda1 - 2)/2 excludes 0.5 are refused before quadrature.
     """
-    t0 = time.perf_counter()
     alpha = 0.5
     spec = QuadratureSpec()
     if configs is None:
@@ -563,7 +571,6 @@ def run_lemma32(
                          "weight")
     lam = params.weight_powers[0]
     factor = ConvolutionFactor(1, alpha, "size")
-    fine_spec = spec.refined()
 
     records = []
     for cfg in configs:
@@ -581,7 +588,7 @@ def run_lemma32(
         rhs = side / (ell2 + gap) ** (1.0 + alpha)
         lhs, lhs2 = (math.sqrt(response_gram(factor, target, cfg.x1, cfg.t1,
                                              lam, sp)[0, 0])
-                     / cfg.t1 ** alpha for sp in (spec, fine_spec))
+                     / cfg.t1 ** alpha for sp in (spec, spec.refined()))
         ratio, ratio2 = lhs / rhs, lhs2 / rhs
         drift = abs(ratio2 / ratio - 1.0) if ratio > 0 else 0.0
         records.append({
@@ -597,23 +604,15 @@ def run_lemma32(
         "configs": len(records),
         "max_ratio": worst_ratio,
         "max_refinement_drift": worst_drift,
-        "spec": _spec_snapshot(spec),
+        "spec": dataclasses.asdict(spec),
     }
     notes = (
         "position integral on the response-gram mesh, graded toward the "
         "interval edges and the weight peak and spanning 128 t1 around both; "
         "past it the compact response takes its far-field value 0"
     )
-    return ExperimentReport(
-        name="lemma32",
-        params=_snapshot(params, configs=len(records)),
-        seed=0,
-        records=tuple(records),
-        summary=summary,
-        passed=passed,
-        wall_time=time.perf_counter() - t0,
-        notes=notes,
-    )
+    return ExperimentReport("lemma32", _snapshot(params, configs=len(records)),
+                            0, records, summary, passed, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +634,7 @@ def _ladder_probe(grid: ShiftedGrid, base: DyadicCube,
     return cube, 0.5 * (lo + hi), 0.75 * cube.side
 
 
+@_driver
 def run_kdecay(
     params: Params,
     k_range: Sequence[int] = tuple(range(1, 15)),
@@ -663,7 +663,6 @@ def run_kdecay(
     times the slope at alpha/2 and the slope magnitudes grow strictly from
     alpha/4 to alpha/2 to alpha.
     """
-    t0 = time.perf_counter()
     alpha, beta, plateau_upto = 0.5, 0.5, 8
     spec = QuadratureSpec(t_min=2.0 ** -10, t_max=2.0 ** 4)
     grid = ShiftedGrid.standard(1, -10, 8)
@@ -701,17 +700,12 @@ def run_kdecay(
 
     k_slope = fit(k_vals)
     q_slope = fit(q_vals)
-    k_plateau = [min(k_vals[k] for k in plateau_ks),
-                 max(k_vals[k] for k in plateau_ks)]
-    q_plateau = [min(q_vals[k] for k in plateau_ks),
-                 max(q_vals[k] for k in plateau_ks)]
-
-    def in_band(rng_pair) -> bool:
-        return rng_pair[0] >= 0.1 and rng_pair[1] <= 10.0
+    k_plateau, q_plateau = ([min(v[k] for k in plateau_ks),
+                             max(v[k] for k in plateau_ks)] for v in (k_vals, q_vals))
 
     slopes_ok = (window[0] <= k_slope <= window[1]
                  and window[0] <= q_slope <= window[1])
-    plateaus_ok = in_band(k_plateau) and in_band(q_plateau)
+    plateaus_ok = all(lo >= 0.1 and hi <= 10.0 for lo, hi in (k_plateau, q_plateau))
 
     def side_ladder(a: float) -> dict:
         side_factor = ConvolutionFactor(1, a, "size")
@@ -753,22 +747,16 @@ def run_kdecay(
         "second-axis factor is constant across k"
     )
     return ExperimentReport(
-        name="kdecay",
-        params=_snapshot(params, alpha=alpha, beta=beta,
-                         base_level=base.level, ks=list(ks)),
-        seed=0,
-        records=tuple(records),
-        summary=summary,
-        passed=passed,
-        wall_time=time.perf_counter() - t0,
-        notes=notes,
-    )
+        "kdecay", _snapshot(params, alpha=alpha, beta=beta,
+                            base_level=base.level, ks=list(ks)),
+        0, records, summary, passed, notes)
 
 
 # ---------------------------------------------------------------------------
 # packing dichotomy
 
 
+@_driver
 def run_carleson(
     params: Params,
     omega_count: int = 4,
@@ -786,7 +774,6 @@ def run_carleson(
     that (a flip in either direction fails the experiment) and the size-only
     ratio on the unit square is within 5 % of its closed-form growth law.
     """
-    t0 = time.perf_counter()
     cap = 50.0
     size_only = make_size_only(params.n, params.m, 0.5, 0.5)
     kernels = (size_only,
@@ -796,11 +783,9 @@ def run_carleson(
                 for k in kernels}
 
     omegas = []
-    gps = []
     for i in range(omega_count):
         gp = (ShiftedGrid.random(1, -6, 10, seed, trial=2 * i),
               ShiftedGrid.random(1, -6, 10, seed, trial=2 * i + 1))
-        gps.append(gp)
         rng = np.random.default_rng((seed, i))
         omegas.append(random_open_set(gp, rng, n_rects=4, level_range=(0, 2)))
 
@@ -849,16 +834,9 @@ def run_carleson(
         "grows with depth squared and is expected to fail the cap"
     )
     return ExperimentReport(
-        name="carleson",
-        params=_snapshot(params, levels=levels, cap=cap,
-                         kernels=[k.label for k in kernels]),
-        seed=seed,
-        records=tuple(records),
-        summary=summary,
-        passed=passed,
-        wall_time=time.perf_counter() - t0,
-        notes=notes,
-    )
+        "carleson", _snapshot(params, levels=levels, cap=cap,
+                              kernels=[k.label for k in kernels]),
+        seed, records, summary, passed, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -887,6 +865,7 @@ def _psd_extremes(gram: np.ndarray, what: str) -> tuple[float, float]:
     return max(float(eig[0]), 0.0), float(eig[-1])
 
 
+@_driver
 def run_boundratio(
     params: Params,
     count: int = 8,
@@ -916,7 +895,6 @@ def run_boundratio(
     levels (repeats count once), or there is no increment to measure;
     fewer, or ``count < 1``, raise ``ValueError`` before any checker runs.
     """
-    t0 = time.perf_counter()
     kernel = make_cancellative(params.n, params.m, 0.5, 0.5)
     spec = QuadratureSpec()
     levels = sorted({int(l) for l in levels})
@@ -988,16 +966,9 @@ def run_boundratio(
                     for a, b, d in zip(levels, levels[1:], increments))
     )
     return ExperimentReport(
-        name="boundratio",
-        params=_snapshot(params, kernel=kernel.label, count=count,
-                         levels=list(levels)),
-        seed=seed,
-        records=tuple(records),
-        summary=summary,
-        passed=passed,
-        wall_time=time.perf_counter() - t0,
-        notes=notes,
-    )
+        "boundratio", _snapshot(params, kernel=kernel.label, count=count,
+                                levels=list(levels)),
+        seed, records, summary, passed, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -1060,6 +1031,7 @@ def _pair_tag(side1: float, side2: float, gap: float, r: int,
     return "adjacent"
 
 
+@_driver
 def run_cases(
     params: Params,
     grid_pair_seed: int = 13,
@@ -1083,17 +1055,15 @@ def run_cases(
     cover each pair exactly once, and nested pairs against a good region
     interval are genuine ancestors.
     """
-    t0 = time.perf_counter()
     kernel = make_size_only(params.n, params.m, 0.5, 0.5)
     spec = spec or QuadratureSpec(points_per_cell=3, t_points_per_octave=4)
     f = _white_noise(np.random.default_rng((grid_pair_seed, 0x99)), 2)
 
     g1 = ShiftedGrid.random(1, -13, 6, grid_pair_seed, trial=0)
     g2 = ShiftedGrid.random(1, -13, 6, grid_pair_seed, trial=1)
-    q1 = _containing_cube(g1, f, 0)
-    q2 = _containing_cube(g2, f, 1)
     # the domain cubes' corners are lattice points at the grids' finest level
-    expansion = expand(f, (q1, q2), g1.j_max)
+    expansion = expand(f, (_containing_cube(g1, f, 0), _containing_cube(g2, f, 1)),
+                       g1.j_max)
     members1, members2 = expansion.members(0), expansion.members(1)
     coeff = expansion.coefficients()
     keep1 = np.abs(coeff).sum(axis=1) > 0.0
@@ -1136,8 +1106,7 @@ def run_cases(
         lt = sides < w_side
         return {"lt": lt, "ge": ~lt}
 
-    piece_keys = [(\
-        a, b) for a in ("lt", "ge") for b in ("lt", "ge")]
+    piece_keys = [(a, b) for a in ("lt", "ge") for b in ("lt", "ge")]
     total_full = 0.0
     piece_totals = {k: 0.0 for k in piece_keys}
     identity_ok = True
@@ -1170,10 +1139,8 @@ def run_cases(
         for w2, m2 in grams2.items():
             masks2 = split_masks(sides2, w2.side)
             full = form(coeff, m1, m2)
-            pieces = {}
-            for a, b in piece_keys:
-                c = coeff * masks1[a][:, None] * masks2[b][None, :]
-                pieces[(a, b)] = form(c, m1, m2)
+            pieces = {(a, b): form(coeff * masks1[a][:, None] * masks2[b][None, :],
+                                   m1, m2) for a, b in piece_keys}
             total_full += full
             bound = 4.0 * sum(pieces.values())
             if full > bound + 1e-9 * max(1.0, abs(bound)):
@@ -1217,14 +1184,7 @@ def run_cases(
         "inequality is evaluated pairwise on shared quadrature nodes"
     )
     return ExperimentReport(
-        name="cases",
-        params=_snapshot(params, kernel=kernel.label,
-                         whitney_levels=list(whitney_levels), pad=pad,
-                         f_level=f.level),
-        seed=grid_pair_seed,
-        records=records,
-        summary=summary,
-        passed=passed,
-        wall_time=time.perf_counter() - t0,
-        notes=notes,
-    )
+        "cases", _snapshot(params, kernel=kernel.label,
+                           whitney_levels=list(whitney_levels), pad=pad,
+                           f_level=f.level),
+        grid_pair_seed, records, summary, passed, notes)

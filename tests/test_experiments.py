@@ -1,5 +1,7 @@
 """Driver smoke tests at the benchmark's tiny sizes."""
 
+import inspect
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from glstar import dyadic, experiments
+from glstar import carleson, core, dyadic, experiments, gstar
 from glstar.core import (
     QuadratureSpec,
     StepFunction,
@@ -35,15 +37,117 @@ from glstar.kernels import ConvolutionFactor, make_cancellative
 
 PARAMS = default_params()
 
+# the caches a driver may fill; a cold run and a warm rerun must agree
+CACHES = (gstar._axis_gram, carleson._axis_band, carleson._cij_scales,
+          core._rule01, dyadic._offset_cutoffs)
 
-def test_boundratio_smoke():
-    rep = run_boundratio(PARAMS, count=4, levels=(3, 4))
+
+def _finite(values):
+    return all(math.isfinite(v) and v > 0 for v in values)
+
+
+def _check_averaging(rep):
+    assert rep.summary["partition_worst_rel"] <= 1e-10
+    # pi at the trial grids' own depth lev - j_min, not at ``octaves``
+    levels = [int(lev) for lev in rep.summary["pi_exact"]]
+    j_min = min(levels) - PARAMS.r - (rep.params["octaves"] - 1)
+    gamma = Fraction(PARAMS.gamma_n).limit_denominator(1000)
+    assert rep.summary["pi_exact"] == {
+        str(lev): float(pi_good_exact(gamma, PARAMS.r, lev - j_min)) for lev in levels
+    }
+
+
+def _check_boundratio(rep):
     assert [r["level"] for r in rep.records] == [3, 4]
     for r in rep.records:
         assert 0 < r["min_ratio"] <= r["max_ratio"]
         assert 0 < r["random_max"] <= r["max_ratio"]
     assert rep.summary["homogeneity_dev"] <= 1e-12
     assert rep.passed
+
+
+def _check_carleson(rep):
+    # one record per kernel and open set, plus the unit square
+    assert len(rep.records) == 3 * 1 + 1
+    assert all(math.isfinite(r["ratio"]) and r["ratio"] >= 0
+               for r in rep.records)
+    assert rep.summary["pattern_ok"] and rep.passed
+
+
+def _check_cases(rep):
+    # r = 20 exceeds every depth of the (-13, 6) grids, so goodness is
+    # vacuous and every region interval is kept: this pins the expansion at
+    # the grids' finest level and the case split's mechanics, not goodness
+    assert rep.passed
+    assert rep.summary["identity_ok"] and rep.summary["counts_reconcile"]
+    assert rep.summary["good_regions"] == (8, 8)
+    assert rep.summary["tag_counts"] == {"separated": 3, "nested": 0,
+                                         "adjacent": 44}
+    assert rep.summary["norm_sq"] == pytest.approx(1.0, rel=1e-12)
+
+
+def _check_kdecay(rep):
+    assert [r["k"] for r in rep.records] == list(range(1, 11))
+    assert _finite([r["k_value"] for r in rep.records]
+                   + [r["q_value"] for r in rep.records])
+    assert rep.passed
+
+
+def _check_lemma32(rep):
+    assert len(rep.records) == 4 and rep.summary["configs"] == 4
+    assert _finite([r["ratio"] for r in rep.records]
+                   + [r["ratio_refined"] for r in rep.records])
+    assert rep.passed
+
+
+def _check_schur(rep):
+    norms = [rep.summary["norms"][str(s)] for s in (8, 16, 32)]
+    assert all(a <= b for a, b in zip(norms, norms[1:]))
+    assert rep.summary["singleton"] == 2 ** -1.5
+
+
+# every driver's quick settings: (params, keywords, the run's own checks)
+QUICK = {
+    "run_averaging": (PARAMS, {"trials": 10, "octaves": 1}, _check_averaging),
+    "run_boundratio": (PARAMS, {"count": 4, "levels": (3, 4)}, _check_boundratio),
+    "run_carleson": (PARAMS, {"omega_count": 1, "levels": 1}, _check_carleson),
+    "run_cases": (default_params(r=20),
+                  {"whitney_levels": (0, 1), "pad": 0.5,
+                   "spec": QuadratureSpec(points_per_cell=2, t_points_per_octave=2)},
+                  _check_cases),
+    "run_kdecay": (PARAMS, {"k_range": range(1, 11), "side_runs": False},
+                   _check_kdecay),
+    "run_lemma32": (PARAMS, {"configs": sample_lemma32_configs(count=4, seed=5)},
+                    _check_lemma32),
+    "run_schur": (PARAMS, {"collection_sizes": (8, 16, 32), "draws": 20},
+                  _check_schur),
+}
+
+
+def test_the_driver_table_is_every_driver():
+    # a new driver needs a quick row here, and its report a timing it does
+    # not take itself
+    drivers = experiments.DRIVERS
+    assert sorted(drivers) == sorted(n for n in experiments.__all__
+                                     if n.startswith("run_"))
+    assert sorted(QUICK) == sorted(drivers)
+    for name, run in drivers.items():
+        assert run is getattr(experiments, name)
+        assert "perf_counter" not in inspect.getsource(run.__wrapped__)
+
+
+@pytest.mark.parametrize("name", sorted(QUICK))
+def test_driver_smoke(name):
+    params, kwargs, check = QUICK[name]
+    run = experiments.DRIVERS[name]
+    for cache in CACHES:
+        cache.cache_clear()
+    rep = run(params, **kwargs)
+    assert rep.name == name.removeprefix("run_")
+    json.dumps(rep.to_dict())  # plain data: no serializer hook needed
+    assert rep.wall_time > 0
+    assert rep.to_dict() == run(params, **kwargs).to_dict()  # warm caches
+    check(rep)
 
 
 def test_boundratio_supremum_is_attained_by_the_top_eigenvectors():
@@ -100,19 +204,6 @@ def test_boundratio_refuses_one_level_sweeps(monkeypatch, levels):
     monkeypatch.setattr(experiments, "check_size", no_check)
     with pytest.raises(ValueError, match="two distinct levels"):
         run_boundratio(PARAMS, count=1, levels=levels)
-
-
-def test_averaging_smoke():
-    octaves = 1
-    rep = run_averaging(PARAMS, trials=10, octaves=octaves)
-    assert rep.summary["partition_worst_rel"] <= 1e-10
-    # pi at the trial grids' own depth lev - j_min, not at ``octaves``
-    levels = [int(lev) for lev in rep.summary["pi_exact"]]
-    j_min = min(levels) - PARAMS.r - (octaves - 1)
-    gamma = Fraction(PARAMS.gamma_n).limit_denominator(1000)
-    assert rep.summary["pi_exact"] == {
-        str(lev): float(pi_good_exact(gamma, PARAMS.r, lev - j_min)) for lev in levels
-    }
 
 
 def test_averaging_good_sums_use_the_exact_pi():
@@ -352,13 +443,6 @@ def test_schur_refuses_a_check_without_draws_before_building(monkeypatch, draws)
         run_schur(PARAMS, collection_sizes=(8, 16), draws=draws)
 
 
-def test_schur_smoke():
-    rep = run_schur(PARAMS, collection_sizes=(8, 16, 32), draws=20)
-    norms = [rep.summary["norms"][str(s)] for s in (8, 16, 32)]
-    assert all(a <= b for a, b in zip(norms, norms[1:]))
-    assert rep.summary["singleton"] == 2 ** -1.5
-
-
 def _bilinear_worst_per_draw(big, lam, seed, draws):
     # the quadratic-inequality check as one matrix-vector product per draw
     rng = np.random.default_rng((seed, 0xA1))
@@ -392,16 +476,18 @@ def test_schur_refuses_fewer_than_two_sizes_before_drawing(monkeypatch, sizes):
         run_schur(PARAMS, collection_sizes=sizes, draws=1)
 
 
-def _finite(values):
-    return all(math.isfinite(v) and v > 0 for v in values)
+def test_schur_refuses_more_cubes_than_the_draw_holds(monkeypatch):
+    # levels 0..8 with positions in [0, 4) hold 2,044 distinct cubes; the
+    # draw reaches every one of them, and a larger family would never end
+    cubes = experiments._draw_collection(2044, 23)
+    assert len({(c.level, c.index) for c in cubes}) == 2044
 
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a cube was drawn before the refusal")
 
-def test_lemma32_smoke():
-    rep = run_lemma32(PARAMS, configs=sample_lemma32_configs(count=4, seed=5))
-    assert len(rep.records) == 4 and rep.summary["configs"] == 4
-    assert _finite([r["ratio"] for r in rep.records]
-                   + [r["ratio_refined"] for r in rep.records])
-    assert rep.passed
+    monkeypatch.setattr(experiments, "_draw_collection", no_draw)
+    with pytest.raises(ValueError, match="at most 2044 distinct cubes"):
+        run_schur(PARAMS, collection_sizes=(8, 2045))
 
 
 def test_lemma32_refuses_an_empty_configuration_list():
@@ -465,14 +551,6 @@ def test_lemma32_matches_the_wide_mesh_oracle():
     assert worst <= 1e-3
 
 
-def test_kdecay_smoke():
-    rep = run_kdecay(PARAMS, k_range=range(1, 11), side_runs=False)
-    assert [r["k"] for r in rep.records] == list(range(1, 11))
-    assert _finite([r["k_value"] for r in rep.records]
-                   + [r["q_value"] for r in rep.records])
-    assert rep.passed
-
-
 def test_kdecay_peak_memory_is_bounded():
     # the ancestor pattern at k = 14 spans 1,024 cells but jumps at three
     # edges; its response sums by parts over the jumps, so no (u-nodes x
@@ -501,35 +579,12 @@ def test_kdecay_refuses_ladders_it_cannot_fit(monkeypatch):
             run_kdecay(PARAMS, k_range=ks, side_runs=False)
 
 
-def test_carleson_smoke():
-    rep = run_carleson(PARAMS, omega_count=1, levels=1)
-    # one record per kernel and open set, plus the unit square
-    assert len(rep.records) == 3 * 1 + 1
-    assert all(math.isfinite(r["ratio"]) and r["ratio"] >= 0
-               for r in rep.records)
-    assert rep.summary["pattern_ok"] and rep.passed
-
-
 def test_carleson_at_defaults():
     # three kernels over the default four open sets, plus the unit square
     rep = run_carleson(PARAMS)
     assert rep.passed and rep.summary["pattern_ok"]
     assert len(rep.records) == 3 * 4 + 1
     assert rep.summary["unit_square_law_rel_err"] < 0.05
-
-
-def test_cases_smoke():
-    # r = 20 exceeds every depth of the (-13, 6) grids, so goodness is
-    # vacuous and every region interval is kept: this pins the expansion at
-    # the grids' finest level and the case split's mechanics, not goodness
-    rep = run_cases(default_params(r=20), whitney_levels=(0, 1), pad=0.5,
-                    spec=QuadratureSpec(points_per_cell=2, t_points_per_octave=2))
-    assert rep.passed
-    assert rep.summary["identity_ok"] and rep.summary["counts_reconcile"]
-    assert rep.summary["good_regions"] == (8, 8)
-    assert rep.summary["tag_counts"] == {"separated": 3, "nested": 0,
-                                         "adjacent": 44}
-    assert rep.summary["norm_sq"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cases_skips_levels_with_no_cube_in_the_box():

@@ -4,8 +4,8 @@ Every global name a module reads exists; every name a module's __all__
 exports exists; every script pyproject.toml declares resolves; every name a
 module-level import binds is read; no module imports another module's
 private names; no module silences warnings; every function the package
-defines is reached from a driver, a module's top level or the benchmark, or
-is a named oracle."""
+defines is reached from a driver, a module's top level or the benchmark's
+workloads, or is a named oracle."""
 
 import ast
 import builtins
@@ -183,13 +183,14 @@ def _definitions():
 
 
 def test_every_function_is_reached_or_an_oracle():
-    # by name, transitively, from the drivers' bodies, every module's import-
-    # time code and every name or string in the benchmark; a function none of
-    # them names is code that nothing runs
+    # by name, transitively, from the driver table, every module's import-
+    # time code and every name or string in the benchmark's workloads; a
+    # function none of them names is code that nothing runs (the tracer's
+    # span lists name functions without calling them, so they root nothing)
     defs, reached_from = _definitions()
-    reached_from |= {n for n in experiments.__all__ if n.startswith("run_")}
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        reached_from |= set(_names(ast.walk(ast.parse(path.read_text())), strings=True))
+    reached_from |= set(experiments.DRIVERS)
+    workloads = (ROOT / "perfbench" / "workloads.py").read_text()
+    reached_from |= set(_names(ast.walk(ast.parse(workloads)), strings=True))
     reached_from |= {n for n in defs if n.startswith("__") and n.endswith("__")}
     reached, todo = set(), list(reached_from)
     while todo:
