@@ -38,9 +38,10 @@ __all__ = [
 
 # how far theta(1) may vary over sampled offsets before the factorized box
 # integral refuses (non-convolution kernels have no closed reduction); the
-# raw-quadrature path is noisy at ~1e-5 relative while genuine position
-# dependence shows up at O(defect), so 1e-3 separates the two cleanly
-_CONST_TOL = 1e-3
+# raw path sums a convolution kernel's mass on translates of one mesh, so
+# its three values agree to rounding, and any position dependence above
+# 1e-9 relative is refused
+_CONST_TOL = 1e-9
 
 # rectangle-sweep guards: per-axis raster cells for the shadow sweep, and
 # total enumerated rectangles for a packing sum
@@ -177,8 +178,8 @@ def _axis_band(factor, side: float, lam: float, spec: QuadratureSpec) -> float:
 def _theta_one_const(kernel, t1: float, t2: float,
                      spec: QuadratureSpec) -> float:
     """theta(1) at scale (t1, t2), asserting it is position independent."""
-    # double the per-cell resolution: the raw tail-window quadrature must sit
-    # well under the constancy tolerance, or noise masquerades as variation
+    # double the per-cell resolution for accuracy: at the default order the
+    # midpoint rule on the mass window reads c_ij 1.1e-2 low
     spec = replace(spec, points_per_cell=2 * spec.points_per_cell)
     one = StepFunction(level=0, lo=(0, 0), values=np.ones((1, 1)), tail=1.0)
     offsets = ((0.0, 0.0), (0.31 * t1, -0.47 * t2), (-1.3 * t1, 0.83 * t2))

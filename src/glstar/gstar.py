@@ -401,33 +401,31 @@ def _theta_points_general(kernel: Kernel, f: StepFunction, t1: float,
                           spec: QuadratureSpec) -> np.ndarray:
     """theta f at an (N, 2) array of points from raw kernel evaluations.
 
-    A compact f shares one z-mesh across all points; a constant tail forces
-    per-point graded windows sized by the declared decay, priced accordingly.
-    Either mesh is a tensor product z1 x z2 that :func:`_mesh_theta`
-    contracts in blocks of about _BLOCK kernel values: point chunks against
-    the whole mesh when it fits in a block, else one point against z1 row
-    chunks.  f's cells are looked up once per axis, never per mesh point."""
+    As the closed forms split it, theta f(p) = theta(f - tail)(p) + tail M(p)
+    with M(p) = iint K(p, z) dz.  The compact part shares one z-mesh across
+    all points; the mass takes one window per point, graded toward p alone
+    and sized by the declared decay, so every window is a translate of one
+    relative mesh.  :func:`_mesh_theta` contracts each tensor mesh z1 x z2
+    in blocks of about _BLOCK kernel values, looking f's cells up per axis."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    z1, w1 = _refined_axis_nodes(f, 0, t1, spec.points_per_cell, spec.rule)
+    z2, w2 = _refined_axis_nodes(f, 1, t2, spec.points_per_cell, spec.rule)
+    compact = StepFunction(f.level, f.lo, f.values - f.tail)
+    out = _mesh_theta(kernel, compact, t1, t2, pts, z1, w1, z2, w2)
     if f.tail == 0.0:
-        z1, w1 = _refined_axis_nodes(f, 0, t1, spec.points_per_cell, spec.rule)
-        z2, w2 = _refined_axis_nodes(f, 1, t2, spec.points_per_cell, spec.rule)
-        return _mesh_theta(kernel, f, t1, t2, pts, z1, w1, z2, w2)
-    out = np.empty(pts.shape[0])
+        return out
+    one = StepFunction(0, (0, 0), np.ones((1, 1)), tail=1.0)
+    # each ladder bottoms out at t/8, below the kernel ridge width t, or the
+    # whole window would be priced at the (huge) tail radius
+    radii = [(t * (2.0 / (a * _TRUNCATION_EPS)) ** (1.0 / a), t)
+             for t, a in ((t1, kernel.alpha), (t2, kernel.beta))]
     for i, p in enumerate(pts):
-        meshes = []
-        for axis, (t, a) in enumerate(((t1, kernel.alpha), (t2, kernel.beta))):
-            blo, bhi = f.box[axis]
-            rad = t * (2.0 / (a * _TRUNCATION_EPS)) ** (1.0 / a)
-            wlo = min(blo, p[axis] - rad)
-            whi = max(bhi, p[axis] + rad)
-            # the anchor ladders must bottom out below the kernel ridge width
-            # t, or the whole window is priced at the (huge) tail radius
-            fine = min(2.0 ** -20, 0.25 * t / (whi - wlo))
-            grid = graded_axis_edges(wlo, whi, (p[axis], blo, bhi),
-                                     rel_finest=fine)
-            meshes.append(segment_nodes(grid, spec.points_per_cell, spec.rule))
-        (z1, w1), (z2, w2) = meshes
-        out[i] = _mesh_theta(kernel, f, t1, t2, p[None, :], z1, w1, z2, w2)[0]
+        (m1, v1), (m2, v2) = (segment_nodes(
+            graded_axis_edges(c - r, c + r, (c,),
+                              rel_finest=min(2.0 ** -20, 0.125 * t / r)),
+            spec.points_per_cell, spec.rule) for c, (r, t) in zip(p, radii))
+        out[i] += f.tail * _mesh_theta(kernel, one, t1, t2, p[None, :],
+                                       m1, v1, m2, v2)[0]
     return out
 
 

@@ -94,8 +94,8 @@ def test_cij_opaque_quadrature_cross_check():
 
 
 def test_cij_opaque_kernel_calls_stay_in_blocks(monkeypatch):
-    # theta(1) on a non-tensor kernel takes per-point tail windows of millions
-    # of mesh points; the raw oracle must stream them through evaluate in
+    # theta(1) on a non-tensor kernel takes per-point mass windows of about
+    # 1.2 M mesh points; the raw oracle must stream them through evaluate in
     # blocks of at most _BLOCK values (or one z2 row, if that is longer)
     largest = {"points": 0, "z2": 0}
 
@@ -116,6 +116,36 @@ def test_cij_opaque_kernel_calls_stay_in_blocks(monkeypatch):
     spec = QuadratureSpec(t_points_per_octave=1)
     c_ij(opaque, g1.cube(2, (0,)), g2.cube(3, (0,)), PARAMS, spec)
     assert 0 < largest["points"] <= max(gstar._BLOCK, largest["z2"])
+
+
+def test_cij_opaque_theta_one_agrees_across_offsets(monkeypatch):
+    # the kernel mass is summed on translates of one mesh, so theta(1) of a
+    # convolution kernel reads the same at all three offsets up to rounding
+    vals, real = [], carleson.apply_theta
+
+    def spy(*args):
+        vals.append(real(*args))
+        return vals[-1]
+
+    monkeypatch.setattr(carleson, "apply_theta", spy)
+    opaque = replace(SIZE, tensor_parts=None)
+    carleson._theta_one_const(opaque, 0.3, 0.17, QuadratureSpec())
+    assert len(vals) == 3
+    assert max(vals) - min(vals) <= 1e-14 * max(vals)
+
+
+def test_cij_refuses_a_slight_position_dependence():
+    # theta(1) drifting by about 1e-6 relative over the offsets is no
+    # convolution kernel; the quadrature agrees far below that
+    def evaluate(t1, t2, x, y):
+        x = np.asarray(x)
+        return SIZE.evaluate(t1, t2, x, y) * (1.0 + 1e-5 * np.tanh(x[..., 0]))
+
+    drifting = replace(SIZE, evaluate=evaluate, tensor_parts=None)
+    g1, g2 = std_pair()
+    spec = QuadratureSpec(t_points_per_octave=1)
+    with pytest.raises(NotImplementedError, match="convolution"):
+        c_ij(drifting, g1.cube(2, (0,)), g2.cube(3, (0,)), PARAMS, spec)
 
 
 def test_cij_rejects_divergent_weight():

@@ -175,30 +175,78 @@ def test_blocked_mesh_theta_matches_the_whole_mesh_contraction(n1, n2, points):
 
 
 def test_blocked_mesh_theta_matches_on_a_tail_window(monkeypatch):
-    # a constant-tail f takes per-point graded windows; spy on the helper to
-    # get the window the point was given and redo it on the whole mesh
+    # a constant-tail f takes two contractions: its compact part f - tail on
+    # the shared mesh, then the kernel mass on the point's own window; spy on
+    # the helper to get both and redo the mass window on the whole mesh
     f = StepFunction(level=1, lo=(-1, 0), values=np.array([[1.0, -2.0],
                                                            [0.5, 3.0]]),
-                     tail=1.0)
+                     tail=1.5)
     # a looser cut keeps the tail window to a few blocks
     monkeypatch.setattr(gstar, "_TRUNCATION_EPS", 1e-4)
+    kernel, calls = recording(replace(SIZE, tensor_parts=None))
     seen = []
 
     def spy(*args):
+        first = len(calls)
         out = _mesh_theta(*args)
-        seen.append((args, out))
+        seen.append((args, out.copy(), calls[first:]))
         return out
 
     monkeypatch.setattr(gstar, "_mesh_theta", spy)
-    kernel, calls = recording(replace(SIZE, tensor_parts=None))
     val = apply_theta(kernel, f, (0.3, -0.2), 0.4, 0.6)
-    (args, out), = seen
-    _, _, t1, t2, pts, z1, w1, z2, w2 = args
+    (compact, c_out, _), (args, m_out, m_calls) = seen
+    cf = compact[1]
+    assert cf.tail == 0.0 and np.array_equal(cf.values, f.values - f.tail)
+    one, t1, t2, pts, z1, w1, z2, w2 = args[1:]
     assert z1.size * z2.size > _BLOCK  # the window spans several blocks
-    ref, kv_full = meshgrid_theta(SIZE, f, t1, t2, pts, z1, w1, z2, w2)
-    assert_blocks_match(calls, pts, z1, z2, kv_full)
-    assert val == out[0]
-    assert val == pytest.approx(ref[0], rel=1e-13, abs=0.0)
+    ref, kv_full = meshgrid_theta(SIZE, one, t1, t2, pts, z1, w1, z2, w2)
+    assert_blocks_match(m_calls, pts, z1, z2, kv_full)
+    assert val == c_out[0] + f.tail * m_out[0]
+    assert m_out[0] == pytest.approx(ref[0], rel=1e-13, abs=0.0)
+
+
+def tailed_cases(rng, count):
+    """``count`` tailed step functions of four shapes, each with a point near
+    its box and a scale pair."""
+    shapes = [(1, 1), (2, 2), (5, 3), (4, 4)]
+    for c in range(count):
+        f = StepFunction(int(rng.integers(0, 3)), rng.integers(-3, 3, size=2),
+                         rng.normal(size=shapes[c % 4]),
+                         tail=float(rng.normal()))
+        (a1, b1), (a2, b2) = f.box
+        y = (rng.uniform(a1 - 0.5, b1 + 0.5), rng.uniform(a2 - 0.5, b2 + 0.5))
+        t1, t2 = 2.0 ** rng.uniform(-3.0, 1.0, size=2)
+        yield f, y, t1, t2
+
+
+@pytest.mark.parametrize("kernel", [SIZE, CANC], ids=["size", "canc"])
+def test_raw_theta_of_a_tailed_function_matches_the_closed_form(kernel):
+    # the compact part plus tail times the kernel mass, each error against
+    # the closed form scaled by theta|f| under the size kernel
+    opaque = replace(kernel, tensor_parts=None)
+    errors = []
+    for f, y, t1, t2 in tailed_cases(np.random.default_rng(1), 12):
+        abs_f = StepFunction(f.level, f.lo, np.abs(f.values), tail=abs(f.tail))
+        scale = apply_theta(SIZE, abs_f, y, t1, t2)
+        raw = apply_theta(opaque, f, y, t1, t2)
+        errors.append(abs(raw - apply_theta(kernel, f, y, t1, t2)) / scale)
+    assert max(errors) <= 1e-2
+
+
+def test_raw_tail_window_is_anchored_at_the_point_alone(monkeypatch):
+    # the mass window is graded toward the point only: f's box ends are no
+    # kinks of the kernel mass, so they take no ladder
+    anchors = []
+
+    def spy(lo, hi, anchors_, rel_finest):
+        anchors.append(tuple(anchors_))
+        return graded_axis_edges(lo, hi, anchors_, rel_finest=rel_finest)
+
+    monkeypatch.setattr(gstar, "graded_axis_edges", spy)
+    f = StepFunction(level=1, lo=(-1, 0), values=np.ones((2, 3)), tail=-0.5)
+    pts = np.array([[0.3, -0.2], [2.5, 1.25]])
+    gstar._theta_points_general(OPAQUE, f, 0.4, 0.6, pts, QuadratureSpec())
+    assert anchors == [(0.3,), (-0.2,), (2.5,), (1.25,)]
 
 
 def axis_probes(lo, cells, h, extra):
