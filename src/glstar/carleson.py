@@ -68,7 +68,10 @@ class DyadicOpenSet:
     requirement for packing sums holds by construction.  The measure and the
     pixel raster (finest member level per axis, on the shifted lattice) are
     computed once; rasters make both the union measure and the containment
-    test of candidate rectangles exact integer arithmetic.
+    test of candidate rectangles exact integer arithmetic.  The set keeps
+    each level pair's containment (:meth:`_containment`) from the first
+    packing sum that asks for it, so sums under other kernels or at another
+    depth enumerate no level pair again.
     """
 
     rects: tuple[tuple[DyadicCube, DyadicCube], ...]
@@ -108,6 +111,22 @@ class DyadicOpenSet:
         object.__setattr__(self, "_bitmap", bitmap)
         object.__setattr__(self, "measure",
                            math.ldexp(int(bitmap.sum()), -(lv1 + lv2)))
+        object.__setattr__(self, "_blocks", {})
+
+    @functools.cached_property
+    def _prefix(self) -> np.ndarray:
+        return _prefix_counts(self._bitmap)
+
+    def _containment(self, l1: int, l2: int) -> tuple[int, int, np.ndarray, int]:
+        """The level-(l1, l2) grid rectangles inside the set: the lattice
+        index of the first candidate cube per axis, the read-only
+        containment mask over the candidates and its count of true entries.
+        Counted on the raster the first time a level pair is asked for, and
+        kept."""
+        block = self._blocks.get((l1, l2))
+        if block is None:
+            block = self._blocks[(l1, l2)] = _containment_block(self, l1, l2)
+        return block
 
     @property
     def grids(self) -> tuple[ShiftedGrid, ShiftedGrid]:
@@ -335,6 +354,23 @@ def _axis_candidates(grid: ShiftedGrid, raster_level: int, lo_cell: int,
     return k, (k - first) >> e, 1
 
 
+def _containment_block(omega: DyadicOpenSet, l1: int, l2: int):
+    """`DyadicOpenSet._containment`, counted: a candidate rectangle is inside
+    when the prefix counts of the raster find all its pixels set."""
+    (g1, g2), (base1, base2) = omega.grids, omega._levels
+    n1, n2 = omega._bitmap.shape
+    k1, p1, w1 = _axis_candidates(g1, base1, omega._lo[0], n1, l1)
+    k2, p2, w2 = _axis_candidates(g2, base2, omega._lo[1], n2, l2)
+    if k1.size == 0 or k2.size == 0:
+        return 0, 0, np.zeros((k1.size, k2.size), dtype=bool), 0
+    pref = omega._prefix
+    hi1, lo1 = pref[p1 + w1], pref[p1]
+    sums = hi1[:, p2 + w2] - lo1[:, p2 + w2] - hi1[:, p2] + lo1[:, p2]
+    ok = sums == w1 * w2
+    ok.setflags(write=False)
+    return int(k1[0]), int(k2[0]), ok, int(ok.sum())
+
+
 def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
                  cap: float = math.inf) -> CarlesonReport:
     """Sum of box quantities over every grid rectangle inside the set, each
@@ -347,7 +383,10 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
 
     No rectangle is built while summing: the report's ``rect_values`` is a
     read-only view kept per level pair (containment mask, lattice offsets,
-    box value), and iterating it builds the cubes on demand.
+    box value), and iterating it builds the cubes on demand.  The masks are
+    the set's own, counted by the first sum that asks for a level pair and
+    shared by every later sum on the set; the sum itself, and the
+    ``_MAX_RECTS`` guard on its rectangle count, run per call.
     """
     if levels < 1:
         raise ValueError("need levels >= 1")
@@ -356,28 +395,16 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
     fine1, fine2 = base1 + levels, base2 + levels
     if fine1 > g1.j_max or fine2 > g2.j_max:
         raise ValueError("enumeration depth exceeds the grid truncation")
-    bitmap = omega._bitmap
-    n1, n2 = bitmap.shape
-    pref = _prefix_counts(bitmap)
+    n1, n2 = omega._bitmap.shape
     coarse1 = max(g1.j_min, base1 - (n1.bit_length() - 1))
     coarse2 = max(g2.j_min, base2 - (n2.bit_length() - 1))
-
-    axis2 = [(l2, *_axis_candidates(g2, base2, omega._lo[1], n2, l2))
-             for l2 in range(coarse2, fine2 + 1)]
-    axis2 = [c for c in axis2 if c[1].size]
     blocks: dict = {}
     n_rects = 0
     total = 0.0
     shell = 0.0
     for l1 in range(coarse1, fine1 + 1):
-        k1, p1, w1 = _axis_candidates(g1, base1, omega._lo[0], n1, l1)
-        if k1.size == 0:
-            continue
-        hi1, lo1 = pref[p1 + w1], pref[p1]
-        for l2, k2, p2, w2 in axis2:
-            sums = hi1[:, p2 + w2] - lo1[:, p2 + w2] - hi1[:, p2] + lo1[:, p2]
-            ok = sums == w1 * w2
-            count = int(ok.sum())
+        for l2 in range(coarse2, fine2 + 1):
+            k1, k2, ok, count = omega._containment(l1, l2)
             if count == 0:
                 continue
             n_rects += count
@@ -387,8 +414,7 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
                     "reduce the level depth")
             value = _cij_scales(kernel, 2.0 ** -l1, 2.0 ** -l2,
                                 *params.weight_powers, QuadratureSpec())
-            ok.setflags(write=False)
-            blocks[(l1, l2)] = _Block(int(k1[0]), int(k2[0]), ok, value, count)
+            blocks[(l1, l2)] = _Block(k1, k2, ok, value, count)
             total += count * value
             if l1 == fine1 or l2 == fine2:
                 shell += count * value

@@ -13,13 +13,14 @@ that live here:
   test functions, Haar functions, indicators of open sets, and the modified
   ancestor patterns (which are constant but nonzero far away, hence the tail).
 * node builders, not integrators -- graded segment meshes for space axes
-  (``graded_axis_edges`` plus ``segment_nodes``) and log-uniform per-octave
-  rules for scale axes (``octave_blocks`` and ``octave_nodes``).  Callers
-  evaluate their own integrands on these nodes and contract them against the
-  weights.  Scale measures downstream are all of the form dt/t, which a
-  log-space midpoint rule integrates exactly for 1/t integrands; space
-  integrands are either step functions (midpoint-exact) or kernels peaked at
-  known points (handled by grading the mesh geometrically toward the peaks).
+  (``graded_axis_edges`` plus ``segment_nodes``, or ``graded_meshes`` for
+  many intervals in one batch) and log-uniform per-octave rules for scale
+  axes (``octave_blocks`` and ``octave_nodes``).  Callers evaluate their own
+  integrands on these nodes and contract them against the weights.  Scale
+  measures downstream are all of the form dt/t, which a log-space midpoint
+  rule integrates exactly for 1/t integrands; space integrands are either
+  step functions (midpoint-exact) or kernels peaked at known points (handled
+  by grading the mesh geometrically toward the peaks).
   This module is the only place that splits a scale axis at powers of two.
 
 All values are immutable after construction and all routines are pure, so
@@ -42,6 +43,7 @@ __all__ = [
     "StepFunction",
     "default_params",
     "graded_axis_edges",
+    "graded_meshes",
     "octave_blocks",
     "octave_nodes",
     "segment_nodes",
@@ -186,6 +188,43 @@ class QuadratureSpec:
 _REL_FINEST = 2.0 ** -48  # finest ladder step relative to the span being graded
 
 
+def _graded_edge_rows(lo, hi, anchors: Sequence[float], rel_finest: float,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`graded_axis_edges` on many intervals [lo_i, hi_i] sharing one
+    anchor list, in one batch: an (n, max(counts)) array whose row i starts
+    with that interval's counts[i] edges, bit for bit, and repeats hi_i
+    after them, and the counts.  Padding with hi_i makes the rows zero-width
+    segments past their own end, so :func:`segment_nodes` reads them whole."""
+    lo = np.asarray(lo, dtype=float).reshape(-1, 1)
+    hi = np.asarray(hi, dtype=float).reshape(-1, 1)
+    if not (hi > lo).all():
+        raise ValueError("empty axis interval")
+    a = np.asarray(anchors, dtype=float).reshape(-1, 1)
+    # step i of an anchor's ladder is h0 2^i, exactly h0 doubled i times; a
+    # step of at least dmax = max(hi - a, a - lo) > 0 puts no edge inside
+    # (lo, hi), so the ladder may run past dmax, and it runs to about 2 dmax.
+    # A step of 0 first puts a - 0 = a itself on the lower ladder.
+    doublings = 2.0 ** np.arange(-1, math.ceil(math.log2(2.0 / rel_finest)))
+    doublings[0] = 0.0
+    steps = (np.maximum(hi - a.T, a.T - lo) * rel_finest)[..., None] * doublings
+    ladders = np.concatenate(((a - steps).reshape(lo.size, -1),
+                              (a + steps[..., 1:]).reshape(lo.size, -1)),
+                             axis=1)
+    # sorted and deduplicated as np.unique would (which on first use imports
+    # numpy.ma, over 1 MB resident, for nothing needed here): the clipped
+    # candidates and the repeats become inf, and a second sort moves them
+    # behind each row's edges
+    edges = np.concatenate(
+        (lo, hi, np.where((lo < ladders) & (ladders < hi), ladders, np.inf)),
+        axis=1)
+    edges.sort(axis=1)
+    edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.inf
+    edges.sort(axis=1)
+    counts = (edges < np.inf).sum(axis=1)
+    edges = edges[:, :counts.max()]
+    return np.minimum(edges, hi, out=edges), counts
+
+
 def graded_axis_edges(
     lo: float,
     hi: float,
@@ -199,28 +238,11 @@ def graded_axis_edges(
     distance to a.  Anchors may lie outside [lo, hi]; the clipped ladder then
     starts at the gap scale automatically.  Anchors inside the interval become
     edges themselves, which is what makes integrands with jumps at the anchors
-    exactly resolvable by the midpoint rule.
+    exactly resolvable by the midpoint rule.  One row of
+    :func:`_graded_edge_rows`.
     """
-    if not hi > lo:
-        raise ValueError("empty axis interval")
-    lo, hi = float(lo), float(hi)
-    # step i of an anchor's ladder is h0 2^i, exactly h0 doubled i times; a
-    # step of at least dmax puts no edge inside (lo, hi), so the ladder may
-    # run past dmax, and it runs to about 2 dmax
-    doublings = 2.0 ** np.arange(math.ceil(math.log2(2.0 / rel_finest)))
-    parts = [np.array([lo, hi])]
-    for a in anchors:
-        a = float(a)
-        dmax = max(hi - a, a - lo)
-        if dmax <= 0:
-            continue
-        h = dmax * rel_finest * doublings
-        x = np.concatenate((a - h, a + h, [a]))
-        parts.append(x[(lo < x) & (x < hi)])
-    # sorted and deduplicated as np.unique would, which on first use
-    # imports numpy.ma (over 1 MB resident) for nothing needed here
-    edges = np.sort(np.concatenate(parts))
-    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+    edges, (count,) = _graded_edge_rows(lo, hi, anchors, rel_finest)
+    return edges[0, :count]
 
 
 @functools.lru_cache(maxsize=64)
@@ -244,13 +266,33 @@ def segment_nodes(
     edges: np.ndarray, p: int, rule: str = "midpoint"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Composite rule over the segments delimited by ``edges``: flat arrays of
-    nodes and matching weights for a plain Lebesgue integral along the axis."""
+    nodes and matching weights for a plain Lebesgue integral along the axis.
+    An (n, k) array of edges is n axes, one per row: the nodes and weights
+    come back as (n, (k - 1) p) arrays, row by row the 1-d result."""
     edges = np.asarray(edges, dtype=float)
     widths = np.diff(edges)
     base, bw = _rule01(p, rule)
-    nodes = edges[:-1, None] + widths[:, None] * base[None, :]
-    weights = widths[:, None] * bw[None, :]
-    return nodes.ravel(), weights.ravel()
+    nodes = edges[..., :-1, None] + widths[..., None] * base
+    weights = widths[..., None] * bw
+    shape = edges.shape[:-1] + (-1,)
+    return nodes.reshape(shape), weights.reshape(shape)
+
+
+def graded_meshes(
+    lo,
+    hi,
+    anchors: Sequence[float],
+    p: int,
+    rule: str = "midpoint",
+    rel_finest: float = _REL_FINEST,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``segment_nodes(graded_axis_edges(lo_i, hi_i, anchors, rel_finest),
+    p, rule)`` for every interval [lo_i, hi_i] in one batch, bit for bit:
+    nodes and weights as (n, width) arrays, row i's mesh in its first
+    sizes[i] entries (zero weights at hi_i after them), and the sizes."""
+    edges, counts = _graded_edge_rows(lo, hi, anchors, rel_finest)
+    nodes, weights = segment_nodes(edges, p, rule)
+    return nodes, weights, (counts - 1) * p
 
 
 def octave_blocks(

@@ -64,6 +64,7 @@ from .core import (
     QuadratureSpec,
     StepFunction,
     graded_axis_edges,
+    graded_meshes,
     octave_blocks,
     octave_nodes,
     segment_nodes,
@@ -157,20 +158,28 @@ def _axis_edges(f: StepFunction, axis: int = 0) -> np.ndarray:
     return f.lo[axis] * h + h * np.arange(f.shape[axis] + 1)
 
 
+def _offset_span(box: tuple[float, float], t, anchors: Sequence[float],
+                 pad_units: float = _PAD_UNITS):
+    """Ends (lo, hi) of the offset-variable (u = x - y) mesh at the scale t,
+    a float or an array of them: the zone where theta still differs
+    appreciably from its far-field constant, and pad_units * t around every
+    anchor."""
+    blo, bhi = box
+    pad = pad_units * t + (bhi - blo)
+    return (np.minimum(blo - pad, min(anchors) - pad_units * t),
+            np.maximum(bhi + pad, max(anchors) + pad_units * t))
+
+
 def _offset_mesh(box: tuple[float, float], t: float, spec: QuadratureSpec,
                  anchors: Sequence[float], pad_units: float = _PAD_UNITS,
                  rel: float = _MESH_REL,
                  ) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Offset-variable (u = x - y) mesh covering the zone where theta still
-    differs appreciably from its far-field constant and pad_units * t around
-    every anchor.  Returns nodes, weights and the two mesh edges."""
-    blo, bhi = box
-    pad = pad_units * t + (bhi - blo)
-    lo = min(blo - pad, min(anchors) - pad_units * t)
-    hi = max(bhi + pad, max(anchors) + pad_units * t)
+    """Offset-variable mesh over :func:`_offset_span`, graded toward every
+    anchor.  Returns nodes, weights and the two mesh edges."""
+    lo, hi = _offset_span(box, t, anchors, pad_units)
     grid = graded_axis_edges(lo, hi, anchors, rel_finest=rel)
     u, du = segment_nodes(grid, spec.points_per_cell, spec.rule)
-    return u, du, lo, hi
+    return u, du, float(lo), float(hi)
 
 
 def _position_weight(t: float, lam: float, at, u: np.ndarray) -> np.ndarray:
@@ -782,26 +791,29 @@ def _axis_gram(factor: ConvolutionFactor, level: int, n_cells: int,
     [-k h, (1 - k) h], so one shared-end cell integral over the edges h,
     0, ..., (1 - n) h, right to left, gives every lag in order.
 
-    The (u-nodes x edges) arrays are made once per gram, sized for the
-    largest of its scale nodes' meshes, and every node writes its offsets,
-    odd antiderivatives, differences and / h into their leading rows: no
-    array of that size is allocated per node.  Cached; callers share the
-    array, so it is read-only."""
+    Every scale node's u-mesh, the :func:`_offset_mesh` of the unit cell,
+    comes from one :func:`glstar.core.graded_meshes` batch.  The (u-nodes x
+    edges) arrays are made once per gram, sized for the largest mesh, and
+    every node writes its offsets, odd antiderivatives and differences into
+    their leading rows: no array of that size is allocated per node.  The
+    cell measure h is a power of two, so dividing the autocorrelation by
+    h^2 once is exactly dividing each response by h.  Cached; callers share
+    the array, so it is read-only."""
     h = 2.0 ** -level
     edges = h * np.arange(1, -n_cells, -1)
     row = np.zeros(n_cells)
     tn, tw = octave_nodes(*t_range, spec.t_points_per_octave, spec.rule)
-    meshes = [_offset_mesh((0.0, h), t, spec, (0.0, h))[:2] for t in tn]
-    size = max(u.size for u, _ in meshes)
+    us, dus, sizes = graded_meshes(*_offset_span((0.0, h), tn, (0.0, h)),
+                                   (0.0, h), spec.points_per_cell, spec.rule,
+                                   rel_finest=_MESH_REL)
+    size = sizes.max()
     offsets, odd, scratch = np.empty((3, size, n_cells + 1))
     cells = np.empty((size, n_cells))
-    for t, w, (u, du) in zip(tn, tw, meshes):
-        m = u.size
-        s = np.subtract(u[:, None], edges, out=offsets[:m])
+    for t, w, u, du, m in zip(tn, tw, us, dus, sizes.tolist()):
+        s = np.subtract(u[:m, None], edges, out=offsets[:m])
         a = factor.antiderivative_into(t, s, odd[:m], scratch[:m])
         psi = np.subtract(a[:, 1:], a[:, :-1], out=cells[:m])
-        psi /= h
-        auto = (psi[:, 0] * du) @ psi
+        auto = (psi[:, 0] * du[:m]) @ psi / (h * h)
         row += auto * weight_total(t, lam) / t ** 2 * w
     idx = np.abs(np.arange(n_cells)[:, None] - np.arange(n_cells)[None, :])
     gram = row[idx]

@@ -35,6 +35,13 @@ __all__ = [
 ]
 
 
+# Most cells a domain may hold at the expansion level: the padded table
+# goes through Python integers, about 70 bytes a cell in the transforms
+# (36 MB traced at 2^19 cells), so a larger domain is refused before any
+# of it is allocated.
+_MAX_CELLS = 2 ** 19
+
+
 @dataclass(frozen=True)
 class HaarIndex:
     """A Haar system member: carrier cube plus per-axis signature."""
@@ -176,7 +183,9 @@ def expand(f: StepFunction, domain: tuple[DyadicCube, DyadicCube], level: int) -
     """Exact Haar coefficients of a level-<=``level`` step function on Q1 x Q2.
 
     The error "support leakage outside domain" fires when f is nonzero off the
-    domain box -- the finite system cannot represent that part.
+    domain box -- the finite system cannot represent that part.  A domain of
+    more than ``_MAX_CELLS`` level-``level`` cells is refused before any
+    table is built.
     """
     q1, q2 = domain
     _check_domain_cube(q1), _check_domain_cube(q2)
@@ -186,12 +195,16 @@ def expand(f: StepFunction, domain: tuple[DyadicCube, DyadicCube], level: int) -
         raise ValueError("support leakage outside domain: nonzero tail")
     if f.level > level:
         raise ValueError("function is finer than the expansion level")
-    fr = f.refined(level)
-    lo1, = q1.lattice_corner(level)
-    lo2, = q2.lattice_corner(level)
     # cells per domain side; 0 when the level is coarser than the cube
     n1 = int(2 ** (level - q1.level))
     n2 = int(2 ** (level - q2.level))
+    if n1 * n2 > _MAX_CELLS:
+        raise ValueError(
+            f"the domain holds {n1 * n2} cells at level {level}, above the "
+            f"_MAX_CELLS guard of {_MAX_CELLS}; pick a smaller domain")
+    fr = f.refined(level)
+    lo1, = q1.lattice_corner(level)
+    lo2, = q2.lattice_corner(level)
     inside = (lo1 <= fr.lo[0] and fr.lo[0] + fr.shape[0] <= lo1 + n1
               and lo2 <= fr.lo[1] and fr.lo[1] + fr.shape[1] <= lo2 + n2)
     if not inside:

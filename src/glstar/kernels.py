@@ -64,7 +64,9 @@ class ConvolutionFactor:
     Both are evaluated with one power: with v = t + s and q = t / v, size is
     scale * q^a / v^dim and cancellative is scale * q^a / v^dim *
     (a - (dim + a) q).
-    Cell integrals are exact: one closed-form antiderivative (dim 1) per edge.
+    Cell integrals are exact: one closed-form antiderivative (dim 1) per edge,
+    also with one power; the cancellative one is formed without
+    cancellation (see `antiderivative`).
     ``scale`` multiplies the whole profile (amplitude homogeneity tests).
     """
 
@@ -141,8 +143,12 @@ class ConvolutionFactor:
     def antiderivative(self, t, s):
         """A(s) = integral of the profile over [0, s], dim 1 only, odd in s:
         with q = t/(t+|s|), sign(s) scale (1 - q^a) / a (size) or sign(s)
-        scale (q^(1+a) - q^a).  A 0-d input runs through the array loop, as
-        in `profile`."""
+        scale (q^(1+a) - q^a) (cancellative).  The cancellative one is
+        evaluated as -sign(s) scale q^a |s|/(t+|s|) = -scale q^a s/(t+|s|),
+        one power and no difference of nearly equal terms, so it keeps its
+        relative accuracy as s -> 0; the size one still subtracts q^a from
+        1 there.  A 0-d input runs through the array loop, as in
+        `profile`."""
         shape = np.broadcast_shapes(np.shape(t), np.shape(s))
         out = self.antiderivative_into(t, s, np.empty(shape or (1,)),
                                        np.empty(shape or (1,)))
@@ -158,21 +164,28 @@ class ConvolutionFactor:
         if self.dim != 1:
             raise NotImplementedError("closed-form antiderivative is 1d only")
         a = self.exponent
-        q = np.abs(s, out=out)
-        np.add(t, q, out=q)
-        np.divide(t, q, out=q)
         if self.flavor == "size":
+            q = np.abs(s, out=out)
+            np.add(t, q, out=q)
+            np.divide(t, q, out=q)
             q **= a
             np.subtract(1.0, q, out=q)
-            q *= self.scale
+            if self.scale != 1.0:
+                q *= self.scale
             q /= a
-        else:
-            high = np.power(q, 1.0 + a, out=scratch)
-            q **= a
-            np.subtract(high, q, out=q)
-            q *= self.scale
-        q *= np.sign(s, out=scratch)
-        return q
+            q *= np.sign(s, out=scratch)
+            return q
+        # sign(s) scale q^a (q - 1) with sign(s) (q - 1) = -s / (t + |s|),
+        # formed as that quotient: no difference of nearly equal terms as
+        # s -> 0, and no separate sign pass
+        v = np.abs(s, out=scratch)
+        np.add(t, v, out=v)
+        np.divide(s, v, out=out)
+        q = np.divide(t, v, out=v)
+        q **= a
+        out *= q
+        out *= -self.scale
+        return out
 
     def cell_integral(self, t, x, edges):
         """Exact integrals of profile(|x - z|) over the cells z in [e_i,

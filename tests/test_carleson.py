@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glstar import carleson, gstar
+from glstar import carleson, experiments, gstar
 from glstar.core import QuadratureSpec, default_params
 from glstar.carleson import (
     CarlesonReport,
@@ -363,6 +363,66 @@ def test_carleson_sum_builds_no_cubes(monkeypatch):
     rep = carleson_sum(SIZE, omega, 3, PARAMS)
     assert calls == []
     assert len(rep.rect_values) == 2945
+
+
+def seeded_open_set(seed):
+    """run_carleson's open set number ``seed`` at seed 11, built fresh."""
+    gp = (ShiftedGrid.random(1, -6, 10, 11, trial=2 * seed),
+          ShiftedGrid.random(1, -6, 10, 11, trial=2 * seed + 1))
+    return random_open_set(gp, np.random.default_rng((11, seed)), n_rects=4,
+                           level_range=(0, 2))
+
+
+def test_run_carleson_counts_each_level_pair_once(monkeypatch):
+    # three kernels, each summed at two depths, share every open set's
+    # containment masks: each (set, level pair) is counted on the raster
+    # once, however many sums ask for it
+    counted, sums = [], []
+    block = carleson._containment_block
+    summed = carleson.carleson_sum
+
+    def count(omega, l1, l2):
+        counted.append((omega, l1, l2))
+        return block(omega, l1, l2)
+
+    def total(kernel, omega, *args, **kwargs):
+        sums.append(omega)
+        return summed(kernel, omega, *args, **kwargs)
+
+    monkeypatch.setattr(carleson, "_containment_block", count)
+    monkeypatch.setattr(carleson, "carleson_sum", total)
+    monkeypatch.setattr(experiments, "carleson_sum", total)
+    run_carleson(PARAMS)
+    keys = [(id(om), l1, l2) for om, l1, l2 in counted]
+    assert len(keys) == len(set(keys)) > 0
+    # 4 sets x 3 kernels x 2 depths, and the unit square once
+    assert len(sums) == 25
+    assert {id(om) for om, _, _ in counted} == {id(om) for om in sums}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_warm_set_sums_as_a_fresh_one(monkeypatch, seed):
+    # sums on a set whose masks were kept by earlier sums (another kernel,
+    # a deeper and a shallower depth) read bit for bit as on a fresh set
+    warm = seeded_open_set(seed)
+    for kernel, levels in ((CANC, 3), (SIZE, 1)):
+        carleson_sum(kernel, warm, levels, PARAMS)
+    for levels in (2, 3):
+        got = carleson_sum(SIZE, warm, levels, PARAMS)
+        want = carleson_sum(SIZE, seeded_open_set(seed), levels, PARAMS)
+        for name in ("total", "last_level_total", "ratio"):
+            a, b = np.float64(getattr(got, name)), np.float64(getattr(want, name))
+            assert a.view(np.int64) == b.view(np.int64)
+        assert ([(i.level, i.index, j.level, j.index) for i, j in got.rect_values]
+                == [(i.level, i.index, j.level, j.index)
+                    for i, j in want.rect_values])
+        assert np.array_equal(got.rect_values.values().view(np.int64),
+                              want.rect_values.values().view(np.int64))
+    # the rectangle guard still counts each sum's rectangles on its own
+    monkeypatch.setattr(carleson, "_MAX_RECTS", len(got.rect_values) - 1)
+    with pytest.raises(ValueError, match="size guard"):
+        carleson_sum(SIZE, warm, 3, PARAMS)
+    carleson_sum(SIZE, warm, 2, PARAMS)
 
 
 def test_packing_monotone_in_depth():

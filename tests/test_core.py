@@ -13,6 +13,7 @@ from glstar.core import (
     StepFunction,
     default_params,
     graded_axis_edges,
+    graded_meshes,
     octave_blocks,
     octave_nodes,
     segment_nodes,
@@ -258,6 +259,26 @@ def test_graded_edges_are_the_set_loop_bit_for_bit():
             got = graded_axis_edges(lo, hi, anchors, rel_finest=rel)
             want = _graded_edges_set_loop(lo, hi, anchors, rel)
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rule", ["midpoint", "gauss"])
+def test_graded_meshes_are_the_per_interval_meshes_bit_for_bit(rule):
+    # one batch over many intervals sharing anchors, row by row the mesh of
+    # graded_axis_edges plus segment_nodes on its own interval, with
+    # zero-weight padding past each row's size
+    rng = np.random.default_rng(7)
+    for rel in (2.0 ** -20, 3.1e-7):
+        lo = rng.uniform(-5.0, 1.0, 40)
+        hi = lo + rng.uniform(1e-3, 8.0, 40)
+        anchors = [0.0, 0.125, float(rng.uniform(-2.0, 2.0)), float(hi[3])]
+        nodes, weights, sizes = graded_meshes(lo, hi, anchors, 3, rule, rel)
+        assert nodes.shape == weights.shape == (40, sizes.max())
+        assert np.unique(sizes).size > 1
+        for a, b, u, du, m in zip(lo, hi, nodes, weights, sizes):
+            want = segment_nodes(graded_axis_edges(a, b, anchors, rel), 3, rule)
+            assert u[:m].tobytes() == want[0].tobytes()
+            assert du[:m].tobytes() == want[1].tobytes()
+            assert np.all(du[m:] == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -551,18 +551,42 @@ def test_lemma32_matches_the_wide_mesh_oracle():
     assert worst <= 1e-3
 
 
+def traced_peak(run):
+    """The tracemalloc peak of ``run()``, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_kdecay_peak_memory_is_bounded():
     # the ancestor pattern at k = 14 spans 1,024 cells but jumps at three
     # edges; its response sums by parts over the jumps, so no (u-nodes x
     # cells) matrix is made and the traced peak stays under 2 MB
     run_kdecay(default_params())
-    tracemalloc.start()
-    try:
-        run_kdecay(default_params())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
+    assert traced_peak(lambda: run_kdecay(default_params())) < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("run, budget_mb", [(run_carleson, 2.0),
+                                            (run_boundratio, 3.0)])
+def test_driver_peak_memory_is_within_its_budget(run, budget_mb):
+    # cold, so the peak holds the axis grams' mesh batches and every open
+    # set's kept containment masks: 1.2 and 2.4 MB at their defaults
+    for cache in CACHES:
+        cache.cache_clear()
+    assert traced_peak(lambda: run(default_params())) < budget_mb * 2 ** 20
+
+
+def test_cases_refuses_a_domain_above_the_cell_guard():
+    # at grid seed 8 the domain cube containing f spans 512 x 262,144 cells
+    # at the expansion level; expand refuses it before building its table
+    def refused():
+        with pytest.raises(ValueError, match="_MAX_CELLS"):
+            run_cases(default_params(), grid_pair_seed=8)
+
+    assert traced_peak(refused) < 64 * 2 ** 20
 
 
 def test_kdecay_refuses_ladders_it_cannot_fit(monkeypatch):

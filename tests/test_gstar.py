@@ -426,7 +426,7 @@ def test_cell_work_is_one_antiderivative_per_edge(monkeypatch):
     # response gram sums by parts, so it costs one per u-node and edge where
     # some row's value jumps (zero past both ends).  The spy sits on the one
     # routine every antiderivative goes through, spying the u-mesh each
-    # caller builds
+    # caller builds: an axis gram's one batch of meshes, one per scale node
     sizes, meshes = [], []
     original = ConvolutionFactor.antiderivative_into
 
@@ -435,14 +435,14 @@ def test_cell_work_is_one_antiderivative_per_edge(monkeypatch):
         return original(self, t, s, out, scratch)
 
     monkeypatch.setattr(ConvolutionFactor, "antiderivative_into", spy)
-    original_nodes = gstar.segment_nodes
+    original_batch = gstar.graded_meshes
 
-    def nodes_spy(*args, **kwargs):
-        u, du = original_nodes(*args, **kwargs)
-        meshes.append(u.size)
-        return u, du
+    def batch_spy(*args, **kwargs):
+        u, du, counts = original_batch(*args, **kwargs)
+        meshes.extend(counts.tolist())
+        return u, du, counts
 
-    monkeypatch.setattr(gstar, "segment_nodes", nodes_spy)
+    monkeypatch.setattr(gstar, "graded_meshes", batch_spy)
     factor = SIZE.tensor_parts[0]
     t_range = (2.0**-4, 2.0)
     scale_nodes, _ = octave_nodes(*t_range, SP_COARSE.t_points_per_octave,
@@ -454,7 +454,6 @@ def test_cell_work_is_one_antiderivative_per_edge(monkeypatch):
         assert len(meshes) == scale_nodes.size
         assert sizes == [m * (n_cells + 1) for m in meshes]
 
-    monkeypatch.setattr(gstar, "segment_nodes", original_nodes)
     original_mesh = gstar._offset_mesh
 
     def mesh_spy(*args, **kwargs):
@@ -474,6 +473,35 @@ def test_cell_work_is_one_antiderivative_per_edge(monkeypatch):
             response_gram(factor, f, at, 0.3, 3.0, SP_COARSE)
             assert len(meshes) == 1
             assert sum(sizes) == meshes[0] * jumps
+
+
+@pytest.mark.parametrize("level, t_range", [(7, (2.0**-8, 2.0)),
+                                            (3, (2.0**-12, 2.0**4))])
+def test_axis_gram_meshes_are_the_per_node_meshes(monkeypatch, level, t_range):
+    # the one batch of an axis gram holds, row by row, the offset mesh each
+    # scale node would build on its own, bit for bit; at level 3 over this
+    # range the rows differ in size
+    batches = []
+    original = gstar.graded_meshes
+
+    def spy(*args, **kwargs):
+        batches.append(original(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(gstar, "graded_meshes", spy)
+    spec = QuadratureSpec()
+    factor = SIZE.tensor_parts[0]
+    _axis_gram.__wrapped__(factor, level, 8, 3.0, t_range, spec)
+    (us, dus, sizes), = batches
+    tn, _ = octave_nodes(*t_range, spec.t_points_per_octave, spec.rule)
+    assert sizes.size == tn.size
+    if level == 3:
+        assert np.unique(sizes).size > 1
+    h = 2.0 ** -level
+    for t, u, du, m in zip(tn, us, dus, sizes):
+        want_u, want_du, _, _ = gstar._offset_mesh((0.0, h), t, spec, (0.0, h))
+        assert u[:m].tobytes() == want_u.tobytes()
+        assert du[:m].tobytes() == want_du.tobytes()
 
 
 def axis_gram_per_scale(factor, level, n_cells, lam, t_range, spec):

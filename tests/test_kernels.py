@@ -1,5 +1,6 @@
 """Kernel families: closed forms, condition samplers, negative controls."""
 
+import decimal
 import math
 
 import numpy as np
@@ -127,9 +128,32 @@ def test_antiderivative_is_its_closed_form_bit_for_bit(flavor, scale):
         if flavor == "size":
             want = scale * (1.0 - q**0.7) / 0.7
         else:
-            want = scale * (q ** 1.7 - q**0.7)
+            want = s / (t + s) * q**0.7 * -scale
         assert np.array_equal(factor.antiderivative(t, s).view(np.int64),
                               want.view(np.int64))
+
+
+def decimal_antiderivative(t, a, s):
+    """The cancellative antiderivative sign(s) (q^(1+a) - q^a), q = t/(t +
+    |s|), in 40-digit decimal arithmetic on the exact binary inputs."""
+    with decimal.localcontext(decimal.Context(prec=40)):
+        t, a, s = decimal.Decimal(t), decimal.Decimal(a), decimal.Decimal(s)
+        q = t / (t + abs(s))
+        return float((q ** (1 + a) - q ** a) * (1 if s > 0 else -1))
+
+
+@pytest.mark.parametrize("a", [0.5, 0.7])
+def test_cancellative_antiderivative_has_no_cancellation(a):
+    # q^(1+a) - q^a cancels as s -> 0 (q -> 1) and loses digits in
+    # proportion to t / |s|; q^a (q - 1) with q - 1 = -|s|/(t+|s|) rounds a
+    # few times at every s
+    factor = ConvolutionFactor(1, a, "cancellative")
+    s = np.geomspace(1e-12, 1e9, 211)
+    s = np.concatenate([-s[::-1], s])
+    for t in (0.05, 1.3):
+        want = np.array([decimal_antiderivative(t, a, x) for x in s])
+        rel = np.abs(factor.antiderivative(t, s) - want) / np.abs(want)
+        assert rel.max() <= 1e-15
 
 
 @pytest.mark.parametrize("flavor", ["size", "cancellative"])
