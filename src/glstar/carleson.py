@@ -71,7 +71,8 @@ class DyadicOpenSet:
     test of candidate rectangles exact integer arithmetic.  The set keeps
     each level pair's containment (:meth:`_containment`) from the first
     packing sum that asks for it, so sums under other kernels or at another
-    depth enumerate no level pair again.
+    depth enumerate no level pair again, and each axis level's candidate
+    cubes (:meth:`_candidates`), which every level pair on that level reads.
     """
 
     rects: tuple[tuple[DyadicCube, DyadicCube], ...]
@@ -112,6 +113,7 @@ class DyadicOpenSet:
         object.__setattr__(self, "measure",
                            math.ldexp(int(bitmap.sum()), -(lv1 + lv2)))
         object.__setattr__(self, "_blocks", {})
+        object.__setattr__(self, "_axes", {})
 
     @functools.cached_property
     def _prefix(self) -> np.ndarray:
@@ -127,6 +129,16 @@ class DyadicOpenSet:
         if block is None:
             block = self._blocks[(l1, l2)] = _containment_block(self, l1, l2)
         return block
+
+    def _candidates(self, axis: int, level: int):
+        """`_axis_candidates` of one axis at one level, kept: every level
+        pair on that level reads them."""
+        cands = self._axes.get((axis, level))
+        if cands is None:
+            cands = self._axes[(axis, level)] = _axis_candidates(
+                self.grids[axis], self._levels[axis], self._lo[axis],
+                self._bitmap.shape[axis], level)
+        return cands
 
     @property
     def grids(self) -> tuple[ShiftedGrid, ShiftedGrid]:
@@ -357,10 +369,8 @@ def _axis_candidates(grid: ShiftedGrid, raster_level: int, lo_cell: int,
 def _containment_block(omega: DyadicOpenSet, l1: int, l2: int):
     """`DyadicOpenSet._containment`, counted: a candidate rectangle is inside
     when the prefix counts of the raster find all its pixels set."""
-    (g1, g2), (base1, base2) = omega.grids, omega._levels
-    n1, n2 = omega._bitmap.shape
-    k1, p1, w1 = _axis_candidates(g1, base1, omega._lo[0], n1, l1)
-    k2, p2, w2 = _axis_candidates(g2, base2, omega._lo[1], n2, l2)
+    k1, p1, w1 = omega._candidates(0, l1)
+    k2, p2, w2 = omega._candidates(1, l2)
     if k1.size == 0 or k2.size == 0:
         return 0, 0, np.zeros((k1.size, k2.size), dtype=bool), 0
     pref = omega._prefix
@@ -398,6 +408,7 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
     n1, n2 = omega._bitmap.shape
     coarse1 = max(g1.j_min, base1 - (n1.bit_length() - 1))
     coarse2 = max(g2.j_min, base2 - (n2.bit_length() - 1))
+    spec, lams = QuadratureSpec(), params.weight_powers
     blocks: dict = {}
     n_rects = 0
     total = 0.0
@@ -412,8 +423,7 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
                 raise ValueError(
                     "rectangle enumeration exceeds the size guard; "
                     "reduce the level depth")
-            value = _cij_scales(kernel, 2.0 ** -l1, 2.0 ** -l2,
-                                *params.weight_powers, QuadratureSpec())
+            value = _cij_scales(kernel, 2.0 ** -l1, 2.0 ** -l2, *lams, spec)
             blocks[(l1, l2)] = _Block(k1, k2, ok, value, count)
             total += count * value
             if l1 == fine1 or l2 == fine2:

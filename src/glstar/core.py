@@ -188,25 +188,32 @@ class QuadratureSpec:
 _REL_FINEST = 2.0 ** -48  # finest ladder step relative to the span being graded
 
 
-def _graded_edge_rows(lo, hi, anchors: Sequence[float], rel_finest: float,
+def _graded_edge_rows(lo, hi, anchors, rel_finest: float,
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`graded_axis_edges` on many intervals [lo_i, hi_i] sharing one
-    anchor list, in one batch: an (n, max(counts)) array whose row i starts
-    with that interval's counts[i] edges, bit for bit, and repeats hi_i
-    after them, and the counts.  Padding with hi_i makes the rows zero-width
-    segments past their own end, so :func:`segment_nodes` reads them whole."""
+    """:func:`graded_axis_edges` on many intervals [lo_i, hi_i] in one
+    batch: an (n, max(counts)) array whose row i starts with that interval's
+    counts[i] edges, bit for bit, and repeats hi_i after them, and the
+    counts.  Padding with hi_i makes the rows zero-width segments past their
+    own end, so :func:`segment_nodes` reads them whole.  ``anchors`` is one
+    list shared by every interval, or an (n, k) array whose row i holds
+    interval i's own k anchors."""
     lo = np.asarray(lo, dtype=float).reshape(-1, 1)
     hi = np.asarray(hi, dtype=float).reshape(-1, 1)
     if not (hi > lo).all():
         raise ValueError("empty axis interval")
-    a = np.asarray(anchors, dtype=float).reshape(-1, 1)
+    a = np.asarray(anchors, dtype=float)
+    if a.ndim < 2:
+        a = a.reshape(1, -1)  # shared: one row for every interval
+    elif a.ndim > 2 or a.shape[0] != lo.size:
+        raise ValueError("per-interval anchors need one row per interval")
     # step i of an anchor's ladder is h0 2^i, exactly h0 doubled i times; a
     # step of at least dmax = max(hi - a, a - lo) > 0 puts no edge inside
     # (lo, hi), so the ladder may run past dmax, and it runs to about 2 dmax.
     # A step of 0 first puts a - 0 = a itself on the lower ladder.
     doublings = 2.0 ** np.arange(-1, math.ceil(math.log2(2.0 / rel_finest)))
     doublings[0] = 0.0
-    steps = (np.maximum(hi - a.T, a.T - lo) * rel_finest)[..., None] * doublings
+    steps = (np.maximum(hi - a, a - lo) * rel_finest)[..., None] * doublings
+    a = a[..., None]
     ladders = np.concatenate(((a - steps).reshape(lo.size, -1),
                               (a + steps[..., 1:]).reshape(lo.size, -1)),
                              axis=1)
@@ -281,15 +288,17 @@ def segment_nodes(
 def graded_meshes(
     lo,
     hi,
-    anchors: Sequence[float],
+    anchors,
     p: int,
     rule: str = "midpoint",
     rel_finest: float = _REL_FINEST,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``segment_nodes(graded_axis_edges(lo_i, hi_i, anchors, rel_finest),
+    """``segment_nodes(graded_axis_edges(lo_i, hi_i, anchors_i, rel_finest),
     p, rule)`` for every interval [lo_i, hi_i] in one batch, bit for bit:
     nodes and weights as (n, width) arrays, row i's mesh in its first
-    sizes[i] entries (zero weights at hi_i after them), and the sizes."""
+    sizes[i] entries (zero weights at hi_i after them), and the sizes.
+    ``anchors`` is one list for every interval, or an (n, k) array with
+    interval i's anchors in row i."""
     edges, counts = _graded_edge_rows(lo, hi, anchors, rel_finest)
     nodes, weights = segment_nodes(edges, p, rule)
     return nodes, weights, (counts - 1) * p

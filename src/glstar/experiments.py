@@ -555,10 +555,16 @@ def run_lemma32(
     the exponent alpha = 0.5, is compared with |I1| / (l(I2) + d)^(1+alpha).
     The integral is the response gram of 1_{I1} at (x1, t1), with its far
     field closed, at the default `QuadratureSpec()` and at its refinement.
+    Both the factor and the measure (t/(t+|y|))^lam dy/t are invariant
+    under translation and dilation, so that gram is exactly the gram of the
+    unit cell [0, 1) at ((x1 - lo1)/|I1|, t1/|I1|); every configuration
+    maps there, and one `response_gram` call per spec takes all of them.
     ``passed`` means the refined ratio stays finite and moves by less than
     10 % under the refinement, on every configuration.  An empty
-    configuration list, a non-dyadic I1, and params whose admissible band
-    alpha <= n (lambda1 - 2)/2 excludes 0.5 are refused before quadrature.
+    configuration list, a non-dyadic I1, a probe point outside the Whitney
+    region of its I2, and params whose admissible band alpha <= n (lambda1
+    - 2)/2 excludes 0.5 are refused before quadrature, on every
+    configuration.
     """
     alpha = 0.5
     spec = QuadratureSpec()
@@ -572,7 +578,7 @@ def run_lemma32(
     lam = params.weight_powers[0]
     factor = ConvolutionFactor(1, alpha, "size")
 
-    records = []
+    sides = []
     for cfg in configs:
         lo2, hi2 = cfg.i2
         ell2 = hi2 - lo2
@@ -583,12 +589,21 @@ def run_lemma32(
         side, level = hi1 - lo1, 1 - math.frexp(hi1 - lo1)[1]
         if side != 2.0 ** -level or not (lo1 / side).is_integer():
             raise ValueError("the target interval must be dyadic")
-        target = StepFunction(level, (int(lo1 / side),), np.ones(1))
+        sides.append(side)
+    # |I1| is a power of two, so the unit-cell scales are exact and each
+    # position rounds once, in x1 - lo1
+    unit = StepFunction(0, (0,), np.ones(1))
+    x = np.array([cfg.x1 - cfg.i1[0] for cfg in configs]) / sides
+    t = np.array([cfg.t1 for cfg in configs]) / sides
+    grams = (response_gram(factor, unit, x, t, lam, sp)[:, 0, 0]
+             for sp in (spec, spec.refined()))
+
+    records = []
+    for cfg, side, gram, gram2 in zip(configs, sides, *grams):
+        (lo1, hi1), (lo2, hi2) = cfg.i1, cfg.i2
         gap = max(0.0, lo2 - hi1, lo1 - hi2)
-        rhs = side / (ell2 + gap) ** (1.0 + alpha)
-        lhs, lhs2 = (math.sqrt(response_gram(factor, target, cfg.x1, cfg.t1,
-                                             lam, sp)[0, 0])
-                     / cfg.t1 ** alpha for sp in (spec, spec.refined()))
+        rhs = side / (hi2 - lo2 + gap) ** (1.0 + alpha)
+        lhs, lhs2 = (math.sqrt(g) / cfg.t1 ** alpha for g in (gram, gram2))
         ratio, ratio2 = lhs / rhs, lhs2 / rhs
         drift = abs(ratio2 / ratio - 1.0) if ratio > 0 else 0.0
         records.append({
@@ -1010,15 +1025,16 @@ def _region_gram(factor: ConvolutionFactor, lattice: StepFunction,
 
     The response grams of the synthesis rows over the region cube's
     interval, the weight's position integral in closed form, integrated
-    over its scale band (side/2, side] in dt/t.  All the case quantities
-    over this region are quadratic forms in this matrix, so every split of
-    the coefficient matrix is evaluated on the same nodes.
+    over its scale band (side/2, side] in dt/t: one `response_gram` call
+    at all the band's scale nodes, summed in node order.  All the case
+    quantities over this region are quadratic forms in this matrix, so
+    every split of the coefficient matrix is evaluated on the same nodes.
     """
     box, = w_cube.box()
     side = w_cube.side
     tn, tw = octave_nodes(side / 2.0, side, spec.t_points_per_octave, spec.rule)
-    return sum(response_gram(factor, lattice, box, t, lam, spec, rows)
-               * (w / t) for t, w in zip(tn, tw))
+    grams = response_gram(factor, lattice, box, tn, lam, spec, rows)
+    return sum(gram * (w / t) for gram, t, w in zip(grams, tn, tw))
 
 
 def _pair_tag(side1: float, side2: float, gap: float, r: int,

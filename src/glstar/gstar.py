@@ -158,16 +158,18 @@ def _axis_edges(f: StepFunction, axis: int = 0) -> np.ndarray:
     return f.lo[axis] * h + h * np.arange(f.shape[axis] + 1)
 
 
-def _offset_span(box: tuple[float, float], t, anchors: Sequence[float],
+def _offset_span(box: tuple[float, float], t, anchors,
                  pad_units: float = _PAD_UNITS):
     """Ends (lo, hi) of the offset-variable (u = x - y) mesh at the scale t,
     a float or an array of them: the zone where theta still differs
     appreciably from its far-field constant, and pad_units * t around every
-    anchor."""
+    anchor.  ``anchors`` is one list for every scale or an (N, k) array, row
+    i the anchors of scale t[i]."""
     blo, bhi = box
+    anchors = np.asarray(anchors, dtype=float)
     pad = pad_units * t + (bhi - blo)
-    return (np.minimum(blo - pad, min(anchors) - pad_units * t),
-            np.maximum(bhi + pad, max(anchors) + pad_units * t))
+    return (np.minimum(blo - pad, anchors.min(axis=-1) - pad_units * t),
+            np.maximum(bhi + pad, anchors.max(axis=-1) + pad_units * t))
 
 
 def _offset_mesh(box: tuple[float, float], t: float, spec: QuadratureSpec,
@@ -182,44 +184,72 @@ def _offset_mesh(box: tuple[float, float], t: float, spec: QuadratureSpec,
     return u, du, float(lo), float(hi)
 
 
-def _position_weight(t: float, lam: float, at, u: np.ndarray) -> np.ndarray:
+def _position_weight(t, lam: float, at, u: np.ndarray) -> np.ndarray:
     """The position weight at the offsets u: (t/(t+|x-u|))^lam at a point
     ``at`` = x, or its closed-form integral over x in an interval ``at`` =
-    (lo, hi)."""
-    if np.ndim(at) == 0:
+    (lo, hi), a tuple.  t and a point broadcast against u."""
+    if not isinstance(at, tuple):
         return (t / (t + np.abs(at - u))) ** lam
     lo, hi = at
     return weight_window(t, lam, lo - u, hi - u)
 
 
 def _weighted_theta_gram(theta: np.ndarray, u: np.ndarray, du: np.ndarray,
-                         u_lo: float, u_hi: float, far_const: float, at,
-                         t: float, lam: float) -> np.ndarray:
+                         sizes: np.ndarray, u_lo: np.ndarray,
+                         u_hi: np.ndarray, far_const: float, at,
+                         t: np.ndarray, lam: float) -> np.ndarray:
     """int_x int theta_i theta_j(x - y) (t/(t+|y|))^lam dy / t for rows
     theta_i on a u-mesh with one far-field constant past [u_lo, u_hi], x the
-    point or the interval ``at``: one weight vector on the mesh, then
-    theta diag(weight) theta^T.  Only a point carries a far field; an
+    point or the interval ``at``, at N scales at once: theta is (N, k, M),
+    u and du (N, M) with scale n's mesh in their first sizes[n] entries,
+    u_lo, u_hi and t (N,); ``at`` is one (lo, hi) tuple for every scale or
+    an (N,) array of points.  The weight vectors are one pass over the
+    batch; theta diag(weight) theta^T then runs per scale on its own nodes,
+    since a BLAS sum over a zero-padded row groups its terms apart from the
+    unpadded one, so only this way is a scale in a batch bit for bit the
+    scale alone.  Returns (N, k, k).  Only a point carries a far field; an
     interval's rows are compact (``far_const`` 0)."""
-    gram = (theta * (_position_weight(t, lam, at, u) * du)) @ theta.T
-    if np.ndim(at) == 0:
-        far = weight_total(t, lam) - weight_window(t, lam, at - u_hi,
-                                                   at - u_lo)
-        gram = gram + far_const * far_const * far
-    return gram / t
+    interval = isinstance(at, tuple)
+    x = at if interval else at[:, None]
+    weight = _position_weight(t[:, None], lam, x, u) * du
+    k = theta.shape[1]
+    out = np.empty((t.size, k, k))
+    for n, m in enumerate(sizes.tolist()):
+        th = theta[n, :, :m]
+        gram = (th * weight[n, :m]) @ th.T
+        if far_const != 0.0 and not interval:
+            far = weight_total(t[n], lam) - weight_window(
+                t[n], lam, at[n] - u_hi[n], at[n] - u_lo[n])
+            gram = gram + far_const * far_const * far
+        out[n] = gram / t[n]
+    return out
 
 
-def response_gram(factor: ConvolutionFactor, f: StepFunction, at,
-                  t: float, lam: float, spec: QuadratureSpec, rows=None,
+def response_gram(factor: ConvolutionFactor, f: StepFunction, at, t,
+                  lam: float, spec: QuadratureSpec, rows=None,
                   raw: bool = False) -> np.ndarray:
     """The k x k gram of one-axis responses at the scale t,
 
         G[i, j] = int_x int theta_t g_i(x - y) theta_t g_j(x - y)
                   (t/(t+|y|))^lam dy / t,
 
-    with x the point ``at`` or integrated over the interval ``at`` = (lo,
-    hi), the weight's x-integral taken in closed form.  g_i is the step
-    function with f's lattice and tail and the cell values ``rows[i]`` (f
-    itself when ``rows`` is None).
+    with x the point or integrated over the interval ``at``, the weight's
+    x-integral taken in closed form.  g_i is the step function with f's
+    lattice and tail and the cell values ``rows[i]`` (f itself when
+    ``rows`` is None).
+
+    ``t`` is one scale, giving (k, k), or a 1-d array of N scales, giving an
+    (N, k, k) stack whose n-th gram is the one-scale call at t[n], bit for
+    bit.  ``at`` is read by its type: a ``(lo, hi)`` tuple is an interval,
+    shared by every scale; anything else is read as an array of points, a
+    float being one point shared by every scale and an array of shape (N,)
+    one point per scale (a list is an array here, never an interval).  A
+    point array of any other shape is refused.  The scales run in blocks
+    whose three (scales x u-nodes x jump edges) arrays -- the offsets from
+    the jump edges, their antiderivatives and the antiderivative's
+    workspace -- hold about ``_BLOCK`` values together, each block's
+    u-meshes one :func:`glstar.core.graded_meshes` batch with every scale's
+    own anchors.
 
     theta comes from the exact cell integrals summed by parts,
 
@@ -235,30 +265,68 @@ def response_gram(factor: ConvolutionFactor, f: StepFunction, at,
     form against a point's weight and refused for an interval."""
     if f.dim != 1:
         raise ValueError("a response gram needs a one-dimensional f")
-    if np.ndim(at) != 0 and f.tail != 0.0:
-        raise ValueError("an interval position needs a compact function")
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError("the scales must be a float or a 1-d array")
+    ts = ts.reshape(-1)
+    interval = isinstance(at, tuple)
+    if interval:
+        if len(at) != 2:
+            raise ValueError("an interval position is a (lo, hi) tuple")
+        if f.tail != 0.0:
+            raise ValueError("an interval position needs a compact function")
+        kinks = np.broadcast_to(at, (ts.size, 2))
+    else:
+        at = np.asarray(at, dtype=float)
+        if at.ndim != 0 and at.shape != np.shape(t):
+            raise ValueError("a point array needs one point per scale")
+        at = np.broadcast_to(at, ts.shape)
+        kinks = at[:, None]
     rows = np.atleast_2d(f.values if rows is None else rows)
     edges = _axis_edges(f)
     anchors = list(edges) if edges.size <= 33 else [edges[0], edges[-1]]
-    anchors = anchors + list(np.atleast_1d(at))  # the weight kinks
+    # every scale's anchors: f's edges and the weight kinks of its position
+    anchors = np.column_stack(
+        (np.broadcast_to(anchors, (ts.size, len(anchors))), kinks))
     far = f.tail * factor.mass(t)
     if raw:
-        u, du, ulo, uhi = _offset_mesh(f.box[0], t, spec, anchors,
-                                       _ORACLE_PAD_UNITS, _ORACLE_MESH_REL)
-        theta = np.stack([_axis_theta_raw(
-            factor, StepFunction(f.level, f.lo, row, f.tail), t, u, spec)
-            for row in rows])
+        pad, rel, width = _ORACLE_PAD_UNITS, _ORACLE_MESH_REL, rows.shape[0]
     else:
-        u, du, ulo, uhi = _offset_mesh(f.box[0], t, spec, anchors)
+        pad, rel = _PAD_UNITS, _MESH_REL
         # summation by parts: the cell values' jumps, zero past both ends,
         # against the odd antiderivative at the edges where some row jumps
         jumps = np.diff(rows - f.tail, axis=1, prepend=0.0, append=0.0)
         at_jump = np.flatnonzero(np.any(jumps != 0.0, axis=0))
-        odd = factor.antiderivative(t, u[:, None] - edges[at_jump])
-        theta = jumps[:, at_jump] @ odd.T
-        if far != 0.0:
-            theta += far
-    return _weighted_theta_gram(theta, u, du, ulo, uhi, far, at, t, lam)
+        jumps, jump_edges = jumps[:, at_jump], edges[at_jump]
+        width = max(1, at_jump.size)
+    out = np.empty((ts.size,) + (rows.shape[0],) * 2)
+    start, step = 0, 1
+    while start < ts.size:
+        block = slice(start, start + step)
+        tb = ts[block]
+        lo, hi = _offset_span(f.box[0], tb, anchors[block], pad)
+        u, du, sizes = graded_meshes(lo, hi, anchors[block],
+                                     spec.points_per_cell, spec.rule,
+                                     rel_finest=rel)
+        if raw:
+            theta = np.zeros((tb.size, rows.shape[0], u.shape[1]))
+            for n, m in enumerate(sizes.tolist()):
+                theta[n, :, :m] = [_axis_theta_raw(
+                    factor, StepFunction(f.level, f.lo, row, f.tail), tb[n],
+                    u[n, :m], spec) for row in rows]
+        else:
+            theta = jumps @ factor.antiderivative(
+                tb[:, None, None], u[:, :, None] - jump_edges,
+            ).transpose(0, 2, 1)
+            if far != 0.0:
+                theta += far
+        out[block] = _weighted_theta_gram(theta, u, du, sizes, lo, hi, far,
+                                          at if interval else at[block], tb,
+                                          lam)
+        start += tb.size
+        # the next block sized by this one's widest mesh
+        step = max(1, _BLOCK // (3 * u.shape[1] * width))
+    return out if np.ndim(t) else out[0]
 
 
 def _octave_tail(octs: np.ndarray) -> float:
@@ -879,9 +947,12 @@ def k_quantity(kernel_factor: ConvolutionFactor, i: DyadicCube, k: int,
         raise ValueError("scale must be positive")
     (alo, ahi), = i.grid.ancestor(i, k - 1).box()
     mass = kernel_factor.mass(t1)
-    x1 = float(x1)
-    u, du, ulo, uhi = _offset_mesh((alo, ahi), t1, spec, (alo, ahi, x1))
-    comp = mass - kernel_factor.cell_integral(t1, u, (alo, ahi))[:, 0]
-    sq = _weighted_theta_gram(comp[None], u, du, ulo, uhi, mass, x1, t1,
-                              params.weight_powers[0])
-    return _sqrt_clamped(float(sq[0, 0]))[0]
+    x, t = np.array([x1], dtype=float), np.array([t1], dtype=float)
+    anchors = (alo, ahi, x[0])
+    lo, hi = _offset_span((alo, ahi), t, anchors)
+    u, du, sizes = graded_meshes(lo, hi, anchors, spec.points_per_cell,
+                                 spec.rule, rel_finest=_MESH_REL)
+    comp = mass - kernel_factor.cell_integral(t1, u, (alo, ahi))[..., 0]
+    sq = _weighted_theta_gram(comp[:, None], u, du, sizes, lo, hi, mass, x,
+                              t, params.weight_powers[0])
+    return _sqrt_clamped(float(sq[0, 0, 0]))[0]

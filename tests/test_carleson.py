@@ -376,14 +376,21 @@ def seeded_open_set(seed):
 def test_run_carleson_counts_each_level_pair_once(monkeypatch):
     # three kernels, each summed at two depths, share every open set's
     # containment masks: each (set, level pair) is counted on the raster
-    # once, however many sums ask for it
-    counted, sums = [], []
+    # once, however many sums ask for it, and each (set, axis, level)'s
+    # candidate cubes are listed once for all the level pairs that read them
+    counted, sums, listed = [], [], []
     block = carleson._containment_block
     summed = carleson.carleson_sum
+    candidates = carleson.DyadicOpenSet._candidates
 
     def count(omega, l1, l2):
         counted.append((omega, l1, l2))
         return block(omega, l1, l2)
+
+    def listing(omega, axis, level):
+        out = candidates(omega, axis, level)
+        listed.append((id(omega), axis, level, id(out)))
+        return out
 
     def total(kernel, omega, *args, **kwargs):
         sums.append(omega)
@@ -392,9 +399,12 @@ def test_run_carleson_counts_each_level_pair_once(monkeypatch):
     monkeypatch.setattr(carleson, "_containment_block", count)
     monkeypatch.setattr(carleson, "carleson_sum", total)
     monkeypatch.setattr(experiments, "carleson_sum", total)
+    monkeypatch.setattr(carleson.DyadicOpenSet, "_candidates", listing)
     run_carleson(PARAMS)
     keys = [(id(om), l1, l2) for om, l1, l2 in counted]
     assert len(keys) == len(set(keys)) > 0
+    # one listing per (set, axis, level), every later read the same arrays
+    assert len({key[:3] for key in listed}) == len(set(listed)) < len(listed)
     # 4 sets x 3 kernels x 2 depths, and the unit square once
     assert len(sums) == 25
     assert {id(om) for om, _, _ in counted} == {id(om) for om in sums}
@@ -423,6 +433,22 @@ def test_warm_set_sums_as_a_fresh_one(monkeypatch, seed):
     with pytest.raises(ValueError, match="size guard"):
         carleson_sum(SIZE, warm, 3, PARAMS)
     carleson_sum(SIZE, warm, 2, PARAMS)
+
+
+def test_warm_sum_builds_one_spec(monkeypatch):
+    # a warm sum looks up one cached box value per nonempty level pair; the
+    # spec of that lookup is made once per call, not once per pair
+    omega = seeded_open_set(0)
+    carleson_sum(SIZE, omega, 3, PARAMS)
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return QuadratureSpec(*args, **kwargs)
+
+    monkeypatch.setattr(carleson, "QuadratureSpec", counted)
+    rep = carleson_sum(SIZE, omega, 3, PARAMS)
+    assert len(rep.rect_values) > 0 and len(made) <= 1
 
 
 def test_packing_monotone_in_depth():

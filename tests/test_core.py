@@ -281,6 +281,30 @@ def test_graded_meshes_are_the_per_interval_meshes_bit_for_bit(rule):
             assert np.all(du[m:] == 0.0)
 
 
+@pytest.mark.parametrize("rule", ["midpoint", "gauss"])
+def test_graded_meshes_take_per_row_anchors_bit_for_bit(rule):
+    # an (n, k) anchor array gives row i the mesh of its own k anchors, bit
+    # for bit, also where an anchor lies outside its row's interval; a
+    # table with another row count is refused
+    rng = np.random.default_rng(11)
+    for rel in (2.0 ** -20, 3.1e-7):
+        lo = rng.uniform(-5.0, 1.0, 30)
+        hi = lo + rng.uniform(1e-3, 8.0, 30)
+        anchors = np.column_stack((
+            np.zeros(30), lo + 0.3 * (hi - lo), hi + rng.uniform(0.1, 4.0, 30),
+            lo - rng.uniform(0.1, 4.0, 30)))
+        nodes, weights, sizes = graded_meshes(lo, hi, anchors, 3, rule, rel)
+        assert np.unique(sizes).size > 1
+        for a, b, row, u, du, m in zip(lo, hi, anchors, nodes, weights, sizes):
+            want = segment_nodes(graded_axis_edges(a, b, list(row), rel), 3,
+                                 rule)
+            assert u[:m].tobytes() == want[0].tobytes()
+            assert du[:m].tobytes() == want[1].tobytes()
+            assert np.all(du[m:] == 0.0)
+    with pytest.raises(ValueError, match="one row per interval"):
+        graded_meshes(lo, hi, anchors[:-1], 3, rule)
+
+
 # ---------------------------------------------------------------------------
 # StepFunction
 # ---------------------------------------------------------------------------

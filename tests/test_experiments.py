@@ -513,6 +513,26 @@ def test_lemma32_refuses_an_exponent_outside_the_band_before_quadrature(
         run_lemma32(default_params(lambda1=2.5, alpha=0.25))
 
 
+@pytest.mark.parametrize("bad, match", [
+    (Lemma32Config((0.0, 0.75), (0.0, 1.0), 0.5, 0.75), "dyadic"),
+    (Lemma32Config((0.0, 1.0), (0.0, 1.0), 0.5, 0.25), "Whitney region"),
+])
+def test_lemma32_checks_every_configuration_before_quadrature(
+        monkeypatch, bad, match):
+    # a bad last configuration is refused before the first gram of the
+    # 119 good ones before it
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a response gram ran before the refusal")
+
+    monkeypatch.setattr(experiments, "response_gram", counted)
+    with pytest.raises(ValueError, match=match):
+        run_lemma32(PARAMS, configs=sample_lemma32_configs(count=119) + [bad])
+    assert calls == []
+
+
 LEMMA32_ALPHA = 0.5  # run_lemma32's fixed exponent
 
 
@@ -551,6 +571,28 @@ def test_lemma32_matches_the_wide_mesh_oracle():
     assert worst <= 1e-3
 
 
+@pytest.mark.parametrize("spec",
+                         [QuadratureSpec(), QuadratureSpec().refined()],
+                         ids=["default", "refined"])
+def test_lemma32_grams_are_unit_cell_grams_by_dilation(spec):
+    # the factor and dy/t commute with x -> (x - lo)/|I|, t -> t/|I|, so the
+    # gram of 1_I at (x, t) is the unit cell's at the mapped point, up to
+    # the rounding of the two meshes
+    factor = ConvolutionFactor(1, LEMMA32_ALPHA, "size")
+    lam = PARAMS.weight_powers[0]
+    unit = StepFunction(0, (0,), np.ones(1))
+    worst = 0.0
+    for cfg in sample_lemma32_configs():
+        lo, side = cfg.i1[0], cfg.i1[1] - cfg.i1[0]
+        level = -int(math.log2(side))
+        target = StepFunction(level, (round(lo / side),), np.ones(1))
+        got = gstar.response_gram(factor, target, cfg.x1, cfg.t1, lam, spec)
+        want = gstar.response_gram(factor, unit, (cfg.x1 - lo) / side,
+                                   cfg.t1 / side, lam, spec)
+        worst = max(worst, abs(got[0, 0] / want[0, 0] - 1.0))
+    assert worst <= 1e-13
+
+
 def traced_peak(run):
     """The tracemalloc peak of ``run()``, in bytes."""
     tracemalloc.start()
@@ -570,10 +612,12 @@ def test_kdecay_peak_memory_is_bounded():
 
 
 @pytest.mark.parametrize("run, budget_mb", [(run_carleson, 2.0),
-                                            (run_boundratio, 3.0)])
+                                            (run_boundratio, 3.0),
+                                            (run_lemma32, 2.0)])
 def test_driver_peak_memory_is_within_its_budget(run, budget_mb):
     # cold, so the peak holds the axis grams' mesh batches and every open
-    # set's kept containment masks: 1.2 and 2.4 MB at their defaults
+    # set's kept containment masks: 1.2 and 2.4 MB at their defaults; the
+    # 240 interval grams of run_lemma32 run in row blocks, 0.9 MB
     for cache in CACHES:
         cache.cache_clear()
     assert traced_peak(lambda: run(default_params())) < budget_mb * 2 ** 20

@@ -353,6 +353,58 @@ def test_response_gram_is_the_gram_of_its_rows():
         response_gram(factor, plane, 0.4, 0.3, 3.0, SP_COARSE)
 
 
+@pytest.mark.parametrize("kernel", [SIZE, CANC], ids=["size", "cancellative"])
+def test_batched_response_gram_is_the_scalar_calls(kernel):
+    # an array of scales gives, gram by gram, the one-scale call bit for bit:
+    # the unit cell and synthesis rows at points per scale, at one shared
+    # point and over one shared interval, a tailed f with its far field at
+    # points, and the raw oracle; 40 scales over 14 octaves make blocks of
+    # differing meshes
+    factor = kernel.tensor_parts[0]
+    spec = QuadratureSpec()
+    rng = np.random.default_rng(21)
+    t = np.geomspace(2.0 ** -9, 2.0 ** 5, 40)
+    points = rng.uniform(-1.5, 2.5, t.size)
+    lattice = StepFunction(level=2, lo=(-1,), values=np.zeros(6))
+    rows = rng.normal(size=(3, 6))
+    tailed = StepFunction(level=3, lo=(-4,), values=rng.normal(size=9),
+                          tail=0.7)
+    unit = StepFunction(level=0, lo=(0,), values=np.ones(1))
+    cases = [(unit, points, None), (lattice, points, rows),
+             (lattice, 0.3, rows), (lattice, (-0.5, 1.5), rows),
+             (tailed, points, None), (tailed, 1.1, None)]
+    for f, at, r in cases:
+        got = response_gram(factor, f, at, t, 3.0, spec, r)
+        k = 1 if r is None else r.shape[0]
+        assert got.shape == (t.size, k, k)
+        for n in range(t.size):
+            x = at[n] if isinstance(at, np.ndarray) else at
+            want = response_gram(factor, f, x, t[n], 3.0, spec, r)
+            assert got[n].tobytes() == want.tobytes()
+    few = t[::8]
+    got = response_gram(factor, lattice, points[::8], few, 3.0, SP_COARSE,
+                        rows, raw=True)
+    for n, (x, tn) in enumerate(zip(points[::8], few)):
+        want = response_gram(factor, lattice, x, tn, 3.0, SP_COARSE, rows,
+                             raw=True)
+        assert got[n].tobytes() == want.tobytes()
+
+
+def test_response_gram_refuses_a_position_that_fits_no_scale():
+    # a tuple is an interval and any array one point per scale
+    factor = SIZE.tensor_parts[0]
+    f = StepFunction(level=0, lo=(0,), values=np.ones(1))
+    t = np.array([0.3, 0.5, 0.9])
+    for at, scales in ((np.array([0.1, 0.2]), t), (np.array([0.1]), 0.3),
+                       ([0.1, 0.2], 0.3), (np.zeros((3, 1)), t)):
+        with pytest.raises(ValueError, match="one point per scale"):
+            response_gram(factor, f, at, scales, 3.0, SP_COARSE)
+    with pytest.raises(ValueError, match=r"\(lo, hi\) tuple"):
+        response_gram(factor, f, (0.0, 0.5, 1.0), t, 3.0, SP_COARSE)
+    with pytest.raises(ValueError, match="1-d array"):
+        response_gram(factor, f, 0.5, t[None], 3.0, SP_COARSE)
+
+
 def test_interval_gram_is_the_integral_of_point_grams():
     # the closed-form position integral against a Gauss sum of point grams
     # over the interval, its x-pieces split at f's cell edges; a tailed f
@@ -386,7 +438,10 @@ def response_gram_per_cell(factor, f, at, t, lam, spec, rows=None):
     far = f.tail * factor.mass(t)
     u, du, ulo, uhi = gstar._offset_mesh(f.box[0], t, spec, anchors)
     theta = (factor.cell_integral(t, u, edges) @ (rows - f.tail).T).T + far
-    return gstar._weighted_theta_gram(theta, u, du, ulo, uhi, far, at, t, lam)
+    return gstar._weighted_theta_gram(
+        theta[None], u[None], du[None], np.array([u.size]), np.array([ulo]),
+        np.array([uhi]), far, at if isinstance(at, tuple) else np.array([at]),
+        np.array([t]), lam)[0]
 
 
 @pytest.mark.parametrize("kernel", [SIZE, CANC], ids=["size", "cancellative"])
@@ -425,8 +480,8 @@ def test_cell_work_is_one_antiderivative_per_edge(monkeypatch):
     # evaluations per u-node, not 2 n, per scale node of an axis gram; a
     # response gram sums by parts, so it costs one per u-node and edge where
     # some row's value jumps (zero past both ends).  The spy sits on the one
-    # routine every antiderivative goes through, spying the u-mesh each
-    # caller builds: an axis gram's one batch of meshes, one per scale node
+    # routine every antiderivative goes through, spying the u-mesh batch
+    # each caller builds: one mesh per scale node
     sizes, meshes = [], []
     original = ConvolutionFactor.antiderivative_into
 
@@ -454,14 +509,6 @@ def test_cell_work_is_one_antiderivative_per_edge(monkeypatch):
         assert len(meshes) == scale_nodes.size
         assert sizes == [m * (n_cells + 1) for m in meshes]
 
-    original_mesh = gstar._offset_mesh
-
-    def mesh_spy(*args, **kwargs):
-        out = original_mesh(*args, **kwargs)
-        meshes.append(out[0].size)
-        return out
-
-    monkeypatch.setattr(gstar, "_offset_mesh", mesh_spy)
     # every edge jumps; two flat runs leave 3 of 6; a tail adds none
     for values, tail, jumps in (([1.0, 2.0, 3.0, 4.0, 5.0], 0.0, 6),
                                 ([1.0, 1.0, 2.0, 2.0, 2.0], 0.0, 3),
