@@ -71,8 +71,11 @@ class DyadicOpenSet:
     test of candidate rectangles exact integer arithmetic.  The set keeps
     each level pair's containment (:meth:`_containment`) from the first
     packing sum that asks for it, so sums under other kernels or at another
-    depth enumerate no level pair again, and each axis level's candidate
-    cubes (:meth:`_candidates`), which every level pair on that level reads.
+    depth enumerate no level pair again, each axis level's candidate cubes
+    (:meth:`_candidates`), which every level pair on that level reads, and
+    per axis-0 level the prefix-count differences across each candidate's
+    raster rows (:meth:`_row_counts`), from which every level pair on that
+    level reads its containment counts as one more difference per column.
     """
 
     rects: tuple[tuple[DyadicCube, DyadicCube], ...]
@@ -114,6 +117,7 @@ class DyadicOpenSet:
                            math.ldexp(int(bitmap.sum()), -(lv1 + lv2)))
         object.__setattr__(self, "_blocks", {})
         object.__setattr__(self, "_axes", {})
+        object.__setattr__(self, "_rows", {})
 
     @functools.cached_property
     def _prefix(self) -> np.ndarray:
@@ -139,6 +143,17 @@ class DyadicOpenSet:
                 self.grids[axis], self._levels[axis], self._lo[axis],
                 self._bitmap.shape[axis], level)
         return cands
+
+    def _row_counts(self, level: int) -> np.ndarray:
+        """pref[p + w] - pref[p] for the axis-0 candidates (p, w) of one
+        level, pref the raster's prefix counts: row i, column b counts the
+        set cells of candidate i's raster rows in columns below b.  Kept:
+        every level pair on that level reads it."""
+        rows = self._rows.get(level)
+        if rows is None:
+            _, p, w = self._candidates(0, level)
+            rows = self._rows[level] = self._prefix[p + w] - self._prefix[p]
+        return rows
 
     @property
     def grids(self) -> tuple[ShiftedGrid, ShiftedGrid]:
@@ -368,15 +383,14 @@ def _axis_candidates(grid: ShiftedGrid, raster_level: int, lo_cell: int,
 
 def _containment_block(omega: DyadicOpenSet, l1: int, l2: int):
     """`DyadicOpenSet._containment`, counted: a candidate rectangle is inside
-    when the prefix counts of the raster find all its pixels set."""
-    k1, p1, w1 = omega._candidates(0, l1)
+    when the prefix counts of the raster find all its pixels set, read as
+    the difference of two columns of the set's kept row counts."""
+    k1, _, w1 = omega._candidates(0, l1)
     k2, p2, w2 = omega._candidates(1, l2)
     if k1.size == 0 or k2.size == 0:
         return 0, 0, np.zeros((k1.size, k2.size), dtype=bool), 0
-    pref = omega._prefix
-    hi1, lo1 = pref[p1 + w1], pref[p1]
-    sums = hi1[:, p2 + w2] - lo1[:, p2 + w2] - hi1[:, p2] + lo1[:, p2]
-    ok = sums == w1 * w2
+    rows = omega._row_counts(l1)
+    ok = rows[:, p2 + w2] - rows[:, p2] == w1 * w2
     ok.setflags(write=False)
     return int(k1[0]), int(k2[0]), ok, int(ok.sum())
 

@@ -73,6 +73,7 @@ __all__ = [
     "is_good_offset",
     "long_distance",
     "pi_good_exact",
+    "random_grids",
     "schur_coeff",
     "schur_matrix",
     "set_distance",
@@ -283,8 +284,8 @@ class ShiftedGrid:
 
     @classmethod
     def random(cls, dim: int, j_min: int, j_max: int, seed: int, trial: int = 0) -> "ShiftedGrid":
-        bits = _shift_bits(dim, j_min, j_max, seed, [trial])[0]
-        return cls(dim=dim, j_min=j_min, j_max=j_max, bits=bits)
+        """Trial ``trial`` of ``seed``: the one-trial `random_grids`."""
+        return random_grids(dim, j_min, j_max, seed, [trial])[0]
 
     def levels(self) -> range:
         return range(self.j_min, self.j_max + 1)
@@ -349,6 +350,19 @@ class ShiftedGrid:
             idx = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, self.dim)
             for row in idx:
                 yield self.cube(level, tuple(row))
+
+
+def random_grids(dim: int, j_min: int, j_max: int, seed: int,
+                 trials: Sequence[int]) -> list[ShiftedGrid]:
+    """The random grids of ``seed``, one per entry of ``trials``, in order:
+    grid k is ``ShiftedGrid.random(dim, j_min, j_max, seed, trials[k])`` bit
+    for bit, and its bits do not depend on the other trials.  Every grid's
+    bits come from one `_shift_bits` call, an array Philox over the trials'
+    counters, so drawing many grids builds no generator per grid.  Refuses
+    a seed outside [0, 2^64) or a trial outside [0, 2^63) before anything is
+    drawn."""
+    return [ShiftedGrid(dim=dim, j_min=j_min, j_max=j_max, bits=bits)
+            for bits in _shift_bits(dim, j_min, j_max, seed, trials)]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ one-factor tail of `run_lemma32` and the region grams of `run_cases` are
 `gstar.response_gram`s; `run_kdecay` runs `gstar.k_quantity` (one weighted
 θ row on its own mesh) and `gstar.q_quantity` (two response grams);
 `run_boundratio` reads the cached axis grams of `gstar.axis_grams`, which
-the gram route of `gstar_sq_norm` also contracts.  The others take no θ
+the gram route of `gstar_sq_norm` also contracts; every level's and the
+amplitude twin's grams are dilations of one table of unit-lattice lag rows,
+formed by the finest level, which it asks for first.  The others take no θ
 quadrature: a box value of `run_carleson` (`carleson.carleson_sum`) is a
 product of per-axis scale-band sums of the factors' closed-form masses, and
 `run_averaging` and `run_schur` are exact integrals and coupling entries.
@@ -46,6 +48,7 @@ from .dyadic import (
     goodness_gamma,
     is_good_offset,
     pi_good_exact,
+    random_grids,
     schur_coeff,
     schur_matrix,
     shift_table_blocks,
@@ -797,12 +800,10 @@ def run_carleson(
     expected = {k.label: any(f.flavor == "cancellative" for f in k.tensor_parts)
                 for k in kernels}
 
-    omegas = []
-    for i in range(omega_count):
-        gp = (ShiftedGrid.random(1, -6, 10, seed, trial=2 * i),
-              ShiftedGrid.random(1, -6, 10, seed, trial=2 * i + 1))
-        rng = np.random.default_rng((seed, i))
-        omegas.append(random_open_set(gp, rng, n_rects=4, level_range=(0, 2)))
+    grids = random_grids(1, -6, 10, seed, range(2 * omega_count))
+    omegas = [random_open_set(gp, np.random.default_rng((seed, i)),
+                              n_rects=4, level_range=(0, 2))
+              for i, gp in enumerate(zip(grids[0::2], grids[1::2]))]
 
     records = []
     verdicts = {}
@@ -857,6 +858,10 @@ def run_carleson(
 # ---------------------------------------------------------------------------
 # norm-ratio saturation
 
+# Finest lattice level of the ratio sweep: level L forms n x n axis grams,
+# n = 2^L (8 MB each at 10), and an O(n^3) eigensolve per distinct gram.
+_MAX_RATIO_LEVEL = 10
+
 
 def _white_noise(rng: np.random.Generator, level: int) -> StepFunction:
     """Seeded standard normal on every lattice cell of the unit square,
@@ -907,8 +912,15 @@ def run_boundratio(
     the supremum by more than 1e-12 relative; and multiplying the kernel by
     a constant scales the ratio of five draws at the coarsest level exactly
     (deviation at most 1e-12).  ``levels`` must hold at least two distinct
-    levels (repeats count once), or there is no increment to measure;
-    fewer, or ``count < 1``, raise ``ValueError`` before any checker runs.
+    levels (repeats count once), or there is no increment to measure, each
+    in 0 .. `_MAX_RATIO_LEVEL` (10); fewer, one outside, or ``count < 1``
+    raise ``ValueError`` before any checker runs or any gram is formed.
+
+    The grams are asked for finest level first: every level's axis gram is
+    a sum of the same unit-lattice lag rows (:func:`axis_grams`), and the
+    finest one forms the most lags, so each coarser level adds only its
+    own bottom octave.  Both axes share one gram at these settings, and
+    each distinct gram is solved once.
     """
     kernel = make_cancellative(params.n, params.m, 0.5, 0.5)
     spec = QuadratureSpec()
@@ -916,6 +928,10 @@ def run_boundratio(
     if count < 1 or len(levels) < 2:
         raise ValueError(
             "the ratio sweep needs count >= 1 and two distinct levels")
+    if levels[0] < 0 or levels[-1] > _MAX_RATIO_LEVEL:
+        raise ValueError(
+            f"ratio sweep levels must lie in 0..{_MAX_RATIO_LEVEL}, "
+            f"got {levels[0]}..{levels[-1]}")
     checks = (check_size(kernel, params), check_holder(kernel, params),
               check_mixed(kernel, params))
     if not all(c.passed for c in checks):
@@ -931,13 +947,17 @@ def run_boundratio(
     def draw(lev: int, trial: int) -> StepFunction:
         return _white_noise(np.random.default_rng((seed, lev, trial)), lev)
 
+    extremes = {}
+    for lev in reversed(levels):
+        lattice = StepFunction(lev, (0, 0), np.zeros((2 ** lev, 2 ** lev)))
+        m1, m2 = axis_grams(kernel, lattice, params, grids, spec)
+        e1 = _psd_extremes(m1, f"the level-{lev} gram on axis 0")
+        extremes[lev] = e1, e1 if m2 is m1 else _psd_extremes(
+            m2, f"the level-{lev} gram on axis 1")
+
     records = []
     for lev in levels:
-        lattice = StepFunction(lev, (0, 0), np.zeros((2 ** lev, 2 ** lev)))
-        (lo1, hi1), (lo2, hi2) = (
-            _psd_extremes(m, f"the level-{lev} gram on axis {axis}")
-            for axis, m in enumerate(axis_grams(kernel, lattice, params,
-                                                grids, spec)))
+        (lo1, hi1), (lo2, hi2) = extremes[lev]
         h = 2.0 ** -lev
         records.append({
             "level": lev,
@@ -1075,8 +1095,7 @@ def run_cases(
     spec = spec or QuadratureSpec(points_per_cell=3, t_points_per_octave=4)
     f = _white_noise(np.random.default_rng((grid_pair_seed, 0x99)), 2)
 
-    g1 = ShiftedGrid.random(1, -13, 6, grid_pair_seed, trial=0)
-    g2 = ShiftedGrid.random(1, -13, 6, grid_pair_seed, trial=1)
+    g1, g2 = random_grids(1, -13, 6, grid_pair_seed, (0, 1))
     # the domain cubes' corners are lattice points at the grids' finest level
     expansion = expand(f, (_containing_cube(g1, f, 0), _containing_cube(g2, f, 1)),
                        g1.j_max)

@@ -119,7 +119,7 @@ _TRUNCATION_EPS = 1e-9
 # glibc's dynamic mmap threshold, which rises when a larger mapped array is
 # freed, so the same loop runs faster after some earlier call freed a big
 # array than in a fresh process.  A loop over arrays of one size (the row
-# chunks here, the scale nodes of _axis_gram) makes them once and writes
+# chunks here, the scale nodes of _unit_lag_rows) makes them once and writes
 # into them, which costs the same either way.  A smaller block makes the
 # faults cheaper but the per-block Python overhead dearer (2^13 ran slower
 # end to end).
@@ -782,8 +782,14 @@ def axis_grams(kernel: Kernel, f, params: Params,
     spectra bound the norm ratio over all such functions.  Both are
     symmetric Toeplitz, n x n for n cells along their axis.  Only f's
     lattice (level and shape) is read.  The matrices are cached and shared,
-    so they are read-only.  Tensor kernels with one-dimensional factors
-    only; the scale strip is the grid pair's, clipped to the spec's."""
+    so they are read-only: an axis whose factor, weight power and scale
+    strip equal the other's gets the very same array.  Every gram is formed
+    by dilation from one table of unit-lattice lag rows per factor shape
+    and rule (:func:`_axis_gram`), so grams of other levels, amplitudes or
+    axes that share scale octaves evaluate no antiderivative there again; a
+    sweep over levels asks for the finest first, whose rows are the
+    longest.  Tensor kernels with one-dimensional factors only; the scale
+    strip is the grid pair's, clipped to the spec's."""
     spec = spec or QuadratureSpec()
     _check_pair_dims(kernel)
     if kernel.tensor_parts is None:
@@ -844,6 +850,68 @@ def _band_nodes(box: tuple[float, float], grid: ShiftedGrid | None,
     return whitney
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_lag_table(dim: int, exponent: float, flavor: str,
+                    points_per_cell: int, per_octave: int,
+                    rule: str) -> dict:
+    """The table behind :func:`_unit_lag_rows` for one unit-amplitude factor
+    shape and one quadrature rule: tau-octave ends (lo, hi) -> that octave's
+    lag row, replaced by a longer one when more lags are asked.  Cached, so
+    one ``cache_clear`` empties every table."""
+    return {}
+
+
+def _unit_lag_rows(factor: ConvolutionFactor, spec: QuadratureSpec,
+                   octaves: list[tuple[float, float]],
+                   n_lags: int) -> list[np.ndarray]:
+    """The unit-lattice lag rows of each tau-octave (lo, hi), read-only and
+    at least ``n_lags`` long: entry k sums, over the octave's scale nodes
+    tau with dt weights w, int_v psi_tau(v) psi_tau(v + k) dv w / tau, with
+    psi_tau the unit-amplitude factor at scale tau on the cell [0, 1] and v
+    on the unit cell's own :func:`_offset_mesh`.
+
+    An octave missing from the table, or shorter there than ``n_lags``, is
+    computed afresh with ``n_lags`` lags: every missing node's mesh comes
+    from one :func:`glstar.core.graded_meshes` batch, and three buffers are
+    made, sized for the largest mesh, in whose leading parts every node lays
+    out its (edges x v-nodes) offsets, odd antiderivatives and differences.
+    Lag k at v is the cell [-k, 1 - k], so one shared-end cell integral over
+    the edges 1, 0, ..., 1 - n_lags gives every lag in order, each lag a
+    contiguous row.  The contraction over v is an ``einsum`` along each row,
+    so lag k is the same sum however many lags are formed (a BLAS product
+    groups its terms by the row count), a row does not depend on how long
+    it was made, and the table may grow in any order.
+    """
+    table = _unit_lag_table(factor.dim, factor.exponent, factor.flavor,
+                            spec.points_per_cell, spec.t_points_per_octave,
+                            spec.rule)
+    short = [o for o in octaves if o not in table or table[o].size < n_lags]
+    if short:
+        unit = ConvolutionFactor(factor.dim, factor.exponent, factor.flavor)
+        blocks = [octave_nodes(lo, hi, spec.t_points_per_octave, spec.rule)
+                  for lo, hi in short]
+        tn = np.concatenate([tau for tau, _ in blocks])
+        us, dvs, sizes = graded_meshes(*_offset_span((0.0, 1.0), tn,
+                                                     (0.0, 1.0)),
+                                       (0.0, 1.0), spec.points_per_cell,
+                                       spec.rule, rel_finest=_MESH_REL)
+        edges = np.arange(1.0, -n_lags, -1.0)[:, None]
+        workspace = np.empty((3, edges.size * sizes.max()))
+        meshes = zip(us, dvs, sizes.tolist())
+        for octave, (taus, ws) in zip(short, blocks):
+            row = np.zeros(n_lags)
+            for tau, w, (v, dv, m) in zip(taus, ws, meshes):
+                offsets, odd, scratch = (
+                    b[:edges.size * m].reshape(edges.size, m) for b in workspace)
+                s = np.subtract(v[:m], edges, out=offsets)
+                a = unit.antiderivative_into(tau, s, odd, scratch)
+                psi = np.subtract(a[1:], a[:-1], out=offsets[:n_lags])
+                row += np.einsum("ki,i->k", psi, psi[0] * dv[:m]) * (w / tau)
+            row.setflags(write=False)
+            table[octave] = row
+    return [table[o] for o in octaves]
+
+
 @functools.lru_cache(maxsize=128)
 def _axis_gram(factor: ConvolutionFactor, level: int, n_cells: int,
                lam: float, t_range: tuple[float, float],
@@ -852,37 +920,29 @@ def _axis_gram(factor: ConvolutionFactor, level: int, n_cells: int,
 
     Entry (c, c') is int_t [ int_u Psi_c(t, u) Psi_c'(t, u) du ]
     weight_total(t, lam) dt / t^2, with Psi_c theta applied to the indicator
-    of cell c over the cell measure.  Integrating the position over the whole
-    line decouples the weight (substitute u = x - y), which is what makes
-    this exact and cheap; entries depend on |c - c'| only, so one
-    autocorrelation row per scale is accumulated.  Lag k at u is the cell
-    [-k h, (1 - k) h], so one shared-end cell integral over the edges h,
-    0, ..., (1 - n) h, right to left, gives every lag in order.
+    of cell c over the cell measure h = 2^-level.  Integrating the position
+    over the whole line decouples the weight (substitute u = x - y), which
+    is what makes this exact and cheap; entries depend on |c - c'| only, so
+    one row of lags is formed.
 
-    Every scale node's u-mesh, the :func:`_offset_mesh` of the unit cell,
-    comes from one :func:`glstar.core.graded_meshes` batch.  The (u-nodes x
-    edges) arrays are made once per gram, sized for the largest mesh, and
-    every node writes its offsets, odd antiderivatives and differences into
-    their leading rows: no array of that size is allocated per node.  The
-    cell measure h is a power of two, so dividing the autocorrelation by
-    h^2 once is exactly dividing each response by h.  Cached; callers share
-    the array, so it is read-only."""
-    h = 2.0 ** -level
-    edges = h * np.arange(1, -n_cells, -1)
+    The factor and the weight are both invariant under dilation: with t = h
+    tau and u = h v, Psi_c(t, u) is the unit-lattice response at (tau, v)
+    and weight_total(t, lam) = t weight_total(1, lam), so the row is
+    scale^2 weight_total(1, lam) / h times the sum of the unit-lattice lag
+    rows of :func:`_unit_lag_rows` over tau in the t-range's octave pieces
+    times 2^level, scale the factor's amplitude.  Those rows are kept in one
+    table per factor shape and rule, keyed by each tau-octave's exact ends,
+    so every level, amplitude and axis whose octaves overlap reads the same
+    rows; a caller asking for several levels saves the most by asking for
+    the finest (the most lags) first.  Cached; callers share the array, so
+    it is read-only."""
+    dilation = 2.0 ** level
+    octaves = [(lo * dilation, hi * dilation) for lo, hi, _, _ in
+               octave_blocks(*t_range, spec.t_points_per_octave, spec.rule)]
     row = np.zeros(n_cells)
-    tn, tw = octave_nodes(*t_range, spec.t_points_per_octave, spec.rule)
-    us, dus, sizes = graded_meshes(*_offset_span((0.0, h), tn, (0.0, h)),
-                                   (0.0, h), spec.points_per_cell, spec.rule,
-                                   rel_finest=_MESH_REL)
-    size = sizes.max()
-    offsets, odd, scratch = np.empty((3, size, n_cells + 1))
-    cells = np.empty((size, n_cells))
-    for t, w, u, du, m in zip(tn, tw, us, dus, sizes.tolist()):
-        s = np.subtract(u[:m, None], edges, out=offsets[:m])
-        a = factor.antiderivative_into(t, s, odd[:m], scratch[:m])
-        psi = np.subtract(a[:, 1:], a[:, :-1], out=cells[:m])
-        auto = (psi[:, 0] * du[:m]) @ psi / (h * h)
-        row += auto * weight_total(t, lam) / t ** 2 * w
+    for lags in _unit_lag_rows(factor, spec, octaves, n_cells):
+        row += lags[:n_cells]
+    row *= factor.scale ** 2 * weight_total(1.0, lam) * dilation
     idx = np.abs(np.arange(n_cells)[:, None] - np.arange(n_cells)[None, :])
     gram = row[idx]
     gram.setflags(write=False)

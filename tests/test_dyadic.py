@@ -22,6 +22,7 @@ from glstar.dyadic import (
     is_good_offset,
     long_distance,
     pi_good_exact,
+    random_grids,
     schur_coeff,
     schur_matrix,
     set_distance,
@@ -310,6 +311,26 @@ def test_shift_bits_are_the_trial_streams(seed):
                 assert np.array_equal(row, want), (dim, depth, t)
     grid = ShiftedGrid.random(2, -30, 40, seed, trial=2 ** 63 - 1)
     assert np.array_equal(grid.bits, trial_stream(seed, 2 ** 63 - 1).integers(0, 2, size=(71, 2)))
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2 ** 64 - 1])
+def test_random_grids_are_the_one_trial_grids(seed):
+    # grid k of one batched draw is trial k drawn alone, bit for bit, in
+    # any trial order, up to the largest seed and trial and past the
+    # tables' int64 depth; an empty batch draws no grid
+    trials = [5, 0, 2 ** 32 + 3, 1, 2 ** 63 - 1]
+    for dim, j_min, j_max in ((1, -6, 10), (2, -3, 12), (1, 0, 70)):
+        grids = random_grids(dim, j_min, j_max, seed, trials)
+        assert len(grids) == len(trials)
+        for grid, t in zip(grids, trials):
+            alone = ShiftedGrid.random(dim, j_min, j_max, seed, t)
+            assert (grid.dim, grid.j_min, grid.j_max) == (dim, j_min, j_max)
+            assert grid.bits.tobytes() == alone.bits.tobytes()
+            assert np.array_equal(grid.bits, trial_stream(seed, t).integers(
+                0, 2, size=(j_max - j_min + 1, dim)))
+            assert all(grid.offset(lv) == alone.offset(lv)
+                       for lv in range(j_min - 1, j_max + 1))
+    assert random_grids(1, -6, 10, seed, []) == []
 
 
 @pytest.mark.parametrize("seed, trial", [

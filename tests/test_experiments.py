@@ -33,13 +33,13 @@ from glstar.experiments import (
     sample_lemma32_configs,
 )
 from glstar.gstar import axis_grams, gstar_sq_norm
-from glstar.kernels import ConvolutionFactor, make_cancellative
+from glstar.kernels import ConvolutionFactor, make_cancellative, rescale
 
 PARAMS = default_params()
 
 # the caches a driver may fill; a cold run and a warm rerun must agree
-CACHES = (gstar._axis_gram, carleson._axis_band, carleson._cij_scales,
-          core._rule01, dyadic._offset_cutoffs)
+CACHES = (gstar._axis_gram, gstar._unit_lag_table, carleson._axis_band,
+          carleson._cij_scales, core._rule01, dyadic._offset_cutoffs)
 
 
 def _finite(values):
@@ -193,6 +193,50 @@ def test_boundratio_refuses_empty_sweeps_before_checking(monkeypatch):
         run_boundratio(PARAMS, count=0)
     with pytest.raises(ValueError, match="level"):
         run_boundratio(PARAMS, levels=())
+
+
+@pytest.mark.parametrize("levels", [(-1, 4), (4, 13)])
+def test_boundratio_refuses_levels_it_cannot_hold(monkeypatch, levels):
+    # a negative level has no lattice and level 13 would take 512 MB grams
+    # and an eigensolve of 8192 x 8192: refused before any checker or gram
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the levels were validated")
+
+    monkeypatch.setattr(experiments, "check_size", no_work)
+    monkeypatch.setattr(experiments, "axis_grams", no_work)
+
+    def refused():
+        with pytest.raises(ValueError, match=r"0\.\.10"):
+            run_boundratio(PARAMS, levels=levels)
+
+    assert traced_peak(refused) < 2 ** 20
+
+
+def test_boundratio_evaluates_each_lag_row_once(monkeypatch):
+    # every level's and amplitude's gram reads the same unit-lattice lag
+    # rows: a cold default run evaluates the finest level's rows and each
+    # coarser level's one bottom octave (9,879,660 antiderivative values
+    # when each level formed its own), and the amplitude twin none
+    evaluated = []
+    original = ConvolutionFactor.antiderivative_into
+
+    def spy(self, t, s, out, scratch):
+        evaluated.append(s.size)
+        return original(self, t, s, out, scratch)
+
+    monkeypatch.setattr(ConvolutionFactor, "antiderivative_into", spy)
+    for cache in CACHES:
+        cache.cache_clear()
+    run_boundratio(PARAMS)
+    assert 0 < sum(evaluated) <= 5_200_000
+    kernel = make_cancellative(PARAMS.n, PARAMS.m, 0.5, 0.5)
+    grids = (ShiftedGrid.standard(1, -12, 12),) * 2
+    gstar._axis_gram.cache_clear()
+    evaluated.clear()
+    for level in (7, 6, 5, 4):
+        lattice = StepFunction(level, (0, 0), np.zeros((2 ** level,) * 2))
+        axis_grams(rescale(kernel, 2.0), lattice, PARAMS, grids)
+    assert evaluated == []
 
 
 @pytest.mark.parametrize("levels", [(3,), (4, 4)])
@@ -615,9 +659,10 @@ def test_kdecay_peak_memory_is_bounded():
                                             (run_boundratio, 3.0),
                                             (run_lemma32, 2.0)])
 def test_driver_peak_memory_is_within_its_budget(run, budget_mb):
-    # cold, so the peak holds the axis grams' mesh batches and every open
-    # set's kept containment masks: 1.2 and 2.4 MB at their defaults; the
-    # 240 interval grams of run_lemma32 run in row blocks, 0.9 MB
+    # cold, so the peak holds every open set's kept containment masks and
+    # row counts and the lag rows' mesh batches: 0.45 and 1.9 MB at their
+    # defaults; the 240 interval grams of run_lemma32 run in row blocks,
+    # 0.9 MB
     for cache in CACHES:
         cache.cache_clear()
     assert traced_peak(lambda: run(default_params())) < budget_mb * 2 ** 20
@@ -645,6 +690,20 @@ def test_kdecay_refuses_ladders_it_cannot_fit(monkeypatch):
     for ks in (range(1, 9), range(1, 10), range(9, 15)):
         with pytest.raises(ValueError, match="plateau_upto"):
             run_kdecay(PARAMS, k_range=ks, side_runs=False)
+
+
+def test_carleson_draws_its_grids_in_one_call(monkeypatch):
+    # the 2 omega_count grids come from one array Philox, not one draw each
+    draws = []
+    original = dyadic._shift_bits
+
+    def spy(dim, j_min, j_max, seed, trials):
+        draws.append(list(trials))
+        return original(dim, j_min, j_max, seed, trials)
+
+    monkeypatch.setattr(dyadic, "_shift_bits", spy)
+    run_carleson(PARAMS, omega_count=3, levels=1)
+    assert draws == [list(range(6))]
 
 
 def test_carleson_at_defaults():

@@ -13,6 +13,7 @@ from glstar.core import (
     StepFunction,
     default_params,
     graded_axis_edges,
+    octave_blocks,
     octave_nodes,
     segment_nodes,
 )
@@ -505,6 +506,7 @@ def test_cell_work_is_one_antiderivative_per_edge(monkeypatch):
     for n_cells in (1, 6):
         sizes.clear()
         meshes.clear()
+        gstar._unit_lag_table.cache_clear()  # a cold gram forms every node
         _axis_gram.__wrapped__(factor, 3, n_cells, 3.0, t_range, SP_COARSE)
         assert len(meshes) == scale_nodes.size
         assert sizes == [m * (n_cells + 1) for m in meshes]
@@ -522,12 +524,23 @@ def test_cell_work_is_one_antiderivative_per_edge(monkeypatch):
             assert sum(sizes) == meshes[0] * jumps
 
 
+def unit_octaves(level, t_range, spec):
+    """The tau-octaves of a level-``level`` axis gram, each as its nodes and
+    dt weights: the t-range's octave pieces times 2^level."""
+    dilation = 2.0 ** level
+    return [octave_nodes(lo * dilation, hi * dilation,
+                         spec.t_points_per_octave, spec.rule)
+            for lo, hi, _, _ in octave_blocks(*t_range,
+                                              spec.t_points_per_octave,
+                                              spec.rule)]
+
+
 @pytest.mark.parametrize("level, t_range", [(7, (2.0**-8, 2.0)),
                                             (3, (2.0**-12, 2.0**4))])
 def test_axis_gram_meshes_are_the_per_node_meshes(monkeypatch, level, t_range):
-    # the one batch of an axis gram holds, row by row, the offset mesh each
-    # scale node would build on its own, bit for bit; at level 3 over this
-    # range the rows differ in size
+    # the one batch of a cold axis gram holds, row by row, the unit cell's
+    # offset mesh at each tau-node of its octaves, bit for bit; at level 3
+    # over this range the rows differ in size
     batches = []
     original = gstar.graded_meshes
 
@@ -538,32 +551,57 @@ def test_axis_gram_meshes_are_the_per_node_meshes(monkeypatch, level, t_range):
     monkeypatch.setattr(gstar, "graded_meshes", spy)
     spec = QuadratureSpec()
     factor = SIZE.tensor_parts[0]
+    gstar._unit_lag_table.cache_clear()
     _axis_gram.__wrapped__(factor, level, 8, 3.0, t_range, spec)
     (us, dus, sizes), = batches
-    tn, _ = octave_nodes(*t_range, spec.t_points_per_octave, spec.rule)
-    assert sizes.size == tn.size
+    taus = np.concatenate([tau for tau, _ in unit_octaves(level, t_range, spec)])
+    assert sizes.size == taus.size
     if level == 3:
         assert np.unique(sizes).size > 1
-    h = 2.0 ** -level
-    for t, u, du, m in zip(tn, us, dus, sizes):
-        want_u, want_du, _, _ = gstar._offset_mesh((0.0, h), t, spec, (0.0, h))
+    for tau, u, du, m in zip(taus, us, dus, sizes):
+        want_u, want_du, _, _ = gstar._offset_mesh((0.0, 1.0), tau, spec,
+                                                   (0.0, 1.0))
         assert u[:m].tobytes() == want_u.tobytes()
         assert du[:m].tobytes() == want_du.tobytes()
 
 
 def axis_gram_per_scale(factor, level, n_cells, lam, t_range, spec):
-    """The axis gram as one cell_integral per scale node, each node making
-    its own arrays: every lag from the shared-end call on the edges left to
-    right, columns reversed."""
+    """The axis gram at level ``level`` itself, as one cell_integral per
+    scale node, each node making its own arrays: every lag from the
+    shared-end call on the edges left to right, columns reversed.  The
+    sums run in extended precision: in doubles their rounding alone reached
+    9.9e-16 of the largest entry against a 40-digit evaluation of the same
+    formula, nearly the 1e-15 its comparison allows."""
     h = 2.0 ** -level
     edges = h * np.arange(1 - n_cells, 2)
-    row = np.zeros(n_cells)
+    row = np.zeros(n_cells, dtype=np.longdouble)
     tn, tw = octave_nodes(*t_range, spec.t_points_per_octave, spec.rule)
     for t, w in zip(tn, tw):
         u, du, _, _ = gstar._offset_mesh((0.0, h), t, spec, (0.0, h))
-        psi = factor.cell_integral(t, u, edges)[:, ::-1] / h
+        psi = factor.cell_integral(t, u, edges)[:, ::-1].astype(np.longdouble) / h
         auto = (psi[:, 0] * du) @ psi
-        row += auto * weight_total(t, lam) / t ** 2 * w
+        row += auto * (np.longdouble(weight_total(t, lam)) / t ** 2 * w)
+    row = row.astype(float)
+    return row[np.abs(np.arange(n_cells)[:, None] - np.arange(n_cells))]
+
+
+def axis_gram_unit_nodes(factor, level, n_cells, lam, t_range, spec):
+    """The axis gram by dilation, each tau-node making its own arrays: a
+    fresh cell_integral of the unit-amplitude factor on the unit cell's
+    mesh, every lag from the shared-end call on the edges left to right,
+    one row per lag; the octaves' rows summed and scaled by scale^2
+    weight_total(1, lam) / h."""
+    unit = ConvolutionFactor(factor.dim, factor.exponent, factor.flavor)
+    edges = np.arange(1.0 - n_cells, 2.0)
+    row = np.zeros(n_cells)
+    for taus, ws in unit_octaves(level, t_range, spec):
+        lags = np.zeros(n_cells)
+        for tau, w in zip(taus, ws):
+            v, dv, _, _ = gstar._offset_mesh((0.0, 1.0), tau, spec, (0.0, 1.0))
+            psi = np.ascontiguousarray(unit.cell_integral(tau, v, edges).T[::-1])
+            lags += np.einsum("ki,i->k", psi, psi[0] * dv) * (w / tau)
+        row += lags
+    row *= factor.scale ** 2 * weight_total(1.0, lam) * 2.0 ** level
     return row[np.abs(np.arange(n_cells)[:, None] - np.arange(n_cells))]
 
 
@@ -571,31 +609,79 @@ def axis_gram_per_scale(factor, level, n_cells, lam, t_range, spec):
 @pytest.mark.parametrize("level, t_range", [(7, (2.0**-8, 2.0)),
                                             (3, (2.0**-12, 2.0**4))])
 def test_axis_gram_reuses_one_workspace(monkeypatch, kernel, level, t_range):
-    # the (u-nodes x edges) arrays are made once per gram: every scale node
-    # writes into the same two buffers, also where the meshes differ in
-    # size (level 3 over this range), and the gram is bit for bit the one
-    # of a fresh cell_integral per node
+    # one workspace per cold gram: every tau-node writes into the same two
+    # buffers, also where the meshes differ in size (level 3 over this
+    # range), and the gram is bit for bit the one of a fresh cell_integral
+    # per node in unit coordinates
     buffers = []
     original = ConvolutionFactor.antiderivative_into
 
     def spy(self, t, s, out, scratch):
         buffers.append((out.__array_interface__["data"][0],
-                        scratch.__array_interface__["data"][0], out.shape[0]))
+                        scratch.__array_interface__["data"][0], out.size))
         return original(self, t, s, out, scratch)
 
     monkeypatch.setattr(ConvolutionFactor, "antiderivative_into", spy)
     factor = kernel.tensor_parts[0]
     spec = QuadratureSpec()
     args = (factor, level, 64, 3.0, t_range, spec)
+    gstar._unit_lag_table.cache_clear()
     got = _axis_gram.__wrapped__(*args)
-    tn, _ = octave_nodes(*t_range, spec.t_points_per_octave, spec.rule)
-    assert len(buffers) == tn.size
+    assert len(buffers) == sum(tau.size for tau, _ in
+                               unit_octaves(level, t_range, spec))
     assert len({(out, scratch) for out, scratch, _ in buffers}) == 1
     if level == 3:
         assert len({rows for _, _, rows in buffers}) > 1
     monkeypatch.setattr(ConvolutionFactor, "antiderivative_into", original)
-    want = axis_gram_per_scale(*args)
+    want = axis_gram_unit_nodes(*args)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("kernel", [SIZE, CANC], ids=["size", "cancellative"])
+@pytest.mark.parametrize("level", [0, 3, 7])
+@pytest.mark.parametrize("n_cells", [1, 5, 128])
+def test_axis_gram_is_the_level_gram_by_dilation(kernel, level, n_cells):
+    # the gram read from unit-lattice rows is the level's own per-node
+    # quadrature to rounding: the tau-nodes are the t-nodes times 2^level
+    # only up to the last bit, on octave-aligned and clipped ranges, and the
+    # factor's amplitude enters squared
+    spec = QuadratureSpec()
+    for t_range in ((2.0**-8, 2.0), (3e-3, 1.7)):
+        for scale in (1.0, 2.0, 3.0):
+            factor = replace(kernel.tensor_parts[0], scale=scale, label="")
+            args = (factor, level, n_cells, 3.0, t_range, spec)
+            got = _axis_gram.__wrapped__(*args)
+            want = axis_gram_per_scale(*args)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kernel", [SIZE, CANC], ids=["size", "cancellative"])
+def test_axis_grams_do_not_depend_on_the_order_asked(kernel):
+    # a lag row is the same however many lags it was formed with, so the
+    # grams of levels 4..7 read bit for bit alike whether the table grew
+    # from the coarsest level, from the finest, or fresh for each
+    factor = kernel.tensor_parts[0]
+    spec = QuadratureSpec()
+    t_range = (2.0**-13, 2.0**6)
+    levels = (4, 5, 6, 7)
+
+    def grams(order, cold_each=False):
+        out = {}
+        for level in order:
+            if cold_each or not out:
+                _axis_gram.cache_clear()
+                gstar._unit_lag_table.cache_clear()
+            out[level] = _axis_gram(factor, level, 2 ** level, 3.0, t_range,
+                                    spec).tobytes()
+        return out
+
+    alone = grams(levels, cold_each=True)
+    assert grams(levels) == alone
+    assert grams(levels[::-1]) == alone
+    # a one-cell gram is lag 0 of the widest row the table already holds
+    one = _axis_gram(factor, 7, 1, 3.0, t_range, spec)
+    assert one.tobytes() == _axis_gram(factor, 7, 128, 3.0, t_range,
+                                       spec)[:1, :1].tobytes()
 
 
 def axis_gram_per_lag(factor, level, n_cells, lam, t_range, spec):
