@@ -74,8 +74,10 @@ class DyadicOpenSet:
     depth enumerate no level pair again, each axis level's candidate cubes
     (:meth:`_candidates`), which every level pair on that level reads, and
     per axis-0 level the prefix-count differences across each candidate's
-    raster rows (:meth:`_row_counts`), from which every level pair on that
-    level reads its containment counts as one more difference per column.
+    raster rows (:meth:`_row_counts`).  The pairs of one axis-0 level that
+    a sum asks for and the set does not yet keep are counted together: one
+    gather of those row counts at the candidate columns of all their
+    axis-1 levels, and one more difference per column.
     """
 
     rects: tuple[tuple[DyadicCube, DyadicCube], ...]
@@ -123,16 +125,18 @@ class DyadicOpenSet:
     def _prefix(self) -> np.ndarray:
         return _prefix_counts(self._bitmap)
 
-    def _containment(self, l1: int, l2: int) -> tuple[int, int, np.ndarray, int]:
-        """The level-(l1, l2) grid rectangles inside the set: the lattice
-        index of the first candidate cube per axis, the read-only
-        containment mask over the candidates and its count of true entries.
-        Counted on the raster the first time a level pair is asked for, and
-        kept."""
-        block = self._blocks.get((l1, l2))
-        if block is None:
-            block = self._blocks[(l1, l2)] = _containment_block(self, l1, l2)
-        return block
+    def _containment(self, l1: int, l2s: range
+                     ) -> list[tuple[int, int, np.ndarray, int]]:
+        """The level-(l1, l2) grid rectangles inside the set, for each l2 of
+        ``l2s``: the lattice index of the first candidate cube per axis, the
+        read-only containment mask over the candidates and its count of
+        true entries.  The pairs not yet kept are counted on the raster
+        together, in one `_containment_block` gather, and kept."""
+        missing = tuple(l2 for l2 in l2s if (l1, l2) not in self._blocks)
+        if missing:
+            self._blocks.update(zip(((l1, l2) for l2 in missing),
+                                    _containment_block(self, l1, missing)))
+        return [self._blocks[(l1, l2)] for l2 in l2s]
 
     def _candidates(self, axis: int, level: int):
         """`_axis_candidates` of one axis at one level, kept: every level
@@ -221,6 +225,11 @@ def _axis_band(factor, side: float, lam: float, spec: QuadratureSpec) -> float:
     return side * weight_total(1.0, lam) * band
 
 
+def _tensor_box(band1: float, band2: float) -> float:
+    """A tensor kernel's box quantity from its two `_axis_band`s."""
+    return max(band1 * band2, 0.0)
+
+
 def _theta_one_const(kernel, t1: float, t2: float,
                      spec: QuadratureSpec) -> float:
     """theta(1) at scale (t1, t2), asserting it is position independent."""
@@ -243,20 +252,19 @@ def _cij_scales(kernel, side1: float, side2: float, lam1: float, lam2: float,
                 spec: QuadratureSpec) -> float:
     if kernel.tensor_parts is not None:
         g1, g2 = kernel.tensor_parts
-        value = _axis_band(g1, side1, lam1, spec) * \
-            _axis_band(g2, side2, lam2, spec)
-    else:
-        t1n, t1w = octave_nodes(side1 / 2.0, side1,
-                                spec.t_points_per_octave, spec.rule)
-        t2n, t2w = octave_nodes(side2 / 2.0, side2,
-                                spec.t_points_per_octave, spec.rule)
-        acc = 0.0
-        for t1, w1 in zip(t1n, t1w):
-            for t2, w2 in zip(t2n, t2w):
-                m = _theta_one_const(kernel, t1, t2, spec)
-                acc += m * m * (w1 / t1) * (w2 / t2)
-        value = side1 * side2 * weight_total(1.0, lam1) * \
-            weight_total(1.0, lam2) * acc
+        return _tensor_box(_axis_band(g1, side1, lam1, spec),
+                           _axis_band(g2, side2, lam2, spec))
+    t1n, t1w = octave_nodes(side1 / 2.0, side1,
+                            spec.t_points_per_octave, spec.rule)
+    t2n, t2w = octave_nodes(side2 / 2.0, side2,
+                            spec.t_points_per_octave, spec.rule)
+    acc = 0.0
+    for t1, w1 in zip(t1n, t1w):
+        for t2, w2 in zip(t2n, t2w):
+            m = _theta_one_const(kernel, t1, t2, spec)
+            acc += m * m * (w1 / t1) * (w2 / t2)
+    value = side1 * side2 * weight_total(1.0, lam1) * \
+        weight_total(1.0, lam2) * acc
     return max(value, 0.0)
 
 
@@ -381,18 +389,31 @@ def _axis_candidates(grid: ShiftedGrid, raster_level: int, lo_cell: int,
     return k, (k - first) >> e, 1
 
 
-def _containment_block(omega: DyadicOpenSet, l1: int, l2: int):
-    """`DyadicOpenSet._containment`, counted: a candidate rectangle is inside
-    when the prefix counts of the raster find all its pixels set, read as
-    the difference of two columns of the set's kept row counts."""
+def _containment_block(omega: DyadicOpenSet, l1: int, l2s: tuple[int, ...]):
+    """`DyadicOpenSet._containment` of one axis-0 level, counted for every
+    axis-1 level of ``l2s`` at once: a candidate rectangle is inside when
+    the prefix counts of the raster find all its pixels set, read as the
+    difference of two columns of the set's kept row counts, with the
+    columns of all the levels' candidates gathered together."""
     k1, _, w1 = omega._candidates(0, l1)
-    k2, p2, w2 = omega._candidates(1, l2)
-    if k1.size == 0 or k2.size == 0:
-        return 0, 0, np.zeros((k1.size, k2.size), dtype=bool), 0
-    rows = omega._row_counts(l1)
-    ok = rows[:, p2 + w2] - rows[:, p2] == w1 * w2
+    cands = [omega._candidates(1, l2) for l2 in l2s]
+    p2 = np.concatenate([p2 for _, p2, _ in cands])
+    w2 = np.repeat([w2 for _, _, w2 in cands], [k2.size for k2, _, _ in cands])
+    if k1.size == 0 or p2.size == 0:
+        ok = np.zeros((k1.size, p2.size), dtype=bool)
+    else:
+        rows = omega._row_counts(l1)
+        ok = rows[:, p2 + w2] - rows[:, p2] == w1 * w2
     ok.setflags(write=False)
-    return int(k1[0]), int(k2[0]), ok, int(ok.sum())
+    out, start = [], 0
+    for k2, _, _ in cands:
+        mask = ok[:, start:start + k2.size]
+        start += k2.size
+        if k1.size == 0 or k2.size == 0:
+            out.append((0, 0, mask, 0))
+        else:
+            out.append((int(k1[0]), int(k2[0]), mask, int(mask.sum())))
+    return out
 
 
 def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
@@ -408,9 +429,13 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
     No rectangle is built while summing: the report's ``rect_values`` is a
     read-only view kept per level pair (containment mask, lattice offsets,
     box value), and iterating it builds the cubes on demand.  The masks are
-    the set's own, counted by the first sum that asks for a level pair and
-    shared by every later sum on the set; the sum itself, and the
-    ``_MAX_RECTS`` guard on its rectangle count, run per call.
+    the set's own, counted by the first sum that asks for a level pair (all
+    of an axis-0 level's new pairs at once) and shared by every later sum on
+    the set; the sum itself, and the ``_MAX_RECTS`` guard on its rectangle
+    count, run per call.  A tensor kernel's box value at the level pair
+    (l1, l2) is `_tensor_box` of ``band1[l1]`` and ``band2[l2]``, as in
+    `c_ij`, read from two per-level lists of `_axis_band`s built once per
+    sum; other kernels look each nonempty level pair up in `_cij_scales`.
     """
     if levels < 1:
         raise ValueError("need levels >= 1")
@@ -422,14 +447,20 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
     n1, n2 = omega._bitmap.shape
     coarse1 = max(g1.j_min, base1 - (n1.bit_length() - 1))
     coarse2 = max(g2.j_min, base2 - (n2.bit_length() - 1))
-    spec, lams = QuadratureSpec(), params.weight_powers
+    spec, (lam1, lam2) = QuadratureSpec(), params.weight_powers
+    l2s = range(coarse2, fine2 + 1)
+    if kernel.tensor_parts is not None:
+        # `_cij_scales`' two axis bands, each band taken once
+        f1, f2 = kernel.tensor_parts
+        band1 = {l1: _axis_band(f1, 2.0 ** -l1, lam1, spec)
+                 for l1 in range(coarse1, fine1 + 1)}
+        band2 = {l2: _axis_band(f2, 2.0 ** -l2, lam2, spec) for l2 in l2s}
     blocks: dict = {}
     n_rects = 0
     total = 0.0
     shell = 0.0
     for l1 in range(coarse1, fine1 + 1):
-        for l2 in range(coarse2, fine2 + 1):
-            k1, k2, ok, count = omega._containment(l1, l2)
+        for l2, (k1, k2, ok, count) in zip(l2s, omega._containment(l1, l2s)):
             if count == 0:
                 continue
             n_rects += count
@@ -437,7 +468,11 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
                 raise ValueError(
                     "rectangle enumeration exceeds the size guard; "
                     "reduce the level depth")
-            value = _cij_scales(kernel, 2.0 ** -l1, 2.0 ** -l2, *lams, spec)
+            if kernel.tensor_parts is None:
+                value = _cij_scales(kernel, 2.0 ** -l1, 2.0 ** -l2,
+                                    lam1, lam2, spec)
+            else:
+                value = _tensor_box(band1[l1], band2[l2])
             blocks[(l1, l2)] = _Block(k1, k2, ok, value, count)
             total += count * value
             if l1 == fine1 or l2 == fine2:

@@ -66,6 +66,7 @@ __all__ = [
     "DEFAULT_OCTAVES",
     "DyadicCube",
     "ShiftedGrid",
+    "box_schur_matrix",
     "default_shift_radius",
     "estimate_pi_good",
     "goodness_gamma",
@@ -317,6 +318,21 @@ class ShiftedGrid:
             raise ValueError("level outside grid truncation")
         return DyadicCube(grid=self, level=level, index=tuple(int(k) for k in index))
 
+    def boxes(self, levels, index) -> np.ndarray:
+        """The boxes of the cubes ``cube(levels[i], index[i])`` as one
+        (cubes, dim, 2) array of (lo, hi) per axis, row i `box` of that cube
+        bit for bit, without building the cubes: ``levels`` is an integer
+        array and ``index`` a (cubes, dim) integer array."""
+        levels = np.asarray(levels, dtype=np.int64)
+        index = np.asarray(index, dtype=np.int64)
+        index = index.reshape(levels.size, self.dim)
+        if levels.size and not (self.j_min <= levels.min()
+                                and levels.max() <= self.j_max):
+            raise ValueError("level outside grid truncation")
+        h = np.ldexp(1.0, -levels)[:, None]
+        s = self._shift_table[levels - self.j_min + 1]
+        return np.stack((index * h + s, (index + 1) * h + s), axis=-1)
+
     def cube_at(self, level: int, point: Sequence[float]) -> "DyadicCube":
         """The unique level-``level`` cube containing the point."""
         s = self.shift(level)
@@ -462,32 +478,49 @@ def schur_coeff(i1: DyadicCube, i2: DyadicCube, alpha: float) -> float:
 
 
 def schur_matrix(cubes: Sequence[DyadicCube], alpha: float) -> np.ndarray:
-    """All entries `schur_coeff(cubes[i], cubes[j], alpha)` at once.
-
-    Each cube's box, side, side^(alpha/2) and |I|^(1/2) are taken once.  The
-    matrix is filled by blocks of about `_SCHUR_BLOCK` entries, whole rows
-    each, so the temporaries of a block (its gaps, long distances, their
-    sort and powers) stay a fixed size while only the result grows with the
-    family.  The long distances are exact sums of dyadic rationals, and a
-    family of cubes has few distinct ones (1,084 among the 262,144 entries
-    of the 512-cube run_schur family): within a block the power D^-(n+a)
-    goes through Python's float ``pow`` once per distinct distance (numpy's
-    vectorized power rounds differently on some inputs) and is scattered
-    back.  The products keep the operand order of the formula, so both
-    triangles are filled as their own scalar products.
-    """
+    """All entries `schur_coeff(cubes[i], cubes[j], alpha)` at once: the
+    cubes' boxes and levels, taken once, go to `box_schur_matrix`."""
     n = cubes[0].dim
     if any(c.dim != n for c in cubes):
         raise ValueError("dimension mismatch")
-    boxes = np.array([c.box() for c in cubes])  # cube, axis, (lo, hi)
+    return box_schur_matrix(np.array([c.box() for c in cubes]),
+                            [c.level for c in cubes], alpha)
+
+
+def box_schur_matrix(boxes, levels, alpha: float) -> np.ndarray:
+    """`schur_matrix` of the cubes with these boxes, a (cubes, dim, 2) array
+    of (lo, hi) per axis, and these levels.
+
+    Each cube's side 2^-level, side^(alpha/2) and |I|^(1/2) are taken once.
+    The matrix is filled by blocks of about `_SCHUR_BLOCK` entries, whole
+    rows each, so the temporaries of a block (its gaps, long distances and
+    their powers) stay a fixed size while only the result grows with the
+    family.  The power D^-(n+a) of a long distance D goes through Python's
+    float ``pow`` once per distinct D (numpy's vectorized power rounds
+    differently on some inputs; the 512-cube run_schur family has 1,084
+    distinct D among its 262,144 entries), by `_long_distance_powers`.  The
+    products keep the operand order of the formula, so both triangles are
+    filled as their own scalar products.
+    """
+    boxes = np.asarray(boxes, dtype=float)
+    levels = np.asarray(levels, dtype=np.int64).tolist()
+    count, n = boxes.shape[:2]
     lo, hi = boxes[..., 0], boxes[..., 1]
-    sides = np.array([c.side for c in cubes])
+    sides = [2.0 ** -lev for lev in levels]
     exponent = -(n + alpha)
-    ell_pow = np.array([c.side ** (alpha / 2.0) for c in cubes])
-    root = np.array([c.measure() ** 0.5 for c in cubes])
-    out = np.empty((len(cubes), len(cubes)))
-    step = max(1, _SCHUR_BLOCK // len(cubes))
-    for r in range(0, len(cubes), step):
+    ell_pow = np.array([s ** (alpha / 2.0) for s in sides])
+    root = np.array([(s ** n) ** 0.5 for s in sides])
+    sides = np.array(sides)
+    finest = max(levels)
+    # every long distance is at most the family's span plus two sides, so
+    # its key d 2^L lies below this bound; a table is kept only when it is
+    # no longer than the matrix it fills
+    span = float(np.max(hi.max(axis=0) - lo.min(axis=0)))
+    bound = (span + 2.0 * float(sides.max())) * 2.0 ** finest
+    table = np.full(int(bound) + 1, np.nan) if bound < count * count else None
+    out = np.empty((count, count))
+    step = max(1, _SCHUR_BLOCK // count)
+    for r in range(0, count, step):
         rows = slice(r, r + step)
         # sup-norm gap of the closed boxes: the largest per-axis separation
         sep = lo[None, :] - hi[rows, None]
@@ -495,16 +528,42 @@ def schur_matrix(cubes: Sequence[DyadicCube], alpha: float) -> np.ndarray:
         gap = np.max(sep, axis=-1, initial=0.0)
         # the long distance (side_i + side_j) + gap, in the gap's array
         long_d = np.add(sides[rows, None] + sides[None, :], gap, out=gap)
-        # with return_inverse np.unique takes its sorting path, which
-        # (unlike the plain call) imports no numpy.ma
-        distinct, where = np.unique(long_d, return_inverse=True)
-        d_pow = np.array([d ** exponent for d in distinct.tolist()])
         block = np.multiply(ell_pow[rows, None], ell_pow[None, :],
                             out=out[rows])
-        block *= d_pow[where].reshape(block.shape)
+        block *= _long_distance_powers(long_d, exponent, finest, table)
         block *= root[rows, None]
         block *= root[None, :]
     return out
+
+
+def _long_distance_powers(long_d: np.ndarray, exponent: float, finest: int,
+                          table: np.ndarray | None) -> np.ndarray:
+    """d ** exponent for every long distance d of a block, Python's float
+    ``pow`` taken once per distinct d.
+
+    Cubes of one nested grid at levels up to ``finest`` = L lie whole
+    multiples of 2^-L apart, so d 2^L is an exact integer key: the powers
+    are read from ``table``, indexed by the key and filled (NaN until then)
+    once per distinct key across all blocks of a matrix, with no sort.  A
+    block whose keys are not integers (cubes from several grids), or a
+    matrix without a table (its keys span more values than it has
+    entries), takes the sorted path: ``np.unique`` with ``return_inverse``,
+    which (unlike the plain call) imports no numpy.ma.
+    """
+    key = long_d * 2.0 ** finest
+    if table is not None and key.max() < table.size:
+        idx = key.astype(np.intp)
+        if np.array_equal(idx, key):
+            new = np.zeros(table.size, dtype=bool)
+            new[idx] = True
+            new &= np.isnan(table)
+            fresh = np.flatnonzero(new)
+            table[fresh] = [math.ldexp(k, -finest) ** exponent
+                            for k in fresh.tolist()]
+            return table[idx]
+    distinct, where = np.unique(long_d, return_inverse=True)
+    d_pow = np.array([d ** exponent for d in distinct.tolist()])
+    return d_pow[where].reshape(long_d.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ fixed value was frozen after a refinement study, and the notes field of each
 report says what was truncated and how hard.  The drivers reach the other
 modules through their public functions only.  Their θ integrals: the
 one-factor tail of `run_lemma32` and the region grams of `run_cases` are
-`gstar.response_gram`s; `run_kdecay` runs `gstar.k_quantity` (one weighted
-θ row on its own mesh) and `gstar.q_quantity` (two response grams);
-`run_boundratio` reads the cached axis grams of `gstar.axis_grams`, which
-the gram route of `gstar_sq_norm` also contracts; every level's and the
-amplitude twin's grams are dilations of one table of unit-lattice lag rows,
-formed by the finest level, which it asks for first.  The others take no θ
+`gstar.response_gram`s; `run_kdecay` runs its ladders through
+`gstar.k_quantity` (one weighted θ row per generation, the generations'
+meshes one batch) and `gstar.q_quantity` (a response gram per generation
+times one Haar-side gram shared by the ladder); `run_boundratio` reads
+the cached axis grams of `gstar.axis_grams`, which the gram route of
+`gstar_sq_norm` also contracts; every level's and the amplitude twin's
+grams are dilations of one table of unit-lattice lag rows, formed by the
+finest level, which it asks for first.  The others take no θ
 quadrature: a box value of `run_carleson` (`carleson.carleson_sum`) is a
 product of per-axis scale-band sums of the factors' closed-form masses, and
 `run_averaging` and `run_schur` are exact integrals and coupling entries.
@@ -45,12 +47,12 @@ from .core import (
 from .dyadic import (
     DyadicCube,
     ShiftedGrid,
+    box_schur_matrix,
     goodness_gamma,
     is_good_offset,
     pi_good_exact,
     random_grids,
     schur_coeff,
-    schur_matrix,
     shift_table_blocks,
 )
 from .gstar import (
@@ -372,21 +374,25 @@ def run_averaging(
 _COLLECTION_CUBES = 4 * (2 ** 9 - 1)
 
 
-def _draw_collection(size: int, seed: int) -> list[DyadicCube]:
+def _draw_collection(size: int, seed: int
+                     ) -> tuple[ShiftedGrid, np.ndarray, np.ndarray]:
     """Nested random cube families, levels 0..8 and positions in [0, 4)
-    drawn uniformly; prefixes of one stream are the nesting.  ``size`` must
-    be at most `_COLLECTION_CUBES`, or the draw never ends."""
+    drawn uniformly; prefixes of one stream are the nesting.  Returns the
+    grid and the family's levels and (cubes, 1) indices on it, cube i being
+    ``grid.cube(levels[i], index[i])``; no cube is built.  A ``size`` above
+    `_COLLECTION_CUBES`, whose draw would never end, raises ``ValueError``
+    before anything is drawn."""
+    if size > _COLLECTION_CUBES:
+        raise ValueError(f"a collection holds at most {_COLLECTION_CUBES} "
+                         "distinct cubes")
     rng = np.random.default_rng((seed, 0x5C))
     grid = ShiftedGrid.random(1, -10, 24, seed, trial=0)
-    out: list[DyadicCube] = []
-    seen = set()
-    while len(out) < size:
+    seen: dict[tuple[int, int], None] = {}
+    while len(seen) < size:
         lev = int(rng.integers(0, 9))
-        idx = int(rng.integers(0, 4 * 2 ** lev))
-        if (lev, idx) not in seen:
-            seen.add((lev, idx))
-            out.append(grid.cube(lev, (idx,)))
-    return out
+        seen.setdefault((lev, int(rng.integers(0, 4 * 2 ** lev))))
+    family = np.array(list(seen), dtype=np.int64).reshape(size, 2)
+    return grid, family[:, 0], family[:, 1:]
 
 
 # (x, y) pairs of the quadratic-inequality check drawn per matrix product
@@ -403,11 +409,13 @@ def _perron(a: np.ndarray) -> float:
     v = np.full(n, n ** -0.5)
     for _ in range(_PERRON_ITERS):
         w = a @ v
-        norm = float(np.linalg.norm(w))
+        # each norm as numpy's 1-d `norm` forms it, the root of one dot
+        norm = math.sqrt(float(w @ w))
         if norm == 0.0:
             return 0.0
         v2 = w / norm
-        if float(np.linalg.norm(v2 - v)) < _PERRON_TOL:
+        step = v2 - v
+        if math.sqrt(float(step @ step)) < _PERRON_TOL:
             return norm
         v = v2
     raise RuntimeError("power iteration did not converge within the budget")
@@ -442,24 +450,23 @@ def run_schur(
     ``collection_sizes`` must hold at least two distinct positive sizes
     (repeats count once), or there is no growth to measure, and none above
     2,044, the number of distinct cubes at levels 0..8 with positions in
-    [0, 4); ``draws`` must be at least 1, or the inequality is checked on
-    nothing.  Each shortfall raises ``ValueError`` before any cube is
-    drawn.  ``passed`` requires the growth between the two largest sizes to
-    be under 5 %, the quadratic inequality to hold on every draw and the
-    one-cube norm to be exact.  At the defaults it is False by design: the
-    norm is still growing at 512 cubes (``final_growth`` is about 0.37).
+    [0, 4), which `_draw_collection` refuses; ``draws`` must be at least 1,
+    or the inequality is checked on nothing.  Each shortfall raises
+    ``ValueError`` before any cube is drawn.  ``passed`` requires the growth
+    between the two largest sizes to be under 5 %, the quadratic inequality
+    to hold on every draw and the one-cube norm to be exact.  At the
+    defaults it is False by design: the norm is still growing at 512 cubes
+    (``final_growth`` is about 0.37).
     """
     alpha, scheme = 0.5, "multiscale"
     sizes = sorted(set(int(s) for s in collection_sizes))
     if len(sizes) < 2 or sizes[0] < 1:
         raise ValueError("the growth sweep needs two distinct positive "
                          "collection sizes")
-    if sizes[-1] > _COLLECTION_CUBES:
-        raise ValueError(f"a collection holds at most {_COLLECTION_CUBES} "
-                         "distinct cubes")
     if draws < 1:
         raise ValueError("the quadratic inequality needs at least one draw")
-    big = schur_matrix(_draw_collection(sizes[-1], seed), alpha)
+    grid, levels, index = _draw_collection(sizes[-1], seed)
+    big = box_schur_matrix(grid.boxes(levels, index), levels, alpha)
     lambdas = {s: _perron(big[:s, :s]) for s in sizes}
     growths = {f"{a}->{b}": lambdas[b] / lambdas[a] - 1.0
                for a, b in zip(sizes, sizes[1:])}
@@ -672,6 +679,11 @@ def run_kdecay(
     normalization |I^(k)|^(-1/2); that factor is divided out before the fit,
     and the constant second-axis factor is absorbed into the Theta(1) band.
 
+    Each ladder, the main one and the two side runs, is one call of the
+    ladder forms of `k_quantity` and `q_quantity`: one mesh batch and one
+    gram pass for the complement responses, and for the modified-pattern
+    responses one gram per generation against a Haar-side gram formed once.
+
     The slopes are fitted over the generations above ``plateau_upto`` = 8,
     so ``k_range`` must hold at least two of them, and the plateaus are read
     from the generations up to it, so it must hold at least one of those;
@@ -699,12 +711,17 @@ def run_kdecay(
     j1 = grid.cube(1, (0,))
     x2, t2 = 0.3, 0.375
 
+    def ladder(ks: list[int]) -> tuple[tuple, tuple, tuple]:
+        # the probe cubes, points and scales of the generations ks
+        return tuple(zip(*(_ladder_probe(grid, base, k) for k in ks)))
+
+    cubes, x1s, t1s = ladder(ks)
+    kvs = k_quantity(factor, cubes, ks, x1s, t1s, params, spec).tolist()
+    qvs = q_quantity(kernel, cubes, ks, j1, (x1s, x2), t1s, t2, params,
+                     spec).tolist()
     records = []
     k_vals, q_vals = {}, {}
-    for k in ks:
-        cube, x1, t1 = _ladder_probe(grid, base, k)
-        kv = k_quantity(factor, cube, k, x1, t1, params, spec)
-        qv = q_quantity(kernel, cube, k, j1, (x1, x2), t1, t2, params, spec)
+    for k, cube, kv, qv in zip(ks, cubes, kvs, qvs):
         qn = qv * math.sqrt(cube.side * 2.0 ** k)   # ancestor scale factor out
         k_vals[k], q_vals[k] = kv, qn
         records.append({"k": k, "offset": cube.index[0] - base.index[0],
@@ -726,12 +743,10 @@ def run_kdecay(
     plateaus_ok = all(lo >= 0.1 and hi <= 10.0 for lo, hi in (k_plateau, q_plateau))
 
     def side_ladder(a: float) -> dict:
-        side_factor = ConvolutionFactor(1, a, "size")
-        vals = {}
-        for k in slope_ks:
-            cube, x1, t1 = _ladder_probe(grid, base, k)
-            vals[k] = k_quantity(side_factor, cube, k, x1, t1, params, spec)
-        return vals
+        cubes, x1s, t1s = ladder(slope_ks)
+        vals = k_quantity(ConvolutionFactor(1, a, "size"), cubes, slope_ks,
+                          x1s, t1s, params, spec)
+        return dict(zip(slope_ks, vals.tolist()))
 
     side = {}
     side_ok = True

@@ -954,9 +954,25 @@ def _axis_gram(factor: ConvolutionFactor, level: int, n_cells: int,
 # ---------------------------------------------------------------------------
 
 
-def q_quantity(kernel: Kernel, i: DyadicCube, k: int, j1: DyadicCube, x,
-               t1: float, t2: float, params: Params,
-               spec: QuadratureSpec | None = None) -> float:
+def _ladder(i, k, x1, t1) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """The rungs (cube, generation, point, scale) of a localized quantity:
+    one rung, ``i`` a cube, or a ladder, ``i`` a sequence of cubes and the
+    others sequences of its length.  Refuses an empty ladder, a length
+    mismatch and a generation below 1."""
+    one = isinstance(i, DyadicCube)
+    cubes, ks = ([i], [k]) if one else (list(i), list(k))
+    xs = np.asarray(x1, dtype=float).reshape(-1)
+    ts = np.asarray(t1, dtype=float).reshape(-1)
+    if not cubes or not len(cubes) == len(ks) == xs.size == ts.size:
+        raise ValueError("a ladder needs one generation, point and scale "
+                         "per cube, and at least one cube")
+    if min(ks) < 1:
+        raise ValueError("need k >= 1")
+    return cubes, ks, xs, ts
+
+
+def q_quantity(kernel: Kernel, i, k, j1: DyadicCube, x, t1, t2: float,
+               params: Params, spec: QuadratureSpec | None = None):
     """Weighted pair integral of theta applied to S (x) h_J1 at (x, t): the
     square root of
 
@@ -964,31 +980,38 @@ def q_quantity(kernel: Kernel, i: DyadicCube, k: int, j1: DyadicCube, x,
 
     where S is the modified ancestor pattern of I at generation k
     (:func:`glstar.haar.s_function`) and h_J1 the Haar function of J1.  S
-    has a constant tail, so the integral separates per axis with a closed
-    far field; kernels without tensor parts are refused.  Raises when the
-    ancestor chain leaves the grid truncation."""
+    has a constant tail, so the integral separates per axis, with a closed
+    far field, into the product of two one-row response grams; kernels
+    without tensor parts are refused.  Raises when the ancestor chain
+    leaves the grid truncation.
+
+    ``i``, ``k``, the first coordinate of ``x = (x1, x2)`` and ``t1`` are
+    one rung (a cube, a float result) or a ladder (a sequence of cubes,
+    sequences of its length, a 1-d array result, rung by rung the one-rung
+    value): each rung takes its pattern's gram, and the Haar side's gram of
+    (J1, x2, t2), which no rung changes, is formed once."""
     spec = spec or QuadratureSpec()
     _check_pair_dims(kernel)
     if kernel.tensor_parts is None:
         raise NotImplementedError(
             "the ancestor pattern has a constant tail, which needs a tensor "
             "kernel: the raw-evaluation quadrature has no closed far field")
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if t1 <= 0 or t2 <= 0:
+    x1, x2 = x
+    cubes, ks, xs, ts = _ladder(i, k, x1, t1)
+    if ts.min() <= 0 or t2 <= 0:
         raise ValueError("scales must be positive")
-    x = np.asarray(x, dtype=float).reshape(2)
     g1, g2 = kernel.tensor_parts
     lam1, lam2 = params.weight_powers
-    a = response_gram(g1, s_function(i, k), x[0], t1, lam1, spec)
+    a = [response_gram(g1, s_function(c, kc), xc, tc, lam1, spec)[0, 0]
+         for c, kc, xc, tc in zip(cubes, ks, xs.tolist(), ts.tolist())]
     b = response_gram(g2, haar_function(HaarIndex(cube=j1, eta=(1,))),
-                      x[1], t2, lam2, spec)
-    return _sqrt_clamped(float(a[0, 0] * b[0, 0]))[0]
+                      float(x2), t2, lam2, spec)[0, 0]
+    out = [_sqrt_clamped(float(ac * b))[0] for ac in a]
+    return out[0] if isinstance(i, DyadicCube) else np.array(out)
 
 
-def k_quantity(kernel_factor: ConvolutionFactor, i: DyadicCube, k: int,
-               x1: float, t1: float, params: Params,
-               spec: QuadratureSpec | None = None) -> float:
+def k_quantity(kernel_factor: ConvolutionFactor, i, k, x1, t1,
+               params: Params, spec: QuadratureSpec | None = None):
     """The complement integral at generation k: the square root of
 
         int ( int_{(I^(k-1))^c} profile(t1, |x1 - y1 - z1|) dz1 )^2
@@ -997,22 +1020,31 @@ def k_quantity(kernel_factor: ConvolutionFactor, i: DyadicCube, k: int,
     The inner integral is mass minus the cell integral over the ancestor,
     exact in closed form; the outer integral is the response gram of that
     one row (:func:`_weighted_theta_gram`), its far field the factor's mass
-    against the weight tail."""
+    against the weight tail.
+
+    ``i``, ``k``, ``x1`` and ``t1`` are one rung (a cube, a float result)
+    or a ladder (a sequence of cubes, sequences of its length, a 1-d array
+    result): the rungs' u-meshes are one :func:`glstar.core.graded_meshes`
+    batch and their grams one :func:`_weighted_theta_gram` call, each rung
+    bit for bit its one-rung value."""
     spec = spec or QuadratureSpec()
     if kernel_factor.dim != 1 or params.n != 1:
         raise NotImplementedError("the closed complement needs 1-d factors")
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if t1 <= 0:
+    cubes, ks, x, t = _ladder(i, k, x1, t1)
+    if t.min() <= 0:
         raise ValueError("scale must be positive")
-    (alo, ahi), = i.grid.ancestor(i, k - 1).box()
-    mass = kernel_factor.mass(t1)
-    x, t = np.array([x1], dtype=float), np.array([t1], dtype=float)
-    anchors = (alo, ahi, x[0])
-    lo, hi = _offset_span((alo, ahi), t, anchors)
+    # each rung's (k-1)-st ancestor, whose complement the rung integrates
+    box = np.array([c.grid.ancestor(c, kc - 1).box()[0]
+                    for c, kc in zip(cubes, ks)])
+    mass = kernel_factor.mass(t)
+    anchors = np.column_stack((box, x))
+    lo, hi = _offset_span((box[:, 0], box[:, 1]), t, anchors)
     u, du, sizes = graded_meshes(lo, hi, anchors, spec.points_per_cell,
                                  spec.rule, rel_finest=_MESH_REL)
-    comp = mass - kernel_factor.cell_integral(t1, u, (alo, ahi))[..., 0]
+    # the cell integral over each rung's own ancestor
+    comp = mass - kernel_factor._row_cell_integral(
+        t[:, None, None], u, box[:, None, :])[..., 0]
     sq = _weighted_theta_gram(comp[:, None], u, du, sizes, lo, hi, mass, x,
                               t, params.weight_powers[0])
-    return _sqrt_clamped(float(sq[0, 0, 0]))[0]
+    out = [_sqrt_clamped(v)[0] for v in sq[:, 0, 0].tolist()]
+    return out[0] if isinstance(i, DyadicCube) else np.array(out)

@@ -192,8 +192,17 @@ class ConvolutionFactor:
         e_(i+1)] of the nondecreasing ``edges``, shape x.shape + (cells,):
         one odd antiderivative per (point, edge), shared by adjacent cells."""
         edges = np.asarray(edges, dtype=float)
-        if edges.ndim != 1 or np.any(edges[1:] < edges[:-1]):
+        if edges.ndim != 1:
             raise ValueError("cell edges must be a nondecreasing 1-d array")
+        return self._row_cell_integral(t, x, edges)
+
+    def _row_cell_integral(self, t, x, edges):
+        """`cell_integral` with ``edges`` of shape (..., cells + 1), one row
+        of edges broadcast against each point of ``x``, each row
+        nondecreasing."""
+        edges = np.asarray(edges, dtype=float)
+        if np.any(edges[..., 1:] < edges[..., :-1]):
+            raise ValueError("cell edges must be nondecreasing")
         odd = self.antiderivative(t, np.asarray(x, dtype=float)[..., None]
                                   - edges)
         return odd[..., :-1] - odd[..., 1:]

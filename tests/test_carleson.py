@@ -20,7 +20,7 @@ from glstar.carleson import (
     random_open_set,
     shadow_sets,
 )
-from glstar.dyadic import ShiftedGrid
+from glstar.dyadic import ShiftedGrid, random_grids
 from glstar.experiments import run_carleson
 from glstar.kernels import (
     make_broken,
@@ -218,8 +218,7 @@ def test_open_set_measure_is_not_an_argument():
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 2 ** 30))
 def test_open_set_indicator_matches_measure(seed):
-    h1 = ShiftedGrid.random(1, -3, 6, seed=seed)
-    h2 = ShiftedGrid.random(1, -3, 6, seed=seed, trial=1)
+    h1, h2 = random_grids(1, -3, 6, seed, (0, 1))
     rng = np.random.default_rng(seed)
     om = random_open_set((h1, h2), rng, n_rects=4, level_range=(0, 3))
     ind = om.indicator()
@@ -316,8 +315,7 @@ def test_rect_view_equals_per_rectangle_map(seed, levels):
         g1, g2 = std_pair()
         omega = DyadicOpenSet(((g1.cube(0, (0,)), g2.cube(0, (0,))),))
     else:
-        h1 = ShiftedGrid.random(1, -4, 8, seed=seed)
-        h2 = ShiftedGrid.random(1, -4, 8, seed=seed, trial=1)
+        h1, h2 = random_grids(1, -4, 8, seed, (0, 1))
         omega = random_open_set((h1, h2), np.random.default_rng(seed),
                                 n_rects=4, level_range=(0, 2))
     rep = carleson_sum(SIZE, omega, levels, PARAMS)
@@ -334,8 +332,7 @@ def test_rect_view_equals_per_rectangle_map(seed, levels):
     far = (g1.cube(i.level, (i.index[0] + 1000,)), j)
     deep = (g1.cube(g1.j_max, (0,)), g2.cube(g2.j_max, (0,)))
     # the same levels and indices on another grid pair
-    o1 = ShiftedGrid.random(1, g1.j_min, g1.j_max, seed=99)
-    o2 = ShiftedGrid.random(1, g2.j_min, g2.j_max, seed=99, trial=1)
+    o1, o2 = random_grids(1, g1.j_min, g1.j_max, 99, (0, 1))
     other = (o1.cube(i.level, i.index), o2.cube(j.level, j.index))
     half = (i, o2.cube(j.level, j.index))
     for key in (far, deep, other, half, "x", (i,)):
@@ -348,8 +345,7 @@ def test_rect_view_equals_per_rectangle_map(seed, levels):
 def test_carleson_sum_builds_no_cubes(monkeypatch):
     # run_carleson's first open set at seed 11; the sum must count its
     # rectangles without constructing any of them
-    gp = (ShiftedGrid.random(1, -6, 10, 11, trial=0),
-          ShiftedGrid.random(1, -6, 10, 11, trial=1))
+    gp = random_grids(1, -6, 10, 11, (0, 1))
     omega = random_open_set(gp, np.random.default_rng((11, 0)), n_rects=4,
                             level_range=(0, 2))
     calls = []
@@ -367,8 +363,7 @@ def test_carleson_sum_builds_no_cubes(monkeypatch):
 
 def seeded_open_set(seed):
     """run_carleson's open set number ``seed`` at seed 11, built fresh."""
-    gp = (ShiftedGrid.random(1, -6, 10, 11, trial=2 * seed),
-          ShiftedGrid.random(1, -6, 10, 11, trial=2 * seed + 1))
+    gp = random_grids(1, -6, 10, 11, (2 * seed, 2 * seed + 1))
     return random_open_set(gp, np.random.default_rng((11, seed)), n_rects=4,
                            level_range=(0, 2))
 
@@ -383,9 +378,9 @@ def test_run_carleson_counts_each_level_pair_once(monkeypatch):
     summed = carleson.carleson_sum
     candidates = carleson.DyadicOpenSet._candidates
 
-    def count(omega, l1, l2):
-        counted.append((omega, l1, l2))
-        return block(omega, l1, l2)
+    def count(omega, l1, l2s):
+        counted.append((omega, l1, l2s))
+        return block(omega, l1, l2s)
 
     def listing(omega, axis, level):
         out = candidates(omega, axis, level)
@@ -401,7 +396,7 @@ def test_run_carleson_counts_each_level_pair_once(monkeypatch):
     monkeypatch.setattr(experiments, "carleson_sum", total)
     monkeypatch.setattr(carleson.DyadicOpenSet, "_candidates", listing)
     run_carleson(PARAMS)
-    keys = [(id(om), l1, l2) for om, l1, l2 in counted]
+    keys = [(id(om), l1, l2) for om, l1, l2s in counted for l2 in l2s]
     assert len(keys) == len(set(keys)) > 0
     # one listing per (set, axis, level), every later read the same arrays
     assert len({key[:3] for key in listed}) == len(set(listed)) < len(listed)
@@ -433,6 +428,22 @@ def test_warm_set_sums_as_a_fresh_one(monkeypatch, seed):
     with pytest.raises(ValueError, match="size guard"):
         carleson_sum(SIZE, warm, 3, PARAMS)
     carleson_sum(SIZE, warm, 2, PARAMS)
+
+
+def test_tensor_packing_sums_take_no_scale_pair_lookup(monkeypatch):
+    # a tensor kernel's box value at a level pair is the product of two
+    # per-level axis bands, built once per sum, so no level pair looks the
+    # kernel up in _cij_scales; the values are its values bit for bit
+    omega = seeded_open_set(1)
+    kernels = (SIZE, CANC, make_mixed(1, 1, 0.5, 0.5))
+    want = [per_rectangle_oracle(k, omega, 2, PARAMS) for k in kernels]
+
+    def no_lookup(*args, **kwargs):
+        raise AssertionError("a level pair looked up _cij_scales")
+
+    monkeypatch.setattr(carleson, "_cij_scales", no_lookup)
+    for kernel, oracle in zip(kernels, want):
+        assert dict(carleson_sum(kernel, omega, 2, PARAMS).rect_values) == oracle
 
 
 def test_warm_sum_builds_one_spec(monkeypatch):

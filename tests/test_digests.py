@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from glstar import experiments
-from glstar.core import QuadratureSpec, default_params
+from test_experiments import QUICK
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PINNED = ROOT / "tests" / "digests.json"
@@ -42,14 +42,20 @@ def _benchmark_workloads():
 WORKLOADS = _benchmark_workloads()
 report_digest = WORKLOADS.report_digest
 
+
+
+def _quick_run(name):
+    """The driver at its quick row of ``tests/test_experiments.py``."""
+    params, kwargs, _ = QUICK[name]
+    return lambda: getattr(experiments, name)(params, **kwargs)
+
+
 # the seed-0 driver operations of the benchmark, under the benchmark's own
 # names, plus run_cases, which no workload runs
 OPS = {
     **{op.name: op.run for workload in ("drivers", "lattice")
        for op in WORKLOADS.build(workload, 0) if op.digest is not None},
-    "run_cases[smoke]": lambda: experiments.run_cases(
-        default_params(r=20), whitney_levels=(0, 1), pad=0.5,
-        spec=QuadratureSpec(points_per_cell=2, t_points_per_octave=2)),
+    "run_cases[smoke]": _quick_run("run_cases"),
 }
 
 

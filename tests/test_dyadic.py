@@ -114,25 +114,84 @@ def _schur_scalar(i1, i2, alpha):
             * i1.measure() ** 0.5 * i2.measure() ** 0.5)
 
 
+def _collection_cubes(size: int, seed: int) -> list[DyadicCube]:
+    """run_schur's family of ``size`` cubes at ``seed``, built as cubes."""
+    grid, levels, index = _draw_collection(size, seed)
+    return [grid.cube(lev, k) for lev, k in zip(levels.tolist(), index.tolist())]
+
+
+def _count_unique(monkeypatch) -> list:
+    """Spy on np.unique: the list grows by one per call."""
+    calls, unique = [], np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    return calls
+
+
 @pytest.mark.parametrize("dim", [1, 2])
-def test_schur_matrix_is_the_scalar_formula_bit_for_bit(dim):
+def test_schur_matrix_is_the_scalar_formula_bit_for_bit(monkeypatch, dim):
+    # three families: scattered cubes of one grid, whose long distances span
+    # more integer keys than the matrix has entries; cubes of two grids, whose
+    # keys are not integers (both take the sorted path); and, in 1-d, a
+    # section of run_schur's family (the integer-key lookup)
     rng = np.random.default_rng(29 + dim)
     grid = ShiftedGrid.random(dim, -4, 12, seed=31)
     cubes = [grid.cube(int(rng.integers(-4, 13)),
                        tuple(int(k) for k in rng.integers(-40, 40, size=dim)))
              for _ in range(40)]
-    for alpha in (0.5, 0.3):
-        big = schur_matrix(cubes, alpha)
-        want = [[_schur_scalar(a, b, alpha) for b in cubes] for a in cubes]
-        assert big.tolist() == want
-        assert schur_coeff(cubes[3], cubes[7], alpha) == want[3][7]
+    twins = random_grids(dim, -2, 10, 37, (0, 1))
+    mixed = [twins[t % 2].cube(int(rng.integers(0, 6)),
+                               tuple(int(k) for k in rng.integers(-8, 8, size=dim)))
+             for t in range(40)]
+    families = [(cubes, True), (mixed, True)]
+    if dim == 1:
+        families.append((_collection_cubes(64, 23), False))
+    for family, sorted_path in families:
+        for alpha in (0.5, 0.3):
+            calls = _count_unique(monkeypatch)
+            big = schur_matrix(family, alpha)
+            assert bool(calls) == sorted_path
+            want = [[_schur_scalar(a, b, alpha) for b in family] for a in family]
+            assert big.tolist() == want
+            assert schur_coeff(family[3], family[7], alpha) == want[3][7]
+
+
+def test_schur_matrix_of_the_run_schur_family_sorts_nothing(monkeypatch):
+    # the 512-cube family's long distances are integer multiples of 2^-8:
+    # their powers come from a table by key, and no row block is sorted
+    cubes = _collection_cubes(512, 23)
+    calls = _count_unique(monkeypatch)
+    big = schur_matrix(cubes, 0.5)
+    assert calls == []
+    grid, levels, index = _draw_collection(512, 23)
+    assert np.array_equal(dyadic.box_schur_matrix(grid.boxes(levels, index),
+                                                  levels, 0.5), big)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_boxes_are_the_cube_boxes(dim):
+    grid = ShiftedGrid.random(dim, -3, 9, seed=5)
+    rng = np.random.default_rng(dim)
+    levels = rng.integers(-3, 10, size=50)
+    index = rng.integers(-300, 300, size=(50, dim))
+    boxes = grid.boxes(levels, index)
+    assert boxes.shape == (50, dim, 2)
+    assert boxes.tolist() == [[list(axis) for axis in grid.cube(lev, k).box()]
+                              for lev, k in zip(levels.tolist(), index.tolist())]
+    for bad in (-4, 10):
+        with pytest.raises(ValueError, match="outside grid truncation"):
+            grid.boxes([0, bad], np.zeros((2, dim), dtype=np.int64))
 
 
 def test_schur_matrix_peak_memory_is_a_few_matrices():
     # run_schur's 512-cube family: the matrix filled by row blocks, one
-    # float pow per distinct long distance of a block and no per-entry
-    # Python float, keeps the peak under three matrices
-    cubes = _draw_collection(512, 23)
+    # float pow per distinct long distance and no per-entry Python float,
+    # keeps the peak under three matrices
+    cubes = _collection_cubes(512, 23)
     schur_matrix(cubes[:2], 0.5)
     tracemalloc.start()
     try:
@@ -515,8 +574,8 @@ def test_is_good_offset_is_is_good_cube_by_cube(dim, j_min, j_max):
                default_params(r=3, n=2, alpha=1.0, beta=0.4)]
     pick = random.Random(17 + dim + j_max)
     verdicts = []
-    for trial, params in enumerate(configs):
-        grid = ShiftedGrid.random(dim, j_min, j_max, seed=61, trial=trial)
+    grids = random_grids(dim, j_min, j_max, 61, range(len(configs)))
+    for grid, params in zip(grids, configs):
         for level in grid.levels():
             span = 1 << (level - j_min + 1)
             cubes = [grid.cube(level, [pick.randrange(-span, span) for _ in range(dim)])
@@ -549,8 +608,7 @@ def test_shift_tables_rows_are_the_random_grids_offsets(dim, j_min, j_max):
     table = shift_tables(dim, j_min, j_max, seed=19, trials=trials)
     assert table.shape == (len(trials), j_max - j_min + 2, dim)
     assert table.dtype == (np.int64 if j_max - j_min < 62 else object)
-    for row, t in zip(table, trials):
-        grid = ShiftedGrid.random(dim, j_min, j_max, seed=19, trial=t)
+    for row, grid in zip(table, random_grids(dim, j_min, j_max, 19, trials)):
         for level in range(j_min - 1, j_max + 1):
             offset = tuple(row[level - j_min + 1].tolist())
             assert offset == grid.offset(level)
@@ -574,8 +632,8 @@ def test_gap_of_exactly_the_threshold_is_bad(params, level, k, root):
     # the estimator on the same boundary: trial 0's cube sits exactly root
     # sides into its ancestor
     seed, trials = 5, 100
-    s = [ShiftedGrid.random(1, j_min, level, seed, t).descendant_offset(j_min, level)[0]
-         for t in range(trials)]
+    s = [grid.descendant_offset(j_min, level)[0]
+         for grid in random_grids(1, j_min, level, seed, range(trials))]
     base = s[0] + root
     gaps = [min(o, top - o) for o in ((base - st) & top for st in s)]
     assert gaps[0] == root
@@ -593,8 +651,7 @@ def test_estimate_pi_good_is_the_per_grid_count():
         est, _ = estimate_pi_good(params, trials=150, level_of_i=level, seed=41,
                                   j_min=j_min, base_index=base, dim=dim)
         hits = 0
-        for t in range(150):
-            grid = ShiftedGrid.random(dim, j_min, level, seed=41, trial=t)
+        for grid in random_grids(dim, j_min, level, 41, range(150)):
             hits += is_good(grid.cube(level, (base,) * dim), grid, params)
         assert est == hits / 150
 
@@ -618,8 +675,7 @@ def test_trial_blocks_are_one_sweep(monkeypatch, block):
 def test_goodness_monotone_in_radius():
     rng = np.random.default_rng(17)
     K = 14
-    for trial in range(10):
-        grid = ShiftedGrid.random(1, 0, K, seed=100, trial=trial)
+    for grid in random_grids(1, 0, K, 100, range(10)):
         k = int(rng.integers(0, 2 ** K))
         cube = grid.cube(K, (k,))
         flags = [is_good(cube, grid, default_params(r=r, theorem_mode=True))

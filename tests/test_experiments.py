@@ -18,7 +18,13 @@ from glstar.core import (
     octave_nodes,
     segment_nodes,
 )
-from glstar.dyadic import DyadicCube, ShiftedGrid, is_good, pi_good_exact
+from glstar.dyadic import (
+    DyadicCube,
+    ShiftedGrid,
+    is_good,
+    pi_good_exact,
+    random_grids,
+)
 from glstar.experiments import (
     ExperimentReport,
     Lemma32Config,
@@ -259,8 +265,9 @@ def test_averaging_good_sums_use_the_exact_pi():
     j_min = lev - PARAMS.r - (octaves - 1)
     inv_pi = 1.0 / float(pi_good_exact(Fraction(1, 6), PARAMS.r, lev - j_min))
     sums = []
-    for rec in rep.records:
-        grid = ShiftedGrid.random(1, j_min, lev + 1, seed, trial=rec["trial"])
+    grids = random_grids(1, j_min, lev + 1, seed,
+                         [rec["trial"] for rec in rep.records])
+    for rec, grid in zip(rep.records, grids):
         good = 0.0
         for cube in grid.cubes_overlapping(lev, [(0.0, 1.0)]):
             lo = Fraction(cube.lattice_corner(grid.j_max)[0], 2 ** grid.j_max)
@@ -344,8 +351,7 @@ def _old_run_averaging(params, integrand=None, trials=1000, seed=7, octaves=12):
     pi_exact = {lev: pi_good_exact(gamma, params.r, lev - j_min) for lev in levels}
     support, = integrand.x_part.box
 
-    def one_trial(trial):
-        grid = ShiftedGrid.random(1, j_min, j_max, seed, trial=trial)
+    def one_trial(grid):
         full = []
         good = 0.0
         for lev in levels:
@@ -360,7 +366,8 @@ def _old_run_averaging(params, integrand=None, trials=1000, seed=7, octaves=12):
         rel = abs(det - closed) / abs(closed) if closed else abs(det)
         return rel, good
 
-    results = [one_trial(t) for t in range(trials)]
+    results = [one_trial(grid) for grid in
+               random_grids(1, j_min, j_max, seed, range(trials))]
     rels = np.array([r for r, _ in results])
     sums = np.array([s for _, s in results])
     estimate = float(np.mean(sums))
@@ -482,7 +489,7 @@ def test_schur_refuses_a_check_without_draws_before_building(monkeypatch, draws)
     def no_matrix(*args, **kwargs):
         raise AssertionError("the matrix was built before the refusal")
 
-    monkeypatch.setattr(experiments, "schur_matrix", no_matrix)
+    monkeypatch.setattr(experiments, "box_schur_matrix", no_matrix)
     with pytest.raises(ValueError, match="at least one draw"):
         run_schur(PARAMS, collection_sizes=(8, 16), draws=draws)
 
@@ -503,7 +510,9 @@ def _bilinear_worst_per_draw(big, lam, seed, draws):
 def test_schur_blocked_check_matches_the_per_draw_loop():
     # 150 draws end in a partial block
     rep = run_schur(PARAMS, collection_sizes=(8, 16, 32), seed=23, draws=150)
-    big = dyadic.schur_matrix(experiments._draw_collection(32, 23), 0.5)
+    grid, levels, index = experiments._draw_collection(32, 23)
+    big = dyadic.schur_matrix([grid.cube(lev, k) for lev, k in
+                               zip(levels.tolist(), index.tolist())], 0.5)
     want = _bilinear_worst_per_draw(big, rep.summary["norms"]["32"], 23, 150)
     assert rep.summary["bilinear_worst_ratio"] == pytest.approx(
         want, rel=1e-14, abs=0.0)
@@ -523,15 +532,28 @@ def test_schur_refuses_fewer_than_two_sizes_before_drawing(monkeypatch, sizes):
 def test_schur_refuses_more_cubes_than_the_draw_holds(monkeypatch):
     # levels 0..8 with positions in [0, 4) hold 2,044 distinct cubes; the
     # draw reaches every one of them, and a larger family would never end
-    cubes = experiments._draw_collection(2044, 23)
-    assert len({(c.level, c.index) for c in cubes}) == 2044
+    _, levels, index = experiments._draw_collection(2044, 23)
+    assert len(set(zip(levels.tolist(), index[:, 0].tolist()))) == 2044
 
     def no_draw(*args, **kwargs):
         raise AssertionError("a cube was drawn before the refusal")
 
-    monkeypatch.setattr(experiments, "_draw_collection", no_draw)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(ShiftedGrid, "random", no_draw)
     with pytest.raises(ValueError, match="at most 2044 distinct cubes"):
         run_schur(PARAMS, collection_sizes=(8, 2045))
+
+
+def test_draw_collection_refuses_an_oversized_family_before_drawing(monkeypatch):
+    # called directly, a family above 2,044 cubes is refused too, before
+    # its generator or grid exists, instead of drawing forever
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a cube was drawn before the refusal")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(ShiftedGrid, "random", no_draw)
+    with pytest.raises(ValueError, match="at most 2044 distinct cubes"):
+        experiments._draw_collection(2045, 23)
 
 
 def test_lemma32_refuses_an_empty_configuration_list():
@@ -678,6 +700,21 @@ def test_cases_refuses_a_domain_above_the_cell_guard():
     assert traced_peak(refused) < 64 * 2 ** 20
 
 
+def test_kdecay_forms_the_haar_side_gram_once(monkeypatch):
+    # each generation's modified pattern takes its own response gram, but
+    # the Haar side's (J1, x2, t2) is the same at every generation: 14 + 1
+    # grams at the defaults, not two per generation
+    grams, gram = [], gstar.response_gram
+
+    def counted(*args, **kwargs):
+        grams.append(args[1])
+        return gram(*args, **kwargs)
+
+    monkeypatch.setattr(gstar, "response_gram", counted)
+    assert run_kdecay(PARAMS).passed
+    assert len(grams) <= 15
+
+
 def test_kdecay_refuses_ladders_it_cannot_fit(monkeypatch):
     # range(1, 9) leaves no generation above plateau_upto=8, range(1, 10)
     # one, and range(9, 15) none at or below it, so no plateau to check;
@@ -722,8 +759,7 @@ def test_cases_skips_levels_with_no_cube_in_the_box():
     spec = QuadratureSpec(points_per_cell=2, t_points_per_octave=2)
     rep = run_cases(params, whitney_levels=(0, 2), pad=-0.6, spec=spec)
     kept = []
-    for trial in (0, 1):
-        grid = ShiftedGrid.random(1, -13, 6, 13, trial=trial)
+    for grid in random_grids(1, -13, 6, 13, (0, 1)):
         cubes = [c for lev in range(3) for c in grid.cubes_overlapping(lev, [(0.6, 0.4)])]
         kept.append(sum(is_good(c, grid, params) for c in cubes))
     assert rep.summary["good_regions"] == tuple(kept) == (1, 2)
@@ -739,8 +775,7 @@ def test_cases_keeps_the_regions_is_good_keeps():
     rep = run_cases(params, whitney_levels=(0, 2), pad=1.0,
                     spec=QuadratureSpec(points_per_cell=2, t_points_per_octave=2))
     kept, seen = [], []
-    for trial in (0, 1):
-        grid = ShiftedGrid.random(1, -13, 6, 13, trial=trial)
+    for grid in random_grids(1, -13, 6, 13, (0, 1)):
         cubes = [c for lev in range(3) for c in grid.cubes_overlapping(lev, [(-1.0, 2.0)])]
         kept.append(sum(is_good(c, grid, params) for c in cubes))
         seen.append(len(cubes))

@@ -1159,6 +1159,47 @@ def test_q_quantity_refuses_nonpositive_scales():
             q_quantity(*args, t1, t2, PARAMS)
 
 
+def _ladder_rungs(ks):
+    # run_kdecay's probes: a level-4 cube ~2^(k/2) cells into its ancestor
+    grid = ShiftedGrid.standard(1, -10, 8)
+    cubes = [grid.cube(4, [min(math.ceil(2 ** (k / 2)), 2 ** (k - 1) - 1)
+                           if k > 1 else 0]) for k in ks]
+    xs = [0.5 * sum(c.box()[0]) for c in cubes]
+    return grid, cubes, xs, [3 / 64 * (1 + k % 3) for k in ks]
+
+
+def test_ladders_are_their_rungs_bit_for_bit():
+    # a ladder batches its rungs' meshes and grams (k) or forms the shared
+    # Haar-side gram once (q); every rung reads as its one-rung call
+    ks = [1, 3, 6, 9, 13, 14]
+    grid, cubes, xs, ts = _ladder_rungs(ks)
+    factor = SIZE.tensor_parts[0]
+    j1 = grid.cube(1, [0])
+    sp = QuadratureSpec(t_min=2.0**-10, t_max=2.0**4)
+    got = k_quantity(factor, cubes, ks, xs, ts, PARAMS, sp)
+    assert got.tolist() == [k_quantity(factor, c, k, x, t, PARAMS, sp)
+                            for c, k, x, t in zip(cubes, ks, xs, ts)]
+    got = q_quantity(SIZE, cubes, ks, j1, (xs, 0.3), ts, 0.375, PARAMS, sp)
+    assert got.tolist() == [q_quantity(SIZE, c, k, j1, (x, 0.3), t, 0.375,
+                                       PARAMS, sp)
+                            for c, k, x, t in zip(cubes, ks, xs, ts)]
+
+
+def test_ladders_refuse_ragged_or_empty_rungs():
+    ks = [2, 5]
+    grid, cubes, xs, ts = _ladder_rungs(ks)
+    factor = SIZE.tensor_parts[0]
+    j1 = grid.cube(1, [0])
+    for args in ((cubes, ks, xs[:1], ts), (cubes, ks[:1], xs, ts), ([], [], [], [])):
+        with pytest.raises(ValueError, match="one generation, point and scale"):
+            k_quantity(factor, *args, PARAMS)
+        c, k, x, t = args
+        with pytest.raises(ValueError, match="one generation, point and scale"):
+            q_quantity(SIZE, c, k, j1, (x, 0.3), t, 0.375, PARAMS)
+    with pytest.raises(ValueError, match="need k >= 1"):
+        k_quantity(factor, cubes, [2, 0], xs, ts, PARAMS)
+
+
 def test_k_quantity_plateau_then_decay():
     # marginally separated ancestors: order one through generation 8, then a
     # clean geometric decay once the offset grows like 2^(k/2)
