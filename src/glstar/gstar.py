@@ -30,14 +30,17 @@ Numerical conventions used throughout:
   kernels (everything built by :mod:`glstar.kernels`) go per axis:
   :func:`_octave_sums` sums each factor's one-axis :func:`response_gram`
   over each band's scale nodes at the band's position and contracts the
-  two grams against f's values.  Other kernels go jointly:
-  :func:`_raw_octave_sums` sums the :func:`_raw_block` of each scale pair
-  at both bands' positions.  A route is one theta evaluator in one of these
-  assemblies plus one choice of positions.  The evaluators are the exact
-  per-axis cell integrals (one antiderivative per u-node and edge where the
-  cell values jump), the raw per-axis profile quadrature (their independent
-  oracle) and the raw kernel evaluations of the joint layer, priced
-  accordingly;
+  two grams against f's values, in blocks of about _BLOCK = 2^16 values.
+  Other kernels go jointly: :func:`_raw_octave_sums` makes each scale
+  node's meshes once per sweep and sums the :func:`_raw_block` of each
+  scale pair at both bands' positions, in blocks of at most _RAW_BLOCK =
+  2^14 kernel values, whose temporaries the C allocator mostly keeps for
+  the next block (see _BLOCK).  A route is one theta evaluator in one of
+  these assemblies plus one choice of positions.  The evaluators are the
+  exact per-axis cell integrals (one antiderivative per u-node and edge
+  where the cell values jump), the raw per-axis profile quadrature (their
+  independent oracle) and the raw kernel evaluations of the joint layer,
+  priced accordingly;
 * a position is never a set of nodes: per axis it is one point x or one
   interval (lo, hi) of x, and the weight (t/(t+|x - u|))^lam enters as its
   value at the point or its closed-form integral over the interval
@@ -110,20 +113,19 @@ _TAIL_WARN = 1e-2
 # and the norm's position window reach where their integrands fall below it.
 _TRUNCATION_EPS = 1e-9
 
-# Elements per block of the chunked contractions: about 2^16 kernel or weight
-# values, so a block's temporaries stay in cache instead of streaming
-# through memory.  Each such temporary is a 512 KB array that the C
-# allocator may hand back to the OS when it is freed, so the next block
-# faults its pages in again: the built-in kernels therefore work in place
-# and make about three per factor.  Whether it is handed back depends on
-# glibc's dynamic mmap threshold, which rises when a larger mapped array is
-# freed, so the same loop runs faster after some earlier call freed a big
-# array than in a fresh process.  A loop over arrays of one size (the row
-# chunks here, the scale nodes of _unit_lag_rows) makes them once and writes
-# into them, which costs the same either way.  A smaller block makes the
-# faults cheaper but the per-block Python overhead dearer (2^13 ran slower
-# end to end).
+# Values per block of the chunked contractions, so that a block's
+# temporaries stay in cache.  A temporary past glibc's mmap threshold (128 KB
+# in a fresh process, raised when a larger mapped array is freed) goes back
+# to the OS when freed and is faulted in again by the next block; loops over
+# arrays of one size (the row-chunk buffers of _mesh_theta, the scale nodes
+# of _unit_lag_rows) make them once.  The per-axis layer streams about
+# _BLOCK values a block: a global 2^14 block slowed the drivers benchmark by
+# about 2 %.  The joint raw layer (_mesh_theta) streams at most _RAW_BLOCK
+# kernel values: at 2^16 its 512 KB temporaries took about 70 K minor
+# faults over the opaque benchmark's three raw ops, at 2^14 13-17 K, and
+# the workload ran 13-15 % faster (2^13 and 12288 ran slower).
 _BLOCK = 2 ** 16
+_RAW_BLOCK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -416,43 +418,29 @@ def _axis_theta_raw(factor: ConvolutionFactor, f: StepFunction, t: float,
     return out
 
 
-def _padded_lookup(f: StepFunction, z1: np.ndarray, z2: np.ndarray,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f on the tensor mesh z1 x z2 as a table and one index array per axis:
-    ``table[np.ix_(k1, k2)]`` equals ``f(z1[:, None], z2[None, :])``.  The
-    table is f's values with one extra row and column holding ``f.tail``,
-    the slot every node outside the box is sent to."""
-    table = np.full((f.shape[0] + 1, f.shape[1] + 1), f.tail)
-    table[:-1, :-1] = f.values
-    k1, k2 = (np.where((k >= 0) & (k < size), k, size)
-              for k, size in ((f.cell_index(0, z1), f.shape[0]),
-                              (f.cell_index(1, z2), f.shape[1])))
-    return table, k1, k2
+def _lookup_axis(f: StepFunction, axis: int, z, w) -> tuple:
+    """One axis (z, w, k) of a :func:`_mesh_theta` mesh: nodes, weights and
+    each node's slot in ``table = np.pad(f.values, (0, 1), constant_values=
+    f.tail)``, so ``table[np.ix_(k1, k2)]`` is ``f(z1[:, None], z2)``."""
+    k = f.cell_index(axis, z)
+    return z, w, np.where((k >= 0) & (k < f.shape[axis]), k, f.shape[axis])
 
 
-def _mesh_theta(kernel: Kernel, f: StepFunction, t1: float, t2: float,
-                pts: np.ndarray, z1: np.ndarray, w1: np.ndarray,
-                z2: np.ndarray, w2: np.ndarray) -> np.ndarray:
+def _mesh_theta(kernel: Kernel, table: np.ndarray, t1: float, t2: float,
+                pts: np.ndarray, axis1, axis2) -> np.ndarray:
     """sum_z K(p, z) f(z) w1(z1) w2(z2) over the tensor mesh z1 x z2 for an
-    (N, 2) array of points p, streamed in blocks of about _BLOCK kernel
-    values.
+    (N, 2) array of points p, in blocks of at most _RAW_BLOCK kernel values
+    or one z2 row; each axis is a :func:`_lookup_axis` into f's ``table``.
 
     A block is a chunk of points against a chunk of z1 rows and all of z2.
     When the whole mesh fits in a block the points are chunked and the rows
     are not; otherwise each point meets one row chunk at a time and the
     chunks' sums accumulate.  A block's mesh points are broadcast from its
     rows and z2, and its f * w weights are written into two row-chunk
-    buffers made once per call, so no array of the whole mesh is built and
-    a block adds only its mesh points to the kernel's own temporaries (see
-    _BLOCK).
-
-    f is read per axis: each axis's cell indices are computed once per call
-    (:func:`_padded_lookup`), and a row chunk's values are one gather from
-    the padded table -- bit for bit the values ``f(z1, z2)`` gives, without
-    its cell lookup per mesh point."""
-    table, k1, k2 = _padded_lookup(f, z1, z2)
-    rows = min(z1.size, max(1, _BLOCK // max(1, z2.size)))
-    step = max(1, _BLOCK // (rows * z2.size))
+    buffers made once per call, f's values one gather from the table."""
+    (z1, w1, k1), (z2, w2, k2) = axis1, axis2
+    rows = min(z1.size, max(1, _RAW_BLOCK // max(1, z2.size)))
+    step = max(1, _RAW_BLOCK // (rows * z2.size))
     out = np.zeros(pts.shape[0])
     picked = np.empty((rows, z2.size))
     weights = np.empty((rows, z2.size))
@@ -474,35 +462,45 @@ def _mesh_theta(kernel: Kernel, f: StepFunction, t1: float, t2: float,
 
 
 def _theta_points_general(kernel: Kernel, f: StepFunction, t1: float,
-                          t2: float, pts: np.ndarray,
-                          spec: QuadratureSpec) -> np.ndarray:
+                          t2: float, pts: np.ndarray, spec: QuadratureSpec,
+                          z_axes=None) -> np.ndarray:
     """theta f at an (N, 2) array of points from raw kernel evaluations.
 
     As the closed forms split it, theta f(p) = theta(f - tail)(p) + tail M(p)
-    with M(p) = iint K(p, z) dz.  The compact part shares one z-mesh across
-    all points; the mass takes one window per point, graded toward p alone
-    and sized by the declared decay, so every window is a translate of one
-    relative mesh.  :func:`_mesh_theta` contracts each tensor mesh z1 x z2
-    in blocks of about _BLOCK kernel values, looking f's cells up per axis."""
+    with M(p) = iint K(p, z) dz.  The compact part, skipped when zero, shares
+    one z-mesh across all points, the :func:`_lookup_axis` pair ``z_axes``
+    (by default f's cells refined at (t1, t2)).  The mass takes one window
+    per point, graded toward p alone and of radius t (2/(a eps))^(1/a) for
+    the declared decay exponent a, so every window is a translate of one
+    relative mesh; a radius past e^700 is refused before any kernel call."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    z1, w1 = _refined_axis_nodes(f, 0, t1, spec.points_per_cell, spec.rule)
-    z2, w2 = _refined_axis_nodes(f, 1, t2, spec.points_per_cell, spec.rule)
-    compact = StepFunction(f.level, f.lo, f.values - f.tail)
-    out = _mesh_theta(kernel, compact, t1, t2, pts, z1, w1, z2, w2)
+    decay = ((t1, kernel.alpha, "alpha"), (t2, kernel.beta, "beta"))
+    for t, a, name in decay if f.tail != 0.0 else ():
+        if math.log(t) + math.log(2.0 / (a * _TRUNCATION_EPS)) / a > 700.0:
+            raise ValueError(f"declared exponent {name} = {a:g} is too small "
+                             "for the raw path's tail window")
+    out = np.zeros(pts.shape[0])
+    table = np.pad(f.values - f.tail, (0, 1))
+    if table.any():
+        out = _mesh_theta(kernel, table, t1, t2, pts, *(z_axes or [
+            _lookup_axis(f, axis, *_refined_axis_nodes(
+                f, axis, t, spec.points_per_cell, spec.rule))
+            for axis, t in enumerate((t1, t2))]))
     if f.tail == 0.0:
         return out
     one = StepFunction(0, (0, 0), np.ones((1, 1)), tail=1.0)
+    one_table = np.pad(one.values, (0, 1), constant_values=one.tail)
     # each ladder bottoms out at t/8, below the kernel ridge width t, or the
     # whole window would be priced at the (huge) tail radius
     radii = [(t * (2.0 / (a * _TRUNCATION_EPS)) ** (1.0 / a), t)
-             for t, a in ((t1, kernel.alpha), (t2, kernel.beta))]
+             for t, a, _ in decay]
     for i, p in enumerate(pts):
-        (m1, v1), (m2, v2) = (segment_nodes(
+        window = (segment_nodes(
             graded_axis_edges(c - r, c + r, (c,),
                               rel_finest=min(2.0 ** -20, 0.125 * t / r)),
             spec.points_per_cell, spec.rule) for c, (r, t) in zip(p, radii))
-        out[i] += f.tail * _mesh_theta(kernel, one, t1, t2, p[None, :],
-                                       m1, v1, m2, v2)[0]
+        out[i] += f.tail * _mesh_theta(kernel, one_table, t1, t2, p[None], *(
+            _lookup_axis(one, axis, *zw) for axis, zw in enumerate(window)))[0]
     return out
 
 
@@ -537,32 +535,35 @@ def apply_theta(kernel: Kernel, f: StepFunction, y, t1: float, t2: float,
 # ---------------------------------------------------------------------------
 
 
-def _raw_block(kernel: Kernel, f: StepFunction, t1: float, t2: float,
-               at1, at2, lam1: float, lam2: float,
-               spec: QuadratureSpec) -> float:
-    """The inner integral iint |theta f(x - y)|^2 w1 w2 dy / (t1 t2) at one
-    scale pair, x1 and x2 each the point or integrated over the interval
-    ``at1``, ``at2`` (:func:`_position_weight`).
+def _raw_axis(f: StepFunction, axis: int, t, at, lam: float, spec) -> tuple:
+    """One axis of the joint raw layer at the scale t: the u-mesh of f's
+    structure zone on that axis, its weights times the position weight at
+    ``at`` (:func:`_position_weight`), and the :func:`_lookup_axis` of f's
+    cells refined at t.  The meshes are the coarser raw-path family: this
+    layer prices kernel calls, not mesh density."""
+    box = f.box[axis]
+    u, du, _, _ = _offset_mesh(box, t, spec, box, _RAW_PAD_UNITS,
+                               _RAW_MESH_REL)
+    return u, _position_weight(t, lam, at, u) * du, _lookup_axis(
+        f, axis, *_refined_axis_nodes(f, axis, t, spec.points_per_cell,
+                                      spec.rule))
 
-    theta is sampled from raw kernel values on the tensor u-mesh of the two
-    structure zones and contracted against both weights.  The meshes are the
-    coarser raw-path family: this route prices kernel calls, not mesh
-    density.  Compact f only (there is no closed far field)."""
-    b1, b2 = f.box
-    u1, du1, _, _ = _offset_mesh(b1, t1, spec, b1, _RAW_PAD_UNITS,
-                                 _RAW_MESH_REL)
-    u2, du2, _, _ = _offset_mesh(b2, t2, spec, b2, _RAW_PAD_UNITS,
-                                 _RAW_MESH_REL)
-    wg1 = _position_weight(t1, lam1, at1, u1) * du1
-    wg2 = _position_weight(t2, lam2, at2, u2) * du2
+
+def _raw_block(kernel: Kernel, f: StepFunction, t1: float, t2: float,
+               axis1: tuple, axis2: tuple, spec: QuadratureSpec) -> float:
+    """The inner integral iint |theta f(x - y)|^2 w1 w2 dy / (t1 t2) at one
+    scale pair, each axis a :func:`_raw_axis`: theta from raw kernel values
+    on the tensor u-mesh of the two structure zones, contracted against
+    both weights.  Compact f only (there is no closed far field)."""
+    (u1, wg1, z1), (u2, wg2, z2) = axis1, axis2
     pts = np.stack(np.meshgrid(u1, u2, indexing="ij"), axis=-1).reshape(-1, 2)
-    th = _theta_points_general(kernel, f, t1, t2, pts, spec)
+    th = _theta_points_general(kernel, f, t1, t2, pts, spec, (z1, z2))
     th2 = (th * th).reshape(u1.size, u2.size)
     return float(wg1 @ th2 @ wg2) / (t1 * t2)
 
 
-def _raw_octave_sums(kernel: Kernel, f: StepFunction, lam1: float,
-                     lam2: float, ranges: tuple[tuple[float, float], ...],
+def _raw_octave_sums(kernel: Kernel, f: StepFunction, lams: Sequence[float],
+                     ranges: tuple[tuple[float, float], ...],
                      spec: QuadratureSpec, band_nodes,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """The joint octave-band assembly: the raw scale-pair sum of
@@ -570,23 +571,22 @@ def _raw_octave_sums(kernel: Kernel, f: StepFunction, lam1: float,
     one position per band.
 
     ``band_nodes[axis](lo, hi)`` gives the point or interval used for the
-    scale band (lo, hi] of that axis; every octave pair evaluates its
-    :func:`_raw_block` there.  Returns the per-octave sums along each scale
-    axis."""
-    bands = [[(tn, tw, nodes(lo, hi))
-              for lo, hi, tn, tw in octave_blocks(*r, spec.t_points_per_octave,
-                                                  spec.rule)]
-             for nodes, r in zip(band_nodes, ranges)]
-    o1 = np.zeros(len(bands[0]))
-    o2 = np.zeros(len(bands[1]))
-    for i1, (t1n, t1w, at1) in enumerate(bands[0]):
-        for t1, w1 in zip(t1n, t1w):
-            for i2, (t2n, t2w, at2) in enumerate(bands[1]):
-                for t2, w2 in zip(t2n, t2w):
-                    contrib = _raw_block(kernel, f, t1, t2, at1, at2, lam1,
-                                         lam2, spec) * (w1 / t1) * (w2 / t2)
-                    o1[i1] += contrib
-                    o2[i2] += contrib
+    scale band (lo, hi] of that axis.  Each scale node's band, scale, dt/t
+    weight and :func:`_raw_axis` at its band's position are made once per
+    sweep, and every scale pair evaluates its :func:`_raw_block` on the two
+    axes.  Returns the per-octave sums along each scale axis."""
+    sweeps = [[(i, t, w / t, _raw_axis(f, axis, t, nodes(lo, hi), lam, spec))
+               for i, (lo, hi, tn, tw) in enumerate(octave_blocks(
+                   *r, spec.t_points_per_octave, spec.rule))
+               for t, w in zip(tn, tw)]
+              for axis, (nodes, r, lam) in enumerate(zip(band_nodes, ranges,
+                                                         lams))]
+    o1, o2 = (np.zeros(sweep[-1][0] + 1) for sweep in sweeps)
+    for i1, t1, s1, a1 in sweeps[0]:
+        for i2, t2, s2, a2 in sweeps[1]:
+            contrib = _raw_block(kernel, f, t1, t2, a1, a2, spec) * s1 * s2
+            o1[i1] += contrib
+            o2[i2] += contrib
     return o1, o2
 
 
@@ -605,7 +605,7 @@ def _octave_sums(kernel: Kernel, f, pair, lams, ranges, spec: QuadratureSpec,
     over its scale nodes; ``raw`` picks its oracle theta."""
     if kernel.tensor_parts is None:
         o1, o2 = _raw_octave_sums(kernel, _tensor_step(*pair) if pair else f,
-                                  *lams, ranges, spec, band_nodes)
+                                  lams, ranges, spec, band_nodes)
         return o1, o2, float(o1.sum())
     if pair is not None:
         axes, v = [(g, None) for g in pair], np.ones((1, 1))

@@ -96,7 +96,7 @@ def test_cij_opaque_quadrature_cross_check():
 def test_cij_opaque_kernel_calls_stay_in_blocks(monkeypatch):
     # theta(1) on a non-tensor kernel takes per-point mass windows of about
     # 1.2 M mesh points; the raw oracle must stream them through evaluate in
-    # blocks of at most _BLOCK values (or one z2 row, if that is longer)
+    # blocks of at most _RAW_BLOCK values (or one z2 row, if that is longer)
     largest = {"points": 0, "z2": 0}
 
     def evaluate(t1, t2, x, y):
@@ -106,16 +106,33 @@ def test_cij_opaque_kernel_calls_stay_in_blocks(monkeypatch):
 
     real = gstar._mesh_theta
 
-    def mesh_theta(kernel, f, t1, t2, pts, z1, w1, z2, w2):
-        largest["z2"] = max(largest["z2"], z2.size)
-        return real(kernel, f, t1, t2, pts, z1, w1, z2, w2)
+    def mesh_theta(kernel, table, t1, t2, pts, axis1, axis2):
+        largest["z2"] = max(largest["z2"], axis2[0].size)
+        return real(kernel, table, t1, t2, pts, axis1, axis2)
 
     monkeypatch.setattr(gstar, "_mesh_theta", mesh_theta)
     opaque = replace(SIZE, evaluate=evaluate, tensor_parts=None)
     g1, g2 = std_pair()
     spec = QuadratureSpec(t_points_per_octave=1)
     c_ij(opaque, g1.cube(2, (0,)), g2.cube(3, (0,)), PARAMS, spec)
-    assert 0 < largest["points"] <= max(gstar._BLOCK, largest["z2"])
+    assert 0 < largest["points"] <= max(gstar._RAW_BLOCK, largest["z2"])
+
+
+def test_cij_refuses_a_tiny_declared_exponent():
+    # theta(1)'s mass window would overflow its radius at beta = 0.02: the
+    # raw path names the exponent before any kernel call
+    calls, tensor = [], make_size_only(1, 1, 0.5, 0.02)
+
+    def evaluate(t1, t2, x, y):
+        calls.append(1)
+        return tensor.evaluate(t1, t2, x, y)
+
+    opaque = replace(tensor, evaluate=evaluate, tensor_parts=None)
+    g1, g2 = std_pair()
+    with pytest.raises(ValueError, match="exponent beta = 0.02 is too small"):
+        c_ij(opaque, g1.cube(2, (0,)), g2.cube(3, (0,)), PARAMS,
+             QuadratureSpec(t_points_per_octave=1))
+    assert calls == []
 
 
 def test_cij_opaque_theta_one_agrees_across_offsets(monkeypatch):

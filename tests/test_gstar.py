@@ -20,7 +20,7 @@ from glstar.core import (
 from glstar.dyadic import ShiftedGrid
 from glstar.haar import HaarIndex, haar_function, s_function
 from glstar.gstar import (
-    _BLOCK,
+    _RAW_BLOCK,
     GStarValue,
     _axis_gram,
     _band_nodes,
@@ -125,6 +125,14 @@ def meshgrid_theta(kernel, f, t1, t2, pts, z1, w1, z2, w2):
     return out, kv
 
 
+def mesh_theta(kernel, f, t1, t2, pts, z1, w1, z2, w2):
+    """_mesh_theta on f's padded table and the two lookup axes of z1 x z2."""
+    table = np.pad(f.values, (0, 1), constant_values=f.tail)
+    return _mesh_theta(kernel, table, t1, t2, pts,
+                       gstar._lookup_axis(f, 0, z1, w1),
+                       gstar._lookup_axis(f, 1, z2, w2))
+
+
 def recording(kernel):
     """kernel with an evaluate that keeps every call's (x, y, values)."""
     calls = []
@@ -146,7 +154,7 @@ def assert_blocks_match(calls, pts, z1, z2, kv_full):
         r = int(np.flatnonzero(z1 == y[0, 0, 0, 0])[0])
         rows, n2 = y.shape[1], y.shape[2]
         assert n2 == z2.size and kv.shape == (x.shape[0], rows, n2)
-        assert kv.size <= max(_BLOCK, z2.size)
+        assert kv.size <= max(_RAW_BLOCK, z2.size)
         ref = kv_full[i:i + x.shape[0], r * n2:(r + rows) * n2]
         assert np.array_equal(kv.reshape(ref.shape), ref)
         covered += kv.size
@@ -154,10 +162,11 @@ def assert_blocks_match(calls, pts, z1, z2, kv_full):
 
 
 @pytest.mark.parametrize("n1, n2, points", [
-    (64, 64, 40),      # below a block: point chunks of 16
-    (256, 256, 3),     # exactly one block per point
-    (257, 256, 2),     # one row past a block: a 256-row chunk and a 1-row one
-    (300, 250, 2),     # uneven row chunks of 262 and 38
+    (64, 64, 40),      # below a block: point chunks of 4
+    (128, 128, 3),     # exactly one block per point
+    (256, 256, 3),     # exactly four one-block row chunks per point
+    (257, 256, 2),     # one row past four blocks: 64-row chunks, a 1-row one
+    (300, 250, 2),     # uneven row chunks of 65 and 40
     (2, 70000, 1),     # z2 alone exceeds a block: one row per block
 ])
 def test_blocked_mesh_theta_matches_the_whole_mesh_contraction(n1, n2, points):
@@ -169,7 +178,7 @@ def test_blocked_mesh_theta_matches_the_whole_mesh_contraction(n1, n2, points):
     w1, w2 = rng.uniform(0.5, 1.5, n1) / n1, rng.uniform(0.5, 1.5, n2) / n2
     pts = rng.uniform(-1.0, 2.0, size=(points, 2))
     kernel, calls = recording(OPAQUE)
-    got = _mesh_theta(kernel, f, 0.45, 0.7, pts, z1, w1, z2, w2)
+    got = mesh_theta(kernel, f, 0.45, 0.7, pts, z1, w1, z2, w2)
     ref, kv_full = meshgrid_theta(OPAQUE, f, 0.45, 0.7, pts, z1, w1, z2, w2)
     assert_blocks_match(calls, pts, z1, z2, kv_full)
     np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
@@ -196,10 +205,13 @@ def test_blocked_mesh_theta_matches_on_a_tail_window(monkeypatch):
     monkeypatch.setattr(gstar, "_mesh_theta", spy)
     val = apply_theta(kernel, f, (0.3, -0.2), 0.4, 0.6)
     (compact, c_out, _), (args, m_out, m_calls) = seen
-    cf = compact[1]
-    assert cf.tail == 0.0 and np.array_equal(cf.values, f.values - f.tail)
-    one, t1, t2, pts, z1, w1, z2, w2 = args[1:]
-    assert z1.size * z2.size > _BLOCK  # the window spans several blocks
+    # the compact part's table: f - tail, and 0 in the slots past the box
+    assert np.array_equal(compact[1], np.pad(f.values - f.tail, (0, 1)))
+    ones, t1, t2, pts, (z1, w1, k1), (z2, w2, k2) = args[1:]
+    assert np.all(ones[np.ix_(k1, k2)] == 1.0)
+    # the window spans several blocks
+    assert z1.size * z2.size > 4 * _RAW_BLOCK
+    one = StepFunction(0, (0, 0), np.ones((1, 1)), tail=1.0)
     ref, kv_full = meshgrid_theta(SIZE, one, t1, t2, pts, z1, w1, z2, w2)
     assert_blocks_match(m_calls, pts, z1, z2, kv_full)
     assert val == c_out[0] + f.tail * m_out[0]
@@ -232,6 +244,47 @@ def test_raw_theta_of_a_tailed_function_matches_the_closed_form(kernel):
         raw = apply_theta(opaque, f, y, t1, t2)
         errors.append(abs(raw - apply_theta(kernel, f, y, t1, t2)) / scale)
     assert max(errors) <= 1e-2
+
+
+@pytest.mark.parametrize("alpha, beta, name", [(0.02, 0.5, "alpha"),
+                                                (0.5, 0.02, "beta")])
+def test_raw_tail_window_refuses_a_tiny_declared_exponent(alpha, beta, name):
+    # the window radius t (2/(a eps))^(1/a) overflows a float for a below
+    # about 0.03: refused by name before any kernel call, while the tensor
+    # twin closes its far field and a compact f needs no window
+    tensor = make_size_only(1, 1, alpha, beta)
+    kernel, calls = recording(replace(tensor, tensor_parts=None))
+    one = StepFunction(0, (0, 0), np.ones((1, 1)), tail=1.0)
+    assert apply_theta(tensor, one, (0.1, 0.2), 0.5, 0.5) == \
+        pytest.approx(400.0, rel=1e-12)
+    with pytest.raises(ValueError, match=f"exponent {name} = 0.02 is too"):
+        apply_theta(kernel, one, (0.1, 0.2), 0.5, 0.5)
+    assert calls == []
+    cell = StepFunction(0, (0, 0), np.ones((1, 1)))
+    assert apply_theta(kernel, cell, (0.1, 0.2), 0.5, 0.5) == pytest.approx(
+        apply_theta(tensor, cell, (0.1, 0.2), 0.5, 0.5), rel=1e-2)
+    assert calls
+
+
+def test_raw_theta_skips_a_zero_compact_part(monkeypatch):
+    # f - tail = 0: theta f is tail times the kernel mass, one window
+    # contraction per point and no compact one, and the sum is that alone
+    seen = []
+
+    def spy(kernel, table, *rest):
+        out = _mesh_theta(kernel, table, *rest)
+        seen.append((table, out[0]))
+        return out
+
+    monkeypatch.setattr(gstar, "_mesh_theta", spy)
+    f = StepFunction(level=1, lo=(-1, 0), values=np.full((2, 3), 0.75),
+                     tail=0.75)
+    pts = np.array([[0.3, -0.2], [2.5, 1.25]])
+    got = gstar._theta_points_general(replace(SIZE, tensor_parts=None), f,
+                                      0.4, 0.6, pts, QuadratureSpec())
+    assert [np.array_equal(table, np.ones((2, 2))) for table, _ in seen] == \
+        [True, True]
+    assert np.array_equal(got, [0.75 * mass for _, mass in seen])
 
 
 def test_raw_tail_window_is_anchored_at_the_point_alone(monkeypatch):
@@ -267,7 +320,9 @@ def test_padded_lookup_is_the_step_function_exactly():
                      tail=0.75)
     z1 = axis_probes(-3, 5, 0.25, rng.uniform(-2.0, 1.0, 20))
     z2 = axis_probes(1, 4, 0.25, rng.uniform(-0.5, 2.0, 20))
-    table, k1, k2 = gstar._padded_lookup(f, z1, z2)
+    table = np.pad(f.values, (0, 1), constant_values=f.tail)
+    (_, _, k1), (_, _, k2) = (gstar._lookup_axis(f, axis, z, None)
+                              for axis, z in enumerate((z1, z2)))
     want = f(z1[:, None], z2[None, :])
     got = table[np.ix_(k1, k2)]
     assert np.array_equal(got, want)
@@ -280,8 +335,8 @@ def test_padded_lookup_is_the_step_function_exactly():
 
 def pointwise_mesh_theta(kernel, f, t1, t2, pts, z1, w1, z2, w2):
     """The block loop that read f through ``f(rows, z2)`` per row chunk."""
-    rows = min(z1.size, max(1, _BLOCK // max(1, z2.size)))
-    step = max(1, _BLOCK // (rows * z2.size))
+    rows = min(z1.size, max(1, _RAW_BLOCK // max(1, z2.size)))
+    step = max(1, _RAW_BLOCK // (rows * z2.size))
     out = np.zeros(pts.shape[0])
     for r in range(0, z1.size, rows):
         zr = z1[r:r + rows]
@@ -300,7 +355,7 @@ def pointwise_mesh_theta(kernel, f, t1, t2, pts, z1, w1, z2, w2):
 
 @pytest.mark.parametrize("extra, points", [
     (20, 12),     # the whole mesh fits in one block
-    (300, 2),     # it does not: row chunks accumulate
+    (300, 2),     # it does not: six 52-row chunks and a 4-row one add up
 ])
 def test_mesh_theta_reads_f_like_the_pointwise_loop(extra, points):
     rng = np.random.default_rng(extra)
@@ -308,10 +363,10 @@ def test_mesh_theta_reads_f_like_the_pointwise_loop(extra, points):
                      tail=-0.6)
     z1 = axis_probes(-3, 5, 0.25, rng.uniform(-2.0, 1.0, extra))
     z2 = axis_probes(1, 4, 0.25, rng.uniform(-0.5, 2.0, extra))
-    assert (z1.size * z2.size > _BLOCK) == (extra == 300)
+    assert (z1.size * z2.size > _RAW_BLOCK) == (extra == 300)
     w1, w2 = rng.uniform(0.5, 1.5, z1.size), rng.uniform(0.5, 1.5, z2.size)
     pts = rng.uniform(-1.0, 2.0, size=(points, 2))
-    got = _mesh_theta(OPAQUE, f, 0.45, 0.7, pts, z1, w1, z2, w2)
+    got = mesh_theta(OPAQUE, f, 0.45, 0.7, pts, z1, w1, z2, w2)
     want = pointwise_mesh_theta(OPAQUE, f, 0.45, 0.7, pts, z1, w1, z2, w2)
     assert np.array_equal(got, want)
 
@@ -975,6 +1030,28 @@ def test_whitney_band_nodes_sit_on_the_band_level():
         gstar._norm_window(box, 2.4)
 
 
+def test_joint_layer_builds_one_mesh_per_scale_node(monkeypatch):
+    # each scale node's u-mesh is made once per sweep and shared by every
+    # scale pair it enters, not rebuilt per pair
+    spans = []
+
+    def spy(lo, hi, anchors, rel_finest):
+        spans.append((lo, hi))
+        return graded_axis_edges(lo, hi, anchors, rel_finest=rel_finest)
+
+    monkeypatch.setattr(gstar, "graded_axis_edges", spy)
+    rng = np.random.default_rng(2)
+    # boxes (0, 1) and (-0.5, 0.5): the two axes' spans differ at every scale
+    f = StepFunction(level=1, lo=(0, -1), values=rng.normal(size=(2, 2)))
+    sp = QuadratureSpec(points_per_cell=1, t_points_per_octave=2,
+                        t_min=2.0**-2, t_max=2.0)
+    nodes = octave_nodes(sp.t_min, sp.t_max, sp.t_points_per_octave)[0].size
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        gstar_pointwise(OPAQUE, f, (0.3, 0.2), PARAMS, spec=sp, route="full")
+    assert nodes == 6 and len(spans) == len(set(spans)) == 2 * nodes
+
+
 def test_joint_whitney_route_agrees_with_the_per_axis_route(monkeypatch):
     # the two layers integrate over the same band interval at every scale
     # node, also on the end band (2, 2.4] of a range off a power of two, and
@@ -986,18 +1063,18 @@ def test_joint_whitney_route_agrees_with_the_per_axis_route(monkeypatch):
     sp = QuadratureSpec(points_per_cell=2, t_points_per_octave=1,
                         t_min=2.0**-2, t_max=2.4)
     per_axis, joint = set(), set()
-    gram, block = gstar.response_gram, gstar._raw_block
+    gram, raw_axis = gstar.response_gram, gstar._raw_axis
 
     def gram_spy(factor, f, at, t, *rest):
         per_axis.add((t, at))
         return gram(factor, f, at, t, *rest)
 
-    def block_spy(kernel, f, t1, t2, at1, at2, *rest):
-        joint.update({(t1, at1), (t2, at2)})
-        return block(kernel, f, t1, t2, at1, at2, *rest)
+    def axis_spy(f, axis, t, at, *rest):
+        joint.add((t, at))
+        return raw_axis(f, axis, t, at, *rest)
 
     monkeypatch.setattr(gstar, "response_gram", gram_spy)
-    monkeypatch.setattr(gstar, "_raw_block", block_spy)
+    monkeypatch.setattr(gstar, "_raw_axis", axis_spy)
     gstar_sq_norm(OPAQUE, (f1, f2), PARAMS, grids, spec=sp)
     whitney = gstar_sq_norm(CANC, (f1, f2), PARAMS, grids, spec=sp)
     assert joint == per_axis and max(t for t, _ in joint) > 2.0
