@@ -34,13 +34,15 @@ Numerical conventions used throughout:
   Other kernels go jointly: :func:`_raw_octave_sums` makes each scale
   node's meshes once per sweep and sums the :func:`_raw_block` of each
   scale pair at both bands' positions, in blocks of at most _RAW_BLOCK =
-  2^14 kernel values, whose temporaries the C allocator mostly keeps for
-  the next block (see _BLOCK).  A route is one theta evaluator in one of
-  these assemblies plus one choice of positions.  The evaluators are the
-  exact per-axis cell integrals (one antiderivative per u-node and edge
-  where the cell values jump), the raw per-axis profile quadrature (their
-  independent oracle) and the raw kernel evaluations of the joint layer,
-  priced accordingly;
+  2^14 kernel values.  A block reaches the kernel as separate coordinate
+  blocks (points, z1 rows, z2 nodes), so a kernel that separates evaluates
+  each factor on rows or on z2 alone and only the product and the
+  contraction span the block (see _BLOCK).  A route is one theta evaluator
+  in one of these assemblies plus one choice of positions.  The evaluators
+  are the exact per-axis cell integrals (one antiderivative per u-node and
+  edge where the cell values jump), the raw per-axis profile quadrature
+  (their independent oracle) and the raw kernel evaluations of the joint
+  layer, priced accordingly;
 * a position is never a set of nodes: per axis it is one point x or one
   interval (lo, hi) of x, and the weight (t/(t+|x - u|))^lam enters as its
   value at the point or its closed-form integral over the interval
@@ -121,9 +123,11 @@ _TRUNCATION_EPS = 1e-9
 # of _unit_lag_rows) make them once.  The per-axis layer streams about
 # _BLOCK values a block: a global 2^14 block slowed the drivers benchmark by
 # about 2 %.  The joint raw layer (_mesh_theta) streams at most _RAW_BLOCK
-# kernel values: at 2^16 its 512 KB temporaries took about 70 K minor
-# faults over the opaque benchmark's three raw ops, at 2^14 13-17 K, and
-# the workload ran 13-15 % faster (2^13 and 12288 ran slower).
+# kernel values; as it hands the kernel coordinate blocks, only the product
+# and the matrix-vector product span a block.  On the opaque benchmark (2
+# cores, 1 BLAS thread, alternating runs) 2^15 was lower than 2^14 in 3 of
+# 5 pairs twice, and 2^16 slower than both in 5 of 5, so the block stays
+# at 2^14; either larger block also moves c_ij by 1-3e-16 relative.
 _BLOCK = 2 ** 16
 _RAW_BLOCK = 2 ** 14
 
@@ -435,29 +439,33 @@ def _mesh_theta(kernel: Kernel, table: np.ndarray, t1: float, t2: float,
     A block is a chunk of points against a chunk of z1 rows and all of z2.
     When the whole mesh fits in a block the points are chunked and the rows
     are not; otherwise each point meets one row chunk at a time and the
-    chunks' sums accumulate.  A block's mesh points are broadcast from its
-    rows and z2, and its f * w weights are written into two row-chunk
-    buffers made once per call, f's values one gather from the table."""
+    chunks' sums accumulate.  ``evaluate`` gets a block as coordinate
+    blocks, never as mesh points: (P, 1, 1, 1) points, (1, R, 1, 1) rows
+    and (1, 1, Z2, 1) z2, so a tensor kernel's factors take P x R and P x
+    Z2 values and only their product fills the block; a coupled kernel
+    still returns all P x R x Z2 values, and any other shape is refused.
+    The f * w weights go into two row-chunk buffers made once per call."""
     (z1, w1, k1), (z2, w2, k2) = axis1, axis2
     rows = min(z1.size, max(1, _RAW_BLOCK // max(1, z2.size)))
     step = max(1, _RAW_BLOCK // (rows * z2.size))
     out = np.zeros(pts.shape[0])
     picked = np.empty((rows, z2.size))
     weights = np.empty((rows, z2.size))
+    p1, p2 = pts[:, 0, None, None, None], pts[:, 1, None, None, None]
     for r in range(0, z1.size, rows):
         zr = z1[r:r + rows]
-        zb = np.empty((zr.size, z2.size, 2))
-        zb[..., 0] = zr[:, None]
-        zb[..., 1] = z2
+        y = (zr[None, :, None, None], z2[None, None, :, None])
         fw = np.multiply.outer(w1[r:r + rows], w2, out=weights[:zr.size])
         fw *= np.take(table[k1[r:r + rows]], k2, axis=1,
                       out=picked[:zr.size])
         fw = fw.ravel()
         for i in range(0, pts.shape[0], step):
-            kv = kernel.evaluate(t1, t2, pts[i:i + step, None, None, :],
-                                 zb[None])
-            out[i:i + step] += np.asarray(kv, dtype=float).reshape(
-                -1, fw.size) @ fw
+            x = (p1[i:i + step], p2[i:i + step])
+            kv = np.asarray(kernel.evaluate(t1, t2, x, y), dtype=float)
+            if kv.shape != (len(x[0]), zr.size, z2.size):
+                raise ValueError("kernel evaluate must broadcast over its "
+                                 f"coordinate blocks: got shape {kv.shape}")
+            out[i:i + step] += kv.reshape(-1, fw.size) @ fw
     return out
 
 

@@ -15,8 +15,9 @@ constant of a pointwise condition as a supremum of |LHS|/RHS over a
 deterministic grid concentrated near the singular region (small scales, small
 separations) plus ``samples`` random draws.  Each check takes its draws as
 whole arrays from one counter-keyed stream, ``trial_stream(seed)``, in a fixed
-order, so a draw depends on both the seed and ``samples``; the kernel is then
-evaluated once per sample array.
+order, so a draw depends on both the seed and ``samples``.  The draws are
+stacked points of n + m coordinates; `_eval_kernel` splits each sample array
+once into the two coordinate blocks ``Kernel.evaluate`` takes.
 
 The module holds no quadrature: every value here is a closed form or a
 kernel evaluation at sampled points.  Integrals of the kernel against step
@@ -127,6 +128,10 @@ class ConvolutionFactor:
         u = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
         if u.ndim == 0:
             return self.profile(t, abs(u))
+        if u.shape[-1] != self.dim:
+            raise ValueError(f"a dim-{self.dim} factor takes points whose "
+                             f"last axis has length {self.dim}, got shape "
+                             f"{u.shape}")
         np.abs(u, out=u)
         # the sup norm of one coordinate is its modulus: no reduction
         return self.profile(t, u[..., 0] if self.dim == 1 else u.max(axis=-1))
@@ -216,12 +221,15 @@ class ConvolutionFactor:
 class Kernel:
     """A two-scale kernel (t1, t2, x, y) -> K with declared decay exponents.
 
-    ``evaluate`` takes scales t1, t2 and points x, y of shape (..., n + m) and
-    must broadcast over the leading axes: the checkers and the raw quantity
-    routes call it on whole arrays of samples or nodes, and the checkers
-    refuse a result whose shape is not the samples' shape.
+    ``evaluate`` takes scales t1, t2 and points in blocks: x = (x1, x2) and
+    y = (y1, y2), arrays whose last axes hold the n coordinates of the first
+    parameter and the m of the second.  The four blocks broadcast over their
+    leading axes independently, and the value has their broadcast shape: the
+    checkers call it on whole arrays of samples, the raw quantity routes on
+    point chunks against a row of z1 nodes and a column of z2 nodes, and
+    both refuse a result of any other shape.
     When ``tensor_parts`` is present, ``evaluate`` must equal the product of
-    the two factors, each acting on its own block of coordinates.
+    the two factors, each acting on its own block.
     """
 
     evaluate: Callable
@@ -241,17 +249,9 @@ class Kernel:
             raise ValueError("tensor_parts must hold exactly two factors")
 
 
-def _tensor_evaluate(f1: ConvolutionFactor, f2: ConvolutionFactor, n: int):
+def _tensor_evaluate(f1: ConvolutionFactor, f2: ConvolutionFactor):
     def evaluate(t1, t2, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = f1.value(t1, x[..., :n], y[..., :n])
-        second = f2.value(t2, x[..., n:], y[..., n:])
-        if np.shape(out) != np.broadcast_shapes(np.shape(out), np.shape(second)):
-            return out * second
-        # the first factor's values are a fresh array: multiply in place
-        out *= second
-        return out
+        return f1.value(t1, x[0], y[0]) * f2.value(t2, x[1], y[1])
 
     return evaluate
 
@@ -260,15 +260,8 @@ def _tensor_kernel(kind: str, flavor1: str, flavor2: str, n: int, m: int,
                    alpha: float, beta: float) -> Kernel:
     f1 = ConvolutionFactor(n, alpha, flavor1)
     f2 = ConvolutionFactor(m, beta, flavor2)
-    return Kernel(
-        _tensor_evaluate(f1, f2, n),
-        alpha,
-        beta,
-        n,
-        m,
-        (f1, f2),
-        label=f"{kind}(n={n},m={m},a={alpha:g},b={beta:g})",
-    )
+    return Kernel(_tensor_evaluate(f1, f2), alpha, beta, n, m, (f1, f2),
+                  label=f"{kind}(n={n},m={m},a={alpha:g},b={beta:g})")
 
 
 def make_size_only(n: int, m: int, alpha: float, beta: float) -> Kernel:
@@ -307,15 +300,8 @@ def rescale(kernel: Kernel, c: float) -> Kernel:
     if kernel.tensor_parts is not None:
         f1, f2 = kernel.tensor_parts
         f1 = replace(f1, scale=c * f1.scale, label="")
-        return Kernel(
-            _tensor_evaluate(f1, f2, kernel.n),
-            kernel.alpha,
-            kernel.beta,
-            kernel.n,
-            kernel.m,
-            (f1, f2),
-            label=label,
-        )
+        return replace(kernel, evaluate=_tensor_evaluate(f1, f2),
+                       tensor_parts=(f1, f2), label=label)
     base_eval = kernel.evaluate
 
     def evaluate(t1, t2, x, y):
@@ -337,30 +323,20 @@ def make_broken(base: Kernel, defect: Union[str, Sequence[str]]) -> Kernel:
     kernel = base
     for d in defects:
         if d == "wrong_alpha":
-            kernel = replace(
-                kernel,
-                alpha=kernel.alpha + 0.25,
-                label=kernel.label + "+wrong_alpha",
-            )
+            kernel = replace(kernel, alpha=kernel.alpha + 0.25,
+                             label=kernel.label + "+wrong_alpha")
         elif d == "holder_break":
-            kernel = Kernel(
-                _jump_wrap(kernel.evaluate, kernel.n),
-                kernel.alpha,
-                kernel.beta,
-                kernel.n,
-                kernel.m,
-                None,
-                kernel.label + "+holder_break",
-            )
+            kernel = replace(kernel, evaluate=_jump_wrap(kernel.evaluate),
+                             tensor_parts=None,
+                             label=kernel.label + "+holder_break")
         else:
             raise ValueError(f"unknown defect {d!r}")
     return kernel
 
 
-def _jump_wrap(evaluate: Callable, n: int):
+def _jump_wrap(evaluate: Callable):
     def jumped(t1, t2, x, y):
-        y = np.asarray(y, dtype=float)
-        return evaluate(t1, t2, x, y) * (1.0 + 0.5 * (y[..., n] >= 0.0))
+        return evaluate(t1, t2, x, y) * (1.0 + 0.5 * (y[1][..., 0] >= 0.0))
 
     return jumped
 
@@ -414,8 +390,11 @@ def _mk_report(condition, ratios, worst, cap) -> AssumptionReport:
 
 
 def _eval_kernel(kernel: Kernel, t1, t2, x, y) -> np.ndarray:
-    """Evaluate once on whole sample arrays; ``evaluate`` must broadcast."""
-    values = np.asarray(kernel.evaluate(t1, t2, x, y), dtype=float)
+    """Evaluate once on whole arrays of stacked samples, split here into
+    their coordinate blocks; ``evaluate`` must broadcast."""
+    n = kernel.n
+    values = np.asarray(kernel.evaluate(t1, t2, (x[:, :n], x[:, n:]),
+                                        (y[:, :n], y[:, n:])), dtype=float)
     if values.shape != t1.shape:
         raise ValueError(f"kernel evaluate must broadcast over the samples: "
                          f"got shape {values.shape}, expected {t1.shape}")

@@ -100,7 +100,7 @@ def test_cij_opaque_kernel_calls_stay_in_blocks(monkeypatch):
     largest = {"points": 0, "z2": 0}
 
     def evaluate(t1, t2, x, y):
-        shape = np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1])
+        shape = np.broadcast_shapes(*(np.shape(b)[:-1] for b in (*x, *y)))
         largest["points"] = max(largest["points"], math.prod(shape))
         return SIZE.evaluate(t1, t2, x, y)
 
@@ -155,8 +155,8 @@ def test_cij_refuses_a_slight_position_dependence():
     # theta(1) drifting by about 1e-6 relative over the offsets is no
     # convolution kernel; the quadrature agrees far below that
     def evaluate(t1, t2, x, y):
-        x = np.asarray(x)
-        return SIZE.evaluate(t1, t2, x, y) * (1.0 + 1e-5 * np.tanh(x[..., 0]))
+        drift = 1.0 + 1e-5 * np.tanh(x[0][..., 0])
+        return SIZE.evaluate(t1, t2, x, y) * drift
 
     drifting = replace(SIZE, evaluate=evaluate, tensor_parts=None)
     g1, g2 = std_pair()

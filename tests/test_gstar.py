@@ -38,6 +38,7 @@ from glstar.gstar import (
 )
 from glstar.kernels import (
     ConvolutionFactor,
+    Kernel,
     make_cancellative,
     make_mixed,
     make_size_only,
@@ -114,11 +115,14 @@ def test_theta_closed_cells_match_raw_quadrature():
 
 def meshgrid_theta(kernel, f, t1, t2, pts, z1, w1, z2, w2):
     """The whole-mesh contraction the blocked one replaced: the z-mesh as one
-    (N, 2) array and one kv @ fw per chunk of points.  Returns theta and the
-    (points, N) kernel values."""
+    (N, 2) array, passed to evaluate as its two (1, N, 1) coordinate blocks
+    against the points' (P, 1, 1) ones, and one kv @ fw per chunk of points.
+    Returns theta and the (points, N) kernel values."""
     zg = np.stack(np.meshgrid(z1, z2, indexing="ij"), axis=-1).reshape(-1, 2)
     fw = (f(z1[:, None], z2[None, :]) * np.multiply.outer(w1, w2)).ravel()
-    kv = np.asarray(kernel.evaluate(t1, t2, pts[:, None, :], zg[None]))
+    kv = np.asarray(kernel.evaluate(t1, t2,
+                                    (pts[:, None, :1], pts[:, None, 1:]),
+                                    (zg[None, :, :1], zg[None, :, 1:])))
     step = max(1, int(4e6) // zg.shape[0])
     out = np.concatenate([kv[i:i + step] @ fw
                           for i in range(0, pts.shape[0], step)])
@@ -146,16 +150,22 @@ def recording(kernel):
 
 
 def assert_blocks_match(calls, pts, z1, z2, kv_full):
-    # each block is a point chunk against a z1-row chunk and all of z2; its
-    # values must be the matching slice of the whole-mesh values, bit for bit
+    # each block is a point chunk against a z1-row chunk and all of z2, passed
+    # as four unmaterialized coordinate blocks; its values must be the
+    # matching slice of the whole-mesh values, bit for bit
     covered = 0
-    for x, y, kv in calls:
-        i = int(np.flatnonzero(np.all(pts == x.reshape(-1, 2)[0], axis=1))[0])
-        r = int(np.flatnonzero(z1 == y[0, 0, 0, 0])[0])
-        rows, n2 = y.shape[1], y.shape[2]
-        assert n2 == z2.size and kv.shape == (x.shape[0], rows, n2)
+    for (x1, x2), (y1, y2), kv in calls:
+        count, rows, n2 = x1.shape[0], y1.shape[1], y2.shape[2]
+        assert x1.shape == x2.shape == (count, 1, 1, 1)
+        assert y1.shape == (1, rows, 1, 1) and y2.shape == (1, 1, n2, 1)
+        i = int(np.flatnonzero((pts[:, 0] == x1.flat[0])
+                               & (pts[:, 1] == x2.flat[0]))[0])
+        assert np.array_equal(pts[i:i + count], np.c_[x1.ravel(), x2.ravel()])
+        r = int(np.flatnonzero(z1 == y1.flat[0])[0])
+        assert np.array_equal(y2.ravel(), z2)
+        assert n2 == z2.size and kv.shape == (count, rows, n2)
         assert kv.size <= max(_RAW_BLOCK, z2.size)
-        ref = kv_full[i:i + x.shape[0], r * n2:(r + rows) * n2]
+        ref = kv_full[i:i + count, r * n2:(r + rows) * n2]
         assert np.array_equal(kv.reshape(ref.shape), ref)
         covered += kv.size
     assert covered == kv_full.size
@@ -334,30 +344,28 @@ def test_padded_lookup_is_the_step_function_exactly():
 
 
 def pointwise_mesh_theta(kernel, f, t1, t2, pts, z1, w1, z2, w2):
-    """The block loop that read f through ``f(rows, z2)`` per row chunk."""
+    """The block loop that read f through ``f(rows, z2)`` per row chunk,
+    its points and mesh passed as coordinate blocks."""
     rows = min(z1.size, max(1, _RAW_BLOCK // max(1, z2.size)))
     step = max(1, _RAW_BLOCK // (rows * z2.size))
     out = np.zeros(pts.shape[0])
     for r in range(0, z1.size, rows):
         zr = z1[r:r + rows]
-        zb = np.empty((zr.size, z2.size, 2))
-        zb[..., 0] = zr[:, None]
-        zb[..., 1] = z2
         fw = (f(zr[:, None], z2[None, :])
               * np.multiply.outer(w1[r:r + rows], w2)).ravel()
         for i in range(0, pts.shape[0], step):
-            kv = kernel.evaluate(t1, t2, pts[i:i + step, None, None, :],
-                                 zb[None])
+            p = pts[i:i + step, :, None, None, None]
+            kv = kernel.evaluate(t1, t2, (p[:, 0], p[:, 1]),
+                                 (zr[None, :, None, None],
+                                  z2[None, None, :, None]))
             out[i:i + step] += np.asarray(kv, dtype=float).reshape(
                 -1, fw.size) @ fw
     return out
 
 
-@pytest.mark.parametrize("extra, points", [
-    (20, 12),     # the whole mesh fits in one block
-    (300, 2),     # it does not: six 52-row chunks and a 4-row one add up
-])
-def test_mesh_theta_reads_f_like_the_pointwise_loop(extra, points):
+def probe_mesh(extra, points):
+    """A tailed f, probe meshes reaching its every cell with ``extra`` more
+    nodes per axis, their weights and ``points`` points near the box."""
     rng = np.random.default_rng(extra)
     f = StepFunction(level=2, lo=(-3, 1), values=rng.normal(size=(5, 4)),
                      tail=-0.6)
@@ -366,8 +374,81 @@ def test_mesh_theta_reads_f_like_the_pointwise_loop(extra, points):
     assert (z1.size * z2.size > _RAW_BLOCK) == (extra == 300)
     w1, w2 = rng.uniform(0.5, 1.5, z1.size), rng.uniform(0.5, 1.5, z2.size)
     pts = rng.uniform(-1.0, 2.0, size=(points, 2))
-    got = mesh_theta(OPAQUE, f, 0.45, 0.7, pts, z1, w1, z2, w2)
-    want = pointwise_mesh_theta(OPAQUE, f, 0.45, 0.7, pts, z1, w1, z2, w2)
+    return f, pts, z1, w1, z2, w2
+
+
+MESH_CASES = pytest.mark.parametrize("extra, points", [
+    (20, 12),     # the whole mesh fits in one block
+    (300, 2),     # it does not: six 52-row chunks and a 4-row one add up
+])
+
+
+@MESH_CASES
+def test_mesh_theta_reads_f_like_the_pointwise_loop(extra, points):
+    f, pts, *mesh = probe_mesh(extra, points)
+    got = mesh_theta(OPAQUE, f, 0.45, 0.7, pts, *mesh)
+    want = pointwise_mesh_theta(OPAQUE, f, 0.45, 0.7, pts, *mesh)
+    assert np.array_equal(got, want)
+
+
+def coupled_kernel():
+    """A kernel that does not separate: the size profile, at scale t1 + t2,
+    of |x1 - y1| + |x2 - y2|."""
+    factor = ConvolutionFactor(1, 0.5)
+
+    def evaluate(t1, t2, x, y):
+        s = np.abs(x[0] - y[0])[..., 0] + np.abs(x[1] - y[1])[..., 0]
+        return factor.profile(t1 + t2, s)
+
+    return Kernel(evaluate, 0.5, 0.5, label="coupled")
+
+
+@MESH_CASES
+def test_mesh_theta_on_a_kernel_that_does_not_separate(extra, points):
+    # each block's values couple its rows and z2, so the kernel returns and
+    # the layer contracts the whole block: the per-point block loop's theta,
+    # and slices of the whole mesh's values bit for bit
+    f, pts, *mesh = probe_mesh(extra, points)
+    kernel, calls = recording(coupled_kernel())
+    got = mesh_theta(kernel, f, 0.45, 0.7, pts, *mesh)
+    want = pointwise_mesh_theta(coupled_kernel(), f, 0.45, 0.7, pts, *mesh)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    ref, kv_full = meshgrid_theta(coupled_kernel(), f, 0.45, 0.7, pts, *mesh)
+    assert_blocks_match(calls, pts, mesh[0], mesh[2], kv_full)
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda t1, t2, x, y: SIZE.tensor_parts[0].value(t1, x[0], y[0]),
+    lambda t1, t2, x, y: 1.0,
+], ids=["first_block_only", "constant"])
+def test_mesh_theta_refuses_a_kernel_that_does_not_broadcast(evaluate):
+    # values lacking the (points, rows, z2) shape are refused by the
+    # broadcast contract, not reshaped into wrong sums
+    kernel = Kernel(evaluate, 0.5, 0.5)
+    f = StepFunction(level=1, lo=(0, 0), values=np.ones((2, 2)))
+    with pytest.raises(ValueError, match="broadcast over its coordinate"):
+        apply_theta(kernel, f, (0.3, 0.2), 0.5, 0.5)
+
+
+@pytest.mark.parametrize("make", [make_size_only, make_cancellative],
+                         ids=["size", "cancellative"])
+def test_block_evaluate_is_the_profile_product_on_the_whole_mesh(make):
+    # away from a = 0.5 the power takes no sqrt shortcut; each factor's
+    # values on P x R and P x Z2 must still be the bits of its profile on
+    # the whole materialized P x R x Z2 mesh
+    kernel = make(1, 1, 0.7, 0.3)
+    f1, f2 = kernel.tensor_parts
+    rng = np.random.default_rng(31)
+    pts = rng.uniform(-1.0, 2.0, size=(5, 2))
+    z1, z2 = rng.uniform(-2.0, 3.0, 64), rng.uniform(-2.0, 3.0, 257)
+    p = pts[:, :, None, None, None]
+    got = kernel.evaluate(0.45, 0.7, (p[:, 0], p[:, 1]),
+                          (z1[None, :, None, None], z2[None, None, :, None]))
+    p1, m1, _ = np.meshgrid(pts[:, 0], z1, z2, indexing="ij")
+    p2, _, m2 = np.meshgrid(pts[:, 1], z1, z2, indexing="ij")
+    want = f1.profile(0.45, np.abs(p1 - m1)) * f2.profile(0.7, np.abs(p2 - m2))
+    assert got.shape == want.shape == (5, 64, 257)
     assert np.array_equal(got, want)
 
 

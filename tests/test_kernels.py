@@ -25,6 +25,13 @@ from glstar.kernels import (
 PARAMS = default_params()
 
 
+def blocks(p, n=1):
+    """The two coordinate blocks, first n coordinates and the rest, of
+    stacked points p: the form ``Kernel.evaluate`` takes."""
+    p = np.asarray(p, dtype=float)
+    return p[..., :n], p[..., n:]
+
+
 def quad_profile(factor, t, radius):
     """Independent quadrature of the radial profile over [-radius, radius]."""
     edges = graded_axis_edges(-radius, radius, anchors=(0.0,), rel_finest=2.0**-40)
@@ -315,16 +322,18 @@ def test_kernel_evaluation_leaves_its_inputs_alone():
     t1, t2 = 2.0 ** rng.uniform(-4.0, 2.0, (2, 6, 1))
     x = rng.normal(size=(6, 1, 2))
     y = rng.normal(size=(1, 9, 2))
-    args = (t1, t2, x, y)
-    frozen_args = frozen(*args)
-    got = kernel.evaluate(*frozen_args)
+    args = (t1, t2, *blocks(x), *blocks(y))
+    ft1, ft2, *fb = frozen(*args)
+    got = kernel.evaluate(ft1, ft2, fb[:2], fb[2:])
     assert got.shape == (6, 9)
-    assert np.array_equal(got, kernel.evaluate(*(a.copy() for a in args)))
-    assert all(np.array_equal(a, b) for a, b in zip(frozen_args, args))
+    assert np.array_equal(got, kernel.evaluate(t1.copy(), t2.copy(),
+                                               blocks(x.copy()),
+                                               blocks(y.copy())))
+    assert all(np.array_equal(a, b) for a, b in zip((ft1, ft2, *fb), args))
     # a scale array wider than the first factor's values still broadcasts
-    wide = kernel.evaluate(0.3, t2[:, :, None], x[0, 0], y)
+    wide = kernel.evaluate(0.3, t2[:, :, None], blocks(x[0, 0]), blocks(y))
     assert wide.shape == (6, 1, 9)
-    val = kernel.evaluate(0.3, 0.5, x[0, 0], y[0, 0])
+    val = kernel.evaluate(0.3, 0.5, blocks(x[0, 0]), blocks(y[0, 0]))
     assert np.shape(val) == () and math.isfinite(float(val))
 
 
@@ -346,26 +355,27 @@ def test_rescaled_and_broken_kernels_are_unchanged():
     s1, s2 = np.abs(x - y).T
     majorant = (t1**0.5 * (t1 + s1) ** -1.5) * (t2**0.5 * (t2 + s2) ** -1.5)
     f1, f2 = base.tensor_parts
+    xb, yb = blocks(x), blocks(y)
 
     scaled = kernels.rescale(base, 3.7)
     want = old_tensor_value(ConvolutionFactor(1, 0.5, "cancellative",
                                               scale=3.7),
                             f2, t1, t2, x, y)
-    got = scaled.evaluate(t1, t2, x, y)
+    got = scaled.evaluate(t1, t2, xb, yb)
     assert np.all(np.abs(got - want) <= 1e-14 * 3.7 * majorant)
 
     opaque = kernels.rescale(Kernel(base.evaluate, 0.5, 0.5), 3.7)
-    assert np.array_equal(opaque.evaluate(t1, t2, x, y),
-                          3.7 * base.evaluate(t1, t2, x, y))
+    assert np.array_equal(opaque.evaluate(t1, t2, xb, yb),
+                          3.7 * base.evaluate(t1, t2, xb, yb))
 
     jumped = make_broken(base, "holder_break")
-    assert np.array_equal(jumped.evaluate(t1, t2, x, y),
-                          base.evaluate(t1, t2, x, y)
+    assert np.array_equal(jumped.evaluate(t1, t2, xb, yb),
+                          base.evaluate(t1, t2, xb, yb)
                           * (1.0 + 0.5 * (y[:, 1] >= 0.0)))
     wrong = make_broken(base, "wrong_alpha")
     assert wrong.evaluate is base.evaluate
     got = make_broken(base, ("holder_break", "wrong_alpha")).evaluate(
-        t1, t2, x, y)
+        t1, t2, xb, yb)
     want = old_tensor_value(f1, f2, t1, t2, x, y) * (1.0 + 0.5 * (y[:, 1] >= 0.0))
     assert np.all(np.abs(got - want) <= 1.5e-14 * majorant)
 
@@ -381,6 +391,19 @@ def test_factor_validation():
         ConvolutionFactor(2, 0.5).antiderivative(1.0, 1.0)
     with pytest.raises(ValueError):
         ConvolutionFactor(1, 0.5).cell_integral(1.0, 0.0, (2.0, 1.0))
+    with pytest.raises(ValueError, match="last axis has length 2"):
+        ConvolutionFactor(2, 0.5).value(1.0, np.zeros((4, 3)), 0.0)
+
+
+def test_kernel_refuses_stacked_points():
+    # stacked (N, n + m) points passed whole would read as two points, not
+    # two coordinate blocks; refused, not evaluated into a wrong scalar
+    kernel = make_size_only(1, 1, 0.5, 0.5)
+    x = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    with pytest.raises(ValueError, match="last axis has length 1"):
+        kernel.evaluate(1.0, 1.0, x, np.zeros((3, 2)))
+    values = kernel.evaluate(1.0, 1.0, blocks(x), blocks(np.zeros((3, 2))))
+    assert values.shape == (3,)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +419,7 @@ def test_tensor_product_invariant():
         y = rng.uniform(-3.0, 3.0, 2)
         parts = kernel.tensor_parts
         product = parts[0].value(t1, x[:1], y[:1]) * parts[1].value(t2, x[1:], y[1:])
-        assert kernel.evaluate(t1, t2, x, y) == pytest.approx(
+        assert kernel.evaluate(t1, t2, blocks(x), blocks(y)) == pytest.approx(
             float(product), abs=1e-12
         )
 
@@ -404,12 +427,13 @@ def test_tensor_product_invariant():
 def test_size_only_on_diagonal_and_translation():
     kernel = make_size_only(1, 1, 0.5, 0.5)
     x = np.array([0.3, -1.2])
-    assert kernel.evaluate(0.5, 2.0, x, x) == pytest.approx(
+    assert kernel.evaluate(0.5, 2.0, blocks(x), blocks(x)) == pytest.approx(
         0.5**-1 * 2.0**-1, rel=1e-12
     )
     y = np.array([1.0, 0.25])
     v = np.array([0.625, -2.5])  # dyadic shift keeps the differences exact
-    assert kernel.evaluate(1.0, 1.0, x + v, y + v) == kernel.evaluate(1.0, 1.0, x, y)
+    assert kernel.evaluate(1.0, 1.0, blocks(x + v), blocks(y + v)) == \
+        kernel.evaluate(1.0, 1.0, blocks(x), blocks(y))
 
 
 def test_cancellative_kills_constants():
@@ -537,9 +561,8 @@ def test_unit_linf_rows_and_the_zero_draw():
 
 def test_non_finite_kernel_is_an_error():
     def evaluate(t1, t2, x, y):
-        x = np.asarray(x, dtype=float)
         base = np.asarray(t1, dtype=float) * 0.0
-        return np.where(x[..., 0] == 0.0, np.nan, 1.0) + base
+        return np.where(x[0][..., 0] == 0.0, np.nan, 1.0) + base
 
     kernel = Kernel(evaluate, 0.5, 0.5, 1, 1)
     with pytest.raises(FloatingPointError, match="non-finite"):

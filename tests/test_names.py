@@ -27,7 +27,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # Lines of src/glstar/*.py, the ratchet: a change that cuts lines lowers it
 # in the same change; it rises only for behavior a ROADMAP item requires,
 # named with its reason in CHANGES.md.
-SOURCE_LINES = 5397
+SOURCE_LINES = 5384
 
 # Functions that nothing in the package or the benchmark reaches, kept as
 # the named independent reference of a route that is reached.
