@@ -1,10 +1,11 @@
 """Packing quantities over unions of dyadic rectangles, and shadow sets.
 
 The box quantity of a rectangle I x J integrates |theta 1|^2 with both
-Poisson-type weights over the product of Whitney regions.  For convolution
-kernels theta 1 is a function of the scales alone, so the quantity factors
-into closed per-axis band integrals times |I||J|; the packing sum over the
-rectangles inside an open set then reduces to exact lattice counting.  That
+Poisson-type weights over the product of Whitney regions.  For a tensor
+convolution kernel theta_{t1,t2} 1 is the factors' mass m1 m2 at every
+scale, so the quantity is |I||J| prod_i w(lambda_i) m_i^2 ln 2, and the
+packing sum over an open set is that constant times exact lattice counts,
+found by AND-reducing the set's raster over each cube's cells.  That
 counting is also the honest way to exhibit the dichotomy: mass-carrying
 kernels grow quadratically in the truncation depth, cancellative ones give
 identically zero.
@@ -36,11 +37,11 @@ __all__ = [
     "shadow_sets",
 ]
 
-# how far theta(1) may vary over sampled offsets before the factorized box
-# integral refuses (non-convolution kernels have no closed reduction); the
-# raw path sums a convolution kernel's mass on translates of one mesh, so
-# its three values agree to rounding, and any position dependence above
-# 1e-9 relative is refused
+# how far theta(1) may vary over sampled offsets before the raw box integral
+# refuses (non-convolution kernels have no closed reduction); the raw path
+# sums a convolution kernel's mass on translates of one mesh, so its three
+# values agree to rounding, and any position dependence above 1e-9 relative
+# is refused
 _CONST_TOL = 1e-9
 
 # rectangle-sweep guards: per-axis raster cells for the shadow sweep, and
@@ -60,6 +61,31 @@ def _prefix_counts(bitmap: np.ndarray) -> np.ndarray:
     return pref
 
 
+def _inside_along(grid: ShiftedGrid, raster_level: int, lo_cell: int,
+                  level: int, mask: np.ndarray, axis: int):
+    """The level-``level`` cubes of one grid along one axis of a raster mask
+    whose cells there sit at ``raster_level`` from lattice index ``lo_cell``.
+
+    Returns the first cube's lattice index and the mask AND-reduced over
+    each whole cube's raster cells, one entry per cube inside the span; a
+    cube finer than a cell is inside where its cell is, so for those the
+    mask is repeated.  Exact in integers, from the grid's descendant indices.
+    """
+    if level > raster_level:
+        e = level - raster_level
+        first = (lo_cell << e) + grid.descendant_offset(raster_level, level)[0]
+        return first, np.repeat(mask, 1 << e, axis=axis)
+    # cube k covers the raster cells [start + k width, ... + width) of the span
+    width = 1 << (raster_level - level)
+    start = grid.descendant_offset(level, raster_level)[0] - lo_cell
+    first = -(start // width)
+    p = start + first * width
+    count = max(0, (mask.shape[axis] - p) // width)
+    cells = np.moveaxis(mask, axis, 0)[p:p + count * width]
+    inside = cells.reshape(count, width, *cells.shape[1:]).all(axis=1)
+    return first, np.moveaxis(inside, 0, axis)
+
+
 @dataclass(frozen=True, eq=False)
 class DyadicOpenSet:
     """A finite union of dyadic rectangles I x J from one grid pair.
@@ -68,16 +94,11 @@ class DyadicOpenSet:
     requirement for packing sums holds by construction.  The measure and the
     pixel raster (finest member level per axis, on the shifted lattice) are
     computed once; rasters make both the union measure and the containment
-    test of candidate rectangles exact integer arithmetic.  The set keeps
-    each level pair's containment (:meth:`_containment`) from the first
-    packing sum that asks for it, so sums under other kernels or at another
-    depth enumerate no level pair again, each axis level's candidate cubes
-    (:meth:`_candidates`), which every level pair on that level reads, and
-    per axis-0 level the prefix-count differences across each candidate's
-    raster rows (:meth:`_row_counts`).  The pairs of one axis-0 level that
-    a sum asks for and the set does not yet keep are counted together: one
-    gather of those row counts at the candidate columns of all their
-    axis-1 levels, and one more difference per column.
+    test of grid rectangles exact: a rectangle is inside when the raster,
+    AND-reduced over its cells, is true.  The set keeps each level pair's
+    containment (:meth:`_containment`) from the first packing sum that asks
+    for it, so sums under other kernels or at another depth reduce no level
+    pair again.
     """
 
     rects: tuple[tuple[DyadicCube, DyadicCube], ...]
@@ -117,47 +138,24 @@ class DyadicOpenSet:
         object.__setattr__(self, "_bitmap", bitmap)
         object.__setattr__(self, "measure",
                            math.ldexp(int(bitmap.sum()), -(lv1 + lv2)))
-        object.__setattr__(self, "_blocks", {})
-        object.__setattr__(self, "_axes", {})
-        object.__setattr__(self, "_rows", {})
-
-    @functools.cached_property
-    def _prefix(self) -> np.ndarray:
-        return _prefix_counts(self._bitmap)
+        object.__setattr__(self, "_masks", {})
 
     def _containment(self, l1: int, l2s: range
                      ) -> list[tuple[int, int, np.ndarray, int]]:
         """The level-(l1, l2) grid rectangles inside the set, for each l2 of
-        ``l2s``: the lattice index of the first candidate cube per axis, the
-        read-only containment mask over the candidates and its count of
-        true entries.  The pairs not yet kept are counted on the raster
-        together, in one `_containment_block` gather, and kept."""
-        missing = tuple(l2 for l2 in l2s if (l1, l2) not in self._blocks)
+        ``l2s``: the lattice index of the first cube per axis, the read-only
+        containment mask over the cubes and its count of true entries.  The
+        pairs not yet kept reduce the raster along axis 0 once, together,
+        then each along axis 1, and are kept."""
+        missing = [l2 for l2 in l2s if (l1, l2) not in self._masks]
         if missing:
-            self._blocks.update(zip(((l1, l2) for l2 in missing),
-                                    _containment_block(self, l1, missing)))
-        return [self._blocks[(l1, l2)] for l2 in l2s]
-
-    def _candidates(self, axis: int, level: int):
-        """`_axis_candidates` of one axis at one level, kept: every level
-        pair on that level reads them."""
-        cands = self._axes.get((axis, level))
-        if cands is None:
-            cands = self._axes[(axis, level)] = _axis_candidates(
-                self.grids[axis], self._levels[axis], self._lo[axis],
-                self._bitmap.shape[axis], level)
-        return cands
-
-    def _row_counts(self, level: int) -> np.ndarray:
-        """pref[p + w] - pref[p] for the axis-0 candidates (p, w) of one
-        level, pref the raster's prefix counts: row i, column b counts the
-        set cells of candidate i's raster rows in columns below b.  Kept:
-        every level pair on that level reads it."""
-        rows = self._rows.get(level)
-        if rows is None:
-            _, p, w = self._candidates(0, level)
-            rows = self._rows[level] = self._prefix[p + w] - self._prefix[p]
-        return rows
+            (g1, g2), (lv1, lv2), (lo1, lo2) = self.grids, self._levels, self._lo
+            k1, rows = _inside_along(g1, lv1, lo1, l1, self._bitmap, 0)
+            for l2 in missing:
+                k2, mask = _inside_along(g2, lv2, lo2, l2, rows, 1)
+                mask.setflags(write=False)
+                self._masks[(l1, l2)] = k1, k2, mask, int(mask.sum())
+        return [self._masks[(l1, l2)] for l2 in l2s]
 
     @property
     def grids(self) -> tuple[ShiftedGrid, ShiftedGrid]:
@@ -215,19 +213,16 @@ def random_open_set(gridpair: tuple[ShiftedGrid, ShiftedGrid],
 # the box quantity
 
 
-@functools.lru_cache(maxsize=1024)
-def _axis_band(factor, side: float, lam: float, spec: QuadratureSpec) -> float:
-    """|I| (int w dy / t) int_{Whitney band} mass(t)^2 dt/t, one axis; cached,
-    since every (side1, side2) pair of `_cij_scales` shares its two bands
-    with the other pairs of its row and column."""
-    tn, tw = octave_nodes(side / 2.0, side, spec.t_points_per_octave, spec.rule)
-    band = float(sum(factor.mass(t) ** 2 / t * w for t, w in zip(tn, tw)))
-    return side * weight_total(1.0, lam) * band
+def _box_constant(kernel, lam1: float, lam2: float) -> float:
+    """A tensor kernel's box quantity of the unit rectangle.
 
-
-def _tensor_box(band1: float, band2: float) -> float:
-    """A tensor kernel's box quantity from its two `_axis_band`s."""
-    return max(band1 * band2, 0.0)
+    theta_{t1,t2} 1 = m1 m2 at every scale, so each axis's weight integral
+    is w(lambda) t and its Whitney band int_{1/2}^1 dt/t is ln 2: the box of
+    I x J is |I||J| prod_i w(lambda_i) m_i^2 ln 2, and this is the product.
+    """
+    bands = (weight_total(1.0, lam) * f.mass(1.0) ** 2
+             for f, lam in zip(kernel.tensor_parts, (lam1, lam2)))
+    return math.prod(bands) * math.log(2.0) ** 2
 
 
 def _theta_one_const(kernel, t1: float, t2: float,
@@ -250,36 +245,35 @@ def _theta_one_const(kernel, t1: float, t2: float,
 @functools.lru_cache(maxsize=1024)
 def _cij_scales(kernel, side1: float, side2: float, lam1: float, lam2: float,
                 spec: QuadratureSpec) -> float:
-    if kernel.tensor_parts is not None:
-        g1, g2 = kernel.tensor_parts
-        return _tensor_box(_axis_band(g1, side1, lam1, spec),
-                           _axis_band(g2, side2, lam2, spec))
-    t1n, t1w = octave_nodes(side1 / 2.0, side1,
-                            spec.t_points_per_octave, spec.rule)
-    t2n, t2w = octave_nodes(side2 / 2.0, side2,
-                            spec.t_points_per_octave, spec.rule)
+    (t1n, t1w), (t2n, t2w) = (
+        octave_nodes(s / 2.0, s, spec.t_points_per_octave, spec.rule)
+        for s in (side1, side2))
     acc = 0.0
     for t1, w1 in zip(t1n, t1w):
         for t2, w2 in zip(t2n, t2w):
             m = _theta_one_const(kernel, t1, t2, spec)
             acc += m * m * (w1 / t1) * (w2 / t2)
-    value = side1 * side2 * weight_total(1.0, lam1) * \
-        weight_total(1.0, lam2) * acc
-    return max(value, 0.0)
+    return (side1 * side2 * weight_total(1.0, lam1) * weight_total(1.0, lam2)
+            * acc)
 
 
 def c_ij(kernel, i: DyadicCube, j: DyadicCube, params: Params,
          spec: QuadratureSpec | None = None) -> float:
     """The Whitney-box mass of |theta 1|^2 with both weights.
 
-    Position independent for convolution kernels, hence cached per scale
-    pair.  The weight integral diverges for lambda <= 1, which
-    :func:`weight_total` rejects rather than truncates.
+    A tensor kernel's is `_box_constant` times |I||J| and ``spec`` goes
+    unused; any other is integrated from raw theta(1) values at ``spec``,
+    cached per scale pair, and refused unless they are position independent.
+    The weight integral diverges for lambda <= 1, which :func:`weight_total`
+    rejects rather than truncates.
     """
-    spec = spec or QuadratureSpec()
     if i.dim != 1 or j.dim != 1:
         raise ValueError("the rectangle factors must be one-dimensional")
-    return _cij_scales(kernel, i.side, j.side, *params.weight_powers, spec)
+    if kernel.tensor_parts is not None:
+        return math.ldexp(_box_constant(kernel, *params.weight_powers),
+                          -(i.level + j.level))
+    return _cij_scales(kernel, i.side, j.side, *params.weight_powers,
+                       spec or QuadratureSpec())
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +285,7 @@ class _Block(NamedTuple):
 
     k1: int  # lattice index of the mask's first row, axis 1
     k2: int  # and of its first column, axis 2
-    ok: np.ndarray  # containment mask over the candidate cubes, read-only
+    ok: np.ndarray  # containment mask over the level pair's cubes, read-only
     value: float  # the box quantity, shared by the level pair
     count: int  # true entries of the mask
 
@@ -367,59 +361,11 @@ class CarlesonReport:
             raise ValueError("total does not match the per-rectangle map")
 
 
-def _axis_candidates(grid: ShiftedGrid, raster_level: int, lo_cell: int,
-                     n_cells: int, level: int):
-    """Level-``level`` cubes of one grid inside the raster span.
-
-    Returns (absolute lattice indices, pixel starts, pixel width); exact in
-    integers, from the grid's descendant indices.
-    """
-    if level <= raster_level:
-        # cube k covers raster cells [first + k width, ... + width), relative
-        # to the span's first cell
-        width = 1 << (raster_level - level)
-        first = grid.descendant_offset(level, raster_level)[0] - lo_cell
-        k = np.arange(-(first // width), (n_cells - first) // width,
-                      dtype=np.int64)
-        return k, first + k * width, width
-    # finer cubes: 2^e of them in each raster cell, from the span's first
-    e = level - raster_level
-    first = (lo_cell << e) + grid.descendant_offset(raster_level, level)[0]
-    k = np.arange(first, first + (n_cells << e), dtype=np.int64)
-    return k, (k - first) >> e, 1
-
-
-def _containment_block(omega: DyadicOpenSet, l1: int, l2s: tuple[int, ...]):
-    """`DyadicOpenSet._containment` of one axis-0 level, counted for every
-    axis-1 level of ``l2s`` at once: a candidate rectangle is inside when
-    the prefix counts of the raster find all its pixels set, read as the
-    difference of two columns of the set's kept row counts, with the
-    columns of all the levels' candidates gathered together."""
-    k1, _, w1 = omega._candidates(0, l1)
-    cands = [omega._candidates(1, l2) for l2 in l2s]
-    p2 = np.concatenate([p2 for _, p2, _ in cands])
-    w2 = np.repeat([w2 for _, _, w2 in cands], [k2.size for k2, _, _ in cands])
-    if k1.size == 0 or p2.size == 0:
-        ok = np.zeros((k1.size, p2.size), dtype=bool)
-    else:
-        rows = omega._row_counts(l1)
-        ok = rows[:, p2 + w2] - rows[:, p2] == w1 * w2
-    ok.setflags(write=False)
-    out, start = [], 0
-    for k2, _, _ in cands:
-        mask = ok[:, start:start + k2.size]
-        start += k2.size
-        if k1.size == 0 or k2.size == 0:
-            out.append((0, 0, mask, 0))
-        else:
-            out.append((int(k1[0]), int(k2[0]), mask, int(mask.sum())))
-    return out
-
-
 def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
                  cap: float = math.inf) -> CarlesonReport:
-    """Sum of box quantities over every grid rectangle inside the set, each
-    at the default `QuadratureSpec()`.
+    """Sum of box quantities over every grid rectangle inside the set, for a
+    tensor kernel only: `_box_constant` times 2^-(l1 + l2) at the level pair
+    (l1, l2), as in `c_ij`, with no quadrature and so no spec.
 
     ``levels`` counts enumeration depth below the finest member rectangle per
     axis; coarser rectangles than the members are enumerated too whenever
@@ -429,14 +375,14 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
     No rectangle is built while summing: the report's ``rect_values`` is a
     read-only view kept per level pair (containment mask, lattice offsets,
     box value), and iterating it builds the cubes on demand.  The masks are
-    the set's own, counted by the first sum that asks for a level pair (all
-    of an axis-0 level's new pairs at once) and shared by every later sum on
-    the set; the sum itself, and the ``_MAX_RECTS`` guard on its rectangle
-    count, run per call.  A tensor kernel's box value at the level pair
-    (l1, l2) is `_tensor_box` of ``band1[l1]`` and ``band2[l2]``, as in
-    `c_ij`, read from two per-level lists of `_axis_band`s built once per
-    sum; other kernels look each nonempty level pair up in `_cij_scales`.
+    the set's own, AND-reduced from its raster by the first sum that asks
+    for a level pair; the ``_MAX_RECTS`` guard runs per call.  A kernel
+    without ``tensor_parts``, or a NaN or negative cap, is refused first.
     """
+    if kernel.tensor_parts is None:
+        raise NotImplementedError("packing sums need a tensor kernel")
+    if not cap >= 0.0:
+        raise ValueError("the packing cap must be a nonnegative number")
     if levels < 1:
         raise ValueError("need levels >= 1")
     g1, g2 = omega.grids
@@ -447,14 +393,8 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
     n1, n2 = omega._bitmap.shape
     coarse1 = max(g1.j_min, base1 - (n1.bit_length() - 1))
     coarse2 = max(g2.j_min, base2 - (n2.bit_length() - 1))
-    spec, (lam1, lam2) = QuadratureSpec(), params.weight_powers
+    const = _box_constant(kernel, *params.weight_powers)
     l2s = range(coarse2, fine2 + 1)
-    if kernel.tensor_parts is not None:
-        # `_cij_scales`' two axis bands, each band taken once
-        f1, f2 = kernel.tensor_parts
-        band1 = {l1: _axis_band(f1, 2.0 ** -l1, lam1, spec)
-                 for l1 in range(coarse1, fine1 + 1)}
-        band2 = {l2: _axis_band(f2, 2.0 ** -l2, lam2, spec) for l2 in l2s}
     blocks: dict = {}
     n_rects = 0
     total = 0.0
@@ -468,11 +408,7 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
                 raise ValueError(
                     "rectangle enumeration exceeds the size guard; "
                     "reduce the level depth")
-            if kernel.tensor_parts is None:
-                value = _cij_scales(kernel, 2.0 ** -l1, 2.0 ** -l2,
-                                    lam1, lam2, spec)
-            else:
-                value = _tensor_box(band1[l1], band2[l2])
+            value = math.ldexp(const, -(l1 + l2))
             blocks[(l1, l2)] = _Block(k1, k2, ok, value, count)
             total += count * value
             if l1 == fine1 or l2 == fine2:
@@ -488,15 +424,18 @@ def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
 def carleson_check(kernel, omegas, levels: int, cap: float, params: Params):
     """Packing test over a family of sets, with a one-level stability probe.
 
-    Each set is summed by `carleson_sum` (at the default `QuadratureSpec()`)
-    at ``levels`` and ``levels + 1``; the test passes when every ratio stays
-    under the cap and grows by less than 10% on the extra level.  Returns
-    (verdict, [(report, deeper_report), ...]).
+    Each set is summed by `carleson_sum` (a tensor kernel's closed-form box
+    constant times lattice counts) at ``levels`` and ``levels + 1``; the
+    test passes when every ratio stays under the cap and grows by less than
+    10% on the extra level.  A cap that is NaN or negative is refused before
+    any sum, by `carleson_sum`; an infinite one warns, since the test is
+    then vacuous.
+    Returns (verdict, [(report, deeper_report), ...]).
     """
     omegas = list(omegas)
     if not omegas:
         raise ValueError("need at least one set")
-    degenerate = math.isinf(cap)
+    degenerate = cap == math.inf
     if degenerate:
         warnings.warn("infinite cap: the packing test is vacuous",
                       RuntimeWarning, stacklevel=2)

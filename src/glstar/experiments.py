@@ -22,8 +22,8 @@ the cached axis grams of `gstar.axis_grams`, which the gram route of
 `gstar_sq_norm` also contracts; every level's and the amplitude twin's
 grams are dilations of one table of unit-lattice lag rows, formed by the
 finest level, which it asks for first.  The others take no θ
-quadrature: a box value of `run_carleson` (`carleson.carleson_sum`) is a
-product of per-axis scale-band sums of the factors' closed-form masses, and
+quadrature: a box value of `run_carleson` (`carleson.carleson_sum`) is one
+closed-form constant of the factors' masses times |I||J|, and
 `run_averaging` and `run_schur` are exact integrals and coupling entries.
 """
 
@@ -799,13 +799,14 @@ def run_carleson(
     """Packing dichotomy across a kernel family.
 
     The family is the size-only, the cancellative and the mixed kernel, all
-    at exponents alpha = beta = 0.5, packed under the cap 50 with the
-    packing routes' own default quadrature spec.  Cancellative factors zero
-    out the box quantity, so those kernels pass any finite packing cap; the
-    size-only kernel's ratio grows like the squared rectangle-depth count
-    and must be flagged.  ``passed`` means the verdict pattern is exactly
-    that (a flip in either direction fails the experiment) and the size-only
-    ratio on the unit square is within 5 % of its closed-form growth law.
+    at exponents alpha = beta = 0.5, packed under the cap 50 by closed-form
+    box constants times exact lattice counts, with no quadrature.
+    Cancellative factors zero out the box quantity, so those kernels pass
+    any finite packing cap; the size-only kernel's ratio grows like the
+    squared rectangle-depth count and must be flagged.  ``passed`` means the
+    verdict pattern is exactly that (a flip in either direction fails the
+    experiment) and the size-only ratio on the unit square is within 5 % of
+    its closed-form growth law.
     """
     cap = 50.0
     size_only = make_size_only(params.n, params.m, 0.5, 0.5)

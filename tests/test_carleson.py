@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,21 +58,47 @@ def test_cij_cancellative_vanishes():
     assert c_ij(CANC, g1.cube(2, (1,)), g2.cube(3, (5,)), PARAMS) == 0.0
 
 
-@pytest.mark.parametrize("make", [make_size_only, make_cancellative, make_mixed])
-def test_cij_is_the_product_of_two_cached_axis_bands(make):
-    kernel = make(1, 1, 0.5, 0.5)
+def test_cij_is_the_closed_box_constant():
+    # w(3) = 1 and m = 4 per axis in exact arithmetic, so the box of I x J
+    # is 256 (ln 2)^2 |I||J|; the mass itself rounds to 3.9999999999999996
     g1, g2 = std_pair()
     i, j = g1.cube(2, (1,)), g2.cube(3, (5,))
-    spec, (lam1, lam2) = QuadratureSpec(), PARAMS.weight_powers
-    f1, f2 = kernel.tensor_parts
-    band = carleson._axis_band.__wrapped__
-    assert c_ij(kernel, i, j, PARAMS) == (band(f1, i.side, lam1, spec)
-                                          * band(f2, j.side, lam2, spec))
-    # the packing sums share each axis band among the scale pairs
-    carleson._cij_scales.cache_clear()
-    carleson._axis_band.cache_clear()
-    run_carleson(PARAMS, omega_count=1, levels=1)
-    assert carleson._axis_band.cache_info().hits > 0
+    with localcontext() as ctx:
+        ctx.prec = 40
+        want = 256 * Decimal(2).ln() ** 2 / 2 ** (i.level + j.level)
+        got = Decimal(c_ij(SIZE, i, j, PARAMS))
+        assert abs(got / want - 1) <= Decimal("1e-15")
+
+
+@pytest.mark.parametrize("make", [make_size_only, make_cancellative, make_mixed])
+def test_cij_is_exact_under_dilation(make):
+    # one closed constant times |I||J|: a level finer on either axis halves
+    # the value exactly, and a cancellative factor zeros it exactly
+    kernel = make(1, 1, 0.5, 0.5)
+    g1, g2 = std_pair()
+    value = c_ij(kernel, g1.cube(2, (1,)), g2.cube(3, (5,)), PARAMS)
+    assert c_ij(kernel, g1.cube(3, (1,)), g2.cube(3, (5,)), PARAMS) == value / 2
+    assert c_ij(kernel, g1.cube(2, (1,)), g2.cube(4, (5,)), PARAMS) == value / 2
+    if make is make_size_only:
+        assert value > 0.0
+    else:
+        assert value == 0.0
+
+
+def test_packing_refuses_a_kernel_without_tensor_parts(monkeypatch):
+    # the raw box values have no closed constant: the sum refuses before
+    # any containment mask is built
+    reduced = []
+    monkeypatch.setattr(carleson, "_inside_along",
+                        lambda *args: reduced.append(args))
+    opaque = replace(SIZE, tensor_parts=None)
+    g1, g2 = std_pair()
+    unit = DyadicOpenSet(((g1.cube(0, (0,)), g2.cube(0, (0,))),))
+    with pytest.raises(NotImplementedError, match="tensor kernel"):
+        carleson_sum(opaque, unit, 1, PARAMS)
+    with pytest.raises(NotImplementedError, match="tensor kernel"):
+        carleson_check(opaque, [unit], 1, 50.0, PARAMS)
+    assert reduced == []
 
 
 def test_cij_position_independent():
@@ -294,35 +321,38 @@ def test_packing_enumerates_members_and_contains():
 
 
 def per_rectangle_oracle(kernel, omega, levels, params):
-    """The packing sum's rectangle map built one cube pair at a time: the
-    enumeration loop as it stood before the per-level-pair view."""
-    from glstar.carleson import _axis_candidates, _cij_scales
+    """The packing sum's rectangle map built one cube pair at a time from
+    the set's public face: each level's cubes over its bounding box, each
+    pair's containment decided exactly on its indicator's cells, and each
+    value from `c_ij`.  Levels run from the grids' coarsest to ``levels``
+    below the finest member per axis."""
+    grids, box, ind = omega.grids, omega.bounding_box(), omega.indicator()
+    fine = max(ind.level, *(g.j_max for g in grids))
+    shift = fine - ind.level
 
-    spec = QuadratureSpec()
-    lam1, lam2 = params.weight_powers
-    g1, g2 = omega.grids
-    base1, base2 = omega._levels
-    n1, n2 = omega._bitmap.shape
-    pref = np.zeros((n1 + 1, n2 + 1), dtype=np.int64)
-    pref[1:, 1:] = np.cumsum(np.cumsum(omega._bitmap, axis=0), axis=1)
+    def spans(axis, level):
+        # the level's cubes over the box with their spans of indicator
+        # cells, those leaving the indicator's window dropped
+        out = []
+        for cube in grids[axis].cubes_overlapping(level, box[axis:axis + 1]):
+            lo, = cube.lattice_corner(fine)
+            hi = lo + (1 << (fine - level))
+            a = (lo >> shift) - ind.lo[axis]
+            b = -(-hi >> shift) - ind.lo[axis]
+            if 0 <= a and b <= ind.values.shape[axis]:
+                out.append((cube, a, b))
+        return out
+
+    finest = [max(r[axis].level for r in omega.rects) + levels for axis in (0, 1)]
+    cubes2 = {l2: spans(1, l2) for l2 in range(grids[1].j_min, finest[1] + 1)}
     out = {}
-    for l1 in range(max(g1.j_min, base1 - (n1.bit_length() - 1)),
-                    base1 + levels + 1):
-        k1, p1, w1 = _axis_candidates(g1, base1, omega._lo[0], n1, l1)
-        for l2 in range(max(g2.j_min, base2 - (n2.bit_length() - 1)),
-                        base2 + levels + 1):
-            k2, p2, w2 = _axis_candidates(g2, base2, omega._lo[1], n2, l2)
-            if k1.size == 0 or k2.size == 0:
-                continue
-            sums = (pref[np.ix_(p1 + w1, p2 + w2)]
-                    - pref[np.ix_(p1, p2 + w2)]
-                    - pref[np.ix_(p1 + w1, p2)]
-                    + pref[np.ix_(p1, p2)])
-            value = _cij_scales(kernel, 2.0 ** -l1, 2.0 ** -l2,
-                                lam1, lam2, spec)
-            for a, b in np.argwhere(sums == w1 * w2):
-                key = (g1.cube(l1, (int(k1[a]),)), g2.cube(l2, (int(k2[b]),)))
-                out[key] = value
+    for l1 in range(grids[0].j_min, finest[0] + 1):
+        cubes1 = spans(0, l1)
+        for l2 in cubes2:
+            for i, a1, b1 in cubes1:
+                for j, a2, b2 in cubes2[l2]:
+                    if ind.values[a1:b1, a2:b2].all():
+                        out[(i, j)] = c_ij(kernel, i, j, params)
     return out
 
 
@@ -387,39 +417,42 @@ def seeded_open_set(seed):
 
 def test_run_carleson_counts_each_level_pair_once(monkeypatch):
     # three kernels, each summed at two depths, share every open set's
-    # containment masks: each (set, level pair) is counted on the raster
-    # once, however many sums ask for it, and each (set, axis, level)'s
-    # candidate cubes are listed once for all the level pairs that read them
-    counted, sums, listed = [], [], []
-    block = carleson._containment_block
+    # containment masks: each (set, level pair) is reduced on the raster
+    # once, however many sums ask for it, and a set's new pairs on one
+    # axis-0 level share one axis-0 reduction
+    asked, rows, reduced, sums = [], [], [], []
+    containment = carleson.DyadicOpenSet._containment
+    inside = carleson._inside_along
     summed = carleson.carleson_sum
-    candidates = carleson.DyadicOpenSet._candidates
 
-    def count(omega, l1, l2s):
-        counted.append((omega, l1, l2s))
-        return block(omega, l1, l2s)
+    def ask(omega, l1, l2s):
+        asked.append((omega, l1))
+        return containment(omega, l1, l2s)
 
-    def listing(omega, axis, level):
-        out = candidates(omega, axis, level)
-        listed.append((id(omega), axis, level, id(out)))
-        return out
+    def along(grid, raster_level, lo_cell, level, mask, axis):
+        omega, l1 = asked[-1]
+        if axis == 0:
+            rows.append(len(asked))
+        else:
+            reduced.append((omega, l1, level))
+        return inside(grid, raster_level, lo_cell, level, mask, axis)
 
     def total(kernel, omega, *args, **kwargs):
         sums.append(omega)
         return summed(kernel, omega, *args, **kwargs)
 
-    monkeypatch.setattr(carleson, "_containment_block", count)
+    monkeypatch.setattr(carleson.DyadicOpenSet, "_containment", ask)
+    monkeypatch.setattr(carleson, "_inside_along", along)
     monkeypatch.setattr(carleson, "carleson_sum", total)
     monkeypatch.setattr(experiments, "carleson_sum", total)
-    monkeypatch.setattr(carleson.DyadicOpenSet, "_candidates", listing)
     run_carleson(PARAMS)
-    keys = [(id(om), l1, l2) for om, l1, l2s in counted for l2 in l2s]
+    keys = [(id(om), l1, l2) for om, l1, l2 in reduced]
     assert len(keys) == len(set(keys)) > 0
-    # one listing per (set, axis, level), every later read the same arrays
-    assert len({key[:3] for key in listed}) == len(set(listed)) < len(listed)
+    # at most one axis-0 reduction per request, and fewer than pairs
+    assert len(rows) == len(set(rows)) < len(keys)
     # 4 sets x 3 kernels x 2 depths, and the unit square once
     assert len(sums) == 25
-    assert {id(om) for om, _, _ in counted} == {id(om) for om in sums}
+    assert {id(om) for om, _, _ in reduced} == {id(om) for om in sums}
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -448,9 +481,9 @@ def test_warm_set_sums_as_a_fresh_one(monkeypatch, seed):
 
 
 def test_tensor_packing_sums_take_no_scale_pair_lookup(monkeypatch):
-    # a tensor kernel's box value at a level pair is the product of two
-    # per-level axis bands, built once per sum, so no level pair looks the
-    # kernel up in _cij_scales; the values are its values bit for bit
+    # a tensor kernel's box value at a level pair is its closed constant
+    # scaled by 2^-(l1 + l2), so no level pair looks the kernel up in the
+    # raw _cij_scales; the values are c_ij's bit for bit
     omega = seeded_open_set(1)
     kernels = (SIZE, CANC, make_mixed(1, 1, 0.5, 0.5))
     want = [per_rectangle_oracle(k, omega, 2, PARAMS) for k in kernels]
@@ -463,20 +496,17 @@ def test_tensor_packing_sums_take_no_scale_pair_lookup(monkeypatch):
         assert dict(carleson_sum(kernel, omega, 2, PARAMS).rect_values) == oracle
 
 
-def test_warm_sum_builds_one_spec(monkeypatch):
-    # a warm sum looks up one cached box value per nonempty level pair; the
-    # spec of that lookup is made once per call, not once per pair
-    omega = seeded_open_set(0)
-    carleson_sum(SIZE, omega, 3, PARAMS)
+def test_sums_build_no_spec(monkeypatch):
+    # a tensor kernel's box value is a closed constant: neither a cold nor a
+    # warm sum builds a quadrature spec or asks for scale nodes
     made = []
-
-    def counted(*args, **kwargs):
-        made.append(args)
-        return QuadratureSpec(*args, **kwargs)
-
-    monkeypatch.setattr(carleson, "QuadratureSpec", counted)
-    rep = carleson_sum(SIZE, omega, 3, PARAMS)
-    assert len(rep.rect_values) > 0 and len(made) <= 1
+    for name in ("QuadratureSpec", "octave_nodes"):
+        monkeypatch.setattr(carleson, name,
+                            lambda *args, name=name: made.append(name))
+    omega = seeded_open_set(0)
+    for _ in range(2):
+        rep = carleson_sum(SIZE, omega, 3, PARAMS)
+        assert len(rep.rect_values) > 0 and made == []
 
 
 def test_packing_monotone_in_depth():
@@ -525,6 +555,22 @@ def test_carleson_check_infinite_cap_warns():
     with pytest.warns(RuntimeWarning, match="vacuous"):
         ok, _ = carleson_check(SIZE, [unit], 1, math.inf, PARAMS)
     assert ok
+
+
+@pytest.mark.parametrize("cap", [-math.inf, -1.0, math.nan])
+def test_packing_refuses_a_nan_or_negative_cap(monkeypatch, cap):
+    # -inf used to take the vacuous +inf branch, so carleson_check passed
+    # though every report failed; such caps are refused before any sum
+    g1, g2 = std_pair()
+    unit = DyadicOpenSet(((g1.cube(0, (0,)), g2.cube(0, (0,))),))
+    reduced = []
+    monkeypatch.setattr(carleson, "_inside_along",
+                        lambda *args: reduced.append(args))
+    with pytest.raises(ValueError, match="cap"):
+        carleson_sum(SIZE, unit, 1, PARAMS, cap=cap)
+    with pytest.raises(ValueError, match="cap"):
+        carleson_check(SIZE, [unit], 1, cap, PARAMS)
+    assert reduced == []
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,8 @@ from glstar.kernels import ConvolutionFactor, make_cancellative, rescale
 PARAMS = default_params()
 
 # the caches a driver may fill; a cold run and a warm rerun must agree
-CACHES = (gstar._axis_gram, gstar._unit_lag_table, carleson._axis_band,
-          carleson._cij_scales, core._rule01, dyadic._offset_cutoffs)
+CACHES = (gstar._axis_gram, gstar._unit_lag_table, carleson._cij_scales,
+          core._rule01, dyadic._offset_cutoffs)
 
 
 def _finite(values):
