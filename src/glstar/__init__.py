@@ -25,7 +25,6 @@ from .carleson import (
     CarlesonReport,
     DyadicOpenSet,
     c_ij,
-    carleson_check,
     carleson_sum,
     random_open_set,
     shadow_sets,
@@ -78,7 +77,6 @@ __all__ = [
     "apply_theta",
     "axis_grams",
     "c_ij",
-    "carleson_check",
     "carleson_sum",
     "default_params",
     "estimate_pi_good",

@@ -4,20 +4,22 @@ The box quantity of a rectangle I x J integrates |theta 1|^2 with both
 Poisson-type weights over the product of Whitney regions.  For a tensor
 convolution kernel theta_{t1,t2} 1 is the factors' mass m1 m2 at every
 scale, so the quantity is |I||J| prod_i w(lambda_i) m_i^2 ln 2, and the
-packing sum over an open set is that constant times exact lattice counts,
-found by AND-reducing the set's raster over each cube's cells.  That
-counting is also the honest way to exhibit the dichotomy: mass-carrying
-kernels grow quadratically in the truncation depth, cancellative ones give
-identically zero.
+packing sum over an open set is that constant times an exact dyadic
+count, sum |I||J| over the grid rectangles inside the set, found by
+AND-reducing the set's raster over each cube's cells.  The count shows the
+dichotomy as exact statements: normalized by the set's measure it is a
+quadratic in the truncation depth with second difference 2, so a
+mass-carrying kernel packs no better than depth squared, while a
+cancellative factor makes every sum exactly zero.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +33,6 @@ __all__ = [
     "CarlesonReport",
     "DyadicOpenSet",
     "c_ij",
-    "carleson_check",
     "carleson_sum",
     "random_open_set",
     "shadow_sets",
@@ -336,19 +337,20 @@ class _RectView(Mapping):
 class CarlesonReport:
     """One packing sum: every enumerated rectangle with its box quantity.
 
-    ``carleson_sum`` fills ``rect_values`` with a read-only view kept per
-    level pair; its length is O(1), lookup is integer arithmetic, and
-    iterating it builds the rectangles' cubes on demand.
+    ``count`` is the exact dyadic sum of |I||J| over the enumerated
+    rectangles, the same for every kernel; ``total``, ``ratio`` and
+    ``last_level_total`` are the box constant times counts, each rounded
+    once.  ``rect_values`` is a read-only view kept per level pair: O(1)
+    length, lookup by integer arithmetic, cubes built on demand.
     """
 
     rect_values: Mapping[tuple[DyadicCube, DyadicCube], float]
+    count: Fraction
     total: float
     measure: float
     ratio: float
     levels: int
     last_level_total: float
-    cap: float = math.inf
-    passed: bool = True
 
     def __post_init__(self) -> None:
         vals = self.rect_values.values()
@@ -361,99 +363,74 @@ class CarlesonReport:
             raise ValueError("total does not match the per-rectangle map")
 
 
-def carleson_sum(kernel, omega: DyadicOpenSet, levels: int, params: Params,
-                 cap: float = math.inf) -> CarlesonReport:
+def _level_range(grid: ShiftedGrid, raster_level: int, cells: int,
+                 levels: int) -> range:
+    """The levels a packing sum enumerates along one axis: from the coarsest
+    cube that can fit in the raster's ``cells`` cells (no coarser than the
+    grid) to ``levels`` below the raster level."""
+    fine = raster_level + levels
+    if fine > grid.j_max:
+        raise ValueError("enumeration depth exceeds the grid truncation")
+    return range(max(grid.j_min, raster_level - (cells.bit_length() - 1)),
+                 fine + 1)
+
+
+def carleson_sum(kernel, omega: DyadicOpenSet, levels: int,
+                 params: Params) -> CarlesonReport:
     """Sum of box quantities over every grid rectangle inside the set, for a
     tensor kernel only: `_box_constant` times 2^-(l1 + l2) at the level pair
     (l1, l2), as in `c_ij`, with no quadrature and so no spec.
 
     ``levels`` counts enumeration depth below the finest member rectangle per
     axis; coarser rectangles than the members are enumerated too whenever
-    they fit.  Containment is decided exactly on the member raster.  The
-    finest-level shell is reported separately so growth is visible.
+    they fit.  Containment is decided exactly on the member raster, and the
+    report's ``count``, sum over the level pairs of count * 2^-(l1 + l2), is
+    an integer over 2^(fine1 + fine2) at the finest levels; the totals are
+    the box constant times it, rounded once.  The finest-level shell is
+    reported separately so growth is visible.
 
     No rectangle is built while summing: the report's ``rect_values`` is a
     read-only view kept per level pair (containment mask, lattice offsets,
     box value), and iterating it builds the cubes on demand.  The masks are
     the set's own, AND-reduced from its raster by the first sum that asks
     for a level pair; the ``_MAX_RECTS`` guard runs per call.  A kernel
-    without ``tensor_parts``, or a NaN or negative cap, is refused first.
+    without ``tensor_parts`` is refused first.
     """
     if kernel.tensor_parts is None:
         raise NotImplementedError("packing sums need a tensor kernel")
-    if not cap >= 0.0:
-        raise ValueError("the packing cap must be a nonnegative number")
     if levels < 1:
         raise ValueError("need levels >= 1")
-    g1, g2 = omega.grids
-    base1, base2 = omega._levels
-    fine1, fine2 = base1 + levels, base2 + levels
-    if fine1 > g1.j_max or fine2 > g2.j_max:
-        raise ValueError("enumeration depth exceeds the grid truncation")
-    n1, n2 = omega._bitmap.shape
-    coarse1 = max(g1.j_min, base1 - (n1.bit_length() - 1))
-    coarse2 = max(g2.j_min, base2 - (n2.bit_length() - 1))
+    l1s, l2s = (_level_range(g, lv, n, levels) for g, lv, n in
+                zip(omega.grids, omega._levels, omega._bitmap.shape))
+    fine1, fine2 = l1s[-1], l2s[-1]
     const = _box_constant(kernel, *params.weight_powers)
-    l2s = range(coarse2, fine2 + 1)
     blocks: dict = {}
     n_rects = 0
-    total = 0.0
-    shell = 0.0
-    for l1 in range(coarse1, fine1 + 1):
-        for l2, (k1, k2, ok, count) in zip(l2s, omega._containment(l1, l2s)):
-            if count == 0:
+    # the counts, in units of the finest level pair's |I||J|
+    count = shell = 0
+    for l1 in l1s:
+        for l2, (k1, k2, ok, n) in zip(l2s, omega._containment(l1, l2s)):
+            if n == 0:
                 continue
-            n_rects += count
+            n_rects += n
             if n_rects > _MAX_RECTS:
                 raise ValueError(
                     "rectangle enumeration exceeds the size guard; "
                     "reduce the level depth")
-            value = math.ldexp(const, -(l1 + l2))
-            blocks[(l1, l2)] = _Block(k1, k2, ok, value, count)
-            total += count * value
+            blocks[(l1, l2)] = _Block(k1, k2, ok,
+                                      math.ldexp(const, -(l1 + l2)), n)
+            units = n << (fine1 - l1 + fine2 - l2)
+            count += units
             if l1 == fine1 or l2 == fine2:
-                shell += count * value
-    ratio = total / omega.measure
-    return CarlesonReport(rect_values=_RectView((g1, g2), blocks),
-                          total=total, measure=omega.measure, ratio=ratio,
-                          levels=levels,
-                          last_level_total=shell, cap=cap,
-                          passed=bool(ratio <= cap))
-
-
-def carleson_check(kernel, omegas, levels: int, cap: float, params: Params):
-    """Packing test over a family of sets, with a one-level stability probe.
-
-    Each set is summed by `carleson_sum` (a tensor kernel's closed-form box
-    constant times lattice counts) at ``levels`` and ``levels + 1``; the
-    test passes when every ratio stays under the cap and grows by less than
-    10% on the extra level.  A cap that is NaN or negative is refused before
-    any sum, by `carleson_sum`; an infinite one warns, since the test is
-    then vacuous.
-    Returns (verdict, [(report, deeper_report), ...]).
-    """
-    omegas = list(omegas)
-    if not omegas:
-        raise ValueError("need at least one set")
-    degenerate = cap == math.inf
-    if degenerate:
-        warnings.warn("infinite cap: the packing test is vacuous",
-                      RuntimeWarning, stacklevel=2)
-    verdict = True
-    out = []
-    for om in omegas:
-        rep = carleson_sum(kernel, om, levels, params, cap=cap)
-        rep2 = carleson_sum(kernel, om, levels + 1, params, cap=cap)
-        out.append((rep, rep2))
-        if degenerate:
-            continue
-        if rep.ratio == 0.0:
-            stable = rep2.ratio == 0.0
-        else:
-            stable = rep2.ratio / rep.ratio - 1.0 < 0.10
-        if not (rep.passed and rep2.passed and stable):
-            verdict = False
-    return verdict, out
+                shell += units
+    # the finest level pair's box value, exact
+    box = Fraction(const) / (1 << (fine1 + fine2))
+    return CarlesonReport(
+        rect_values=_RectView(omega.grids, blocks),
+        count=Fraction(count, 1 << (fine1 + fine2)),
+        total=float(box * count), measure=omega.measure,
+        ratio=float(box * count / Fraction(omega.measure)),
+        levels=levels, last_level_total=float(box * shell))
 
 
 # ---------------------------------------------------------------------------

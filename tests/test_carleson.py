@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,6 @@ from glstar.carleson import (
     CarlesonReport,
     DyadicOpenSet,
     c_ij,
-    carleson_check,
     carleson_sum,
     random_open_set,
     shadow_sets,
@@ -96,8 +96,6 @@ def test_packing_refuses_a_kernel_without_tensor_parts(monkeypatch):
     unit = DyadicOpenSet(((g1.cube(0, (0,)), g2.cube(0, (0,))),))
     with pytest.raises(NotImplementedError, match="tensor kernel"):
         carleson_sum(opaque, unit, 1, PARAMS)
-    with pytest.raises(NotImplementedError, match="tensor kernel"):
-        carleson_check(opaque, [unit], 1, 50.0, PARAMS)
     assert reduced == []
 
 
@@ -416,7 +414,7 @@ def seeded_open_set(seed):
 
 
 def test_run_carleson_counts_each_level_pair_once(monkeypatch):
-    # three kernels, each summed at two depths, share every open set's
+    # three kernels, each summed at two or three depths, share every set's
     # containment masks: each (set, level pair) is reduced on the raster
     # once, however many sums ask for it, and a set's new pairs on one
     # axis-0 level share one axis-0 reduction
@@ -450,8 +448,9 @@ def test_run_carleson_counts_each_level_pair_once(monkeypatch):
     assert len(keys) == len(set(keys)) > 0
     # at most one axis-0 reduction per request, and fewer than pairs
     assert len(rows) == len(set(rows)) < len(keys)
-    # 4 sets x 3 kernels x 2 depths, and the unit square once
-    assert len(sums) == 25
+    # 4 sets and the unit square at 3 depths under the size-only kernel,
+    # and the 4 sets at 2 depths under each of the others
+    assert len(sums) == 31
     assert {id(om) for om, _, _ in reduced} == {id(om) for om in sums}
 
 
@@ -528,49 +527,61 @@ def test_packing_guards():
 
 def test_report_validates():
     with pytest.raises(ValueError, match="nonnegative"):
-        CarlesonReport(rect_values={"x": -1.0}, total=-1.0, measure=1.0,
-                       ratio=-1.0, levels=1, last_level_total=0.0)
+        CarlesonReport(rect_values={"x": -1.0}, count=Fraction(1), total=-1.0,
+                       measure=1.0, ratio=-1.0, levels=1, last_level_total=0.0)
     with pytest.raises(ValueError, match="match"):
-        CarlesonReport(rect_values={"x": 1.0}, total=3.0, measure=1.0,
-                       ratio=3.0, levels=1, last_level_total=0.0)
+        CarlesonReport(rect_values={"x": 1.0}, count=Fraction(1), total=3.0,
+                       measure=1.0, ratio=3.0, levels=1, last_level_total=0.0)
 
 
-def test_carleson_check_dichotomy():
-    g1, g2 = std_pair()
-    unit = DyadicOpenSet(((g1.cube(0, (0,)), g2.cube(0, (0,))),))
-    ok, pairs = carleson_check(CANC, [unit], 2, 1e-10, PARAMS)
-    assert ok
-    assert pairs[0][0].ratio == 0.0 and pairs[0][1].ratio == 0.0
-    # the size-only kernel fails even with a generous cap: the one-level
-    # growth probe sees the quadratic depth dependence
-    ok, pairs = carleson_check(SIZE, [unit], 2, 1e6, PARAMS)
-    assert not ok
-    growth = pairs[0][1].ratio / pairs[0][0].ratio - 1.0
-    assert growth > 0.10
+def test_packing_count_is_exact_and_each_total_one_rounding():
+    # the count is sum |I||J| over the enumerated rectangles as a Fraction;
+    # every float is the box constant times it, rounded once
+    omega = seeded_open_set(2)
+    const = Fraction(carleson._box_constant(SIZE, *PARAMS.weight_powers))
+    for levels in (1, 2):
+        rep = carleson_sum(SIZE, omega, levels, PARAMS)
+        oracle = per_rectangle_oracle(SIZE, omega, levels, PARAMS)
+        want = sum(Fraction(i.measure() * j.measure()) for i, j in oracle)
+        assert rep.count == want
+        assert rep.total == float(const * want)
+        assert rep.ratio == float(const * want / Fraction(omega.measure))
+        canc = carleson_sum(CANC, omega, levels, PARAMS)
+        assert canc.count == want and canc.total == canc.ratio == 0.0
 
 
-def test_carleson_check_infinite_cap_warns():
-    g1, g2 = std_pair()
-    unit = DyadicOpenSet(((g1.cube(0, (0,)), g2.cube(0, (0,))),))
-    with pytest.warns(RuntimeWarning, match="vacuous"):
-        ok, _ = carleson_check(SIZE, [unit], 1, math.inf, PARAMS)
-    assert ok
+@pytest.mark.parametrize("seed", range(4))
+def test_normalized_count_has_second_difference_two(seed):
+    # every level pair below the member raster packs the whole set, so the
+    # count over the measure is a quadratic in depth with leading term 1
+    h1, h2 = random_grids(1, -5, 9, seed, (0, 1))
+    omega = random_open_set((h1, h2), np.random.default_rng(seed),
+                            n_rects=4, level_range=(0, 3))
+    n = [carleson_sum(SIZE, omega, d, PARAMS).count / Fraction(omega.measure)
+         for d in (1, 2, 3, 4)]
+    assert [c - 2 * b + a for a, b, c in zip(n, n[1:], n[2:])] == [2, 2]
 
 
-@pytest.mark.parametrize("cap", [-math.inf, -1.0, math.nan])
-def test_packing_refuses_a_nan_or_negative_cap(monkeypatch, cap):
-    # -inf used to take the vacuous +inf branch, so carleson_check passed
-    # though every report failed; such caps are refused before any sum
-    g1, g2 = std_pair()
-    unit = DyadicOpenSet(((g1.cube(0, (0,)), g2.cube(0, (0,))),))
-    reduced = []
-    monkeypatch.setattr(carleson, "_inside_along",
-                        lambda *args: reduced.append(args))
-    with pytest.raises(ValueError, match="cap"):
-        carleson_sum(SIZE, unit, 1, PARAMS, cap=cap)
-    with pytest.raises(ValueError, match="cap"):
-        carleson_check(SIZE, [unit], 1, cap, PARAMS)
-    assert reduced == []
+@pytest.mark.parametrize("mutant", [
+    lambda levels: levels[1:],  # the coarsest level dropped
+    lambda levels: levels[:-1],  # the finest level dropped
+])
+def test_run_carleson_fails_a_mutant_level_enumeration(monkeypatch, mutant):
+    # negative control: a sum that drops one level along the first axis
+    # breaks the unit square's (levels + 1)^2, and the verdict with it
+    assert run_carleson(PARAMS, omega_count=3, levels=2, seed=17).passed
+    real = carleson._level_range
+    calls = []
+
+    def level_range(grid, raster_level, cells, levels):
+        calls.append(grid)
+        out = real(grid, raster_level, cells, levels)
+        return mutant(out) if len(calls) % 2 else out
+
+    monkeypatch.setattr(carleson, "_level_range", level_range)
+    rep = run_carleson(PARAMS, omega_count=3, levels=2, seed=17)
+    assert not rep.passed and not rep.summary["unit_square_ok"]
+    assert rep.summary["unit_square_count"] == 6.0
 
 
 # ---------------------------------------------------------------------------

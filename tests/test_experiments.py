@@ -77,7 +77,9 @@ def _check_carleson(rep):
     assert len(rep.records) == 3 * 1 + 1
     assert all(math.isfinite(r["ratio"]) and r["ratio"] >= 0
                for r in rep.records)
-    assert rep.summary["pattern_ok"] and rep.passed
+    assert rep.summary["unit_square_count"] == 4.0
+    assert rep.summary["second_differences"] == [2.0, 2.0]
+    assert rep.summary["vanishing_ok"] and rep.passed
 
 
 def _check_cases(rep):
@@ -125,8 +127,7 @@ QUICK = {
                    _check_kdecay),
     "run_lemma32": (PARAMS, {"configs": sample_lemma32_configs(count=4, seed=5)},
                     _check_lemma32),
-    "run_schur": (PARAMS, {"collection_sizes": (8, 16, 32), "draws": 20},
-                  _check_schur),
+    "run_schur": (PARAMS, {"collection_sizes": (8, 16, 32)}, _check_schur),
 }
 
 
@@ -483,39 +484,28 @@ def test_trial_sweeps_build_no_generator(monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize("draws", [0, -1])
-def test_schur_refuses_a_check_without_draws_before_building(monkeypatch, draws):
-    # no draw would leave the quadratic inequality checked on nothing
-    def no_matrix(*args, **kwargs):
-        raise AssertionError("the matrix was built before the refusal")
-
-    monkeypatch.setattr(experiments, "box_schur_matrix", no_matrix)
-    with pytest.raises(ValueError, match="at least one draw"):
-        run_schur(PARAMS, collection_sizes=(8, 16), draws=draws)
-
-
-def _bilinear_worst_per_draw(big, lam, seed, draws):
-    # the quadratic-inequality check as one matrix-vector product per draw
-    rng = np.random.default_rng((seed, 0xA1))
-    worst = 0.0
-    for _ in range(draws):
-        x = np.abs(rng.standard_normal(big.shape[0]))
-        y = np.abs(rng.standard_normal(big.shape[0]))
-        num = float(x @ big @ y) ** 2
-        den = lam ** 2 * float(x @ x) * float(y @ y)
-        worst = max(worst, num / den)
-    return worst
+def test_schur_norms_are_the_top_eigenvalues():
+    # the matrix is nonnegative and symmetric, so its Perron root is its
+    # largest eigenvalue and the exact supremum of the quadratic form: the
+    # power iteration must land on eigvalsh's at every section
+    rep = run_schur(PARAMS)
+    grid, levels, index = experiments._draw_collection(512, 23)
+    big = dyadic.box_schur_matrix(grid.boxes(levels, index), levels, 0.5)
+    for size, norm in rep.summary["norms"].items():
+        s = int(size)
+        top = np.linalg.eigvalsh(big[:s, :s])[-1]
+        assert abs(norm / top - 1.0) <= 1e-12, size
+    assert not rep.passed and rep.summary["final_growth"] > 0.05
 
 
-def test_schur_blocked_check_matches_the_per_draw_loop():
-    # 150 draws end in a partial block
-    rep = run_schur(PARAMS, collection_sizes=(8, 16, 32), seed=23, draws=150)
-    grid, levels, index = experiments._draw_collection(32, 23)
-    big = dyadic.schur_matrix([grid.cube(lev, k) for lev, k in
-                               zip(levels.tolist(), index.tolist())], 0.5)
-    want = _bilinear_worst_per_draw(big, rep.summary["norms"]["32"], 23, 150)
-    assert rep.summary["bilinear_worst_ratio"] == pytest.approx(
-        want, rel=1e-14, abs=0.0)
+def test_draw_collection_draws_levels_uniformly():
+    # cube (l, k) is weighted 1 / (9 * 4 * 2^l), so a family's first cube
+    # has a uniform level, as when level and position are drawn uniformly
+    _, levels, index = experiments._draw_collection(512, 7)
+    assert np.all((0 <= index[:, 0]) & (index[:, 0] < 4 << levels))
+    firsts = [int(experiments._draw_collection(1, seed)[1][0])
+              for seed in range(360)]
+    assert np.all(np.abs(np.bincount(firsts, minlength=9) / 360 - 1 / 9) < 0.06)
 
 
 @pytest.mark.parametrize("sizes", [(8,), (64, 64)])
@@ -526,7 +516,7 @@ def test_schur_refuses_fewer_than_two_sizes_before_drawing(monkeypatch, sizes):
 
     monkeypatch.setattr(experiments, "_draw_collection", no_draw)
     with pytest.raises(ValueError, match="two distinct positive"):
-        run_schur(PARAMS, collection_sizes=sizes, draws=1)
+        run_schur(PARAMS, collection_sizes=sizes)
 
 
 def test_schur_refuses_more_cubes_than_the_draw_holds(monkeypatch):
@@ -745,10 +735,17 @@ def test_carleson_draws_its_grids_in_one_call(monkeypatch):
 
 def test_carleson_at_defaults():
     # three kernels over the default four open sets, plus the unit square
+    # under the size-only kernel, whose depth law it also keeps
     rep = run_carleson(PARAMS)
-    assert rep.passed and rep.summary["pattern_ok"]
+    assert rep.passed
     assert len(rep.records) == 3 * 4 + 1
-    assert rep.summary["unit_square_law_rel_err"] < 0.05
+    assert rep.summary["unit_square_count"] == (3 + 1) ** 2
+    assert rep.summary["second_differences"] == [2.0] * 5
+    for r in rep.records:
+        if r["kernel"].startswith("size"):
+            assert 0.0 < r["ratio"] < r["ratio_deeper"]
+        else:
+            assert r["ratio"] == r["ratio_deeper"] == 0.0
 
 
 def test_cases_skips_levels_with_no_cube_in_the_box():
