@@ -33,16 +33,14 @@ Numerical conventions used throughout:
   two grams against f's values, in blocks of about _BLOCK = 2^16 values.
   Other kernels go jointly: :func:`_raw_octave_sums` makes each scale
   node's meshes once per sweep and sums the :func:`_raw_block` of each
-  scale pair at both bands' positions, in blocks of at most _RAW_BLOCK =
-  2^14 kernel values.  A block reaches the kernel as separate coordinate
-  blocks (points, z1 rows, z2 nodes), so a kernel that separates evaluates
-  each factor on rows or on z2 alone and only the product and the
-  contraction span the block (see _BLOCK).  A route is one theta evaluator
-  in one of these assemblies plus one choice of positions.  The evaluators
-  are the exact per-axis cell integrals (one antiderivative per u-node and
-  edge where the cell values jump), the raw per-axis profile quadrature
-  (their independent oracle) and the raw kernel evaluations of the joint
-  layer, priced accordingly;
+  scale pair at both bands' positions, theta taken on the tensor mesh of
+  the two offset axes in blocks that reach the kernel as four axis blocks
+  (:func:`_mesh_theta`).  A route is one theta evaluator in one of these
+  assemblies plus one choice of positions.  The evaluators are the exact
+  per-axis cell integrals (one antiderivative per u-node and edge where
+  the cell values jump), the raw per-axis profile quadrature (their
+  independent oracle) and the raw kernel evaluations of the joint layer,
+  priced accordingly;
 * a position is never a set of nodes: per axis it is one point x or one
   interval (lo, hi) of x, and the weight (t/(t+|x - u|))^lam enters as its
   value at the point or its closed-form integral over the interval
@@ -116,20 +114,17 @@ _TAIL_WARN = 1e-2
 _TRUNCATION_EPS = 1e-9
 
 # Values per block of the chunked contractions, so that a block's
-# temporaries stay in cache.  A temporary past glibc's mmap threshold (128 KB
-# in a fresh process, raised when a larger mapped array is freed) goes back
-# to the OS when freed and is faulted in again by the next block; loops over
-# arrays of one size (the row-chunk buffers of _mesh_theta, the scale nodes
-# of _unit_lag_rows) make them once.  The per-axis layer streams about
-# _BLOCK values a block: a global 2^14 block slowed the drivers benchmark by
-# about 2 %.  The joint raw layer (_mesh_theta) streams at most _RAW_BLOCK
-# kernel values; as it hands the kernel coordinate blocks, only the product
-# and the matrix-vector product span a block.  On the opaque benchmark (2
-# cores, 1 BLAS thread, alternating runs) 2^15 was lower than 2^14 in 3 of
-# 5 pairs twice, and 2^16 slower than both in 5 of 5, so the block stays
-# at 2^14; either larger block also moves c_ij by 1-3e-16 relative.
+# temporaries stay in cache; loops over arrays of one size make them once,
+# since one past glibc's mmap threshold (128 KB in a fresh process) is
+# faulted in again by each block.  The per-axis layer streams about _BLOCK
+# values a block (a global 2^14 slowed the drivers benchmark by 2 %), the
+# joint raw layer (_mesh_theta) at most _RAW_BLOCK kernel values, its z1
+# rows in chunks of at most _RAW_ROWS.  On the opaque benchmark (2 cores, 1
+# BLAS thread) 2^15 blocks ran 15-30 % below 2^14; 2^16 was no faster and
+# 1.0 MB higher in peak memory, and 2^15 row chunks 0.2 MB higher.
 _BLOCK = 2 ** 16
-_RAW_BLOCK = 2 ** 14
+_RAW_BLOCK = 2 ** 15
+_RAW_ROWS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -176,18 +171,6 @@ def _offset_span(box: tuple[float, float], t, anchors,
     pad = pad_units * t + (bhi - blo)
     return (np.minimum(blo - pad, anchors.min(axis=-1) - pad_units * t),
             np.maximum(bhi + pad, anchors.max(axis=-1) + pad_units * t))
-
-
-def _offset_mesh(box: tuple[float, float], t: float, spec: QuadratureSpec,
-                 anchors: Sequence[float], pad_units: float = _PAD_UNITS,
-                 rel: float = _MESH_REL,
-                 ) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Offset-variable mesh over :func:`_offset_span`, graded toward every
-    anchor.  Returns nodes, weights and the two mesh edges."""
-    lo, hi = _offset_span(box, t, anchors, pad_units)
-    grid = graded_axis_edges(lo, hi, anchors, rel_finest=rel)
-    u, du = segment_nodes(grid, spec.points_per_cell, spec.rule)
-    return u, du, float(lo), float(hi)
 
 
 def _position_weight(t, lam: float, at, u: np.ndarray) -> np.ndarray:
@@ -365,6 +348,16 @@ def _check_pair_dims(kernel: Kernel) -> None:
             "quadrature paths are implemented for one-dimensional factors")
 
 
+def _finite_point(x, *scales) -> np.ndarray:
+    """The plane point x as an array, refused unless it is finite and the
+    scales are finite and positive."""
+    x = np.asarray(x, dtype=float).reshape(2)
+    if not (np.isfinite(x).all() and all(0 < t < math.inf for t in scales)):
+        raise ValueError("the point must be finite and the scales finite and "
+                         f"positive: got {tuple(x.tolist())} and {scales}")
+    return x
+
+
 def _tensor_step(f1: StepFunction, f2: StepFunction) -> StepFunction:
     """The product f1 (x) f2 of two compact axis functions as a plane step
     function."""
@@ -430,49 +423,59 @@ def _lookup_axis(f: StepFunction, axis: int, z, w) -> tuple:
     return z, w, np.where((k >= 0) & (k < f.shape[axis]), k, f.shape[axis])
 
 
-def _mesh_theta(kernel: Kernel, table: np.ndarray, t1: float, t2: float,
-                pts: np.ndarray, axis1, axis2) -> np.ndarray:
-    """sum_z K(p, z) f(z) w1(z1) w2(z2) over the tensor mesh z1 x z2 for an
-    (N, 2) array of points p, in blocks of at most _RAW_BLOCK kernel values
-    or one z2 row; each axis is a :func:`_lookup_axis` into f's ``table``.
+def _tile(n1: int, n2: int, cap: int) -> tuple[int, int]:
+    """The a x b tile (a b <= cap) that covers an n1 x n2 mesh in the
+    fewest tiles, the smallest such a."""
+    a = np.arange(1, min(n1, cap) + 1)
+    b = np.minimum(n2, cap // a)
+    best = int(np.argmin((-n1 // a) * (-n2 // b)))  # ceil(n1/a) ceil(n2/b)
+    return best + 1, int(b[best])
 
-    A block is a chunk of points against a chunk of z1 rows and all of z2.
-    When the whole mesh fits in a block the points are chunked and the rows
-    are not; otherwise each point meets one row chunk at a time and the
-    chunks' sums accumulate.  ``evaluate`` gets a block as coordinate
-    blocks, never as mesh points: (P, 1, 1, 1) points, (1, R, 1, 1) rows
-    and (1, 1, Z2, 1) z2, so a tensor kernel's factors take P x R and P x
-    Z2 values and only their product fills the block; a coupled kernel
-    still returns all P x R x Z2 values, and any other shape is refused.
-    The f * w weights go into two row-chunk buffers made once per call."""
+
+def _mesh_theta(kernel: Kernel, table: np.ndarray, t1: float, t2: float,
+                x1: np.ndarray, x2: np.ndarray, axis1, axis2) -> np.ndarray:
+    """sum_z K(p, z) f(z) w1(z1) w2(z2) over the tensor mesh z1 x z2, each
+    axis a :func:`_lookup_axis` into f's ``table``, at the points p of the
+    tensor mesh x1 x x2: an (x1.size, x2.size) array.
+
+    A block is an a x b tile of points (:func:`_tile`) against a chunk of r
+    z1 rows and all Z2 of z2, at most _RAW_BLOCK values or one z2 row; the
+    row chunks' sums accumulate.  ``evaluate`` gets it as four axis blocks,
+    x1 (a, 1, 1, 1, 1), x2 (1, b, 1, 1, 1), rows (1, 1, r, 1, 1) and z2 (1,
+    1, 1, Z2, 1), never as mesh points: a tensor kernel's factors take a x
+    r and b x Z2 values, and only their product and one matrix-vector
+    product span the block.  Any shape but (a, b, r, Z2) is refused.  The
+    f * w weights go into two row-chunk buffers made once per call."""
     (z1, w1, k1), (z2, w2, k2) = axis1, axis2
-    rows = min(z1.size, max(1, _RAW_BLOCK // max(1, z2.size)))
-    step = max(1, _RAW_BLOCK // (rows * z2.size))
-    out = np.zeros(pts.shape[0])
-    picked = np.empty((rows, z2.size))
-    weights = np.empty((rows, z2.size))
-    p1, p2 = pts[:, 0, None, None, None], pts[:, 1, None, None, None]
+    rows = min(z1.size, max(1, _RAW_ROWS // max(1, z2.size)))
+    a, b = _tile(x1.size, x2.size, max(1, _RAW_BLOCK // (rows * z2.size)))
+    out = np.zeros((x1.size, x2.size))
+    picked, weights = np.empty((2, rows, z2.size))
+    p1, p2 = x1[:, None, None, None, None], x2[None, :, None, None, None]
     for r in range(0, z1.size, rows):
         zr = z1[r:r + rows]
-        y = (zr[None, :, None, None], z2[None, None, :, None])
+        y = (zr[None, None, :, None, None], z2[None, None, None, :, None])
         fw = np.multiply.outer(w1[r:r + rows], w2, out=weights[:zr.size])
         fw *= np.take(table[k1[r:r + rows]], k2, axis=1,
                       out=picked[:zr.size])
         fw = fw.ravel()
-        for i in range(0, pts.shape[0], step):
-            x = (p1[i:i + step], p2[i:i + step])
-            kv = np.asarray(kernel.evaluate(t1, t2, x, y), dtype=float)
-            if kv.shape != (len(x[0]), zr.size, z2.size):
-                raise ValueError("kernel evaluate must broadcast over its "
-                                 f"coordinate blocks: got shape {kv.shape}")
-            out[i:i + step] += kv.reshape(-1, fw.size) @ fw
+        for i in range(0, x1.size, a):
+            for j in range(0, x2.size, b):
+                x = (p1[i:i + a], p2[:, j:j + b])
+                kv = np.asarray(kernel.evaluate(t1, t2, x, y), dtype=float)
+                tile = out[i:i + a, j:j + b]
+                if kv.shape != tile.shape + (zr.size, z2.size):
+                    raise ValueError("kernel evaluate must broadcast over its "
+                                     f"coordinate blocks: got shape {kv.shape}")
+                tile += (kv.reshape(-1, fw.size) @ fw).reshape(tile.shape)
     return out
 
 
 def _theta_points_general(kernel: Kernel, f: StepFunction, t1: float,
-                          t2: float, pts: np.ndarray, spec: QuadratureSpec,
+                          t2: float, x1, x2, spec: QuadratureSpec,
                           z_axes=None) -> np.ndarray:
-    """theta f at an (N, 2) array of points from raw kernel evaluations.
+    """theta f from raw kernel evaluations on the point mesh x1 x x2, an
+    (x1.size, x2.size) array.
 
     As the closed forms split it, theta f(p) = theta(f - tail)(p) + tail M(p)
     with M(p) = iint K(p, z) dz.  The compact part, skipped when zero, shares
@@ -480,35 +483,37 @@ def _theta_points_general(kernel: Kernel, f: StepFunction, t1: float,
     (by default f's cells refined at (t1, t2)).  The mass takes one window
     per point, graded toward p alone and of radius t (2/(a eps))^(1/a) for
     the declared decay exponent a, so every window is a translate of one
-    relative mesh; a radius past e^700 is refused before any kernel call."""
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    relative mesh, made once per coordinate on each axis; a radius past
+    e^700 is refused before any kernel call."""
+    x1, x2 = (np.asarray(x, dtype=float).reshape(-1) for x in (x1, x2))
     decay = ((t1, kernel.alpha, "alpha"), (t2, kernel.beta, "beta"))
     for t, a, name in decay if f.tail != 0.0 else ():
         if math.log(t) + math.log(2.0 / (a * _TRUNCATION_EPS)) / a > 700.0:
             raise ValueError(f"declared exponent {name} = {a:g} is too small "
                              "for the raw path's tail window")
-    out = np.zeros(pts.shape[0])
+    out = np.zeros((x1.size, x2.size))
     table = np.pad(f.values - f.tail, (0, 1))
     if table.any():
-        out = _mesh_theta(kernel, table, t1, t2, pts, *(z_axes or [
+        out = _mesh_theta(kernel, table, t1, t2, x1, x2, *(z_axes or [
             _lookup_axis(f, axis, *_refined_axis_nodes(
                 f, axis, t, spec.points_per_cell, spec.rule))
             for axis, t in enumerate((t1, t2))]))
     if f.tail == 0.0:
         return out
     one = StepFunction(0, (0, 0), np.ones((1, 1)), tail=1.0)
-    one_table = np.pad(one.values, (0, 1), constant_values=one.tail)
     # each ladder bottoms out at t/8, below the kernel ridge width t, or the
     # whole window would be priced at the (huge) tail radius
     radii = [(t * (2.0 / (a * _TRUNCATION_EPS)) ** (1.0 / a), t)
              for t, a, _ in decay]
-    for i, p in enumerate(pts):
-        window = (segment_nodes(
-            graded_axis_edges(c - r, c + r, (c,),
-                              rel_finest=min(2.0 ** -20, 0.125 * t / r)),
-            spec.points_per_cell, spec.rule) for c, (r, t) in zip(p, radii))
-        out[i] += f.tail * _mesh_theta(kernel, one_table, t1, t2, p[None], *(
-            _lookup_axis(one, axis, *zw) for axis, zw in enumerate(window)))[0]
+    win1, win2 = ([_lookup_axis(one, axis, *segment_nodes(
+        graded_axis_edges(c - r, c + r, (c,),
+                          rel_finest=min(2.0 ** -20, 0.125 * t / r)),
+        spec.points_per_cell, spec.rule)) for c in x]
+        for axis, (x, (r, t)) in enumerate(zip((x1, x2), radii)))
+    for i, j in np.ndindex(out.shape):
+        out[i, j] += f.tail * _mesh_theta(
+            kernel, np.ones((2, 2)), t1, t2, x1[i:i + 1], x2[j:j + 1],
+            win1[i], win2[j])[0, 0]
     return out
 
 
@@ -518,24 +523,21 @@ def apply_theta(kernel: Kernel, f: StepFunction, y, t1: float, t2: float,
 
     Tensor kernels integrate each lattice cell in closed form, with a
     constant tail contributing tail * mass1 * mass2 exactly; other kernels go
-    through the raw-evaluation quadrature."""
+    through the raw-evaluation quadrature.  A point that is not finite, or a
+    scale that is not finite and positive, is refused first."""
     spec = spec or QuadratureSpec()
-    if t1 <= 0 or t2 <= 0:
-        raise ValueError("scales must be positive")
+    y = _finite_point(y, t1, t2)
     _check_pair_dims(kernel)
     if f.dim != kernel.n + kernel.m:
         raise ValueError("function dimension must match the kernel's plane")
-    y = np.asarray(y, dtype=float).reshape(2)
     if kernel.tensor_parts is not None:
         g1, g2 = kernel.tensor_parts
-        e1, e2 = _axis_edges(f, 0), _axis_edges(f, 1)
-        c1 = g1.cell_integral(t1, y[0], e1)
-        c2 = g2.cell_integral(t2, y[1], e2)
-        val = c1 @ (f.values - f.tail) @ c2
-        if f.tail != 0.0:
-            val += f.tail * g1.mass(t1) * g2.mass(t2)
-        return float(val)
-    return float(_theta_points_general(kernel, f, t1, t2, y[None, :], spec)[0])
+        c1 = g1.cell_integral(t1, y[0], _axis_edges(f, 0))
+        c2 = g2.cell_integral(t2, y[1], _axis_edges(f, 1))
+        return float(c1 @ (f.values - f.tail) @ c2
+                     + f.tail * g1.mass(t1) * g2.mass(t2))
+    return float(_theta_points_general(kernel, f, t1, t2, y[:1], y[1:],
+                                       spec)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +547,13 @@ def apply_theta(kernel: Kernel, f: StepFunction, y, t1: float, t2: float,
 
 def _raw_axis(f: StepFunction, axis: int, t, at, lam: float, spec) -> tuple:
     """One axis of the joint raw layer at the scale t: the u-mesh of f's
-    structure zone on that axis, its weights times the position weight at
-    ``at`` (:func:`_position_weight`), and the :func:`_lookup_axis` of f's
-    cells refined at t.  The meshes are the coarser raw-path family: this
-    layer prices kernel calls, not mesh density."""
+    structure zone on that axis (the coarser raw-path family: this layer
+    prices kernel calls, not mesh density), its weights times the position
+    weight at ``at`` and the :func:`_lookup_axis` of f's cells refined at t."""
     box = f.box[axis]
-    u, du, _, _ = _offset_mesh(box, t, spec, box, _RAW_PAD_UNITS,
-                               _RAW_MESH_REL)
+    edges = graded_axis_edges(*_offset_span(box, t, box, _RAW_PAD_UNITS), box,
+                              rel_finest=_RAW_MESH_REL)
+    u, du = segment_nodes(edges, spec.points_per_cell, spec.rule)
     return u, _position_weight(t, lam, at, u) * du, _lookup_axis(
         f, axis, *_refined_axis_nodes(f, axis, t, spec.points_per_cell,
                                       spec.rule))
@@ -564,10 +566,8 @@ def _raw_block(kernel: Kernel, f: StepFunction, t1: float, t2: float,
     on the tensor u-mesh of the two structure zones, contracted against
     both weights.  Compact f only (there is no closed far field)."""
     (u1, wg1, z1), (u2, wg2, z2) = axis1, axis2
-    pts = np.stack(np.meshgrid(u1, u2, indexing="ij"), axis=-1).reshape(-1, 2)
-    th = _theta_points_general(kernel, f, t1, t2, pts, spec, (z1, z2))
-    th2 = (th * th).reshape(u1.size, u2.size)
-    return float(wg1 @ th2 @ wg2) / (t1 * t2)
+    th = _theta_points_general(kernel, f, t1, t2, u1, u2, spec, (z1, z2))
+    return float(wg1 @ (th * th) @ wg2) / (t1 * t2)
 
 
 def _raw_octave_sums(kernel: Kernel, f: StepFunction, lams: Sequence[float],
@@ -673,7 +673,7 @@ def gstar_pointwise(kernel: Kernel, f, x, params: Params,
     if route not in ("auto", "fast", "full"):
         raise ValueError(f"unknown route {route!r}")
     _check_pair_dims(kernel)
-    x = np.asarray(x, dtype=float).reshape(2)
+    x = _finite_point(x, spec.t_min, spec.t_max)
     pair = _split_pair(f)
     lams = params.weight_powers
     tensor = kernel.tensor_parts is not None
@@ -876,7 +876,7 @@ def _unit_lag_rows(factor: ConvolutionFactor, spec: QuadratureSpec,
     at least ``n_lags`` long: entry k sums, over the octave's scale nodes
     tau with dt weights w, int_v psi_tau(v) psi_tau(v + k) dv w / tau, with
     psi_tau the unit-amplitude factor at scale tau on the cell [0, 1] and v
-    on the unit cell's own :func:`_offset_mesh`.
+    on the unit cell's own :func:`_offset_span` mesh.
 
     An octave missing from the table, or shorter there than ``n_lags``, is
     computed afresh with ``n_lags`` lags: every missing node's mesh comes

@@ -226,8 +226,8 @@ class Kernel:
     parameter and the m of the second.  The four blocks broadcast over their
     leading axes independently, and the value has their broadcast shape: the
     checkers call it on whole arrays of samples, the raw quantity routes on
-    point chunks against a row of z1 nodes and a column of z2 nodes, and
-    both refuse a result of any other shape.
+    four independent axis blocks (x1 and x2 chunks of a point mesh, z1 rows
+    and z2, each along its own axis), and both refuse any other shape.
     When ``tensor_parts`` is present, ``evaluate`` must equal the product of
     the two factors, each acting on its own block.
     """

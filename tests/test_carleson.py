@@ -121,7 +121,8 @@ def test_cij_opaque_quadrature_cross_check():
 def test_cij_opaque_kernel_calls_stay_in_blocks(monkeypatch):
     # theta(1) on a non-tensor kernel takes per-point mass windows of about
     # 1.2 M mesh points; the raw oracle must stream them through evaluate in
-    # blocks of at most _RAW_BLOCK values (or one z2 row, if that is longer)
+    # blocks of one point against a row chunk, at most _RAW_ROWS values
+    # (or one z2 row, if that is longer), below the _RAW_BLOCK of a tile
     largest = {"points": 0, "z2": 0}
 
     def evaluate(t1, t2, x, y):
@@ -131,16 +132,17 @@ def test_cij_opaque_kernel_calls_stay_in_blocks(monkeypatch):
 
     real = gstar._mesh_theta
 
-    def mesh_theta(kernel, table, t1, t2, pts, axis1, axis2):
+    def mesh_theta(kernel, table, t1, t2, x1, x2, axis1, axis2):
         largest["z2"] = max(largest["z2"], axis2[0].size)
-        return real(kernel, table, t1, t2, pts, axis1, axis2)
+        return real(kernel, table, t1, t2, x1, x2, axis1, axis2)
 
     monkeypatch.setattr(gstar, "_mesh_theta", mesh_theta)
     opaque = replace(SIZE, evaluate=evaluate, tensor_parts=None)
     g1, g2 = std_pair()
     spec = QuadratureSpec(t_points_per_octave=1)
     c_ij(opaque, g1.cube(2, (0,)), g2.cube(3, (0,)), PARAMS, spec)
-    assert 0 < largest["points"] <= max(gstar._RAW_BLOCK, largest["z2"])
+    assert 0 < largest["points"] <= max(gstar._RAW_ROWS, largest["z2"])
+    assert gstar._RAW_ROWS < gstar._RAW_BLOCK
 
 
 def test_cij_refuses_a_tiny_declared_exponent():

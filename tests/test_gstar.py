@@ -21,6 +21,7 @@ from glstar.dyadic import ShiftedGrid
 from glstar.haar import HaarIndex, haar_function, s_function
 from glstar.gstar import (
     _RAW_BLOCK,
+    _RAW_ROWS,
     GStarValue,
     _axis_gram,
     _band_nodes,
@@ -113,11 +114,13 @@ def test_theta_closed_cells_match_raw_quadrature():
     assert raw == pytest.approx(closed, rel=2e-3)
 
 
-def meshgrid_theta(kernel, f, t1, t2, pts, z1, w1, z2, w2):
-    """The whole-mesh contraction the blocked one replaced: the z-mesh as one
-    (N, 2) array, passed to evaluate as its two (1, N, 1) coordinate blocks
-    against the points' (P, 1, 1) ones, and one kv @ fw per chunk of points.
-    Returns theta and the (points, N) kernel values."""
+def meshgrid_theta(kernel, f, t1, t2, x1, x2, z1, w1, z2, w2):
+    """The whole-mesh contraction the blocked one replaced: the point mesh
+    x1 x x2 and the z-mesh each as one (N, 2) array, passed to evaluate as
+    two (P, 1, 1) and two (1, N, 1) coordinate blocks, and one kv @ fw per
+    chunk of points.  Returns theta on x1 x x2 and the (points, N) kernel
+    values, the points in x1-major order."""
+    pts = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1).reshape(-1, 2)
     zg = np.stack(np.meshgrid(z1, z2, indexing="ij"), axis=-1).reshape(-1, 2)
     fw = (f(z1[:, None], z2[None, :]) * np.multiply.outer(w1, w2)).ravel()
     kv = np.asarray(kernel.evaluate(t1, t2,
@@ -126,13 +129,13 @@ def meshgrid_theta(kernel, f, t1, t2, pts, z1, w1, z2, w2):
     step = max(1, int(4e6) // zg.shape[0])
     out = np.concatenate([kv[i:i + step] @ fw
                           for i in range(0, pts.shape[0], step)])
-    return out, kv
+    return out.reshape(x1.size, x2.size), kv
 
 
-def mesh_theta(kernel, f, t1, t2, pts, z1, w1, z2, w2):
+def mesh_theta(kernel, f, t1, t2, x1, x2, z1, w1, z2, w2):
     """_mesh_theta on f's padded table and the two lookup axes of z1 x z2."""
     table = np.pad(f.values, (0, 1), constant_values=f.tail)
-    return _mesh_theta(kernel, table, t1, t2, pts,
+    return _mesh_theta(kernel, table, t1, t2, x1, x2,
                        gstar._lookup_axis(f, 0, z1, w1),
                        gstar._lookup_axis(f, 1, z2, w2))
 
@@ -149,35 +152,46 @@ def recording(kernel):
     return replace(kernel, evaluate=evaluate), calls
 
 
-def assert_blocks_match(calls, pts, z1, z2, kv_full):
-    # each block is a point chunk against a z1-row chunk and all of z2, passed
-    # as four unmaterialized coordinate blocks; its values must be the
-    # matching slice of the whole-mesh values, bit for bit
+def assert_blocks_match(calls, x1, x2, z1, z2, kv_full):
+    # each block is an a x b tile of the point mesh against a z1-row chunk
+    # and all of z2, passed as four unmaterialized axis blocks; its values
+    # must be the matching slice of the whole-mesh values, bit for bit
+    kv_mesh = kv_full.reshape(x1.size, x2.size, z1.size, z2.size)
     covered = 0
-    for (x1, x2), (y1, y2), kv in calls:
-        count, rows, n2 = x1.shape[0], y1.shape[1], y2.shape[2]
-        assert x1.shape == x2.shape == (count, 1, 1, 1)
-        assert y1.shape == (1, rows, 1, 1) and y2.shape == (1, 1, n2, 1)
-        i = int(np.flatnonzero((pts[:, 0] == x1.flat[0])
-                               & (pts[:, 1] == x2.flat[0]))[0])
-        assert np.array_equal(pts[i:i + count], np.c_[x1.ravel(), x2.ravel()])
-        r = int(np.flatnonzero(z1 == y1.flat[0])[0])
+    for (b1, b2), (y1, y2), kv in calls:
+        a, b, rows, n2 = b1.shape[0], b2.shape[1], y1.shape[2], y2.shape[3]
+        assert b1.shape == (a, 1, 1, 1, 1) and b2.shape == (1, b, 1, 1, 1)
+        assert y1.shape == (1, 1, rows, 1, 1) and y2.shape == (1, 1, 1, n2, 1)
+        i, j, r = (int(np.flatnonzero(axis == block.flat[0])[0])
+                   for axis, block in ((x1, b1), (x2, b2), (z1, y1)))
+        assert np.array_equal(b1.ravel(), x1[i:i + a])
+        assert np.array_equal(b2.ravel(), x2[j:j + b])
+        assert np.array_equal(y1.ravel(), z1[r:r + rows])
         assert np.array_equal(y2.ravel(), z2)
-        assert n2 == z2.size and kv.shape == (count, rows, n2)
+        assert kv.shape == (a, b, rows, n2)
         assert kv.size <= max(_RAW_BLOCK, z2.size)
-        ref = kv_full[i:i + count, r * n2:(r + rows) * n2]
-        assert np.array_equal(kv.reshape(ref.shape), ref)
+        assert np.array_equal(kv, kv_mesh[i:i + a, j:j + b, r:r + rows])
         covered += kv.size
     assert covered == kv_full.size
 
 
+def point_mesh(rng, count):
+    """``count`` x 3 points near the test boxes, as the two sorted axes of a
+    tensor mesh."""
+    return (np.sort(rng.uniform(-1.0, 2.0, count)),
+            np.sort(rng.uniform(-1.0, 2.0, 3)))
+
+
+# ``points`` x 3 point meshes: the z mesh of n1 x n2 nodes is cut into row
+# chunks of at most _RAW_ROWS = 2^14 values, and each chunk meets point
+# tiles of up to _RAW_BLOCK = 2^15 values
 @pytest.mark.parametrize("n1, n2, points", [
-    (64, 64, 40),      # below a block: point chunks of 4
-    (128, 128, 3),     # exactly one block per point
-    (256, 256, 3),     # exactly four one-block row chunks per point
-    (257, 256, 2),     # one row past four blocks: 64-row chunks, a 1-row one
+    (64, 64, 40),      # below a row chunk: fifteen 8 x 1 point tiles
+    (128, 128, 3),     # exactly one row chunk: 1 x 2 tiles, then 1 x 1
+    (256, 256, 3),     # exactly four 64-row chunks: 1 x 2, then 1 x 1
+    (257, 256, 2),     # one row past four chunks: a 1-row one, 2 x 1 tiles
     (300, 250, 2),     # uneven row chunks of 65 and 40
-    (2, 70000, 1),     # z2 alone exceeds a block: one row per block
+    (2, 70000, 1),     # z2 alone exceeds a block: one row and point a block
 ])
 def test_blocked_mesh_theta_matches_the_whole_mesh_contraction(n1, n2, points):
     rng = np.random.default_rng(n1 + n2)
@@ -186,11 +200,12 @@ def test_blocked_mesh_theta_matches_the_whole_mesh_contraction(n1, n2, points):
     z1 = np.sort(rng.uniform(a1 - 0.5, b1 + 0.5, n1))
     z2 = np.sort(rng.uniform(a2 - 0.5, b2 + 0.5, n2))
     w1, w2 = rng.uniform(0.5, 1.5, n1) / n1, rng.uniform(0.5, 1.5, n2) / n2
-    pts = rng.uniform(-1.0, 2.0, size=(points, 2))
+    x1, x2 = point_mesh(rng, points)
     kernel, calls = recording(OPAQUE)
-    got = mesh_theta(kernel, f, 0.45, 0.7, pts, z1, w1, z2, w2)
-    ref, kv_full = meshgrid_theta(OPAQUE, f, 0.45, 0.7, pts, z1, w1, z2, w2)
-    assert_blocks_match(calls, pts, z1, z2, kv_full)
+    got = mesh_theta(kernel, f, 0.45, 0.7, x1, x2, z1, w1, z2, w2)
+    ref, kv_full = meshgrid_theta(OPAQUE, f, 0.45, 0.7, x1, x2, z1, w1, z2,
+                                  w2)
+    assert_blocks_match(calls, x1, x2, z1, z2, kv_full)
     np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
 
@@ -217,15 +232,15 @@ def test_blocked_mesh_theta_matches_on_a_tail_window(monkeypatch):
     (compact, c_out, _), (args, m_out, m_calls) = seen
     # the compact part's table: f - tail, and 0 in the slots past the box
     assert np.array_equal(compact[1], np.pad(f.values - f.tail, (0, 1)))
-    ones, t1, t2, pts, (z1, w1, k1), (z2, w2, k2) = args[1:]
+    ones, t1, t2, x1, x2, (z1, w1, k1), (z2, w2, k2) = args[1:]
     assert np.all(ones[np.ix_(k1, k2)] == 1.0)
-    # the window spans several blocks
-    assert z1.size * z2.size > 4 * _RAW_BLOCK
+    # the window spans several blocks, each one point against a row chunk
+    assert z1.size * z2.size > 4 * _RAW_ROWS
     one = StepFunction(0, (0, 0), np.ones((1, 1)), tail=1.0)
-    ref, kv_full = meshgrid_theta(SIZE, one, t1, t2, pts, z1, w1, z2, w2)
-    assert_blocks_match(m_calls, pts, z1, z2, kv_full)
-    assert val == c_out[0] + f.tail * m_out[0]
-    assert m_out[0] == pytest.approx(ref[0], rel=1e-13, abs=0.0)
+    ref, kv_full = meshgrid_theta(SIZE, one, t1, t2, x1, x2, z1, w1, z2, w2)
+    assert_blocks_match(m_calls, x1, x2, z1, z2, kv_full)
+    assert val == c_out[0, 0] + f.tail * m_out[0, 0]
+    assert m_out[0, 0] == pytest.approx(ref[0, 0], rel=1e-13, abs=0.0)
 
 
 def tailed_cases(rng, count):
@@ -278,28 +293,31 @@ def test_raw_tail_window_refuses_a_tiny_declared_exponent(alpha, beta, name):
 
 def test_raw_theta_skips_a_zero_compact_part(monkeypatch):
     # f - tail = 0: theta f is tail times the kernel mass, one window
-    # contraction per point and no compact one, and the sum is that alone
+    # contraction per point of the 2 x 2 mesh and no compact one, and the
+    # sum is that alone
     seen = []
 
     def spy(kernel, table, *rest):
         out = _mesh_theta(kernel, table, *rest)
-        seen.append((table, out[0]))
+        seen.append((table, out[0, 0]))
         return out
 
     monkeypatch.setattr(gstar, "_mesh_theta", spy)
     f = StepFunction(level=1, lo=(-1, 0), values=np.full((2, 3), 0.75),
                      tail=0.75)
-    pts = np.array([[0.3, -0.2], [2.5, 1.25]])
     got = gstar._theta_points_general(replace(SIZE, tensor_parts=None), f,
-                                      0.4, 0.6, pts, QuadratureSpec())
+                                      0.4, 0.6, [0.3, 2.5], [-0.2, 1.25],
+                                      QuadratureSpec())
     assert [np.array_equal(table, np.ones((2, 2))) for table, _ in seen] == \
-        [True, True]
-    assert np.array_equal(got, [0.75 * mass for _, mass in seen])
+        [True] * 4
+    assert got.shape == (2, 2)
+    assert np.array_equal(got.ravel(), [0.75 * mass for _, mass in seen])
 
 
 def test_raw_tail_window_is_anchored_at_the_point_alone(monkeypatch):
     # the mass window is graded toward the point only: f's box ends are no
-    # kinks of the kernel mass, so they take no ladder
+    # kinks of the kernel mass, so they take no ladder; each axis's window
+    # is made once per coordinate, not once per point of the 2 x 2 mesh
     anchors = []
 
     def spy(lo, hi, anchors_, rel_finest):
@@ -308,9 +326,9 @@ def test_raw_tail_window_is_anchored_at_the_point_alone(monkeypatch):
 
     monkeypatch.setattr(gstar, "graded_axis_edges", spy)
     f = StepFunction(level=1, lo=(-1, 0), values=np.ones((2, 3)), tail=-0.5)
-    pts = np.array([[0.3, -0.2], [2.5, 1.25]])
-    gstar._theta_points_general(OPAQUE, f, 0.4, 0.6, pts, QuadratureSpec())
-    assert anchors == [(0.3,), (-0.2,), (2.5,), (1.25,)]
+    gstar._theta_points_general(OPAQUE, f, 0.4, 0.6, [0.3, 2.5],
+                                [-0.2, 1.25], QuadratureSpec())
+    assert anchors == [(0.3,), (2.5,), (-0.2,), (1.25,)]
 
 
 def axis_probes(lo, cells, h, extra):
@@ -343,51 +361,54 @@ def test_padded_lookup_is_the_step_function_exactly():
                               [-2 ** 62 - f.lo[axis], 2 ** 62 - f.lo[axis]])
 
 
-def pointwise_mesh_theta(kernel, f, t1, t2, pts, z1, w1, z2, w2):
+def pointwise_mesh_theta(kernel, f, t1, t2, x1, x2, z1, w1, z2, w2):
     """The block loop that read f through ``f(rows, z2)`` per row chunk,
-    its points and mesh passed as coordinate blocks."""
-    rows = min(z1.size, max(1, _RAW_BLOCK // max(1, z2.size)))
-    step = max(1, _RAW_BLOCK // (rows * z2.size))
-    out = np.zeros(pts.shape[0])
+    its point tiles and mesh passed as axis blocks."""
+    rows = min(z1.size, max(1, _RAW_ROWS // max(1, z2.size)))
+    a, b = gstar._tile(x1.size, x2.size, _RAW_BLOCK // (rows * z2.size))
+    out = np.zeros((x1.size, x2.size))
     for r in range(0, z1.size, rows):
         zr = z1[r:r + rows]
         fw = (f(zr[:, None], z2[None, :])
               * np.multiply.outer(w1[r:r + rows], w2)).ravel()
-        for i in range(0, pts.shape[0], step):
-            p = pts[i:i + step, :, None, None, None]
-            kv = kernel.evaluate(t1, t2, (p[:, 0], p[:, 1]),
-                                 (zr[None, :, None, None],
-                                  z2[None, None, :, None]))
-            out[i:i + step] += np.asarray(kv, dtype=float).reshape(
-                -1, fw.size) @ fw
+        for i in range(0, x1.size, a):
+            for j in range(0, x2.size, b):
+                kv = kernel.evaluate(
+                    t1, t2, (x1[i:i + a, None, None, None, None],
+                             x2[None, j:j + b, None, None, None]),
+                    (zr[None, None, :, None, None],
+                     z2[None, None, None, :, None]))
+                tile = out[i:i + a, j:j + b]
+                tile += (np.asarray(kv, dtype=float).reshape(-1, fw.size)
+                         @ fw).reshape(tile.shape)
     return out
 
 
 def probe_mesh(extra, points):
     """A tailed f, probe meshes reaching its every cell with ``extra`` more
-    nodes per axis, their weights and ``points`` points near the box."""
+    nodes per axis, their weights and a ``points`` x 3 point mesh near the
+    box."""
     rng = np.random.default_rng(extra)
     f = StepFunction(level=2, lo=(-3, 1), values=rng.normal(size=(5, 4)),
                      tail=-0.6)
     z1 = axis_probes(-3, 5, 0.25, rng.uniform(-2.0, 1.0, extra))
     z2 = axis_probes(1, 4, 0.25, rng.uniform(-0.5, 2.0, extra))
-    assert (z1.size * z2.size > _RAW_BLOCK) == (extra == 300)
+    assert (z1.size * z2.size > _RAW_ROWS) == (extra == 300)
     w1, w2 = rng.uniform(0.5, 1.5, z1.size), rng.uniform(0.5, 1.5, z2.size)
-    pts = rng.uniform(-1.0, 2.0, size=(points, 2))
-    return f, pts, z1, w1, z2, w2
+    return (f, *point_mesh(rng, points), z1, w1, z2, w2)
 
 
 MESH_CASES = pytest.mark.parametrize("extra, points", [
-    (20, 12),     # the whole mesh fits in one block
-    (300, 2),     # it does not: six 52-row chunks and a 4-row one add up
+    (20, 12),     # the whole z mesh is one row chunk: two 6 x 3 tiles
+    (300, 2),     # it is not: six 52-row chunks and a 4-row one add up
 ])
 
 
 @MESH_CASES
 def test_mesh_theta_reads_f_like_the_pointwise_loop(extra, points):
-    f, pts, *mesh = probe_mesh(extra, points)
-    got = mesh_theta(OPAQUE, f, 0.45, 0.7, pts, *mesh)
-    want = pointwise_mesh_theta(OPAQUE, f, 0.45, 0.7, pts, *mesh)
+    f, *mesh = probe_mesh(extra, points)
+    got = mesh_theta(OPAQUE, f, 0.45, 0.7, *mesh)
+    want = pointwise_mesh_theta(OPAQUE, f, 0.45, 0.7, *mesh)
     assert np.array_equal(got, want)
 
 
@@ -405,50 +426,60 @@ def coupled_kernel():
 
 @MESH_CASES
 def test_mesh_theta_on_a_kernel_that_does_not_separate(extra, points):
-    # each block's values couple its rows and z2, so the kernel returns and
-    # the layer contracts the whole block: the per-point block loop's theta,
-    # and slices of the whole mesh's values bit for bit
-    f, pts, *mesh = probe_mesh(extra, points)
+    # each block's values couple its point tile, rows and z2, so the kernel
+    # returns and the layer contracts the whole block: on the tensor point
+    # mesh, the tiled block loop's theta, and slices of the whole mesh's
+    # values bit for bit
+    f, *mesh = probe_mesh(extra, points)
     kernel, calls = recording(coupled_kernel())
-    got = mesh_theta(kernel, f, 0.45, 0.7, pts, *mesh)
-    want = pointwise_mesh_theta(coupled_kernel(), f, 0.45, 0.7, pts, *mesh)
+    got = mesh_theta(kernel, f, 0.45, 0.7, *mesh)
+    want = pointwise_mesh_theta(coupled_kernel(), f, 0.45, 0.7, *mesh)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-    ref, kv_full = meshgrid_theta(coupled_kernel(), f, 0.45, 0.7, pts, *mesh)
-    assert_blocks_match(calls, pts, mesh[0], mesh[2], kv_full)
+    ref, kv_full = meshgrid_theta(coupled_kernel(), f, 0.45, 0.7, *mesh)
+    x1, x2, z1, _, z2, _ = mesh
+    assert_blocks_match(calls, x1, x2, z1, z2, kv_full)
     np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("evaluate", [
-    lambda t1, t2, x, y: SIZE.tensor_parts[0].value(t1, x[0], y[0]),
-    lambda t1, t2, x, y: 1.0,
-], ids=["first_block_only", "constant"])
-def test_mesh_theta_refuses_a_kernel_that_does_not_broadcast(evaluate):
-    # values lacking the (points, rows, z2) shape are refused by the
-    # broadcast contract, not reshaped into wrong sums
+@pytest.mark.parametrize("evaluate, one_point", [
+    (lambda t1, t2, x, y: SIZE.tensor_parts[0].value(t1, x[0], y[0]), True),
+    (lambda t1, t2, x, y: 1.0, True),
+    (lambda t1, t2, x, y: SIZE.evaluate(t1, t2, (x[0], x[0]), y), False),
+], ids=["first_block_only", "constant", "x1_for_both"])
+def test_mesh_theta_refuses_a_kernel_that_does_not_broadcast(evaluate,
+                                                            one_point):
+    # values lacking the (a, b, rows, z2) shape are refused by the broadcast
+    # contract, not reshaped into wrong sums.  On a tensor point mesh the x1
+    # and x2 blocks lie along separate axes, so a kernel that reads x1 for
+    # both is refused too; a one-point mesh cannot tell it apart
     kernel = Kernel(evaluate, 0.5, 0.5)
     f = StepFunction(level=1, lo=(0, 0), values=np.ones((2, 2)))
     with pytest.raises(ValueError, match="broadcast over its coordinate"):
-        apply_theta(kernel, f, (0.3, 0.2), 0.5, 0.5)
+        gstar._theta_points_general(kernel, f, 0.5, 0.5, [0.3, 0.7],
+                                    [0.2, -0.1, 0.6], QuadratureSpec())
+    if one_point:
+        with pytest.raises(ValueError, match="broadcast over its coordinate"):
+            apply_theta(kernel, f, (0.3, 0.2), 0.5, 0.5)
 
 
 @pytest.mark.parametrize("make", [make_size_only, make_cancellative],
                          ids=["size", "cancellative"])
 def test_block_evaluate_is_the_profile_product_on_the_whole_mesh(make):
     # away from a = 0.5 the power takes no sqrt shortcut; each factor's
-    # values on P x R and P x Z2 must still be the bits of its profile on
-    # the whole materialized P x R x Z2 mesh
+    # values on a x R and b x Z2 must still be the bits of its profile on
+    # the whole materialized a x b x R x Z2 mesh
     kernel = make(1, 1, 0.7, 0.3)
     f1, f2 = kernel.tensor_parts
     rng = np.random.default_rng(31)
-    pts = rng.uniform(-1.0, 2.0, size=(5, 2))
+    x1, x2 = rng.uniform(-1.0, 2.0, 5), rng.uniform(-1.0, 2.0, 3)
     z1, z2 = rng.uniform(-2.0, 3.0, 64), rng.uniform(-2.0, 3.0, 257)
-    p = pts[:, :, None, None, None]
-    got = kernel.evaluate(0.45, 0.7, (p[:, 0], p[:, 1]),
-                          (z1[None, :, None, None], z2[None, None, :, None]))
-    p1, m1, _ = np.meshgrid(pts[:, 0], z1, z2, indexing="ij")
-    p2, _, m2 = np.meshgrid(pts[:, 1], z1, z2, indexing="ij")
+    got = kernel.evaluate(0.45, 0.7, (x1[:, None, None, None, None],
+                                      x2[None, :, None, None, None]),
+                          (z1[None, None, :, None, None],
+                           z2[None, None, None, :, None]))
+    p1, p2, m1, m2 = np.meshgrid(x1, x2, z1, z2, indexing="ij")
     want = f1.profile(0.45, np.abs(p1 - m1)) * f2.profile(0.7, np.abs(p2 - m2))
-    assert got.shape == want.shape == (5, 64, 257)
+    assert got.shape == want.shape == (5, 3, 64, 257)
     assert np.array_equal(got, want)
 
 
@@ -461,8 +492,131 @@ def test_theta_rejects_bad_arguments():
         apply_theta(CANC, f, (0.0, 0.0), -1.0, 0.5)
 
 
+def counted_factors(monkeypatch):
+    """Spy on every factor evaluation, exact or raw: a list that gets one
+    entry per ``profile`` or ``antiderivative_into`` call, its size."""
+    counts = []
+    for name in ("profile", "antiderivative_into"):
+        real = getattr(ConvolutionFactor, name)
+
+        def spy(self, *args, real=real):
+            out = real(self, *args)
+            counts.append(int(np.size(out)))
+            return out
+
+        monkeypatch.setattr(ConvolutionFactor, name, spy)
+    return counts
+
+
+NON_FINITE_POINTS = pytest.mark.parametrize("point", [
+    (math.nan, 0.2), (0.3, math.inf), (-math.inf, math.nan),
+], ids=["nan", "inf", "both"])
+
+
+@pytest.mark.parametrize("kernel", [SIZE, OPAQUE], ids=["tensor", "opaque"])
+@NON_FINITE_POINTS
+def test_theta_and_pointwise_refuse_a_non_finite_point(monkeypatch, kernel,
+                                                       point):
+    # refused by name before any kernel or factor call, on both layers
+    # (the tensor one returned nan, the raw one raised on an empty axis
+    # interval or a nan square-function value)
+    kernel, calls = recording(kernel)
+    counts = counted_factors(monkeypatch)
+    f = StepFunction(level=1, lo=(0, 0), values=np.ones((2, 2)))
+    spec = QuadratureSpec(points_per_cell=1, t_points_per_octave=1,
+                          t_min=0.25, t_max=1.0)
+    with pytest.raises(ValueError, match="the point must be finite"):
+        apply_theta(kernel, f, point, 0.5, 0.5)
+    with pytest.raises(ValueError, match="the point must be finite"):
+        gstar_pointwise(kernel, f, point, PARAMS, spec)
+    assert calls == [] and counts == []
+
+
+@pytest.mark.parametrize("kernel", [SIZE, OPAQUE], ids=["tensor", "opaque"])
+@pytest.mark.parametrize("t1", [math.nan, math.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_theta_and_pointwise_refuse_a_scale_that_is_not_finite_and_positive(
+        monkeypatch, kernel, t1):
+    # apply_theta takes its scales as arguments (nan passed the old t <= 0
+    # guard and raised converting nan to an integer; inf returned nan), the
+    # pointwise value from its spec, which admits t_max = inf
+    kernel, calls = recording(kernel)
+    counts = counted_factors(monkeypatch)
+    f = StepFunction(level=1, lo=(0, 0), values=np.ones((2, 2)))
+    with pytest.raises(ValueError, match="the scales finite and positive"):
+        apply_theta(kernel, f, (0.3, 0.2), t1, 0.5)
+    with pytest.raises(ValueError, match="the scales finite and positive"):
+        apply_theta(kernel, f, (0.3, 0.2), 0.5, t1)
+    if t1 == math.inf:
+        spec = QuadratureSpec(points_per_cell=1, t_points_per_octave=1,
+                              t_min=0.25, t_max=t1)
+        with pytest.raises(ValueError, match="the scales finite and positive"):
+            gstar_pointwise(kernel, f, (0.3, 0.2), PARAMS, spec)
+    assert calls == [] and counts == []
+
+
+@pytest.mark.parametrize("n1, n2, cap", [
+    (86, 86, 128), (86, 86, 64), (13, 13, 9), (40, 3, 8), (1, 100, 7),
+    (100, 1, 7), (5, 3, 1), (1, 1, 5), (86, 86, 7396),
+])
+def test_point_tiles_are_as_full_as_the_cap_allows(n1, n2, cap):
+    # the a x b tile covers the n1 x n2 point mesh in the fewest tiles of at
+    # most cap points, against every tile shape; tiles along one u1 row
+    # would take 172 at (86, 86, 64), not 121
+    a, b = gstar._tile(n1, n2, cap)
+    assert 1 <= a <= n1 and 1 <= b <= n2 and a * b <= cap
+    count = math.ceil(n1 / a) * math.ceil(n2 / b)
+    assert count == min(math.ceil(n1 / p) * math.ceil(n2 / q)
+                        for p in range(1, n1 + 1) for q in range(1, n2 + 1)
+                        if p * q <= cap)
+    assert (count == 1) == (n1 * n2 <= cap)
+
+
+def test_raw_block_evaluates_each_factor_on_one_point_axis(monkeypatch):
+    # one scale pair of a separable opaque kernel: every block evaluates
+    # factor 1 on its a u1 values against its r z1 rows and factor 2 on its
+    # b u2 values against all Z2, so at most U1 Z1 + U2 Z2 profile values a
+    # block, and the pair far below the P (Z1 + Z2) of point-by-point blocks
+    counts = counted_factors(monkeypatch)
+    kernel, calls = recording(OPAQUE)
+    per_block = []
+
+    def evaluate(t1, t2, x, y):
+        first = len(counts)
+        kv = kernel.evaluate(t1, t2, x, y)
+        per_block.append((x, y, sum(counts[first:])))
+        return kv
+
+    spec = QuadratureSpec(points_per_cell=2)
+    f = StepFunction(1, (0, 0), np.random.default_rng(4).normal(size=(2, 2)))
+    t1, t2 = 0.25, 0.3
+    axes = [gstar._raw_axis(f, axis, t, 0.4, 3.0, spec)
+            for axis, t in enumerate((t1, t2))]
+    (u1, _, (z1, _, _)), (u2, _, (z2, _, _)) = axes
+    gstar._raw_block(replace(OPAQUE, evaluate=evaluate), f, t1, t2, *axes,
+                     spec)
+    assert len(per_block) > 1
+    for (x1, x2), (y1, y2), elements in per_block:
+        a, b, r, n2 = x1.shape[0], x2.shape[1], y1.shape[2], y2.shape[3]
+        assert elements == a * r + b * n2
+        assert elements <= u1.size * z1.size + u2.size * z2.size
+    total = sum(elements for *_, elements in per_block)
+    assert total * 8 < u1.size * u2.size * (z1.size + z2.size)
+
+
 # ---------------------------------------------------------------------------
 # response grams
+
+
+def offset_mesh(box, t, spec, anchors):
+    """One scale's offset mesh node by node: :func:`gstar._offset_span`
+    graded toward every anchor at the per-axis layer's density; its nodes,
+    weights and two edges."""
+    lo, hi = gstar._offset_span(box, t, anchors)
+    u, du = segment_nodes(graded_axis_edges(lo, hi, anchors,
+                                            rel_finest=gstar._MESH_REL),
+                          spec.points_per_cell, spec.rule)
+    return u, du, float(lo), float(hi)
 
 
 def test_response_gram_is_the_gram_of_its_rows():
@@ -573,7 +727,7 @@ def response_gram_per_cell(factor, f, at, t, lam, spec, rows=None):
     anchors = list(edges) if edges.size <= 33 else [edges[0], edges[-1]]
     anchors = anchors + list(np.atleast_1d(at))
     far = f.tail * factor.mass(t)
-    u, du, ulo, uhi = gstar._offset_mesh(f.box[0], t, spec, anchors)
+    u, du, ulo, uhi = offset_mesh(f.box[0], t, spec, anchors)
     theta = (factor.cell_integral(t, u, edges) @ (rows - f.tail).T).T + far
     return gstar._weighted_theta_gram(
         theta[None], u[None], du[None], np.array([u.size]), np.array([ulo]),
@@ -695,7 +849,7 @@ def test_axis_gram_meshes_are_the_per_node_meshes(monkeypatch, level, t_range):
     if level == 3:
         assert np.unique(sizes).size > 1
     for tau, u, du, m in zip(taus, us, dus, sizes):
-        want_u, want_du, _, _ = gstar._offset_mesh((0.0, 1.0), tau, spec,
+        want_u, want_du, _, _ = offset_mesh((0.0, 1.0), tau, spec,
                                                    (0.0, 1.0))
         assert u[:m].tobytes() == want_u.tobytes()
         assert du[:m].tobytes() == want_du.tobytes()
@@ -713,7 +867,7 @@ def axis_gram_per_scale(factor, level, n_cells, lam, t_range, spec):
     row = np.zeros(n_cells, dtype=np.longdouble)
     tn, tw = octave_nodes(*t_range, spec.t_points_per_octave, spec.rule)
     for t, w in zip(tn, tw):
-        u, du, _, _ = gstar._offset_mesh((0.0, h), t, spec, (0.0, h))
+        u, du, _, _ = offset_mesh((0.0, h), t, spec, (0.0, h))
         psi = factor.cell_integral(t, u, edges)[:, ::-1].astype(np.longdouble) / h
         auto = (psi[:, 0] * du) @ psi
         row += auto * (np.longdouble(weight_total(t, lam)) / t ** 2 * w)
@@ -733,7 +887,7 @@ def axis_gram_unit_nodes(factor, level, n_cells, lam, t_range, spec):
     for taus, ws in unit_octaves(level, t_range, spec):
         lags = np.zeros(n_cells)
         for tau, w in zip(taus, ws):
-            v, dv, _, _ = gstar._offset_mesh((0.0, 1.0), tau, spec, (0.0, 1.0))
+            v, dv, _, _ = offset_mesh((0.0, 1.0), tau, spec, (0.0, 1.0))
             psi = np.ascontiguousarray(unit.cell_integral(tau, v, edges).T[::-1])
             lags += np.einsum("ki,i->k", psi, psi[0] * dv) * (w / tau)
         row += lags
